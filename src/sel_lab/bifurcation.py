@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import ScalarFn
 from .ioutil import atomic_write_text, fmt
@@ -28,6 +27,8 @@ from .numerics import (
     BracketError,
     NumericsError,
     RadialSolution,
+    find_root_monotone,
+    shoot,
 )
 
 EPS_BOUNDARY = 1e-6  # epsilon cut where integration stops and the zero is modelled
@@ -87,26 +88,16 @@ def _eigen_shoot(N: int, R: float, mode: str):
     def integrate(lam):
         if mode == "interval":
             y0, start = (0.0, 1.0), 0.0
-
-            def f(r, y):
-                return (y[1], -lam * y[0])
         elif N == 1:
             y0, start = (1.0, 0.0), 0.0
-
-            def f(r, y):
-                return (y[1], -lam * y[0])
         else:
             eps = 1e-6 * R
             start = eps
             # phi ~ 1 - lam r^2/(2N) + lam^2 r^4/(8N(N+2))
             y0 = (1.0 - lam * eps ** 2 / (2.0 * N) + lam ** 2 * eps ** 4 / (8.0 * N * (N + 2)),
                   -lam * eps / N + lam ** 2 * eps ** 3 / (2.0 * N * (N + 2)))
-
-            def f(r, y):
-                return (y[1], -lam * y[0] - (N - 1) / r * y[1])
-
-        return solve_ivp(f, (start, R), y0, method="DOP853", rtol=1e-13, atol=1e-14,
-                         dense_output=True)
+        return shoot(lambda r, u, du: -lam * u, N, start, y0, R, "DOP853", 1e-13, 1e-14,
+                     dense=True)
 
     return integrate
 
@@ -277,7 +268,7 @@ def _singular_start(prob: LEFProblem, s: float, eps: float):
     return u, du
 
 
-def _clamped_odefun(rhs, N: int):
+def _clamped_source(rhs):
     """minus the RHS with a positivity clamp below the epsilon cut.
 
     RK45 stages can overshoot u slightly below the terminal events; the
@@ -287,66 +278,45 @@ def _clamped_odefun(rhs, N: int):
     """
     floor = EPS_BOUNDARY / 100.0
 
-    def odefun(r, y):
-        val = -rhs(r, max(y[0], floor), y[1])
-        if N > 1 and r > 0.0:
-            val -= (N - 1) / r * y[1]
+    def source(r, u, du):
+        val = -rhs(r, max(u, floor), du)
         if not math.isfinite(val):
             val = -1e15 if val < 0.0 else 1e15
-        return (y[1], val)
+        return val
 
-    return odefun
+    return source
 
 
 def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
     """Return zero_location(s): where the solution returns to zero.
 
-    The integration stops at the epsilon cut u = 1e-6 and the zero is
-    located by the local linear model u ~ c (R - r); a true-zero event
-    backstops trajectories that never rise above the cut.
+    The integration stops at the epsilon cut u = eps_b (default 1e-6) and
+    the zero is located by the local linear model u ~ c (R - r); a
+    true-zero event backstops trajectories that never rise above the cut.
     """
     rhs = prob.rhs()
     N, R = prob.N, prob.R
     r_cap = 3.0 * R
-    odefun = _clamped_odefun(rhs, N)
+    source = _clamped_source(rhs)
 
-    def low_event(r, y):
-        return y[0] - EPS_BOUNDARY
-
-    low_event.terminal = True
-    low_event.direction = -1
-
-    def zero_backstop(r, y):
-        return y[0]
-
-    zero_backstop.terminal = True
-    zero_backstop.direction = -1
-
-    def high_event(r, y):
-        return u_cap - y[0]
-
-    high_event.terminal = True
-    high_event.direction = -1
-
-    def integrate(s, dense=False):
+    def integrate(s, dense=False, eps_b=EPS_BOUNDARY):
         if prob.geometry == "interval":
             eps = 1e-6
             y0 = _singular_start(prob, s, eps)
             start = eps
         else:
+            # second-order series at eps, also for the 1-D ball
             eps = 1e-8 * R
             g0 = -rhs(0.0, s, 0.0)
             y0 = (s + g0 * eps * eps / (2.0 * N), g0 * eps / N)
             start = eps
-        return solve_ivp(odefun, (start, r_cap), y0, method="RK45",
-                         rtol=1e-10, atol=1e-13 * max(1.0, s),
-                         dense_output=dense,
-                         events=(low_event, zero_backstop, high_event))
+        return shoot(source, N, start, y0, r_cap, "RK45", 1e-10, 1e-13 * max(1.0, s),
+                     floors=(eps_b, 0.0), cap=u_cap, dense=dense)
 
     def zero_location(s, eps_b: float = EPS_BOUNDARY):
         if prob.geometry == "interval" and _singular_start(prob, s, 1e-6)[0] <= 0.0:
             return 0.0  # the slope cannot even leave the boundary layer
-        sol = integrate(s)
+        sol = integrate(s, eps_b=eps_b)
         if sol.t_events[0].size:
             r_ev = float(sol.t_events[0][0])
             u_ev = float(sol.y_events[0][0][0])
@@ -466,33 +436,23 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
 
 def _regularized_solutions(prob: LEFProblem, k_levels, grid):
     """Solve the 1/k-boundary approximations; they decrease pointwise in k."""
-    rhs = prob.rhs()
+    source = _clamped_source(prob.rhs())
     N, R = prob.N, prob.R
-    odefun = _clamped_odefun(rhs, N)
 
     values = []
     for k in k_levels:
         floor = 1.0 / k
 
-        def low_event(r, y, floor=floor):
-            return y[0] - floor
-
-        low_event.terminal = True
-        low_event.direction = -1
-
         def zl(s):
-            sol = solve_ivp(odefun, (0.0, 3.0 * R), (floor, s), method="RK45",
-                            rtol=1e-10, atol=1e-13, events=low_event)
+            sol = shoot(source, N, 0.0, (floor, s), 3.0 * R, "RK45", 1e-10, 1e-13,
+                        floors=(floor,))
             if sol.t_events[0].size:
                 return float(sol.t_events[0][0])
             u_end, du_end = float(sol.y[0, -1]), float(sol.y[1, -1])
             return sol.t[-1] + (u_end - floor) / (-du_end) if du_end < 0.0 else 4.0 * R
 
-        from .numerics import find_root_monotone
-
         s_star = find_root_monotone(lambda s: -zl(s), -R, 1e-4, 1e3, tol=1e-9)
-        sol = solve_ivp(odefun, (0.0, R), (floor, s_star), method="RK45",
-                        rtol=1e-10, atol=1e-13, dense_output=True)
+        sol = shoot(source, N, 0.0, (floor, s_star), R, "RK45", 1e-10, 1e-13, dense=True)
         values.append(sol.sol(np.clip(grid, sol.t[0], sol.t[-1]))[0])
     monotone = all(
         bool(np.all(values[i + 1] <= values[i] + 1e-7 * (1.0 + np.abs(values[i]))))

@@ -581,7 +581,7 @@ def _cmd_sweep(spec, outdir, opts):
     grid = spec.get("problem", "lambda_grid", required=True)
     if isinstance(grid, (int, float)):
         grid = [float(grid)]
-    diagram = _sweep_parallel(prob, grid, opts.jobs)
+    diagram = _bif.sweep(prob, grid)
     csv = spec.get("output", "csv", "sweep.csv")
     diagram.to_csv(os.path.join(outdir, csv))
     out = {"command": "sweep", "points": len(grid),
@@ -592,45 +592,6 @@ def _cmd_sweep(spec, outdir, opts):
     if diagram.lam_star_theoretical is not None:
         out["lambda_star_theoretical"] = diagram.lam_star_theoretical
     return out
-
-
-def _sweep_parallel(prob, grid, jobs: int) -> _bif.BifurcationDiagram:
-    if jobs <= 1 or len(grid) <= 1:
-        return _bif.sweep(prob, grid)
-    import dataclasses
-    from concurrent.futures import ThreadPoolExecutor
-
-    def solve_one(lam):
-        try:
-            sol = _bif.solve_lef(dataclasses.replace(prob, lam=lam))
-        except Exception:
-            return ("failed", None, None)
-        if sol.classification == _num.NO_SOLUTION:
-            return ("no-solution", None, None)
-        return ("solved", sol.metadata["sup_norm"], sol.metadata["center_value"])
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(solve_one, grid))
-    status = [r[0] for r in results]
-    sups = [r[1] for r in results]
-    centers = [r[2] for r in results]
-    bracket = None
-    for i, st in enumerate(status):
-        if st == "no-solution" and i > 0 and status[i - 1] == "solved":
-            bracket = (grid[i - 1], grid[i])
-            break
-    lam_star_th = None
-    if prob.f is not None:
-        lam1 = _bif.lambda1_ball(prob.N, prob.R,
-                                 mode=prob.geometry if prob.N == 1 else "ball").lambda1
-        lam_star_th = prob.lam_star(lam1)
-    solved_centers = [c for c in centers if c is not None]
-    monotone = all(b > a for a, b in zip(solved_centers, solved_centers[1:]))
-    return _bif.BifurcationDiagram(lam=list(grid), status=status, sup_norm=sups,
-                                   center_value=centers,
-                                   lam_star_theoretical=lam_star_th,
-                                   lam_star_bracket=bracket,
-                                   monotone_centers=monotone)
 
 
 def _cmd_gelfand(spec, outdir, opts):
@@ -713,11 +674,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="problem configuration file")
     parser.add_argument("--out", default=".", help="output directory for artifacts")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("SEL_LAB_JOBS", "1")),
-                        help="parallel workers for sweep workloads")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; core paths are deterministic")
     parser.add_argument("--verbose", action="store_true")
     opts = parser.parse_args(argv)
 

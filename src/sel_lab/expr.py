@@ -480,51 +480,6 @@ def compile_scalar(ast: ExprAst):
     return eval(f"lambda t: {_codegen(ast)}", env)  # noqa: S307 - our own codegen
 
 
-def compile_numpy(ast: ExprAst):
-    """Vectorized evaluator for trusted solver grids (NaN on bad domains)."""
-    import numpy as np
-
-    def rec(a: ExprAst):
-        k = a.kind
-        if k == "const":
-            v = a.value
-            return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-        if k == "var":
-            return lambda t: np.asarray(t, dtype=float)
-        if k in _BINARY:
-            fa, fb = rec(a.children[0]), rec(a.children[1])
-            op = {
-                "add": np.add,
-                "sub": np.subtract,
-                "mul": np.multiply,
-                "div": np.divide,
-                "pow": np.power,
-            }[k]
-            return lambda t: op(fa(t), fb(t))
-        fa = rec(a.children[0])
-        fn = {
-            "neg": np.negative,
-            "exp": np.exp,
-            "ln": np.log,
-            "sqrt": np.sqrt,
-            "abs": np.abs,
-            "atan": np.arctan,
-            "sin": np.sin,
-            "cos": np.cos,
-        }[k]
-        return lambda t: fn(fa(t))
-
-    inner = rec(ast)
-
-    def call(t):
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            return inner(t)
-
-    return call
-
-
 # ---------------------------------------------------------------------------
 # ScalarFn: an expression plus its lazily built exact derivative
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Shared numerical kernels.
 
 Adaptive quadrature with endpoint-singularity grading, improper-integral
-convergence classification (tail and origin), monotone root finding, and a
-radial IVP integrator with a series start past the (N-1)/r origin
-singularity and blow-up event detection.
+convergence classification (tail and origin), monotone root finding, and the
+radial shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
+with terminal floor, cap and blow-up events (every ODE solve of the package
+goes through it), `series_start` steps past the (N-1)/r origin singularity,
+and `integrate_radial_ivp` builds graded solutions on top of both.
 
 All functions here are pure over immutable inputs; no global state.
 """
@@ -442,6 +444,53 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
 # Radial initial value problems
 # ---------------------------------------------------------------------------
 
+def series_start(source, u0: float, N: int, eps: float, du0: float = 0.0):
+    """Start point (r, (u, u')) of a radial shot from the origin.
+
+    N = 1 starts at the origin itself.  For N >= 2 the second-order series
+    u(eps) ~ u0 + du0*eps + source(0,u0,0) eps^2/(2N) steps past the (N-1)/r
+    singularity.
+    """
+    if N == 1:
+        return 0.0, (u0, du0)
+    g0 = source(0.0, u0, 0.0)
+    return eps, (u0 + du0 * eps + g0 * eps * eps / (2.0 * N), du0 + g0 * eps / N)
+
+
+def _terminal(event):
+    event.terminal = True
+    event.direction = -1
+    return event
+
+
+def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: float,
+          atol: float, floors=(), cap: float | None = None, blowup: float | None = None,
+          dense: bool = False):
+    """Integrate u'' + (N-1)/r u' = source(r, u, u') from (r_start, y0) to r_end.
+
+    The drift term is dropped at r = 0.  Terminal events, in t_events order:
+    u falls to each level in floors, u rises to cap, max(|u|, |u'|) reaches
+    blowup.  Returns the scipy OdeResult.
+    """
+    if N == 1:
+        def f(r, y):
+            return (y[1], source(r, y[0], y[1]))
+    else:
+        def f(r, y):
+            val = source(r, y[0], y[1])
+            if r > 0.0:
+                val -= (N - 1) / r * y[1]
+            return (y[1], val)
+
+    events = [_terminal(lambda r, y, level=level: y[0] - level) for level in floors]
+    if cap is not None:
+        events.append(_terminal(lambda r, y: cap - y[0]))
+    if blowup is not None:
+        events.append(_terminal(lambda r, y: blowup - max(abs(y[0]), abs(y[1]))))
+    return solve_ivp(f, (r_start, r_end), y0, method=method, rtol=rtol, atol=atol,
+                     dense_output=dense, events=events or None)
+
+
 def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
                          tol: float = 1e-10, blowup_threshold: float = BLOWUP_THRESHOLD,
                          n_points: int = 513) -> RadialSolution:
@@ -459,30 +508,10 @@ def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
 
-    if N == 1:
-        r_start, y0 = 0.0, (u0, du0)
-
-        def f(r, y):
-            return (y[1], rhs(r, y[0], y[1]))
-    else:
-        eps = 1e-6 * r_max
-        g0 = rhs(0.0, u0, 0.0)
-        r_start = eps
-        y0 = (u0 + du0 * eps + g0 * eps * eps / (2.0 * N),
-              du0 + g0 * eps / N)
-
-        def f(r, y):
-            return (y[1], rhs(r, y[0], y[1]) - (N - 1) / r * y[1])
-
-    def blow(r, y):
-        return blowup_threshold - max(abs(y[0]), abs(y[1]))
-
-    blow.terminal = True
-    blow.direction = -1
-
+    r_start, y0 = series_start(rhs, u0, N, 1e-6 * r_max, du0)
     rtol = max(tol, 1e-13)
-    sol = solve_ivp(f, (r_start, r_max), y0, method="RK45", rtol=rtol,
-                    atol=rtol * 1e-3, dense_output=True, events=blow)
+    sol = shoot(rhs, N, r_start, y0, r_max, "RK45", rtol, rtol * 1e-3,
+                blowup=blowup_threshold, dense=True)
     if sol.status == -1:
         raise NumericsError(f"radial IVP integrator failed: {sol.message}")
 

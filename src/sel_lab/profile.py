@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .ioutil import atomic_write_text, fmt
 from .karamata import Antiderivative, KFunction, Nonlinearity, keller_osserman, xi0_power
-from .numerics import classify_origin_integral, find_root_monotone, integrate_finite
+from .numerics import classify_origin_integral, find_root_monotone, integrate_finite, shoot
 
 VARIANT_K = "k-integrand"          # Phi(h) = int_0^t k;      pairs with b ~ c k^2(d)
 VARIANT_SQRT_K = "sqrt-k-integrand"  # Phi(h) = int_0^t sqrt(k); pairs with b ~ c k(d)
@@ -292,12 +291,9 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
     t0 = 1e-6 * t_max
     y0 = (coef * t0 ** beta, coef * beta * t0 ** (beta - 1.0))
 
-    def rhs(t, y):
-        return (y[1], g_call(y[0]))
-
     grid = np.geomspace(t0 * 2.0, t_max, n_points)
-    sol = solve_ivp(rhs, (t0, t_max), y0, method="RK45", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True)
+    sol = shoot(lambda t, h, dh: g_call(h), 1, t0, y0, t_max, "RK45", tol, tol * 1e-2,
+                dense=True)
     if not sol.success:
         raise ValueError(f"profile ODE integration failed: {sol.message}")
     vals = sol.sol(grid)

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson
 
 from .expr import ScalarFn, differentiate, evaluate, parse_expression
 from .karamata import Antiderivative, Nonlinearity, keller_osserman
@@ -28,6 +28,9 @@ from .numerics import (
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
+    integrate_radial_ivp,
+    series_start,
+    shoot,
 )
 from .profile import BlowupProfile
 
@@ -592,7 +595,7 @@ def _level_rhs(prob: LogisticProblem):
     f_call = prob.f.f.fast()
     a = prob.a_lin
 
-    def rhs(r, u):
+    def rhs(r, u, du):
         return b_call(r) * f_call(u) - a * u
 
     return rhs
@@ -603,37 +606,16 @@ def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
     """Level BVP u(R0) = n, u(R) = 0 by shooting on the inner slope."""
     rhs = _level_rhs(prob)
     N = prob.N
-
-    def odefun(r, y):
-        du = rhs(r, y[0])
-        if N > 1:
-            du -= (N - 1) / r * y[1]
-        return (y[1], du)
-
-    def zero_event(r, y):
-        return y[0]
-
-    zero_event.terminal = True
-    zero_event.direction = -1
-
-    def cap_event(r, y):
-        # a level solution stays below its boundary value; rising past it
-        # means the slope was too shallow
-        return 1.5 * n - y[0]
-
-    cap_event.terminal = True
-    cap_event.direction = -1
-
     r_start = R0 if (N == 1 or R0 > 0.0) else 1e-9 * R
     r_span = R + 0.05 * (R - R0)  # lets the zero event fire slightly past R
 
     def integrate(sigma, dense=False):
         # full accuracy also while probing: the level ordering near the
-        # blow-up boundary is steeply sensitive to the slope
-        sol = solve_ivp(odefun, (r_start, r_span), (n, -sigma),
-                        method="DOP853", rtol=1e-10, atol=1e-12 * n,
-                        dense_output=dense, events=(zero_event, cap_event))
-        return sol
+        # blow-up boundary is steeply sensitive to the slope.  A level
+        # solution stays below its boundary value; rising past 1.5 n means
+        # the slope was too shallow.
+        return shoot(rhs, N, r_start, (n, -sigma), r_span, "DOP853", 1e-10, 1e-12 * n,
+                     floors=(0.0,), cap=1.5 * n, dense=dense)
 
     def zero_location(sigma):
         sol = integrate(sigma)
@@ -659,26 +641,10 @@ def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket, tol:
     rhs = _level_rhs(prob)
     N = prob.N
 
-    def odefun(r, y):
-        du = rhs(r, y[0])
-        if N > 1:
-            du -= (N - 1) / r * y[1]
-        return (y[1], du)
-
-    def cap_event(r, y):
-        return 10.0 * n - y[0]
-
-    cap_event.terminal = True
-    cap_event.direction = -1
-
-    eps = 1e-8 * R
-
     def integrate(s):
-        g0 = rhs(0.0, s)
-        y0 = (s + g0 * eps * eps / (2.0 * N), g0 * eps / N) if N > 1 else (s, 0.0)
-        start = eps if N > 1 else 0.0
-        return solve_ivp(odefun, (start, R), y0, method="DOP853", rtol=1e-10,
-                         atol=1e-12 * max(n, 1.0), dense_output=True, events=cap_event)
+        start, y0 = series_start(rhs, s, N, 1e-8 * R)
+        return shoot(rhs, N, start, y0, R, "DOP853", 1e-10, 1e-12 * max(n, 1.0),
+                     cap=10.0 * n, dense=True)
 
     def endpoint(s):
         sol = integrate(s)
@@ -787,15 +753,12 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, tol: float = 1e-10,
 
 def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
     """Entire-solution window sweep: growth must persist across 2 windows."""
-    from .numerics import integrate_radial_ivp
-
     rhs = _level_rhs(prob)
     Rmax = float(prob.domain[1])
     ratios = []
     sol = None
     for window in (Rmax, 2.0 * Rmax):
-        sol = integrate_radial_ivp(lambda r, u, du: rhs(r, u), 1.0, 0.0, prob.N,
-                                   window, 1e-10, n_points=n_grid)
+        sol = integrate_radial_ivp(rhs, 1.0, 0.0, prob.N, window, 1e-10, n_points=n_grid)
         mid = float(np.interp(window / 2.0, sol.r, sol.u))
         ratios.append(float(sol.u[-1] / mid) if mid else math.inf)
     classification = ENTIRE_LARGE if all(r > 1.05 for r in ratios) else UNDETERMINED

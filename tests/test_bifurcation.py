@@ -120,6 +120,16 @@ class TestSolveLEF:
         assert np.all(sol.u[mask] <= c2 * d[mask] * (1.0 + 1e-9))
         assert sol.metadata["eps_cut_drift"] < 1e-6
 
+    @pytest.mark.parametrize("geometry,N,a", [("interval", 1, "1"), ("ball", 3, "1"),
+                                              ("ball", 2, "1+t")])
+    def test_eps_cut_audit_measures_a_drift(self, g_half, geometry, N, a):
+        # halving the cut moves the modelled zero by a small but nonzero amount
+        prob = LEFProblem(N=N, geometry=geometry, lam=0.0, g=g_half,
+                          a_pot=ScalarFn.from_source(a))
+        sol = solve_lef(prob, options={"check_eps_sensitivity": True})
+        assert 0.0 < sol.metadata["eps_cut_drift"] < 1e-6
+        assert sol.metadata["eps_cut_ok"]
+
     def test_no_solution_past_threshold(self, f_linear, g_half):
         prob = LEFProblem(N=1, geometry="interval", lam=1.1 * math.pi ** 2,
                           f=f_linear, g=g_half, a_pot=ScalarFn.from_source("1"))

@@ -437,6 +437,28 @@ a = "1"
         assert lines[0] == "lambda,status,sup_norm,center_value"
         assert len(lines) == 4
 
+    def test_sweep_rejects_decreasing_grid(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = sweep
+N = 1
+geometry = interval
+lambda_grid = 5.0, 2.0
+
+[functions]
+f = "t"
+""")
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert "must be increasing" in diag["error"]
+        assert not os.path.exists(os.path.join(outdir, "sweep.csv"))
+
+    def test_removed_flags_are_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[problem]\ncommand = young\np = 1.5\n")
+        for flag in ("--jobs", "--seed"):
+            with pytest.raises(SystemExit):
+                main(["--config", cfg, "--out", str(tmp_path / "out"), flag, "2"])
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):

@@ -14,6 +14,8 @@ from sel_lab.numerics import (
     find_root_monotone,
     integrate_finite,
     integrate_radial_ivp,
+    series_start,
+    shoot,
 )
 
 
@@ -177,6 +179,49 @@ class TestRadialIVP:
         # adaptive embedded pair of order >= 4: error tracks the tolerance
         assert errs[1] < errs[0] and errs[2] < errs[1] * 0.5 and errs[3] < 1e-8
         assert errs[3] <= errs[0] * 1e-3
+
+
+class TestShoot:
+    def test_floor_events_in_order(self):
+        # u'' = -u from (1, 0) is cos r: it falls to 1/2 at pi/3 before reaching 0
+        sol = shoot(lambda r, u, du: -u, 1, 0.0, (1.0, 0.0), 3.0, "DOP853", 1e-12, 1e-14,
+                    floors=(0.5, 0.0))
+        assert sol.status == 1
+        assert sol.t_events[0][0] == pytest.approx(math.pi / 3.0, abs=1e-10)
+        assert sol.t_events[1].size == 0
+        assert sol.t[-1] == sol.t_events[0][0]
+
+    def test_cap_event(self):
+        # u'' = u from (1, 0) is cosh r: it rises to 2 at arccosh 2
+        sol = shoot(lambda r, u, du: u, 1, 0.0, (1.0, 0.0), 3.0, "DOP853", 1e-12, 1e-14,
+                    cap=2.0)
+        assert sol.t_events[0][0] == pytest.approx(math.acosh(2.0), abs=1e-10)
+
+    def test_event_order_floors_cap_blowup(self):
+        # max(cosh r, |sinh r|) = cosh r reaches 3 at arccosh 3, before the cap 10
+        sol = shoot(lambda r, u, du: u, 1, 0.0, (1.0, 0.0), 5.0, "DOP853", 1e-12, 1e-14,
+                    floors=(0.5,), cap=10.0, blowup=3.0)
+        assert len(sol.t_events) == 3
+        assert sol.t_events[0].size == 0 and sol.t_events[1].size == 0
+        assert sol.t_events[2][0] == pytest.approx(math.acosh(3.0), abs=1e-10)
+
+    def test_drift_term_with_series_start(self):
+        # u'' + (2/r) u' = -u from u(0) = 1 is sin(r)/r: first zero at pi
+        source = lambda r, u, du: -u  # noqa: E731
+        r0, y0 = series_start(source, 1.0, 3, 1e-6)
+        sol = shoot(source, 3, r0, y0, 4.0, "DOP853", 1e-12, 1e-14, floors=(0.0,),
+                    dense=True)
+        assert sol.t_events[0][0] == pytest.approx(math.pi, abs=1e-9)
+        assert float(sol.sol(1.0)[0]) == pytest.approx(math.sin(1.0), abs=1e-10)
+
+    def test_series_start(self):
+        source = lambda r, u, du: 3.0 * u + 1.0  # noqa: E731
+        assert series_start(source, 2.0, 1, 1e-3, du0=0.5) == (0.0, (2.0, 0.5))
+        r0, (u, du) = series_start(source, 2.0, 3, 1e-3, du0=0.5)
+        # g0 = source(0, 2, 0) = 7: u ~ 2 + 0.5 eps + 7 eps^2/6, u' ~ 0.5 + 7 eps/3
+        assert r0 == 1e-3
+        assert u == pytest.approx(2.0 + 0.5e-3 + 7e-6 / 6.0, rel=1e-15)
+        assert du == pytest.approx(0.5 + 7e-3 / 3.0, rel=1e-15)
 
 
 def test_radial_solution_grid_validation():
