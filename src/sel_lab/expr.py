@@ -29,7 +29,7 @@ class ParseError(ExprError):
         self.offset = offset
 
 
-class EvalDomainError(ExprError):
+class EvalDomainError(ExprError, ValueError):
     """Evaluation hit a point outside a sub-expression's domain."""
 
     def __init__(self, message: str, node: "ExprAst | None" = None, t: float | None = None):
@@ -215,72 +215,6 @@ def parse_expression(source: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (strict: domain violations raise, never NaN)
-# ---------------------------------------------------------------------------
-
-def _strict_pow(a: float, b: float, node: ExprAst, t: float) -> float:
-    if a == 0.0 and b < 0.0:
-        raise EvalDomainError("zero raised to a negative power", node, t)
-    if a < 0.0 and b != math.floor(b):
-        raise EvalDomainError("negative base with non-integer exponent", node, t)
-    try:
-        r = a ** b
-    except OverflowError:
-        return math.inf
-    except ZeroDivisionError:
-        raise EvalDomainError("zero raised to a negative power", node, t) from None
-    if isinstance(r, complex):
-        raise EvalDomainError("complex power result", node, t)
-    return r
-
-
-def evaluate(ast: ExprAst, t: float) -> float:
-    """Evaluate `ast` at the point t.  IEEE doubles; overflow yields inf."""
-    k = ast.kind
-    if k == "const":
-        return ast.value
-    if k == "var":
-        return float(t)
-    if k in _BINARY:
-        a = evaluate(ast.children[0], t)
-        b = evaluate(ast.children[1], t)
-        if k == "add":
-            return a + b
-        if k == "sub":
-            return a - b
-        if k == "mul":
-            return a * b
-        if k == "div":
-            if b == 0.0:
-                raise EvalDomainError("division by zero", ast, t)
-            return a / b
-        return _strict_pow(a, b, ast, t)
-    a = evaluate(ast.children[0], t)
-    if k == "neg":
-        return -a
-    if k == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            return math.inf
-    if k == "ln":
-        if a <= 0.0:
-            raise EvalDomainError("logarithm of a non-positive value", ast, t)
-        return math.log(a)
-    if k == "sqrt":
-        if a < 0.0:
-            raise EvalDomainError("square root of a negative value", ast, t)
-        return math.sqrt(a)
-    if k == "abs":
-        return abs(a)
-    if k == "atan":
-        return math.atan(a)
-    if k == "sin":
-        return math.sin(a)
-    return math.cos(a)
-
-
-# ---------------------------------------------------------------------------
 # Symbolic differentiation with light constant folding
 # ---------------------------------------------------------------------------
 
@@ -406,10 +340,17 @@ def substitute(ast: ExprAst, replacement: ExprAst) -> ExprAst:
 _OPCHAR = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
+def _const_text(value: float) -> str:
+    # a negative constant is parenthesized so that it stays one atom: a base
+    # printed as "-1.5 ^ 2.0" would parse as -(1.5^2), in Python as well
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
+
+
 def to_source(ast: ExprAst) -> str:
     k = ast.kind
     if k == "const":
-        return repr(ast.value)
+        return _const_text(ast.value)
     if k == "var":
         return "t"
     if k == "neg":
@@ -421,63 +362,100 @@ def to_source(ast: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fast compiled form for solver-internal hot loops
+# Compiled strict evaluation (domain violations raise EvalDomainError)
 # ---------------------------------------------------------------------------
 
-def _fast_pow(a, b):
-    if a == 0.0 and b < 0.0:
-        raise ValueError("zero raised to a negative power")
-    if a < 0.0 and b != math.floor(b):
-        raise ValueError("negative base with non-integer exponent")
-    try:
-        return a ** b
-    except OverflowError:
-        return math.inf
+_ZERO_TO_NEGATIVE = "zero raised to a negative power"
+_NEGATIVE_BASE = "negative base with non-integer exponent"
+# The domain checks of each node kind: a condition on the operands `a` (and
+# `b`) under which the node raises, and the message it raises with.
+_CHECKS = {
+    "div": (("{b} == 0.0", "division by zero"),),
+    "ln": (("{a} <= 0.0", "logarithm of a non-positive value"),),
+    "sqrt": (("{a} < 0.0", "square root of a negative value"),),
+    "sin": (("abs({a}) == _INF", "sine of an infinite value"),),
+    "cos": (("abs({a}) == _INF", "cosine of an infinite value"),),
+    "pow": (("{a} == 0.0 and {b} < 0.0", _ZERO_TO_NEGATIVE),
+            ("{a} < 0.0 and not {b}.is_integer()", _NEGATIVE_BASE)),
+}
+_VALUE = {
+    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}", "div": "{a} / {b}",
+    "neg": "-{a}", "abs": "abs({a})", "ln": "_log({a})", "sqrt": "_sqrt({a})",
+    "atan": "_atan({a})", "sin": "_sin({a})", "cos": "_cos({a})",
+}
+_NONFINITE = {math.inf: "_INF", -math.inf: "(-_INF)"}
 
 
-def _fast_exp(a):
-    try:
-        return math.exp(a)
-    except OverflowError:
-        return math.inf
+def _operand(value: float) -> str:
+    """A constant as generated code."""
+    if math.isnan(value):
+        return "_NAN"
+    return _NONFINITE.get(value) or _const_text(value)
 
 
-def _codegen(ast: ExprAst) -> str:
-    k = ast.kind
-    if k == "const":
-        return repr(ast.value)
-    if k == "var":
-        return "t"
-    if k in _BINARY:
-        a, b = (_codegen(c) for c in ast.children)
-        if k == "pow":
-            return f"_pow({a}, {b})"
-        return f"({a} {_OPCHAR[k]} {b})"
-    a = _codegen(ast.children[0])
-    return {
-        "neg": f"(-{a})",
-        "exp": f"_exp({a})",
-        "ln": f"_log({a})",
-        "sqrt": f"_sqrt({a})",
-        "abs": f"abs({a})",
-        "atan": f"_atan({a})",
-        "sin": f"_sin({a})",
-        "cos": f"_cos({a})",
-    }[k]
+def _checks(node: ExprAst):
+    """The checks of `node`; a constant exponent settles the pow checks now."""
+    if node.kind != "pow" or node.children[1].kind != "const":
+        return _CHECKS.get(node.kind, ())
+    b = node.children[1].value
+    checks = []
+    if b < 0.0:
+        checks.append(("{a} == 0.0", _ZERO_TO_NEGATIVE))
+    if not b.is_integer():
+        checks.append(("{a} < 0.0", _NEGATIVE_BASE))
+    return checks
 
 
 def compile_scalar(ast: ExprAst):
-    """Compile to a plain python lambda (math-module domain errors)."""
-    env = {
-        "_pow": _fast_pow,
-        "_exp": _fast_exp,
-        "_log": math.log,
-        "_sqrt": math.sqrt,
-        "_atan": math.atan,
-        "_sin": math.sin,
-        "_cos": math.cos,
-    }
-    return eval(f"lambda t: {_codegen(ast)}", env)  # noqa: S307 - our own codegen
+    """Compile `ast` to a strict Python function of t.
+
+    The generated function is straight-line code with one local per
+    operation node.  A point outside a node's domain (ln of <= 0, sqrt of
+    < 0, division by 0, 0 to a negative power, a negative base to a
+    non-integer power, sin/cos of inf) raises EvalDomainError naming that
+    sub-expression and t.  Overflow of exp and ^ yields IEEE +-inf, as the
+    other operations do.  t is converted to float once, so numpy scalars
+    get Python float semantics.
+    """
+    lines = ["def _f(t):", "    t = float(t)"]
+    nodes: list[ExprAst] = []
+
+    def emit(node: ExprAst) -> str:
+        k = node.kind
+        if k == "const":
+            return _operand(node.value)
+        if k == "var":
+            return "t"
+        ops = dict(zip("ab", (emit(c) for c in node.children)))
+        for condition, message in _checks(node):
+            lines.append(f"    if {condition.format(**ops)}:")
+            lines.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], t)")
+        nodes.append(node)
+        out = f"v{len(nodes)}"
+        if k == "exp":
+            lines.extend((f"    try: {out} = _exp({ops['a']})",
+                          f"    except OverflowError: {out} = _INF"))
+        elif k == "pow":
+            a, b = ops["a"], ops["b"]
+            lines.extend((f"    try: {out} = {a} ** {b}",
+                          # |a|^b overflowed; the sign is that of a^b
+                          f"    except OverflowError: {out} = _INF if {a} > 0.0 or {b} % 2.0 == 0.0 "
+                          "else -_INF"))
+        else:
+            lines.append(f"    {out} = {_VALUE[k].format(**ops)}")
+        return out
+
+    lines.append(f"    return {emit(ast)}")
+    env = {"_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
+           "_NAN": math.nan, "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
+           "_atan": math.atan, "_sin": math.sin, "_cos": math.cos}
+    exec(compile("\n".join(lines), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
+    return env["_f"]
+
+
+def evaluate(ast: ExprAst, t: float) -> float:
+    """Evaluate `ast` at the point t (compiles on every call; see ScalarFn)."""
+    return compile_scalar(ast)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -486,25 +464,19 @@ def compile_scalar(ast: ExprAst):
 
 @dataclass
 class ScalarFn:
-    """Callable wrapper around an ExprAst with a cached exact derivative.
-
-    `domain` is the open interval on which callers may evaluate; it is
-    bookkeeping only (evaluation raises wherever the expression itself is
-    undefined).
-    """
+    """Callable wrapper around an ExprAst; compiles once, differentiates lazily."""
 
     body: ExprAst
-    domain: tuple[float, float] = (-math.inf, math.inf)
-    note: str = ""
     _derivative: ExprAst | None = field(default=None, repr=False, compare=False)
+    _derivative_fn: "ScalarFn | None" = field(default=None, repr=False, compare=False)
     _fast: object = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_source(cls, source: str, domain=(-math.inf, math.inf), note: str = "") -> "ScalarFn":
-        return cls(parse_expression(source), domain, note)
+    def from_source(cls, source: str) -> "ScalarFn":
+        return cls(parse_expression(source))
 
     def __call__(self, t: float) -> float:
-        return evaluate(self.body, t)
+        return self.fast()(t)
 
     @property
     def derivative(self) -> ExprAst:
@@ -513,13 +485,15 @@ class ScalarFn:
         return self._derivative
 
     def deriv(self, t: float) -> float:
-        return evaluate(self.derivative, t)
+        return self.derivative_fn()(t)
 
     def derivative_fn(self) -> "ScalarFn":
-        return ScalarFn(self.derivative, self.domain)
+        if self._derivative_fn is None:
+            self._derivative_fn = ScalarFn(self.derivative)
+        return self._derivative_fn
 
     def fast(self):
-        """Compiled scalar evaluator; use in solver hot loops."""
+        """The compiled evaluator; hot loops bind it once."""
         if self._fast is None:
             self._fast = compile_scalar(self.body)
         return self._fast

@@ -317,7 +317,7 @@ def analyze_nonlinearity(f_src: str, u_max: float = 1e8) -> Nonlinearity:
     sequences are flagged inf; anything else is left None with a note.
     """
     ast = parse_expression(f_src)
-    f = ScalarFn(ast, domain=(0.0, INF))
+    f = ScalarFn(ast)
     fp = f.derivative_fn()
     call, dcall = f.fast(), fp.fast()
 
@@ -431,7 +431,7 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
     and records lim g at infinity when it stabilizes.
     """
     ast = parse_expression(g_src)
-    g = ScalarFn(ast, domain=(0.0, INF))
+    g = ScalarFn(ast)
     call = g.fast()
     near = np.geomspace(1e-8, 1e-2, 13)
     gv = np.array([call(float(s)) for s in near])
@@ -625,7 +625,7 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
         predicted = 1.0
 
     nu = 1.0 / D
-    k = ScalarFn(body, domain=(0.0, nu))
+    k = ScalarFn(body)
     kp = k.fast()
     dkp = k.derivative_fn().fast()
     for t in np.geomspace(1e-6 * nu, 0.95 * nu, 24):

@@ -182,6 +182,16 @@ def _endpoint_slope(fn, a: float, b: float, end: str) -> float:
     return float(np.polyfit(ds, vs, 1)[0])
 
 
+def _raise_if_not_integrable(fn, a: float, b: float) -> None:
+    """Raise NonIntegrableError when fn's local power at an endpoint is <= -1."""
+    for end in ("left", "right"):
+        slope = _endpoint_slope(fn, a, b, end)
+        if slope <= -1.0 + 1e-9:
+            raise NonIntegrableError(
+                f"non-integrable singularity at the {end} endpoint (local power {slope:.3f})"
+            )
+
+
 def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
     """Adaptive quadrature of fn on (a, b); returns (value, err).
 
@@ -196,12 +206,7 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
     v2, e2 = _quad_piece(fn, mid, b, tol * 0.25, "right")
     value, err = v1 + v2, e1 + e2
     if not math.isfinite(value):
-        for end in ("left", "right"):
-            slope = _endpoint_slope(fn, a, b, end)
-            if slope <= -1.0 + 1e-9:
-                raise NonIntegrableError(
-                    f"non-integrable singularity at the {end} endpoint (local power {slope:.3f})"
-                )
+        _raise_if_not_integrable(fn, a, b)
         raise NumericsError("quadrature produced a non-finite value")
     if err > tol * (1.0 + abs(value)):
         # one refinement pass before declaring failure
@@ -209,13 +214,7 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
         v2, e2 = _quad_piece(fn, mid, b, tol * 0.02, "right")
         value, err = v1 + v2, e1 + e2
         if err > tol * (1.0 + abs(value)):
-            for end in ("left", "right"):
-                slope = _endpoint_slope(fn, a, b, end)
-                if slope <= -1.0 + 1e-9:
-                    raise NonIntegrableError(
-                        f"non-integrable singularity at the {end} endpoint "
-                        f"(local power {slope:.3f})"
-                    )
+            _raise_if_not_integrable(fn, a, b)
             raise NumericsError("max subdivision exceeded without reaching tolerance")
     return value, err
 
@@ -258,6 +257,32 @@ def _fit_slope(ts, fs, count: int = 10) -> float:
     x = np.log(np.asarray(ts[-k:]))
     y = np.log(np.asarray(fs[-k:]))
     return float(np.polyfit(x, y, 1)[0])
+
+
+def _log_substituted(fn):
+    """g(w) = fn(e^w) e^w, the integrand after t = e^w.
+
+    Points where fn fails or is not finite contribute 0: beyond the sampled
+    range the integrand may degenerate in float arithmetic, and the
+    caller's power-law remainder bound covers them.
+    """
+    def g(w):
+        try:
+            v = fn(math.exp(w))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return 0.0
+        return v * math.exp(w) if math.isfinite(v) else 0.0
+
+    return g
+
+
+def _cap_value(fn, t_cap: float) -> float:
+    """fn at the cut-off of a log-substituted integral; 0 if it fails or is not finite."""
+    try:
+        f_cap = fn(t_cap)
+    except Exception:
+        return 0.0
+    return f_cap if f_cap and math.isfinite(f_cap) else 0.0
 
 
 def _panel_fallback(fn, edges, tol: float, slope: float, quad_tol: float):
@@ -308,17 +333,7 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     if slope < -1.0 - SLOPE_BAND:
         quad_tol = min(tol * 0.25, 1e-9)
         w_lo, w_hi = math.log(a), math.log(ts[-1])
-
-        def g(w):
-            # beyond the sampled range the integrand may degenerate in float
-            # arithmetic; such points contribute 0, covered by the reported
-            # power-law remainder bound
-            try:
-                v = fn(math.exp(w))
-            except (OverflowError, ValueError, ZeroDivisionError):
-                return 0.0
-            return v * math.exp(w) if math.isfinite(v) else 0.0
-
+        g = _log_substituted(fn)
         head, e1 = integrate_finite(g, w_lo, w_hi, quad_tol) if w_hi > w_lo else (0.0, 0.0)
         w_cap = 690.0
         tail, e2 = (0.0, 0.0)
@@ -329,13 +344,7 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
         s2 = _fit_slope(ts, fs, count=min(20, len(ts)))
         s_p = min(-1.0 - 1e-3, slope + 2.0 * abs(slope - s2))
         t_cap = math.exp(w_cap)
-        try:
-            f_cap = fn(t_cap)
-        except Exception:
-            f_cap = 0.0
-        rem = 0.0
-        if f_cap and math.isfinite(f_cap):
-            rem = f_cap * t_cap / (-1.0 - s_p)
+        rem = _cap_value(fn, t_cap) * t_cap / (-1.0 - s_p)
         value = head + tail
         return ConvergenceVerdict.convergent(value, e1 + e2 + rem, slope=slope)
     if slope > -1.0 + SLOPE_BAND:
@@ -357,23 +366,9 @@ def classify_origin_integral(fn, b: float, tol: float = 1e-8) -> ConvergenceVerd
     if slope > -1.0 + SLOPE_BAND:
         quad_tol = min(tol * 0.25, 1e-9)
         w_lo, w_hi = -690.0, math.log(b)
-
-        def g(w):
-            try:
-                v = fn(math.exp(w))
-            except (OverflowError, ValueError, ZeroDivisionError):
-                return 0.0
-            return v * math.exp(w) if math.isfinite(v) else 0.0
-
-        value, e1 = integrate_finite(g, w_lo, w_hi, quad_tol)
+        value, e1 = integrate_finite(_log_substituted(fn), w_lo, w_hi, quad_tol)
         t_cap = math.exp(w_lo)
-        try:
-            f_cap = fn(t_cap)
-        except Exception:
-            f_cap = 0.0
-        rem = 0.0
-        if f_cap and math.isfinite(f_cap):
-            rem = f_cap * t_cap / (1.0 + min(slope, 0.0) + 1e-12) if slope > -1.0 else 0.0
+        rem = _cap_value(fn, t_cap) * t_cap / (1.0 + min(slope, 0.0) + 1e-12)
         return ConvergenceVerdict.convergent(value, e1 + abs(rem), slope=slope)
     if slope < -1.0 - SLOPE_BAND:
         return ConvergenceVerdict.divergent(slope)

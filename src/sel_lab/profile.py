@@ -85,7 +85,6 @@ class BlowupProfile:
     roundtrip_err: float = 0.0
     _phi: object = field(default=None, repr=False)
     _interp: object = field(default=None, repr=False)
-    _k_fast: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -121,14 +120,12 @@ class BlowupProfile:
         return kt * kt * self.f.f(h) - dkt * math.sqrt(2.0 * self.f.F(h))
 
     def _k_value(self, t: float) -> float:
-        if self._k_fast is None:
-            self._k_fast = self.k.k.fast()
-        v = self._k_fast(t)
+        v = self.k.k(t)
         return v if self.variant == VARIANT_K else math.sqrt(v)
 
     def _k_deriv(self, t: float) -> float:
-        kv = self.k.k.fast()(t)
-        dv = self.k.k.derivative_fn().fast()(t)
+        kv = self.k.k(t)
+        dv = self.k.k.deriv(t)
         if self.variant == VARIANT_K:
             return dv
         return 0.5 * dv / math.sqrt(kv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .expr import ScalarFn, differentiate, evaluate, parse_expression
+from .expr import ScalarFn
 from .karamata import Antiderivative, Nonlinearity, keller_osserman
 from .numerics import (
     BOUNDARY_BLOWUP,
@@ -773,14 +773,14 @@ def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
 
 def residual(u_src: str, rhs, N: int, r_grid) -> float:
     """sup over the grid of |u'' + (N-1)/r u' - rhs(r, u, u')| for symbolic u."""
-    ast = parse_expression(u_src)
-    d1 = differentiate(ast)
-    d2 = differentiate(d1)
+    u_fn = ScalarFn.from_source(u_src)
+    du_fn = u_fn.derivative_fn()
+    ddu_fn = du_fn.derivative_fn()
     worst = 0.0
     for r in np.asarray(r_grid, dtype=float):
-        u = evaluate(ast, r)
-        du = evaluate(d1, r)
-        ddu = evaluate(d2, r)
+        u = u_fn(r)
+        du = du_fn(r)
+        ddu = ddu_fn(r)
         if r == 0.0:
             lap = N * ddu  # radial Laplacian limit at the origin
         else:

@@ -158,6 +158,31 @@ fn = "t^(-1/2)"
         assert code == 0
         assert "verdict=convergent" in capsys.readouterr().out
 
+    def test_classify_overflowing_constant(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, """
+[problem]
+command = classify
+
+[functions]
+fn = "1e999*t^-3"
+""")
+        assert code == 0
+        assert "verdict=inconclusive" in capsys.readouterr().out
+
+    def test_classify_domain_error_is_located(self, tmp_path):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = classify
+a = 1
+
+[functions]
+fn = "ln(t-2)"
+""")
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error_type"] == "EvalDomainError"
+        assert "ln((t - 2.0))" in diag["error"] and "t=1.0" in diag["error"]
+
     def test_analyze_f(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """
 [problem]

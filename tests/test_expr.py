@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sel_lab.expr import (
@@ -198,18 +199,77 @@ def test_substitute():
     assert evaluate(out, 2.0) == pytest.approx(0.25 + 1.0)
 
 
-def test_compiled_matches_strict_evaluate():
+def _python_reference(ast, t):
+    """Python's own evaluation of the printed tree, with ^ as ** and math functions."""
+    env = {name: getattr(math, name) for name in ("exp", "sqrt", "atan", "sin", "cos")}
+    env.update(ln=math.log, abs=abs, t=t)
+    return eval(to_source(ast).replace("^", "**"), env)  # noqa: S307 - test oracle
+
+
+def test_compiled_matches_python_reference():
     rng = random.Random(99)
+    compared = domain_errors = 0
     for _ in range(200):
         ast = _random_ast(rng, 4)
         fast = compile_scalar(ast)
         t = rng.uniform(0.2, 2.5)
         try:
-            strict = evaluate(ast, t)
-        except EvalDomainError:
-            continue
-        if math.isfinite(strict):
-            assert fast(t) == pytest.approx(strict, rel=1e-14, abs=1e-300)
+            expected = _python_reference(ast, t)
+        except OverflowError:
+            continue  # Python raises where the compiled form yields inf
+        except (ValueError, ZeroDivisionError, TypeError):
+            expected = None  # TypeError: a complex power fed into math
+        if expected is None or isinstance(expected, complex):
+            with pytest.raises(EvalDomainError):
+                fast(t)
+            domain_errors += 1
+        elif math.isfinite(expected):
+            assert fast(t) == pytest.approx(expected, rel=1e-14, abs=1e-300), to_source(ast)
+            compared += 1
+    assert compared >= 100 and domain_errors >= 10
+
+
+@pytest.mark.parametrize("src, t, where", [
+    ("ln(0)", 1.0, "ln(0.0)"),
+    ("sqrt(-1)", 1.0, "sqrt((-1.0))"),
+    ("0^-1", 1.0, "(0.0 ^ (-1.0))"),
+    ("(-8)^(1/3)", 1.0, "((-8.0) ^ (1.0 / 3.0))"),
+    ("1/t", np.float64(0.0), "(1.0 / t)"),
+    ("t+ln(t-1)", 0.5, "ln((t - 1.0))"),
+    ("t^t", -2.5, "(t ^ t)"),
+    ("sin(t)", math.inf, "sin(t)"),
+])
+def test_domain_errors_are_located(src, t, where):
+    with pytest.raises(EvalDomainError) as err:
+        compile_scalar(parse_expression(src))(t)
+    assert isinstance(err.value, ValueError)
+    assert to_source(err.value.node) == where and err.value.t == float(t)
+    assert str(err.value).endswith(f" in {where} at t={float(t)!r}")
+
+
+@pytest.mark.parametrize("src, t, expected", [
+    ("(-8)^2", 0.0, 64.0),
+    ("exp(1000)", 0.0, math.inf),
+    ("10^400", 0.0, math.inf),
+    ("(-10)^401", 0.0, -math.inf),
+    ("-t^2", 3.0, -9.0),
+    ("2^3^2", 0.0, 512.0),
+    ("1e999", 1.0, math.inf),
+    ("-1e999*t", 2.0, -math.inf),
+])
+def test_edge_values(src, t, expected):
+    assert compile_scalar(parse_expression(src))(t) == expected
+
+
+def test_sqrt_of_negative_zero_keeps_its_sign():
+    got = compile_scalar(parse_expression("sqrt(t)"))(-0.0)
+    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+def test_negative_constant_prints_as_one_atom():
+    # (-1.5)^2 must not print as -1.5 ^ 2, which re-parses as -(1.5^2)
+    ast = ExprAst("pow", children=(const(-1.5), const(2.0)))
+    assert evaluate(parse_expression(to_source(ast)), 0.0) == 2.25
 
 
 class TestScalarFn:
