@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import ScalarFn
-from .ioutil import atomic_write_text, fmt
+from .ioutil import fmt, write_csv
 from .karamata import Nonlinearity
 from .numerics import (
     BOUNDED,
@@ -32,6 +32,7 @@ from .numerics import (
 )
 
 EPS_BOUNDARY = 1e-6  # epsilon cut where integration stops and the zero is modelled
+CUT_MARGIN = 10.0  # the bracket end past R must rise to CUT_MARGIN * EPS_BOUNDARY
 S_MAX_PROBE = 1e6
 N_PROBES = 60
 
@@ -76,10 +77,7 @@ class EigenResult:
         return worst
 
     def to_csv(self, path):
-        lines = [f"# lambda1={fmt(self.lambda1)}", "r,phi"]
-        for r, p in zip(self.r, self.phi):
-            lines.append(f"{fmt(r)},{fmt(p)}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, "r,phi", zip(self.r, self.phi), [f"lambda1={fmt(self.lambda1)}"])
 
 
 def _eigen_shoot(N: int, R: float, mode: str):
@@ -151,6 +149,12 @@ def lambda1_ball(N: int, R: float, mode: str = "ball", tol: float = 1e-12) -> Ei
     vals = sol.sol(grid)
     return EigenResult(lambda1=lam, r=grid, phi=vals[0], dphi=vals[1], N=N, R=R,
                        mode=mode, _dense=sol.sol)
+
+
+def lambda1_domain(N: int, geometry: str, R: float = 1.0) -> float:
+    """lambda_1 of an LEF domain: for N = 1 the interval (0, R) or the
+    symmetric interval (-R, R) as geometry says, otherwise the N-ball."""
+    return lambda1_ball(N, R, mode=geometry if N == 1 else "ball").lambda1
 
 
 def lambda_inf_1(N: int, R0: float) -> float:
@@ -288,11 +292,12 @@ def _clamped_source(rhs):
 
 
 def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
-    """Return zero_location(s): where the solution returns to zero.
+    """Return zero_location(s) -> (where the solution returns to zero, peak u).
 
     The integration stops at the epsilon cut u = eps_b (default 1e-6) and
     the zero is located by the local linear model u ~ c (R - r); a
     true-zero event backstops trajectories that never rise above the cut.
+    The peak is the highest u on the solver's steps.
     """
     rhs = prob.rhs()
     N, R = prob.N, prob.R
@@ -315,8 +320,11 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
 
     def zero_location(s, eps_b: float = EPS_BOUNDARY):
         if prob.geometry == "interval" and _singular_start(prob, s, 1e-6)[0] <= 0.0:
-            return 0.0  # the slope cannot even leave the boundary layer
+            return 0.0, 0.0  # the slope cannot even leave the boundary layer
         sol = integrate(s, eps_b=eps_b)
+        return located(sol), float(np.max(sol.y[0]))
+
+    def located(sol):
         if sol.t_events[0].size:
             r_ev = float(sol.t_events[0][0])
             u_ev = float(sol.y_events[0][0][0])
@@ -340,9 +348,10 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
     The shooting map s -> zero_location(s) is probed on a log grid; a
-    bracket around the domain size R is refined by bisection/secant.  When
-    no probe brackets R, the solution is declared no-solution and the full
-    probe table is attached for audit.  Boundary-regularized runs at
+    bracket around the domain size R is refined by bisection/secant.  A
+    bracket counts only when its probe past R clears the epsilon cut by the
+    factor CUT_MARGIN.  When no probe brackets R, the solution is
+    declared no-solution and the full probe table is attached for audit.  Boundary-regularized runs at
     u(boundary) = 1/k (k = 2^j) cross-validate solved problems when
     requested via options={'regularization_levels': [...]}.
     """
@@ -350,25 +359,31 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     zero_location, integrate = _shooting_map(prob)
     R = prob.R
 
-    s_grid = np.geomspace(1e-4, S_MAX_PROBE, 14)
-    probes: list[tuple[float, float]] = []
+    def bracket_in(points):
+        # a sign change of zero_location - R counts only when the probe past
+        # R rose to CUT_MARGIN times the cut: a probe that barely clears the
+        # cut crosses it with a near-zero slope, and the linear model puts
+        # its zero far beyond the true one (a probe that never clears it
+        # gets the true zero from the backstop event)
+        for (s1, z1, peak1), (s2, z2, peak2) in zip(points, points[1:]):
+            if ((z1 - R) * (z2 - R) <= 0.0
+                    and (peak1 if z1 > z2 else peak2) >= CUT_MARGIN * EPS_BOUNDARY):
+                return s1, s2
+        return None
+
+    points = []
     bracket = None
-    prev = None
-    for s in s_grid:
-        zl = zero_location(float(s))
-        probes.append((float(s), zl))
-        if prev is not None and (prev[1] - R) * (zl - R) <= 0.0:
-            bracket = (prev[0], float(s))
+    for s in np.geomspace(1e-4, S_MAX_PROBE, 14):
+        points.append((float(s), *zero_location(float(s))))
+        bracket = bracket_in(points[-2:])
+        if bracket is not None:
             break
-        prev = (float(s), zl)
     if bracket is None:
         # full audit table before declaring nonexistence
-        s_full = np.geomspace(1e-6, S_MAX_PROBE, N_PROBES)
-        probes = [(float(s), zero_location(float(s))) for s in s_full]
-        for (s1, z1), (s2, z2) in zip(probes, probes[1:]):
-            if (z1 - R) * (z2 - R) <= 0.0:
-                bracket = (s1, s2)
-                break
+        points = [(float(s), *zero_location(float(s)))
+                  for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES)]
+        bracket = bracket_in(points)
+    probes = [(s, z) for s, z, _ in points]
     if bracket is None:
         return RadialSolution(
             dimension=prob.N, r=np.array([0.0, R]), u=np.zeros(2),
@@ -377,10 +392,10 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         )
 
     lo, hi = bracket
-    zl_lo = zero_location(lo) - R
+    zl_lo = zero_location(lo)[0] - R
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        zm = zero_location(mid) - R
+        zm = zero_location(mid)[0] - R
         if abs(zm) <= 1e-9 * R or (hi - lo) <= 1e-13 * hi:
             lo = hi = mid
             break
@@ -392,7 +407,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
 
     sol = integrate(s_star, dense=True)
     r_end = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
-    grid = np.linspace(sol.t[0], r_end, options.get("n_grid", 401))
+    grid = np.linspace(sol.t[0], r_end, 401)
     vals = sol.sol(grid)
     u, du = vals[0], vals[1]
 
@@ -416,8 +431,8 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     }
 
     if options.get("check_eps_sensitivity"):
-        drift = abs(zero_location(s_star, EPS_BOUNDARY) -
-                    zero_location(s_star, EPS_BOUNDARY / 2.0))
+        drift = abs(zero_location(s_star, EPS_BOUNDARY)[0] -
+                    zero_location(s_star, EPS_BOUNDARY / 2.0)[0])
         metadata["eps_cut_drift"] = drift
         metadata["eps_cut_ok"] = bool(drift < 1e-6)
 
@@ -478,12 +493,10 @@ class BifurcationDiagram:
     monotone_centers: bool = True
 
     def to_csv(self, path):
-        lines = ["lambda,status,sup_norm,center_value"]
-        for lam, st, sn, cv in zip(self.lam, self.status, self.sup_norm, self.center_value):
-            sn_s = fmt(sn) if sn is not None else "nan"
-            cv_s = fmt(cv) if cv is not None else "nan"
-            lines.append(f"{fmt(lam)},{st},{sn_s},{cv_s}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, "lambda,status,sup_norm,center_value",
+                  ((lam, st, math.nan if sn is None else sn, math.nan if cv is None else cv)
+                   for lam, st, sn, cv in zip(self.lam, self.status, self.sup_norm,
+                                              self.center_value)))
 
 
 def sweep(prob_template: LEFProblem, lam_grid) -> BifurcationDiagram:
@@ -525,9 +538,8 @@ def sweep(prob_template: LEFProblem, lam_grid) -> BifurcationDiagram:
 
     lam_star_th = None
     if prob_template.f is not None:
-        lam1 = lambda1_ball(prob_template.N, prob_template.R,
-                            mode=prob_template.geometry if prob_template.N == 1 else "ball").lambda1
-        lam_star_th = prob_template.lam_star(lam1)
+        lam_star_th = prob_template.lam_star(
+            lambda1_domain(prob_template.N, prob_template.geometry, prob_template.R))
 
     solved_centers = [c for c in centers if c is not None]
     monotone = all(b > a for a, b in zip(solved_centers, solved_centers[1:]))

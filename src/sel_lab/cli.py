@@ -3,9 +3,11 @@
 Configs are line-oriented `key = value` files under [section] headers with
 the sections [problem], [functions], [numerics], [output].  Expressions are
 quoted strings in the shared grammar (single variable t; radial functions
-read r as t).  Unknown and duplicate keys are errors, every referenced
-expression must parse before any computation starts, and output files are
-written atomically, so exit code 2 never leaves partial artifacts.
+read r as t).  Each command is declared once, in _COMMANDS, with the keys
+it accepts.  Unknown and duplicate keys are errors, every [functions]
+expression must parse before the output directory is created or any
+computation starts, and output files are written atomically, so a
+malformed config (exit code 2) leaves no artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -27,15 +29,9 @@ from . import numerics as _num
 from . import profile as _prof
 from . import radial as _rad
 from .expr import ParseError, ScalarFn, parse_expression
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text, fmt, write_csv
 
 SECTIONS = ("problem", "functions", "numerics", "output")
-
-COMMANDS = (
-    "check-ko", "classify", "analyze-f", "ell", "make-k", "profile", "xi0",
-    "chi", "solve-entire", "solve-system", "blowup", "rate", "eigen", "lef",
-    "sweep", "gelfand", "young",
-)
 
 
 class ConfigError(Exception):
@@ -60,28 +56,8 @@ _PROFILE_KEYS = _keys(problem="k_kind D k_alpha nu variant c",
 _LEF_KEYS = _keys(problem="N geometry R lambda mu grad_p mode",
                   functions="f g a K source")
 
-_ALLOWED_KEYS = {
-    "check-ko": _keys(functions="f", numerics="tol"),
-    "classify": _keys(problem="direction a b", functions="fn", numerics="tol"),
-    "analyze-f": _keys(functions="f", numerics="u_max"),
-    "ell": _keys(problem="nu", functions="k"),
-    "make-k": _keys(problem="kind D", functions="S"),
-    "profile": _PROFILE_KEYS,
-    "xi0": _keys(problem="rho ell1 c gamma kprime0", functions="f"),
-    "chi": _keys(problem="rho zeta theta ell_star c_tilde ell_sup case"),
-    "solve-entire": _keys(problem="N R b0", functions="f psi phi",
-                          numerics="tol panels"),
-    "solve-system": _keys(problem="N R a b", functions="p q f g",
-                          numerics="tol mesh_points"),
-    "blowup": _PROFILE_KEYS | _keys(problem="N domain R R0 a omega0 b_normalization",
-                                    functions="b", numerics="levels tol"),
-    "rate": _PROFILE_KEYS | _keys(problem="solution"),
-    "eigen": _keys(problem="N R mode"),
-    "lef": _LEF_KEYS,
-    "sweep": _LEF_KEYS | _keys(problem="lambda_grid"),
-    "gelfand": _keys(problem="lambda mu N geometry solve", functions="g"),
-    "young": _keys(problem="a p lambda1 N geometry"),
-}
+# keys every command accepts
+_COMMON_KEYS = {("problem", "command"), ("output", "csv"), ("output", "json")}
 
 
 @dataclass
@@ -101,34 +77,29 @@ class ProblemSpec:
             return default
         return entry[0]
 
-    def expression(self, section: str, key: str, default=None, required: bool = False):
-        raw = self.get(section, key, default=None, required=required)
-        if raw is None:
-            return default
-        if not isinstance(raw, str):
-            raise ConfigError(f"[{section}] {key} must be a quoted expression",
-                              self.data[section][key][1])
-        try:
-            parse_expression(raw)
-        except ParseError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}",
-                              self.data[section][key][1]) from exc
-        return raw
+    # the source text of a [functions] expression; validate() has parsed it
+    expression = get
 
-    def validate_keys(self):
-        """Reject unknown keys up front, before any computation or output."""
-        allowed = _ALLOWED_KEYS[self.command]
+    def validate(self):
+        """Reject unknown keys and unparsable expressions up front, before
+        any computation or output."""
+        allowed = _COMMANDS[self.command][1] | _COMMON_KEYS
         for section, entries in self.data.items():
-            for key, (_, lineno) in entries.items():
-                if section == "problem" and key == "command":
-                    continue
-                if section == "output" and key in ("csv", "json"):
-                    continue
+            for key, (value, lineno) in entries.items():
                 if (section, key) not in allowed:
                     raise ConfigError(
                         f"unknown key '{key}' in [{section}] for command {self.command}",
                         lineno,
                     )
+                if section != "functions":
+                    continue
+                if not isinstance(value, str):
+                    raise ConfigError(f"[{section}] {key} must be a quoted expression",
+                                      lineno)
+                try:
+                    parse_expression(value)
+                except ParseError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}", lineno) from exc
 
 
 def _parse_value(text: str, lineno: int):
@@ -187,8 +158,8 @@ def parse_config(path: str) -> ProblemSpec:
 
     spec = ProblemSpec(command="", path=path, data=data)
     command = spec.get("problem", "command", required=True)
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
     spec.command = command
     return spec
 
@@ -207,13 +178,11 @@ def _summary_value(v):
     return str(v)
 
 
-def _emit(summary: dict, outdir: str, name: str, write_json: str | None):
-    line = " ".join(f"{k}={_summary_value(v)}" for k, v in summary.items())
-    print(line)
+def _emit(summary: dict, outdir: str, write_json: str | None):
+    print(" ".join(f"{k}={_summary_value(v)}" for k, v in summary.items()))
     if write_json:
         path = os.path.join(outdir, write_json)
         atomic_write_text(path, json.dumps(_jsonable(summary), indent=2) + "\n")
-    return line
 
 
 def _jsonable(obj):
@@ -228,14 +197,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
-
-
-def _write_csv(outdir: str, name: str, header: str, rows, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(os.path.join(outdir, name), "\n".join(lines) + "\n")
 
 
 def _verdict_summary(v: _num.ConvergenceVerdict) -> dict:
@@ -253,7 +214,7 @@ def _verdict_summary(v: _num.ConvergenceVerdict) -> dict:
 # Command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_check_ko(spec, outdir, opts):
+def _cmd_check_ko(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
     tol = spec.get("numerics", "tol", 1e-8)
     nl = _ka.analyze_nonlinearity(f_src)
@@ -261,7 +222,7 @@ def _cmd_check_ko(spec, outdir, opts):
     return {"command": "check-ko", "f": f_src, **_verdict_summary(verdict)}
 
 
-def _cmd_classify(spec, outdir, opts):
+def _cmd_classify(spec, outdir):
     fn_src = spec.expression("functions", "fn", required=True)
     direction = spec.get("problem", "direction", "tail")
     tol = spec.get("numerics", "tol", 1e-8)
@@ -278,7 +239,7 @@ def _cmd_classify(spec, outdir, opts):
             **_verdict_summary(verdict)}
 
 
-def _cmd_analyze_f(spec, outdir, opts):
+def _cmd_analyze_f(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
     u_max = float(spec.get("numerics", "u_max", 1e8))
     nl = _ka.analyze_nonlinearity(f_src, u_max)
@@ -295,7 +256,7 @@ def _cmd_analyze_f(spec, outdir, opts):
     }
 
 
-def _cmd_ell(spec, outdir, opts):
+def _cmd_ell(spec, outdir):
     k_src = spec.expression("functions", "k", required=True)
     nu = float(spec.get("problem", "nu", 1.0))
     est = _ka.ell_limits(ScalarFn.from_source(k_src), nu)
@@ -303,7 +264,7 @@ def _cmd_ell(spec, outdir, opts):
             "ell0_err": est.ell0_err, "ell1_err": est.ell1_err}
 
 
-def _cmd_make_k(spec, outdir, opts):
+def _cmd_make_k(spec, outdir):
     kind = spec.get("problem", "kind", required=True)
     S_src = spec.expression("functions", "S", required=True)
     D = float(spec.get("problem", "D", 1.0))
@@ -313,45 +274,59 @@ def _cmd_make_k(spec, outdir, opts):
             "ell1_err": kf.ell1_err}
 
 
-def _parse_kfunction(spec) -> _ka.KFunction:
+def _weight_from_spec(spec):
+    """Read the weight k; returns a function that builds its KFunction."""
     kind = spec.get("problem", "k_kind", None)
     if kind is not None:
         S_src = spec.expression("functions", "S", required=True)
         D = float(spec.get("problem", "D", 1.0))
-        return _ka.make_k(kind, S_src, D)
+        return lambda: _ka.make_k(kind, S_src, D)
     alpha = spec.get("problem", "k_alpha", None)
     nu = float(spec.get("problem", "nu", 1.0))
     if alpha is not None:
-        return _ka.KFunction.power(float(alpha), nu=nu)
+        alpha = float(alpha)
+        return lambda: _ka.KFunction.power(alpha, nu=nu)
     k_src = spec.expression("functions", "k", required=True)
-    k = ScalarFn.from_source(k_src)
-    est = _ka.ell_limits(k, nu)
-    return _ka.KFunction(k=k, nu=nu, ell0=est.ell0, ell1=est.ell1,
-                         ell0_err=est.ell0_err, ell1_err=est.ell1_err, tag="user")
+
+    def user_weight():
+        k = ScalarFn.from_source(k_src)
+        est = _ka.ell_limits(k, nu)
+        return _ka.KFunction(k=k, nu=nu, ell0=est.ell0, ell1=est.ell1,
+                             ell0_err=est.ell0_err, ell1_err=est.ell1_err, tag="user")
+
+    return user_weight
 
 
 def _profile_from_spec(spec):
+    """Read the profile config; returns a function that builds the profile,
+    so that a command can read all of its config before it computes."""
     f_src = spec.expression("functions", "f", required=True)
-    nl = _ka.analyze_nonlinearity(f_src)
-    kf = _parse_kfunction(spec)
+    weight = _weight_from_spec(spec)
     variant = spec.get("problem", "variant", "k-integrand")
     c = float(spec.get("problem", "c", 1.0))
     depth = int(spec.get("numerics", "grid_depth", 24))
     tol = spec.get("numerics", "tol", 1e-10)
-    t_grid = kf.nu * 2.0 ** (-np.arange(1, depth + 1, dtype=float))
-    return _prof.build_profile(nl, kf, variant=variant, t_grid=t_grid, c=c, tol=tol), f_src
+
+    def build():
+        nl = _ka.analyze_nonlinearity(f_src)
+        kf = weight()
+        t_grid = kf.nu * 2.0 ** (-np.arange(1, depth + 1, dtype=float))
+        return _prof.build_profile(nl, kf, variant=variant, t_grid=t_grid, c=c, tol=tol)
+
+    return build
 
 
-def _cmd_profile(spec, outdir, opts):
-    profile, f_src = _profile_from_spec(spec)
+def _cmd_profile(spec, outdir):
+    profile = _profile_from_spec(spec)()
     csv = spec.get("output", "csv", "profile.csv")
     profile.export_csv(os.path.join(outdir, csv))
-    return {"command": "profile", "f": f_src, "variant": profile.variant,
+    return {"command": "profile", "f": spec.expression("functions", "f"),
+            "variant": profile.variant,
             "xi0": profile.xi0 if profile.xi0 is not None else "unavailable",
             "roundtrip_err": profile.roundtrip_err, "csv": csv}
 
 
-def _cmd_xi0(spec, outdir, opts):
+def _cmd_xi0(spec, outdir):
     rho = spec.get("problem", "rho", None)
     if rho is not None:
         ell1 = float(spec.get("problem", "ell1", required=True))
@@ -367,7 +342,7 @@ def _cmd_xi0(spec, outdir, opts):
     return {"command": "xi0", "method": "A", "f": f_src, "xi0": value}
 
 
-def _cmd_chi(spec, outdir, opts):
+def _cmd_chi(spec, outdir):
     two = _ka.TwoTermSpec(
         rho=float(spec.get("problem", "rho", required=True)),
         zeta=float(spec.get("problem", "zeta", required=True)),
@@ -381,7 +356,7 @@ def _cmd_chi(spec, outdir, opts):
     return {"command": "chi", "case": two.case, "varpi": varpi, "chi": chi}
 
 
-def _cmd_solve_entire(spec, outdir, opts):
+def _cmd_solve_entire(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
     psi_src = spec.expression("functions", "psi", required=True)
     phi_src = spec.expression("functions", "phi", None)
@@ -412,7 +387,7 @@ def _cmd_solve_entire(spec, outdir, opts):
     return out
 
 
-def _cmd_solve_system(spec, outdir, opts):
+def _cmd_solve_system(spec, outdir):
     sys_ = _rad.SystemProblem(
         p=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "p", required=True))),
         q=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "q", required=True))),
@@ -459,34 +434,38 @@ def _logistic_from_spec(spec) -> _rad.LogisticProblem:
     )
 
 
-def _cmd_blowup(spec, outdir, opts):
+def _cmd_blowup(spec, outdir):
+    # the rate is measured when a weight k is given in any of its three
+    # forms; its config is read before anything is computed or written
+    make_profile = None
+    if any(spec.get(section, key) is not None
+           for section, key in (("problem", "k_kind"), ("problem", "k_alpha"),
+                                ("functions", "k"))):
+        make_profile = _profile_from_spec(spec)
     prob = _logistic_from_spec(spec)
     levels = spec.get("numerics", "levels", None)
-    tol = spec.get("numerics", "tol", 1e-10)
-    sol = _rad.boundary_blowup(prob, n_levels=levels, tol=tol)
+    sol = _rad.boundary_blowup(prob, n_levels=levels)
     csv = spec.get("output", "csv", "blowup.csv")
     sol.to_csv(os.path.join(outdir, csv))
     out = {"command": "blowup", "classification": sol.classification,
            "blowup_radius": sol.blowup_radius if sol.blowup_radius is not None else "none",
            "levels": len(sol.metadata.get("n_levels", [])), "csv": csv}
-    if spec.data.get("functions", {}).get("k") or spec.data.get("problem", {}).get("k_alpha"):
-        profile, _ = _profile_from_spec(spec)
-        rate = _rad.measure_boundary_rate(sol, profile)
+    if make_profile is not None:
+        rate = _rad.measure_boundary_rate(sol, make_profile())
         out["rate_ratio"] = f"{rate.limit:.2f}x"
         out["rate_limit"] = rate.limit
         out["rate_drift"] = rate.drift
     return out
 
 
-def _cmd_rate(spec, outdir, opts):
+def _cmd_rate(spec, outdir):
     sol_path = spec.get("problem", "solution", required=True)
     sol = _read_solution_csv(os.path.join(outdir, sol_path)
                              if not os.path.isabs(sol_path) else sol_path)
-    profile, _ = _profile_from_spec(spec)
-    rate = _rad.measure_boundary_rate(sol, profile)
+    rate = _rad.measure_boundary_rate(sol, _profile_from_spec(spec)())
     csv = spec.get("output", "csv", "rate.csv")
-    _write_csv(outdir, csv, "d,ratio_h,ratio_xi0h",
-               zip(rate.d.tolist(), rate.ratio_h.tolist(), rate.ratio_xi0h.tolist()))
+    write_csv(os.path.join(outdir, csv), "d,ratio_h,ratio_xi0h",
+              zip(rate.d.tolist(), rate.ratio_h.tolist(), rate.ratio_xi0h.tolist()))
     return {"command": "rate", "limit": rate.limit, "drift": rate.drift, "csv": csv}
 
 
@@ -524,7 +503,7 @@ def _read_solution_csv(path) -> _num.RadialSolution:
     return sol
 
 
-def _cmd_eigen(spec, outdir, opts):
+def _cmd_eigen(spec, outdir):
     N = int(spec.get("problem", "N", required=True))
     R = float(spec.get("problem", "R", 1.0))
     mode = spec.get("problem", "mode", "ball")
@@ -557,14 +536,13 @@ def _lef_from_spec(spec) -> _bif.LEFProblem:
     )
 
 
-def _cmd_lef(spec, outdir, opts):
+def _cmd_lef(spec, outdir):
     prob = _lef_from_spec(spec)
     sol = _bif.solve_lef(prob)
     out = {"command": "lef", "classification": sol.classification}
     if sol.classification == _num.NO_SOLUTION:
         csv = spec.get("output", "csv", "lef_probes.csv")
-        _write_csv(outdir, csv, "s,zero_location",
-                   [(s, z) for s, z in sol.metadata["probe_table"]])
+        write_csv(os.path.join(outdir, csv), "s,zero_location", sol.metadata["probe_table"])
         out["sup_zero_location"] = sol.metadata["sup_zero_location"]
         out["csv"] = csv
         return out
@@ -576,7 +554,7 @@ def _cmd_lef(spec, outdir, opts):
     return out
 
 
-def _cmd_sweep(spec, outdir, opts):
+def _cmd_sweep(spec, outdir):
     prob = _lef_from_spec(spec)
     grid = spec.get("problem", "lambda_grid", required=True)
     if isinstance(grid, (int, float)):
@@ -594,7 +572,7 @@ def _cmd_sweep(spec, outdir, opts):
     return out
 
 
-def _cmd_gelfand(spec, outdir, opts):
+def _cmd_gelfand(spec, outdir):
     lam = float(spec.get("problem", "lambda", required=True))
     mu = float(spec.get("problem", "mu", required=True))
     g_src = spec.expression("functions", "g", required=True)
@@ -602,7 +580,7 @@ def _cmd_gelfand(spec, outdir, opts):
     geometry = spec.get("problem", "geometry", "interval")
     g_nl = _ka.analyze_singular_term(g_src)
     a_lim = g_nl.value_at_inf if g_nl.value_at_inf is not None else 0.0
-    lam1 = _bif.lambda1_ball(N, 1.0, mode=geometry if N == 1 else "ball").lambda1
+    lam1 = _bif.lambda1_domain(N, geometry)
     solvable = _bif.gelfand_solvable(lam, mu, a_lim, lam1)
     out = {"command": "gelfand", "lambda": lam, "mu": mu, "a": a_lim,
            "lambda1": lam1, "solvable": solvable}
@@ -621,48 +599,53 @@ def _cmd_gelfand(spec, outdir, opts):
     return out
 
 
-def _cmd_young(spec, outdir, opts):
+def _cmd_young(spec, outdir):
     a_lim = float(spec.get("problem", "a", 0.0))
     p = float(spec.get("problem", "p", required=True))
     lam1 = spec.get("problem", "lambda1", None)
     if lam1 is None:
         N = int(spec.get("problem", "N", 1))
         geometry = spec.get("problem", "geometry", "interval")
-        lam1 = _bif.lambda1_ball(N, 1.0, mode=geometry if N == 1 else "ball").lambda1
+        lam1 = _bif.lambda1_domain(N, geometry)
     C = _bif.young_constant(a_lim, p, float(lam1))
     return {"command": "young", "a": a_lim, "p": p, "lambda1": float(lam1), "C": C}
 
 
-_HANDLERS = {
-    "check-ko": _cmd_check_ko,
-    "classify": _cmd_classify,
-    "analyze-f": _cmd_analyze_f,
-    "ell": _cmd_ell,
-    "make-k": _cmd_make_k,
-    "profile": _cmd_profile,
-    "xi0": _cmd_xi0,
-    "chi": _cmd_chi,
-    "solve-entire": _cmd_solve_entire,
-    "solve-system": _cmd_solve_system,
-    "blowup": _cmd_blowup,
-    "rate": _cmd_rate,
-    "eigen": _cmd_eigen,
-    "lef": _cmd_lef,
-    "sweep": _cmd_sweep,
-    "gelfand": _cmd_gelfand,
-    "young": _cmd_young,
+# command -> (handler, the [section] keys it accepts besides _COMMON_KEYS)
+_COMMANDS = {
+    "check-ko": (_cmd_check_ko, _keys(functions="f", numerics="tol")),
+    "classify": (_cmd_classify, _keys(problem="direction a b", functions="fn",
+                                      numerics="tol")),
+    "analyze-f": (_cmd_analyze_f, _keys(functions="f", numerics="u_max")),
+    "ell": (_cmd_ell, _keys(problem="nu", functions="k")),
+    "make-k": (_cmd_make_k, _keys(problem="kind D", functions="S")),
+    "profile": (_cmd_profile, _PROFILE_KEYS),
+    "xi0": (_cmd_xi0, _keys(problem="rho ell1 c gamma kprime0", functions="f")),
+    "chi": (_cmd_chi, _keys(problem="rho zeta theta ell_star c_tilde ell_sup case")),
+    "solve-entire": (_cmd_solve_entire, _keys(problem="N R b0", functions="f psi phi",
+                                              numerics="tol panels")),
+    "solve-system": (_cmd_solve_system, _keys(problem="N R a b", functions="p q f g",
+                                              numerics="tol mesh_points")),
+    "blowup": (_cmd_blowup, _PROFILE_KEYS | _keys(
+        problem="N domain R R0 a omega0 b_normalization", functions="b", numerics="levels")),
+    "rate": (_cmd_rate, _PROFILE_KEYS | _keys(problem="solution")),
+    "eigen": (_cmd_eigen, _keys(problem="N R mode")),
+    "lef": (_cmd_lef, _LEF_KEYS),
+    "sweep": (_cmd_sweep, _LEF_KEYS | _keys(problem="lambda_grid")),
+    "gelfand": (_cmd_gelfand, _keys(problem="lambda mu N geometry solve", functions="g")),
+    "young": (_cmd_young, _keys(problem="a p lambda1 N geometry")),
 }
 
 
-def run(spec: ProblemSpec, outdir: str, opts) -> dict:
-    """Dispatch the command; returns the summary dict (also printed)."""
-    spec.validate_keys()
+def run(spec: ProblemSpec, outdir: str, verbose: bool = False) -> dict:
+    """Validate the config, then dispatch the command; returns the summary
+    dict (also printed)."""
+    spec.validate()
     os.makedirs(outdir, exist_ok=True)
-    handler = _HANDLERS[spec.command]
-    summary = handler(spec, outdir, opts)
+    summary = _COMMANDS[spec.command][0](spec, outdir)
     json_name = spec.get("output", "json", f"{spec.command.replace('-', '_')}_summary.json")
-    _emit(summary, outdir, spec.command, json_name)
-    if getattr(opts, "verbose", False):
+    _emit(summary, outdir, json_name)
+    if verbose:
         print(f"artifacts in {os.path.abspath(outdir)}", file=sys.stderr)
     return summary
 
@@ -683,11 +666,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        run(spec, opts.out, opts)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError,) as exc:
+        run(spec, opts.out, opts.verbose)
+    except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (_num.NumericsError, ValueError, ArithmeticError) as exc:

@@ -24,3 +24,14 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header: str, rows, comments=()) -> None:
+    """Atomically write '# comment' lines, the header and one line per row.
+
+    Strings are written as they are, every other value through fmt.
+    """
+    lines = [f"# {c}" for c in comments]
+    lines.append(header)
+    lines.extend(",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")

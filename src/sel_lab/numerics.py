@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
+from .ioutil import write_csv
+
 # Slope band half-width for the +-1 borderline of the classifiers.
 SLOPE_BAND = 0.05
 # Direct-summation fallback: number of doubling panels before giving up.
@@ -115,19 +117,14 @@ class RadialSolution:
             cols.append(("v", np.asarray(self.v, dtype=float)))
         if self.du is not None:
             cols.append(("u_prime", np.asarray(self.du, dtype=float)))
-        lines = [f"# classification={self.classification}"]
+        comments = [f"classification={self.classification}"]
         if self.blowup_radius is not None:
-            lines.append(f"# blowup_radius={self.blowup_radius!r}")
-        lines.append(f"# dimension={self.dimension}")
+            comments.append(f"blowup_radius={self.blowup_radius!r}")
+        comments.append(f"dimension={self.dimension}")
         if "b_normalization" in self.metadata:
-            lines.append(f"# b_normalization={self.metadata['b_normalization']}")
-        lines.append(",".join(name for name, _ in cols))
-        for i in range(self.r.size):
-            lines.append(",".join(format(float(col[i]), ".17g") for _, col in cols))
-        text = "\n".join(lines) + "\n"
-        from .ioutil import atomic_write_text
-
-        atomic_write_text(path, text)
+            comments.append(f"b_normalization={self.metadata['b_normalization']}")
+        write_csv(path, ",".join(name for name, _ in cols), zip(*(col for _, col in cols)),
+                  comments)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .ioutil import atomic_write_text, fmt
+from .ioutil import write_csv
 from .karamata import Antiderivative, KFunction, Nonlinearity, keller_osserman, xi0_power
 from .numerics import classify_origin_integral, find_root_monotone, integrate_finite, shoot
 
@@ -131,10 +131,9 @@ class BlowupProfile:
         return 0.5 * dv / math.sqrt(kv)
 
     def export_csv(self, path):
-        lines = [f"# variant={self.variant}", "t,h,h_prime"]
-        for ti in self.t:
-            lines.append(f"{fmt(ti)},{fmt(self.h_at(float(ti)))},{fmt(self.h_prime(float(ti)))}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, "t,h,h_prime",
+                  ((ti, self.h_at(float(ti)), self.h_prime(float(ti))) for ti in self.t),
+                  [f"variant={self.variant}"])
 
 
 def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
@@ -245,10 +244,7 @@ class OdeProfile:
         return 2.0 * float(self.h[-1]), float(self.hp[-1]) ** 2 + 1.0
 
     def export_csv(self, path):
-        lines = ["t,h,h_prime"]
-        for ti, hi, hpi in zip(self.t, self.h, self.hp):
-            lines.append(f"{fmt(ti)},{fmt(hi)},{fmt(hpi)}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, "t,h,h_prime", zip(self.t, self.h, self.hp))
 
 
 def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,

@@ -483,17 +483,14 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             break
 
     t = np.linspace(0.0, R, mesh_points + 1)
-    u = v = None
-    iterations = 0
+    u, v, iterations, monotone = _system_run(sys_, t, N, tol)
     for _ in range(3):
-        u, v, iterations, monotone = _system_run(sys_, t, N, tol)
         t2 = np.linspace(0.0, R, 2 * (t.size - 1) + 1)
         u2, v2, it2, mon2 = _system_run(sys_, t2, N, tol)
         drift = float(np.max(np.abs(np.interp(t, t2, u2) - u) / (1.0 + np.abs(u))))
-        if drift <= max(tol, 1e-9):
-            t, u, v, iterations, monotone = t2, u2, v2, it2, mon2
-            break
         t, u, v, iterations, monotone = t2, u2, v2, it2, mon2
+        if drift <= max(tol, 1e-9):
+            break
     if not monotone:
         raise ValueError("system iterates failed to be nondecreasing")
 
@@ -602,7 +599,7 @@ def _level_rhs(prob: LogisticProblem):
 
 
 def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
-                         sigma_bracket, tol: float):
+                         sigma_bracket):
     """Level BVP u(R0) = n, u(R) = 0 by shooting on the inner slope."""
     rhs = _level_rhs(prob)
     N = prob.N
@@ -636,7 +633,7 @@ def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
     return sigma, integrate(sigma, dense=True)
 
 
-def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket, tol: float):
+def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket):
     """Level BVP u'(0) = 0, u(R) = n by shooting on the center value."""
     rhs = _level_rhs(prob)
     N = prob.N
@@ -658,8 +655,7 @@ def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket, tol:
     return s, integrate(s)
 
 
-def boundary_blowup(prob: LogisticProblem, n_levels=None, tol: float = 1e-10,
-                    n_grid: int = 200) -> RadialSolution:
+def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> RadialSolution:
     """Boundary blow-up solution by the monotone u_n = n scheme.
 
     Solves the level BVPs with u = n on the blow-up boundary for
@@ -715,9 +711,9 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, tol: float = 1e-10,
         else:
             bracket = (1e-6, n) if kind == "ball" else (1e-6, 1.0)
         if kind == "ball":
-            shoot_param, sol = _shoot_level_ball(prob, n, R, bracket, tol)
+            shoot_param, sol = _shoot_level_ball(prob, n, R, bracket)
         else:
-            shoot_param, sol = _shoot_level_annulus(prob, n, R0, R, bracket, tol)
+            shoot_param, sol = _shoot_level_annulus(prob, n, R0, R, bracket)
         params.append(shoot_param)
         # evaluate on the fixed grid, clamping into the level's dense range;
         # tiny negative overshoot at the outer Dirichlet boundary is pure

@@ -131,7 +131,7 @@ def check_5():
     f3 = analyze_nonlinearity("t^3")
     prob = LogisticProblem(N=1, f=f3, b=ScalarFn.from_source("t^2"), a_lin=0.0,
                            domain=("annulus", 0.0, 1.0), b_normalization="k2")
-    sol = boundary_blowup(prob, tol=1e-10)
+    sol = boundary_blowup(prob)
     profile = build_profile(f3, KFunction.power(1.0, nu=1.0), variant=VARIANT_K,
                             c=1.0, t_grid=2.0 ** (-np.arange(1, 13, dtype=float)))
     rate = measure_boundary_rate(sol, profile)

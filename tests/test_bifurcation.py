@@ -138,6 +138,15 @@ class TestSolveLEF:
         assert sol.metadata["sup_zero_location"] < 1.0
         assert len(sol.metadata["probe_table"]) >= 60
 
+    @pytest.mark.parametrize("lam", [2.0, 10.45, 12.0, 16.52])
+    def test_linear_problem_has_no_positive_solution(self, f_linear, lam):
+        # -u'' = lam u on (0,1) away from lam = pi^2: probes that barely
+        # clear the epsilon cut used to bracket R with sup_norm ~ EPS_BOUNDARY
+        prob = LEFProblem(N=1, geometry="interval", lam=lam, f=f_linear)
+        sol = solve_lef(prob)
+        assert sol.classification == NO_SOLUTION
+        assert len(sol.metadata["probe_table"]) == 60
+
     def test_solvable_below_threshold(self, f_linear, g_half):
         prob = LEFProblem(N=1, geometry="interval", lam=0.95 * math.pi ** 2,
                           f=f_linear, g=g_half, a_pot=ScalarFn.from_source("1"))

@@ -20,6 +20,35 @@ def run_cli(tmp_path, text, out="out"):
     return code, outdir
 
 
+def headline_blowup(problem_weight="k_alpha = 1.0", functions_weight=""):
+    """The README headline blow-up config with the weight k swapped."""
+    return f"""
+[problem]
+command = blowup
+N = 1
+domain = annulus
+R0 = 0.0
+R = 1.0
+b_normalization = k2
+{problem_weight}
+nu = 1.0
+c = 1.0
+
+[functions]
+f = "t^3"
+b = "t^2"
+{functions_weight}
+
+[numerics]
+tol = 1e-10
+grid_depth = 14
+
+[output]
+csv = solution.csv
+json = summary.json
+"""
+
+
 class TestConfigParsing:
     def test_minimal_ko_config(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -114,6 +143,17 @@ f = "ln("
 """)
         assert code == 2
         assert not os.path.exists(outdir) or not os.listdir(outdir)
+
+    @pytest.mark.parametrize("weight", ['k = "t^"', "k = 2"])
+    def test_malformed_weight_expression_leaves_no_artifact(self, tmp_path, weight):
+        code, outdir = run_cli(tmp_path, headline_blowup("", weight))
+        assert code == 2
+        assert not os.path.exists(outdir)
+
+    def test_missing_weight_source_writes_no_solution(self, tmp_path):
+        code, outdir = run_cli(tmp_path, headline_blowup("k_kind = invS\nD = 1.0"))
+        assert code == 2
+        assert not os.path.exists(os.path.join(outdir, "solution.csv"))
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # profile on a KO-divergent nonlinearity is a numerical-domain error
@@ -392,6 +432,15 @@ json = summary.json
         assert "rate_ratio=" in out
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert abs(summary["rate_limit"] - 1.0) < 0.05
+
+    def test_blowup_rate_with_k_kind(self, tmp_path, capsys):
+        # k = D/S with S = t, D = 1 is the headline weight k = 1 in another form
+        code, outdir = run_cli(tmp_path, headline_blowup("k_kind = invS\nD = 1.0",
+                                                         'S = "t"'))
+        assert code == 0
+        assert "rate_ratio=1.00x" in capsys.readouterr().out
+        summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
+        assert abs(summary["rate_limit"] - 1.0) <= 0.02
 
     def test_rate_from_solution_csv(self, tmp_path, capsys):
         blow_cfg = """

@@ -216,7 +216,7 @@ class TestBoundaryBlowup:
         prob = LogisticProblem(N=1, f=f_cubic, b=ScalarFn.from_source("t^2"),
                                a_lin=0.0, domain=("annulus", 0.0, 1.0),
                                b_normalization="k2")
-        return boundary_blowup(prob, tol=1e-10)
+        return boundary_blowup(prob)
 
     def test_classification(self, headline):
         assert headline.classification == "boundary-blowup"
@@ -239,7 +239,7 @@ class TestBoundaryBlowup:
     def test_single_level_undetermined(self, f_cubic):
         prob = LogisticProblem(N=1, f=f_cubic, b=ScalarFn.from_source("t^2"),
                                a_lin=0.0, domain=("annulus", 0.0, 1.0))
-        sol = boundary_blowup(prob, n_levels=[100.0], tol=1e-9)
+        sol = boundary_blowup(prob, n_levels=[100.0])
         assert sol.classification == UNDETERMINED
 
     def test_ko_gate(self):
@@ -259,8 +259,7 @@ class TestBoundaryBlowup:
     def test_ball_mode(self, f_cubic):
         prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
                                a_lin=0.0, domain=("ball", 1.0))
-        sol = boundary_blowup(prob, n_levels=[10.0 * 2 ** j for j in range(6)],
-                              tol=1e-9)
+        sol = boundary_blowup(prob, n_levels=[10.0 * 2 ** j for j in range(6)])
         assert sol.classification == "boundary-blowup"
         assert sol.blowup_radius == 1.0
         # the extrapolated field grows toward the boundary wherever the
