@@ -23,11 +23,10 @@ from .karamata import Nonlinearity
 from .numerics import (
     BOUNDED,
     NO_SOLUTION,
-    UNDETERMINED,
     BracketError,
     NumericsError,
     RadialSolution,
-    find_root_monotone,
+    series_start,
     shoot,
 )
 
@@ -253,9 +252,17 @@ class LEFProblem:
         return rhs
 
 
-def _singular_start(prob: LEFProblem, s: float, eps: float):
-    """Series start for interval shooting: u ~ s x plus the leading
-    correction from the singular part a(0) g(u) ~ a0 C0 (s x)^-alpha."""
+def _interval_start(prob: LEFProblem, source, s: float, eps: float, level: float):
+    """Series start at x = eps for interval shooting from u(0) = level with slope s.
+
+    Above zero the right-hand side is regular, and the Taylor series
+    u ~ level + s x + source(0, level, s) x^2/2 holds.  At level 0 the start
+    is u ~ s x plus the leading correction from the singular part
+    a(0) g(u) ~ a0 C0 (s x)^-alpha.
+    """
+    if level > 0.0:
+        g0 = source(0.0, level, s)
+        return level + s * eps + g0 * eps * eps / 2.0, s + g0 * eps
     g = prob.g
     u = s * eps
     du = s
@@ -292,54 +299,54 @@ def _clamped_source(rhs):
 
 
 def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
-    """Return zero_location(s) -> (where the solution returns to zero, peak u).
+    """Return zero_location(s, level) -> (where the solution returns to the
+    boundary value level, peak height above it), and the shot itself.
 
-    The integration stops at the epsilon cut u = eps_b (default 1e-6) and
-    the zero is located by the local linear model u ~ c (R - r); a
-    true-zero event backstops trajectories that never rise above the cut.
-    The peak is the highest u on the solver's steps.
+    level = 0 is the singular problem and level = 1/k its regularization
+    with u = 1/k on the boundary; s is the center value on the ball and
+    the starting slope on the interval.  The integration stops at the
+    epsilon cut u = level + eps_b (default 1e-6) and the zero is located by
+    the local linear model u - level ~ c (R - r); an event at the level
+    itself backstops trajectories that never rise above the cut.  A shot
+    that starts at or below the level has its zero at 0.  The peak is the
+    highest u on the solver's steps.
     """
     rhs = prob.rhs()
     N, R = prob.N, prob.R
     r_cap = 3.0 * R
     source = _clamped_source(rhs)
 
-    def integrate(s, dense=False, eps_b=EPS_BOUNDARY):
-        if prob.geometry == "interval":
-            eps = 1e-6
-            y0 = _singular_start(prob, s, eps)
-            start = eps
+    def integrate(s, level=0.0, eps_b=EPS_BOUNDARY, dense=False):
+        """The shot, or None when it starts at or below the level."""
+        if prob.geometry == "ball":
+            start, y0 = series_start(source, s, N, 1e-8 * R)
         else:
-            # second-order series at eps, also for the 1-D ball
-            eps = 1e-8 * R
-            g0 = -rhs(0.0, s, 0.0)
-            y0 = (s + g0 * eps * eps / (2.0 * N), g0 * eps / N)
-            start = eps
+            start, y0 = 1e-6, _interval_start(prob, source, s, 1e-6, level)
+        if y0[0] <= level:
+            return None
         return shoot(source, N, start, y0, r_cap, "RK45", 1e-10, 1e-13 * max(1.0, s),
-                     floors=(eps_b, 0.0), cap=u_cap, dense=dense)
+                     floors=(level + eps_b, level), cap=u_cap, dense=dense)
 
-    def zero_location(s, eps_b: float = EPS_BOUNDARY):
-        if prob.geometry == "interval" and _singular_start(prob, s, 1e-6)[0] <= 0.0:
-            return 0.0, 0.0  # the slope cannot even leave the boundary layer
-        sol = integrate(s, eps_b=eps_b)
-        return located(sol), float(np.max(sol.y[0]))
+    def zero_location(s, level=0.0, eps_b=EPS_BOUNDARY):
+        sol = integrate(s, level, eps_b)
+        if sol is None:
+            return 0.0, 0.0  # the shot cannot even leave the boundary layer
+        return located(sol, level), float(np.max(sol.y[0])) - level
 
-    def located(sol):
+    def located(sol, level):
         if sol.t_events[0].size:
             r_ev = float(sol.t_events[0][0])
-            u_ev = float(sol.y_events[0][0][0])
+            u_ev = float(sol.y_events[0][0][0]) - level
             du_ev = float(sol.y_events[0][0][1])
             if du_ev < 0.0:
-                return r_ev + u_ev / (-du_ev)  # local model u ~ c (R - r)
+                return r_ev + u_ev / (-du_ev)  # local model u - level ~ c (R - r)
             return r_ev
         if sol.t_events[1].size:
             return float(sol.t_events[1][0])
-        if sol.t_events[2].size:
-            return r_cap + 1.0 + math.log1p(float(sol.y[0, -1]))
-        u_end, du_end = float(sol.y[0, -1]), float(sol.y[1, -1])
-        if u_end > 0.0 and du_end < 0.0:
+        u_end, du_end = float(sol.y[0, -1]) - level, float(sol.y[1, -1])
+        if u_end > 0.0 and du_end < 0.0 and not sol.t_events[2].size:
             return sol.t[-1] + u_end / (-du_end)
-        return r_cap + 1.0 + math.log1p(max(u_end, 0.0))
+        return r_cap + 1.0 + math.log1p(max(u_end, 0.0))  # past the cap or never back
 
     return zero_location, integrate
 
@@ -347,13 +354,16 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
 def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
-    The shooting map s -> zero_location(s) is probed on a log grid; a
-    bracket around the domain size R is refined by bisection/secant.  A
-    bracket counts only when its probe past R clears the epsilon cut by the
-    factor CUT_MARGIN.  When no probe brackets R, the solution is
-    declared no-solution and the full probe table is attached for audit.  Boundary-regularized runs at
-    u(boundary) = 1/k (k = 2^j) cross-validate solved problems when
-    requested via options={'regularization_levels': [...]}.
+    One search serves every boundary level: the shooting map
+    s -> zero_location(s, level) is probed on a log grid and a bracket
+    around the domain size R is refined by geometric bisection.  A bracket
+    counts only when its probe past R clears the epsilon cut by the factor
+    CUT_MARGIN.  When no probe of the full audit table brackets R, the
+    singular problem is declared no-solution with the table attached.
+    options={'check_eps_sensitivity': True} records the drift of the zero
+    when the cut is halved; options={'regularization_levels': [k, ...]}
+    solves the problems with u = 1/k on the boundary, on either geometry,
+    and checks that they decrease pointwise in k.
     """
     options = dict(options or {})
     zero_location, integrate = _shooting_map(prob)
@@ -371,39 +381,44 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
                 return s1, s2
         return None
 
-    points = []
-    bracket = None
-    for s in np.geomspace(1e-4, S_MAX_PROBE, 14):
-        points.append((float(s), *zero_location(float(s))))
-        bracket = bracket_in(points[-2:])
-        if bracket is not None:
-            break
-    if bracket is None:
-        # full audit table before declaring nonexistence
-        points = [(float(s), *zero_location(float(s)))
-                  for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES)]
-        bracket = bracket_in(points)
-    probes = [(s, z) for s, z, _ in points]
-    if bracket is None:
+    def shoot_to_R(level):
+        """(s*, probe table); s* is None when no probe brackets R."""
+        points = []
+        bracket = None
+        for s in np.geomspace(1e-4, S_MAX_PROBE, 14):
+            points.append((float(s), *zero_location(float(s), level)))
+            bracket = bracket_in(points[-2:])
+            if bracket is not None:
+                break
+        if bracket is None:
+            # full audit table before declaring nonexistence
+            points = [(float(s), *zero_location(float(s), level))
+                      for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES)]
+            bracket = bracket_in(points)
+        probes = [(s, z) for s, z, _ in points]
+        if bracket is None:
+            return None, probes
+        lo, hi = bracket
+        zl_lo = zero_location(lo, level)[0] - R
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            zm = zero_location(mid, level)[0] - R
+            if abs(zm) <= 1e-9 * R or (hi - lo) <= 1e-13 * hi:
+                lo = hi = mid
+                break
+            if zl_lo * zm <= 0.0:
+                hi = mid
+            else:
+                lo, zl_lo = mid, zm
+        return 0.5 * (lo + hi), probes
+
+    s_star, probes = shoot_to_R(0.0)
+    if s_star is None:
         return RadialSolution(
             dimension=prob.N, r=np.array([0.0, R]), u=np.zeros(2),
             classification=NO_SOLUTION,
             metadata={"probe_table": probes, "sup_zero_location": max(z for _, z in probes)},
         )
-
-    lo, hi = bracket
-    zl_lo = zero_location(lo)[0] - R
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        zm = zero_location(mid)[0] - R
-        if abs(zm) <= 1e-9 * R or (hi - lo) <= 1e-13 * hi:
-            lo = hi = mid
-            break
-        if zl_lo * zm <= 0.0:
-            hi = mid
-        else:
-            lo, zl_lo = mid, zm
-    s_star = 0.5 * (lo + hi)
 
     sol = integrate(s_star, dense=True)
     r_end = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
@@ -431,49 +446,31 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     }
 
     if options.get("check_eps_sensitivity"):
-        drift = abs(zero_location(s_star, EPS_BOUNDARY)[0] -
-                    zero_location(s_star, EPS_BOUNDARY / 2.0)[0])
+        drift = abs(zero_location(s_star)[0] -
+                    zero_location(s_star, eps_b=EPS_BOUNDARY / 2.0)[0])
         metadata["eps_cut_drift"] = drift
         metadata["eps_cut_ok"] = bool(drift < 1e-6)
 
-    k_levels = options.get("regularization_levels")
+    k_levels = sorted(options.get("regularization_levels") or ())
     if k_levels:
-        reg = _regularized_solutions(prob, sorted(k_levels), grid)
+        values = []
+        for k in k_levels:
+            s_k = shoot_to_R(1.0 / k)[0]
+            if s_k is None:
+                raise NumericsError(f"regularized problem u = 1/{k} on the boundary: "
+                                    "no shot brackets R")
+            reg = integrate(s_k, 1.0 / k, dense=True)
+            values.append(reg.sol(np.clip(grid, reg.t[0], reg.t[-1]))[0])
         metadata["regularization"] = {
-            "k_levels": sorted(k_levels),
-            "monotone_decreasing": reg["monotone"],
+            "k_levels": k_levels,
+            "monotone_decreasing": all(
+                bool(np.all(u_next <= u_k + 1e-7 * (1.0 + np.abs(u_k))))
+                for u_k, u_next in zip(values, values[1:])),
         }
-        metadata["regularized_values"] = reg["values"]
+        metadata["regularized_values"] = values
 
     return RadialSolution(dimension=prob.N, r=grid, u=u, du=du,
                           classification=BOUNDED, metadata=metadata)
-
-
-def _regularized_solutions(prob: LEFProblem, k_levels, grid):
-    """Solve the 1/k-boundary approximations; they decrease pointwise in k."""
-    source = _clamped_source(prob.rhs())
-    N, R = prob.N, prob.R
-
-    values = []
-    for k in k_levels:
-        floor = 1.0 / k
-
-        def zl(s):
-            sol = shoot(source, N, 0.0, (floor, s), 3.0 * R, "RK45", 1e-10, 1e-13,
-                        floors=(floor,))
-            if sol.t_events[0].size:
-                return float(sol.t_events[0][0])
-            u_end, du_end = float(sol.y[0, -1]), float(sol.y[1, -1])
-            return sol.t[-1] + (u_end - floor) / (-du_end) if du_end < 0.0 else 4.0 * R
-
-        s_star = find_root_monotone(lambda s: -zl(s), -R, 1e-4, 1e3, tol=1e-9)
-        sol = shoot(source, N, 0.0, (floor, s_star), R, "RK45", 1e-10, 1e-13, dense=True)
-        values.append(sol.sol(np.clip(grid, sol.t[0], sol.t[-1]))[0])
-    monotone = all(
-        bool(np.all(values[i + 1] <= values[i] + 1e-7 * (1.0 + np.abs(values[i]))))
-        for i in range(len(values) - 1)
-    )
-    return {"values": values, "monotone": monotone}
 
 
 # ---------------------------------------------------------------------------

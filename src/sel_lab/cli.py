@@ -5,9 +5,10 @@ the sections [problem], [functions], [numerics], [output].  Expressions are
 quoted strings in the shared grammar (single variable t; radial functions
 read r as t).  Each command is declared once, in _COMMANDS, with the keys
 it accepts.  Unknown and duplicate keys are errors, every [functions]
-expression must parse before the output directory is created or any
-computation starts, and output files are written atomically, so a
-malformed config (exit code 2) leaves no artifacts.
+expression must be quoted and parse before any computation starts, the
+output directory is created by the first write, and output files are
+written atomically, so a malformed config (exit code 2) leaves no
+artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -93,9 +94,6 @@ class ProblemSpec:
                     )
                 if section != "functions":
                     continue
-                if not isinstance(value, str):
-                    raise ConfigError(f"[{section}] {key} must be a quoted expression",
-                                      lineno)
                 try:
                     parse_expression(value)
                 except ParseError as exc:
@@ -151,9 +149,11 @@ def parse_config(path: str) -> ProblemSpec:
         if section is None:
             raise ConfigError("key outside any [section]", lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key in data[section]:
             raise ConfigError(f"duplicate key '{key}' in [{section}]", lineno)
+        if section == "functions" and not (len(value) >= 2 and value[0] == value[-1] == '"'):
+            raise ConfigError(f"[functions] {key} must be a quoted expression", lineno)
         data[section][key] = (_parse_value(value, lineno), lineno)
 
     spec = ProblemSpec(command="", path=path, data=data)
@@ -641,7 +641,6 @@ def run(spec: ProblemSpec, outdir: str, verbose: bool = False) -> dict:
     """Validate the config, then dispatch the command; returns the summary
     dict (also printed)."""
     spec.validate()
-    os.makedirs(outdir, exist_ok=True)
     summary = _COMMANDS[spec.command][0](spec, outdir)
     json_name = spec.get("output", "json", f"{spec.command.replace('-', '_')}_summary.json")
     _emit(summary, outdir, json_name)
@@ -673,7 +672,6 @@ def main(argv=None) -> int:
     except (_num.NumericsError, ValueError, ArithmeticError) as exc:
         diag = {"command": spec.command, "error": str(exc),
                 "error_type": type(exc).__name__}
-        os.makedirs(opts.out, exist_ok=True)
         atomic_write_text(os.path.join(opts.out, "failure.json"),
                           json.dumps(diag, indent=2) + "\n")
         print(f"numerical failure: {exc}", file=sys.stderr)

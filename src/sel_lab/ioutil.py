@@ -12,9 +12,11 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+    """Write via temp file + rename so readers never see partial output;
+    creates the parent directory on the first write."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:

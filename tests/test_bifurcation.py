@@ -160,6 +160,20 @@ class TestSolveLEF:
         sol = solve_lef(prob, options={"regularization_levels": [2, 4, 8, 16]})
         assert sol.metadata["regularization"]["monotone_decreasing"]
 
+    @pytest.mark.parametrize("N,f,g,a", [(2, "t", "t^-0.3", "1+t"),
+                                         (3, "t^3", "t^-0.5", "1")])
+    def test_regularized_ball_runs_decrease_in_k(self, N, f, g, a):
+        # the regularized levels shoot the ball problem, u(R) = 1/k
+        prob = LEFProblem(N=N, geometry="ball", lam=1.0, f=analyze_nonlinearity(f),
+                          g=analyze_singular_term(g), a_pot=ScalarFn.from_source(a))
+        sol = solve_lef(prob, options={"regularization_levels": [8, 2, 4]})
+        reg = sol.metadata["regularization"]
+        assert reg["k_levels"] == [2, 4, 8]
+        assert reg["monotone_decreasing"]
+        values = sol.metadata["regularized_values"]
+        assert values[0][-1] == pytest.approx(0.5, abs=1e-5)
+        assert np.all(values[-1] >= sol.u - 1e-7)
+
     def test_ball_geometry(self, g_half):
         prob = LEFProblem(N=3, geometry="ball", lam=0.0, g=g_half,
                           a_pot=ScalarFn.from_source("1"))
@@ -206,6 +220,51 @@ class TestSweep:
                               a_pot=ScalarFn.from_source("0"), lam=1.0)
         with pytest.raises(ValueError):
             sweep(template, [2.0, 1.0])
+
+
+def bratu_1d_center(lam):
+    """Closed-form oracle: -u'' = lam e^u on (-1, 1) has the minimal center
+    value s solving s = 2 ln cosh(sqrt(lam e^s / 2)), by fixed-point iteration."""
+    s = 0.0
+    for _ in range(500):
+        s = 2.0 * math.log(math.cosh(math.sqrt(lam * math.exp(s) / 2.0)))
+    return s
+
+
+@pytest.fixture(scope="module")
+def f_exp():
+    return analyze_nonlinearity("exp(t)")
+
+
+@pytest.fixture(scope="module")
+def bratu_1d_sweep(f_exp):
+    return sweep(LEFProblem(N=1, geometry="ball", f=f_exp), [0.5, 0.8, 0.87, 0.9])
+
+
+class TestGelfandBall:
+    """-Delta u = lam e^u on the unit ball: solved below lam*, none above.
+    lam* ~ 0.8785 for N = 1 (closed form) and ~ 3.32 for N = 3 (Joseph &
+    Lundgren, Arch. Rational Mech. Anal. 49, 1973)."""
+
+    def test_n3_below_threshold_is_solved(self, f_exp):
+        sol = solve_lef(LEFProblem(N=3, geometry="ball", lam=3.0, f=f_exp))
+        assert sol.classification == "bounded"
+        assert 0.0 < sol.metadata["center_value"] < 2.0
+
+    def test_n1_center_values_match_closed_form(self, bratu_1d_sweep):
+        for lam, center in zip(bratu_1d_sweep.lam[:3], bratu_1d_sweep.center_value[:3]):
+            assert center == pytest.approx(bratu_1d_center(lam), rel=1e-7)
+
+    def test_n1_sweep_brackets_threshold(self, bratu_1d_sweep):
+        assert bratu_1d_sweep.status == ["solved"] * 3 + ["no-solution"]
+        assert bratu_1d_sweep.lam_star_bracket == (0.87, 0.9)
+        assert bratu_1d_sweep.monotone_centers
+
+    def test_n3_sweep_brackets_threshold(self, f_exp):
+        diagram = sweep(LEFProblem(N=3, geometry="ball", f=f_exp), [2.0, 2.5, 3.0, 3.5])
+        assert diagram.status == ["solved"] * 3 + ["no-solution"]
+        assert diagram.lam_star_bracket == (3.0, 3.5)
+        assert diagram.monotone_centers
 
 
 class TestGelfand:

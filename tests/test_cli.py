@@ -155,6 +155,23 @@ f = "ln("
         assert code == 2
         assert not os.path.exists(os.path.join(outdir, "solution.csv"))
 
+    def test_missing_required_key_leaves_no_directory(self, tmp_path):
+        code, outdir = run_cli(tmp_path, headline_blowup("k_kind = invS\nD = 1.0"))
+        assert code == 2
+        assert not os.path.exists(outdir)
+
+    def test_unquoted_expression_is_config_error(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = check-ko
+
+[functions]
+f = t^3
+""")
+        assert code == 2
+        assert "line 6: [functions] f must be a quoted expression" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # profile on a KO-divergent nonlinearity is a numerical-domain error
         code, outdir = run_cli(tmp_path, """
