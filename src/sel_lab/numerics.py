@@ -4,8 +4,9 @@ Adaptive quadrature with endpoint-singularity grading, improper-integral
 convergence classification (tail and origin), monotone root finding, and the
 radial shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
 with terminal floor, cap and blow-up events (every ODE solve of the package
-goes through it), `series_start` steps past the (N-1)/r origin singularity,
-and `integrate_radial_ivp` builds graded solutions on top of both.
+goes through it; RK45 shots run a plain-float Dormand-Prince kernel, DOP853
+shots scipy's solve_ivp), `series_start` steps past the (N-1)/r origin
+singularity, and `integrate_radial_ivp` builds graded solutions on top of both.
 
 All functions here are pure over immutable inputs; no global state.
 """
@@ -16,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, quad, solve_ivp
+from scipy.optimize import brentq
 
 from .ioutil import write_csv
 
@@ -24,7 +26,7 @@ from .ioutil import write_csv
 SLOPE_BAND = 0.05
 # Direct-summation fallback: number of doubling panels before giving up.
 FALLBACK_PANELS = 40
-# Default blow-up threshold for the radial IVP ((and its derivative).
+# Default blow-up threshold for the radial IVP (and its derivative).
 BLOWUP_THRESHOLD = 1e8
 
 CONVERGENT = "convergent"
@@ -455,6 +457,217 @@ def _terminal(event):
     return event
 
 
+# Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, solution
+# weights, error weights and the quartic dense-output matrix, as Python floats
+_C = RK45.C.tolist()
+_A = RK45.A.tolist()
+_B = RK45.B.tolist()
+_E = RK45.E.tolist()
+# columns of P without its zero second row: Q_j = sum_k K_k P[k][j]
+_P_COLUMNS = [tuple(row[j] for i, row in enumerate(RK45.P.tolist()) if i != 1)
+              for j in range(4)]
+_EPS = float(np.finfo(float).eps)
+_SQRT2 = 2 ** 0.5
+# scipy's solve_ivp messages, by status
+_MESSAGES = {-1: "Required step size is less than spacing between numbers.",
+             0: "The solver successfully reached the end of the integration interval.",
+             1: "A termination event occurred."}
+
+
+def _quartic(k1, k3, k4, k5, k6, k7):
+    """Dense-output coefficients of one component from its stage slopes."""
+    return [k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
+            for p1, p3, p4, p5, p6, p7 in _P_COLUMNS]
+
+
+def _interpolate(step, r):
+    """(u, u') at r on one step (r_old, h, u_old, v_old, Q_u, Q_v):
+    y_old + h sum_j Q_j x^(j+1) with x = (r - r_old)/h."""
+    r_old, h, u_old, v_old, (a1, a2, a3, a4), (b1, b2, b3, b4) = step
+    x = (r - r_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return (h * (a1 * x + a2 * x2 + a3 * x3 + a4 * x4) + u_old,
+            h * (b1 * x + b2 * x2 + b3 * x3 + b4 * x4) + v_old)
+
+
+class _QuarticSolution:
+    """Continuous solution from the per-step quartics, evaluated over numpy
+    arrays; a breakpoint takes the earlier step, points outside the range
+    the nearest end step."""
+
+    def __init__(self, ts, steps):
+        self.ts = np.asarray(ts, dtype=float)
+        r_old, h, u_old, v_old, qu, qv = (np.array(col) for col in zip(*steps))
+        self.r_old, self.h = r_old, h
+        self.y_old = np.stack([u_old, v_old], axis=-1)
+        self.q = np.stack([qu, qv], axis=1)
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, self.h.size - 1)
+        x = (r - self.r_old[seg]) / self.h[seg]
+        powers = np.cumprod(np.stack([x, x, x, x], axis=-1), axis=-1)
+        y = (self.h[seg][..., None] * np.einsum("...ij,...j->...i", self.q[seg], powers)
+             + self.y_old[seg])
+        return np.moveaxis(y, -1, 0)
+
+
+@dataclass
+class ShotResult:
+    """One RK45 shot, with the fields of scipy's OdeResult that callers read
+    plus the step counts."""
+
+    t: np.ndarray
+    y: np.ndarray
+    t_events: list
+    y_events: list
+    sol: _QuarticSolution | None
+    status: int
+    message: str
+    nfev: int
+    steps_accepted: int
+    steps_rejected: int
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def _dopri5(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
+    """Integrate u' = v, v' = acc(r, u, v) from (r0, y0) to r_end > r0.
+
+    Plain-float Dormand-Prince 5(4) that mirrors scipy's RK45 step for step
+    (initial step, RMS error norm, step-size control, minimum step), so its
+    results match scipy's up to rounding.  Every event g(u, v) is terminal
+    and fires when g falls through zero on a step (g_old >= 0 >= g_new); it
+    is located on the step's quartic interpolant and the earliest root ends
+    the shot.  Squares are x * x, so an overflow gives inf or nan and a
+    rejected step rather than an exception.
+    """
+    u, v = float(y0[0]), float(y0[1])
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    c2, c3, c4, c5 = _C[1:5]
+    a21 = _A[1][0]
+    a31, a32 = _A[2][:2]
+    a41, a42, a43 = _A[3][:3]
+    a51, a52, a53, a54 = _A[4][:4]
+    a61, a62, a63, a64, a65 = _A[5]
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+
+    # the slope at the current point and the initial step (Hairer-Norsett-
+    # Wanner II.4, as scipy's select_initial_step with error order 4)
+    r = r0
+    k1u, k1v = v, acc(r, u, v)
+    interval = r_end - r0
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0 = math.sqrt((u / su) * (u / su) + (v / sv) * (v / sv)) / _SQRT2
+    d1 = math.sqrt((k1u / su) * (k1u / su) + (k1v / sv) * (k1v / sv)) / _SQRT2
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    u1, v1 = u + h0 * k1u, v + h0 * k1v
+    du, dv = (v1 - k1u) / su, (acc(r + h0, u1, v1) - k1v) / sv
+    # h0 underflows to 0 when d1 is huge; the first step is then the minimum step
+    d2 = math.sqrt(du * du + dv * dv) / _SQRT2 / h0 if h0 > 0.0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_next = min(100 * h0, h1, interval)
+    nfev = 2
+
+    ts, us, vs = [r], [u], [v]
+    steps = []
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    g_old = [g(u, v) for g in events]
+    accepted = rejected = 0
+    status = None
+    while status is None:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h = max(h_next, min_step)
+        step_rejected = False
+        while True:
+            if not h >= min_step:  # also a nan step, where scipy's loop never ends
+                status = -1
+                break
+            r_new = min(r + h, r_end)
+            h = r_new - r
+            u2 = u + (a21 * k1u) * h
+            v2 = v + (a21 * k1v) * h
+            k2u, k2v = v2, acc(r + c2 * h, u2, v2)
+            u3 = u + (a31 * k1u + a32 * k2u) * h
+            v3 = v + (a31 * k1v + a32 * k2v) * h
+            k3u, k3v = v3, acc(r + c3 * h, u3, v3)
+            u4 = u + (a41 * k1u + a42 * k2u + a43 * k3u) * h
+            v4 = v + (a41 * k1v + a42 * k2v + a43 * k3v) * h
+            k4u, k4v = v4, acc(r + c4 * h, u4, v4)
+            u5 = u + (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u) * h
+            v5 = v + (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v) * h
+            k5u, k5v = v5, acc(r + c5 * h, u5, v5)
+            u6 = u + (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u) * h
+            v6 = v + (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v) * h
+            k6u, k6v = v6, acc(r + h, u6, v6)
+            u_new = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            v_new = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            k7u, k7v = v_new, acc(r + h, u_new, v_new)
+            nfev += 6
+            eu = ((e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u) * h
+                  / (atol + max(abs(u), abs(u_new)) * rtol))
+            ev = ((e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v) * h
+                  / (atol + max(abs(v), abs(v_new)) * rtol))
+            error_norm = math.sqrt(eu * eu + ev * ev) / _SQRT2
+            if error_norm < 1.0:
+                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** -0.2)
+                h_next = h * (min(1.0, factor) if step_rejected else factor)
+                break
+            h *= max(0.2, 0.9 * error_norm ** -0.2)
+            step_rejected = True
+            rejected += 1
+        if status is not None:
+            break
+
+        accepted += 1
+        g_new = [g(u_new, v_new) for g in events]
+        active = [i for i, (before, after) in enumerate(zip(g_old, g_new))
+                  if before >= 0.0 >= after]
+        g_old = g_new
+        if dense or active:
+            step = (r, h, u, v, _quartic(k1u, k3u, k4u, k5u, k6u, k7u),
+                    _quartic(k1v, k3v, k4v, k5v, k6v, k7v))
+            if dense:
+                steps.append(step)
+        r_old = r
+        r, u, v = r_new, u_new, v_new
+        k1u, k1v = k7u, k7v
+        if r >= r_end:
+            status = 0
+        if active:
+            root, i = min((brentq(lambda x, g=events[i]: g(*_interpolate(step, x)),
+                                  r_old, r, xtol=4 * _EPS, rtol=4 * _EPS), i)
+                          for i in active)
+            r, (u, v) = root, _interpolate(step, root)
+            t_events[i].append(root)
+            y_events[i].append((u, v))
+            status = 1
+        if dense and len(ts) > 1 and ts[-1] == r:
+            steps.pop()
+        else:
+            ts.append(r)
+            us.append(u)
+            vs.append(v)
+
+    return ShotResult(
+        t=np.array(ts), y=np.array([us, vs]),
+        t_events=[np.asarray(te) for te in t_events],
+        y_events=[np.asarray(ye) for ye in y_events],
+        sol=_QuarticSolution(ts, steps) if dense and steps else None,
+        status=status, message=_MESSAGES[status],
+        nfev=nfev, steps_accepted=accepted, steps_rejected=rejected)
+
+
 def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: float,
           atol: float, floors=(), cap: float | None = None, blowup: float | None = None,
           dense: bool = False):
@@ -462,25 +675,30 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: f
 
     The drift term is dropped at r = 0.  Terminal events, in t_events order:
     u falls to each level in floors, u rises to cap, max(|u|, |u'|) reaches
-    blowup.  Returns the scipy OdeResult.
+    blowup.  method "RK45" runs the plain-float Dormand-Prince kernel and
+    returns a ShotResult (with step counts); "DOP853" runs scipy's solve_ivp
+    and returns its OdeResult.
     """
     if N == 1:
-        def f(r, y):
-            return (y[1], source(r, y[0], y[1]))
+        acc = source
     else:
-        def f(r, y):
-            val = source(r, y[0], y[1])
+        def acc(r, u, du):
+            val = source(r, u, du)
             if r > 0.0:
-                val -= (N - 1) / r * y[1]
-            return (y[1], val)
+                val -= (N - 1) / r * du
+            return val
 
-    events = [_terminal(lambda r, y, level=level: y[0] - level) for level in floors]
+    events = [lambda u, du, level=level: u - level for level in floors]
     if cap is not None:
-        events.append(_terminal(lambda r, y: cap - y[0]))
+        events.append(lambda u, du: cap - u)
     if blowup is not None:
-        events.append(_terminal(lambda r, y: blowup - max(abs(y[0]), abs(y[1]))))
-    return solve_ivp(f, (r_start, r_end), y0, method=method, rtol=rtol, atol=atol,
-                     dense_output=dense, events=events or None)
+        events.append(lambda u, du: blowup - max(abs(u), abs(du)))
+    if method == "RK45":
+        return _dopri5(acc, r_start, y0, r_end, rtol, atol, events, dense)
+    return solve_ivp(lambda r, y: (y[1], acc(r, y[0], y[1])), (r_start, r_end), y0,
+                     method=method, rtol=rtol, atol=atol, dense_output=dense,
+                     events=[_terminal(lambda r, y, g=g: g(y[0], y[1])) for g in events]
+                     or None)
 
 
 def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
@@ -519,5 +737,6 @@ def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
         du=vals[1],
         classification=classification,
         blowup_radius=r_end if blew_up else None,
-        metadata={"nfev": int(sol.nfev), "start": r_start, "rtol": rtol},
+        metadata={"nfev": sol.nfev, "steps_accepted": sol.steps_accepted,
+                  "steps_rejected": sol.steps_rejected, "start": r_start, "rtol": rtol},
     )

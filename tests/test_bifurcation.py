@@ -241,6 +241,7 @@ def bratu_1d_sweep(f_exp):
     return sweep(LEFProblem(N=1, geometry="ball", f=f_exp), [0.5, 0.8, 0.87, 0.9])
 
 
+@pytest.mark.filterwarnings("error")
 class TestGelfandBall:
     """-Delta u = lam e^u on the unit ball: solved below lam*, none above.
     lam* ~ 0.8785 for N = 1 (closed form) and ~ 3.32 for N = 3 (Joseph &

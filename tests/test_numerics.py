@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from sel_lab import bifurcation
+from sel_lab.bifurcation import N_PROBES, S_MAX_PROBE, LEFProblem
+from sel_lab.expr import ScalarFn
+from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
     BOUNDARY_BLOWUP,
     BOUNDED,
     BracketError,
     NonIntegrableError,
+    NumericsError,
     RadialSolution,
     classify_origin_integral,
     classify_tail_integral,
@@ -139,6 +145,10 @@ class TestRootFinding:
         assert got == pytest.approx(4.0, rel=1e-9)
 
 
+def _nan_past_half(r, u, du):
+    return math.nan if r > 0.5 else -u
+
+
 class TestRadialIVP:
     def test_constant_solution(self):
         sol = integrate_radial_ivp(lambda r, u, du: 0.0, 1.0, 0.0, 3, 5.0)
@@ -168,6 +178,18 @@ class TestRadialIVP:
         assert sol.classification == BOUNDARY_BLOWUP
         assert sol.blowup_radius is not None and 0.0 < sol.blowup_radius < 10.0
         assert np.max(np.abs(sol.u)) <= 2e8
+
+    def test_step_counts_account_for_every_rhs_call(self):
+        # one call at the start, one for the initial step, six per attempted step
+        sol = integrate_radial_ivp(lambda r, u, du: -u, 1.0, 0.0, 3, 8.0, tol=1e-9)
+        meta = sol.metadata
+        assert meta["steps_accepted"] > 0 and meta["steps_rejected"] >= 0
+        assert meta["nfev"] == 2 + 6 * (meta["steps_accepted"] + meta["steps_rejected"])
+
+    @pytest.mark.parametrize("source", [_nan_past_half, lambda r, u, du: math.nan])
+    def test_nan_source_fails_with_the_step_size(self, source):
+        with pytest.raises(NumericsError, match="step size"):
+            integrate_radial_ivp(source, 1.0, 0.0, 1, 2.0)
 
     def test_tolerance_controls_error_like_high_order(self):
         lam = math.pi ** 2
@@ -222,6 +244,82 @@ class TestShoot:
         assert r0 == 1e-3
         assert u == pytest.approx(2.0 + 0.5e-3 + 7e-6 / 6.0, rel=1e-15)
         assert du == pytest.approx(0.5 + 7e-3 / 3.0, rel=1e-15)
+
+
+class TestDormandPrinceKernel:
+    def test_dense_output_tracks_cosine(self):
+        sol = shoot(lambda r, u, du: -u, 1, 0.0, (1.0, 0.0), 6.0, "RK45", 1e-10, 1e-12,
+                    dense=True)
+        assert sol.status == 0 and sol.success
+        grid = np.linspace(0.0, 6.0, 301)
+        vals = sol.sol(grid)
+        assert vals.shape == (2, grid.size)
+        assert np.max(np.abs(vals[0] - np.cos(grid))) < 1e-8
+        assert np.max(np.abs(vals[1] + np.sin(grid))) < 1e-8
+        assert float(sol.sol(1.0)[0]) == pytest.approx(math.cos(1.0), abs=1e-8)
+
+    def test_nan_source_stops_below_the_nan(self):
+        sol = shoot(_nan_past_half, 1, 0.0, (1.0, 0.0), 2.0, "RK45", 1e-10, 1e-12)
+        assert sol.status == -1 and not sol.success
+        assert sol.t[-1] == pytest.approx(0.5, abs=1e-9)
+        assert "step size" in sol.message
+
+
+def _scipy_rk45_shoot(source, N, r_start, y0, r_end, method, rtol, atol, floors=(),
+                      cap=None, blowup=None, dense=False):
+    """Reference: the same shot through scipy's solve_ivp(method="RK45")."""
+    assert method == "RK45"
+
+    def f(r, y):
+        val = source(r, y[0], y[1])
+        if N > 1 and r > 0.0:
+            val -= (N - 1) / r * y[1]
+        return (y[1], val)
+
+    events = [lambda r, y, level=level: y[0] - level for level in floors]
+    if cap is not None:
+        events.append(lambda r, y: cap - y[0])
+    if blowup is not None:
+        events.append(lambda r, y: blowup - max(abs(y[0]), abs(y[1])))
+    for event in events:
+        event.terminal = True
+        event.direction = -1
+    return solve_ivp(f, (r_start, r_end), y0, method="RK45", rtol=rtol, atol=atol,
+                     dense_output=dense, events=events or None)
+
+
+def _probe_table(prob):
+    """(event index, zero location) of every probe of the 60-probe audit table."""
+    zero_location, integrate = bifurcation._shooting_map(prob)
+    table = []
+    for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES):
+        sol = integrate(float(s))
+        fired = None if sol is None else [i for i, te in enumerate(sol.t_events) if te.size]
+        table.append((fired, zero_location(float(s))[0]))
+    return table
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's overflow on the e^u ball
+@pytest.mark.parametrize("name", ["interval singular", "N=3 singular ball", "-u''=12u",
+                                  "N=3 e^u ball"])
+def test_shooting_map_matches_scipy_rk45(monkeypatch, name):
+    g_half = analyze_singular_term("t^(-1/2)")
+    prob = {
+        "interval singular": LEFProblem(N=1, geometry="interval", lam=0.0, g=g_half,
+                                        a_pot=ScalarFn.from_source("1")),
+        "N=3 singular ball": LEFProblem(N=3, geometry="ball", lam=0.0, g=g_half,
+                                        a_pot=ScalarFn.from_source("1")),
+        "-u''=12u": LEFProblem(N=1, geometry="interval", lam=12.0,
+                               f=analyze_nonlinearity("t")),
+        "N=3 e^u ball": LEFProblem(N=3, geometry="ball", lam=3.0,
+                                   f=analyze_nonlinearity("exp(t)")),
+    }[name]
+    got = _probe_table(prob)
+    monkeypatch.setattr(bifurcation, "shoot", _scipy_rk45_shoot)
+    want = _probe_table(prob)
+    for (fired, z), (fired_ref, z_ref) in zip(got, want):
+        assert fired == fired_ref
+        assert z == pytest.approx(z_ref, rel=1e-10)
 
 
 def test_radial_solution_grid_validation():
