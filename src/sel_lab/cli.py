@@ -380,6 +380,7 @@ def _cmd_solve_entire(spec, outdir):
     out = {"command": "solve-entire", "classification": sol.classification,
            "iterations": sol.metadata["iterations"],
            "growth_bound_ok": sol.metadata["growth_bound_ok"],
+           "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
            "u_end": float(sol.u[-1]), "csv": csv}
     for key in ("large_condition", "b_star", "ordering_ok", "plateau_drift"):
         if key in sol.metadata:
@@ -408,6 +409,7 @@ def _cmd_solve_system(spec, outdir):
             "tp_verdict": sol.metadata["tp_verdict"],
             "tq_verdict": sol.metadata["tq_verdict"],
             "lower_bound_ok": sol.metadata["lower_bound_ok"],
+            "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
             "u_end": float(sol.u[-1]), "v_end": float(sol.v[-1]), "csv": csv}
 
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .expr import ScalarFn
 from .karamata import Antiderivative, Nonlinearity, keller_osserman
@@ -245,63 +244,60 @@ def _graded_mesh(R: float, panels: int) -> np.ndarray:
     return R * i * i
 
 
-def _exp_kernel_apply(t: np.ndarray, fvals: np.ndarray, N: int) -> np.ndarray:
-    """J_i = e^-t_i t_i^(1-N) int_0^t_i e^s s^(N-1) fvals(s) ds on the mesh.
+def _volterra(t: np.ndarray, m: int, rate: int = 0):
+    """fvals -> C_i = int_0^t_i e^(rate (s - t_i)) s^m fvals(s) ds at every node.
 
-    Each panel integrates e^s times the local quadratic through three
-    neighbouring nodes of phi = s^(N-1) fvals exactly (the antiderivative
-    of e^x (A+Bx+Cx^2) is closed-form), so the rule is fourth order in the
-    mesh.  Panels are carried with the factor e^(panel end) split off and
-    accumulated by log-sum-exp, so arbitrarily large t never overflows.
+    Product integration: fvals is interpolated by the cubic through the four
+    nodes around each panel (t[j-1..j+2], shifted inward at the ends) and the
+    weight e^(rate (s - t_j+1)) s^m is integrated against it by Gauss-Legendre,
+    exact for s^m times a cubic (four spare nodes resolve the exponential).
+    The weights are built once per mesh; an application is one gather, a
+    multiply-add and a cumulative sum.  With rate = 1 the panels are carried
+    with the factor e^(panel end) split off and summed by log-sum-exp,
+    positive and negative panel parts apart, so large t never overflows.
     """
-    phi = t ** (N - 1) * fvals
-    dt = np.diff(t)
-    n_panels = dt.size
-    # quadratic through (t[j-1], t[j], t[j+1]) serves panel [t[j], t[j+1]];
-    # the first panel reuses the forward triple (t[0], t[1], t[2])
-    j = np.arange(n_panels)
-    jm = np.maximum(j - 1, 0)
-    jc = np.where(j == 0, 1, j)
-    jp = np.where(j == 0, 2, j + 1)
-    # local coordinate x = s - panel end; panel end is t[j+1]
-    end = t[j + 1]
-    x0, x1, x2 = t[jm] - end, t[jc] - end, t[jp] - end
-    p0, p1, p2 = phi[jm], phi[jc], phi[jp]
-    d01 = (p1 - p0) / (x1 - x0)
-    d12 = (p2 - p1) / (x2 - x1)
-    C = (d12 - d01) / (x2 - x0)
-    B = d12 - C * (x1 + x2)
-    A = p2 - B * x2 - C * x2 * x2
-    # int_{-dt}^0 e^x (A+Bx+Cx^2) dx = E(0) - E(-dt),
-    # E(x) = e^x ((A-B+2C) + (B-2C) x + C x^2)
-    a0 = A - B + 2.0 * C
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = a0 - np.exp(-dt) * (a0 + (B - 2.0 * C) * (-dt) + C * dt * dt)
-    # fall back to the (positive) shifted trapezoid when the quadratic dips
-    trap = 0.5 * dt * (phi[j] * np.exp(-dt) + phi[j + 1])
-    bad = ~np.isfinite(shifted) | (shifted <= 0.0)
-    shifted = np.where(bad, np.maximum(trap, 1e-300), shifted)
-    zero_panel = (phi[j] == 0.0) & (phi[j + 1] == 0.0)
-    with np.errstate(divide="ignore"):
-        ln_panel = np.where(zero_panel, -np.inf, np.log(shifted)) + end
-    ln_cum = np.logaddexp.accumulate(ln_panel)
-    J = np.zeros_like(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_s = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), -np.inf)
-        J[1:] = np.exp(ln_cum - t[1:] - (N - 1) * ln_s[1:])
-    J[~np.isfinite(J)] = 0.0
-    return J
+    k = min(4, t.size)
+    start = np.clip(np.arange(t.size - 1) - 1, 0, t.size - k)
+    idx = start[:, None] + np.arange(k)
+    nodes = t[idx]
+    half = 0.5 * np.diff(t)
+    W = np.zeros(nodes.shape)
+    for x, gw in zip(*np.polynomial.legendre.leggauss((m + 5) // 2 + 4 * rate)):
+        s = t[:-1] + half * (x + 1.0)
+        weight = gw * half * s ** m * np.exp(rate * (s - t[1:]))
+        for a in range(k):
+            basis = weight.copy()
+            for b in range(k):
+                if b != a:
+                    basis *= (s - nodes[:, b]) / (nodes[:, a] - nodes[:, b])
+            W[:, a] += basis
+
+    def apply(fvals):
+        panel = np.einsum("jk,jk->j", W, fvals[idx])
+        out = np.zeros_like(t)
+        if not rate:
+            out[1:] = np.cumsum(panel)
+            return out
+        with np.errstate(divide="ignore"):
+            for sign in (1.0, -1.0):
+                ln_cum = np.logaddexp.accumulate(np.log(np.maximum(sign * panel, 0.0)) + t[1:])
+                out[1:] += sign * np.exp(ln_cum - t[1:])
+        return out
+
+    return apply
 
 
 def _picard_gradient_run(psi_vals, f_call, b0: float, t: np.ndarray, N: int,
                          tol: float):
+    # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
+    inner, outer = _volterra(t, N - 1, rate=1), _volterra(t, 0)
+    t_scale = np.concatenate(([0.0], t[1:] ** (1.0 - N)))
     w = np.full_like(t, b0)
     iterations = 0
     monotone = True
     for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
         fw = np.array([f_call(float(x)) for x in w])
-        J = _exp_kernel_apply(t, psi_vals * fw, N)
-        w_next = b0 + cumulative_simpson(J, x=t, initial=0.0)
+        w_next = b0 + outer(t_scale * inner(psi_vals * fw))
         if np.any(w_next < w - 1e-9 * (1.0 + np.abs(w))):
             monotone = False
         change = float(np.max(np.abs(w_next - w) / (1.0 + np.abs(w_next))))
@@ -332,30 +328,25 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     psi_call = psi.fast() if isinstance(psi, ScalarFn) else psi
     f_call = f.f.fast()
 
-    # refinement: double panels until the fixed point stops moving
-    prev_end = None
-    w = t = None
-    iterations = 0
-    monotone = True
-    m = panels
-    for _ in range(4):
-        t = _graded_mesh(R, m)
+    # refinement: double panels until the fixed point stops moving at R
+    w = None
+    for level in range(4):
+        t = _graded_mesh(R, panels * 2 ** level)
         psi_vals = np.array([psi_call(float(x)) for x in t])
         if np.any(psi_vals < 0.0):
             raise ValueError("psi envelope must be nonnegative")
+        w_prev = w
         w, iterations, monotone = _picard_gradient_run(psi_vals, f_call, b0, t, N, tol)
-        if prev_end is not None and abs(w[-1] - prev_end) <= tol * (1.0 + abs(w[-1])):
+        mesh_drift = abs(w[-1] - w_prev[-1]) / (1.0 + abs(w[-1])) if level else math.nan
+        if mesh_drift <= tol:
             break
-        prev_end = w[-1]
-        m *= 2
     if not monotone:
         raise ValueError("Picard iterates failed to be nondecreasing: the scheme's "
                          "assumptions are violated (check b0 >= 1 and f nondecreasing)")
 
     lam = f.Lambda if f.Lambda is not None else math.inf
     lam_N = lam / (N - 2.0)
-    t_psi = np.array([x * psi_call(float(x)) for x in t])
-    M = lam_N * float(np.max(t_psi)) if math.isfinite(lam_N) else math.inf
+    M = lam_N * float(np.max(t * psi_vals)) if math.isfinite(lam_N) else math.inf
     with np.errstate(over="ignore"):
         bound = b0 * np.exp(np.minimum(M * t, 700.0)) if math.isfinite(M) else np.full_like(t, math.inf)
     growth_ok = bool(np.all(w <= bound * (1.0 + 1e-9)))
@@ -364,6 +355,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 
     metadata = {
         "iterations": iterations,
+        "mesh_points": t.size - 1,
+        "mesh_drift": mesh_drift,
         "growth_bound_M": M,
         "growth_bound_ok": growth_ok,
         "monotone": monotone,
@@ -385,7 +378,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
             classification = ENTIRE_LARGE
         elif large_cond.is_convergent and ratio <= 1.05:
             # plateau: the computed value at R/2 must be window independent
-            t_half = _graded_mesh(R / 2.0, m)
+            t_half = _graded_mesh(R / 2.0, t.size - 1)
             psi_half = np.array([psi_call(float(x)) for x in t_half])
             w_half, _, _ = _picard_gradient_run(psi_half, f_call, b0, t_half, N, tol)
             drift = abs(w_half[-1] - half) / (1.0 + abs(half))
@@ -406,7 +399,6 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 phi_call = pot.phi.fast()
                 phi_vals = np.array([phi_call(float(x)) for x in t])
                 v_run, _, _ = _picard_gradient_run(phi_vals, f_call, 1.0, t, N, tol)
-                psi_vals = np.array([psi_call(float(x)) for x in t])
                 w_run, _, _ = _picard_gradient_run(psi_vals, f_call,
                                                    b_star * (1.0 + 1e-9), t, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
@@ -421,12 +413,15 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 # Coupled systems
 # ---------------------------------------------------------------------------
 
-def _nested_kernel(t: np.ndarray, fvals: np.ndarray, N: int) -> np.ndarray:
-    """int_0^r t^(1-N) int_0^t s^(N-1) fvals ds dt on a uniform mesh."""
-    inner = cumulative_simpson(t ** (N - 1) * fvals, x=t, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = np.where(t > 0.0, inner / np.where(t > 0.0, t, 1.0) ** (N - 1), 0.0)
-    return cumulative_simpson(A, x=t, initial=0.0)
+def _green_kernel(t: np.ndarray, N: int):
+    """fvals -> int_0^r t^(1-N) int_0^t s^(N-1) fvals ds dt on the mesh.
+
+    Swapping the order gives the radial Green's function split
+    (P(r) - r^(2-N) Q(r)) / (N-2) with P = int_0^r s f, Q = int_0^r s^(N-1) f.
+    """
+    P, Q = _volterra(t, 1), _volterra(t, N - 1)
+    scale = np.concatenate(([0.0], t[1:] ** (2.0 - N)))
+    return lambda fvals: (P(fvals) - scale * Q(fvals)) / (N - 2.0)
 
 
 def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
@@ -434,15 +429,16 @@ def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
     f_call, g_call = sys_.f.f.fast(), sys_.g.f.fast()
     p_vals = np.array([p_call(float(x)) for x in t])
     q_vals = np.array([q_call(float(x)) for x in t])
+    K = _green_kernel(t, N)
     u = np.full_like(t, sys_.a)
     v = np.full_like(t, sys_.b)
     monotone = True
     iterations = 0
     for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
         gv = np.array([g_call(float(x)) for x in v])
-        u_next = sys_.a + _nested_kernel(t, p_vals * gv, N)
+        u_next = sys_.a + K(p_vals * gv)
         fu = np.array([f_call(float(x)) for x in u_next])
-        v_next = sys_.b + _nested_kernel(t, q_vals * fu, N)
+        v_next = sys_.b + K(q_vals * fu)
         if np.any(u_next < u - 1e-9 * (1.0 + np.abs(u))) or \
            np.any(v_next < v - 1e-9 * (1.0 + np.abs(v))):
             monotone = False
@@ -451,7 +447,12 @@ def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
         u, v = u_next, v_next
         if change < tol:
             break
-    return u, v, iterations, monotone
+    # theory lower bounds u >= a + g(b) A(r), v >= b + f(a) B(r)
+    lower_u = sys_.a + g_call(sys_.b) * K(p_vals)
+    lower_v = sys_.b + f_call(sys_.a) * K(q_vals)
+    lower_ok = bool(np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
+                    and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12))
+    return u, v, iterations, monotone, lower_ok
 
 
 def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
@@ -482,15 +483,18 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             )
             break
 
+    # refinement: double the mesh until neither u nor v moves on the coarse nodes
     t = np.linspace(0.0, R, mesh_points + 1)
-    u, v, iterations, monotone = _system_run(sys_, t, N, tol)
+    run = _system_run(sys_, t, N, tol)
     for _ in range(3):
         t2 = np.linspace(0.0, R, 2 * (t.size - 1) + 1)
-        u2, v2, it2, mon2 = _system_run(sys_, t2, N, tol)
-        drift = float(np.max(np.abs(np.interp(t, t2, u2) - u) / (1.0 + np.abs(u))))
-        t, u, v, iterations, monotone = t2, u2, v2, it2, mon2
-        if drift <= max(tol, 1e-9):
+        run2 = _system_run(sys_, t2, N, tol)
+        mesh_drift = max(float(np.max(np.abs(fine[::2] - coarse) / (1.0 + np.abs(coarse))))
+                         for coarse, fine in zip(run[:2], run2[:2]))
+        t, run = t2, run2
+        if mesh_drift <= max(tol, 1e-9):
             break
+    u, v, iterations, monotone, lower_ok = run
     if not monotone:
         raise ValueError("system iterates failed to be nondecreasing")
 
@@ -499,8 +503,11 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     s2_q = classify_tail_integral(lambda s: s * q_call(s), 1.0, 1e-8)
     metadata = {
         "iterations": iterations,
+        "mesh_points": t.size - 1,
+        "mesh_drift": mesh_drift,
         "tp_verdict": s2_p.status,
         "tq_verdict": s2_q.status,
+        "lower_bound_ok": lower_ok,
     }
 
     u_half = float(np.interp(R / 2.0, t, u))
@@ -512,22 +519,12 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             classification = ENTIRE_LARGE
     elif s2_p.is_convergent and s2_q.is_convergent:
         t_half = np.linspace(0.0, R / 2.0, t.size)
-        uh, vh, _, _ = _system_run(sys_, t_half, N, tol)
+        uh = _system_run(sys_, t_half, N, tol)[0]
         drift = abs(uh[-1] - u_half) / (1.0 + abs(u_half))
         metadata["plateau_drift"] = float(drift)
         if ratio <= 1.05 and drift < 1e-6:
             classification = BOUNDED
     metadata["prediction_agrees"] = classification != UNDETERMINED
-
-    # theory lower bounds u >= a + g(b) A(r), v >= b + f(a) B(r)
-    A = _nested_kernel(t, np.array([p_call(float(x)) for x in t]), N)
-    B = _nested_kernel(t, np.array([q_call(float(x)) for x in t]), N)
-    lower_u = sys_.a + sys_.g.f.fast()(sys_.b) * A
-    lower_v = sys_.b + sys_.f.f.fast()(sys_.a) * B
-    metadata["lower_bound_ok"] = bool(
-        np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
-        and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12)
-    )
 
     return RadialSolution(dimension=N, r=t, u=u, v=v, classification=classification,
                           metadata=metadata)

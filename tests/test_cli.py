@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -347,6 +348,8 @@ mesh_points = 512
         assert code == 0
         out = capsys.readouterr().out
         assert "classification=entire-large" in out
+        # the refinement reports where it stopped and how far the last doubling moved
+        assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+", out)
         assert os.path.exists(os.path.join(outdir, "system.csv"))
 
     def test_solve_entire(self, tmp_path, capsys):
@@ -368,6 +371,7 @@ panels = 512
         out = capsys.readouterr().out
         assert "classification=bounded" in out
         assert "growth_bound_ok=true" in out
+        assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+", out)
 
     def test_young(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """

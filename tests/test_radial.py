@@ -8,6 +8,9 @@ from sel_lab.karamata import KFunction, analyze_nonlinearity
 from sel_lab.numerics import BOUNDED, ENTIRE_LARGE, UNDETERMINED
 from sel_lab.profile import VARIANT_K, VARIANT_SQRT_K, build_profile
 from sel_lab.radial import (
+    _graded_mesh,
+    _green_kernel,
+    _volterra,
     LogisticProblem,
     RadialPotential,
     SystemProblem,
@@ -80,6 +83,52 @@ class TestLargeCondition:
             check_large_condition(ScalarFn.from_source("1"), 2)
 
 
+class TestVolterraKernels:
+    """Product-integration kernels are exact for s^m times a cubic, down to t[1]."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_system_kernel_exact(self, N):
+        t = np.linspace(0.0, 50.0, 1025)
+        K = _green_kernel(t, N)
+        for fvals, exact in ((np.ones_like(t), t ** 2 / (2.0 * N)),
+                             (t ** 2, t ** 4 / (4.0 * (N + 2)))):
+            got = K(fvals)
+            assert got[0] == 0.0
+            np.testing.assert_allclose(got[1:4], exact[1:4], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got[1:], exact[1:], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_gradient_inner_matches_series(self, N):
+        # J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) ds
+        #      = t/N - t^2/(N(N+1)) + t^3/(N(N+1)(N+2)) - ...
+        t = _graded_mesh(50.0, 1024)
+        inner = _volterra(t, N - 1, rate=1)
+        J = inner(np.ones_like(t))[1:4] * t[1:4] ** (1.0 - N)
+        x = t[1:4]
+        series = sum((-1) ** k * x ** (k + 1) / math.prod(range(N, N + k + 1))
+                     for k in range(8))
+        np.testing.assert_allclose(J, series, rtol=1e-13, atol=0.0)
+        # negative panels are carried apart from the positive ones
+        np.testing.assert_array_equal(inner(-np.ones_like(t)), -inner(np.ones_like(t)))
+
+    def test_outer_integral_exact_for_cubic(self):
+        t = _graded_mesh(50.0, 1024)
+        np.testing.assert_allclose(_volterra(t, 0)(t ** 3)[1:], t[1:] ** 4 / 4.0,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_system_kernel_fourth_order(self, N):
+        # the drift between consecutive mesh doublings falls ~16x
+        def kernel(panels):
+            t = np.linspace(0.0, 100.0, panels + 1)
+            return _green_kernel(t, N)((1.0 + t * t) ** -2)
+
+        runs = [kernel(1024 * 2 ** k) for k in range(3)]
+        d1, d2 = (float(np.max(np.abs(fine[::2] - coarse)))
+                  for coarse, fine in zip(runs, runs[1:]))
+        assert d1 / d2 >= 12.0
+
+
 class TestPicardGradient:
     def test_zero_weight_fixed_point(self, f_sqrt):
         sol = picard_gradient_entire(ScalarFn.from_source("0"), f_sqrt, 1.0, 10.0, 3,
@@ -117,6 +166,17 @@ class TestPicardGradient:
             picard_gradient_entire(ScalarFn.from_source("0"), f_sqrt, 0.5, 5.0, 3,
                                    panels=128)
 
+    @pytest.mark.parametrize("q", [0.4878, 0.5501, 0.696])
+    def test_constant_weight_large_in_dimension_four(self, q):
+        # an inexact first panel makes the first iterate dip below w0 = 1 here
+        sol = picard_gradient_entire(ScalarFn.from_source("1"),
+                                     analyze_nonlinearity(f"t^{q!r}"), 1.0, 50.0, 4,
+                                     panels=1024)
+        assert sol.classification == ENTIRE_LARGE
+        assert sol.metadata["monotone"] and sol.metadata["growth_bound_ok"]
+        assert sol.metadata["mesh_points"] >= 2048
+        assert sol.metadata["mesh_drift"] <= 1e-8
+
     def test_growth_bound_value(self, f_sqrt):
         # M = lam_N max t psi on [0,R]; for psi = 1: M = R/(N-2)
         sol = picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 20.0, 3,
@@ -125,22 +185,28 @@ class TestPicardGradient:
 
 
 class TestSolveSystem:
-    def test_entire_large_with_lower_bound(self, f_sqrt):
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_entire_large_with_lower_bound(self, f_sqrt, N):
         one = RadialPotential(phi=ScalarFn.from_source("1"))
         sol = solve_system(SystemProblem(p=one, q=one, f=f_sqrt, g=f_sqrt,
-                                         a=1.0, b=1.0), 50.0, 3, mesh_points=1024)
+                                         a=1.0, b=1.0), 50.0, N, mesh_points=1024)
         assert sol.classification == ENTIRE_LARGE
         assert sol.metadata["lower_bound_ok"]
         # explicit kernel for p = 1: A(r) = r^2/(2N)
-        lower = 1.0 + math.sqrt(1.0) * sol.r ** 2 / 6.0
+        lower = 1.0 + math.sqrt(1.0) * sol.r ** 2 / (2.0 * N)
         assert np.all(sol.u >= lower * (1.0 - 1e-9))
 
-    def test_bounded_with_plateau(self, f_sqrt):
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_bounded_with_plateau(self, f_sqrt, N):
         dec = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
         sol = solve_system(SystemProblem(p=dec, q=dec, f=f_sqrt, g=f_sqrt,
-                                         a=1.0, b=1.0), 100.0, 3, mesh_points=1024)
+                                         a=1.0, b=1.0), 100.0, N, mesh_points=1024)
         assert sol.classification == BOUNDED
         assert sol.metadata["plateau_drift"] < 1e-6
+        assert sol.metadata["lower_bound_ok"]
+        # the refinement stops after three doublings; its last drift is recorded
+        assert sol.metadata["mesh_points"] == 8192
+        assert sol.metadata["mesh_drift"] < 1e-7
 
     def test_zero_potentials(self, f_sqrt):
         zero = RadialPotential(phi=ScalarFn.from_source("0"))
