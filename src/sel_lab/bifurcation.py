@@ -26,6 +26,7 @@ from .numerics import (
     BracketError,
     NumericsError,
     RadialSolution,
+    ShotTally,
     series_start,
     shoot,
 )
@@ -45,7 +46,9 @@ class EigenResult:
     """lambda_1 with the eigenfunction table, normalized phi(0) = 1.
 
     For the N = 1 interval mode the normalization is phi'(0) = 1 instead
-    (phi vanishes at both endpoints).
+    (phi vanishes at both endpoints).  shots counts the DOP853 shots of the
+    bracket, the bisection and the final eigenfunction, with their accepted
+    and rejected steps.
     """
 
     lambda1: float
@@ -56,6 +59,9 @@ class EigenResult:
     R: float
     mode: str = "ball"
     _dense: object = field(default=None, repr=False)
+    shots: int = 0
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
     def residual_sup(self, h: float | None = None) -> float:
         """sup |−phi'' − (N−1)/r phi' − lambda phi| with phi'' from
@@ -79,10 +85,11 @@ class EigenResult:
         write_csv(path, "r,phi", zip(self.r, self.phi), [f"lambda1={fmt(self.lambda1)}"])
 
 
-def _eigen_shoot(N: int, R: float, mode: str):
-    """Return endpoint(lam) -> (phi(R), dense solution)."""
+def _eigen_shoot(N: int, R: float, mode: str, tally: ShotTally):
+    """Return integrate(lam, dense) -> the shot of phi from the origin to R,
+    counted in tally."""
 
-    def integrate(lam):
+    def integrate(lam, dense=False):
         if mode == "interval":
             y0, start = (0.0, 1.0), 0.0
         elif N == 1:
@@ -93,8 +100,8 @@ def _eigen_shoot(N: int, R: float, mode: str):
             # phi ~ 1 - lam r^2/(2N) + lam^2 r^4/(8N(N+2))
             y0 = (1.0 - lam * eps ** 2 / (2.0 * N) + lam ** 2 * eps ** 4 / (8.0 * N * (N + 2)),
                   -lam * eps / N + lam ** 2 * eps ** 3 / (2.0 * N * (N + 2)))
-        return shoot(lambda r, u, du: -lam * u, N, start, y0, R, "DOP853", 1e-13, 1e-14,
-                     dense=True)
+        return tally.add(shoot(lambda r, u, du: -lam * u, N, start, y0, R, "DOP853", 1e-13,
+                               1e-14, dense=dense))
 
     return integrate
 
@@ -117,7 +124,8 @@ def lambda1_ball(N: int, R: float, mode: str = "ball", tol: float = 1e-12) -> Ei
     if mode == "interval" and N != 1:
         raise ValueError("interval mode is the 1-D Dirichlet analogue (N = 1)")
 
-    integrate = _eigen_shoot(N, R, mode)
+    tally = ShotTally()
+    integrate = _eigen_shoot(N, R, mode, tally)
 
     def endpoint(lam):
         return float(integrate(lam).y[0, -1])
@@ -143,11 +151,13 @@ def lambda1_ball(N: int, R: float, mode: str = "ball", tol: float = 1e-12) -> Ei
             break
     lam = 0.5 * (lam_lo + lam_hi)
 
-    sol = integrate(lam)
+    sol = integrate(lam, dense=True)
     grid = np.linspace(sol.t[0], R, 401)
     vals = sol.sol(grid)
     return EigenResult(lambda1=lam, r=grid, phi=vals[0], dphi=vals[1], N=N, R=R,
-                       mode=mode, _dense=sol.sol)
+                       mode=mode, _dense=sol.sol, shots=tally.shots,
+                       steps_accepted=tally.steps_accepted,
+                       steps_rejected=tally.steps_rejected)
 
 
 def lambda1_domain(N: int, geometry: str, R: float = 1.0) -> float:

@@ -513,7 +513,9 @@ def _cmd_eigen(spec, outdir):
     csv = spec.get("output", "csv", "eigen.csv")
     eig.to_csv(os.path.join(outdir, csv))
     return {"command": "eigen", "N": N, "R": R, "mode": mode,
-            "lambda1": eig.lambda1, "csv": csv}
+            "lambda1": eig.lambda1, "shots": eig.shots,
+            "steps_accepted": eig.steps_accepted, "steps_rejected": eig.steps_rejected,
+            "csv": csv}
 
 
 def _lef_from_spec(spec) -> _bif.LEFProblem:

@@ -3,10 +3,12 @@
 Adaptive quadrature with endpoint-singularity grading, improper-integral
 convergence classification (tail and origin), monotone root finding, and the
 radial shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
-with terminal floor, cap and blow-up events (every ODE solve of the package
-goes through it; RK45 shots run a plain-float Dormand-Prince kernel, DOP853
-shots scipy's solve_ivp), `series_start` steps past the (N-1)/r origin
-singularity, and `integrate_radial_ivp` builds graded solutions on top of both.
+with terminal floor, cap and blow-up events.  Every ODE solve of the package
+goes through it: one plain-float Runge-Kutta driver runs both RK45 and
+DOP853 shots on stage code generated from scipy's tables, and returns a
+`ShotResult` with its step counts.  `series_start` steps past the (N-1)/r
+origin singularity, and `integrate_radial_ivp` builds graded solutions on
+top of both.
 
 All functions here are pure over immutable inputs; no global state.
 """
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, quad, solve_ivp
+from scipy.integrate import DOP853, RK45, quad
 from scipy.optimize import brentq
 
 from .ioutil import write_csv
@@ -451,37 +453,122 @@ def series_start(source, u0: float, N: int, eps: float, du0: float = 0.0):
     return eps, (u0 + du0 * eps + g0 * eps * eps / (2.0 * N), du0 + g0 * eps / N)
 
 
-def _terminal(event):
-    event.terminal = True
-    event.direction = -1
-    return event
-
-
-# Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, solution
-# weights, error weights and the quartic dense-output matrix, as Python floats
-_C = RK45.C.tolist()
-_A = RK45.A.tolist()
-_B = RK45.B.tolist()
-_E = RK45.E.tolist()
-# columns of P without its zero second row: Q_j = sum_k K_k P[k][j]
-_P_COLUMNS = [tuple(row[j] for i, row in enumerate(RK45.P.tolist()) if i != 1)
-              for j in range(4)]
+# Explicit Runge-Kutta pairs as scipy runs them.  The tables are read from
+# scipy's RK45 (Dormand-Prince 5(4), quartic dense output) and DOP853
+# (Dormand-Prince 8(5,3), degree-7 dense output from three extra stages)
+# classes, and the stage arithmetic of each pair is generated once, at
+# import, as straight-line code over Python floats.
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2 ** 0.5
-# scipy's solve_ivp messages, by status
+# scipy's result messages, by status
 _MESSAGES = {-1: "Required step size is less than spacing between numbers.",
              0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred."}
 
 
-def _quartic(k1, k3, k4, k5, k6, k7):
-    """Dense-output coefficients of one component from its stage slopes."""
-    return [k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
-            for p1, p3, p4, p5, p6, p7 in _P_COLUMNS]
+def _weighted(coefs, names) -> str:
+    """Source of sum_k coefs[k] * names[k] over the nonzero coefficients, in order."""
+    return " + ".join(f"{c!r} * {x}" for c, x in zip(coefs, names) if c)
 
 
-def _interpolate(step, r):
-    """(u, u') at r on one step (r_old, h, u_old, v_old, Q_u, Q_v):
+def _stage_lines(rows, nodes, ku, kv, first: int) -> list:
+    """Source of the stages first, first + 1, ...: stage i has the state
+    (u_i, v_i) = y + (sum_k a_ik K_k) h and the slope K_i = (v_i, f_i),
+    which is appended to the slope names ku, kv."""
+    lines = []
+    for i, (a, c) in enumerate(zip(rows, nodes), start=first):
+        r_stage = "r + h" if c == 1.0 else f"r + {c!r} * h"
+        lines += [f"    u{i} = u + ({_weighted(a, ku)}) * h",
+                  f"    v{i} = v + ({_weighted(a, kv)}) * h",
+                  f"    f{i} = acc({r_stage}, u{i}, v{i})"]
+        ku.append(f"v{i}")
+        kv.append(f"f{i}")
+    return lines
+
+
+def _rk45_error(ku, kv) -> list:
+    # RMS of h sum_k e_k K_k / scale
+    return [f"    eu = ({_weighted(RK45.E.tolist(), ku)}) * h / su",
+            f"    ev = ({_weighted(RK45.E.tolist(), kv)}) * h / sv",
+            f"    error_norm = _sqrt(eu * eu + ev * ev) / {_SQRT2!r}"]
+
+
+def _rk45_dense(ku, kv) -> list:
+    # Q_j = sum_k K_k P_kj, the coefficients of x^(j+1) in (y - y_old)/h
+    columns = RK45.P.T.tolist()
+    return [f"    return (({', '.join(_weighted(p, ku) for p in columns)}),",
+            f"            ({', '.join(_weighted(p, kv) for p in columns)}))"]
+
+
+def _dop853_error(ku, kv) -> list:
+    # the fifth-order estimate corrected by the third-order one (HNW II.10):
+    # |h| |e5|^2 / sqrt(2 (|e5|^2 + |e3|^2/100)), norms of e/scale as scipy takes them
+    return [f"    e5u = ({_weighted(DOP853.E5.tolist(), ku)}) / su",
+            f"    e5v = ({_weighted(DOP853.E5.tolist(), kv)}) / sv",
+            f"    e3u = ({_weighted(DOP853.E3.tolist(), ku)}) / su",
+            f"    e3v = ({_weighted(DOP853.E3.tolist(), kv)}) / sv",
+            "    n5 = _sqrt(e5u * e5u + e5v * e5v)",
+            "    n3 = _sqrt(e3u * e3u + e3v * e3v)",
+            "    n5 = n5 * n5",
+            "    n3 = n3 * n3",
+            "    error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
+
+
+def _dop853_dense(ku, kv) -> list:
+    # three extra stages, then scipy's F rows: y_new - y_old, h f_old - dy,
+    # 2 dy - h (f_new + f_old) and h D K over all sixteen stages
+    lines = _stage_lines(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist(), ku, kv,
+                         len(ku) + 1)
+    rows = DOP853.D.tolist()
+    return lines + [
+        "    du = u_new - u",
+        "    dv = v_new - v",
+        "    return ((du, h * v - du, 2 * du - h * (v_new + v), "
+        f"{', '.join(f'h * ({_weighted(d, ku)})' for d in rows)}),",
+        "            (dv, h * f - dv, 2 * dv - h * (f_new + f), "
+        f"{', '.join(f'h * ({_weighted(d, kv)})' for d in rows)}))"]
+
+
+def _compile_pair(method, error_lines, dense_lines):
+    """Generate (step, dense) for a scipy Runge-Kutta class.
+
+    step(acc, r, u, v, f, h, atol, rtol) -> (u_new, v_new, f_new,
+    error_norm, slopes) takes one step of size h from (r, u, v) with slope
+    (v, f); slopes are the stage slopes, u-parts then v-parts.  dense(acc,
+    r, u, h, u_new, slopes) -> (coefficients of u, of v) of the step's
+    interpolant.  The u-slope of each stage is that stage's v.
+    """
+    ku, kv = ["v"], ["f"]
+    lines = ["def step(acc, r, u, v, f, h, atol, rtol):"]
+    lines += _stage_lines(method.A[1:].tolist(), method.C[1:].tolist(), ku, kv, 2)
+    b = method.B.tolist()
+    lines += [f"    u_new = u + h * ({_weighted(b, ku)})",
+              f"    v_new = v + h * ({_weighted(b, kv)})",
+              "    f_new = acc(r + h, u_new, v_new)",
+              "    su = atol + max(abs(u), abs(u_new)) * rtol",
+              "    sv = atol + max(abs(v), abs(v_new)) * rtol"]
+    ku.append("v_new")
+    kv.append("f_new")
+    lines += error_lines(ku, kv)
+    slopes = ", ".join(ku + kv)
+    lines += [f"    return u_new, v_new, f_new, error_norm, ({slopes})",
+              "",
+              "def dense(acc, r, u, h, u_new, slopes):",
+              f"    {slopes} = slopes"]
+    lines += dense_lines(ku, kv)
+    env = {"_sqrt": math.sqrt}
+    exec(compile("\n".join(lines), f"<sel_lab {method.__name__}>", "exec"), env)  # noqa: S102 - own codegen
+    return env["step"], env["dense"]
+
+
+def _quartic_increment(x, h, q):
+    """h sum_j Q_j x^(j+1) over numpy arrays (RK45)."""
+    powers = np.cumprod(np.stack([x, x, x, x], axis=-1), axis=-1)
+    return h[..., None] * np.einsum("...ij,...j->...i", q, powers)
+
+
+def _interpolate_quartic(step, r):
+    """(u, u') at r on one RK45 step (r_old, h, u_old, v_old, Q_u, Q_v):
     y_old + h sum_j Q_j x^(j+1) with x = (r - r_old)/h."""
     r_old, h, u_old, v_old, (a1, a2, a3, a4), (b1, b2, b3, b4) = step
     x = (r - r_old) / h
@@ -492,38 +579,84 @@ def _interpolate(step, r):
             h * (b1 * x + b2 * x2 + b3 * x3 + b4 * x4) + v_old)
 
 
-class _QuarticSolution:
-    """Continuous solution from the per-step quartics, evaluated over numpy
-    arrays; a breakpoint takes the earlier step, points outside the range
-    the nearest end step."""
+def _nested(coefs, x):
+    """scipy's DOP853 interpolant y - y_old = (((F_6 x + F_5)(1 - x) + F_4) x
+    + ...) x, alternating x and 1 - x; floats or numpy arrays."""
+    y = 0.0
+    for j, c in enumerate(reversed(coefs)):
+        y = (y + c) * (x if j % 2 == 0 else 1 - x)
+    return y
 
-    def __init__(self, ts, steps):
+
+def _nested_increment(x, h, coefs):
+    """The DOP853 interpolant over numpy arrays; coefs has the F rows last."""
+    return _nested([coefs[..., j] for j in range(coefs.shape[-1])], x[..., None])
+
+
+def _interpolate_nested(step, r):
+    """(u, u') at r on one DOP853 step (r_old, h, u_old, v_old, F_u, F_v)."""
+    r_old, h, u_old, v_old, fu, fv = step
+    x = (r - r_old) / h
+    return _nested(fu, x) + u_old, _nested(fv, x) + v_old
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """An embedded Runge-Kutta pair for the radial state (u, u'): its
+    generated step and dense-output code (see _compile_pair), its
+    interpolant on one step (scalar) and over many (numpy), the RHS calls
+    of an attempted step and of one interpolant, and the order of its
+    error estimate."""
+
+    step: object
+    dense: object
+    interpolate: object
+    increment: object
+    stages: int
+    dense_stages: int
+    error_order: int
+
+
+_PAIRS = {
+    "RK45": _Pair(*_compile_pair(RK45, _rk45_error, _rk45_dense), _interpolate_quartic,
+                  _quartic_increment, RK45.n_stages, 0, RK45.error_estimator_order),
+    "DOP853": _Pair(*_compile_pair(DOP853, _dop853_error, _dop853_dense),
+                    _interpolate_nested, _nested_increment, DOP853.n_stages,
+                    len(DOP853.C_EXTRA), DOP853.error_estimator_order),
+}
+
+
+class _DenseSolution:
+    """Continuous solution from the per-step interpolants, evaluated over
+    numpy arrays; a breakpoint takes the earlier step, points outside the
+    range the nearest end step."""
+
+    def __init__(self, ts, steps, increment):
         self.ts = np.asarray(ts, dtype=float)
-        r_old, h, u_old, v_old, qu, qv = (np.array(col) for col in zip(*steps))
+        r_old, h, u_old, v_old, cu, cv = (np.array(col) for col in zip(*steps))
         self.r_old, self.h = r_old, h
         self.y_old = np.stack([u_old, v_old], axis=-1)
-        self.q = np.stack([qu, qv], axis=1)
+        self.coefs = np.stack([cu, cv], axis=1)
+        self.increment = increment
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, self.h.size - 1)
         x = (r - self.r_old[seg]) / self.h[seg]
-        powers = np.cumprod(np.stack([x, x, x, x], axis=-1), axis=-1)
-        y = (self.h[seg][..., None] * np.einsum("...ij,...j->...i", self.q[seg], powers)
-             + self.y_old[seg])
+        y = self.increment(x, self.h[seg], self.coefs[seg]) + self.y_old[seg]
         return np.moveaxis(y, -1, 0)
 
 
 @dataclass
 class ShotResult:
-    """One RK45 shot, with the fields of scipy's OdeResult that callers read
-    plus the step counts."""
+    """One shot of `shoot`, with the fields of scipy's OdeResult that
+    callers read plus the accepted and rejected step counts."""
 
     t: np.ndarray
     y: np.ndarray
     t_events: list
     y_events: list
-    sol: _QuarticSolution | None
+    sol: _DenseSolution | None
     status: int
     message: str
     nfev: int
@@ -535,46 +668,56 @@ class ShotResult:
         return self.status >= 0
 
 
-def _dopri5(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
+@dataclass
+class ShotTally:
+    """Shots and steps summed over the shots of one search."""
+
+    shots: int = 0
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+
+    def add(self, shot: ShotResult) -> ShotResult:
+        self.shots += 1
+        self.steps_accepted += shot.steps_accepted
+        self.steps_rejected += shot.steps_rejected
+        return shot
+
+
+def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
     """Integrate u' = v, v' = acc(r, u, v) from (r0, y0) to r_end > r0.
 
-    Plain-float Dormand-Prince 5(4) that mirrors scipy's RK45 step for step
-    (initial step, RMS error norm, step-size control, minimum step), so its
-    results match scipy's up to rounding.  Every event g(u, v) is terminal
-    and fires when g falls through zero on a step (g_old >= 0 >= g_new); it
-    is located on the step's quartic interpolant and the earliest root ends
-    the shot.  Squares are x * x, so an overflow gives inf or nan and a
-    rejected step rather than an exception.
+    Mirrors scipy's RungeKutta solvers step for step (initial step, error
+    norm, step-size control, minimum step), so the results match scipy's
+    up to rounding.  Every event g(u, v) is terminal and fires when g falls
+    through zero on a step (g_old >= 0 >= g_new); it is located by brentq
+    on the step's interpolant, built only on such a step or for a dense
+    shot, and the earliest root ends the shot.  Squares are x * x, so an
+    overflow gives inf or nan and a rejected step rather than an exception.
     """
     u, v = float(y0[0]), float(y0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError("All components of the initial state `y0` must be finite.")
-    c2, c3, c4, c5 = _C[1:5]
-    a21 = _A[1][0]
-    a31, a32 = _A[2][:2]
-    a41, a42, a43 = _A[3][:3]
-    a51, a52, a53, a54 = _A[4][:4]
-    a61, a62, a63, a64, a65 = _A[5]
-    b1, _, b3, b4, b5, b6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
+    step_fn, dense_fn, interpolate = pair.step, pair.dense, pair.interpolate
+    stages, dense_stages = pair.stages, pair.dense_stages
+    exponent = -1 / (pair.error_order + 1)
 
     # the slope at the current point and the initial step (Hairer-Norsett-
-    # Wanner II.4, as scipy's select_initial_step with error order 4)
+    # Wanner II.4, as scipy's select_initial_step)
     r = r0
-    k1u, k1v = v, acc(r, u, v)
+    f = acc(r, u, v)
     interval = r_end - r0
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0 = math.sqrt((u / su) * (u / su) + (v / sv) * (v / sv)) / _SQRT2
-    d1 = math.sqrt((k1u / su) * (k1u / su) + (k1v / sv) * (k1v / sv)) / _SQRT2
+    d1 = math.sqrt((v / su) * (v / su) + (f / sv) * (f / sv)) / _SQRT2
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    u1, v1 = u + h0 * k1u, v + h0 * k1v
-    du, dv = (v1 - k1u) / su, (acc(r + h0, u1, v1) - k1v) / sv
+    u1, v1 = u + h0 * v, v + h0 * f
+    du, dv = (v1 - v) / su, (acc(r + h0, u1, v1) - f) / sv
     # h0 underflows to 0 when d1 is huge; the first step is then the minimum step
     d2 = math.sqrt(du * du + dv * dv) / _SQRT2 / h0 if h0 > 0.0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / (pair.error_order + 1))
     h_next = min(100 * h0, h1, interval)
     nfev = 2
 
@@ -595,35 +738,13 @@ def _dopri5(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
                 break
             r_new = min(r + h, r_end)
             h = r_new - r
-            u2 = u + (a21 * k1u) * h
-            v2 = v + (a21 * k1v) * h
-            k2u, k2v = v2, acc(r + c2 * h, u2, v2)
-            u3 = u + (a31 * k1u + a32 * k2u) * h
-            v3 = v + (a31 * k1v + a32 * k2v) * h
-            k3u, k3v = v3, acc(r + c3 * h, u3, v3)
-            u4 = u + (a41 * k1u + a42 * k2u + a43 * k3u) * h
-            v4 = v + (a41 * k1v + a42 * k2v + a43 * k3v) * h
-            k4u, k4v = v4, acc(r + c4 * h, u4, v4)
-            u5 = u + (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u) * h
-            v5 = v + (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v) * h
-            k5u, k5v = v5, acc(r + c5 * h, u5, v5)
-            u6 = u + (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u) * h
-            v6 = v + (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v) * h
-            k6u, k6v = v6, acc(r + h, u6, v6)
-            u_new = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
-            v_new = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-            k7u, k7v = v_new, acc(r + h, u_new, v_new)
-            nfev += 6
-            eu = ((e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u) * h
-                  / (atol + max(abs(u), abs(u_new)) * rtol))
-            ev = ((e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v) * h
-                  / (atol + max(abs(v), abs(v_new)) * rtol))
-            error_norm = math.sqrt(eu * eu + ev * ev) / _SQRT2
+            u_new, v_new, f_new, error_norm, slopes = step_fn(acc, r, u, v, f, h, atol, rtol)
+            nfev += stages
             if error_norm < 1.0:
-                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** -0.2)
+                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** exponent)
                 h_next = h * (min(1.0, factor) if step_rejected else factor)
                 break
-            h *= max(0.2, 0.9 * error_norm ** -0.2)
+            h *= max(0.2, 0.9 * error_norm ** exponent)
             step_rejected = True
             rejected += 1
         if status is not None:
@@ -635,20 +756,19 @@ def _dopri5(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
                   if before >= 0.0 >= after]
         g_old = g_new
         if dense or active:
-            step = (r, h, u, v, _quartic(k1u, k3u, k4u, k5u, k6u, k7u),
-                    _quartic(k1v, k3v, k4v, k5v, k6v, k7v))
+            step = (r, h, u, v, *dense_fn(acc, r, u, h, u_new, slopes))
+            nfev += dense_stages
             if dense:
                 steps.append(step)
         r_old = r
-        r, u, v = r_new, u_new, v_new
-        k1u, k1v = k7u, k7v
+        r, u, v, f = r_new, u_new, v_new, f_new
         if r >= r_end:
             status = 0
         if active:
-            root, i = min((brentq(lambda x, g=events[i]: g(*_interpolate(step, x)),
+            root, i = min((brentq(lambda x, g=events[i]: g(*interpolate(step, x)),
                                   r_old, r, xtol=4 * _EPS, rtol=4 * _EPS), i)
                           for i in active)
-            r, (u, v) = root, _interpolate(step, root)
+            r, (u, v) = root, interpolate(step, root)
             t_events[i].append(root)
             y_events[i].append((u, v))
             status = 1
@@ -663,21 +783,22 @@ def _dopri5(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
         t=np.array(ts), y=np.array([us, vs]),
         t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events],
-        sol=_QuarticSolution(ts, steps) if dense and steps else None,
+        sol=_DenseSolution(ts, steps, pair.increment) if dense and steps else None,
         status=status, message=_MESSAGES[status],
         nfev=nfev, steps_accepted=accepted, steps_rejected=rejected)
 
 
 def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: float,
           atol: float, floors=(), cap: float | None = None, blowup: float | None = None,
-          dense: bool = False):
+          dense: bool = False) -> ShotResult:
     """Integrate u'' + (N-1)/r u' = source(r, u, u') from (r_start, y0) to r_end.
 
     The drift term is dropped at r = 0.  Terminal events, in t_events order:
     u falls to each level in floors, u rises to cap, max(|u|, |u'|) reaches
-    blowup.  method "RK45" runs the plain-float Dormand-Prince kernel and
-    returns a ShotResult (with step counts); "DOP853" runs scipy's solve_ivp
-    and returns its OdeResult.
+    blowup.  method is "RK45" (Dormand-Prince 5(4)) or "DOP853"
+    (Dormand-Prince 8(5,3)), both run by the plain-float driver with
+    scipy's tables and step control.  dense=True builds the continuous
+    solution `sol`; for DOP853 that costs three more RHS calls per step.
     """
     if N == 1:
         acc = source
@@ -693,12 +814,7 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: f
         events.append(lambda u, du: cap - u)
     if blowup is not None:
         events.append(lambda u, du: blowup - max(abs(u), abs(du)))
-    if method == "RK45":
-        return _dopri5(acc, r_start, y0, r_end, rtol, atol, events, dense)
-    return solve_ivp(lambda r, y: (y[1], acc(r, y[0], y[1])), (r_start, r_end), y0,
-                     method=method, rtol=rtol, atol=atol, dense_output=dense,
-                     events=[_terminal(lambda r, y, g=g: g(y[0], y[1])) for g in events]
-                     or None)
+    return _runge_kutta(_PAIRS[method], acc, r_start, y0, r_end, rtol, atol, events, dense)
 
 
 def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,

@@ -24,6 +24,7 @@ from .numerics import (
     ENTIRE_LARGE,
     UNDETERMINED,
     RadialSolution,
+    ShotTally,
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
@@ -287,6 +288,22 @@ def _volterra(t: np.ndarray, m: int, rate: int = 0):
     return apply
 
 
+def _cubic_read(t: np.ndarray, y: np.ndarray, x: float) -> float:
+    """y at x from the cubic through the four mesh nodes around x (shifted
+    inward at the ends), the interpolant _volterra integrates."""
+    k = min(4, t.size)
+    start = int(np.clip(np.searchsorted(t, x, side="right") - 2, 0, t.size - k))
+    nodes, vals = t[start:start + k], y[start:start + k]
+    total = 0.0
+    for a in range(k):
+        term = vals[a]
+        for b in range(k):
+            if b != a:
+                term *= (x - nodes[b]) / (nodes[a] - nodes[b])
+        total += term
+    return float(total)
+
+
 def _picard_gradient_run(psi_vals, f_call, b0: float, t: np.ndarray, N: int,
                          tol: float):
     # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
@@ -369,7 +386,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     except Exception as exc:  # classification is advisory here
         metadata["large_condition_error"] = str(exc)
 
-    half = float(np.interp(R / 2.0, t, w))
+    half = _cubic_read(t, w, R / 2.0)
     ratio = w[-1] / half
     metadata["growth_ratio"] = float(ratio)
     classification = UNDETERMINED
@@ -596,8 +613,9 @@ def _level_rhs(prob: LogisticProblem):
 
 
 def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
-                         sigma_bracket):
-    """Level BVP u(R0) = n, u(R) = 0 by shooting on the inner slope."""
+                         sigma_bracket, tally: ShotTally):
+    """Level BVP u(R0) = n, u(R) = 0 by shooting on the inner slope; the
+    shots are counted in tally."""
     rhs = _level_rhs(prob)
     N = prob.N
     r_start = R0 if (N == 1 or R0 > 0.0) else 1e-9 * R
@@ -608,8 +626,8 @@ def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
         # blow-up boundary is steeply sensitive to the slope.  A level
         # solution stays below its boundary value; rising past 1.5 n means
         # the slope was too shallow.
-        return shoot(rhs, N, r_start, (n, -sigma), r_span, "DOP853", 1e-10, 1e-12 * n,
-                     floors=(0.0,), cap=1.5 * n, dense=dense)
+        return tally.add(shoot(rhs, N, r_start, (n, -sigma), r_span, "DOP853", 1e-10,
+                               1e-12 * n, floors=(0.0,), cap=1.5 * n, dense=dense))
 
     def zero_location(sigma):
         sol = integrate(sigma)
@@ -630,15 +648,17 @@ def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
     return sigma, integrate(sigma, dense=True)
 
 
-def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket):
-    """Level BVP u'(0) = 0, u(R) = n by shooting on the center value."""
+def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket,
+                      tally: ShotTally):
+    """Level BVP u'(0) = 0, u(R) = n by shooting on the center value; the
+    shots are counted in tally."""
     rhs = _level_rhs(prob)
     N = prob.N
 
-    def integrate(s):
+    def integrate(s, dense=False):
         start, y0 = series_start(rhs, s, N, 1e-8 * R)
-        return shoot(rhs, N, start, y0, R, "DOP853", 1e-10, 1e-12 * max(n, 1.0),
-                     cap=10.0 * n, dense=True)
+        return tally.add(shoot(rhs, N, start, y0, R, "DOP853", 1e-10, 1e-12 * max(n, 1.0),
+                               cap=10.0 * n, dense=dense))
 
     def endpoint(s):
         sol = integrate(s)
@@ -649,7 +669,7 @@ def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket):
     lo, hi = s_bracket
     s = find_root_monotone(endpoint, n, lo, hi, tol=1e-8 * max(1.0, n),
                            width_tol=1e-15)
-    return s, integrate(s)
+    return s, integrate(s, dense=True)
 
 
 def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> RadialSolution:
@@ -697,6 +717,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
 
     levels = np.empty((len(n_levels), interior.size))
     params: list[float] = []
+    tallies = [ShotTally() for _ in n_levels]
     for j, n in enumerate(n_levels):
         if len(params) >= 2:
             # log-linear prediction of the shooting parameter across levels;
@@ -708,9 +729,9 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         else:
             bracket = (1e-6, n) if kind == "ball" else (1e-6, 1.0)
         if kind == "ball":
-            shoot_param, sol = _shoot_level_ball(prob, n, R, bracket)
+            shoot_param, sol = _shoot_level_ball(prob, n, R, bracket, tallies[j])
         else:
-            shoot_param, sol = _shoot_level_annulus(prob, n, R0, R, bracket)
+            shoot_param, sol = _shoot_level_annulus(prob, n, R0, R, bracket, tallies[j])
         params.append(shoot_param)
         # evaluate on the fixed grid, clamping into the level's dense range;
         # tiny negative overshoot at the outer Dirichlet boundary is pure
@@ -729,6 +750,9 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         "b_normalization": prob.b_normalization,
         "blowup_boundary": blow_r,
         "boundary_side": "outer" if kind == "ball" else "inner",
+        "level_shots": [t.shots for t in tallies],
+        "level_steps_accepted": [t.steps_accepted for t in tallies],
+        "level_steps_rejected": [t.steps_rejected for t in tallies],
     }
     if len(n_levels) == 1:
         return RadialSolution(dimension=prob.N, r=interior, u=levels[0],

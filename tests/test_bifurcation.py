@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sel_lab import bifurcation
 from sel_lab.bifurcation import (
     LEFProblem,
     gelfand_reduced_source,
@@ -16,7 +17,7 @@ from sel_lab.bifurcation import (
 )
 from sel_lab.expr import ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
-from sel_lab.numerics import NO_SOLUTION, RadialSolution
+from sel_lab.numerics import NO_SOLUTION, RadialSolution, shoot
 from sel_lab.radial import residual_on_table
 
 
@@ -78,6 +79,20 @@ class TestEigenvalues:
         assert lambda_inf_1(3, 0.0) == math.inf
         assert lambda_inf_1(3, 1.0) == pytest.approx(math.pi ** 2, abs=1e-8)
         assert lambda_inf_1(3, 0.5) == pytest.approx(4.0 * math.pi ** 2, abs=1e-6)
+
+    def test_counts_every_shot_and_reads_dense_output_once(self, monkeypatch):
+        shots = []
+
+        def counted(*args, **kwargs):
+            shots.append((kwargs["dense"], shoot(*args, **kwargs)))
+            return shots[-1][1]
+
+        monkeypatch.setattr(bifurcation, "shoot", counted)
+        eig = lambda1_ball(3, 1.0)
+        assert eig.shots == len(shots) > 40
+        assert eig.steps_accepted == sum(sol.steps_accepted for _, sol in shots)
+        assert eig.steps_rejected == sum(sol.steps_rejected for _, sol in shots)
+        assert [dense for dense, _ in shots] == [False] * (len(shots) - 1) + [True]
 
     def test_interval_mode_requires_1d(self):
         with pytest.raises(ValueError):

@@ -195,11 +195,20 @@ class TestCommands:
 command = eigen
 N = 3
 R = 1.0
+
+[output]
+json = summary.json
 """)
         assert code == 0
         out = capsys.readouterr().out
         lam = float(out.split("lambda1=")[1].split()[0])
         assert lam == pytest.approx(math.pi ** 2, abs=1e-8)
+        assert int(out.split("shots=")[1].split()[0]) > 40
+        assert int(out.split("steps_accepted=")[1].split()[0]) > 0
+        assert int(out.split("steps_rejected=")[1].split()[0]) >= 0
+        summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
+        assert summary["shots"] == int(out.split("shots=")[1].split()[0])
+        assert {"steps_accepted", "steps_rejected"} <= set(summary)
         lines = open(os.path.join(outdir, "eigen.csv")).read().splitlines()
         assert lines[1] == "r,phi"
 

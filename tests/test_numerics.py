@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sel_lab import bifurcation
+from sel_lab import bifurcation, radial
 from sel_lab.bifurcation import N_PROBES, S_MAX_PROBE, LEFProblem
 from sel_lab.expr import ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
@@ -15,6 +15,7 @@ from sel_lab.numerics import (
     NonIntegrableError,
     NumericsError,
     RadialSolution,
+    ShotResult,
     classify_origin_integral,
     classify_tail_integral,
     find_root_monotone,
@@ -23,6 +24,7 @@ from sel_lab.numerics import (
     series_start,
     shoot,
 )
+from sel_lab.radial import LogisticProblem, boundary_blowup
 
 
 class TestIntegrateFinite:
@@ -265,27 +267,32 @@ class TestDormandPrinceKernel:
         assert "step size" in sol.message
 
 
-def _scipy_rk45_shoot(source, N, r_start, y0, r_end, method, rtol, atol, floors=(),
-                      cap=None, blowup=None, dense=False):
-    """Reference: the same shot through scipy's solve_ivp(method="RK45")."""
-    assert method == "RK45"
+def _scipy_shoot(method):
+    """Reference: `shoot` with the same arguments through scipy's
+    solve_ivp(method=method)."""
 
-    def f(r, y):
-        val = source(r, y[0], y[1])
-        if N > 1 and r > 0.0:
-            val -= (N - 1) / r * y[1]
-        return (y[1], val)
+    def reference(source, N, r_start, y0, r_end, method_, rtol, atol, floors=(), cap=None,
+                  blowup=None, dense=False):
+        assert method_ == method
 
-    events = [lambda r, y, level=level: y[0] - level for level in floors]
-    if cap is not None:
-        events.append(lambda r, y: cap - y[0])
-    if blowup is not None:
-        events.append(lambda r, y: blowup - max(abs(y[0]), abs(y[1])))
-    for event in events:
-        event.terminal = True
-        event.direction = -1
-    return solve_ivp(f, (r_start, r_end), y0, method="RK45", rtol=rtol, atol=atol,
-                     dense_output=dense, events=events or None)
+        def f(r, y):
+            val = source(r, y[0], y[1])
+            if N > 1 and r > 0.0:
+                val -= (N - 1) / r * y[1]
+            return (y[1], val)
+
+        events = [lambda r, y, level=level: y[0] - level for level in floors]
+        if cap is not None:
+            events.append(lambda r, y: cap - y[0])
+        if blowup is not None:
+            events.append(lambda r, y: blowup - max(abs(y[0]), abs(y[1])))
+        for event in events:
+            event.terminal = True
+            event.direction = -1
+        return solve_ivp(f, (r_start, r_end), y0, method=method, rtol=rtol, atol=atol,
+                         dense_output=dense, events=events or None)
+
+    return reference
 
 
 def _probe_table(prob):
@@ -315,11 +322,105 @@ def test_shooting_map_matches_scipy_rk45(monkeypatch, name):
                                    f=analyze_nonlinearity("exp(t)")),
     }[name]
     got = _probe_table(prob)
-    monkeypatch.setattr(bifurcation, "shoot", _scipy_rk45_shoot)
+    monkeypatch.setattr(bifurcation, "shoot", _scipy_shoot("RK45"))
     want = _probe_table(prob)
     for (fired, z), (fired_ref, z_ref) in zip(got, want):
         assert fired == fired_ref
         assert z == pytest.approx(z_ref, rel=1e-10)
+
+
+def _shots_beside_scipy(monkeypatch, module):
+    """Make module's shots run on the kernel and, with the same arguments,
+    on scipy's DOP853; returns the list of (kernel shot, scipy shot)."""
+    pairs = []
+    reference = _scipy_shoot("DOP853")
+
+    def both(*args, **kwargs):
+        got = shoot(*args, **kwargs)
+        pairs.append((got, reference(*args, **kwargs)))
+        return got
+
+    monkeypatch.setattr(module, "shoot", both)
+    return pairs
+
+
+def _assert_shots_agree(pairs, rel):
+    """Same fired event, and event radius and end point (r, u) within rel of
+    the shot's scale; returns the share of shots with scipy's accepted-step count."""
+    same_steps = 0
+    for got, ref in pairs:
+        fired = [i for i, te in enumerate(got.t_events) if te.size]
+        assert fired == [i for i, te in enumerate(ref.t_events or []) if te.size]
+        for te, te_ref in zip(got.t_events, ref.t_events or []):
+            assert te == pytest.approx(te_ref, rel=rel)
+        assert got.t[-1] == pytest.approx(ref.t[-1], rel=rel)
+        assert abs(got.y[0, -1] - ref.y[0, -1]) <= rel * np.max(np.abs(ref.y[0]))
+        same_steps += got.t.size == ref.t.size
+    return same_steps / len(pairs)
+
+
+class TestDop853AgainstScipy:
+    """Every shot of the eigenvalue and level searches beside scipy's DOP853."""
+
+    @pytest.mark.parametrize("N, mode", [(1, "ball"), (2, "ball"), (3, "ball"), (4, "ball"),
+                                         (5, "ball"), (1, "interval")])
+    def test_eigen_shots(self, monkeypatch, N, mode):
+        pairs = _shots_beside_scipy(monkeypatch, bifurcation)
+        bifurcation.lambda1_ball(N, 1.0, mode=mode)
+        assert len(pairs) > 40  # the bracket, the bisection on lambda and the final shot
+        assert _assert_shots_agree(pairs, rel=1e-12) >= 0.9
+
+    def test_annulus_level_shots_with_floor_and_cap(self, monkeypatch):
+        pairs = _shots_beside_scipy(monkeypatch, radial)
+        prob = LogisticProblem(N=1, f=analyze_nonlinearity("t^3"),
+                               b=ScalarFn.from_source("t^2"), domain=("annulus", 0.0, 1.0))
+        boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
+        assert {i for got, _ in pairs for i, te in enumerate(got.t_events) if te.size} == {0, 1}
+        assert _assert_shots_agree(pairs, rel=1e-12) >= 0.9
+
+    def test_ball_level_shots_with_cap(self, monkeypatch):
+        pairs = _shots_beside_scipy(monkeypatch, radial)
+        prob = LogisticProblem(N=3, f=analyze_nonlinearity("t^3"), b=ScalarFn.from_source("1"),
+                               domain=("ball", 1.0))
+        boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
+        assert any(got.t_events[0].size for got, _ in pairs)
+        # shots into the cap are ill-conditioned: one ulp on the centre value
+        # moves scipy's own cap radius by up to 7e-13 relative, and the
+        # kernel's cap radii differ from scipy's by up to 2.2e-12
+        assert _assert_shots_agree(pairs, rel=1e-11) >= 0.9
+
+
+class TestDop853Kernel:
+    def test_dense_output_tracks_sinc(self):
+        # u'' + (2/r) u' = -u from u(0) = 1 is sin r / r
+        source = lambda r, u, du: -u  # noqa: E731
+        r0, y0 = series_start(source, 1.0, 3, 1e-6)
+        sol = shoot(source, 3, r0, y0, 6.0, "DOP853", 1e-12, 1e-14, dense=True)
+        assert isinstance(sol, ShotResult) and sol.status == 0
+        r = np.linspace(0.01, 6.0, 301)
+        vals = sol.sol(r)
+        assert vals.shape == (2, r.size)
+        assert np.max(np.abs(vals[0] - np.sin(r) / r)) < 1e-10
+        assert np.max(np.abs(vals[1] - (r * np.cos(r) - np.sin(r)) / r ** 2)) < 1e-10
+
+    @pytest.mark.parametrize("method, stages, dense_stages", [("RK45", 6, 0),
+                                                              ("DOP853", 12, 3)])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_nfev_counts_every_source_call(self, method, stages, dense_stages, dense):
+        calls = []
+
+        def source(r, u, du):
+            calls.append(r)
+            return -u
+
+        # cos r falls to 0 at pi/2, inside the window: the floor event fires
+        sol = shoot(source, 1, 0.0, (1.0, 0.0), 3.0, method, 1e-10, 1e-12, floors=(0.0,),
+                    dense=dense)
+        assert isinstance(sol, ShotResult) and sol.status == 1
+        assert sol.nfev == len(calls)
+        interpolants = sol.steps_accepted if dense else 1
+        assert sol.nfev == (2 + stages * (sol.steps_accepted + sol.steps_rejected)
+                            + dense_stages * interpolants)
 
 
 def test_radial_solution_grid_validation():

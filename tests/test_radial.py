@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sel_lab import radial
 from sel_lab.expr import ScalarFn
 from sel_lab.karamata import KFunction, analyze_nonlinearity
-from sel_lab.numerics import BOUNDED, ENTIRE_LARGE, UNDETERMINED
+from sel_lab.numerics import BOUNDED, ENTIRE_LARGE, UNDETERMINED, shoot
 from sel_lab.profile import VARIANT_K, VARIANT_SQRT_K, build_profile
 from sel_lab.radial import (
     _graded_mesh,
@@ -177,6 +178,14 @@ class TestPicardGradient:
         assert sol.metadata["mesh_points"] >= 2048
         assert sol.metadata["mesh_drift"] <= 1e-8
 
+    def test_growth_ratio_does_not_move_with_the_mesh(self, f_sqrt):
+        # the ratio reads w(R/2) between nodes of the graded mesh; the final
+        # meshes here have 1024 and 2048 panels, where w(R) agrees to 5e-12
+        ratios = [picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 50.0, 3,
+                                         panels=panels).metadata["growth_ratio"]
+                  for panels in (512, 1024)]
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
+
     def test_growth_bound_value(self, f_sqrt):
         # M = lam_N max t psi on [0,R]; for psi = 1: M = R/(N-2)
         sol = picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 20.0, 3,
@@ -301,6 +310,26 @@ class TestBoundaryBlowup:
                               t_grid=2.0 ** (-np.arange(1, 10, dtype=float)))
         with pytest.raises(ValueError, match="normalization mismatch"):
             measure_boundary_rate(headline, wrong)
+
+    @pytest.mark.parametrize("domain", [("annulus", 0.0, 1.0), ("ball", 1.0)])
+    def test_level_shots_in_metadata(self, monkeypatch, f_cubic, domain):
+        shots = []
+
+        def counted(*args, **kwargs):
+            shots.append((kwargs["dense"], shoot(*args, **kwargs)))
+            return shots[-1][1]
+
+        monkeypatch.setattr(radial, "shoot", counted)
+        prob = LogisticProblem(N=1 if domain[0] == "annulus" else 3, f=f_cubic,
+                               b=ScalarFn.from_source("t^2" if domain[0] == "annulus" else "1"),
+                               domain=domain)
+        meta = boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0]).metadata
+        assert len(meta["level_shots"]) == 3 and min(meta["level_shots"]) > 1
+        assert sum(meta["level_shots"]) == len(shots)
+        assert sum(meta["level_steps_accepted"]) == sum(sol.steps_accepted for _, sol in shots)
+        assert sum(meta["level_steps_rejected"]) == sum(sol.steps_rejected for _, sol in shots)
+        # only the solution kept for each level builds its interpolant
+        assert sum(dense for dense, _ in shots) == 3
 
     def test_single_level_undetermined(self, f_cubic):
         prob = LogisticProblem(N=1, f=f_cubic, b=ScalarFn.from_source("t^2"),
