@@ -18,9 +18,11 @@ import numpy as np
 from .expr import ExprAst, ScalarFn, parse_expression, substitute
 from .numerics import (
     ConvergenceVerdict,
+    NumericsError,
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
+    integrate_panel,
 )
 
 INF = math.inf
@@ -46,11 +48,17 @@ class NotRegularlyVarying(ValueError):
 # ---------------------------------------------------------------------------
 
 class Antiderivative:
-    """F(t) = int_0^t f with F(0) = 0, cached on a 1/16-octave lattice.
+    """F(t) = int_0^t f with F(0) = 0, cached on the lattice t_k = 2^(k/4).
 
-    Each query costs one short quadrature from the nearest lattice point
-    below t; lattice values fill lazily and monotonically.  Once f (or the
-    running integral) overflows, every larger argument reports inf.
+    Lattice values fill lazily over a contiguous range of k: the lowest
+    point takes one quadrature from 0 (integrate_finite), and every
+    lattice panel above it, like the remainder from the nearest lattice
+    point below a query, one integrate_panel call (a 15-point
+    Gauss-Kronrod rule that falls back to integrate_finite).  Once f or
+    the running integral overflows, or the quadrature of a panel fails
+    (not integrable, or short of its tolerance), every larger argument
+    reports inf.  A domain error of f (EvalDomainError) propagates: F is
+    no number there.
     """
 
     def __init__(self, fn, tol: float = 1e-12):
@@ -63,45 +71,42 @@ class Antiderivative:
 
     @staticmethod
     def _t_of(k: int) -> float:
-        return 2.0 ** (k / 16.0)
+        return 2.0 ** (k / 4.0)
 
-    def _quad(self, a: float, b: float) -> float:
+    def _quad(self, rule, a: float, b: float) -> float:
         if b <= a:
             return 0.0
         try:
-            v, _ = integrate_finite(self._fn, a, b, self._tol)
-        except Exception:
+            v, _ = rule(self._fn, a, b, self._tol)
+        except (NumericsError, ArithmeticError):
             return INF
         return v if math.isfinite(v) else INF
+
+    def _accumulate(self, j0: int, val: float, k: int) -> None:
+        """Store val at j0 and add panels up to k; the first non-finite
+        value sets kinf."""
+        for j in range(j0, k + 1):
+            if j > j0 and math.isfinite(val):
+                val += self._quad(integrate_panel, self._t_of(j - 1), self._t_of(j))
+            if not math.isfinite(val):
+                val = INF
+                if self._kinf is None or j < self._kinf:
+                    self._kinf = j
+            self._lat[j] = val
 
     def _fill(self, k: int) -> float:
         # invariant: the lattice is contiguous on [kmin, kmax]
         if self._kinf is not None and k >= self._kinf:
             return INF
-        if self._kmin is not None and self._kmin <= k <= self._kmax:
-            return self._lat[k]
-        if self._kmin is None:
-            base = self._quad(0.0, self._t_of(k))
-            self._lat[k] = base
-            self._kmin = self._kmax = k
-            if not math.isfinite(base):
-                self._kinf = k
-            return base
-        if k < self._kmin:
-            for j in range(self._kmin - 1, k - 1, -1):
-                self._lat[j] = self._quad(0.0, self._t_of(j))
+        if self._kmin is None or k < self._kmin:
+            top = k if self._kmin is None else self._kmin - 1
+            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), top)
+            if self._kmin is None:
+                self._kmax = top
             self._kmin = k
-            return self._lat[k]
-        val = self._lat[self._kmax]
-        for j in range(self._kmax + 1, k + 1):
-            if math.isfinite(val):
-                val = val + self._quad(self._t_of(j - 1), self._t_of(j))
-            if not math.isfinite(val):
-                val = INF
-                if self._kinf is None:
-                    self._kinf = j
-            self._lat[j] = val
-        self._kmax = k
+        elif k > self._kmax:
+            self._accumulate(self._kmax, self._lat[self._kmax], k)
+            self._kmax = k
         return self._lat[k]
 
     def __call__(self, t: float) -> float:
@@ -109,11 +114,11 @@ class Antiderivative:
             raise ValueError("antiderivative evaluated at t < 0")
         if t == 0.0:
             return 0.0
-        k = math.floor(16.0 * math.log2(t))
+        k = math.floor(4.0 * math.log2(t))
         base = self._fill(k)
         if not math.isfinite(base):
             return INF
-        return base + self._quad(self._t_of(k), t)
+        return base + self._quad(integrate_panel, self._t_of(k), t)
 
 
 # ---------------------------------------------------------------------------

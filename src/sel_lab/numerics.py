@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Adaptive quadrature with endpoint-singularity grading, improper-integral
-convergence classification (tail and origin), monotone root finding, and the
-radial shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
+Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
+panel rule that falls back to it, improper-integral convergence
+classification (tail and origin), monotone root finding, and the radial
+shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
 with terminal floor, cap and blow-up events.  Every ODE solve of the package
 goes through it: one plain-float Runge-Kutta driver runs both RK45 and
 DOP853 shots on stage code generated from scipy's tables, and returns a
@@ -218,6 +219,51 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
             _raise_if_not_integrable(fn, a, b)
             raise NumericsError("max subdivision exceeded without reaching tolerance")
     return value, err
+
+
+# QUADPACK's qk15 (Piessens et al., QUADPACK, 1983, sec. 2.2): the nonnegative
+# Kronrod nodes with their weights and the weights of the embedded 7-point
+# Gauss rule (0 at the Kronrod-only nodes), outermost node first; the centre
+# node last.
+_GK15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+
+
+def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
+    """Quadrature of fn over one smooth panel (a, b); returns (value, err).
+
+    One 15-point Gauss-Kronrod rule, endpoints never evaluated.  The
+    Kronrod value is accepted when it is finite and its raw error
+    estimate |K15 - G7| is <= tol*(1+|K15|), integrate_finite's own test.
+    Otherwise, and when fn raises ArithmeticError at a node, the panel goes
+    to integrate_finite; any other exception of fn propagates.
+    """
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    try:
+        fc = fn(centre)
+        kronrod, gauss = _GK15_CENTRE[0] * fc, _GK15_CENTRE[1] * fc
+        for x, wk, wg in _GK15:
+            dx = half * x
+            pair = fn(centre - dx) + fn(centre + dx)
+            kronrod += wk * pair
+            gauss += wg * pair
+    except ArithmeticError:
+        return integrate_finite(fn, a, b, tol)
+    value, err = kronrod * half, abs(kronrod - gauss) * half
+    if math.isfinite(value) and err <= tol * (1.0 + abs(value)):
+        return value, err
+    return integrate_finite(fn, a, b, tol)
 
 
 # ---------------------------------------------------------------------------

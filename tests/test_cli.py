@@ -250,6 +250,20 @@ fn = "ln(t-2)"
         assert diag["error_type"] == "EvalDomainError"
         assert "ln((t - 2.0))" in diag["error"] and "t=1.0" in diag["error"]
 
+    def test_check_ko_domain_error_is_located(self, tmp_path):
+        # f is undefined past 1e9: F there is no number, so no verdict
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = check-ko
+
+[functions]
+f = "t^2*sqrt(1e9-t)"
+""")
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error_type"] == "EvalDomainError"
+        assert "square root of a negative value" in diag["error"]
+
     def test_analyze_f(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """
 [problem]

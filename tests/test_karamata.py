@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sel_lab.expr import ScalarFn
+from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import (
     Antiderivative,
     KFunction,
@@ -20,6 +20,7 @@ from sel_lab.karamata import (
     xi0_power,
     xi0_via_A,
 )
+from sel_lab.numerics import integrate_panel
 
 
 class TestAntiderivative:
@@ -39,6 +40,68 @@ class TestAntiderivative:
     def test_overflow_saturates_to_inf(self):
         F = Antiderivative(ScalarFn.from_source("t^3"))
         assert F(1e120) == math.inf
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_log_corrected_power_closed_form(self, order):
+        def exact(t):
+            return (t * t - 1.0) * math.log1p(t) / 2.0 - t * t / 4.0 + t / 2.0
+
+        ts = [0.3, 1.7, 12.5, 300.0, 4.1e4, 7.0e6]
+        if order == "descending":
+            ts.reverse()
+        F = Antiderivative(ScalarFn.from_source("t*ln(1+t)"))
+        for t in ts:
+            assert F(t) == pytest.approx(exact(t), rel=1e-11)
+
+    def test_kink_panel_falls_back(self):
+        # after the base quadrature to 1 the kink at t = 3 lies inside the
+        # lattice panel (2^(6/4), 2^(7/4))
+        F = Antiderivative(ScalarFn.from_source("abs(t-3)^0.5"))
+        assert F(1.0) == pytest.approx((2.0 / 3.0) * (3.0 ** 1.5 - 2.0 ** 1.5), rel=1e-12)
+        assert F(5.0) == pytest.approx((2.0 / 3.0) * (3.0 ** 1.5 + 2.0 ** 1.5), rel=1e-12)
+
+    def test_non_integrable_panel_saturates_to_inf(self):
+        F = Antiderivative(ScalarFn.from_source("abs(t-3)^(-1.5)"))
+        assert F(2.0) < math.inf
+        assert F(5.0) == math.inf
+
+    def test_downward_fill_is_one_base_quadrature(self):
+        calls = [0]
+
+        def cube(t):
+            calls[0] += 1
+            return t ** 3
+
+        F = Antiderivative(cube)
+        assert F(1e6) == pytest.approx(0.25e24, rel=1e-12)
+        calls[0] = 0
+        assert F(1e-3) == pytest.approx(0.25e-12, rel=1e-12)
+        # one quadrature from 0, then 15-point panels up the 118 lattice steps
+        assert calls[0] <= 5000
+
+    def test_gauss_kronrod_exact_for_degree_22(self):
+        calls = [0]
+
+        def p22(t):
+            calls[0] += 1
+            return t ** 22
+
+        a, b = 1.0, 2.0 ** 0.25
+        value, err = integrate_panel(p22, a, b, 1e-12)
+        assert calls[0] == 15
+        assert value == pytest.approx((b ** 23 - a ** 23) / 23.0, rel=1e-14)
+        assert 0.0 < err <= 1e-12 * (1.0 + value)
+
+    def test_domain_error_propagates(self):
+        # f is undefined past 1e9, so F(2e9) is no number at all
+        F = Antiderivative(ScalarFn.from_source("t^2*sqrt(1e9-t)"))
+        with pytest.raises(EvalDomainError, match="square root of a negative value"):
+            F(2e9)
+
+    def test_domain_error_is_no_ko_verdict(self):
+        nl = analyze_nonlinearity("t^2*sqrt(1e9-t)")
+        with pytest.raises(EvalDomainError, match="square root of a negative value"):
+            keller_osserman(nl)
 
 
 class TestRvIndex:
