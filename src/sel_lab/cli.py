@@ -410,6 +410,7 @@ def _cmd_solve_system(spec, outdir):
             "tq_verdict": sol.metadata["tq_verdict"],
             "lower_bound_ok": sol.metadata["lower_bound_ok"],
             "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
+            "mesh_error": sol.metadata["mesh_error"],
             "u_end": float(sol.u[-1]), "v_end": float(sol.v[-1]), "csv": csv}
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ExprError(Exception):
     """Base class for expression failures."""
@@ -368,20 +370,26 @@ def to_source(ast: ExprAst) -> str:
 _ZERO_TO_NEGATIVE = "zero raised to a negative power"
 _NEGATIVE_BASE = "negative base with non-integer exponent"
 # The domain checks of each node kind: a condition on the operands `a` (and
-# `b`) under which the node raises, and the message it raises with.
+# `b`) under which the node raises, and the message it raises with.  A
+# condition reads the same on floats and on numpy arrays (`&`, not `and`;
+# `b % 1.0 != 0.0` is `not b.is_integer()`, inf and nan included), so both
+# back ends generate it from this one table.
 _CHECKS = {
     "div": (("{b} == 0.0", "division by zero"),),
     "ln": (("{a} <= 0.0", "logarithm of a non-positive value"),),
     "sqrt": (("{a} < 0.0", "square root of a negative value"),),
     "sin": (("abs({a}) == _INF", "sine of an infinite value"),),
     "cos": (("abs({a}) == _INF", "cosine of an infinite value"),),
-    "pow": (("{a} == 0.0 and {b} < 0.0", _ZERO_TO_NEGATIVE),
-            ("{a} < 0.0 and not {b}.is_integer()", _NEGATIVE_BASE)),
+    "pow": (("({a} == 0.0) & ({b} < 0.0)", _ZERO_TO_NEGATIVE),
+            ("({a} < 0.0) & ({b} % 1.0 != 0.0)", _NEGATIVE_BASE)),
 }
+# Node values; the scalar back end writes exp and pow inline instead, since
+# math raises OverflowError where numpy returns +-inf.
 _VALUE = {
     "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}", "div": "{a} / {b}",
     "neg": "-{a}", "abs": "abs({a})", "ln": "_log({a})", "sqrt": "_sqrt({a})",
     "atan": "_atan({a})", "sin": "_sin({a})", "cos": "_cos({a})",
+    "exp": "_exp({a})", "pow": "_pow({a}, {b})",
 }
 _NONFINITE = {math.inf: "_INF", -math.inf: "(-_INF)"}
 
@@ -406,18 +414,39 @@ def _checks(node: ExprAst):
     return checks
 
 
-def compile_scalar(ast: ExprAst):
-    """Compile `ast` to a strict Python function of t.
+def _lanes(scalar, t: np.ndarray) -> np.ndarray:
+    """The scalar evaluator lane by lane: its error, at its first failing lane."""
+    return np.array([scalar(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
-    The generated function is straight-line code with one local per
-    operation node.  A point outside a node's domain (ln of <= 0, sqrt of
-    < 0, division by 0, 0 to a negative power, a negative base to a
-    non-integer power, sin/cos of inf) raises EvalDomainError naming that
-    sub-expression and t.  Overflow of exp and ^ yields IEEE +-inf, as the
-    other operations do.  t is converted to float once, so numpy scalars
-    get Python float semantics.
+
+def _shaped(value, t: np.ndarray) -> np.ndarray:
+    """A result of t's shape; a body that does not read t broadcasts."""
+    if isinstance(value, np.ndarray) and value.shape == t.shape:
+        return value
+    return np.full(t.shape, value, dtype=float)
+
+
+# The functions each back end binds to the names the bodies call.
+_SCALAR_ENV = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
+               "_atan": math.atan, "_sin": math.sin, "_cos": math.cos}
+_VECTOR_ENV = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt, "_atan": np.arctan,
+               "_sin": np.sin, "_cos": np.cos, "_pow": np.power, "_any": np.any,
+               "_np": np, "_lanes": _lanes, "_shaped": _shaped}
+
+
+def _compile(ast: ExprAst, vector: bool = False):
+    """Generate the strict evaluator of `ast`; see compile_scalar.
+
+    One walk over the tree writes two straight-line bodies: the scalar one
+    over Python floats and the vector one over numpy arrays, with the same
+    locals, the same checks from _CHECKS and the same node order.  A
+    vector check is a mask; when any lane fails it, the vector evaluator
+    returns the scalar evaluator run lane by lane, so the error (message,
+    node and t) is the scalar one.
     """
-    lines = ["def _f(t):", "    t = float(t)"]
+    scalar = ["def _f(t):", "    t = float(t)"]
+    vec = ["def _fv(t):", "    t = _np.array(t, dtype=float)",
+           "    with _np.errstate(all='ignore'):"]
     nodes: list[ExprAst] = []
 
     def emit(node: ExprAst) -> str:
@@ -428,29 +457,53 @@ def compile_scalar(ast: ExprAst):
             return "t"
         ops = dict(zip("ab", (emit(c) for c in node.children)))
         for condition, message in _checks(node):
-            lines.append(f"    if {condition.format(**ops)}:")
-            lines.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], t)")
+            condition = condition.format(**ops)
+            scalar.append(f"    if {condition}:")
+            scalar.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], t)")
+            vec.append(f"        if _any({condition}): return _lanes(_f, t)")
         nodes.append(node)
         out = f"v{len(nodes)}"
+        value = f"{out} = {_VALUE[k].format(**ops)}"
+        vec.append(f"        {value}")
         if k == "exp":
-            lines.extend((f"    try: {out} = _exp({ops['a']})",
-                          f"    except OverflowError: {out} = _INF"))
+            scalar.extend((f"    try: {out} = _exp({ops['a']})",
+                           f"    except OverflowError: {out} = _INF"))
         elif k == "pow":
             a, b = ops["a"], ops["b"]
-            lines.extend((f"    try: {out} = {a} ** {b}",
-                          # |a|^b overflowed; the sign is that of a^b
-                          f"    except OverflowError: {out} = _INF if {a} > 0.0 or {b} % 2.0 == 0.0 "
-                          "else -_INF"))
+            scalar.extend((f"    try: {out} = {a} ** {b}",
+                           # |a|^b overflowed; the sign is that of a^b
+                           f"    except OverflowError: {out} = _INF if {a} > 0.0 or {b} % 2.0 == 0.0 "
+                           "else -_INF"))
         else:
-            lines.append(f"    {out} = {_VALUE[k].format(**ops)}")
+            scalar.append(f"    {value}")
         return out
 
-    lines.append(f"    return {emit(ast)}")
+    root = emit(ast)
+    scalar.append(f"    return {root}")
+    vec.append(f"        return _shaped({root}, t)")
     env = {"_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
-           "_NAN": math.nan, "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
-           "_atan": math.atan, "_sin": math.sin, "_cos": math.cos}
-    exec(compile("\n".join(lines), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
-    return env["_f"]
+           "_NAN": math.nan, **_SCALAR_ENV}
+    exec(compile("\n".join(scalar), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
+    if not vector:
+        return env["_f"]
+    env = {"_f": env["_f"], "_INF": math.inf, "_NAN": math.nan, **_VECTOR_ENV}
+    exec(compile("\n".join(vec), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
+    return env["_fv"]
+
+
+def compile_scalar(ast: ExprAst):
+    """Compile `ast` to a strict Python function of t.
+
+    The generated function is straight-line code with one local per
+    operation node.  A point outside a node's domain (ln of <= 0, sqrt of
+    < 0, division by 0, 0 to a negative power, a negative base to a
+    non-integer power, sin/cos of inf) raises EvalDomainError naming that
+    sub-expression and t.  Overflow of exp and ^ yields IEEE +-inf, as the
+    other operations do.  t is converted to float once, so numpy scalars
+    get Python float semantics.  ScalarFn.vector() is the numpy back end
+    of the same codegen.
+    """
+    return _compile(ast)
 
 
 def evaluate(ast: ExprAst, t: float) -> float:
@@ -470,6 +523,7 @@ class ScalarFn:
     _derivative: ExprAst | None = field(default=None, repr=False, compare=False)
     _derivative_fn: "ScalarFn | None" = field(default=None, repr=False, compare=False)
     _fast: object = field(default=None, repr=False, compare=False)
+    _vector: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_source(cls, source: str) -> "ScalarFn":
@@ -497,6 +551,14 @@ class ScalarFn:
         if self._fast is None:
             self._fast = compile_scalar(self.body)
         return self._fast
+
+    def vector(self):
+        """The numpy back end of the same codegen: an array of t in, an array
+        of the same shape out, and the scalar evaluator's own EvalDomainError
+        at the first lane outside the domain; mesh sweeps bind it once."""
+        if self._vector is None:
+            self._vector = _compile(self.body, vector=True)
+        return self._vector
 
     def source(self) -> str:
         return to_source(self.body)

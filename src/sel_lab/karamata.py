@@ -18,6 +18,7 @@ import numpy as np
 from .expr import ExprAst, ScalarFn, parse_expression, substitute
 from .numerics import (
     ConvergenceVerdict,
+    NonIntegrableError,
     NumericsError,
     classify_tail_integral,
     find_root_monotone,
@@ -46,6 +47,33 @@ class NotRegularlyVarying(ValueError):
 # ---------------------------------------------------------------------------
 # Cached antiderivative F(t) = int_0^t f
 # ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _peak(fn, a: float, b: float) -> float:
+    """Where |fn| peaks on (a, b), by golden section down to rounding; a
+    point where fn raises counts as a pole."""
+    def size(t):
+        try:
+            return abs(fn(t))
+        except (ArithmeticError, ValueError):
+            return INF
+
+    lo, hi = a, b
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = size(x1), size(x2)
+    for _ in range(80):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = size(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = size(x2)
+    return x1 if f1 >= f2 else x2
+
 
 class Antiderivative:
     """F(t) = int_0^t f with F(0) = 0, cached on the lattice t_k = 2^(k/4).
@@ -78,9 +106,40 @@ class Antiderivative:
             return 0.0
         try:
             v, _ = rule(self._fn, a, b, self._tol)
-        except (NumericsError, ArithmeticError):
+        except NonIntegrableError:
+            return INF
+        except NumericsError:
+            v = self._split_at_peak(a, b)
+        except ArithmeticError:
             return INF
         return v if math.isfinite(v) else INF
+
+    def _split_at_peak(self, a: float, b: float) -> float:
+        """A panel that failed both rules, integrated once more as two halves
+        split where |f| peaks, each graded towards that point by
+        integrate_finite: an integrable interior singularity becomes two
+        endpoint ones.  A peak at an end (overflow, an endpoint pole) has
+        no interior point to split at and stays a failure."""
+        c = _peak(self._fn, a, b)
+        margin = (b - a) * 2.0 ** -20
+        if not a + margin < c < b - margin:
+            return INF
+        left = self._graded(a, c)
+        return left + self._graded(c, b) if math.isfinite(left) else INF
+
+    def _graded(self, a: float, b: float) -> float:
+        """integrate_finite up to a pole at an end.  t is rounded next to the
+        pole, so f carries noise of about ulp(t)^(1-p) there for a pole of
+        order p; the tolerance is loosened 100-fold per failure, up to 1e-6."""
+        tol = self._tol
+        while tol <= 1e-6:
+            try:
+                return integrate_finite(self._fn, a, b, tol)[0]
+            except NonIntegrableError:
+                return INF
+            except (NumericsError, ArithmeticError):
+                tol *= 100.0
+        return INF
 
     def _accumulate(self, j0: int, val: float, k: int) -> None:
         """Store val at j0 and add panels up to k; the first non-finite

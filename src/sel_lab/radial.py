@@ -23,6 +23,7 @@ from .numerics import (
     BOUNDED,
     ENTIRE_LARGE,
     UNDETERMINED,
+    NumericsError,
     RadialSolution,
     ShotTally,
     classify_tail_integral,
@@ -304,7 +305,15 @@ def _cubic_read(t: np.ndarray, y: np.ndarray, x: float) -> float:
     return float(total)
 
 
-def _picard_gradient_run(psi_vals, f_call, b0: float, t: np.ndarray, N: int,
+def _on_mesh(fn, t: np.ndarray) -> np.ndarray:
+    """fn at every node of t: one vector call for an expression, one call
+    per node for a plain callable."""
+    if isinstance(fn, ScalarFn):
+        return fn.vector()(t)
+    return np.array([fn(float(x)) for x in t])
+
+
+def _picard_gradient_run(psi_vals, f_vec, b0: float, t: np.ndarray, N: int,
                          tol: float):
     # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
     inner, outer = _volterra(t, N - 1, rate=1), _volterra(t, 0)
@@ -313,8 +322,7 @@ def _picard_gradient_run(psi_vals, f_call, b0: float, t: np.ndarray, N: int,
     iterations = 0
     monotone = True
     for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
-        fw = np.array([f_call(float(x)) for x in w])
-        w_next = b0 + outer(t_scale * inner(psi_vals * fw))
+        w_next = b0 + outer(t_scale * inner(psi_vals * f_vec(w)))
         if np.any(w_next < w - 1e-9 * (1.0 + np.abs(w))):
             monotone = False
         change = float(np.max(np.abs(w_next - w) / (1.0 + np.abs(w_next))))
@@ -333,7 +341,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     M = lam_N max_{[0,R]} t psi(t), classifies large-vs-bounded by pairing
     the large-condition verdict with the growth ratio w(R)/w(R/2), and, when both
     envelopes are supplied, computes the ordering constant b* and checks
-    the sub/super ordering v <= w pointwise.
+    the sub/super ordering v <= w pointwise.  Raises NumericsError when
+    w(R) still moves by more than tol at the last of four mesh levels.
     """
     if N < 3:
         raise ValueError("the gradient scheme requires N >= 3")
@@ -343,23 +352,26 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     pot = pot_env if isinstance(pot_env, RadialPotential) else None
     psi = pot.psi if pot is not None else pot_env
     psi_call = psi.fast() if isinstance(psi, ScalarFn) else psi
-    f_call = f.f.fast()
+    f_vec = f.f.vector()
 
     # refinement: double panels until the fixed point stops moving at R
     w = None
     for level in range(4):
         t = _graded_mesh(R, panels * 2 ** level)
-        psi_vals = np.array([psi_call(float(x)) for x in t])
+        psi_vals = _on_mesh(psi, t)
         if np.any(psi_vals < 0.0):
             raise ValueError("psi envelope must be nonnegative")
         w_prev = w
-        w, iterations, monotone = _picard_gradient_run(psi_vals, f_call, b0, t, N, tol)
+        w, iterations, monotone = _picard_gradient_run(psi_vals, f_vec, b0, t, N, tol)
         mesh_drift = abs(w[-1] - w_prev[-1]) / (1.0 + abs(w[-1])) if level else math.nan
         if mesh_drift <= tol:
             break
     if not monotone:
         raise ValueError("Picard iterates failed to be nondecreasing: the scheme's "
                          "assumptions are violated (check b0 >= 1 and f nondecreasing)")
+    if mesh_drift > tol:
+        raise NumericsError(f"Picard mesh refinement stopped at {t.size - 1} panels with "
+                            f"w(R) still moving by {mesh_drift:.3g} > tol = {tol:.3g}")
 
     lam = f.Lambda if f.Lambda is not None else math.inf
     lam_N = lam / (N - 2.0)
@@ -396,8 +408,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
         elif large_cond.is_convergent and ratio <= 1.05:
             # plateau: the computed value at R/2 must be window independent
             t_half = _graded_mesh(R / 2.0, t.size - 1)
-            psi_half = np.array([psi_call(float(x)) for x in t_half])
-            w_half, _, _ = _picard_gradient_run(psi_half, f_call, b0, t_half, N, tol)
+            w_half, _, _ = _picard_gradient_run(_on_mesh(psi, t_half), f_vec, b0, t_half,
+                                                N, tol)
             drift = abs(w_half[-1] - half) / (1.0 + abs(half))
             metadata["plateau_drift"] = float(drift)
             if drift < 1e-6:
@@ -413,10 +425,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 K_const = math.exp(lam_N * (head + gap_tail.value))
                 b_star = 1.0 + K_const * lam_N * slow.value
                 metadata["b_star"] = b_star
-                phi_call = pot.phi.fast()
-                phi_vals = np.array([phi_call(float(x)) for x in t])
-                v_run, _, _ = _picard_gradient_run(phi_vals, f_call, 1.0, t, N, tol)
-                w_run, _, _ = _picard_gradient_run(psi_vals, f_call,
+                v_run, _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, t, N, tol)
+                w_run, _, _ = _picard_gradient_run(psi_vals, f_vec,
                                                    b_star * (1.0 + 1e-9), t, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
         except Exception as exc:
@@ -442,20 +452,16 @@ def _green_kernel(t: np.ndarray, N: int):
 
 
 def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
-    p_call, q_call = sys_.p.phi.fast(), sys_.q.phi.fast()
-    f_call, g_call = sys_.f.f.fast(), sys_.g.f.fast()
-    p_vals = np.array([p_call(float(x)) for x in t])
-    q_vals = np.array([q_call(float(x)) for x in t])
+    p_vals, q_vals = sys_.p.phi.vector()(t), sys_.q.phi.vector()(t)
+    f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
     K = _green_kernel(t, N)
     u = np.full_like(t, sys_.a)
     v = np.full_like(t, sys_.b)
     monotone = True
     iterations = 0
     for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
-        gv = np.array([g_call(float(x)) for x in v])
-        u_next = sys_.a + K(p_vals * gv)
-        fu = np.array([f_call(float(x)) for x in u_next])
-        v_next = sys_.b + K(q_vals * fu)
+        u_next = sys_.a + K(p_vals * g_vec(v))
+        v_next = sys_.b + K(q_vals * f_vec(u_next))
         if np.any(u_next < u - 1e-9 * (1.0 + np.abs(u))) or \
            np.any(v_next < v - 1e-9 * (1.0 + np.abs(v))):
             monotone = False
@@ -465,8 +471,8 @@ def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
         if change < tol:
             break
     # theory lower bounds u >= a + g(b) A(r), v >= b + f(a) B(r)
-    lower_u = sys_.a + g_call(sys_.b) * K(p_vals)
-    lower_v = sys_.b + f_call(sys_.a) * K(q_vals)
+    lower_u = sys_.a + sys_.g.f(sys_.b) * K(p_vals)
+    lower_v = sys_.b + sys_.f.f(sys_.a) * K(q_vals)
     lower_ok = bool(np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
                     and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12))
     return u, v, iterations, monotone, lower_ok
@@ -480,6 +486,8 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     and t q(t): both divergent and sustained growth -> entire-large; both
     convergent and a window-independent plateau -> bounded; mixed verdicts
     are undetermined (only the two pure cases are covered by the theory).
+    Raises NumericsError when the mesh error left after at most three
+    doublings (metadata mesh_error) misses max(tol, 1e-9).
     """
     if N < 3:
         raise ValueError("the system scheme requires N >= 3")
@@ -501,19 +509,31 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             break
 
     # refinement: double the mesh until neither u nor v moves on the coarse nodes
+    target = max(tol, 1e-9)
     t = np.linspace(0.0, R, mesh_points + 1)
     run = _system_run(sys_, t, N, tol)
+    drifts = []
     for _ in range(3):
         t2 = np.linspace(0.0, R, 2 * (t.size - 1) + 1)
         run2 = _system_run(sys_, t2, N, tol)
-        mesh_drift = max(float(np.max(np.abs(fine[::2] - coarse) / (1.0 + np.abs(coarse))))
-                         for coarse, fine in zip(run[:2], run2[:2]))
+        drifts.append(max(float(np.max(np.abs(fine[::2] - coarse) / (1.0 + np.abs(coarse))))
+                          for coarse, fine in zip(run[:2], run2[:2])))
         t, run = t2, run2
-        if mesh_drift <= max(tol, 1e-9):
+        if drifts[-1] <= target:
             break
     u, v, iterations, monotone, lower_ok = run
     if not monotone:
         raise ValueError("system iterates failed to be nondecreasing")
+    # Richardson: drifts falling by ratio per doubling leave drift/(ratio - 1)
+    # on the finest mesh; a ratio below 8 is not yet asymptotic
+    mesh_drift = mesh_error = drifts[-1]
+    ratio = drifts[-2] / mesh_drift if len(drifts) > 1 and mesh_drift > 0.0 else 0.0
+    if ratio >= 8.0:
+        mesh_error = mesh_drift / (ratio - 1.0)
+    if not mesh_error <= target:
+        raise NumericsError(f"system mesh refinement stopped at {t.size - 1} panels with "
+                            f"mesh error {mesh_error:.3g} > {target:.3g} (last drift "
+                            f"{mesh_drift:.3g})")
 
     p_call, q_call = sys_.p.phi.fast(), sys_.q.phi.fast()
     s2_p = classify_tail_integral(lambda s: s * p_call(s), 1.0, 1e-8)
@@ -522,6 +542,7 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
         "iterations": iterations,
         "mesh_points": t.size - 1,
         "mesh_drift": mesh_drift,
+        "mesh_error": mesh_error,
         "tp_verdict": s2_p.status,
         "tq_verdict": s2_q.status,
         "lower_bound_ok": lower_ok,

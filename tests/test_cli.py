@@ -371,9 +371,34 @@ mesh_points = 512
         assert code == 0
         out = capsys.readouterr().out
         assert "classification=entire-large" in out
-        # the refinement reports where it stopped and how far the last doubling moved
-        assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+", out)
+        # the refinement reports where it stopped, how far the last doubling
+        # moved and the error it leaves
+        assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+ mesh_error=\S+", out)
         assert os.path.exists(os.path.join(outdir, "system.csv"))
+
+    def test_solve_system_domain_error_in_the_mesh_sweep(self, tmp_path):
+        # p is undefined past 40: the sweep over the 256-panel mesh on [0, 50]
+        # fails at its first node past 40, with the scalar evaluator's message
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = solve-system
+N = 3
+R = 50
+
+[functions]
+p = "sqrt(40-t)"
+q = "sqrt(40-t)"
+f = "t^0.5"
+g = "t^0.5"
+
+[numerics]
+mesh_points = 256
+""")
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error_type"] == "EvalDomainError"
+        assert diag["error"] == ("square root of a negative value in sqrt((40.0 - t)) "
+                                 "at t=40.0390625")
 
     def test_solve_entire(self, tmp_path, capsys):
         code, outdir = run_cli(tmp_path, """

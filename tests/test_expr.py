@@ -290,3 +290,87 @@ class TestScalarFn:
             h = 1e-6 * (1.0 + t)
             fd = (f(t + h) - f(t - h)) / (2.0 * h)
             assert f.deriv(t) == pytest.approx(fd, abs=1e-6 * (1.0 + abs(fd)))
+
+
+# ---------------------------------------------------------------------------
+# The vector back end (ScalarFn.vector)
+# ---------------------------------------------------------------------------
+
+_GRID = np.concatenate((np.linspace(0.05, 6.0, 240), [1e-3, 17.5, 123.25, 700.0]))
+
+
+@pytest.mark.parametrize("src", [
+    "2.5", "t", "-t", "exp(t)", "ln(t)", "sqrt(t)", "abs(t-2)", "atan(t)", "sin(t)",
+    "cos(t)", "t+1.5", "t-1.5", "t*1.5", "1.5/t", "t^1.7", "t^-2", "t^t", "2^t",
+    "(1+t^2)^(-2)",
+])
+def test_vector_matches_scalar_within_four_ulp(src):
+    fn = ScalarFn.from_source(src)
+    scalar = np.array([fn(x) for x in _GRID.tolist()])
+    vector = fn.vector()(_GRID)
+    assert vector.shape == _GRID.shape and vector.dtype == float
+    finite = np.isfinite(scalar)
+    assert np.array_equal(vector[~finite], scalar[~finite])
+    ulps = np.abs(vector[finite] - scalar[finite]) / np.spacing(np.abs(scalar[finite]))
+    assert np.all(ulps <= 4.0), (src, float(np.max(ulps)))
+
+
+def _scalar_failure(fn, grid):
+    """The error of the scalar evaluator at its first failing lane."""
+    for x in grid.tolist():
+        try:
+            fn(x)
+        except EvalDomainError as exc:
+            return exc
+    raise AssertionError("no lane fails")
+
+
+@pytest.mark.parametrize("src, grid", [
+    ("ln(t-1)", np.linspace(3.0, -1.0, 9)),
+    ("sqrt(2-t)+t", np.linspace(0.0, 3.0, 7)),
+    ("1/(t-2)", np.linspace(0.0, 3.0, 7)),
+    ("t^(-1.5)", np.array([2.0, 1.0, 0.0, -1.0])),
+    ("(t-1)^(t-3)", np.array([3.0, 2.0, 1.0, 0.0])),
+    ("t^0.5", np.array([4.0, 1.0, -0.25, -4.0])),
+    ("t^(t/2)", np.array([4.0, 2.0, -3.0, -2.0])),
+    ("sin(exp(t))", np.array([0.0, 10.0, 1000.0])),
+    ("cos(exp(t))", np.array([0.0, 10.0, 1000.0])),
+])
+def test_vector_domain_error_is_the_scalar_error(src, grid):
+    fn = ScalarFn.from_source(src)
+    want = _scalar_failure(fn, grid)
+    with pytest.raises(EvalDomainError) as err:
+        fn.vector()(grid)
+    got = err.value
+    assert str(got) == str(want)
+    assert got.node == want.node and got.t == want.t and type(got.t) is float
+
+
+@pytest.mark.parametrize("src, t, expected", [
+    ("exp(t)", 1000.0, math.inf),
+    ("t^309", -10.0, -math.inf),
+    ("(-10)^309", 0.0, -math.inf),
+    ("10^400", 0.0, math.inf),
+])
+def test_vector_overflow_is_the_scalar_inf(src, t, expected):
+    fn = ScalarFn.from_source(src)
+    assert fn(t) == expected
+    assert fn.vector()(np.array([1.0, t]))[1] == expected
+
+
+def test_vector_constant_broadcasts_and_odd_shapes():
+    const_fn = ScalarFn.from_source("2^3").vector()
+    assert np.array_equal(const_fn(np.zeros((2, 3))), np.full((2, 3), 8.0))
+    zero_d = ScalarFn.from_source("t^2").vector()(np.array(3.0))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == () and zero_d == 9.0
+    assert const_fn(np.array(1.5)).shape == ()
+    for src in ("t^2", "2^3", "ln(0)"):
+        out = ScalarFn.from_source(src).vector()(np.array([]))
+        assert out.shape == (0,)
+
+
+def test_vector_result_does_not_alias_the_input():
+    t = np.array([1.0, 2.0])
+    out = ScalarFn.from_source("t").vector()(t)
+    out[0] = 5.0
+    assert t[0] == 1.0

@@ -60,6 +60,15 @@ class TestAntiderivative:
         assert F(1.0) == pytest.approx((2.0 / 3.0) * (3.0 ** 1.5 - 2.0 ** 1.5), rel=1e-12)
         assert F(5.0) == pytest.approx((2.0 / 3.0) * (3.0 ** 1.5 + 2.0 ** 1.5), rel=1e-12)
 
+    def test_interior_integrable_singularity_is_finite(self):
+        # the pole at t = 3 lies inside the base quadrature (0, 2^(9/4)); the
+        # failed panel is split where |f| peaks
+        F = Antiderivative(ScalarFn.from_source("abs(t-3)^(-0.5)"))
+        exact = 2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(2.0)
+        assert F(5.0) == pytest.approx(exact, rel=1e-9)
+        assert F(5.0) == pytest.approx(6.2925, abs=5e-5)
+        assert F(40.0) == pytest.approx(2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(37.0), rel=1e-9)
+
     def test_non_integrable_panel_saturates_to_inf(self):
         F = Antiderivative(ScalarFn.from_source("abs(t-3)^(-1.5)"))
         assert F(2.0) < math.inf

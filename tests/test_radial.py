@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sel_lab import radial
-from sel_lab.expr import ScalarFn
+from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import KFunction, analyze_nonlinearity
-from sel_lab.numerics import BOUNDED, ENTIRE_LARGE, UNDETERMINED, shoot
+from sel_lab.numerics import BOUNDED, ENTIRE_LARGE, UNDETERMINED, NumericsError, shoot
 from sel_lab.profile import VARIANT_K, VARIANT_SQRT_K, build_profile
 from sel_lab.radial import (
     _graded_mesh,
@@ -186,6 +186,26 @@ class TestPicardGradient:
                   for panels in (512, 1024)]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
 
+    def test_unmet_tolerance_raises(self, f_sqrt):
+        # w(R) still moves by ~8e-12 after the last doubling to 1024 panels
+        with pytest.raises(NumericsError, match="Picard mesh refinement"):
+            picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 50.0, 3,
+                                   tol=1e-14, panels=128)
+
+    def test_plain_callable_weight_matches_the_expression(self, f_sqrt):
+        psi = ScalarFn.from_source("(1+t^2)^(-2)")
+        by_expr = picard_gradient_entire(psi, f_sqrt, 1.0, 30.0, 3, panels=512)
+        by_call = picard_gradient_entire(lambda r: psi(r), f_sqrt, 1.0, 30.0, 3, panels=512)
+        assert np.max(np.abs(by_expr.u - by_call.u) / by_call.u) <= 1e-13
+        assert by_expr.classification == by_call.classification
+
+    def test_domain_error_from_the_mesh_sweep_is_the_scalar_error(self, f_sqrt):
+        with pytest.raises(EvalDomainError) as err:
+            picard_gradient_entire(ScalarFn.from_source("sqrt(40-t)"), f_sqrt, 1.0, 50.0, 3,
+                                   panels=256)
+        assert str(err.value) == ("square root of a negative value in sqrt((40.0 - t)) "
+                                  "at t=40.009307861328125")
+
     def test_growth_bound_value(self, f_sqrt):
         # M = lam_N max t psi on [0,R]; for psi = 1: M = R/(N-2)
         sol = picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 20.0, 3,
@@ -213,9 +233,33 @@ class TestSolveSystem:
         assert sol.classification == BOUNDED
         assert sol.metadata["plateau_drift"] < 1e-6
         assert sol.metadata["lower_bound_ok"]
-        # the refinement stops after three doublings; its last drift is recorded
+        # the refinement stops after three doublings with a last drift of
+        # 4.5-8.8e-9; the drifts fall ~16x per doubling, so the Richardson
+        # error left on the finest mesh meets the 1e-9 target
         assert sol.metadata["mesh_points"] == 8192
         assert sol.metadata["mesh_drift"] < 1e-7
+        assert sol.metadata["mesh_error"] <= 1e-9
+
+    def test_unmet_mesh_target_raises(self, f_sqrt):
+        # 16 panels doubled three times leave a drift of ~3e-2
+        dec = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
+        with pytest.raises(NumericsError, match="mesh error"):
+            solve_system(SystemProblem(p=dec, q=dec, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                         100.0, 3, mesh_points=16)
+
+    @pytest.mark.parametrize("potential, where", [("p", "t=40.0390625"), ("q", "t=40.0390625")])
+    def test_domain_error_from_the_mesh_sweep_is_the_scalar_error(self, f_sqrt, potential,
+                                                                   where):
+        # the vector sweep over the mesh reports the scalar evaluator's error
+        # at the first mesh node past 40
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        bad = RadialPotential(phi=ScalarFn.from_source("sqrt(40-t)"))
+        pots = {"p": one, "q": one, potential: bad}
+        with pytest.raises(EvalDomainError) as err:
+            solve_system(SystemProblem(f=f_sqrt, g=f_sqrt, a=1.0, b=1.0, **pots), 50.0, 3,
+                         mesh_points=256)
+        assert str(err.value) == ("square root of a negative value in sqrt((40.0 - t)) "
+                                  f"at {where}")
 
     def test_zero_potentials(self, f_sqrt):
         zero = RadialPotential(phi=ScalarFn.from_source("0"))
