@@ -1,13 +1,15 @@
 """Eigenvalues, singular Lane-Emden-Fowler solves, and parameter sweeps.
 
 The first Dirichlet eigenvalue of the radial Laplacian comes from shooting
-with a series start and bisection in lambda.  The singular boundary-value
-problems are solved by shooting on the center value (ball) or the starting
-slope (interval), with the zero located through an epsilon cut and a local
-linear model; nonexistence is an audited verdict from the sign analysis of
-the shooting map over a log grid of probes.  The Gelfand substitution
-v = e^(lambda u) - 1 reduces the quadratic-convection problem to an
-absorption problem, and the Young-inequality constant handles 1 < p < 2.
+in lambda with a series start.  The singular boundary-value problems are
+solved by shooting on the center value (ball) or the starting slope
+(interval), with the zero located through an epsilon cut and a local linear
+model.  Both search their parameter with Brent's method
+(numerics.find_root_monotone).  Nonexistence is an audited verdict from the
+sign analysis of the shooting map over a log grid of probes.  The Gelfand
+substitution v = e^(lambda u) - 1 reduces the quadratic-convection problem
+to an absorption problem, and the Young-inequality constant handles
+1 < p < 2.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .numerics import (
     NumericsError,
     RadialSolution,
     ShotTally,
+    find_root_monotone,
     series_start,
     shoot,
 )
@@ -35,6 +38,7 @@ EPS_BOUNDARY = 1e-6  # epsilon cut where integration stops and the zero is model
 CUT_MARGIN = 10.0  # the bracket end past R must rise to CUT_MARGIN * EPS_BOUNDARY
 S_MAX_PROBE = 1e6
 N_PROBES = 60
+EIGEN_TOL = 1e-12  # width stop of the lambda_1 search, relative to lambda_1 R^2
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +51,8 @@ class EigenResult:
 
     For the N = 1 interval mode the normalization is phi'(0) = 1 instead
     (phi vanishes at both endpoints).  shots counts the DOP853 shots of the
-    bracket, the bisection and the final eigenfunction, with their accepted
-    and rejected steps.
+    bracket, the root search and the final eigenfunction, with their
+    accepted and rejected steps.
     """
 
     lambda1: float
@@ -106,14 +110,15 @@ def _eigen_shoot(N: int, R: float, mode: str, tally: ShotTally):
     return integrate
 
 
-def lambda1_ball(N: int, R: float, mode: str = "ball", tol: float = 1e-12) -> EigenResult:
+def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
     """First Dirichlet eigenvalue of -Delta on the ball of radius R.
 
     mode='ball' solves the radial problem with phi'(0) = 0 (for N = 1 this
     is the symmetric interval (-R, R)); mode='interval' (N = 1 only) is
-    the Dirichlet interval (0, R) with phi(0) = 0.  Bisection on the sign
-    of phi(R) over a doubling bracket; the series start steps past the
-    (N-1)/r singularity.
+    the Dirichlet interval (0, R) with phi(0) = 0.  Brent's method on the
+    sign change of phi(R) over a doubling bracket from lambda = 0.1/R^2,
+    stopped when the bracket is narrower than about EIGEN_TOL*lambda; the
+    series start steps past the (N-1)/r singularity.
     """
     if N < 1:
         raise ValueError("dimension N must be >= 1")
@@ -127,29 +132,13 @@ def lambda1_ball(N: int, R: float, mode: str = "ball", tol: float = 1e-12) -> Ei
     tally = ShotTally()
     integrate = _eigen_shoot(N, R, mode, tally)
 
-    def endpoint(lam):
-        return float(integrate(lam).y[0, -1])
+    def endpoint(mu):
+        # phi(R) at lambda = mu/R^2: the width stop on mu is relative at every R
+        return float(integrate(mu / (R * R)).y[0, -1])
 
-    lam_lo = 0.1 / (R * R)
-    if endpoint(lam_lo) <= 0.0:
+    if endpoint(0.1) <= 0.0:
         raise NumericsError("eigenvalue bracket failure: phi(R) <= 0 at the smallest lambda")
-    lam_hi = lam_lo
-    for _ in range(80):
-        lam_hi *= 2.0
-        if endpoint(lam_hi) < 0.0:
-            break
-    else:
-        raise NumericsError("eigenvalue bracket failure: no sign change found")
-
-    for _ in range(200):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if endpoint(mid) > 0.0:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-        if lam_hi - lam_lo <= tol * lam_hi:
-            break
-    lam = 0.5 * (lam_lo + lam_hi)
+    lam = find_root_monotone(endpoint, 0.0, 0.1, 0.2, tol=0.0, width_tol=EIGEN_TOL) / (R * R)
 
     sol = integrate(lam, dense=True)
     grid = np.linspace(sol.t[0], R, 401)
@@ -365,8 +354,8 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
     One search serves every boundary level: the shooting map
-    s -> zero_location(s, level) is probed on a log grid and a bracket
-    around the domain size R is refined by geometric bisection.  A bracket
+    s -> zero_location(s, level) is probed on a log grid and Brent's method
+    solves zero_location(s) = R on the first probe bracket.  A bracket
     counts only when its probe past R clears the epsilon cut by the factor
     CUT_MARGIN.  When no probe of the full audit table brackets R, the
     singular problem is declared no-solution with the table attached.
@@ -408,19 +397,9 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         probes = [(s, z) for s, z, _ in points]
         if bracket is None:
             return None, probes
-        lo, hi = bracket
-        zl_lo = zero_location(lo, level)[0] - R
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            zm = zero_location(mid, level)[0] - R
-            if abs(zm) <= 1e-9 * R or (hi - lo) <= 1e-13 * hi:
-                lo = hi = mid
-                break
-            if zl_lo * zm <= 0.0:
-                hi = mid
-            else:
-                lo, zl_lo = mid, zm
-        return 0.5 * (lo + hi), probes
+        s_star = find_root_monotone(lambda s: zero_location(s, level)[0], R, *bracket,
+                                    tol=1e-9 * R, width_tol=1e-13)
+        return s_star, probes
 
     s_star, probes = shoot_to_R(0.0)
     if s_star is None:

@@ -2,7 +2,7 @@
 
 Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
 panel rule that falls back to it, improper-integral convergence
-classification (tail and origin), monotone root finding, and the radial
+classification (tail and origin), bracketed root finding, and the radial
 shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
 with terminal floor, cap and blow-up events.  Every ODE solve of the package
 goes through it: one plain-float Runge-Kutta driver runs both RK45 and
@@ -424,25 +424,29 @@ def classify_origin_integral(fn, b: float, tol: float = 1e-8) -> ConvergenceVerd
 
 
 # ---------------------------------------------------------------------------
-# Monotone root finding
+# Bracketed root finding
 # ---------------------------------------------------------------------------
+
+class _Converged(Exception):
+    """Raised inside brentq's objective with a point that meets the residual stop."""
+
 
 def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-12,
                        width_tol: float | None = None) -> float:
-    """Solve fn(x) = target for monotone fn on [lo, hi].
+    """Solve fn(x) = target by Brent's method on a bracket of [lo, hi].
 
+    fn need not be monotone: fn - target must change sign on the bracket.
     If (lo, hi) does not bracket the target, hi is pushed out by doubling
-    the interval width up to 60 times.  Hybrid bisection/secant; stops when
-    |fn(x)-target| <= tol or the bracket width <= tol*(1+|x|).  Callers
-    whose fn is steeply sensitive can decouple the two criteria by passing
-    an explicit width_tol.
+    the interval width up to 60 times.  Stops when |fn(x)-target| <= tol or
+    the bracket width is below about width_tol*(1+|x|) (width_tol defaults
+    to tol); callers whose fn is steeply sensitive decouple the two stops
+    by passing width_tol.  Each point is evaluated once.  A search that
+    does not converge raises NumericsError.
     """
     if not hi > lo:
         raise ValueError("find_root_monotone requires lo < hi")
     glo = fn(lo) - target
     ghi = fn(hi) - target
-    if glo == 0.0:
-        return lo
     expansions = 0
     while glo * ghi > 0.0 and expansions < 60:
         width = hi - lo
@@ -453,33 +457,26 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
         raise BracketError(
             f"could not bracket target {target!r} after {expansions} expansions (hi={hi!r})"
         )
-    if ghi == 0.0:
-        return hi
     if width_tol is None:
         width_tol = tol
-    # Illinois-accelerated regula falsi with periodic bisection safeguards
-    side = 0
-    for iteration in range(200):
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        if ghi != glo and iteration % 4 != 3:
-            secant = lo - glo * width / (ghi - glo)
-            if lo + 1e-3 * width < secant < hi - 1e-3 * width:
-                mid = secant
-        gm = fn(mid) - target
-        if abs(gm) <= tol or width <= width_tol * (1.0 + abs(mid)):
-            return mid
-        if glo * gm <= 0.0:
-            hi, ghi = mid, gm
-            if side == +1:
-                glo *= 0.5  # stale left endpoint: pull the secant over
-            side = +1
-        else:
-            lo, glo = mid, gm
-            if side == -1:
-                ghi *= 0.5
-            side = -1
-    return 0.5 * (lo + hi)
+    known = {lo: glo, hi: ghi}
+
+    def residual(x):
+        g = known.pop(x) if x in known else fn(x) - target
+        if abs(g) <= tol:
+            raise _Converged(x)
+        return g
+
+    try:
+        root, info = brentq(residual, lo, hi, xtol=width_tol,
+                            rtol=max(width_tol, 4.0 * np.finfo(float).eps),
+                            maxiter=200, full_output=True, disp=False)
+    except _Converged as hit:
+        return hit.args[0]
+    if not info.converged:
+        raise NumericsError(f"root search for target {target!r} did not converge on "
+                            f"[{lo!r}, {hi!r}]: {info.flag} after {info.iterations} iterations")
+    return root
 
 
 # ---------------------------------------------------------------------------

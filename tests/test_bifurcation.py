@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from sel_lab import bifurcation
 from sel_lab.bifurcation import (
@@ -75,6 +77,20 @@ class TestEigenvalues:
         assert np.all(eig.phi[:-1] > 0.0)
         assert abs(eig.phi[-1]) < 1e-9
 
+    @pytest.mark.parametrize("N, mode", [(1, "ball"), (2, "ball"), (3, "ball"), (4, "ball"),
+                                         (5, "ball"), (1, "interval")])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_closed_forms(self, N, mode, R):
+        # j_{N/2-1,1}^2/R^2 on the N-ball, (pi/2)^2/R^2 and pi^2/R^2 on the intervals
+        if mode == "interval":
+            want = math.pi ** 2
+        elif N == 1:
+            want = (math.pi / 2.0) ** 2
+        else:
+            want = brentq(lambda x: jv(N / 2.0 - 1.0, x), 2.0, 5.0, xtol=1e-15) ** 2
+        assert lambda1_ball(N, R, mode=mode).lambda1 == pytest.approx(want / R ** 2, rel=1e-13,
+                                                                     abs=0.0)
+
     def test_lambda_inf_1(self):
         assert lambda_inf_1(3, 0.0) == math.inf
         assert lambda_inf_1(3, 1.0) == pytest.approx(math.pi ** 2, abs=1e-8)
@@ -89,7 +105,7 @@ class TestEigenvalues:
 
         monkeypatch.setattr(bifurcation, "shoot", counted)
         eig = lambda1_ball(3, 1.0)
-        assert eig.shots == len(shots) > 40
+        assert eig.shots == len(shots) <= 25
         assert eig.steps_accepted == sum(sol.steps_accepted for _, sol in shots)
         assert eig.steps_rejected == sum(sol.steps_rejected for _, sol in shots)
         assert [dense for dense, _ in shots] == [False] * (len(shots) - 1) + [True]
@@ -134,6 +150,20 @@ class TestSolveLEF:
         assert np.all(sol.u[mask] >= c1 * d[mask] * (1.0 - 1e-9))
         assert np.all(sol.u[mask] <= c2 * d[mask] * (1.0 + 1e-9))
         assert sol.metadata["eps_cut_drift"] < 1e-6
+
+    def test_singular_interval_search_shots(self, monkeypatch, g_half):
+        # the probes up to the bracket, Brent's search and the dense shot
+        shots = []
+
+        def counted(*args, **kwargs):
+            shots.append(kwargs["dense"])
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "shoot", counted)
+        prob = LEFProblem(N=1, geometry="interval", lam=0.0, g=g_half,
+                          a_pot=ScalarFn.from_source("1"))
+        assert solve_lef(prob).classification == "bounded"
+        assert len(shots) <= 20
 
     @pytest.mark.parametrize("geometry,N,a", [("interval", 1, "1"), ("ball", 3, "1"),
                                               ("ball", 2, "1+t")])

@@ -203,7 +203,7 @@ json = summary.json
         out = capsys.readouterr().out
         lam = float(out.split("lambda1=")[1].split()[0])
         assert lam == pytest.approx(math.pi ** 2, abs=1e-8)
-        assert int(out.split("shots=")[1].split()[0]) > 40
+        assert int(out.split("shots=")[1].split()[0]) <= 25
         assert int(out.split("steps_accepted=")[1].split()[0]) > 0
         assert int(out.split("steps_rejected=")[1].split()[0]) >= 0
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
