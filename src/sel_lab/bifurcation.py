@@ -50,7 +50,7 @@ class EigenResult:
     """lambda_1 with the eigenfunction table, normalized phi(0) = 1.
 
     For the N = 1 interval mode the normalization is phi'(0) = 1 instead
-    (phi vanishes at both endpoints).  shots counts the DOP853 shots of the
+    (phi vanishes at both endpoints).  shots counts the shots of the
     bracket, the root search and the final eigenfunction, with their
     accepted and rejected steps.
     """
@@ -104,8 +104,8 @@ def _eigen_shoot(N: int, R: float, mode: str, tally: ShotTally):
             # phi ~ 1 - lam r^2/(2N) + lam^2 r^4/(8N(N+2))
             y0 = (1.0 - lam * eps ** 2 / (2.0 * N) + lam ** 2 * eps ** 4 / (8.0 * N * (N + 2)),
                   -lam * eps / N + lam ** 2 * eps ** 3 / (2.0 * N * (N + 2)))
-        return tally.add(shoot(lambda r, u, du: -lam * u, N, start, y0, R, "DOP853", 1e-13,
-                               1e-14, dense=dense))
+        return tally.add(shoot(lambda r, u, du: -lam * u, N, start, y0, R, 1e-13, 1e-14,
+                               dense=dense))
 
     return integrate
 
@@ -136,9 +136,12 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
         # phi(R) at lambda = mu/R^2: the width stop on mu is relative at every R
         return float(integrate(mu / (R * R)).y[0, -1])
 
-    if endpoint(0.1) <= 0.0:
+    phi_lo = endpoint(0.1)
+    if phi_lo <= 0.0:
         raise NumericsError("eigenvalue bracket failure: phi(R) <= 0 at the smallest lambda")
-    lam = find_root_monotone(endpoint, 0.0, 0.1, 0.2, tol=0.0, width_tol=EIGEN_TOL) / (R * R)
+    # the finder asks for mu = 0.1 first: hand it the value already shot
+    lam = find_root_monotone(lambda mu: phi_lo if mu == 0.1 else endpoint(mu), 0.0, 0.1, 0.2,
+                             tol=0.0, width_tol=EIGEN_TOL) / (R * R)
 
     sol = integrate(lam, dense=True)
     grid = np.linspace(sol.t[0], R, 401)
@@ -281,7 +284,7 @@ def _interval_start(prob: LEFProblem, source, s: float, eps: float, level: float
 def _clamped_source(rhs):
     """minus the RHS with a positivity clamp below the epsilon cut.
 
-    RK45 stages can overshoot u slightly below the terminal events; the
+    Runge-Kutta stages can overshoot u slightly below the terminal events; the
     singular term is evaluated at max(u, eps/100) there, which leaves the
     dynamics above the cut untouched.  Non-finite right-hand sides are
     saturated (the cap event terminates those trajectories anyway).
@@ -307,8 +310,9 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
     epsilon cut u = level + eps_b (default 1e-6) and the zero is located by
     the local linear model u - level ~ c (R - r); an event at the level
     itself backstops trajectories that never rise above the cut.  A shot
-    that starts at or below the level has its zero at 0.  The peak is the
-    highest u on the solver's steps.
+    that starts at or below the level has its zero at 0; a shot that fails
+    (the step size falls below the spacing of floats) has none, nan.  The
+    peak is the highest u on the solver's steps.
     """
     rhs = prob.rhs()
     N, R = prob.N, prob.R
@@ -323,7 +327,7 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
             start, y0 = 1e-6, _interval_start(prob, source, s, 1e-6, level)
         if y0[0] <= level:
             return None
-        return shoot(source, N, start, y0, r_cap, "RK45", 1e-10, 1e-13 * max(1.0, s),
+        return shoot(source, N, start, y0, r_cap, 1e-10, 1e-13 * max(1.0, s),
                      floors=(level + eps_b, level), cap=u_cap, dense=dense)
 
     def zero_location(s, level=0.0, eps_b=EPS_BOUNDARY):
@@ -333,6 +337,8 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
         return located(sol, level), float(np.max(sol.y[0])) - level
 
     def located(sol, level):
+        if not sol.success:
+            return math.nan
         if sol.t_events[0].size:
             r_ev = float(sol.t_events[0][0])
             u_ev = float(sol.y_events[0][0][0]) - level
@@ -358,7 +364,9 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     solves zero_location(s) = R on the first probe bracket.  A bracket
     counts only when its probe past R clears the epsilon cut by the factor
     CUT_MARGIN.  When no probe of the full audit table brackets R, the
-    singular problem is declared no-solution with the table attached.
+    singular problem is declared no-solution with the table attached;
+    failed_probes counts the probes whose shot failed (zero location nan),
+    which neither bracket R nor enter sup_zero_location.
     options={'check_eps_sensitivity': True} records the drift of the zero
     when the cut is halved; options={'regularization_levels': [k, ...]}
     solves the problems with u = 1/k on the boundary, on either geometry,
@@ -397,16 +405,21 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         probes = [(s, z) for s, z, _ in points]
         if bracket is None:
             return None, probes
-        s_star = find_root_monotone(lambda s: zero_location(s, level)[0], R, *bracket,
-                                    tol=1e-9 * R, width_tol=1e-13)
+        # the bracket ends are probes already shot: hand their zeros to the finder
+        held = dict(probes)
+        s_star = find_root_monotone(
+            lambda s: held[s] if s in held else zero_location(s, level)[0], R, *bracket,
+            tol=1e-9 * R, width_tol=1e-13)
         return s_star, probes
 
     s_star, probes = shoot_to_R(0.0)
     if s_star is None:
+        zeros = [z for _, z in probes if math.isfinite(z)]
         return RadialSolution(
             dimension=prob.N, r=np.array([0.0, R]), u=np.zeros(2),
             classification=NO_SOLUTION,
-            metadata={"probe_table": probes, "sup_zero_location": max(z for _, z in probes)},
+            metadata={"probe_table": probes, "sup_zero_location": max(zeros, default=math.nan),
+                      "failed_probes": len(probes) - len(zeros)},
         )
 
     sol = integrate(s_star, dense=True)

@@ -549,6 +549,7 @@ def _cmd_lef(spec, outdir):
         csv = spec.get("output", "csv", "lef_probes.csv")
         write_csv(os.path.join(outdir, csv), "s,zero_location", sol.metadata["probe_table"])
         out["sup_zero_location"] = sol.metadata["sup_zero_location"]
+        out["failed_probes"] = sol.metadata["failed_probes"]
         out["csv"] = csv
         return out
     csv = spec.get("output", "csv", "lef.csv")

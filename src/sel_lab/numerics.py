@@ -5,8 +5,8 @@ panel rule that falls back to it, improper-integral convergence
 classification (tail and origin), bracketed root finding, and the radial
 shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
 with terminal floor, cap and blow-up events.  Every ODE solve of the package
-goes through it: one plain-float Runge-Kutta driver runs both RK45 and
-DOP853 shots on stage code generated from scipy's tables, and returns a
+goes through it: one plain-float Runge-Kutta driver runs every shot on
+DOP853, with stage code generated from scipy's tables, and returns a
 `ShotResult` with its step counts.  `series_start` steps past the (N-1)/r
 origin singularity, and `integrate_radial_ivp` builds graded solutions on
 top of both.
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, quad
+from scipy.integrate import DOP853, quad
 from scipy.optimize import brentq
 
 from .ioutil import write_csv
@@ -441,7 +441,8 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
     the bracket width is below about width_tol*(1+|x|) (width_tol defaults
     to tol); callers whose fn is steeply sensitive decouple the two stops
     by passing width_tol.  Each point is evaluated once.  A search that
-    does not converge raises NumericsError.
+    meets a nan value of fn on the bracket, or does not converge, raises
+    NumericsError.
     """
     if not hi > lo:
         raise ValueError("find_root_monotone requires lo < hi")
@@ -463,6 +464,8 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
 
     def residual(x):
         g = known.pop(x) if x in known else fn(x) - target
+        if math.isnan(g):
+            raise NumericsError(f"root search for target {target!r}: fn is nan at x={x!r}")
         if abs(g) <= tol:
             raise _Converged(x)
         return g
@@ -496,11 +499,11 @@ def series_start(source, u0: float, N: int, eps: float, du0: float = 0.0):
     return eps, (u0 + du0 * eps + g0 * eps * eps / (2.0 * N), du0 + g0 * eps / N)
 
 
-# Explicit Runge-Kutta pairs as scipy runs them.  The tables are read from
-# scipy's RK45 (Dormand-Prince 5(4), quartic dense output) and DOP853
-# (Dormand-Prince 8(5,3), degree-7 dense output from three extra stages)
-# classes, and the stage arithmetic of each pair is generated once, at
-# import, as straight-line code over Python floats.
+# The explicit Runge-Kutta pair as scipy runs it: DOP853 (Dormand-Prince
+# 8(5,3), Hairer-Norsett-Wanner II.10, with degree-7 dense output from three
+# extra stages).  Its tables are read from scipy's class, and the stage
+# arithmetic is generated once, at import, as straight-line code over Python
+# floats.
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2 ** 0.5
 # scipy's result messages, by status
@@ -529,62 +532,19 @@ def _stage_lines(rows, nodes, ku, kv, first: int) -> list:
     return lines
 
 
-def _rk45_error(ku, kv) -> list:
-    # RMS of h sum_k e_k K_k / scale
-    return [f"    eu = ({_weighted(RK45.E.tolist(), ku)}) * h / su",
-            f"    ev = ({_weighted(RK45.E.tolist(), kv)}) * h / sv",
-            f"    error_norm = _sqrt(eu * eu + ev * ev) / {_SQRT2!r}"]
-
-
-def _rk45_dense(ku, kv) -> list:
-    # Q_j = sum_k K_k P_kj, the coefficients of x^(j+1) in (y - y_old)/h
-    columns = RK45.P.T.tolist()
-    return [f"    return (({', '.join(_weighted(p, ku) for p in columns)}),",
-            f"            ({', '.join(_weighted(p, kv) for p in columns)}))"]
-
-
-def _dop853_error(ku, kv) -> list:
-    # the fifth-order estimate corrected by the third-order one (HNW II.10):
-    # |h| |e5|^2 / sqrt(2 (|e5|^2 + |e3|^2/100)), norms of e/scale as scipy takes them
-    return [f"    e5u = ({_weighted(DOP853.E5.tolist(), ku)}) / su",
-            f"    e5v = ({_weighted(DOP853.E5.tolist(), kv)}) / sv",
-            f"    e3u = ({_weighted(DOP853.E3.tolist(), ku)}) / su",
-            f"    e3v = ({_weighted(DOP853.E3.tolist(), kv)}) / sv",
-            "    n5 = _sqrt(e5u * e5u + e5v * e5v)",
-            "    n3 = _sqrt(e3u * e3u + e3v * e3v)",
-            "    n5 = n5 * n5",
-            "    n3 = n3 * n3",
-            "    error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
-
-
-def _dop853_dense(ku, kv) -> list:
-    # three extra stages, then scipy's F rows: y_new - y_old, h f_old - dy,
-    # 2 dy - h (f_new + f_old) and h D K over all sixteen stages
-    lines = _stage_lines(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist(), ku, kv,
-                         len(ku) + 1)
-    rows = DOP853.D.tolist()
-    return lines + [
-        "    du = u_new - u",
-        "    dv = v_new - v",
-        "    return ((du, h * v - du, 2 * du - h * (v_new + v), "
-        f"{', '.join(f'h * ({_weighted(d, ku)})' for d in rows)}),",
-        "            (dv, h * f - dv, 2 * dv - h * (f_new + f), "
-        f"{', '.join(f'h * ({_weighted(d, kv)})' for d in rows)}))"]
-
-
-def _compile_pair(method, error_lines, dense_lines):
-    """Generate (step, dense) for a scipy Runge-Kutta class.
+def _compile_pair():
+    """Generate (step, dense) from scipy's DOP853 tables.
 
     step(acc, r, u, v, f, h, atol, rtol) -> (u_new, v_new, f_new,
     error_norm, slopes) takes one step of size h from (r, u, v) with slope
     (v, f); slopes are the stage slopes, u-parts then v-parts.  dense(acc,
-    r, u, h, u_new, slopes) -> (coefficients of u, of v) of the step's
+    r, u, h, u_new, slopes) -> (F rows of u, of v) of the step's
     interpolant.  The u-slope of each stage is that stage's v.
     """
     ku, kv = ["v"], ["f"]
     lines = ["def step(acc, r, u, v, f, h, atol, rtol):"]
-    lines += _stage_lines(method.A[1:].tolist(), method.C[1:].tolist(), ku, kv, 2)
-    b = method.B.tolist()
+    lines += _stage_lines(DOP853.A[1:].tolist(), DOP853.C[1:].tolist(), ku, kv, 2)
+    b, e5, e3 = DOP853.B.tolist(), DOP853.E5.tolist(), DOP853.E3.tolist()
     lines += [f"    u_new = u + h * ({_weighted(b, ku)})",
               f"    v_new = v + h * ({_weighted(b, kv)})",
               "    f_new = acc(r + h, u_new, v_new)",
@@ -592,34 +552,43 @@ def _compile_pair(method, error_lines, dense_lines):
               "    sv = atol + max(abs(v), abs(v_new)) * rtol"]
     ku.append("v_new")
     kv.append("f_new")
-    lines += error_lines(ku, kv)
+    # the fifth-order estimate corrected by the third-order one (HNW II.10):
+    # |h| |e5|^2 / sqrt(2 (|e5|^2 + |e3|^2/100)), norms of e/scale as scipy takes them
+    lines += [f"    e5u = ({_weighted(e5, ku)}) / su",
+              f"    e5v = ({_weighted(e5, kv)}) / sv",
+              f"    e3u = ({_weighted(e3, ku)}) / su",
+              f"    e3v = ({_weighted(e3, kv)}) / sv",
+              "    n5 = _sqrt(e5u * e5u + e5v * e5v)",
+              "    n3 = _sqrt(e3u * e3u + e3v * e3v)",
+              "    n5 = n5 * n5",
+              "    n3 = n3 * n3",
+              "    error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
     slopes = ", ".join(ku + kv)
     lines += [f"    return u_new, v_new, f_new, error_norm, ({slopes})",
               "",
               "def dense(acc, r, u, h, u_new, slopes):",
               f"    {slopes} = slopes"]
-    lines += dense_lines(ku, kv)
+    # three extra stages, then scipy's F rows: y_new - y_old, h f_old - dy,
+    # 2 dy - h (f_new + f_old) and h D K over all sixteen stages
+    lines += _stage_lines(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist(), ku, kv,
+                          len(ku) + 1)
+    rows = DOP853.D.tolist()
+    lines += [
+        "    du = u_new - u",
+        "    dv = v_new - v",
+        "    return ((du, h * v - du, 2 * du - h * (v_new + v), "
+        f"{', '.join(f'h * ({_weighted(d, ku)})' for d in rows)}),",
+        "            (dv, h * f - dv, 2 * dv - h * (f_new + f), "
+        f"{', '.join(f'h * ({_weighted(d, kv)})' for d in rows)}))"]
     env = {"_sqrt": math.sqrt}
-    exec(compile("\n".join(lines), f"<sel_lab {method.__name__}>", "exec"), env)  # noqa: S102 - own codegen
+    exec(compile("\n".join(lines), "<sel_lab DOP853>", "exec"), env)  # noqa: S102 - own codegen
     return env["step"], env["dense"]
 
 
-def _quartic_increment(x, h, q):
-    """h sum_j Q_j x^(j+1) over numpy arrays (RK45)."""
-    powers = np.cumprod(np.stack([x, x, x, x], axis=-1), axis=-1)
-    return h[..., None] * np.einsum("...ij,...j->...i", q, powers)
-
-
-def _interpolate_quartic(step, r):
-    """(u, u') at r on one RK45 step (r_old, h, u_old, v_old, Q_u, Q_v):
-    y_old + h sum_j Q_j x^(j+1) with x = (r - r_old)/h."""
-    r_old, h, u_old, v_old, (a1, a2, a3, a4), (b1, b2, b3, b4) = step
-    x = (r - r_old) / h
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x3 * x
-    return (h * (a1 * x + a2 * x2 + a3 * x3 + a4 * x4) + u_old,
-            h * (b1 * x + b2 * x2 + b3 * x3 + b4 * x4) + v_old)
+_STEP, _DENSE = _compile_pair()
+_STAGES = DOP853.n_stages  # RHS calls of an attempted step: 12
+_DENSE_STAGES = len(DOP853.C_EXTRA)  # and of one step's interpolant: 3
+_ERROR_EXPONENT = 1 / (DOP853.error_estimator_order + 1)  # 1/8
 
 
 def _nested(coefs, x):
@@ -631,42 +600,16 @@ def _nested(coefs, x):
     return y
 
 
-def _nested_increment(x, h, coefs):
-    """The DOP853 interpolant over numpy arrays; coefs has the F rows last."""
+def _nested_increment(x, coefs):
+    """The interpolant over numpy arrays; coefs has the F rows last."""
     return _nested([coefs[..., j] for j in range(coefs.shape[-1])], x[..., None])
 
 
 def _interpolate_nested(step, r):
-    """(u, u') at r on one DOP853 step (r_old, h, u_old, v_old, F_u, F_v)."""
+    """(u, u') at r on one step (r_old, h, u_old, v_old, F_u, F_v)."""
     r_old, h, u_old, v_old, fu, fv = step
     x = (r - r_old) / h
     return _nested(fu, x) + u_old, _nested(fv, x) + v_old
-
-
-@dataclass(frozen=True)
-class _Pair:
-    """An embedded Runge-Kutta pair for the radial state (u, u'): its
-    generated step and dense-output code (see _compile_pair), its
-    interpolant on one step (scalar) and over many (numpy), the RHS calls
-    of an attempted step and of one interpolant, and the order of its
-    error estimate."""
-
-    step: object
-    dense: object
-    interpolate: object
-    increment: object
-    stages: int
-    dense_stages: int
-    error_order: int
-
-
-_PAIRS = {
-    "RK45": _Pair(*_compile_pair(RK45, _rk45_error, _rk45_dense), _interpolate_quartic,
-                  _quartic_increment, RK45.n_stages, 0, RK45.error_estimator_order),
-    "DOP853": _Pair(*_compile_pair(DOP853, _dop853_error, _dop853_dense),
-                    _interpolate_nested, _nested_increment, DOP853.n_stages,
-                    len(DOP853.C_EXTRA), DOP853.error_estimator_order),
-}
 
 
 class _DenseSolution:
@@ -674,19 +617,18 @@ class _DenseSolution:
     numpy arrays; a breakpoint takes the earlier step, points outside the
     range the nearest end step."""
 
-    def __init__(self, ts, steps, increment):
+    def __init__(self, ts, steps):
         self.ts = np.asarray(ts, dtype=float)
         r_old, h, u_old, v_old, cu, cv = (np.array(col) for col in zip(*steps))
         self.r_old, self.h = r_old, h
         self.y_old = np.stack([u_old, v_old], axis=-1)
         self.coefs = np.stack([cu, cv], axis=1)
-        self.increment = increment
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, r, side="left") - 1, 0, self.h.size - 1)
         x = (r - self.r_old[seg]) / self.h[seg]
-        y = self.increment(x, self.h[seg], self.coefs[seg]) + self.y_old[seg]
+        y = _nested_increment(x, self.coefs[seg]) + self.y_old[seg]
         return np.moveaxis(y, -1, 0)
 
 
@@ -726,10 +668,10 @@ class ShotTally:
         return shot
 
 
-def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
+def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
     """Integrate u' = v, v' = acc(r, u, v) from (r0, y0) to r_end > r0.
 
-    Mirrors scipy's RungeKutta solvers step for step (initial step, error
+    Mirrors scipy's DOP853 solver step for step (initial step, error
     norm, step-size control, minimum step), so the results match scipy's
     up to rounding.  Every event g(u, v) is terminal and fires when g falls
     through zero on a step (g_old >= 0 >= g_new); it is located by brentq
@@ -740,9 +682,7 @@ def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> 
     u, v = float(y0[0]), float(y0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError("All components of the initial state `y0` must be finite.")
-    step_fn, dense_fn, interpolate = pair.step, pair.dense, pair.interpolate
-    stages, dense_stages = pair.stages, pair.dense_stages
-    exponent = -1 / (pair.error_order + 1)
+    exponent = -_ERROR_EXPONENT
 
     # the slope at the current point and the initial step (Hairer-Norsett-
     # Wanner II.4, as scipy's select_initial_step)
@@ -760,7 +700,7 @@ def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (pair.error_order + 1))
+        h1 = (0.01 / max(d1, d2)) ** _ERROR_EXPONENT
     h_next = min(100 * h0, h1, interval)
     nfev = 2
 
@@ -781,8 +721,8 @@ def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> 
                 break
             r_new = min(r + h, r_end)
             h = r_new - r
-            u_new, v_new, f_new, error_norm, slopes = step_fn(acc, r, u, v, f, h, atol, rtol)
-            nfev += stages
+            u_new, v_new, f_new, error_norm, slopes = _STEP(acc, r, u, v, f, h, atol, rtol)
+            nfev += _STAGES
             if error_norm < 1.0:
                 factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** exponent)
                 h_next = h * (min(1.0, factor) if step_rejected else factor)
@@ -799,8 +739,8 @@ def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> 
                   if before >= 0.0 >= after]
         g_old = g_new
         if dense or active:
-            step = (r, h, u, v, *dense_fn(acc, r, u, h, u_new, slopes))
-            nfev += dense_stages
+            step = (r, h, u, v, *_DENSE(acc, r, u, h, u_new, slopes))
+            nfev += _DENSE_STAGES
             if dense:
                 steps.append(step)
         r_old = r
@@ -808,10 +748,10 @@ def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> 
         if r >= r_end:
             status = 0
         if active:
-            root, i = min((brentq(lambda x, g=events[i]: g(*interpolate(step, x)),
+            root, i = min((brentq(lambda x, g=events[i]: g(*_interpolate_nested(step, x)),
                                   r_old, r, xtol=4 * _EPS, rtol=4 * _EPS), i)
                           for i in active)
-            r, (u, v) = root, interpolate(step, root)
+            r, (u, v) = root, _interpolate_nested(step, root)
             t_events[i].append(root)
             y_events[i].append((u, v))
             status = 1
@@ -826,22 +766,21 @@ def _runge_kutta(pair: _Pair, acc, r0, y0, r_end, rtol, atol, events, dense) -> 
         t=np.array(ts), y=np.array([us, vs]),
         t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events],
-        sol=_DenseSolution(ts, steps, pair.increment) if dense and steps else None,
+        sol=_DenseSolution(ts, steps) if dense and steps else None,
         status=status, message=_MESSAGES[status],
         nfev=nfev, steps_accepted=accepted, steps_rejected=rejected)
 
 
-def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: float,
-          atol: float, floors=(), cap: float | None = None, blowup: float | None = None,
+def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: float,
+          floors=(), cap: float | None = None, blowup: float | None = None,
           dense: bool = False) -> ShotResult:
     """Integrate u'' + (N-1)/r u' = source(r, u, u') from (r_start, y0) to r_end.
 
     The drift term is dropped at r = 0.  Terminal events, in t_events order:
     u falls to each level in floors, u rises to cap, max(|u|, |u'|) reaches
-    blowup.  method is "RK45" (Dormand-Prince 5(4)) or "DOP853"
-    (Dormand-Prince 8(5,3)), both run by the plain-float driver with
-    scipy's tables and step control.  dense=True builds the continuous
-    solution `sol`; for DOP853 that costs three more RHS calls per step.
+    blowup.  Every shot is a DOP853 (Dormand-Prince 8(5,3)) shot run by the
+    plain-float driver with scipy's tables and step control.  dense=True
+    builds the continuous solution `sol`, at three more RHS calls per step.
     """
     if N == 1:
         acc = source
@@ -857,7 +796,7 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, method: str, rtol: f
         events.append(lambda u, du: cap - u)
     if blowup is not None:
         events.append(lambda u, du: blowup - max(abs(u), abs(du)))
-    return _runge_kutta(_PAIRS[method], acc, r_start, y0, r_end, rtol, atol, events, dense)
+    return _runge_kutta(acc, r_start, y0, r_end, rtol, atol, events, dense)
 
 
 def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
@@ -879,7 +818,7 @@ def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
 
     r_start, y0 = series_start(rhs, u0, N, 1e-6 * r_max, du0)
     rtol = max(tol, 1e-13)
-    sol = shoot(rhs, N, r_start, y0, r_max, "RK45", rtol, rtol * 1e-3,
+    sol = shoot(rhs, N, r_start, y0, r_max, rtol, rtol * 1e-3,
                 blowup=blowup_threshold, dense=True)
     if sol.status == -1:
         raise NumericsError(f"radial IVP integrator failed: {sol.message}")

@@ -285,8 +285,7 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
     y0 = (coef * t0 ** beta, coef * beta * t0 ** (beta - 1.0))
 
     grid = np.geomspace(t0 * 2.0, t_max, n_points)
-    sol = shoot(lambda t, h, dh: g_call(h), 1, t0, y0, t_max, "RK45", tol, tol * 1e-2,
-                dense=True)
+    sol = shoot(lambda t, h, dh: g_call(h), 1, t0, y0, t_max, tol, tol * 1e-2, dense=True)
     if not sol.success:
         raise ValueError(f"profile ODE integration failed: {sol.message}")
     vals = sol.sol(grid)

@@ -647,8 +647,8 @@ def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
         # blow-up boundary is steeply sensitive to the slope.  A level
         # solution stays below its boundary value; rising past 1.5 n means
         # the slope was too shallow.
-        return tally.add(shoot(rhs, N, r_start, (n, -sigma), r_span, "DOP853", 1e-10,
-                               1e-12 * n, floors=(0.0,), cap=1.5 * n, dense=dense))
+        return tally.add(shoot(rhs, N, r_start, (n, -sigma), r_span, 1e-10, 1e-12 * n,
+                               floors=(0.0,), cap=1.5 * n, dense=dense))
 
     def zero_location(sigma):
         sol = integrate(sigma)
@@ -678,7 +678,7 @@ def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket,
 
     def integrate(s, dense=False):
         start, y0 = series_start(rhs, s, N, 1e-8 * R)
-        return tally.add(shoot(rhs, N, start, y0, R, "DOP853", 1e-10, 1e-12 * max(n, 1.0),
+        return tally.add(shoot(rhs, N, start, y0, R, 1e-10, 1e-12 * max(n, 1.0),
                                cap=10.0 * n, dense=dense))
 
     def endpoint(s):

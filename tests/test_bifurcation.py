@@ -7,6 +7,8 @@ from scipy.special import jv
 
 from sel_lab import bifurcation
 from sel_lab.bifurcation import (
+    N_PROBES,
+    S_MAX_PROBE,
     LEFProblem,
     gelfand_reduced_source,
     gelfand_solvable,
@@ -97,10 +99,11 @@ class TestEigenvalues:
         assert lambda_inf_1(3, 0.5) == pytest.approx(4.0 * math.pi ** 2, abs=1e-6)
 
     def test_counts_every_shot_and_reads_dense_output_once(self, monkeypatch):
-        shots = []
+        shots, lams = [], []
 
         def counted(*args, **kwargs):
             shots.append((kwargs["dense"], shoot(*args, **kwargs)))
+            lams.append(-args[0](0.0, 1.0, 0.0))  # the source is -lambda u
             return shots[-1][1]
 
         monkeypatch.setattr(bifurcation, "shoot", counted)
@@ -109,6 +112,8 @@ class TestEigenvalues:
         assert eig.steps_accepted == sum(sol.steps_accepted for _, sol in shots)
         assert eig.steps_rejected == sum(sol.steps_rejected for _, sol in shots)
         assert [dense for dense, _ in shots] == [False] * (len(shots) - 1) + [True]
+        # the search never shoots a lambda twice
+        assert len(set(lams[:-1])) == len(shots) - 1
 
     def test_interval_mode_requires_1d(self):
         with pytest.raises(ValueError):
@@ -156,7 +161,7 @@ class TestSolveLEF:
         shots = []
 
         def counted(*args, **kwargs):
-            shots.append(kwargs["dense"])
+            shots.append((kwargs["dense"], args[3]))
             return shoot(*args, **kwargs)
 
         monkeypatch.setattr(bifurcation, "shoot", counted)
@@ -164,6 +169,9 @@ class TestSolveLEF:
                           a_pot=ScalarFn.from_source("1"))
         assert solve_lef(prob).classification == "bounded"
         assert len(shots) <= 20
+        # no slope is shot twice: the start (u, u') at x = 1e-6 is set by the slope
+        starts = [y0 for dense, y0 in shots if not dense]
+        assert len(set(starts)) == len(starts)
 
     @pytest.mark.parametrize("geometry,N,a", [("interval", 1, "1"), ("ball", 3, "1"),
                                               ("ball", 2, "1+t")])
@@ -305,6 +313,27 @@ class TestGelfandBall:
         assert bratu_1d_sweep.status == ["solved"] * 3 + ["no-solution"]
         assert bratu_1d_sweep.lam_star_bracket == (0.87, 0.9)
         assert bratu_1d_sweep.monotone_centers
+
+    @pytest.mark.parametrize("N, lam", [(3, 3.0), (1, 0.9)])
+    def test_failed_probes_have_no_zero_location(self, f_exp, N, lam):
+        # past s ~ 890 the source lam e^u overflows its saturation and the
+        # shot stops at the minimum step: a failed probe, not a zero
+        zero_location, integrate = bifurcation._shooting_map(
+            LEFProblem(N=N, geometry="ball", lam=lam, f=f_exp))
+        failed = 0
+        for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES):
+            sol = integrate(float(s))
+            z = zero_location(float(s))[0]
+            assert math.isnan(z) == (sol is not None and not sol.success)
+            failed += math.isnan(z)
+        assert failed >= 16
+
+    def test_n1_no_solution_reports_failed_probes(self, f_exp):
+        sol = solve_lef(LEFProblem(N=1, geometry="ball", lam=0.9, f=f_exp))
+        assert sol.classification == NO_SOLUTION
+        zeros = [z for _, z in sol.metadata["probe_table"]]
+        assert sol.metadata["failed_probes"] == sum(map(math.isnan, zeros)) >= 16
+        assert sol.metadata["sup_zero_location"] == max(z for z in zeros if not math.isnan(z))
 
     def test_n3_sweep_brackets_threshold(self, f_exp):
         diagram = sweep(LEFProblem(N=3, geometry="ball", f=f_exp), [2.0, 2.5, 3.0, 3.5])

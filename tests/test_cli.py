@@ -465,7 +465,8 @@ g = "t^(-1/2)"
 a = "1"
 """)
         assert code == 0
-        assert "classification=no-solution" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "classification=no-solution" in out and "failed_probes=0" in out
         lines = open(os.path.join(outdir, "lef_probes.csv")).read().splitlines()
         assert lines[0] == "s,zero_location"
         assert len(lines) >= 61
