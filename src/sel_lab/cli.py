@@ -30,7 +30,7 @@ from . import numerics as _num
 from . import profile as _prof
 from . import radial as _rad
 from .expr import ParseError, ScalarFn, parse_expression
-from .ioutil import atomic_write_text, fmt, write_csv
+from .ioutil import atomic_write_text, write_csv
 
 SECTIONS = ("problem", "functions", "numerics", "output")
 
@@ -172,7 +172,7 @@ def _summary_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return fmt(v)
+        return repr(float(v)).removesuffix(".0")  # shortest string that reads back as v
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(_summary_value(x) for x in v) + "]"
     return str(v)
@@ -382,7 +382,8 @@ def _cmd_solve_entire(spec, outdir):
            "growth_bound_ok": sol.metadata["growth_bound_ok"],
            "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
            "u_end": float(sol.u[-1]), "csv": csv}
-    for key in ("large_condition", "b_star", "ordering_ok", "plateau_drift"):
+    for key in ("large_condition", "large_condition_error", "b_star", "ordering_ok",
+                "ordering_error", "plateau_drift"):
         if key in sol.metadata:
             out[key] = sol.metadata[key]
     return out

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expn
 
 from .expr import ScalarFn
 from .karamata import Antiderivative, Nonlinearity, keller_osserman
@@ -184,56 +185,64 @@ def check_slow_variation(pot: RadialPotential, tol: float = 1e-8):
     return verdict
 
 
-def _scaled_inner(psi_call, N: int):
-    """J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds, computed stably.
+_SERIES_FROM = 600.0  # K_N's switch to the series, before E_n(s) nears subnormals (s ~ 703)
 
-    The substitution s = t - x turns the exponential weight into e^-x, so
-    only the last ~60 units of the inner range contribute.
+
+def _large_condition_kernel(N: int):
+    """K_N(s) = e^s s^(N-1) int_max(1,s)^inf e^-t t^(1-N) dt, which tends to 1.
+
+    With n = N - 1 (Abramowitz & Stegun 5.1.4): s e^s E_n(s) for s >= 1 and
+    e^s s^n E_n(1) below 1.  From _SERIES_FROM on, s e^s E_n(s) is the series
+    sum_k (-1)^k (n)_k / s^k (A&S 5.1.51), stopped at its smallest term or
+    where the terms fall below the rounding of the sum.
     """
+    n = N - 1
+    head = float(expn(n, 1.0))
 
-    def J(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t < 1e-4:
-            return psi_call(0.0) * t / N  # small-t series
-        x_hi = min(t, 60.0)
+    def K(s: float) -> float:
+        if s < 1.0:
+            return math.exp(s) * s ** n * head
+        if s < _SERIES_FROM:
+            return s * math.exp(s) * float(expn(n, s))
+        total, term, k = 1.0, 1.0, n
+        while True:
+            nxt = -term * k / s
+            if not 1e-17 <= abs(nxt) < abs(term):
+                return total
+            term, total, k = nxt, total + nxt, k + 1
 
-        def integrand(x):
-            s = t - x
-            if s < 0.0:
-                return 0.0
-            return math.exp(-x) * (s / t) ** (N - 1) * psi_call(s)
-
-        v, _ = integrate_finite(integrand, 0.0, x_hi, 1e-10)
-        return v
-
-    return J
+    return K
 
 
 def check_large_condition(psi_env, N: int, tol: float = 1e-8):
     """Classify the outer weighted integral that gates entire large solutions.
 
     int_1^inf e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds dt = inf holds iff
-    entire large solutions of the gradient problem exist.  When convergent,
-    the elementary bound outer <= (N-2)^-1 int_0^inf t psi(t) dt is
-    evaluated as a cross-check and reported in the diagnostics.
+    entire large solutions of the gradient problem exist.  As psi >= 0 the
+    order of integration swaps (Tonelli) into int_0^inf psi K_N ds with
+    K_N -> 1 (_large_condition_kernel), so the verdict reads psi's own tail:
+    the tail from 1 is classified and, when convergent, the [0, 1] head,
+    where K_N = e^s s^(N-1) E_(N-1)(1), is added.  The elementary bound
+    outer <= (N-2)^-1 int_0^inf t psi(t) dt is then a cross-check reported
+    in the diagnostics.
     """
     if N < 3:
         raise ValueError("the gradient problem lives in dimension N >= 3")
     psi_call = psi_env.fast() if isinstance(psi_env, ScalarFn) else psi_env
-    J = _scaled_inner(psi_call, N)
-    verdict = classify_tail_integral(J, 1.0, tol)
-    if verdict.is_convergent and verdict.value > 0.0:
+    K = _large_condition_kernel(N)
+    verdict = classify_tail_integral(lambda s: psi_call(s) * K(s), 1.0, tol)
+    if not verdict.is_convergent:
+        return verdict
+    head, e_head = integrate_finite(lambda s: psi_call(s) * K(s), 0.0, 1.0, tol)
+    value, diag = verdict.value + head, dict(verdict.diagnostics)
+    if value > 0.0:
         bound_tail = classify_tail_integral(lambda t: t * psi_call(t), 1.0, tol)
         if bound_tail.is_convergent:
             head, _ = integrate_finite(lambda t: t * psi_call(t), 0.0, 1.0, tol)
             bound = (head + bound_tail.value) / (N - 2.0)
-            diag = dict(verdict.diagnostics)
             diag["elementary_bound"] = bound
-            diag["bound_holds"] = bool(verdict.value <= bound * (1.0 + 1e-6))
-            verdict = type(verdict)(verdict.status, verdict.value, verdict.err,
-                                    verdict.slope, diag)
-    return verdict
+            diag["bound_holds"] = bool(value <= bound * (1.0 + 1e-6))
+    return type(verdict)(verdict.status, value, verdict.err + e_head, verdict.slope, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +404,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     try:
         large_cond = check_large_condition(psi_call, N)
         metadata["large_condition"] = large_cond.status
-    except Exception as exc:  # classification is advisory here
+    except NumericsError as exc:  # a quadrature failure leaves the class undetermined
         metadata["large_condition_error"] = str(exc)
 
     half = _cubic_read(t, w, R / 2.0)
@@ -429,7 +438,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 w_run, _, _ = _picard_gradient_run(psi_vals, f_vec,
                                                    b_star * (1.0 + 1e-9), t, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
-        except Exception as exc:
+        except NumericsError as exc:
             metadata["ordering_error"] = str(exc)
 
     return RadialSolution(dimension=N, r=t, u=w, classification=classification,

@@ -3,9 +3,10 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from sel_lab.cli import ConfigError, main, parse_config
+from sel_lab.cli import ConfigError, _summary_value, main, parse_config
 
 
 def write_cfg(tmp_path, text, name="problem.cfg"):
@@ -186,6 +187,16 @@ f = "t"
         assert code == 3
         diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
         assert "Keller-Osserman" in diag["error"]
+
+
+class TestSummaryFormat:
+    def test_floats_print_as_the_shortest_round_trip_string(self):
+        assert _summary_value([0.87, 0.9]) == "[0.87,0.9]"
+        assert _summary_value([3.0, 3.5]) == "[3,3.5]"
+        assert _summary_value(np.float64(0.1)) == "0.1"
+        for x in (20.190728556426624, 1e-300, 2.0 / 3.0, -0.0, math.inf):
+            assert float(_summary_value(x)) == x
+        assert _summary_value(True) == "true" and _summary_value(3) == "3"
 
 
 class TestCommands:
@@ -420,6 +431,30 @@ panels = 512
         assert "classification=bounded" in out
         assert "growth_bound_ok=true" in out
         assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+", out)
+
+    def test_solve_entire_domain_error_in_the_large_condition(self, tmp_path, capsys):
+        # psi is defined on the mesh [0, 50] but not past 1000: the large
+        # condition's tail samples reach t = 1024, which is a numerical
+        # failure, not an undetermined classification
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = solve-entire
+N = 3
+R = 50
+
+[functions]
+f = "t^0.5"
+psi = "sqrt(1e3-t)"
+
+[numerics]
+panels = 256
+""")
+        assert code == 3
+        assert "classification=" not in capsys.readouterr().out
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error_type"] == "EvalDomainError"
+        assert diag["error"] == ("square root of a negative value in sqrt((1000.0 - t)) "
+                                 "at t=1024.0")
 
     def test_young(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """

@@ -2,15 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expn
 
 from sel_lab import radial
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import KFunction, analyze_nonlinearity
-from sel_lab.numerics import BOUNDED, ENTIRE_LARGE, UNDETERMINED, NumericsError, shoot
+from sel_lab.numerics import (
+    BOUNDED,
+    ENTIRE_LARGE,
+    UNDETERMINED,
+    NumericsError,
+    classify_tail_integral,
+    integrate_finite,
+    shoot,
+)
 from sel_lab.profile import VARIANT_K, VARIANT_SQRT_K, build_profile
 from sel_lab.radial import (
+    _SERIES_FROM,
     _graded_mesh,
     _green_kernel,
+    _large_condition_kernel,
     _volterra,
     LogisticProblem,
     RadialPotential,
@@ -82,6 +93,89 @@ class TestLargeCondition:
     def test_dimension_gate(self):
         with pytest.raises(ValueError):
             check_large_condition(ScalarFn.from_source("1"), 2)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_closed_form(self, k, N):
+        # psi = t^k e^-t: int_0^inf s^k e^-s K_N(s) ds = Gamma(k+2, 1)/(N+k),
+        # e.g. 2/(N e) for k = 0
+        upper_gamma = math.factorial(k + 1) / math.e * sum(
+            1.0 / math.factorial(j) for j in range(k + 2))
+        v = check_large_condition(ScalarFn.from_source(f"t^{k}*exp(-t)"), N)
+        assert v.is_convergent
+        assert v.value == pytest.approx(upper_gamma / (N + k), rel=1e-12)
+        assert v.diagnostics["bound_holds"]
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("psi", ["(1+t^2)^(-2)", "(1+t)^(-3)", "exp(-t)", "(1+t)^(-1.5)"])
+    def test_values_match_nested_quadrature(self, psi, N):
+        got = check_large_condition(ScalarFn.from_source(psi), N)
+        ref = _nested_large_condition(psi, N)
+        assert got.is_convergent and ref.is_convergent
+        assert got.value == pytest.approx(ref.value, rel=1e-10)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    @pytest.mark.parametrize("psi", ["1", "(1+t)^(-0.5)", "1/(1+t)"])
+    def test_verdicts_match_nested_quadrature(self, psi, N):
+        got = check_large_condition(ScalarFn.from_source(psi), N)
+        assert got.status == _nested_large_condition(psi, N).status
+
+    def test_weight_vanishing_past_one_keeps_its_head(self):
+        # psi = max(1 - t, 0): the tail from 1 is zero, the double integral is
+        # E_2(1) int_0^1 (1 - s) s^2 e^s ds = (3e - 8) E_2(1)
+        v = check_large_condition(ScalarFn.from_source("(1-t+abs(1-t))/2"), 3)
+        assert v.is_convergent
+        assert v.value == pytest.approx((3.0 * math.e - 8.0) * expn(2, 1.0), rel=1e-12)
+
+    def test_bound_check_can_fail(self, monkeypatch):
+        # a kernel ten times too large breaks outer <= (N-2)^-1 int t psi
+        kernel = radial._large_condition_kernel
+        monkeypatch.setattr(radial, "_large_condition_kernel",
+                            lambda N: (lambda s, K=kernel(N): 10.0 * K(s)))
+        v = check_large_condition(ScalarFn.from_source("(1+t)^(-3)"), 3)
+        assert v.is_convergent and not v.diagnostics["bound_holds"]
+
+    def test_domain_error_propagates(self):
+        # sqrt(1e3 - t) fails at the tail sample t = 1024
+        with pytest.raises(EvalDomainError, match=r"sqrt\(\(1000.0 - t\)\) at t=1024.0"):
+            check_large_condition(ScalarFn.from_source("sqrt(1e3-t)"), 3)
+
+
+def _nested_large_condition(psi_src: str, N: int, tol: float = 1e-8):
+    """Reference: int_1^inf J(t) dt classified as a nested quadrature, with
+    J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds by one adaptive inner
+    integral per outer node (s = t - x, so only the last ~60 units count)."""
+    psi = ScalarFn.from_source(psi_src).fast()
+
+    def J(t: float) -> float:
+        if t < 1e-4:
+            return psi(0.0) * t / N
+
+        def integrand(x):
+            s = t - x
+            return math.exp(-x) * (s / t) ** (N - 1) * psi(s) if s >= 0.0 else 0.0
+
+        return integrate_finite(integrand, 0.0, min(t, 60.0), 1e-10)[0]
+
+    return classify_tail_integral(J, 1.0, tol)
+
+
+class TestLargeConditionKernel:
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 9])
+    def test_continuous_at_one_and_at_the_series_switch(self, N):
+        K = _large_condition_kernel(N)
+        for s in (1.0, _SERIES_FROM):
+            below = K(math.nextafter(s, 0.0))
+            assert below == pytest.approx(K(s), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 9])
+    def test_tends_to_one(self, N):
+        K = _large_condition_kernel(N)
+        # s e^s E_n(s) = 1 - n/s + O(s^-2)
+        for s in (1e3, 1e5, 1e8, 1e150):
+            assert K(s) == pytest.approx(1.0 - (N - 1) / s, rel=0.0, abs=2.0 * N * N / s ** 2)
+        values = [K(s) for s in (1.0, 10.0, 100.0, 1e3, 1e6)]
+        assert all(a < b < 1.0 for a, b in zip(values, values[1:]))
 
 
 class TestVolterraKernels:
@@ -161,6 +255,30 @@ class TestPicardGradient:
         sol = picard_gradient_entire(pot, f_sqrt, 1.5, 30.0, 3, panels=1024)
         assert sol.metadata["b_star"] > 1.0
         assert sol.metadata["ordering_ok"]
+
+    def test_large_condition_domain_error_propagates(self, f_sqrt):
+        # psi is defined on the mesh [0, 50], not at the tail sample t = 1024
+        with pytest.raises(EvalDomainError, match=r"sqrt\(\(1000.0 - t\)\) at t=1024.0"):
+            picard_gradient_entire(ScalarFn.from_source("sqrt(1e3-t)"), f_sqrt, 1.0, 50.0,
+                                   3, panels=256)
+
+    def test_ordering_domain_error_propagates(self, f_sqrt):
+        pot = RadialPotential(
+            phi=ScalarFn.from_source("1/(t^2+2) + sqrt(1e3-t)*(1+t)^(-4)"),
+            psi=ScalarFn.from_source("1/(t^2+2)"), lam_N=1.0)
+        with pytest.raises(EvalDomainError, match=r"sqrt\(\(1000.0 - t\)\)"):
+            picard_gradient_entire(pot, f_sqrt, 1.5, 30.0, 3, panels=256)
+
+    def test_large_condition_quadrature_failure_is_recorded(self, f_sqrt, monkeypatch):
+        def fail(psi, N):
+            raise NumericsError("max subdivision exceeded without reaching tolerance")
+
+        monkeypatch.setattr(radial, "check_large_condition", fail)
+        sol = picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 20.0, 3,
+                                     panels=256)
+        assert sol.classification == UNDETERMINED
+        assert "large_condition" not in sol.metadata
+        assert sol.metadata["large_condition_error"].startswith("max subdivision")
 
     def test_b0_below_one_warns(self, f_sqrt):
         with pytest.warns(RuntimeWarning):
