@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ScalarFn
+from .expr import ScalarFn, compose_scalar, const
 from .ioutil import fmt, write_csv
 from .karamata import Nonlinearity
 from .numerics import (
@@ -229,30 +229,6 @@ class LEFProblem:
             return lambda1 / m
         return None
 
-    def rhs(self):
-        f_call = self.f.f.fast() if self.f is not None else (lambda u: 0.0)
-        g_call = self.g.f.fast() if self.g is not None else (lambda u: 0.0)
-        a_call = self.a_pot.fast() if self.a_pot is not None else (lambda r: 1.0)
-        K_call = self.K_pot.fast() if self.K_pot is not None else (lambda r: 1.0)
-        s_call = self.source.fast() if self.source is not None else (lambda r: 1.0)
-        lam, mu, p = self.lam, self.mu, self.grad_p
-        mode = self.mode
-
-        if mode == "absorption":
-            def rhs(r, u, du):
-                return lam * f_call(u) + a_call(r) * g_call(u)
-        elif mode == "two-param":
-            def rhs(r, u, du):
-                return lam * f_call(u) - K_call(r) * g_call(u) + mu * s_call(r)
-        elif mode == "convection":
-            def rhs(r, u, du):
-                return g_call(u) + lam * abs(du) ** p + mu * f_call(u)
-        else:
-            def rhs(r, u, du):
-                return lam * f_call(u) - K_call(r) * g_call(u) - abs(du) ** p
-
-        return rhs
-
 
 def _interval_start(prob: LEFProblem, source, s: float, eps: float, level: float):
     """Series start at x = eps for interval shooting from u(0) = level with slope s.
@@ -281,23 +257,45 @@ def _interval_start(prob: LEFProblem, source, s: float, eps: float, level: float
     return u, du
 
 
-def _clamped_source(rhs):
-    """minus the RHS with a positivity clamp below the epsilon cut.
+# The right-hand side of each mode over F = f(u), G = g(u), A = a(x),
+# K = K(x), S = source(x) and D = |u'|^p, with its terms in the order they
+# are evaluated.
+_LEF_RHS = {
+    "absorption": ("FAG", "lam * F + A * G"),
+    "two-param": ("FKGS", "lam * F - K * G + mu * S"),
+    "convection": ("GDF", "G + lam * D + mu * F"),
+    "convection-absorb": ("FKGD", "lam * F - K * G - D"),
+}
+
+
+def _lef_source(prob: LEFProblem):
+    """minus the RHS with a positivity clamp below the epsilon cut, as one
+    generated function of (r, u, u') with the user expressions inlined.
 
     Runge-Kutta stages can overshoot u slightly below the terminal events; the
-    singular term is evaluated at max(u, eps/100) there, which leaves the
-    dynamics above the cut untouched.  Non-finite right-hand sides are
-    saturated (the cap event terminates those trajectories anyway).
+    singular term is evaluated at max(u, eps/100) there (a nan u stays nan),
+    which leaves the dynamics above the cut untouched.  Non-finite right-hand
+    sides are saturated (the cap event terminates those trajectories anyway).
+    An absent f or g reads 0, an absent a, K or source 1.
     """
-    floor = EPS_BOUNDARY / 100.0
-
-    def source(r, u, du):
-        val = -rhs(r, max(u, floor), du)
-        if not math.isfinite(val):
-            val = -1e15 if val < 0.0 else 1e15
-        return val
-
-    return source
+    u = "_floor if u < _floor else u"  # max(u, _floor) without the call
+    terms = {
+        "F": ("F", prob.f.f.body if prob.f is not None else const(0.0), u),
+        "G": ("G", prob.g.f.body if prob.g is not None else const(0.0), u),
+        "A": ("A", prob.a_pot.body if prob.a_pot is not None else const(1.0), "r"),
+        "K": ("K", prob.K_pot.body if prob.K_pot is not None else const(1.0), "r"),
+        "S": ("S", prob.source.body if prob.source is not None else const(1.0), "r"),
+        "D": "D = abs(du) ** p",
+    }
+    order, rhs = _LEF_RHS[prob.mode]
+    lines = [terms[name] for name in order] + [
+        f"val = -({rhs})",
+        "if not _isfinite(val):",
+        "    val = -1e15 if val < 0.0 else 1e15",
+        "return val"]
+    return compose_scalar("r, u, du", lines, {
+        "lam": prob.lam, "mu": prob.mu, "p": prob.grad_p, "_floor": EPS_BOUNDARY / 100.0,
+        "_isfinite": math.isfinite})
 
 
 def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
@@ -314,10 +312,9 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
     (the step size falls below the spacing of floats) has none, nan.  The
     peak is the highest u on the solver's steps.
     """
-    rhs = prob.rhs()
     N, R = prob.N, prob.R
     r_cap = 3.0 * R
-    source = _clamped_source(rhs)
+    source = _lef_source(prob)
 
     def integrate(s, level=0.0, eps_b=EPS_BOUNDARY, dense=False):
         """The shot, or None when it starts at or below the level."""

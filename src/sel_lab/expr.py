@@ -434,37 +434,35 @@ _VECTOR_ENV = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt, "_atan": np.arc
                "_np": np, "_lanes": _lanes, "_shaped": _shaped}
 
 
-def _compile(ast: ExprAst, vector: bool = False):
-    """Generate the strict evaluator of `ast`; see compile_scalar.
+def _emit(ast: ExprAst, var: str, nodes: list, scalar: list, vec: list | None = None) -> str:
+    """Write the strict evaluation of `ast` at t = `var`; return the operand
+    that holds its value.
 
-    One walk over the tree writes two straight-line bodies: the scalar one
-    over Python floats and the vector one over numpy arrays, with the same
-    locals, the same checks from _CHECKS and the same node order.  A
-    vector check is a mask; when any lane fails it, the vector evaluator
-    returns the scalar evaluator run lane by lane, so the error (message,
-    node and t) is the scalar one.
+    The walk appends straight-line code to `scalar`, over Python floats,
+    and to `vec`, over numpy arrays, when one is given: one local v<k> per
+    operation node, k counting `nodes`, and the checks of _CHECKS in node
+    order.  A failing scalar check raises EvalDomainError with its node
+    and `var` as t; a failing vector check returns the scalar evaluator
+    `_f` run lane by lane.
     """
-    scalar = ["def _f(t):", "    t = float(t)"]
-    vec = ["def _fv(t):", "    t = _np.array(t, dtype=float)",
-           "    with _np.errstate(all='ignore'):"]
-    nodes: list[ExprAst] = []
-
     def emit(node: ExprAst) -> str:
         k = node.kind
         if k == "const":
             return _operand(node.value)
         if k == "var":
-            return "t"
+            return var
         ops = dict(zip("ab", (emit(c) for c in node.children)))
         for condition, message in _checks(node):
             condition = condition.format(**ops)
             scalar.append(f"    if {condition}:")
-            scalar.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], t)")
-            vec.append(f"        if _any({condition}): return _lanes(_f, t)")
+            scalar.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], {var})")
+            if vec is not None:
+                vec.append(f"        if _any({condition}): return _lanes(_f, t)")
         nodes.append(node)
         out = f"v{len(nodes)}"
         value = f"{out} = {_VALUE[k].format(**ops)}"
-        vec.append(f"        {value}")
+        if vec is not None:
+            vec.append(f"        {value}")
         if k == "exp":
             scalar.extend((f"    try: {out} = _exp({ops['a']})",
                            f"    except OverflowError: {out} = _INF"))
@@ -478,17 +476,70 @@ def _compile(ast: ExprAst, vector: bool = False):
             scalar.append(f"    {value}")
         return out
 
-    root = emit(ast)
+    return emit(ast)
+
+
+def _scalar_env(nodes: list) -> dict:
+    return {"_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
+            "_NAN": math.nan, **_SCALAR_ENV}
+
+
+def _compile(ast: ExprAst, vector: bool = False):
+    """Generate the strict evaluator of `ast`; see compile_scalar.
+
+    One walk over the tree (_emit) writes two straight-line bodies: the
+    scalar one over Python floats and the vector one over numpy arrays,
+    with the same locals, the same checks from _CHECKS and the same node
+    order.  A vector check is a mask; when any lane fails it, the vector
+    evaluator returns the scalar evaluator run lane by lane, so the error
+    (message, node and t) is the scalar one.
+    """
+    scalar = ["def _f(t):", "    t = float(t)"]
+    vec = ["def _fv(t):", "    t = _np.array(t, dtype=float)",
+           "    with _np.errstate(all='ignore'):"]
+    nodes: list[ExprAst] = []
+    root = _emit(ast, "t", nodes, scalar, vec)
     scalar.append(f"    return {root}")
     vec.append(f"        return _shaped({root}, t)")
-    env = {"_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
-           "_NAN": math.nan, **_SCALAR_ENV}
+    env = _scalar_env(nodes)
     exec(compile("\n".join(scalar), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
     if not vector:
         return env["_f"]
     env = {"_f": env["_f"], "_INF": math.inf, "_NAN": math.nan, **_VECTOR_ENV}
     exec(compile("\n".join(vec), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
     return env["_fv"]
+
+
+def compose_scalar(params: str, lines, env: dict):
+    """Generate one straight-line function of `params` with expressions inlined.
+
+    Each item of `lines` is a line of Python source (indented relative to
+    the body) or a term (name, ast, arg): the strict evaluation of ast at
+    t = float(arg), which binds its value to the local `name`.  An inlined
+    term runs the code of ast's compile_scalar evaluator, checks, exp and
+    pow overflow included, and raises EvalDomainError with its own node and
+    t.  arg is an expression over the parameters; it is evaluated and
+    converted once, at the first term that reads it, so a line must not
+    rebind what it reads.  The generated locals are v<k> and t<k>; env
+    binds every other free name of the lines.
+    """
+    body: list[str] = []
+    nodes: list[ExprAst] = []
+    converted: dict[str, str] = {}
+    for line in lines:
+        if isinstance(line, str):
+            body.append(f"    {line}")
+            continue
+        name, ast, arg = line
+        var = converted.get(arg)
+        if var is None and ast.kind != "const":  # a constant reads no t
+            var = converted[arg] = f"t{len(converted)}"
+            body.append(f"    {var} = float({arg})")
+        body.append(f"    {name} = {_emit(ast, var, nodes, body)}")
+    scope = {**env, **_scalar_env(nodes)}
+    source = "\n".join([f"def _composed({params}):"] + body)
+    exec(compile(source, "<sel_lab composed source>", "exec"), scope)  # noqa: S102 - own codegen
+    return scope["_composed"]
 
 
 def compile_scalar(ast: ExprAst):

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import DOP853, quad
 from scipy.optimize import brentq
 
+from .expr import EvalDomainError
 from .ioutil import write_csv
 
 # Slope band half-width for the +-1 borderline of the classifiers.
@@ -309,13 +310,16 @@ def _fit_slope(ts, fs, count: int = 10) -> float:
 def _log_substituted(fn):
     """g(w) = fn(e^w) e^w, the integrand after t = e^w.
 
-    Points where fn fails or is not finite contribute 0: beyond the sampled
-    range the integrand may degenerate in float arithmetic, and the
-    caller's power-law remainder bound covers them.
+    Points where fn overflows or is not finite contribute 0: beyond the
+    sampled range the integrand may degenerate in float arithmetic, and the
+    caller's power-law remainder bound covers them.  A point outside fn's
+    domain (EvalDomainError) is a failure, not a zero, and propagates.
     """
     def g(w):
         try:
             v = fn(math.exp(w))
+        except EvalDomainError:
+            raise
         except (OverflowError, ValueError, ZeroDivisionError):
             return 0.0
         return v * math.exp(w) if math.isfinite(v) else 0.0
@@ -324,9 +328,12 @@ def _log_substituted(fn):
 
 
 def _cap_value(fn, t_cap: float) -> float:
-    """fn at the cut-off of a log-substituted integral; 0 if it fails or is not finite."""
+    """fn at the cut-off of a log-substituted integral; 0 if it fails in float
+    arithmetic or is not finite.  An EvalDomainError propagates."""
     try:
         f_cap = fn(t_cap)
+    except EvalDomainError:
+        raise
     except Exception:
         return 0.0
     return f_cap if f_cap and math.isfinite(f_cap) else 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expn
 
-from .expr import ScalarFn
+from .expr import ScalarFn, compose_scalar
 from .karamata import Antiderivative, Nonlinearity, keller_osserman
 from .numerics import (
     BOUNDARY_BLOWUP,
@@ -632,14 +632,10 @@ def _extrapolate_levels(levels: np.ndarray):
 
 
 def _level_rhs(prob: LogisticProblem):
-    b_call = prob.b.fast()
-    f_call = prob.f.f.fast()
-    a = prob.a_lin
-
-    def rhs(r, u, du):
-        return b_call(r) * f_call(u) - a * u
-
-    return rhs
+    """b(r) f(u) - a u, the level problems' right-hand side, as one generated
+    function of (r, u, u') with b and f inlined."""
+    return compose_scalar("r, u, du", [("B", prob.b.body, "r"), ("F", prob.f.f.body, "u"),
+                                       "return B * F - a * u"], {"a": prob.a_lin})
 
 
 def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,

@@ -653,3 +653,33 @@ R = 1.0
         a = open(os.path.join(out1, "eigen.csv"), "rb").read()
         b = open(os.path.join(out2, "eigen.csv"), "rb").read()
         assert a == b
+
+
+@pytest.mark.parametrize("mode, printed", [
+    ("two-param", "classification=no-solution sup_zero_location=3.199928727940908 "
+                  "failed_probes=0"),
+    ("convection", "classification=bounded sup_norm=0.32968186115974374 "
+                   "center_value=0.32968186060815396 c1=1.1291306356517536 "
+                   "c2=1.6897836063549032"),
+    ("convection-absorb", "classification=no-solution sup_zero_location=8.225035821518755 "
+                          "failed_probes=0"),
+])
+def test_lef_modes_on_the_interval(tmp_path, capsys, mode, printed):
+    code, outdir = run_cli(tmp_path, f"""
+[problem]
+command = lef
+N = 1
+geometry = interval
+lambda = 1
+mu = 1
+grad_p = 1
+mode = {mode}
+
+[functions]
+f = "t"
+g = "t^(-0.5)"
+K = "1"
+source = "1"
+""")
+    assert code == 0
+    assert f"command=lef {printed} csv=" in capsys.readouterr().out

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sel_lab import bifurcation, radial
+from sel_lab import bifurcation, numerics, radial
 from sel_lab.bifurcation import N_PROBES, S_MAX_PROBE, LEFProblem
-from sel_lab.expr import ScalarFn
+from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
     BOUNDARY_BLOWUP,
@@ -508,3 +508,18 @@ def test_radial_solution_csv_roundtrip(tmp_path):
     text = path.read_text()
     assert text.startswith("# classification=bounded")
     assert "r,u,u_prime" in text
+
+
+def test_tail_domain_error_past_the_samples_propagates():
+    # psi is defined up to 1e20, far past the last geometric sample (2^48),
+    # so only the log-substituted tail integral reaches its failing points
+    psi = ScalarFn.from_source("sqrt(1e20-t)*(1+t)^(-3)").fast()
+    with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t="):
+        classify_tail_integral(psi, 1.0)
+    with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t=5.18"):
+        numerics._log_substituted(psi)(50.0)
+    with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t=1e\+21"):
+        numerics._cap_value(psi, 1e21)
+    # a failure in float arithmetic still reads as a zero
+    assert numerics._log_substituted(lambda t: math.log(-t))(0.0) == 0.0
+    assert numerics._cap_value(lambda t: 1.0 / 0.0, 1e21) == 0.0

@@ -544,3 +544,9 @@ def test_rate_roundtrip_on_predicted_solution(f_cubic):
     rate = measure_boundary_rate(sol, profile)
     assert np.max(np.abs(rate.ratio_xi0h - 1.0)) < 1e-9
     assert rate.limit == pytest.approx(1.0, abs=1e-9)
+
+
+def test_large_condition_domain_error_past_the_samples_propagates():
+    # psi is undefined past 1e20, beyond the tail classifier's last sample
+    with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t="):
+        check_large_condition(ScalarFn.from_source("sqrt(1e20-t)*(1+t)^(-3)"), 3)
