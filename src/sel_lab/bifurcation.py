@@ -15,17 +15,16 @@ to an absorption problem, and the Young-inequality constant handles
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .expr import ScalarFn, compose_scalar, const
+from .expr import EvalDomainError, ScalarFn, compose_scalar, const
 from .ioutil import fmt, write_csv
 from .karamata import Nonlinearity
 from .numerics import (
     BOUNDED,
     NO_SOLUTION,
-    BracketError,
     NumericsError,
     RadialSolution,
     ShotTally,
@@ -298,9 +297,10 @@ def _lef_source(prob: LEFProblem):
         "_isfinite": math.isfinite})
 
 
-def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
+def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None, u_cap: float = 1e9):
     """Return zero_location(s, level) -> (where the solution returns to the
-    boundary value level, peak height above it), and the shot itself.
+    boundary value level, peak height above it), and the shot itself; the
+    shots are counted in tally when one is given.
 
     level = 0 is the singular problem and level = 1/k its regularization
     with u = 1/k on the boundary; s is the center value on the ball and
@@ -324,8 +324,9 @@ def _shooting_map(prob: LEFProblem, u_cap: float = 1e9):
             start, y0 = 1e-6, _interval_start(prob, source, s, 1e-6, level)
         if y0[0] <= level:
             return None
-        return shoot(source, N, start, y0, r_cap, 1e-10, 1e-13 * max(1.0, s),
-                     floors=(level + eps_b, level), cap=u_cap, dense=dense)
+        sol = shoot(source, N, start, y0, r_cap, 1e-10, 1e-13 * max(1.0, s),
+                    floors=(level + eps_b, level), cap=u_cap, dense=dense)
+        return sol if tally is None else tally.add(sol)
 
     def zero_location(s, level=0.0, eps_b=EPS_BOUNDARY):
         sol = integrate(s, level, eps_b)
@@ -367,10 +368,13 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     options={'check_eps_sensitivity': True} records the drift of the zero
     when the cut is halved; options={'regularization_levels': [k, ...]}
     solves the problems with u = 1/k on the boundary, on either geometry,
-    and checks that they decrease pointwise in k.
+    and checks that they decrease pointwise in k.  The metadata counts the
+    shots of the whole solve with their accepted and rejected steps and
+    right-hand-side calls.
     """
     options = dict(options or {})
-    zero_location, integrate = _shooting_map(prob)
+    tally = ShotTally()
+    zero_location, integrate = _shooting_map(prob, tally)
     R = prob.R
 
     def bracket_in(points):
@@ -416,7 +420,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
             dimension=prob.N, r=np.array([0.0, R]), u=np.zeros(2),
             classification=NO_SOLUTION,
             metadata={"probe_table": probes, "sup_zero_location": max(zeros, default=math.nan),
-                      "failed_probes": len(probes) - len(zeros)},
+                      "failed_probes": len(probes) - len(zeros), **asdict(tally)},
         )
 
     sol = integrate(s_star, dense=True)
@@ -468,6 +472,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         }
         metadata["regularized_values"] = values
 
+    metadata.update(asdict(tally))
     return RadialSolution(dimension=prob.N, r=grid, u=u, du=du,
                           classification=BOUNDED, metadata=metadata)
 
@@ -500,7 +505,9 @@ def sweep(prob_template: LEFProblem, lam_grid) -> BifurcationDiagram:
 
     lam_star_bracket is (last solved, first no-solution); no interpolation
     beyond the bracket is claimed.  Center values must be strictly
-    increasing along the solved branch.
+    increasing along the solved branch.  A point whose solve fails
+    numerically is "failed"; an EvalDomainError (an expression undefined
+    where it is shot) propagates.
     """
     lam_grid = list(float(x) for x in lam_grid)
     if any(b <= a for a, b in zip(lam_grid, lam_grid[1:])):
@@ -512,7 +519,9 @@ def sweep(prob_template: LEFProblem, lam_grid) -> BifurcationDiagram:
         prob = dataclasses.replace(prob_template, lam=lam)
         try:
             sol = solve_lef(prob)
-        except (NumericsError, BracketError, ValueError):
+        except EvalDomainError:
+            raise  # a problem undefined where it is shot is not a failed point
+        except (NumericsError, ValueError):
             status.append("failed")
             sups.append(None)
             centers.append(None)

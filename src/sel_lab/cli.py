@@ -551,13 +551,15 @@ def _cmd_lef(spec, outdir):
         write_csv(os.path.join(outdir, csv), "s,zero_location", sol.metadata["probe_table"])
         out["sup_zero_location"] = sol.metadata["sup_zero_location"]
         out["failed_probes"] = sol.metadata["failed_probes"]
-        out["csv"] = csv
-        return out
-    csv = spec.get("output", "csv", "lef.csv")
-    sol.to_csv(os.path.join(outdir, csv))
-    out.update({"sup_norm": sol.metadata["sup_norm"],
-                "center_value": sol.metadata["center_value"],
-                "c1": sol.metadata["c1"], "c2": sol.metadata["c2"], "csv": csv})
+    else:
+        csv = spec.get("output", "csv", "lef.csv")
+        sol.to_csv(os.path.join(outdir, csv))
+        out.update({"sup_norm": sol.metadata["sup_norm"],
+                    "center_value": sol.metadata["center_value"],
+                    "c1": sol.metadata["c1"], "c2": sol.metadata["c2"]})
+    out["csv"] = csv
+    out.update((key, sol.metadata[key])
+               for key in ("shots", "steps_accepted", "steps_rejected", "rhs_calls"))
     return out
 
 

@@ -5,11 +5,15 @@ panel rule that falls back to it, improper-integral convergence
 classification (tail and origin), bracketed root finding, and the radial
 shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
 with terminal floor, cap and blow-up events.  Every ODE solve of the package
-goes through it: one plain-float Runge-Kutta driver runs every shot on
-DOP853, with stage code generated from scipy's tables, and returns a
-`ShotResult` with its step counts.  `series_start` steps past the (N-1)/r
-origin singularity, and `integrate_radial_ivp` builds graded solutions on
-top of both.
+goes through it, on DOP853 over plain floats.  The whole step loop (stages,
+error norm, step control, the drift (N-1)/r u' and four event slots: floor
+0, floor 1, cap, blow-up) is one function generated at import from scipy's
+tables, one for N = 1 and one for N >= 2; it calls the problem's source and
+returns to Python only at the end of the interval, at the minimum step or
+on a step where an event fires.  `shoot` then locates the event and returns
+a `ShotResult` with its step and RHS-call counts.  `series_start` steps past
+the (N-1)/r origin singularity, and `integrate_radial_ivp` builds graded
+solutions on top of both.
 
 All functions here are pure over immutable inputs; no global state.
 """
@@ -508,15 +512,24 @@ def series_start(source, u0: float, N: int, eps: float, du0: float = 0.0):
 
 # The explicit Runge-Kutta pair as scipy runs it: DOP853 (Dormand-Prince
 # 8(5,3), Hairer-Norsett-Wanner II.10, with degree-7 dense output from three
-# extra stages).  Its tables are read from scipy's class, and the stage
-# arithmetic is generated once, at import, as straight-line code over Python
-# floats.
+# extra stages).  Its tables are read from scipy's class, and the whole step
+# loop (stages, error norm, step control, drift and events) is generated
+# once, at import, as straight-line code over Python floats.
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2 ** 0.5
 # scipy's result messages, by status
 _MESSAGES = {-1: "Required step size is less than spacing between numbers.",
              0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred."}
+_STAGES = DOP853.n_stages  # RHS calls of an attempted step: 12
+_DENSE_STAGES = len(DOP853.C_EXTRA)  # and of one step's interpolant: 3
+_ERROR_EXPONENT = 1 / (DOP853.error_estimator_order + 1)  # 1/8
+# The four event slots, in t_events order, as g(u, au = |u|, av = |u'|): u
+# falls to floor 0 or 1, rises to the cap, max(|u|, |u'|) reaches the blow-up
+# level.  An absent slot's level is -inf (floors) or +inf: its g is never <= 0.
+# The step loop writes max(a, b) as the builtin evaluates it, b if b > a else
+# a, and min(a, b) as b if b < a else a, nan included.
+_GATES = ("{u} - lo0", "{u} - lo1", "cap - {u}", "blow - ({av} if {av} > {au} else {au})")
 
 
 def _weighted(coefs, names) -> str:
@@ -524,78 +537,149 @@ def _weighted(coefs, names) -> str:
     return " + ".join(f"{c!r} * {x}" for c, x in zip(coefs, names) if c)
 
 
-def _stage_lines(rows, nodes, ku, kv, first: int) -> list:
+def _slope_lines(f: str, r: str, u: str, v: str, drift: bool) -> list:
+    """Source of f = u'' at (r, u, u' = v): the source, less the drift
+    d/r u' (d = N - 1) for r > 0 when drift, with r taken once as rs."""
+    if not drift:
+        return [f"{f} = source({r}, {u}, {v})"]
+    return [f"rs = {r}", f"{f} = source(rs, {u}, {v})", "if rs > 0.0:",
+            f"    {f} -= d / rs * {v}"]
+
+
+def _stage_lines(rows, nodes, ku, kv, first: int, drift: bool) -> list:
     """Source of the stages first, first + 1, ...: stage i has the state
     (u_i, v_i) = y + (sum_k a_ik K_k) h and the slope K_i = (v_i, f_i),
     which is appended to the slope names ku, kv."""
     lines = []
     for i, (a, c) in enumerate(zip(rows, nodes), start=first):
-        r_stage = "r + h" if c == 1.0 else f"r + {c!r} * h"
-        lines += [f"    u{i} = u + ({_weighted(a, ku)}) * h",
-                  f"    v{i} = v + ({_weighted(a, kv)}) * h",
-                  f"    f{i} = acc({r_stage}, u{i}, v{i})"]
+        lines += [f"u{i} = u + ({_weighted(a, ku)}) * h",
+                  f"v{i} = v + ({_weighted(a, kv)}) * h",
+                  *_slope_lines(f"f{i}", "r + h" if c == 1.0 else f"r + {c!r} * h",
+                                f"u{i}", f"v{i}", drift)]
         ku.append(f"v{i}")
         kv.append(f"f{i}")
     return lines
 
 
-def _compile_pair():
-    """Generate (step, dense) from scipy's DOP853 tables.
+def _indent(lines, depth: int) -> list:
+    return ["    " * depth + line for line in lines]
 
-    step(acc, r, u, v, f, h, atol, rtol) -> (u_new, v_new, f_new,
-    error_norm, slopes) takes one step of size h from (r, u, v) with slope
-    (v, f); slopes are the stage slopes, u-parts then v-parts.  dense(acc,
-    r, u, h, u_new, slopes) -> (F rows of u, of v) of the step's
-    interpolant.  The u-slope of each stage is that stage's v.
+
+def _compile_kernel(drift: bool):
+    """Generate (run, slope, gates) for one drift class from scipy's DOP853
+    tables: u'' at (r, u, u' = v), the four event functions, and the step
+    loop.  run steps from (r, u, v) with slope f, trying h_next first, and
+    appends each accepted step's end to ts, us, vs and, when dense, its
+    interpolant (r, h, u, v, F rows of u, F rows of v) to steps.  It returns
+    (status, accepted, rejected, r_new, step, fired) at r_end (status 0),
+    at the minimum step (-1) or on a step where an event slot fires (1);
+    only then are the last three that step's end, its interpolant and the
+    four slots' flags, and the step's end is left to the caller.  The
+    u-slope of each stage is that stage's v.
     """
     ku, kv = ["v"], ["f"]
-    lines = ["def step(acc, r, u, v, f, h, atol, rtol):"]
-    lines += _stage_lines(DOP853.A[1:].tolist(), DOP853.C[1:].tolist(), ku, kv, 2)
+    stages = _stage_lines(DOP853.A[1:].tolist(), DOP853.C[1:].tolist(), ku, kv, 2, drift)
     b, e5, e3 = DOP853.B.tolist(), DOP853.E5.tolist(), DOP853.E3.tolist()
-    lines += [f"    u_new = u + h * ({_weighted(b, ku)})",
-              f"    v_new = v + h * ({_weighted(b, kv)})",
-              "    f_new = acc(r + h, u_new, v_new)",
-              "    su = atol + max(abs(u), abs(u_new)) * rtol",
-              "    sv = atol + max(abs(v), abs(v_new)) * rtol"]
+    stages += [f"u_new = u + h * ({_weighted(b, ku)})",
+               f"v_new = v + h * ({_weighted(b, kv)})",
+               *_slope_lines("f_new", "r + h", "u_new", "v_new", drift),
+               "au_new = abs(u_new)",
+               "av_new = abs(v_new)",
+               "su = atol + (au_new if au_new > au else au) * rtol",
+               "sv = atol + (av_new if av_new > av else av) * rtol"]
     ku.append("v_new")
     kv.append("f_new")
     # the fifth-order estimate corrected by the third-order one (HNW II.10):
     # |h| |e5|^2 / sqrt(2 (|e5|^2 + |e3|^2/100)), norms of e/scale as scipy takes them
-    lines += [f"    e5u = ({_weighted(e5, ku)}) / su",
-              f"    e5v = ({_weighted(e5, kv)}) / sv",
-              f"    e3u = ({_weighted(e3, ku)}) / su",
-              f"    e3v = ({_weighted(e3, kv)}) / sv",
-              "    n5 = _sqrt(e5u * e5u + e5v * e5v)",
-              "    n3 = _sqrt(e3u * e3u + e3v * e3v)",
-              "    n5 = n5 * n5",
-              "    n3 = n3 * n3",
-              "    error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
-    slopes = ", ".join(ku + kv)
-    lines += [f"    return u_new, v_new, f_new, error_norm, ({slopes})",
-              "",
-              "def dense(acc, r, u, h, u_new, slopes):",
-              f"    {slopes} = slopes"]
+    stages += [f"e5u = ({_weighted(e5, ku)}) / su",
+               f"e5v = ({_weighted(e5, kv)}) / sv",
+               f"e3u = ({_weighted(e3, ku)}) / su",
+               f"e3v = ({_weighted(e3, kv)}) / sv",
+               "n5 = _sqrt(e5u * e5u + e5v * e5v)",
+               "n3 = _sqrt(e3u * e3u + e3v * e3v)",
+               "n5 = n5 * n5",
+               "n3 = n3 * n3",
+               "error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
     # three extra stages, then scipy's F rows: y_new - y_old, h f_old - dy,
     # 2 dy - h (f_new + f_old) and h D K over all sixteen stages
-    lines += _stage_lines(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist(), ku, kv,
-                          len(ku) + 1)
+    interpolant = _stage_lines(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist(), ku, kv,
+                               len(ku) + 1, drift)
     rows = DOP853.D.tolist()
-    lines += [
-        "    du = u_new - u",
-        "    dv = v_new - v",
-        "    return ((du, h * v - du, 2 * du - h * (v_new + v), "
-        f"{', '.join(f'h * ({_weighted(d, ku)})' for d in rows)}),",
-        "            (dv, h * f - dv, 2 * dv - h * (f_new + f), "
+    interpolant += [
+        "du = u_new - u",
+        "dv = v_new - v",
+        "step = (r, h, u, v, (du, h * v - du, 2 * du - h * (v_new + v), "
+        f"{', '.join(f'h * ({_weighted(d, ku)})' for d in rows)}), "
+        "(dv, h * f - dv, 2 * dv - h * (f_new + f), "
         f"{', '.join(f'h * ({_weighted(d, kv)})' for d in rows)}))"]
-    env = {"_sqrt": math.sqrt}
-    exec(compile("\n".join(lines), "<sel_lab DOP853>", "exec"), env)  # noqa: S102 - own codegen
-    return env["step"], env["dense"]
+
+    def gate_exprs(u, au, av):
+        return [g.format(u=u, au=au, av=av) for g in _GATES]
+
+    exponent = -_ERROR_EXPONENT
+    crossed = [f"g{i} >= 0.0 >= g{i}_new" for i in range(len(_GATES))]
+    lines = [
+        "def slope(source, d, r, u, v):",
+        *_indent(_slope_lines("f", "r", "u", "v", drift), 1),
+        "    return f",
+        "",
+        "def gates(u, v, lo0, lo1, cap, blow):",
+        "    au = abs(u)",
+        "    av = abs(v)",
+        f"    return {', '.join(gate_exprs('u', 'au', 'av'))}",
+        "",
+        "def run(source, d, r, u, v, f, h_next, r_end, rtol, atol, lo0, lo1, cap, blow,",
+        "        dense, ts, us, vs, steps):",
+        "    accepted = rejected = 0",
+        "    au = abs(u)",
+        "    av = abs(v)",
+        *(f"    g{i} = {g}" for i, g in enumerate(gate_exprs("u", "au", "av"))),
+        "    while True:",
+        "        min_step = 10.0 * (_nextafter(r, _inf) - r)",
+        "        h = min_step if min_step > h_next else h_next",
+        "        step_rejected = False",
+        "        while True:",
+        "            if not h >= min_step:  # also a nan step, where scipy's loop never ends",
+        "                return -1, accepted, rejected, None, None, None",
+        "            r_new = r + h",
+        "            if r_end < r_new:",
+        "                r_new = r_end",
+        "            h = r_new - r",
+        *_indent(stages, 3),
+        "            if error_norm < 1.0:",
+        f"                factor = 10.0 if error_norm == 0.0 else 0.9 * error_norm ** {exponent!r}",
+        "                factor = factor if factor < 10.0 else 10.0",
+        "                h_next = h * (factor if factor < 1.0 or not step_rejected else 1.0)",
+        "                break",
+        f"            factor = 0.9 * error_norm ** {exponent!r}",
+        "            h *= factor if factor > 0.2 else 0.2",
+        "            step_rejected = True",
+        "            rejected += 1",
+        "        accepted += 1",
+        *(f"        g{i}_new = {g}"
+          for i, g in enumerate(gate_exprs("u_new", "au_new", "av_new"))),
+        f"        event = {' or '.join(crossed)}",
+        "        if dense or event:",
+        *_indent(interpolant, 3),
+        "            if dense:",
+        "                steps.append(step)",
+        "            if event:",
+        f"                return 1, accepted, rejected, r_new, step, ({', '.join(crossed)})",
+        *(f"        {x} = {x}_new" for x in ("r", "u", "v", "f", "au", "av", "g0", "g1", "g2",
+                                                "g3")),
+        "        ts.append(r)",
+        "        us.append(u)",
+        "        vs.append(v)",
+        "        if r >= r_end:",
+        "            return 0, accepted, rejected, None, None, None"]
+    env = {"_sqrt": math.sqrt, "_nextafter": math.nextafter, "_inf": math.inf}
+    code = compile("\n".join(lines), f"<sel_lab DOP853 drift={drift}>", "exec")
+    exec(code, env)  # noqa: S102 - own codegen
+    return env["run"], env["slope"], env["gates"]
 
 
-_STEP, _DENSE = _compile_pair()
-_STAGES = DOP853.n_stages  # RHS calls of an attempted step: 12
-_DENSE_STAGES = len(DOP853.C_EXTRA)  # and of one step's interpolant: 3
-_ERROR_EXPONENT = 1 / (DOP853.error_estimator_order + 1)  # 1/8
+# the kernels without (N = 1) and with the drift term (N >= 2)
+_KERNELS = {drift: _compile_kernel(drift) for drift in (False, True)}
 
 
 def _nested(coefs, x):
@@ -662,46 +746,60 @@ class ShotResult:
 
 @dataclass
 class ShotTally:
-    """Shots and steps summed over the shots of one search."""
+    """Shots, steps and right-hand-side calls summed over the shots of one
+    search."""
 
     shots: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
+    rhs_calls: int = 0
 
     def add(self, shot: ShotResult) -> ShotResult:
         self.shots += 1
         self.steps_accepted += shot.steps_accepted
         self.steps_rejected += shot.steps_rejected
+        self.rhs_calls += shot.nfev
         return shot
 
 
-def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
-    """Integrate u' = v, v' = acc(r, u, v) from (r0, y0) to r_end > r0.
+def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: float,
+          floors=(), cap: float | None = None, blowup: float | None = None,
+          dense: bool = False) -> ShotResult:
+    """Integrate u'' + (N-1)/r u' = source(r, u, u') from (r_start, y0) to r_end > r_start.
 
-    Mirrors scipy's DOP853 solver step for step (initial step, error
-    norm, step-size control, minimum step), so the results match scipy's
-    up to rounding.  Every event g(u, v) is terminal and fires when g falls
-    through zero on a step (g_old >= 0 >= g_new); it is located by brentq
-    on the step's interpolant, built only on such a step or for a dense
-    shot, and the earliest root ends the shot.  Squares are x * x, so an
-    overflow gives inf or nan and a rejected step rather than an exception.
+    The drift term is dropped at r = 0.  Terminal events, in t_events order:
+    u falls to each level in floors (at most two), u rises to cap,
+    max(|u|, |u'|) reaches blowup.  Every shot is a DOP853 (Dormand-Prince
+    8(5,3)) shot that mirrors scipy's solver step for step (initial step,
+    error norm, step-size control, minimum step), so the results match
+    scipy's up to rounding.  The step loop runs in one generated function
+    per drift class, with the drift and the four event slots inline; it
+    returns here only at r_end, at the minimum step (status -1, also for a
+    nan source) or on a step where an event falls through zero, which is
+    then located by brentq on the step's interpolant (the earliest root
+    ends the shot).  Squares are x * x, so an overflow gives inf or nan and
+    a rejected step rather than an exception.  dense=True builds the
+    continuous solution `sol`, at three more RHS calls per step.
     """
+    if len(floors) > 2:
+        raise ValueError("shoot takes at most two floors")
     u, v = float(y0[0]), float(y0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError("All components of the initial state `y0` must be finite.")
-    exponent = -_ERROR_EXPONENT
+    run, slope, gates = _KERNELS[N > 1]
+    d = N - 1
 
-    # the slope at the current point and the initial step (Hairer-Norsett-
-    # Wanner II.4, as scipy's select_initial_step)
-    r = r0
-    f = acc(r, u, v)
-    interval = r_end - r0
+    # the slope at the start and the initial step (Hairer-Norsett-Wanner
+    # II.4, as scipy's select_initial_step)
+    r = r_start
+    f = slope(source, d, r, u, v)
+    interval = r_end - r
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0 = math.sqrt((u / su) * (u / su) + (v / sv) * (v / sv)) / _SQRT2
     d1 = math.sqrt((v / su) * (v / su) + (f / sv) * (f / sv)) / _SQRT2
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     u1, v1 = u + h0 * v, v + h0 * f
-    du, dv = (v1 - v) / su, (acc(r + h0, u1, v1) - f) / sv
+    du, dv = (v1 - v) / su, (slope(source, d, r + h0, u1, v1) - f) / sv
     # h0 underflows to 0 when d1 is huge; the first step is then the minimum step
     d2 = math.sqrt(du * du + dv * dv) / _SQRT2 / h0 if h0 > 0.0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -709,101 +807,39 @@ def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense) -> ShotResult:
     else:
         h1 = (0.01 / max(d1, d2)) ** _ERROR_EXPONENT
     h_next = min(100 * h0, h1, interval)
-    nfev = 2
 
-    ts, us, vs = [r], [u], [v]
-    steps = []
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    g_old = [g(u, v) for g in events]
-    accepted = rejected = 0
-    status = None
-    while status is None:
-        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
-        h = max(h_next, min_step)
-        step_rejected = False
-        while True:
-            if not h >= min_step:  # also a nan step, where scipy's loop never ends
-                status = -1
-                break
-            r_new = min(r + h, r_end)
-            h = r_new - r
-            u_new, v_new, f_new, error_norm, slopes = _STEP(acc, r, u, v, f, h, atol, rtol)
-            nfev += _STAGES
-            if error_norm < 1.0:
-                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** exponent)
-                h_next = h * (min(1.0, factor) if step_rejected else factor)
-                break
-            h *= max(0.2, 0.9 * error_norm ** exponent)
-            step_rejected = True
-            rejected += 1
-        if status is not None:
-            break
-
-        accepted += 1
-        g_new = [g(u_new, v_new) for g in events]
-        active = [i for i, (before, after) in enumerate(zip(g_old, g_new))
-                  if before >= 0.0 >= after]
-        g_old = g_new
-        if dense or active:
-            step = (r, h, u, v, *_DENSE(acc, r, u, h, u_new, slopes))
-            nfev += _DENSE_STAGES
-            if dense:
-                steps.append(step)
-        r_old = r
-        r, u, v, f = r_new, u_new, v_new, f_new
-        if r >= r_end:
-            status = 0
-        if active:
-            root, i = min((brentq(lambda x, g=events[i]: g(*_interpolate_nested(step, x)),
-                                  r_old, r, xtol=4 * _EPS, rtol=4 * _EPS), i)
-                          for i in active)
-            r, (u, v) = root, _interpolate_nested(step, root)
-            t_events[i].append(root)
-            y_events[i].append((u, v))
-            status = 1
-        if dense and len(ts) > 1 and ts[-1] == r:
+    # slots[k] is the event slot of t_events[k]; absent slots never fire
+    levels = ((*floors, -math.inf, -math.inf)[:2]
+              + (math.inf if cap is None else cap, math.inf if blowup is None else blowup))
+    slots = [*range(len(floors)), *[2] * (cap is not None), *[3] * (blowup is not None)]
+    ts, us, vs, steps = [r], [u], [v], []
+    status, accepted, rejected, r_new, step, fired = run(
+        source, d, r, u, v, f, h_next, r_end, rtol, atol, *levels, dense, ts, us, vs, steps)
+    t_events = [[] for _ in slots]
+    y_events = [[] for _ in slots]
+    if status == 1:  # the earliest root on the step's interpolant ends the shot
+        root, k = min((brentq(lambda x, j=j: gates(*_interpolate_nested(step, x), *levels)[j],
+                              step[0], r_new, xtol=4 * _EPS, rtol=4 * _EPS), k)
+                      for k, j in enumerate(slots) if fired[j])
+        u, v = _interpolate_nested(step, root)
+        t_events[k].append(root)
+        y_events[k].append((u, v))
+        if dense and len(ts) > 1 and ts[-1] == root:
             steps.pop()
         else:
-            ts.append(r)
+            ts.append(root)
             us.append(u)
             vs.append(v)
 
+    interpolants = accepted if dense else status == 1
     return ShotResult(
         t=np.array(ts), y=np.array([us, vs]),
         t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events],
         sol=_DenseSolution(ts, steps) if dense and steps else None,
         status=status, message=_MESSAGES[status],
-        nfev=nfev, steps_accepted=accepted, steps_rejected=rejected)
-
-
-def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: float,
-          floors=(), cap: float | None = None, blowup: float | None = None,
-          dense: bool = False) -> ShotResult:
-    """Integrate u'' + (N-1)/r u' = source(r, u, u') from (r_start, y0) to r_end.
-
-    The drift term is dropped at r = 0.  Terminal events, in t_events order:
-    u falls to each level in floors, u rises to cap, max(|u|, |u'|) reaches
-    blowup.  Every shot is a DOP853 (Dormand-Prince 8(5,3)) shot run by the
-    plain-float driver with scipy's tables and step control.  dense=True
-    builds the continuous solution `sol`, at three more RHS calls per step.
-    """
-    if N == 1:
-        acc = source
-    else:
-        def acc(r, u, du):
-            val = source(r, u, du)
-            if r > 0.0:
-                val -= (N - 1) / r * du
-            return val
-
-    events = [lambda u, du, level=level: u - level for level in floors]
-    if cap is not None:
-        events.append(lambda u, du: cap - u)
-    if blowup is not None:
-        events.append(lambda u, du: blowup - max(abs(u), abs(du)))
-    return _runge_kutta(acc, r_start, y0, r_end, rtol, atol, events, dense)
+        nfev=2 + _STAGES * (accepted + rejected) + _DENSE_STAGES * interpolants,
+        steps_accepted=accepted, steps_rejected=rejected)
 
 
 def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,

@@ -19,7 +19,7 @@ from sel_lab.bifurcation import (
     sweep,
     young_constant,
 )
-from sel_lab.expr import ScalarFn
+from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import NO_SOLUTION, RadialSolution, shoot
 from sel_lab.radial import residual_on_table
@@ -273,6 +273,17 @@ class TestSweep:
                               a_pot=ScalarFn.from_source("0"), lam=1.0)
         with pytest.raises(ValueError):
             sweep(template, [2.0, 1.0])
+
+    def test_domain_error_propagates(self, f_linear, g_half):
+        # a = sqrt(0.5-x) is undefined past x = 0.5, which the interval shots
+        # cross: an EvalDomainError, not three failed points
+        template = LEFProblem(N=1, geometry="interval", f=f_linear, g=g_half,
+                              a_pot=ScalarFn.from_source("sqrt(0.5-t)"))
+        with pytest.raises(EvalDomainError) as err:
+            sweep(template, [0.5, 1.0, 2.0])
+        assert str(err.value) == ("square root of a negative value in sqrt((0.5 - t)) "
+                                  "at t=0.5010085380365554")
+        assert err.value.node == template.a_pot.body
 
 
 def bratu_1d_center(lam):

@@ -506,6 +506,44 @@ a = "1"
         assert lines[0] == "s,zero_location"
         assert len(lines) >= 61
 
+    def test_lef_reports_its_shots(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = lef
+N = 3
+geometry = ball
+lambda = 3
+
+[functions]
+f = "exp(t)"
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "center_value=0.9584223827511913" in out and "c2=1.4419378054768484" in out
+        summary = json.loads(open(os.path.join(outdir, "lef_summary.json")).read())
+        assert summary["shots"] > 60
+        assert summary["rhs_calls"] > 12 * (summary["steps_accepted"]
+                                            + summary["steps_rejected"])
+
+    def test_sweep_domain_error_exits_3(self, tmp_path):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = sweep
+N = 1
+geometry = interval
+lambda_grid = 0.5, 1, 2
+
+[functions]
+f = "t"
+g = "t^(-0.5)"
+a = "sqrt(0.5-t)"
+""")
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error_type"] == "EvalDomainError"
+        assert diag["error"] == ("square root of a negative value in sqrt((0.5 - t)) "
+                                 "at t=0.5010085380365554")
+
     def test_blowup_with_rate(self, tmp_path, capsys):
         code, outdir = run_cli(tmp_path, """
 [problem]
