@@ -69,14 +69,25 @@ class ProblemSpec:
     path: str
     data: dict = field(default_factory=dict)
 
-    def get(self, section: str, key: str, default=None, required: bool = False):
+    def get(self, section: str, key: str, default=None, required: bool = False,
+            kind=None):
+        """The value of [section] key, or default when it is absent.  kind
+        (float, int, or list for a list of numbers) converts a present
+        value; a value it does not fit is a ConfigError at the key's line."""
         entry = self.data.get(section, {}).get(key)
         if entry is None:
             if required:
                 raise ConfigError(f"missing required key '{key}' in [{section}] "
                                   f"for command {self.command}")
             return default
-        return entry[0]
+        value, lineno = entry
+        if kind is None or (kind is list and isinstance(value, list)):
+            return value
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if number and (kind is not int or isinstance(value, int) or value.is_integer()):
+            return [float(value)] if kind is list else kind(value)
+        expected = {int: "an integer", float: "a number", list: "a list of numbers"}[kind]
+        raise ConfigError(f"[{section}] {key} must be {expected}, not {value!r}", lineno)
 
     # the source text of a [functions] expression; validate() has parsed it
     expression = get
@@ -216,7 +227,7 @@ def _verdict_summary(v: _num.ConvergenceVerdict) -> dict:
 
 def _cmd_check_ko(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
-    tol = spec.get("numerics", "tol", 1e-8)
+    tol = spec.get("numerics", "tol", 1e-8, kind=float)
     nl = _ka.analyze_nonlinearity(f_src)
     verdict = _ka.keller_osserman(nl, tol)
     return {"command": "check-ko", "f": f_src, **_verdict_summary(verdict)}
@@ -225,13 +236,13 @@ def _cmd_check_ko(spec, outdir):
 def _cmd_classify(spec, outdir):
     fn_src = spec.expression("functions", "fn", required=True)
     direction = spec.get("problem", "direction", "tail")
-    tol = spec.get("numerics", "tol", 1e-8)
+    tol = spec.get("numerics", "tol", 1e-8, kind=float)
     fn = ScalarFn.from_source(fn_src).fast()
     if direction == "tail":
-        a = float(spec.get("problem", "a", 1.0))
+        a = spec.get("problem", "a", 1.0, kind=float)
         verdict = _num.classify_tail_integral(fn, a, tol)
     elif direction == "origin":
-        b = float(spec.get("problem", "b", 1.0))
+        b = spec.get("problem", "b", 1.0, kind=float)
         verdict = _num.classify_origin_integral(fn, b, tol)
     else:
         raise ConfigError("direction must be 'tail' or 'origin'")
@@ -241,7 +252,7 @@ def _cmd_classify(spec, outdir):
 
 def _cmd_analyze_f(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
-    u_max = float(spec.get("numerics", "u_max", 1e8))
+    u_max = spec.get("numerics", "u_max", 1e8, kind=float)
     nl = _ka.analyze_nonlinearity(f_src, u_max)
 
     def show(x):
@@ -258,7 +269,7 @@ def _cmd_analyze_f(spec, outdir):
 
 def _cmd_ell(spec, outdir):
     k_src = spec.expression("functions", "k", required=True)
-    nu = float(spec.get("problem", "nu", 1.0))
+    nu = spec.get("problem", "nu", 1.0, kind=float)
     est = _ka.ell_limits(ScalarFn.from_source(k_src), nu)
     return {"command": "ell", "k": k_src, "ell0": est.ell0, "ell1": est.ell1,
             "ell0_err": est.ell0_err, "ell1_err": est.ell1_err}
@@ -267,7 +278,7 @@ def _cmd_ell(spec, outdir):
 def _cmd_make_k(spec, outdir):
     kind = spec.get("problem", "kind", required=True)
     S_src = spec.expression("functions", "S", required=True)
-    D = float(spec.get("problem", "D", 1.0))
+    D = spec.get("problem", "D", 1.0, kind=float)
     kf = _ka.make_k(kind, S_src, D)
     return {"command": "make-k", "kind": kind, "S": S_src, "nu": kf.nu,
             "ell1": kf.ell1, "predicted_ell1": kf.predicted_ell1,
@@ -279,12 +290,11 @@ def _weight_from_spec(spec):
     kind = spec.get("problem", "k_kind", None)
     if kind is not None:
         S_src = spec.expression("functions", "S", required=True)
-        D = float(spec.get("problem", "D", 1.0))
+        D = spec.get("problem", "D", 1.0, kind=float)
         return lambda: _ka.make_k(kind, S_src, D)
-    alpha = spec.get("problem", "k_alpha", None)
-    nu = float(spec.get("problem", "nu", 1.0))
+    alpha = spec.get("problem", "k_alpha", None, kind=float)
+    nu = spec.get("problem", "nu", 1.0, kind=float)
     if alpha is not None:
-        alpha = float(alpha)
         return lambda: _ka.KFunction.power(alpha, nu=nu)
     k_src = spec.expression("functions", "k", required=True)
 
@@ -303,9 +313,9 @@ def _profile_from_spec(spec):
     f_src = spec.expression("functions", "f", required=True)
     weight = _weight_from_spec(spec)
     variant = spec.get("problem", "variant", "k-integrand")
-    c = float(spec.get("problem", "c", 1.0))
-    depth = int(spec.get("numerics", "grid_depth", 24))
-    tol = spec.get("numerics", "tol", 1e-10)
+    c = spec.get("problem", "c", 1.0, kind=float)
+    depth = spec.get("numerics", "grid_depth", 24, kind=int)
+    tol = spec.get("numerics", "tol", 1e-10, kind=float)
 
     def build():
         nl = _ka.analyze_nonlinearity(f_src)
@@ -327,16 +337,16 @@ def _cmd_profile(spec, outdir):
 
 
 def _cmd_xi0(spec, outdir):
-    rho = spec.get("problem", "rho", None)
+    rho = spec.get("problem", "rho", None, kind=float)
     if rho is not None:
-        ell1 = float(spec.get("problem", "ell1", required=True))
-        c = float(spec.get("problem", "c", 1.0))
-        value = _ka.xi0_power(float(rho), ell1, c)
+        ell1 = spec.get("problem", "ell1", required=True, kind=float)
+        c = spec.get("problem", "c", 1.0, kind=float)
+        value = _ka.xi0_power(rho, ell1, c)
         return {"command": "xi0", "method": "power", "xi0": value}
     f_src = spec.expression("functions", "f", required=True)
-    gamma = float(spec.get("problem", "gamma", required=True))
-    kprime0 = float(spec.get("problem", "kprime0", required=True))
-    c = float(spec.get("problem", "c", 1.0))
+    gamma = spec.get("problem", "gamma", required=True, kind=float)
+    kprime0 = spec.get("problem", "kprime0", required=True, kind=float)
+    c = spec.get("problem", "c", 1.0, kind=float)
     nl = _ka.analyze_nonlinearity(f_src)
     value = _ka.xi0_via_A(nl, gamma, kprime0, c)
     return {"command": "xi0", "method": "A", "f": f_src, "xi0": value}
@@ -344,12 +354,12 @@ def _cmd_xi0(spec, outdir):
 
 def _cmd_chi(spec, outdir):
     two = _ka.TwoTermSpec(
-        rho=float(spec.get("problem", "rho", required=True)),
-        zeta=float(spec.get("problem", "zeta", required=True)),
-        theta=float(spec.get("problem", "theta", required=True)),
-        ell_star=float(spec.get("problem", "ell_star", required=True)),
-        c_tilde=float(spec.get("problem", "c_tilde", 0.0)),
-        ell_sup=spec.get("problem", "ell_sup", None),
+        rho=spec.get("problem", "rho", required=True, kind=float),
+        zeta=spec.get("problem", "zeta", required=True, kind=float),
+        theta=spec.get("problem", "theta", required=True, kind=float),
+        ell_star=spec.get("problem", "ell_star", required=True, kind=float),
+        c_tilde=spec.get("problem", "c_tilde", 0.0, kind=float),
+        ell_sup=spec.get("problem", "ell_sup", None, kind=float),
         case=spec.get("problem", "case", "purePower"),
     )
     varpi, chi = _ka.chi_two_term(two)
@@ -360,11 +370,11 @@ def _cmd_solve_entire(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
     psi_src = spec.expression("functions", "psi", required=True)
     phi_src = spec.expression("functions", "phi", None)
-    N = int(spec.get("problem", "N", required=True))
-    R = float(spec.get("problem", "R", 50.0))
-    b0 = float(spec.get("problem", "b0", 1.0))
-    tol = spec.get("numerics", "tol", 1e-8)
-    panels = int(spec.get("numerics", "panels", 2048))
+    N = spec.get("problem", "N", required=True, kind=int)
+    R = spec.get("problem", "R", 50.0, kind=float)
+    b0 = spec.get("problem", "b0", 1.0, kind=float)
+    tol = spec.get("numerics", "tol", 1e-8, kind=float)
+    panels = spec.get("numerics", "panels", 2048, kind=int)
     nl = _ka.analyze_nonlinearity(f_src)
     lam = nl.Lambda if nl.Lambda is not None else math.inf
     if phi_src is not None:
@@ -395,13 +405,13 @@ def _cmd_solve_system(spec, outdir):
         q=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "q", required=True))),
         f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
         g=_ka.analyze_nonlinearity(spec.expression("functions", "g", required=True)),
-        a=float(spec.get("problem", "a", 1.0)),
-        b=float(spec.get("problem", "b", 1.0)),
+        a=spec.get("problem", "a", 1.0, kind=float),
+        b=spec.get("problem", "b", 1.0, kind=float),
     )
-    N = int(spec.get("problem", "N", required=True))
-    R = float(spec.get("problem", "R", 50.0))
-    tol = spec.get("numerics", "tol", 1e-10)
-    mesh = int(spec.get("numerics", "mesh_points", 4096))
+    N = spec.get("problem", "N", required=True, kind=int)
+    R = spec.get("problem", "R", 50.0, kind=float)
+    tol = spec.get("numerics", "tol", 1e-10, kind=float)
+    mesh = spec.get("numerics", "mesh_points", 4096, kind=int)
     sol = _rad.solve_system(sys_, R, N, tol, mesh)
     csv = spec.get("output", "csv", "system.csv")
     sol.to_csv(os.path.join(outdir, csv))
@@ -416,24 +426,24 @@ def _cmd_solve_system(spec, outdir):
 
 
 def _logistic_from_spec(spec) -> _rad.LogisticProblem:
-    N = int(spec.get("problem", "N", required=True))
+    N = spec.get("problem", "N", required=True, kind=int)
     domain_kind = spec.get("problem", "domain", "ball")
     if domain_kind == "ball":
-        domain = ("ball", float(spec.get("problem", "R", 1.0)))
+        domain = ("ball", spec.get("problem", "R", 1.0, kind=float))
     elif domain_kind == "annulus":
-        domain = ("annulus", float(spec.get("problem", "R0", 0.0)),
-                  float(spec.get("problem", "R", 1.0)))
+        domain = ("annulus", spec.get("problem", "R0", 0.0, kind=float),
+                  spec.get("problem", "R", 1.0, kind=float))
     elif domain_kind == "whole-space":
-        domain = ("whole-space", float(spec.get("problem", "R", 10.0)))
+        domain = ("whole-space", spec.get("problem", "R", 10.0, kind=float))
     else:
         raise ConfigError(f"unknown domain {domain_kind!r}")
     return _rad.LogisticProblem(
         N=N,
         f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
         b=ScalarFn.from_source(spec.expression("functions", "b", required=True)),
-        a_lin=float(spec.get("problem", "a", 0.0)),
+        a_lin=spec.get("problem", "a", 0.0, kind=float),
         domain=domain,
-        omega0_radius=float(spec.get("problem", "omega0", 0.0)),
+        omega0_radius=spec.get("problem", "omega0", 0.0, kind=float),
         b_normalization=spec.get("problem", "b_normalization", "k2"),
     )
 
@@ -447,7 +457,7 @@ def _cmd_blowup(spec, outdir):
                                 ("functions", "k"))):
         make_profile = _profile_from_spec(spec)
     prob = _logistic_from_spec(spec)
-    levels = spec.get("numerics", "levels", None)
+    levels = spec.get("numerics", "levels", None, kind=list)
     sol = _rad.boundary_blowup(prob, n_levels=levels)
     csv = spec.get("output", "csv", "blowup.csv")
     sol.to_csv(os.path.join(outdir, csv))
@@ -508,8 +518,8 @@ def _read_solution_csv(path) -> _num.RadialSolution:
 
 
 def _cmd_eigen(spec, outdir):
-    N = int(spec.get("problem", "N", required=True))
-    R = float(spec.get("problem", "R", 1.0))
+    N = spec.get("problem", "N", required=True, kind=int)
+    R = spec.get("problem", "R", 1.0, kind=float)
     mode = spec.get("problem", "mode", "ball")
     eig = _bif.lambda1_ball(N, R, mode=mode)
     csv = spec.get("output", "csv", "eigen.csv")
@@ -527,17 +537,17 @@ def _lef_from_spec(spec) -> _bif.LEFProblem:
     K_src = spec.expression("functions", "K", None)
     src_src = spec.expression("functions", "source", None)
     return _bif.LEFProblem(
-        N=int(spec.get("problem", "N", required=True)),
+        N=spec.get("problem", "N", required=True, kind=int),
         geometry=spec.get("problem", "geometry", "interval"),
-        R=float(spec.get("problem", "R", 1.0)),
-        lam=float(spec.get("problem", "lambda", 0.0)),
-        mu=float(spec.get("problem", "mu", 0.0)),
+        R=spec.get("problem", "R", 1.0, kind=float),
+        lam=spec.get("problem", "lambda", 0.0, kind=float),
+        mu=spec.get("problem", "mu", 0.0, kind=float),
         f=_ka.analyze_nonlinearity(f_src) if f_src else None,
         g=_ka.analyze_singular_term(g_src) if g_src else None,
         a_pot=ScalarFn.from_source(a_src) if a_src else None,
         K_pot=ScalarFn.from_source(K_src) if K_src else None,
         source=ScalarFn.from_source(src_src) if src_src else None,
-        grad_p=float(spec.get("problem", "grad_p", 0.0)),
+        grad_p=spec.get("problem", "grad_p", 0.0, kind=float),
         mode=spec.get("problem", "mode", "absorption"),
     )
 
@@ -565,9 +575,7 @@ def _cmd_lef(spec, outdir):
 
 def _cmd_sweep(spec, outdir):
     prob = _lef_from_spec(spec)
-    grid = spec.get("problem", "lambda_grid", required=True)
-    if isinstance(grid, (int, float)):
-        grid = [float(grid)]
+    grid = spec.get("problem", "lambda_grid", required=True, kind=list)
     diagram = _bif.sweep(prob, grid)
     csv = spec.get("output", "csv", "sweep.csv")
     diagram.to_csv(os.path.join(outdir, csv))
@@ -582,10 +590,10 @@ def _cmd_sweep(spec, outdir):
 
 
 def _cmd_gelfand(spec, outdir):
-    lam = float(spec.get("problem", "lambda", required=True))
-    mu = float(spec.get("problem", "mu", required=True))
+    lam = spec.get("problem", "lambda", required=True, kind=float)
+    mu = spec.get("problem", "mu", required=True, kind=float)
     g_src = spec.expression("functions", "g", required=True)
-    N = int(spec.get("problem", "N", 1))
+    N = spec.get("problem", "N", 1, kind=int)
     geometry = spec.get("problem", "geometry", "interval")
     g_nl = _ka.analyze_singular_term(g_src)
     a_lim = g_nl.value_at_inf if g_nl.value_at_inf is not None else 0.0
@@ -609,15 +617,15 @@ def _cmd_gelfand(spec, outdir):
 
 
 def _cmd_young(spec, outdir):
-    a_lim = float(spec.get("problem", "a", 0.0))
-    p = float(spec.get("problem", "p", required=True))
-    lam1 = spec.get("problem", "lambda1", None)
+    a_lim = spec.get("problem", "a", 0.0, kind=float)
+    p = spec.get("problem", "p", required=True, kind=float)
+    lam1 = spec.get("problem", "lambda1", None, kind=float)
     if lam1 is None:
-        N = int(spec.get("problem", "N", 1))
+        N = spec.get("problem", "N", 1, kind=int)
         geometry = spec.get("problem", "geometry", "interval")
         lam1 = _bif.lambda1_domain(N, geometry)
-    C = _bif.young_constant(a_lim, p, float(lam1))
-    return {"command": "young", "a": a_lim, "p": p, "lambda1": float(lam1), "C": C}
+    C = _bif.young_constant(a_lim, p, lam1)
+    return {"command": "young", "a": a_lim, "p": p, "lambda1": lam1, "C": C}
 
 
 # command -> (handler, the [section] keys it accepts besides _COMMON_KEYS)

@@ -436,23 +436,14 @@ def analyze_nonlinearity(f_src: str, u_max: float = 1e8) -> Nonlinearity:
         theta_samples.append(u * dcall(u) / fu)
     theta = _limit_by_samples(theta_samples, notes, "theta") if len(theta_samples) >= 3 else None
 
-    # gamma = lim (F/f)' by centered differences with one Richardson step
+    # gamma = lim (F/f)' from the identity (F/f)' = 1 - F f'/f^2
     F = Antiderivative(f)
-
-    def ratio(u):
-        return F(u) / call(u)
-
-    def gamma_at(u):
-        h = 0.01 * u
-        d1 = (ratio(u + h) - ratio(u - h)) / (2.0 * h)
-        d2 = (ratio(u + 0.5 * h) - ratio(u - 0.5 * h)) / h
-        return (4.0 * d2 - d1) / 3.0
-
     gamma_samples = []
     for k in range(6, -1, -1):
         u = cap / 2.0 ** k
         try:
-            g = gamma_at(u)
+            fu = call(u)
+            g = 1.0 - F(u) / fu * (dcall(u) / fu)
         except Exception:
             continue
         if math.isfinite(g):

@@ -1,13 +1,15 @@
 """Shared numerical kernels.
 
 Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
-panel rule that falls back to it, improper-integral convergence
-classification (tail and origin), bracketed root finding, and the radial
-shooting kernel: `shoot` integrates u'' + (N-1)/r u' = F(r, u, u')
-with terminal floor, cap and blow-up events.  Every ODE solve of the package
-goes through it, on DOP853 over plain floats.  The whole step loop (stages,
-error norm, step control, the drift (N-1)/r u' and four event slots: floor
-0, floor 1, cap, blow-up) is one function generated at import from scipy's
+panel rule that falls back to it, one improper-integral classifier for
+tails [a, inf) (a = 0 means the integral over [0, inf)), which also
+classifies an origin integral over (0, b] as its t -> 1/s image,
+bracketed root finding, and the radial shooting kernel: `shoot`
+integrates u'' + (N-1)/r u' = F(r, u, u') with terminal floor, cap and
+blow-up events.  Every ODE solve of the package goes through it, on
+DOP853 over plain floats.  The whole step loop (stages, error norm, step
+control, the drift (N-1)/r u' and four event slots: floor 0, floor 1,
+cap, blow-up) is one function generated at import from scipy's
 tables, one for N = 1 and one for N >= 2; it calls the problem's source and
 returns to Python only at the end of the interval, at the minimum step or
 on a step where an event fires.  `shoot` then locates the event and returns
@@ -21,7 +23,7 @@ All functions here are pure over immutable inputs; no global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import DOP853, quad
@@ -282,7 +284,7 @@ def _is_zero_function(fn, points) -> bool:
     return True
 
 
-def _geometric_samples(fn, start: float, factor: float, max_count: int = 49):
+def _geometric_samples(fn, start: float, max_count: int = 49):
     ts, fs = [], []
     t = start
     for _ in range(max_count):
@@ -300,7 +302,7 @@ def _geometric_samples(fn, start: float, factor: float, max_count: int = 49):
             break
         ts.append(t)
         fs.append(v)
-        t *= factor
+        t *= 2.0
     return ts, fs
 
 
@@ -343,12 +345,13 @@ def _cap_value(fn, t_cap: float) -> float:
     return f_cap if f_cap and math.isfinite(f_cap) else 0.0
 
 
-def _panel_fallback(fn, edges, tol: float, slope: float, quad_tol: float):
-    """Direct doubling-panel summation with a geometric tail test."""
+def _panel_fallback(fn, a: float, tol: float, slope: float, quad_tol: float):
+    """Direct summation over the doubling panels [a 2^j, a 2^(j+1)] with a
+    geometric tail test."""
     panels = []
     errs = 0.0
-    for lo, hi in edges:
-        v, e = integrate_finite(fn, lo, hi, quad_tol)
+    for j in range(FALLBACK_PANELS):
+        v, e = integrate_finite(fn, a * 2.0 ** j, a * 2.0 ** (j + 1), quad_tol)
         panels.append(v)
         errs += e
         if v <= 0.0:
@@ -379,12 +382,20 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     s < -1-delta integrates head and tail (log substitution) and returns
     Convergent; s > -1+delta returns Divergent(s); inside the band a direct
     doubling-panel summation decides, else Inconclusive.  delta = 0.05.
+    a = 0 classifies the integral over [0, inf): the tail from 1 decides,
+    and a convergent value includes the [0, 1] head at the same tol.
     """
-    if a <= 0.0:
-        raise ValueError("tail classification starts at a > 0")
+    if a < 0.0:
+        raise ValueError("tail classification starts at a >= 0")
+    if a == 0.0:
+        verdict = classify_tail_integral(fn, 1.0, tol)
+        if not verdict.is_convergent:
+            return verdict
+        head, e_head = integrate_finite(fn, 0.0, 1.0, tol)
+        return replace(verdict, value=verdict.value + head, err=verdict.err + e_head)
     if _is_zero_function(fn, [a, 2.0 * a, 8.0 * a, 64.0 * a]):
         return ConvergenceVerdict.convergent(0.0, 0.0, slope=None, zero=True)
-    ts, fs = _geometric_samples(fn, a, 2.0)
+    ts, fs = _geometric_samples(fn, a)
     if len(ts) < 4:
         return ConvergenceVerdict.inconclusive(samples=len(ts))
     slope = _fit_slope(ts, fs)
@@ -407,31 +418,21 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
         return ConvergenceVerdict.convergent(value, e1 + e2 + rem, slope=slope)
     if slope > -1.0 + SLOPE_BAND:
         return ConvergenceVerdict.divergent(slope)
-    edges = [(a * 2.0 ** j, a * 2.0 ** (j + 1)) for j in range(FALLBACK_PANELS)]
-    return _panel_fallback(fn, edges, tol, slope, quad_tol=min(tol, 1e-9))
+    return _panel_fallback(fn, a, tol, slope, quad_tol=min(tol, 1e-9))
 
 
 def classify_origin_integral(fn, b: float, tol: float = 1e-8) -> ConvergenceVerdict:
-    """Mirror of the tail classifier for the integral of fn over (0, b]."""
+    """Classify the integral of fn over (0, b] as the tail integral of its
+    t = 1/s image fn(1/s)/s^2 from 1/b.  The slope is fn's own local power
+    at 0, p = -2 - (the image's tail slope): p > -1 converges.
+    """
     if b <= 0.0:
         raise ValueError("origin classification needs b > 0")
-    if _is_zero_function(fn, [b, b / 2.0, b / 8.0, b / 64.0]):
-        return ConvergenceVerdict.convergent(0.0, 0.0, slope=None, zero=True)
-    ts, fs = _geometric_samples(fn, b, 0.5)
-    if len(ts) < 4:
-        return ConvergenceVerdict.inconclusive(samples=len(ts))
-    slope = _fit_slope(ts, fs)
-    if slope > -1.0 + SLOPE_BAND:
-        quad_tol = min(tol * 0.25, 1e-9)
-        w_lo, w_hi = -690.0, math.log(b)
-        value, e1 = integrate_finite(_log_substituted(fn), w_lo, w_hi, quad_tol)
-        t_cap = math.exp(w_lo)
-        rem = _cap_value(fn, t_cap) * t_cap / (1.0 + min(slope, 0.0) + 1e-12)
-        return ConvergenceVerdict.convergent(value, e1 + abs(rem), slope=slope)
-    if slope < -1.0 - SLOPE_BAND:
-        return ConvergenceVerdict.divergent(slope)
-    edges = [(b * 2.0 ** (-(j + 1)), b * 2.0 ** (-j)) for j in range(FALLBACK_PANELS)]
-    return _panel_fallback(fn, edges, tol, slope, quad_tol=min(tol, 1e-9))
+    # / s / s, not / (s * s): the log substitution reaches s = e^690
+    verdict = classify_tail_integral(lambda s: fn(1.0 / s) / s / s, 1.0 / b, tol)
+    if verdict.slope is None:
+        return verdict
+    return replace(verdict, slope=-2.0 - verdict.slope)
 
 
 # ---------------------------------------------------------------------------

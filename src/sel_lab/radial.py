@@ -1,18 +1,19 @@
 """Constructive radial solvers.
 
 Monotone Picard iterations for entire solutions (with the exponential
-gradient kernel and for coupled systems), the integral condition checkers
-that decide bounded-vs-large, Gronwall Lipschitz constants, the u_n = n
-approximation scheme for boundary blow-up solutions with Aitken
-extrapolation across levels, and residual verification of explicit
-solutions.
+gradient kernel and for coupled systems, both through one loop,
+`_monotone_picard`), the integral condition checkers and the one
+bounded-vs-large dichotomy (`_dichotomy`) both schemes share, Gronwall
+Lipschitz constants, the u_n = n approximation scheme for boundary
+blow-up solutions with Aitken extrapolation across levels, and residual
+verification of explicit solutions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expn
@@ -29,7 +30,6 @@ from .numerics import (
     ShotTally,
     classify_tail_integral,
     find_root_monotone,
-    integrate_finite,
     integrate_radial_ivp,
     series_start,
     shoot,
@@ -105,18 +105,6 @@ class SystemProblem:
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError("central values must be positive")
 
-    def sigma(self) -> float:
-        """liminf f/g at infinity, sampled (the coupling constant)."""
-        fc, gc = self.f.f.fast(), self.g.f.fast()
-        vals = []
-        for u in (1e4, 1e6, 1e8):
-            gu = gc(u)
-            if gu > 0.0 and math.isfinite(gu):
-                fu = fc(u)
-                if math.isfinite(fu):
-                    vals.append(fu / gu)
-        return min(vals) if vals else math.nan
-
 
 @dataclass
 class LogisticProblem:
@@ -164,8 +152,7 @@ class LogisticProblem:
 def check_slow_variation(pot: RadialPotential, tol: float = 1e-8):
     """Classify int_0^inf r gap(r) Psi(r) dr (the slow-variation condition).
 
-    Radial potentials (gap = 0) are trivially Convergent(0).  When the
-    verdict is Convergent, value includes the [0, 1] head.
+    Radial potentials (gap = 0) are trivially Convergent(0).
     """
     if pot.is_radial:
         return classify_tail_integral(lambda r: 0.0, 1.0, tol)
@@ -177,12 +164,7 @@ def check_slow_variation(pot: RadialPotential, tol: float = 1e-8):
         w = pot.weight(r)
         return r * g * w if math.isfinite(w) else math.inf
 
-    verdict = classify_tail_integral(integrand, 1.0, tol)
-    if verdict.is_convergent:
-        head, e_head = integrate_finite(integrand, 0.0, 1.0, tol)
-        verdict = type(verdict)(verdict.status, verdict.value + head,
-                                verdict.err + e_head, verdict.slope, verdict.diagnostics)
-    return verdict
+    return classify_tail_integral(integrand, 0.0, tol)
 
 
 _SERIES_FROM = 600.0  # K_N's switch to the series, before E_n(s) nears subnormals (s ~ 703)
@@ -220,29 +202,24 @@ def check_large_condition(psi_env, N: int, tol: float = 1e-8):
     int_1^inf e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds dt = inf holds iff
     entire large solutions of the gradient problem exist.  As psi >= 0 the
     order of integration swaps (Tonelli) into int_0^inf psi K_N ds with
-    K_N -> 1 (_large_condition_kernel), so the verdict reads psi's own tail:
-    the tail from 1 is classified and, when convergent, the [0, 1] head,
-    where K_N = e^s s^(N-1) E_(N-1)(1), is added.  The elementary bound
-    outer <= (N-2)^-1 int_0^inf t psi(t) dt is then a cross-check reported
-    in the diagnostics.
+    K_N -> 1 (_large_condition_kernel), so the verdict reads psi's own tail
+    and a convergent value is the whole int_0^inf psi K_N.  The elementary
+    bound outer <= (N-2)^-1 int_0^inf t psi(t) dt is a cross-check
+    reported in the diagnostics of a convergent verdict.
     """
     if N < 3:
         raise ValueError("the gradient problem lives in dimension N >= 3")
-    psi_call = psi_env.fast() if isinstance(psi_env, ScalarFn) else psi_env
+    psi_call = psi_env.fast()
     K = _large_condition_kernel(N)
-    verdict = classify_tail_integral(lambda s: psi_call(s) * K(s), 1.0, tol)
-    if not verdict.is_convergent:
-        return verdict
-    head, e_head = integrate_finite(lambda s: psi_call(s) * K(s), 0.0, 1.0, tol)
-    value, diag = verdict.value + head, dict(verdict.diagnostics)
-    if value > 0.0:
-        bound_tail = classify_tail_integral(lambda t: t * psi_call(t), 1.0, tol)
-        if bound_tail.is_convergent:
-            head, _ = integrate_finite(lambda t: t * psi_call(t), 0.0, 1.0, tol)
-            bound = (head + bound_tail.value) / (N - 2.0)
-            diag["elementary_bound"] = bound
-            diag["bound_holds"] = bool(value <= bound * (1.0 + 1e-6))
-    return type(verdict)(verdict.status, value, verdict.err + e_head, verdict.slope, diag)
+    verdict = classify_tail_integral(lambda s: psi_call(s) * K(s), 0.0, tol)
+    if verdict.is_convergent and verdict.value > 0.0:
+        bound = classify_tail_integral(lambda t: t * psi_call(t), 0.0, tol)
+        if bound.is_convergent:
+            limit = bound.value / (N - 2.0)
+            verdict = replace(verdict, diagnostics={
+                **verdict.diagnostics, "elementary_bound": limit,
+                "bound_holds": bool(verdict.value <= limit * (1.0 + 1e-6))})
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +291,50 @@ def _cubic_read(t: np.ndarray, y: np.ndarray, x: float) -> float:
     return float(total)
 
 
-def _on_mesh(fn, t: np.ndarray) -> np.ndarray:
-    """fn at every node of t: one vector call for an expression, one call
-    per node for a plain callable."""
-    if isinstance(fn, ScalarFn):
-        return fn.vector()(t)
-    return np.array([fn(float(x)) for x in t])
+def _monotone_picard(step, state: tuple, tol: float):
+    """Iterate state -> step(state) over tuples of mesh arrays until no
+    component moves by tol (relative) or MAX_PICARD_ITERATIONS is reached.
+
+    Returns (state, iterations, monotone); monotone is False once a step
+    lowered a component by more than 1e-9 relative.
+    """
+    monotone = True
+    for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
+        nxt = step(state)
+        if any(np.any(new < old - 1e-9 * (1.0 + np.abs(old))) for old, new in zip(state, nxt)):
+            monotone = False
+        change = max(float(np.max(np.abs(new - old) / (1.0 + np.abs(new))))
+                     for old, new in zip(state, nxt))
+        state = nxt
+        if change < tol:
+            break
+    return state, iterations, monotone
+
+
+def _dichotomy(verdicts, t: np.ndarray, u: np.ndarray, R: float, rerun,
+               metadata: dict) -> str:
+    """Bounded vs entire-large from the integral verdicts and the growth of u.
+
+    All verdicts divergent and growth_ratio u(R)/u(R/2) > 1.05 give
+    entire-large.  All convergent, growth_ratio <= 1.05 and a plateau give
+    bounded: rerun() returns u solved on [0, R/2] alone, whose end value
+    must drift from u(R/2) by less than 1e-6 (plateau_drift).  Anything
+    else, and no verdict at all, is undetermined.  u(R/2) is the cubic
+    read of the mesh values.
+    """
+    half = _cubic_read(t, u, R / 2.0)
+    ratio = u[-1] / half if half > 0.0 else math.inf
+    metadata["growth_ratio"] = float(ratio)
+    if not verdicts:
+        return UNDETERMINED
+    if all(v.is_divergent for v in verdicts) and ratio > 1.05:
+        return ENTIRE_LARGE
+    if all(v.is_convergent for v in verdicts) and ratio <= 1.05:
+        drift = abs(rerun()[-1] - half) / (1.0 + abs(half))
+        metadata["plateau_drift"] = float(drift)
+        if drift < 1e-6:
+            return BOUNDED
+    return UNDETERMINED
 
 
 def _picard_gradient_run(psi_vals, f_vec, b0: float, t: np.ndarray, N: int,
@@ -327,17 +342,9 @@ def _picard_gradient_run(psi_vals, f_vec, b0: float, t: np.ndarray, N: int,
     # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
     inner, outer = _volterra(t, N - 1, rate=1), _volterra(t, 0)
     t_scale = np.concatenate(([0.0], t[1:] ** (1.0 - N)))
-    w = np.full_like(t, b0)
-    iterations = 0
-    monotone = True
-    for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
-        w_next = b0 + outer(t_scale * inner(psi_vals * f_vec(w)))
-        if np.any(w_next < w - 1e-9 * (1.0 + np.abs(w))):
-            monotone = False
-        change = float(np.max(np.abs(w_next - w) / (1.0 + np.abs(w_next))))
-        w = w_next
-        if change < tol:
-            break
+    (w,), iterations, monotone = _monotone_picard(
+        lambda state: (b0 + outer(t_scale * inner(psi_vals * f_vec(state[0]))),),
+        (np.full_like(t, b0),), tol)
     return w, iterations, monotone
 
 
@@ -360,14 +367,13 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                       RuntimeWarning, stacklevel=2)
     pot = pot_env if isinstance(pot_env, RadialPotential) else None
     psi = pot.psi if pot is not None else pot_env
-    psi_call = psi.fast() if isinstance(psi, ScalarFn) else psi
     f_vec = f.f.vector()
 
     # refinement: double panels until the fixed point stops moving at R
     w = None
     for level in range(4):
         t = _graded_mesh(R, panels * 2 ** level)
-        psi_vals = _on_mesh(psi, t)
+        psi_vals = psi.vector()(t)
         if np.any(psi_vals < 0.0):
             raise ValueError("psi envelope must be nonnegative")
         w_prev = w
@@ -400,38 +406,26 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
         "monotone": monotone,
     }
 
-    large_cond = None
+    verdicts = []
     try:
-        large_cond = check_large_condition(psi_call, N)
-        metadata["large_condition"] = large_cond.status
+        verdicts.append(check_large_condition(psi, N))
+        metadata["large_condition"] = verdicts[0].status
     except NumericsError as exc:  # a quadrature failure leaves the class undetermined
         metadata["large_condition_error"] = str(exc)
 
-    half = _cubic_read(t, w, R / 2.0)
-    ratio = w[-1] / half
-    metadata["growth_ratio"] = float(ratio)
-    classification = UNDETERMINED
-    if large_cond is not None:
-        if large_cond.is_divergent and ratio > 1.05:
-            classification = ENTIRE_LARGE
-        elif large_cond.is_convergent and ratio <= 1.05:
-            # plateau: the computed value at R/2 must be window independent
-            t_half = _graded_mesh(R / 2.0, t.size - 1)
-            w_half, _, _ = _picard_gradient_run(_on_mesh(psi, t_half), f_vec, b0, t_half,
-                                                N, tol)
-            drift = abs(w_half[-1] - half) / (1.0 + abs(half))
-            metadata["plateau_drift"] = float(drift)
-            if drift < 1e-6:
-                classification = BOUNDED
+    def rerun():
+        t_half = _graded_mesh(R / 2.0, t.size - 1)
+        return _picard_gradient_run(psi.vector()(t_half), f_vec, b0, t_half, N, tol)[0]
+
+    classification = _dichotomy(verdicts, t, w, R, rerun, metadata)
 
     # ordering constant of the two-envelope comparison
     if pot is not None and not pot.is_radial:
         try:
-            gap_tail = classify_tail_integral(lambda s: s * pot.gap(s), 1.0, 1e-8)
+            gap = classify_tail_integral(lambda s: s * pot.gap(s), 0.0, 1e-8)
             slow = check_slow_variation(pot, 1e-8)
-            if gap_tail.is_convergent and slow.is_convergent:
-                head, _ = integrate_finite(lambda s: s * pot.gap(s), 0.0, 1.0, 1e-10)
-                K_const = math.exp(lam_N * (head + gap_tail.value))
+            if gap.is_convergent and slow.is_convergent:
+                K_const = math.exp(lam_N * gap.value)
                 b_star = 1.0 + K_const * lam_N * slow.value
                 metadata["b_star"] = b_star
                 v_run, _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, t, N, tol)
@@ -464,21 +458,13 @@ def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
     p_vals, q_vals = sys_.p.phi.vector()(t), sys_.q.phi.vector()(t)
     f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
     K = _green_kernel(t, N)
-    u = np.full_like(t, sys_.a)
-    v = np.full_like(t, sys_.b)
-    monotone = True
-    iterations = 0
-    for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
-        u_next = sys_.a + K(p_vals * g_vec(v))
-        v_next = sys_.b + K(q_vals * f_vec(u_next))
-        if np.any(u_next < u - 1e-9 * (1.0 + np.abs(u))) or \
-           np.any(v_next < v - 1e-9 * (1.0 + np.abs(v))):
-            monotone = False
-        change = max(float(np.max(np.abs(u_next - u) / (1.0 + np.abs(u_next)))),
-                     float(np.max(np.abs(v_next - v) / (1.0 + np.abs(v_next)))))
-        u, v = u_next, v_next
-        if change < tol:
-            break
+
+    def step(state):
+        u_next = sys_.a + K(p_vals * g_vec(state[1]))
+        return u_next, sys_.b + K(q_vals * f_vec(u_next))
+
+    (u, v), iterations, monotone = _monotone_picard(
+        step, (np.full_like(t, sys_.a), np.full_like(t, sys_.b)), tol)
     # theory lower bounds u >= a + g(b) A(r), v >= b + f(a) B(r)
     lower_u = sys_.a + sys_.g.f(sys_.b) * K(p_vals)
     lower_v = sys_.b + sys_.f.f(sys_.a) * K(q_vals)
@@ -557,20 +543,9 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
         "lower_bound_ok": lower_ok,
     }
 
-    u_half = float(np.interp(R / 2.0, t, u))
-    ratio = u[-1] / u_half if u_half > 0.0 else math.inf
-    metadata["growth_ratio"] = float(ratio)
-    classification = UNDETERMINED
-    if s2_p.is_divergent and s2_q.is_divergent:
-        if ratio > 1.05:
-            classification = ENTIRE_LARGE
-    elif s2_p.is_convergent and s2_q.is_convergent:
-        t_half = np.linspace(0.0, R / 2.0, t.size)
-        uh = _system_run(sys_, t_half, N, tol)[0]
-        drift = abs(uh[-1] - u_half) / (1.0 + abs(u_half))
-        metadata["plateau_drift"] = float(drift)
-        if ratio <= 1.05 and drift < 1e-6:
-            classification = BOUNDED
+    classification = _dichotomy(
+        [s2_p, s2_q], t, u, R,
+        lambda: _system_run(sys_, np.linspace(0.0, R / 2.0, t.size), N, tol)[0], metadata)
     metadata["prediction_agrees"] = classification != UNDETERMINED
 
     return RadialSolution(dimension=N, r=t, u=u, v=v, classification=classification,

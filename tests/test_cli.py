@@ -103,6 +103,23 @@ lambda_grid = 1.0, 2.0, 3.5
         spec = parse_config(cfg)
         assert spec.get("problem", "lambda_grid") == [1.0, 2.0, 3.5]
 
+    def test_typed_values(self, tmp_path):
+        cfg = write_cfg(tmp_path, """
+[problem]
+command = blowup
+N = 3
+R = 2
+
+[numerics]
+levels = 10
+""")
+        spec = parse_config(cfg)
+        assert spec.get("problem", "N", kind=int) == 3
+        assert spec.get("problem", "R", kind=float) == 2.0
+        assert spec.get("problem", "a", 0.5, kind=float) == 0.5
+        # one number is a one-element list, as for lambda_grid
+        assert spec.get("numerics", "levels", kind=list) == [10.0]
+
     def test_error_carries_line_number(self, tmp_path):
         cfg = write_cfg(tmp_path, "[problem]\ncommand = check-ko\nnot a kv line\n")
         with pytest.raises(ConfigError) as err:
@@ -172,6 +189,31 @@ f = t^3
 """)
         assert code == 2
         assert "line 6: [functions] f must be a quoted expression" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("line, message", [
+        ("N = three", "line 3: [problem] N must be an integer, not 'three'"),
+        ("N = 3.5", "line 3: [problem] N must be an integer, not 3.5"),
+        ("N = true", "line 3: [problem] N must be an integer, not True"),
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, line, message):
+        code, outdir = run_cli(tmp_path, f"[problem]\ncommand = eigen\n{line}\n")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    def test_malformed_list_is_config_error(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = sweep
+N = 1
+lambda_grid = many
+
+[functions]
+f = "exp(t)"
+""")
+        assert code == 2
+        assert "line 5: [problem] lambda_grid must be a list of numbers" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
     def test_numerical_failure_is_exit_3(self, tmp_path):

@@ -122,6 +122,39 @@ class TestOriginClassifier:
         v = classify_origin_integral(lambda t: t ** -s, 1.0, 1e-8)
         assert v.is_divergent == divergent
 
+    @pytest.mark.parametrize("b", [0.25, 3.0, 40.0])
+    def test_other_upper_limits(self, b):
+        # int_0^b t^-1/2 dt = 2 sqrt(b); t^-3/2 diverges whatever b is
+        v = classify_origin_integral(lambda t: t ** -0.5, b, 1e-8)
+        assert v.is_convergent
+        assert v.value == pytest.approx(2.0 * math.sqrt(b), rel=1e-7)
+        assert classify_origin_integral(lambda t: t ** -1.5, b, 1e-8).is_divergent
+
+    @pytest.mark.parametrize("p", [-1.5, -0.5, 0.5, 2.0])
+    def test_slope_is_the_local_power_at_the_origin(self, p):
+        v = classify_origin_integral(lambda t: 3.0 * t ** p, 2.0, 1e-8)
+        assert v.is_convergent == (p > -1.0)
+        assert v.is_divergent == (p < -1.0)
+        assert v.slope == pytest.approx(p, abs=1e-9)
+
+
+class TestWholeLineClassifier:
+    def test_zero_lower_limit_adds_the_head(self):
+        # int_0^inf (1+t)^-3 dt = 1/2, of which the tail from 1 is 1/8
+        v = classify_tail_integral(lambda t: (1.0 + t) ** -3, 0.0)
+        assert v.is_convergent
+        assert v.value == pytest.approx(0.5, rel=1e-8)
+        assert classify_tail_integral(lambda t: (1.0 + t) ** -3, 1.0).value == \
+            pytest.approx(0.125, rel=1e-8)
+
+    def test_zero_lower_limit_keeps_a_divergent_verdict(self):
+        v = classify_tail_integral(lambda t: 1.0 / (1.0 + t), 0.0)
+        assert v.is_divergent and v.value is None
+
+    def test_negative_lower_limit_is_rejected(self):
+        with pytest.raises(ValueError):
+            classify_tail_integral(lambda t: 1.0, -1.0)
+
 
 def _once(fn, seen=None):
     """fn, failing the test when a point is evaluated twice; the points go to seen."""

@@ -310,13 +310,6 @@ class TestPicardGradient:
             picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 50.0, 3,
                                    tol=1e-14, panels=128)
 
-    def test_plain_callable_weight_matches_the_expression(self, f_sqrt):
-        psi = ScalarFn.from_source("(1+t^2)^(-2)")
-        by_expr = picard_gradient_entire(psi, f_sqrt, 1.0, 30.0, 3, panels=512)
-        by_call = picard_gradient_entire(lambda r: psi(r), f_sqrt, 1.0, 30.0, 3, panels=512)
-        assert np.max(np.abs(by_expr.u - by_call.u) / by_call.u) <= 1e-13
-        assert by_expr.classification == by_call.classification
-
     def test_domain_error_from_the_mesh_sweep_is_the_scalar_error(self, f_sqrt):
         with pytest.raises(EvalDomainError) as err:
             picard_gradient_entire(ScalarFn.from_source("sqrt(40-t)"), f_sqrt, 1.0, 50.0, 3,
@@ -400,6 +393,28 @@ class TestSolveSystem:
         with pytest.warns(RuntimeWarning):
             solve_system(SystemProblem(p=one, q=one, f=f_lin, g=f_lin,
                                        a=1.0, b=1.0), 10.0, 3, mesh_points=256)
+
+
+class TestMonotoneCheck:
+    """Both schemes share one Picard loop; a step that lowers the iterate
+    must make each of them refuse its result."""
+
+    @pytest.fixture
+    def lowering_kernel(self, monkeypatch):
+        # every Volterra integral reads -1, so the first step lowers u(0)
+        monkeypatch.setattr(radial, "_volterra",
+                            lambda t, m, rate=0: lambda fvals: np.full_like(t, -1.0))
+
+    def test_gradient_scheme_raises(self, f_sqrt, lowering_kernel):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 10.0, 3,
+                                   panels=64)
+
+    def test_system_raises(self, f_sqrt, lowering_kernel):
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            solve_system(SystemProblem(p=one, q=one, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                         10.0, 3, mesh_points=64)
 
 
 class TestLipschitz:
