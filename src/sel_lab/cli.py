@@ -72,8 +72,9 @@ class ProblemSpec:
     def get(self, section: str, key: str, default=None, required: bool = False,
             kind=None):
         """The value of [section] key, or default when it is absent.  kind
-        (float, int, or list for a list of numbers) converts a present
-        value; a value it does not fit is a ConfigError at the key's line."""
+        (float, int, list for a list of numbers, or bool for true/false)
+        converts a present value; a value it does not fit is a ConfigError
+        at the key's line."""
         entry = self.data.get(section, {}).get(key)
         if entry is None:
             if required:
@@ -81,12 +82,14 @@ class ProblemSpec:
                                   f"for command {self.command}")
             return default
         value, lineno = entry
-        if kind is None or (kind is list and isinstance(value, list)):
+        if kind is None or (kind in (list, bool) and isinstance(value, kind)):
             return value
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if number and (kind is not int or isinstance(value, int) or value.is_integer()):
+        if number and kind is not bool and (kind is not int or isinstance(value, int)
+                                            or value.is_integer()):
             return [float(value)] if kind is list else kind(value)
-        expected = {int: "an integer", float: "a number", list: "a list of numbers"}[kind]
+        expected = {int: "an integer", float: "a number", list: "a list of numbers",
+                    bool: "true or false"}[kind]
         raise ConfigError(f"[{section}] {key} must be {expected}, not {value!r}", lineno)
 
     # the source text of a [functions] expression; validate() has parsed it
@@ -218,6 +221,9 @@ def _verdict_summary(v: _num.ConvergenceVerdict) -> dict:
         out["err"] = v.err
     if v.slope is not None:
         out["slope"] = v.slope
+    if "b" in v.diagnostics:  # the fitted log power and how far the samples reached
+        out["log_power"] = v.diagnostics["b"]
+        out["w_last"] = v.diagnostics["w_range"][1]
     return out
 
 
@@ -595,13 +601,14 @@ def _cmd_gelfand(spec, outdir):
     g_src = spec.expression("functions", "g", required=True)
     N = spec.get("problem", "N", 1, kind=int)
     geometry = spec.get("problem", "geometry", "interval")
+    solve = spec.get("problem", "solve", False, kind=bool)
     g_nl = _ka.analyze_singular_term(g_src)
     a_lim = g_nl.value_at_inf if g_nl.value_at_inf is not None else 0.0
     lam1 = _bif.lambda1_domain(N, geometry)
     solvable = _bif.gelfand_solvable(lam, mu, a_lim, lam1)
     out = {"command": "gelfand", "lambda": lam, "mu": mu, "a": a_lim,
            "lambda1": lam1, "solvable": solvable}
-    if spec.get("problem", "solve", False) and lam > 0.0:
+    if solve and lam > 0.0:
         phi = _ka.analyze_nonlinearity(_bif.gelfand_reduced_source(g_src, lam, mu))
         reduced = _bif.LEFProblem(N=N, geometry=geometry, lam=1.0, f=phi,
                                   a_pot=ScalarFn.from_source("0"), mode="absorption")

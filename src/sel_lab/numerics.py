@@ -2,7 +2,9 @@
 
 Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
 panel rule that falls back to it, one improper-integral classifier for
-tails [a, inf) (a = 0 means the integral over [0, inf)), which also
+tails [a, inf) (a = 0 means the integral over [0, inf)): Bertrand's test
+on one least-squares fit ln fn = A ln t + B ln ln t + c, which decides the
+verdict and bounds the remainder past the last sample.  It also
 classifies an origin integral over (0, b] as its t -> 1/s image,
 bracketed root finding, and the radial shooting kernel: `shoot`
 integrates u'' + (N-1)/r u' = F(r, u, u') with terminal floor, cap and
@@ -32,10 +34,10 @@ from scipy.optimize import brentq
 from .expr import EvalDomainError
 from .ioutil import write_csv
 
-# Slope band half-width for the +-1 borderline of the classifiers.
+# Band half-width around the -1 borderline of the tail classifier's fitted power.
 SLOPE_BAND = 0.05
-# Direct-summation fallback: number of doubling panels before giving up.
-FALLBACK_PANELS = 40
+# The smallest normal float: a tail sample below it has lost its precision.
+_TINY = float(np.finfo(float).tiny)
 # Default blow-up threshold for the radial IVP (and its derivative).
 BLOWUP_THRESHOLD = 1e8
 
@@ -66,9 +68,12 @@ class BracketError(NumericsError):
 class ConvergenceVerdict:
     """Outcome of an improper-integral classification.
 
-    Convergent carries (value, err) with err <= tol*(1+|value|) as estimated
-    from quadrature error plus a power-law extrapolation bound of the
-    unsampled remainder.  Divergent carries the fitted log-log slope.
+    Convergent carries (value, err): err bounds |value - integral| by the
+    quadrature error plus the remainder past the last sample from the
+    fitted (A, B), so on slowly converging tails it can exceed tol.  slope
+    is the fitted power A of the tail classifier (for an origin integral,
+    fn's local power at 0); diagnostics hold A, B, the misfit and the w
+    range of the fit.
     """
 
     status: str
@@ -284,42 +289,56 @@ def _is_zero_function(fn, points) -> bool:
     return True
 
 
-def _geometric_samples(fn, start: float, max_count: int = 49):
-    ts, fs = [], []
-    t = start
-    for _ in range(max_count):
-        if not math.isfinite(t) or t <= 0.0:
-            break
+def _tail_samples(fn, a: float):
+    """(ts, fs): fn at t = a 2^j for j < 49, then with w = ln t up by 10 % a
+    step to w = 690, up to the first value that is 0, subnormal, >= 1e300
+    or not finite, or where fn overflows."""
+    ts = [a * 2.0 ** j for j in range(49)]
+    w = max(math.log(ts[-1]), 1.0)
+    while w * 1.1 <= 690.0:
+        w *= 1.1
+        ts.append(math.exp(w))
+    fs = []
+    for t in ts:
         try:
             v = fn(t)
         except OverflowError:
             break
-        if v is None or isinstance(v, complex):
-            break
         if v < 0.0:
             raise ValueError(f"classifier integrand is negative at t={t!r}")
-        if v == 0.0 or not math.isfinite(v) or v >= 1e300:
+        if not _TINY <= v < 1e300:
             break
-        ts.append(t)
         fs.append(v)
-        t *= 2.0
-    return ts, fs
+    return ts[:len(fs)], fs
 
 
-def _fit_slope(ts, fs, count: int = 10) -> float:
-    k = min(count, len(ts))
-    x = np.log(np.asarray(ts[-k:]))
-    y = np.log(np.asarray(fs[-k:]))
-    return float(np.polyfit(x, y, 1)[0])
+def _bertrand_fit(ts, fs):
+    """Least-squares (A, B, diagnostics) of ln fn = A w + B ln w + c, w = ln t,
+    over the samples with w >= max(1, w_last/4), at least the last four with
+    w > 0; the misfit is the largest residual.  None below three samples."""
+    if len(ts) < 3:
+        return None
+    w = np.log(ts)
+    start = max(min(int(np.searchsorted(w, max(1.0, w[-1] / 4.0))), w.size - 4),
+                int(np.searchsorted(w, 0.0, side="right")))
+    if w.size - start < 3:
+        return None
+    w, y = w[start:], np.log(fs[start:])
+    basis = np.column_stack((w, np.log(w), np.ones_like(w)))
+    coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+    A, B = float(coef[0]), float(coef[1])
+    return A, B, {"a": A, "b": B, "misfit": float(np.max(np.abs(basis @ coef - y))),
+                  "w_range": [float(w[0]), float(w[-1])]}
 
 
 def _log_substituted(fn):
     """g(w) = fn(e^w) e^w, the integrand after t = e^w.
 
-    Points where fn overflows or is not finite contribute 0: beyond the
-    sampled range the integrand may degenerate in float arithmetic, and the
-    caller's power-law remainder bound covers them.  A point outside fn's
-    domain (EvalDomainError) is a failure, not a zero, and propagates.
+    Points where fn overflows or is not finite contribute 0: there the
+    integrand has degenerated in float arithmetic, past the last finite
+    sample, and the caller's remainder bound from the fit covers them.  A
+    point outside fn's domain (EvalDomainError) is a failure, not a zero,
+    and propagates.
     """
     def g(w):
         try:
@@ -333,55 +352,21 @@ def _log_substituted(fn):
     return g
 
 
-def _cap_value(fn, t_cap: float) -> float:
-    """fn at the cut-off of a log-substituted integral; 0 if it fails in float
-    arithmetic or is not finite.  An EvalDomainError propagates."""
-    try:
-        f_cap = fn(t_cap)
-    except EvalDomainError:
-        raise
-    except Exception:
-        return 0.0
-    return f_cap if f_cap and math.isfinite(f_cap) else 0.0
-
-
-def _panel_fallback(fn, a: float, tol: float, slope: float, quad_tol: float):
-    """Direct summation over the doubling panels [a 2^j, a 2^(j+1)] with a
-    geometric tail test."""
-    panels = []
-    errs = 0.0
-    for j in range(FALLBACK_PANELS):
-        v, e = integrate_finite(fn, a * 2.0 ** j, a * 2.0 ** (j + 1), quad_tol)
-        panels.append(v)
-        errs += e
-        if v <= 0.0:
-            break
-    total = float(np.sum(panels))
-    diag = {"panels": len(panels), "partial_sum": total}
-    if len(panels) >= 10:
-        recent = [panels[i + 1] / panels[i] for i in range(len(panels) - 7, len(panels) - 1)
-                  if panels[i] > 0.0]
-        if recent:
-            diag["recent_ratios"] = [round(r, 6) for r in recent]
-            if min(recent) >= 0.98:
-                return ConvergenceVerdict.divergent(slope, **diag)
-            if max(recent) <= 0.97:
-                r = max(recent)
-                tail = panels[-1] * r / (1.0 - r)
-                if tail + errs <= tol * (1.0 + total + tail):
-                    return ConvergenceVerdict.convergent(total + tail, tail + errs,
-                                                         slope=slope, **diag)
-                diag["tail_estimate"] = tail
-    return ConvergenceVerdict.inconclusive(slope=slope, **diag)
-
-
 def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdict:
     """Classify the convergence of the tail integral of fn over [a, inf).
 
-    Samples fn at a*2^j, fits the log-log slope s of the last 10 points;
-    s < -1-delta integrates head and tail (log substitution) and returns
-    Convergent; s > -1+delta returns Divergent(s); inside the band a direct
-    doubling-panel summation decides, else Inconclusive.  delta = 0.05.
+    Bertrand's test (Bingham, Goldie & Teugels, Regular Variation, 1.5-1.6)
+    on one fit ln fn = A ln t + B ln ln t + c (_bertrand_fit) over samples
+    up to t = e^690 or to where fn stops being a finite normal float.
+    A > -1 + delta diverges and A < -1 - delta converges (delta =
+    SLOPE_BAND); inside the band A still decides when the fit is exact
+    (misfit <= 1e-9), and B decides when |A + 1| <= 1e-3: B < -1.1
+    converges, B > -0.9 diverges.  Anything else is Inconclusive.  A
+    convergent value integrates fn after t = e^w up to the 49th sample and
+    on to w = 690; err adds the remainder past the last sample T from the
+    fit, fn(T) T/(-1-A), or fn(T) T ln T/(-1-B) when A ~ -1, so a run cut
+    short by overflow is bounded, not read as 0.  A convergent verdict
+    whose err is not below |value| is refused as Inconclusive.
     a = 0 classifies the integral over [0, inf): the tail from 1 decides,
     and a convergent value includes the [0, 1] head at the same tol.
     """
@@ -395,36 +380,38 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
         return replace(verdict, value=verdict.value + head, err=verdict.err + e_head)
     if _is_zero_function(fn, [a, 2.0 * a, 8.0 * a, 64.0 * a]):
         return ConvergenceVerdict.convergent(0.0, 0.0, slope=None, zero=True)
-    ts, fs = _geometric_samples(fn, a)
-    if len(ts) < 4:
+    ts, fs = _tail_samples(fn, a)
+    fit = _bertrand_fit(ts, fs)
+    if fit is None:
         return ConvergenceVerdict.inconclusive(samples=len(ts))
-    slope = _fit_slope(ts, fs)
-    if slope < -1.0 - SLOPE_BAND:
-        quad_tol = min(tol * 0.25, 1e-9)
-        w_lo, w_hi = math.log(a), math.log(ts[-1])
-        g = _log_substituted(fn)
-        head, e1 = integrate_finite(g, w_lo, w_hi, quad_tol) if w_hi > w_lo else (0.0, 0.0)
-        w_cap = 690.0
-        tail, e2 = (0.0, 0.0)
-        if w_hi < w_cap:
-            tail, e2 = integrate_finite(g, w_hi, w_cap, quad_tol)
-        # power-law bound on the remainder past the cap, with a pessimistic
-        # slope from the drift between the two fitting windows
-        s2 = _fit_slope(ts, fs, count=min(20, len(ts)))
-        s_p = min(-1.0 - 1e-3, slope + 2.0 * abs(slope - s2))
-        t_cap = math.exp(w_cap)
-        rem = _cap_value(fn, t_cap) * t_cap / (-1.0 - s_p)
-        value = head + tail
-        return ConvergenceVerdict.convergent(value, e1 + e2 + rem, slope=slope)
-    if slope > -1.0 + SLOPE_BAND:
-        return ConvergenceVerdict.divergent(slope)
-    return _panel_fallback(fn, a, tol, slope, quad_tol=min(tol, 1e-9))
+    A, B, diag = fit
+    near_one = abs(A + 1.0) <= 1e-3
+    if near_one and not -1.1 <= B <= -0.9:
+        converges = B < -1.0
+    elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= 1e-9):
+        converges = A < -1.0
+    else:
+        return ConvergenceVerdict.inconclusive(slope=A, **diag)
+    if not converges:
+        return ConvergenceVerdict.divergent(A, **diag)
+    quad_tol = min(tol * 0.25, 1e-9)
+    g = _log_substituted(fn)
+    w_lo, w_hi, w_last = math.log(a), math.log(ts[:49][-1]), math.log(ts[-1])
+    head, e1 = integrate_finite(g, w_lo, w_hi, quad_tol) if w_hi > w_lo else (0.0, 0.0)
+    tail, e2 = integrate_finite(g, w_hi, 690.0, quad_tol) if w_hi < 690.0 else (0.0, 0.0)
+    rem = fs[-1] * ts[-1] * (w_last / (-1.0 - B) if near_one else 1.0 / (-1.0 - A))
+    value, err = head + tail, e1 + e2 + rem
+    if not err < abs(value):
+        return ConvergenceVerdict.inconclusive(slope=A, value_estimate=value,
+                                               err_estimate=err, **diag)
+    return ConvergenceVerdict.convergent(value, err, slope=A, **diag)
 
 
 def classify_origin_integral(fn, b: float, tol: float = 1e-8) -> ConvergenceVerdict:
     """Classify the integral of fn over (0, b] as the tail integral of its
     t = 1/s image fn(1/s)/s^2 from 1/b.  The slope is fn's own local power
-    at 0, p = -2 - (the image's tail slope): p > -1 converges.
+    at 0, p = -2 - (the image's tail slope): p > -1 converges.  The
+    diagnostics are the image's fit, whose B is the power of ln(1/t).
     """
     if b <= 0.0:
         raise ValueError("origin classification needs b > 0")

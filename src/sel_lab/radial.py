@@ -770,17 +770,20 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
 
 
 def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
-    """Entire-solution window sweep: growth must persist across 2 windows."""
+    """Entire-solution window sweep: growth must persist across 2 windows.
+    A shot that blows up inside its window is returned as boundary-blowup
+    at that radius, with the ratios of the windows before it."""
     rhs = _level_rhs(prob)
     Rmax = float(prob.domain[1])
     ratios = []
-    sol = None
     for window in (Rmax, 2.0 * Rmax):
         sol = integrate_radial_ivp(rhs, 1.0, 0.0, prob.N, window, 1e-10, n_points=n_grid)
+        if sol.classification == BOUNDARY_BLOWUP:
+            break
         mid = float(np.interp(window / 2.0, sol.r, sol.u))
         ratios.append(float(sol.u[-1] / mid) if mid else math.inf)
-    classification = ENTIRE_LARGE if all(r > 1.05 for r in ratios) else UNDETERMINED
-    sol.classification = classification
+    else:
+        sol.classification = ENTIRE_LARGE if all(r > 1.05 for r in ratios) else UNDETERMINED
     sol.metadata["window_ratios"] = ratios
     return sol
 

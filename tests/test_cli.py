@@ -216,6 +216,23 @@ f = "exp(t)"
         assert "line 5: [problem] lambda_grid must be a list of numbers" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize("value", ["no", "1", '"true"'])
+    def test_boolean_key_takes_only_true_or_false(self, tmp_path, capsys, value):
+        # a bare word is not a boolean: `solve = no` must not run the reduced solve
+        code, outdir = run_cli(tmp_path, f"""
+[problem]
+command = gelfand
+lambda = 1
+mu = 0.5
+solve = {value}
+
+[functions]
+g = "t^(-0.5)"
+""")
+        assert code == 2
+        assert "line 6: [problem] solve must be true or false" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # profile on a KO-divergent nonlinearity is a numerical-domain error
         code, outdir = run_cli(tmp_path, """

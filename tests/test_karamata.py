@@ -184,6 +184,10 @@ class TestExistenceIntegrals:
         ("t", "divergent"),
         ("t*ln(1+t)", "divergent"),
         ("t*ln(1+t)^4", "convergent"),
+        # F^(-1/2) varies regularly with index -(p+1)/2 > -1, whatever the log power
+        ("t^0.8584*ln(1+t)^8", "divergent"),
+        ("t^0.9*ln(1+t)^12", "divergent"),
+        ("t^0.5*ln(1+t)^20", "divergent"),
     ])
     def test_keller_osserman_battery(self, src, expected):
         assert keller_osserman(analyze_nonlinearity(src)).status == expected
@@ -198,6 +202,15 @@ class TestExistenceIntegrals:
         assert v.is_convergent and v.value == pytest.approx(1.0, rel=1e-8)
         assert necessary_condition_entire(analyze_nonlinearity("t")).is_divergent
         assert necessary_condition_entire(analyze_nonlinearity("t*ln(1+t)^2")).is_convergent
+        # 1/f = t^-0.8584 ln(1+t)^-8 varies regularly with index -0.8584 > -1
+        assert necessary_condition_entire(analyze_nonlinearity("t^0.8584*ln(1+t)^8")).is_divergent
+
+    def test_ko_just_past_the_borderline(self):
+        # F = t^2.04/2.04: int_1^inf F^(-1/2) = sqrt(2.04)/0.02, and F overflows
+        # near t = e^348, so the remainder past the last sample comes from the fit
+        v = keller_osserman(analyze_nonlinearity("t^1.04"))
+        assert v.is_convergent
+        assert abs(v.value - math.sqrt(2.04) / 0.02) <= v.err
 
 
 class TestEllLimits:

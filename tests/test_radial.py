@@ -528,6 +528,17 @@ class TestBoundaryBlowup:
         with pytest.raises(ValueError, match="lambda_inf_1"):
             boundary_blowup(prob)
 
+    def test_whole_space_shot_that_blows_up_in_its_window(self, f_cubic):
+        # u(0) = 1, Delta u = u^3 in R^3 blows up at r ~ 2.5747, inside the
+        # first window [0, 10]: no ratio is read past the end of the shot
+        prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
+                               domain=("whole-space", 10.0))
+        sol = boundary_blowup(prob)
+        assert sol.classification == "boundary-blowup"
+        assert sol.blowup_radius == pytest.approx(2.5747178212, rel=1e-9)
+        assert sol.r[-1] == sol.blowup_radius
+        assert sol.metadata["window_ratios"] == []
+
     def test_ball_mode(self, f_cubic):
         prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
                                a_lin=0.0, domain=("ball", 1.0))
