@@ -292,7 +292,7 @@ def _is_zero_function(fn, points) -> bool:
 def _tail_samples(fn, a: float):
     """(ts, fs): fn at t = a 2^j for j < 49, then with w = ln t up by 10 % a
     step to w = 690, up to the first value that is 0, subnormal, >= 1e300
-    or not finite, or where fn overflows."""
+    or not finite, or where fn overflows or (past the 49th) fails."""
     ts = [a * 2.0 ** j for j in range(49)]
     w = max(math.log(ts[-1]), 1.0)
     while w * 1.1 <= 690.0:
@@ -302,7 +302,9 @@ def _tail_samples(fn, a: float):
     for t in ts:
         try:
             v = fn(t)
-        except OverflowError:
+        except (ArithmeticError, ValueError) as exc:
+            if len(fs) < 49 and not isinstance(exc, OverflowError):
+                raise
             break
         if v < 0.0:
             raise ValueError(f"classifier integrand is negative at t={t!r}")
@@ -334,11 +336,10 @@ def _bertrand_fit(ts, fs):
 def _log_substituted(fn):
     """g(w) = fn(e^w) e^w, the integrand after t = e^w.
 
-    Points where fn overflows or is not finite contribute 0: there the
-    integrand has degenerated in float arithmetic, past the last finite
-    sample, and the caller's remainder bound from the fit covers them.  A
-    point outside fn's domain (EvalDomainError) is a failure, not a zero,
-    and propagates.
+    Points where fn overflows or is not finite contribute 0: past the last
+    finite sample the integrand has degenerated in float arithmetic, and
+    the remainder bound from the fit covers them.  A point outside fn's
+    domain (EvalDomainError) is a failure, not a zero, and propagates.
     """
     def g(w):
         try:
@@ -358,15 +359,14 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     Bertrand's test (Bingham, Goldie & Teugels, Regular Variation, 1.5-1.6)
     on one fit ln fn = A ln t + B ln ln t + c (_bertrand_fit) over samples
     up to t = e^690 or to where fn stops being a finite normal float.
-    A > -1 + delta diverges and A < -1 - delta converges (delta =
-    SLOPE_BAND); inside the band A still decides when the fit is exact
-    (misfit <= 1e-9), and B decides when |A + 1| <= 1e-3: B < -1.1
+    A decides outside the band |A + 1| <= SLOPE_BAND, and inside it when
+    the fit is exact (misfit <= 1e-9).  B decides when A is -1 within the
+    fit's resolution, |A + 1| <= the misfit (1e-9 to 1e-3): B < -1.1
     converges, B > -0.9 diverges.  Anything else is Inconclusive.  A
-    convergent value integrates fn after t = e^w up to the 49th sample and
-    on to w = 690; err adds the remainder past the last sample T from the
-    fit, fn(T) T/(-1-A), or fn(T) T ln T/(-1-B) when A ~ -1, so a run cut
-    short by overflow is bounded, not read as 0.  A convergent verdict
-    whose err is not below |value| is refused as Inconclusive.
+    convergent value integrates fn after t = e^w up to w = 690; err adds
+    the remainder past the last sample T from the fit, fn(T) T/(-1-A), or
+    fn(T) T ln T/(-1-B) when A ~ -1, so a run cut short by overflow is
+    bounded, not read as 0; an err not below |value| is Inconclusive.
     a = 0 classifies the integral over [0, inf): the tail from 1 decides,
     and a convergent value includes the [0, 1] head at the same tol.
     """
@@ -385,7 +385,8 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     if fit is None:
         return ConvergenceVerdict.inconclusive(samples=len(ts))
     A, B, diag = fit
-    near_one = abs(A + 1.0) <= 1e-3
+    # A is resolved to about the misfit, and no better than 1e-9
+    near_one = abs(A + 1.0) <= min(1e-3, max(diag["misfit"], 1e-9))
     if near_one and not -1.1 <= B <= -0.9:
         converges = B < -1.0
     elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= 1e-9):

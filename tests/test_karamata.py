@@ -188,6 +188,9 @@ class TestExistenceIntegrals:
         ("t^0.8584*ln(1+t)^8", "divergent"),
         ("t^0.9*ln(1+t)^12", "divergent"),
         ("t^0.5*ln(1+t)^20", "divergent"),
+        # index -0.9995 > -1 diverges, but the fit of the computed F misses by
+        # 1.6e-4 and cannot resolve it from -1 (where B = -1.5 converges)
+        ("t^0.999*ln(1+t)^3", "inconclusive"),
     ])
     def test_keller_osserman_battery(self, src, expected):
         assert keller_osserman(analyze_nonlinearity(src)).status == expected
@@ -204,6 +207,8 @@ class TestExistenceIntegrals:
         assert necessary_condition_entire(analyze_nonlinearity("t*ln(1+t)^2")).is_convergent
         # 1/f = t^-0.8584 ln(1+t)^-8 varies regularly with index -0.8584 > -1
         assert necessary_condition_entire(analyze_nonlinearity("t^0.8584*ln(1+t)^8")).is_divergent
+        # an exact fit resolves index -0.999 > -1, and log power -3 cannot save it
+        assert necessary_condition_entire(analyze_nonlinearity("t^0.999*ln(1+t)^3")).is_divergent
 
     def test_ko_just_past_the_borderline(self):
         # F = t^2.04/2.04: int_1^inf F^(-1/2) = sqrt(2.04)/0.02, and F overflows
