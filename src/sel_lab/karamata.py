@@ -24,6 +24,7 @@ from .numerics import (
     find_root_monotone,
     integrate_finite,
     integrate_panel,
+    integrate_panels,
 )
 
 INF = math.inf
@@ -78,24 +79,42 @@ def _peak(fn, a: float, b: float) -> float:
 class Antiderivative:
     """F(t) = int_0^t f with F(0) = 0, cached on the lattice t_k = 2^(k/4).
 
-    Lattice values fill lazily over a contiguous range of k: the lowest
-    point takes one quadrature from 0 (integrate_finite), and every
-    lattice panel above it, like the remainder from the nearest lattice
-    point below a query, one integrate_panel call (a 15-point
-    Gauss-Kronrod rule that falls back to integrate_finite).  Once f or
-    the running integral overflows, or the quadrature of a panel fails
-    (not integrable, or short of its tolerance), every larger argument
-    reports inf.  A domain error of f (EvalDomainError) propagates: F is
-    no number there.
+    Lattice values fill lazily over a contiguous range of k.  A fresh
+    lattice starts at k = 0 (t = 1), or at the first query's k when that is
+    lower, with one quadrature from 0 (integrate_finite), so F does not
+    depend on the order of its queries; a query below the lattice takes
+    one more such quadrature.  The lattice panels above are 15-point
+    Gauss-Kronrod panels.  For an expression (ScalarFn) a block of
+    _MIN_BLOCK or more new panels is one integrate_panels call, a single
+    array evaluation of f.  A panel that fails its error test, every panel
+    of a block whose array evaluation raises, and every panel of a shorter
+    block or of a plain callable goes through integrate_panel (which falls
+    back to integrate_finite), one panel at a time and in order.  A block
+    that extends the lattice upward to k runs ahead, up to 2k - kmin + 16,
+    and keeps the panels past k while the array rule accepts them, up to
+    the first where the sum overflows: f is never called point by point
+    past the query.
+    The remainder from the nearest lattice point below a query is one
+    integrate_panel call.  Once f or the running integral overflows, or
+    the quadrature of a panel fails (not integrable, or short of its
+    tolerance), every larger argument reports inf.  A domain error of f
+    (EvalDomainError) propagates: F is no number there.
     """
+
+    # t_4096 = 2^1024 overflows
+    _KTOP = 4095
+    # one array call costs about as much as 15 scalar panels
+    _MIN_BLOCK = 16
 
     def __init__(self, fn, tol: float = 1e-12):
         self._fn = fn.fast() if isinstance(fn, ScalarFn) else fn
+        self._expr = fn if isinstance(fn, ScalarFn) else None
         self._tol = tol
         self._lat: dict[int, float] = {}
         self._kmin: int | None = None
         self._kmax: int | None = None
         self._kinf: int | None = None
+        self._ahead = True
 
     @staticmethod
     def _t_of(k: int) -> float:
@@ -141,31 +160,65 @@ class Antiderivative:
                 tol *= 100.0
         return INF
 
-    def _accumulate(self, j0: int, val: float, k: int) -> None:
+    def _block(self, j0: int, top: int):
+        """(values, ok) lists of the panels j0+1..top by one integrate_panels
+        call; empty for a plain callable, a block of fewer than _MIN_BLOCK
+        panels, or where the array evaluation raised."""
+        if self._expr is None or top - j0 < self._MIN_BLOCK:
+            return [], []
+        edges = [self._t_of(j) for j in range(j0, top + 1)]
+        try:
+            values, ok = integrate_panels(self._expr.vector(), edges[:-1], edges[1:], self._tol)
+        except (ValueError, ArithmeticError):
+            self._ahead = False  # f fails up there: fill no further than asked
+            return [], []
+        return values.tolist(), ok.tolist()
+
+    def _accumulate(self, j0: int, val: float, k: int, ahead: int | None = None) -> int:
         """Store val at j0 and add panels up to k; the first non-finite
-        value sets kinf."""
+        value sets kinf.  Panels past k, up to ahead, are stored only while
+        the block rule accepts them, up to the first where the sum
+        overflows.  Returns the last index stored."""
+        values, ok = self._block(j0, k if ahead is None else ahead)
+        lat = self._lat
         for j in range(j0, k + 1):
             if j > j0 and math.isfinite(val):
-                val += self._quad(integrate_panel, self._t_of(j - 1), self._t_of(j))
+                i = j - j0 - 1
+                if ok and ok[i]:
+                    val += values[i]
+                else:
+                    val += self._quad(integrate_panel, self._t_of(j - 1), self._t_of(j))
             if not math.isfinite(val):
                 val = INF
                 if self._kinf is None or j < self._kinf:
                     self._kinf = j
-            self._lat[j] = val
+            lat[j] = val
+        for i in range(k - j0, len(values)):
+            if not (ok[i] and math.isfinite(val)):
+                return j0 + i
+            val += values[i]
+            if not math.isfinite(val):
+                # F overflows on an accepted panel, where the panel-by-panel
+                # path finds it too
+                val = INF
+                self._kinf = j0 + i + 1
+            lat[j0 + i + 1] = val
+        return max(k, j0 + len(values))
 
     def _fill(self, k: int) -> float:
         # invariant: the lattice is contiguous on [kmin, kmax]
+        if self._kmin is None:
+            k0 = min(k, 0)
+            self._kmin = self._kmax = self._accumulate(
+                k0, self._quad(integrate_finite, 0.0, self._t_of(k0)), k0)
         if self._kinf is not None and k >= self._kinf:
             return INF
-        if self._kmin is None or k < self._kmin:
-            top = k if self._kmin is None else self._kmin - 1
-            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), top)
-            if self._kmin is None:
-                self._kmax = top
+        if k < self._kmin:
+            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1)
             self._kmin = k
         elif k > self._kmax:
-            self._accumulate(self._kmax, self._lat[self._kmax], k)
-            self._kmax = k
+            ahead = min(2 * k - self._kmin + 16, self._KTOP) if self._ahead else None
+            self._kmax = self._accumulate(self._kmax, self._lat[self._kmax], k, ahead)
         return self._lat[k]
 
     def __call__(self, t: float) -> float:
@@ -580,7 +633,7 @@ def _k_ratio_factory(k, quad_tol: float):
         return ratio
 
     call = k.fast() if isinstance(k, ScalarFn) else k
-    cache = Antiderivative(call, tol=quad_tol)
+    cache = Antiderivative(k, tol=quad_tol)
 
     def ratio(t):
         kt = call(t)

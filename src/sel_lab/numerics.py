@@ -1,7 +1,9 @@
 """Shared numerical kernels.
 
 Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
-panel rule that falls back to it, one improper-integral classifier for
+panel rule that falls back to it (integrate_panel) and the same rule over
+many panels in one array evaluation (integrate_panels, no fallback: it
+reports which panels pass), one improper-integral classifier for
 tails [a, inf) (a = 0 means the integral over [0, inf)): Bertrand's test
 on one least-squares fit ln fn = A ln t + B ln ln t + c, which decides the
 verdict and bounds the remainder past the last sample.  It also
@@ -250,6 +252,8 @@ _GK15 = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+# the columns of _GK15 as arrays, for integrate_panels
+_GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = (np.array(col) for col in zip(*_GK15))
 
 
 def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
@@ -276,6 +280,37 @@ def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
     if math.isfinite(value) and err <= tol * (1.0 + abs(value)):
         return value, err
     return integrate_finite(fn, a, b, tol)
+
+
+def integrate_panels(vec, a, b, tol: float = 1e-10):
+    """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
+    (values, ok), arrays with one entry per panel.
+
+    vec is an array evaluator of fn (ScalarFn.vector()), called once on the
+    (n, 15) array of every panel's nodes in integrate_panel's order; its
+    exceptions propagate.  The Kronrod and Gauss sums are integrate_panel's
+    float operations in its order (a running sum, not a pairwise one), so a
+    panel's value is integrate_panel's wherever vec agrees with fn.  ok is
+    integrate_panel's acceptance test; a panel that fails it is left to the
+    caller, with no fallback here.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(all="ignore"):
+        centre, half = 0.5 * (a + b), 0.5 * (b - a)
+        dx = half[:, None] * _GK15_NODES
+        nodes = np.empty((a.size, 15))
+        nodes[:, 0] = centre
+        nodes[:, 1::2] = centre[:, None] - dx
+        nodes[:, 2::2] = centre[:, None] + dx
+        fv = vec(nodes)
+        pair = fv[:, 1::2] + fv[:, 2::2]
+        kronrod = np.add.accumulate(
+            np.column_stack((_GK15_CENTRE[0] * fv[:, 0], _GK15_KRONROD * pair)), axis=1)[:, -1]
+        gauss = np.add.accumulate(
+            np.column_stack((_GK15_CENTRE[1] * fv[:, 0], _GK15_GAUSS * pair)), axis=1)[:, -1]
+        value, err = kronrod * half, np.abs(kronrod - gauss) * half
+        ok = np.isfinite(value) & (err <= tol * (1.0 + np.abs(value)))
+    return value, ok
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,11 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
     if t_grid[0] <= 0.0 or t_grid[-1] >= k.nu * (1.0 + 1e-12):
         raise ValueError("t_grid must lie inside (0, nu)")
 
-    k_fast = k.k.fast()
     if variant == VARIANT_K:
-        weight = k_fast
+        weight = k.k
     else:
+        k_fast = k.k.fast()
+
         def weight(s):
             return math.sqrt(k_fast(s))
     I_k = Antiderivative(weight, tol=min(tol, 1e-11))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import (
     Antiderivative,
     KFunction,
+    Nonlinearity,
     NotRegularlyVarying,
     TwoTermSpec,
     analyze_nonlinearity,
@@ -61,8 +63,8 @@ class TestAntiderivative:
         assert F(5.0) == pytest.approx((2.0 / 3.0) * (3.0 ** 1.5 + 2.0 ** 1.5), rel=1e-12)
 
     def test_interior_integrable_singularity_is_finite(self):
-        # the pole at t = 3 lies inside the base quadrature (0, 2^(9/4)); the
-        # failed panel is split where |f| peaks
+        # the pole at t = 3 lies inside the lattice panel (2^(6/4), 2^(7/4));
+        # it fails both rules and is split where |f| peaks
         F = Antiderivative(ScalarFn.from_source("abs(t-3)^(-0.5)"))
         exact = 2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(2.0)
         assert F(5.0) == pytest.approx(exact, rel=1e-9)
@@ -85,7 +87,8 @@ class TestAntiderivative:
         assert F(1e6) == pytest.approx(0.25e24, rel=1e-12)
         calls[0] = 0
         assert F(1e-3) == pytest.approx(0.25e-12, rel=1e-12)
-        # one quadrature from 0, then 15-point panels up the 118 lattice steps
+        # one quadrature from 0, then 15-point panels up the 39 lattice steps
+        # below the lattice's first point t = 1
         assert calls[0] <= 5000
 
     def test_gauss_kronrod_exact_for_degree_22(self):
@@ -100,6 +103,72 @@ class TestAntiderivative:
         assert calls[0] == 15
         assert value == pytest.approx((b ** 23 - a ** 23) / 23.0, rel=1e-14)
         assert 0.0 < err <= 1e-12 * (1.0 + value)
+
+    @pytest.mark.parametrize("src, exact", [("(1+t)^(-2)", 1.0), ("exp(-t)", 1.0),
+                                            ("1/(1+t^2)", math.pi / 2.0)])
+    def test_first_query_at_large_t(self, src, exact):
+        # a first query far out must not integrate (0, t) in one quadrature,
+        # which misses the mass near 0; nor may the answer depend on what
+        # was asked before
+        fresh = Antiderivative(ScalarFn.from_source(src))
+        after = Antiderivative(ScalarFn.from_source(src))
+        after(1.0)
+        assert fresh(1e20) == pytest.approx(exact, abs=1e-12)
+        assert fresh(1e20) == after(1e20)
+
+    @pytest.mark.parametrize("src, t", [("t^1.7717*ln(1+t)^2.0775", 1e300),
+                                        ("exp(t)", 1e3),
+                                        ("(1+t)^(-2)", 1.7e308),
+                                        ("abs(t-3)^(-0.5)", 40.0)])
+    def test_block_fill_matches_the_scalar_path(self, src, t):
+        fn = ScalarFn.from_source(src)
+        block, scalar = Antiderivative(fn), Antiderivative(fn.fast())
+        block(t)
+        scalar(t)
+        # the block fill runs ahead of the query; ask the scalar path as far
+        scalar(2.0 ** (block._kmax / 4.0))
+        assert block._kmax == scalar._kmax
+        assert block._kinf == scalar._kinf
+        assert block._lat.keys() == scalar._lat.keys()
+        for k, v in scalar._lat.items():
+            assert block._lat[k] == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    def test_lattice_reaches_the_largest_float(self):
+        F = Antiderivative(ScalarFn.from_source("(1+t)^(-2)"))
+        assert F(1.7e308) == pytest.approx(1.0, abs=1e-12)
+        assert F._kmax == 4095 and F._kinf is None
+
+    def test_fill_ahead_raises_nothing_new(self):
+        # the fill ahead of F(9.9e5) crosses 1e6, where f stops being defined
+        def exact(t):
+            # (2/3)(a^1.5 - b^1.5) with a = 1e6, b = a - t, free of cancellation
+            a, b = 1e6, 1e6 - t
+            return 2.0 * t * (a * a + a * b + b * b) / (3.0 * (a ** 1.5 + b ** 1.5))
+
+        F = Antiderivative(ScalarFn.from_source("sqrt(1e6-t)"))
+        for t in (10.0, 1e5, 9.9e5):
+            assert F(t) == pytest.approx(exact(t), rel=1e-12)
+        assert F(9.9e5) == pytest.approx(6.66e8, rel=1e-12)
+        with pytest.raises(EvalDomainError,
+                           match=re.escape("sqrt((1000000.0 - t)) at t=1047863.2403809046")):
+            F(2e6)
+
+    def test_ko_far_from_the_band_fills_by_blocks(self):
+        # KO samples F out to where it overflows: a lattice of some 2,700
+        # panels, whose f calls are array calls bar the query remainders
+        f = ScalarFn.from_source("t^0.5*ln(1+t)^3")
+        scalar = f.fast()
+        calls = [0]
+
+        def counted(t):
+            calls[0] += 1
+            return scalar(t)
+
+        f._fast = counted
+        nl = Nonlinearity(f=f, fprime=f.derivative_fn())
+        assert keller_osserman(nl).is_divergent
+        assert len(nl.F._lat) > 2500
+        assert calls[0] <= 2000
 
     def test_domain_error_propagates(self):
         # f is undefined past 1e9, so F(2e9) is no number at all

@@ -63,6 +63,51 @@ class TestIntegrateFinite:
             integrate_finite(lambda t: t, 1.0, 0.0, 1e-9)
 
 
+class TestIntegratePanels:
+    @staticmethod
+    def cubic(t):
+        # the same IEEE operations on floats and on arrays
+        return t * t * t - 2.0 * t
+
+    def test_matches_integrate_panel_panel_by_panel(self, monkeypatch):
+        # (-1e3, 1e3 + 1e-3) fails the error test on rounding noise, and
+        # t^3 overflows on (1e102, 1e103)
+        a = np.array([0.5, 1.0, -1e3, -7.0, 1e102, 3.0, 2.0 ** -30])
+        b = np.array([1.0, 2.0 ** 0.25, 1e3 + 1e-3, 7.0, 1e103, 5.0, 2.0 ** -29.75])
+        values, ok = numerics.integrate_panels(self.cubic, a, b, 1e-12)
+        assert values.shape == ok.shape == a.shape
+        fallbacks = []
+
+        def fallback(fn, lo, hi, tol):
+            fallbacks.append(lo)
+            return math.nan, math.nan
+
+        monkeypatch.setattr(numerics, "integrate_finite", fallback)
+        for i in range(a.size):
+            value, _ = numerics.integrate_panel(self.cubic, float(a[i]), float(b[i]), 1e-12)
+            accepted = float(a[i]) not in fallbacks
+            assert bool(ok[i]) == accepted
+            if accepted:
+                assert value == values[i]
+        assert not ok[2] and math.isfinite(values[2])
+        assert not ok[4] and not math.isfinite(values[4])
+
+    def test_one_call_over_all_nodes(self):
+        shapes = []
+
+        def vec(t):
+            shapes.append(t.shape)
+            return self.cubic(t)
+
+        numerics.integrate_panels(vec, [1.0, 2.0, 3.0], [2.0, 3.0, 4.0], 1e-12)
+        assert shapes == [(3, 15)]
+
+    def test_domain_error_propagates(self):
+        vec = ScalarFn.from_source("sqrt(5-t)").vector()
+        with pytest.raises(EvalDomainError, match="at t="):
+            numerics.integrate_panels(vec, [1.0, 4.0], [4.0, 7.0], 1e-12)
+
+
 class TestTailClassifier:
     def test_inverse_square(self):
         v = classify_tail_integral(lambda t: t ** -2, 1.0, 1e-8)
