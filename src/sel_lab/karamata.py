@@ -80,20 +80,21 @@ class Antiderivative:
     """F(t) = int_0^t f with F(0) = 0, cached on the lattice t_k = 2^(k/4).
 
     Lattice values fill lazily over a contiguous range of k.  A fresh
-    lattice starts at k = 0 (t = 1), or at the first query's k when that is
-    lower, with one quadrature from 0 (integrate_finite), so F does not
-    depend on the order of its queries; a query below the lattice takes
-    one more such quadrature.  The lattice panels above are 15-point
-    Gauss-Kronrod panels.  For an expression (ScalarFn) a block of
-    _MIN_BLOCK or more new panels is one integrate_panels call, a single
-    array evaluation of f.  A panel that fails its error test, every panel
-    of a block whose array evaluation raises, and every panel of a shorter
-    block or of a plain callable goes through integrate_panel (which falls
-    back to integrate_finite), one panel at a time and in order.  A block
-    that extends the lattice upward to k runs ahead, up to 2k - kmin + 16,
-    and keeps the panels past k while the array rule accepts them, up to
-    the first where the sum overflows: f is never called point by point
-    past the query.
+    lattice starts at k = 0 (t = 1) with one quadrature from 0
+    (integrate_finite), so F(t) for t >= 1 does not depend on the order of
+    the queries; a query below the lattice takes one more such quadrature.
+    The lattice panels above are 15-point Gauss-Kronrod panels.  For an
+    expression (ScalarFn) a block of _MIN_BLOCK or more new panels is one
+    integrate_panels call, a single array evaluation of f.  A panel that
+    fails its error test, every panel of a block whose array evaluation
+    raises, and every panel of a shorter block or of a plain callable goes
+    through integrate_panel (which falls back to integrate_finite), one
+    panel at a time and in order.  A block that extends the lattice upward
+    to k runs ahead, up to 2k - kmin + 16, and keeps the panels past k
+    while the array rule accepts them, up to the first where the sum
+    overflows.  Past k, f is evaluated only by that array call (which runs
+    f lane by lane, up to the first failing node, where one of its domain
+    checks fails), never by integrate_panel.
     The remainder from the nearest lattice point below a query is one
     integrate_panel call.  Once f or the running integral overflows, or
     the quadrature of a panel fails (not integrable, or short of its
@@ -114,7 +115,6 @@ class Antiderivative:
         self._kmin: int | None = None
         self._kmax: int | None = None
         self._kinf: int | None = None
-        self._ahead = True
 
     @staticmethod
     def _t_of(k: int) -> float:
@@ -170,7 +170,6 @@ class Antiderivative:
         try:
             values, ok = integrate_panels(self._expr.vector(), edges[:-1], edges[1:], self._tol)
         except (ValueError, ArithmeticError):
-            self._ahead = False  # f fails up there: fill no further than asked
             return [], []
         return values.tolist(), ok.tolist()
 
@@ -208,16 +207,15 @@ class Antiderivative:
     def _fill(self, k: int) -> float:
         # invariant: the lattice is contiguous on [kmin, kmax]
         if self._kmin is None:
-            k0 = min(k, 0)
-            self._kmin = self._kmax = self._accumulate(
-                k0, self._quad(integrate_finite, 0.0, self._t_of(k0)), k0)
+            self._kmin = self._kmax = 0
+            self._accumulate(0, self._quad(integrate_finite, 0.0, 1.0), 0)
         if self._kinf is not None and k >= self._kinf:
             return INF
         if k < self._kmin:
             self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1)
             self._kmin = k
         elif k > self._kmax:
-            ahead = min(2 * k - self._kmin + 16, self._KTOP) if self._ahead else None
+            ahead = min(2 * k - self._kmin + 16, self._KTOP)
             self._kmax = self._accumulate(self._kmax, self._lat[self._kmax], k, ahead)
         return self._lat[k]
 
