@@ -14,6 +14,7 @@ to an absorption problem, and the Young-inequality constant handles
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -36,7 +37,13 @@ from .numerics import (
 EPS_BOUNDARY = 1e-6  # epsilon cut where integration stops and the zero is modelled
 CUT_MARGIN = 10.0  # the bracket end past R must rise to CUT_MARGIN * EPS_BOUNDARY
 S_MAX_PROBE = 1e6
-N_PROBES = 60
+# The one probe grid of every shooting search: 63 probes a factor 10^(10/52)
+# apart, from 1.19e-6 to S_MAX_PROBE.  Every fourth from the eleventh,
+# PROBES[10::4], is the coarse scan geomspace(1e-4, S_MAX_PROBE, 14) bit for bit.
+PROBES = tuple(float(s) for s in np.concatenate((
+    np.geomspace(1e-4 * 10.0 ** (-100 / 52), 1e-4, 11)[:-1],
+    np.geomspace(1e-4, S_MAX_PROBE, 53))))
+N_PROBES = len(PROBES)  # a full audit table; bench/tracing.py counts those by it
 EIGEN_TOL = 1e-12  # width stop of the lambda_1 search, relative to lambda_1 R^2
 
 
@@ -91,20 +98,12 @@ class EigenResult:
 def _eigen_shoot(N: int, R: float, mode: str, tally: ShotTally):
     """Return integrate(lam, dense) -> the shot of phi from the origin to R,
     counted in tally."""
+    phi0, dphi0 = (0.0, 1.0) if mode == "interval" else (1.0, 0.0)
 
     def integrate(lam, dense=False):
-        if mode == "interval":
-            y0, start = (0.0, 1.0), 0.0
-        elif N == 1:
-            y0, start = (1.0, 0.0), 0.0
-        else:
-            eps = 1e-6 * R
-            start = eps
-            # phi ~ 1 - lam r^2/(2N) + lam^2 r^4/(8N(N+2))
-            y0 = (1.0 - lam * eps ** 2 / (2.0 * N) + lam ** 2 * eps ** 4 / (8.0 * N * (N + 2)),
-                  -lam * eps / N + lam ** 2 * eps ** 3 / (2.0 * N * (N + 2)))
-        return tally.add(shoot(lambda r, u, du: -lam * u, N, start, y0, R, 1e-13, 1e-14,
-                               dense=dense))
+        source = lambda r, u, du: -lam * u  # noqa: E731
+        start, y0 = series_start(source, phi0, N, 1e-6 * R, dphi0)
+        return tally.add(shoot(source, N, start, y0, R, 1e-13, 1e-14, dense=dense))
 
     return integrate
 
@@ -358,10 +357,12 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
     One search serves every boundary level: the shooting map
-    s -> zero_location(s, level) is probed on a log grid and Brent's method
-    solves zero_location(s) = R on the first probe bracket.  A bracket
-    counts only when its probe past R clears the epsilon cut by the factor
-    CUT_MARGIN.  When no probe of the full audit table brackets R, the
+    s -> zero_location(s, level) is probed on the grid PROBES, first on its
+    coarse slice PROBES[10::4] up to the first bracket and then, when that
+    slice has none, on the whole grid, and Brent's method solves
+    zero_location(s) = R on the first probe bracket; no s is shot twice.  A
+    bracket counts only when its probe past R clears the epsilon cut by the
+    factor CUT_MARGIN.  When no probe of the whole grid brackets R, the
     singular problem is declared no-solution with the table attached;
     failed_probes counts the probes whose shot failed (zero location nan),
     which neither bracket R nor enter sup_zero_location.
@@ -391,26 +392,22 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
 
     def shoot_to_R(level):
         """(s*, probe table); s* is None when no probe brackets R."""
+        # one memo serves the coarse scan, the whole grid and Brent's method
+        probe = functools.cache(lambda s: zero_location(s, level))
         points = []
-        bracket = None
-        for s in np.geomspace(1e-4, S_MAX_PROBE, 14):
-            points.append((float(s), *zero_location(float(s), level)))
+        for s in PROBES[10::4]:
+            points.append((s, *probe(s)))
             bracket = bracket_in(points[-2:])
             if bracket is not None:
                 break
-        if bracket is None:
-            # full audit table before declaring nonexistence
-            points = [(float(s), *zero_location(float(s), level))
-                      for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES)]
+        else:
+            points = [(s, *probe(s)) for s in PROBES]
             bracket = bracket_in(points)
         probes = [(s, z) for s, z, _ in points]
         if bracket is None:
             return None, probes
-        # the bracket ends are probes already shot: hand their zeros to the finder
-        held = dict(probes)
-        s_star = find_root_monotone(
-            lambda s: held[s] if s in held else zero_location(s, level)[0], R, *bracket,
-            tol=1e-9 * R, width_tol=1e-13)
+        s_star = find_root_monotone(lambda s: probe(s)[0], R, *bracket,
+                                    tol=1e-9 * R, width_tol=1e-13)
         return s_star, probes
 
     s_star, probes = shoot_to_R(0.0)

@@ -484,28 +484,29 @@ def _scalar_env(nodes: list) -> dict:
             "_NAN": math.nan, **_SCALAR_ENV}
 
 
-def _compile(ast: ExprAst, vector: bool = False):
+def _compile(ast: ExprAst, scalar_fn=None):
     """Generate the strict evaluator of `ast`; see compile_scalar.
 
     One walk over the tree (_emit) writes two straight-line bodies: the
     scalar one over Python floats and the vector one over numpy arrays,
     with the same locals, the same checks from _CHECKS and the same node
-    order.  A vector check is a mask; when any lane fails it, the vector
-    evaluator returns the scalar evaluator run lane by lane, so the error
-    (message, node and t) is the scalar one.
+    order.  Given scalar_fn, the scalar evaluator of the same tree, only the
+    vector body is compiled: a vector check is a mask, and when any lane
+    fails it, the vector evaluator returns scalar_fn run lane by lane, so
+    the error (message, node and t) is the scalar one.
     """
     scalar = ["def _f(t):", "    t = float(t)"]
-    vec = ["def _fv(t):", "    t = _np.array(t, dtype=float)",
-           "    with _np.errstate(all='ignore'):"]
+    vec = None if scalar_fn is None else [
+        "def _fv(t):", "    t = _np.array(t, dtype=float)", "    with _np.errstate(all='ignore'):"]
     nodes: list[ExprAst] = []
     root = _emit(ast, "t", nodes, scalar, vec)
-    scalar.append(f"    return {root}")
-    vec.append(f"        return _shaped({root}, t)")
-    env = _scalar_env(nodes)
-    exec(compile("\n".join(scalar), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
-    if not vector:
+    if vec is None:
+        scalar.append(f"    return {root}")
+        env = _scalar_env(nodes)
+        exec(compile("\n".join(scalar), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
         return env["_f"]
-    env = {"_f": env["_f"], "_INF": math.inf, "_NAN": math.nan, **_VECTOR_ENV}
+    vec.append(f"        return _shaped({root}, t)")
+    env = {"_f": scalar_fn, "_INF": math.inf, "_NAN": math.nan, **_VECTOR_ENV}
     exec(compile("\n".join(vec), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
     return env["_fv"]
 
@@ -608,7 +609,7 @@ class ScalarFn:
         of the same shape out, and the scalar evaluator's own EvalDomainError
         at the first lane outside the domain; mesh sweeps bind it once."""
         if self._vector is None:
-            self._vector = _compile(self.body, vector=True)
+            self._vector = _compile(self.body, self.fast())
         return self._vector
 
     def source(self) -> str:

@@ -7,7 +7,7 @@ from scipy.special import jv
 
 from sel_lab import bifurcation
 from sel_lab.bifurcation import (
-    N_PROBES,
+    PROBES,
     S_MAX_PROBE,
     LEFProblem,
     gelfand_reduced_source,
@@ -198,7 +198,14 @@ class TestSolveLEF:
         prob = LEFProblem(N=1, geometry="interval", lam=lam, f=f_linear)
         sol = solve_lef(prob)
         assert sol.classification == NO_SOLUTION
-        assert len(sol.metadata["probe_table"]) == 60
+        assert len(sol.metadata["probe_table"]) == len(PROBES)
+        # the coarse scan is a slice of the table: no probe is shot twice
+        assert sol.metadata["shots"] == len(PROBES) == 63
+
+    def test_coarse_scan_is_a_slice_of_the_probe_grid(self):
+        assert np.array_equal(PROBES[10::4], np.geomspace(1e-4, S_MAX_PROBE, 14))
+        assert PROBES[-1] == S_MAX_PROBE
+        assert np.allclose(np.diff(np.log10(PROBES)), 10 / 52, rtol=1e-12, atol=0.0)
 
     def test_solvable_below_threshold(self, f_linear, g_half):
         prob = LEFProblem(N=1, geometry="interval", lam=0.95 * math.pi ** 2,
@@ -332,9 +339,9 @@ class TestGelfandBall:
         zero_location, integrate = bifurcation._shooting_map(
             LEFProblem(N=N, geometry="ball", lam=lam, f=f_exp))
         failed = 0
-        for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES):
-            sol = integrate(float(s))
-            z = zero_location(float(s))[0]
+        for s in PROBES:
+            sol = integrate(s)
+            z = zero_location(s)[0]
             assert math.isnan(z) == (sol is not None and not sol.success)
             failed += math.isnan(z)
         assert failed >= 16
@@ -344,6 +351,7 @@ class TestGelfandBall:
         assert sol.classification == NO_SOLUTION
         zeros = [z for _, z in sol.metadata["probe_table"]]
         assert sol.metadata["failed_probes"] == sum(map(math.isnan, zeros)) >= 16
+        assert sol.metadata["shots"] <= len(PROBES)
         assert sol.metadata["sup_zero_location"] == max(z for z in zeros if not math.isnan(z))
 
     def test_n3_sweep_brackets_threshold(self, f_exp):
@@ -351,6 +359,17 @@ class TestGelfandBall:
         assert diagram.status == ["solved"] * 3 + ["no-solution"]
         assert diagram.lam_star_bracket == (3.0, 3.5)
         assert diagram.monotone_centers
+
+    def test_n3_just_below_threshold_is_solved(self, f_exp):
+        # at lam = 3.3 < lam* ~ 3.322 the zero location exceeds R only on the
+        # window s ~ 1.4-1.8 of the branch's turning point, where the probe at
+        # s ~ 1.70 lands.  A window narrower than the grid ratio 10^(10/52)
+        # ~ 1.557 can still fall between two probes and read no-solution.
+        sol = solve_lef(LEFProblem(N=3, geometry="ball", lam=3.3, f=f_exp))
+        assert sol.classification == "bounded"
+        diagram = sweep(LEFProblem(N=3, geometry="ball", f=f_exp), [3.0, 3.3, 3.5])
+        assert diagram.status == ["solved", "solved", "no-solution"]
+        assert diagram.lam_star_bracket == (3.3, 3.5)
 
 
 class TestGelfand:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from sel_lab import expr
 from sel_lab.expr import (
     EvalDomainError,
     ExprAst,
@@ -356,6 +357,26 @@ def test_vector_overflow_is_the_scalar_inf(src, t, expected):
     fn = ScalarFn.from_source(src)
     assert fn(t) == expected
     assert fn.vector()(np.array([1.0, t]))[1] == expected
+
+
+def test_vector_is_built_against_the_cached_scalar_evaluator(monkeypatch):
+    # the lane-by-lane fallback reuses fast(): only the vector body is compiled
+    compiled = []
+
+    def counted(*args, **kwargs):
+        compiled.append(args[0])
+        return compile(*args, **kwargs)
+
+    fn = ScalarFn.from_source("sqrt(2-t)+t^4.9802")
+    fast = fn.fast()
+    monkeypatch.setattr(expr, "compile", counted, raising=False)
+    vector = fn.vector()
+    assert len(compiled) == 1 and compiled[0].startswith("def _fv(t):")
+    assert fn.fast() is fast
+    with pytest.raises(EvalDomainError) as err:
+        vector(np.array([1.0, 3.0]))
+    assert err.value.node is fn.body.children[0] and err.value.t == 3.0
+    assert "sqrt((2.0 - t))" in str(err.value)
 
 
 def test_vector_constant_broadcasts_and_odd_shapes():

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from sel_lab import bifurcation, numerics, radial
-from sel_lab.bifurcation import N_PROBES, S_MAX_PROBE, LEFProblem
+from sel_lab.bifurcation import PROBES, LEFProblem
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
@@ -452,13 +452,13 @@ def _scipy_shoot(source, N, r_start, y0, r_end, rtol, atol, floors=(), cap=None,
 
 
 def _probe_table(prob):
-    """(event index, zero location) of every probe of the 60-probe audit table."""
+    """(event index, zero location) of every probe of the audit table PROBES."""
     zero_location, integrate = bifurcation._shooting_map(prob)
     table = []
-    for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES):
-        sol = integrate(float(s))
+    for s in PROBES:
+        sol = integrate(s)
         fired = None if sol is None else [i for i, te in enumerate(sol.t_events) if te.size]
-        table.append((fired, zero_location(float(s))[0]))
+        table.append((fired, zero_location(s)[0]))
     return table
 
 

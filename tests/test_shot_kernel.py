@@ -18,7 +18,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from sel_lab import bifurcation, numerics, profile, radial
-from sel_lab.bifurcation import N_PROBES, S_MAX_PROBE, LEFProblem, _lef_source, solve_lef
+from sel_lab.bifurcation import PROBES, LEFProblem, _lef_source, solve_lef
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
@@ -305,9 +305,9 @@ def _lef_problem(mode, geometry):
 def test_probe_table_shots(monkeypatch, mode, geometry):
     shots = _beside_reference(monkeypatch, bifurcation)
     _, integrate = bifurcation._shooting_map(_lef_problem(mode, geometry))
-    for s in np.geomspace(1e-6, S_MAX_PROBE, N_PROBES):
-        integrate(float(s))
-    assert len(shots) > N_PROBES // 2
+    for s in PROBES:
+        integrate(s)
+    assert len(shots) > len(PROBES) // 2
     assert any(_fired(sol) for sol in shots)
     if (mode, geometry) == ("gelfand", "ball"):
         # past s ~ 890 the probes end at the minimum step
