@@ -390,10 +390,13 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
                 return s1, s2
         return None
 
+    probes_at = {}  # one memo of zero_location per boundary level
+
     def shoot_to_R(level):
         """(s*, probe table); s* is None when no probe brackets R."""
-        # one memo serves the coarse scan, the whole grid and Brent's method
-        probe = functools.cache(lambda s: zero_location(s, level))
+        # one memo serves the coarse scan, the whole grid, Brent's method
+        # and the cut audit
+        probe = probes_at[level] = functools.cache(lambda s: zero_location(s, level))
         points = []
         for s in PROBES[10::4]:
             points.append((s, *probe(s)))
@@ -446,7 +449,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     }
 
     if options.get("check_eps_sensitivity"):
-        drift = abs(zero_location(s_star)[0] -
+        drift = abs(probes_at[0.0](s_star)[0] -
                     zero_location(s_star, eps_b=EPS_BOUNDARY / 2.0)[0])
         metadata["eps_cut_drift"] = drift
         metadata["eps_cut_ok"] = bool(drift < 1e-6)

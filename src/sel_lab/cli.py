@@ -315,7 +315,8 @@ def _weight_from_spec(spec):
 
 def _profile_from_spec(spec):
     """Read the profile config; returns a function that builds the profile,
-    so that a command can read all of its config before it computes."""
+    so that a command can read all of its config before it computes.  A
+    command that has analysed f already hands its Nonlinearity to it."""
     f_src = spec.expression("functions", "f", required=True)
     weight = _weight_from_spec(spec)
     variant = spec.get("problem", "variant", "k-integrand")
@@ -323,8 +324,8 @@ def _profile_from_spec(spec):
     depth = spec.get("numerics", "grid_depth", 24, kind=int)
     tol = spec.get("numerics", "tol", 1e-10, kind=float)
 
-    def build():
-        nl = _ka.analyze_nonlinearity(f_src)
+    def build(nl=None):
+        nl = nl if nl is not None else _ka.analyze_nonlinearity(f_src)
         kf = weight()
         t_grid = kf.nu * 2.0 ** (-np.arange(1, depth + 1, dtype=float))
         return _prof.build_profile(nl, kf, variant=variant, t_grid=t_grid, c=c, tol=tol)
@@ -471,10 +472,8 @@ def _cmd_blowup(spec, outdir):
            "blowup_radius": sol.blowup_radius if sol.blowup_radius is not None else "none",
            "levels": len(sol.metadata.get("n_levels", [])), "csv": csv}
     if make_profile is not None:
-        rate = _rad.measure_boundary_rate(sol, make_profile())
-        out["rate_ratio"] = f"{rate.limit:.2f}x"
-        out["rate_limit"] = rate.limit
-        out["rate_drift"] = rate.drift
+        rate = _rad.measure_boundary_rate(sol, make_profile(prob.f))
+        out.update(rate_ratio=f"{rate.limit:.2f}x", rate_limit=rate.limit, rate_drift=rate.drift)
     return out
 
 
@@ -490,33 +489,20 @@ def _cmd_rate(spec, outdir):
 
 
 def _read_solution_csv(path) -> _num.RadialSolution:
-    meta = {}
-    rows = []
-    header = None
+    """A solution CSV with its `# key=value` comment lines as metadata."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    k, _, v = line[1:].strip().partition("=")
-                    meta[k.strip()] = v.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    if header is None or not rows:
+        lines = [line.strip() for line in handle if line.strip()]
+    meta = {k.strip(): v.strip() for k, _, v in (line[1:].partition("=") for line in lines
+                                                  if line.startswith("#") and "=" in line)}
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    if len(table) < 2:
         raise ConfigError(f"solution file {path!r} is empty")
-    arr = np.asarray(rows)
-    cols = {name: arr[:, i] for i, name in enumerate(header)}
-    classification = meta.get("classification", _num.UNDETERMINED)
-    blow = float(meta["blowup_radius"]) if "blowup_radius" in meta else None
+    cols = dict(zip(table[0], np.array(table[1:], dtype=float).T))
     sol = _num.RadialSolution(
         dimension=int(meta.get("dimension", 1)), r=cols["r"], u=cols["u"],
         du=cols.get("u_prime"), v=cols.get("v"),
-        classification=classification, blowup_radius=blow,
+        classification=meta.get("classification", _num.UNDETERMINED),
+        blowup_radius=float(meta["blowup_radius"]) if "blowup_radius" in meta else None,
     )
     if "b_normalization" in meta:
         sol.metadata["b_normalization"] = meta["b_normalization"]

@@ -83,7 +83,6 @@ class BlowupProfile:
     chi: float | None = None
     varpi: float | None = None
     roundtrip_err: float = 0.0
-    _phi: object = field(default=None, repr=False)
     _interp: object = field(default=None, repr=False)
 
     def __post_init__(self):

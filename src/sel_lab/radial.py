@@ -4,13 +4,14 @@ Monotone Picard iterations for entire solutions (with the exponential
 gradient kernel and for coupled systems, both through one loop,
 `_monotone_picard`), the integral condition checkers and the one
 bounded-vs-large dichotomy (`_dichotomy`) both schemes share, Gronwall
-Lipschitz constants, the u_n = n approximation scheme for boundary
-blow-up solutions with Aitken extrapolation across levels, and residual
-verification of explicit solutions.
+Lipschitz constants, boundary blow-up solutions from two level problems
+u = n read where they agree, and residual verification of explicit
+solutions.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -25,6 +26,7 @@ from .numerics import (
     BOUNDED,
     ENTIRE_LARGE,
     UNDETERMINED,
+    BracketError,
     NumericsError,
     RadialSolution,
     ShotTally,
@@ -34,7 +36,7 @@ from .numerics import (
     series_start,
     shoot,
 )
-from .profile import BlowupProfile
+from .profile import BlowupProfile, tail_map
 
 MAX_PICARD_ITERATIONS = 200
 
@@ -560,127 +562,93 @@ def lipschitz_constant(Cp: float, Cq: float, m_lip: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary blow-up via the u_n = n scheme
+# Boundary blow-up from two level problems u = n
 # ---------------------------------------------------------------------------
 
-def _aitken(seq: np.ndarray) -> np.ndarray:
-    """One Delta^2 pass; length shrinks by 2."""
-    d1 = seq[1:-1] - seq[:-2]
-    d2 = seq[2:] - 2.0 * seq[1:-1] + seq[:-2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        acc = seq[:-2] - np.where(d2 != 0.0, d1 * d1 / np.where(d2 != 0.0, d2, 1.0), 0.0)
-    return np.where(np.isfinite(acc), acc, seq[2:])
+TOP_DISTANCE = 1e-13  # phi(n)/R a few hundred float spacings of a shot resolve
+HEIGHT_EXPONENTS = range(21)  # the top height is a power of ten, at most 1e20
+AGREEMENT = 1e-4  # the two levels agree where they differ by this much relative
 
 
-def _extrapolate_levels(levels: np.ndarray):
-    """Aitken-accelerate the level sequence at each grid point.
-
-    Acceleration only uses the converged tail of the sequence (levels
-    within a factor 2 of the top one); points still saturated by the
-    boundary value u = n keep the last level with a large error bar.
-    """
-    n_lv, n_pts = levels.shape
-    u_inf = levels[-1].copy()
-    err = np.empty(n_pts)
-    for i in range(n_pts):
-        seq = levels[:, i]
-        top = seq[-1]
-        err[i] = abs(seq[-1] - seq[-2])
-        start = int(np.argmax(seq >= 0.5 * top))
-        tail = seq[start:]
-        if tail.size < 4:
-            continue
-        acc = _aitken(tail)
-        if acc.size >= 3:
-            acc2 = _aitken(acc)
-            cand, delta = acc2[-1], abs(acc2[-1] - acc[-1])
-        else:
-            cand, delta = acc[-1], abs(acc[-1] - tail[-1])
-        # an admissible limit dominates the monotone levels but cannot
-        # overshoot the geometric trend (ratio cap ~0.95)
-        cap = top + 20.0 * abs(seq[-1] - seq[-2]) + 1e-12
-        if (math.isfinite(cand) and top * (1.0 - 1e-9) <= cand <= cap
-                and delta < 0.5 * abs(cand)):
-            u_inf[i] = cand
-            err[i] = delta
-    return u_inf, err
-
-
-def _level_rhs(prob: LogisticProblem):
+def _level_source(prob: LogisticProblem, inward_from: float | None = None):
     """b(r) f(u) - a u, the level problems' right-hand side, as one generated
-    function of (r, u, u') with b and f inlined."""
-    return compose_scalar("r, u, du", [("B", prob.b.body, "r"), ("F", prob.f.f.body, "u"),
-                                       "return B * F - a * u"], {"a": prob.a_lin})
+    function of (r, u, u') with b and f inlined and f read at max(u, 0).
+    With inward_from = R its first argument is x = R - r and it carries the
+    drift (N-1)/(R-x) u' itself."""
+    r, drift = ("r", "") if inward_from is None else ("R - r", " + d * du / (R - r)")
+    return compose_scalar("r, u, du", [
+        ("B", prob.b.body, r), ("F", prob.f.f.body, "0.0 if u < 0.0 else u"),
+        f"return B * F - a * u{drift if prob.N > 1 else ''}"],
+        {"a": prob.a_lin, "R": inward_from, "d": prob.N - 1.0})
 
 
-def _shoot_level_annulus(prob: LogisticProblem, n: float, R0: float, R: float,
-                         sigma_bracket, tally: ShotTally):
-    """Level BVP u(R0) = n, u(R) = 0 by shooting on the inner slope; the
-    shots are counted in tally."""
-    rhs = _level_rhs(prob)
-    N = prob.N
-    r_start = R0 if (N == 1 or R0 > 0.0) else 1e-9 * R
-    r_span = R + 0.05 * (R - R0)  # lets the zero event fire slightly past R
+def _level_shot(prob: LogisticProblem):
+    """(shot, span): shot(p, cap, dense) runs one level shot over [0, span]
+    to the blow-up boundary.  The ball shoots from its centre value p, the
+    annulus inward from its zero boundary u(R) = 0 with slope p, in x = R - r."""
+    ball, R = prob.domain[0] == "ball", float(prob.domain[-1])
+    span, N = (R, prob.N) if ball else (R - float(prob.domain[1]), 1)
+    source = _level_source(prob, None if ball else R)
 
-    def integrate(sigma, dense=False):
-        # full accuracy also while probing: the level ordering near the
-        # blow-up boundary is steeply sensitive to the slope.  A level
-        # solution stays below its boundary value; rising past 1.5 n means
-        # the slope was too shallow.
-        return tally.add(shoot(rhs, N, r_start, (n, -sigma), r_span, 1e-10, 1e-12 * n,
-                               floors=(0.0,), cap=1.5 * n, dense=dense))
+    def shot(p, cap, dense=False):
+        start, y0 = series_start(source, p, N, 1e-8 * R) if ball else (0.0, (0.0, p))
+        return shoot(source, N, start, y0, span, 1e-10, 1e-12, cap=cap, dense=dense)
 
-    def zero_location(sigma):
-        sol = integrate(sigma)
-        if sol.t_events[0].size:
-            return float(sol.t_events[0][0])
-        # never returned to zero inside the window: continuous extension
-        u_end, du_end = sol.y[0, -1], sol.y[1, -1]
-        if du_end < 0.0:
-            return float(sol.t[-1] + u_end / (-du_end))
-        return float(sol.t[-1] + u_end + 1.0)
-
-    # stop on the zero-location residual itself: the location is steeply
-    # sensitive to sigma at large levels, so a sigma-width stop would
-    # terminate with the zero visibly misplaced
-    lo, hi = sigma_bracket
-    sigma = find_root_monotone(lambda s: -zero_location(s), -R, lo, hi,
-                               tol=1e-9 * R, width_tol=1e-15)
-    return sigma, integrate(sigma, dense=True)
+    return shot, span
 
 
-def _shoot_level_ball(prob: LogisticProblem, n: float, R: float, s_bracket,
-                      tally: ShotTally):
-    """Level BVP u'(0) = 0, u(R) = n by shooting on the center value; the
-    shots are counted in tally."""
-    rhs = _level_rhs(prob)
-    N = prob.N
+def _level_search(shot, span: float, cap: float, f: Nonlinearity, phi):
+    """solve(n, tally): the shooting parameter of the level u = n.
 
-    def integrate(s, dense=False):
-        start, y0 = series_start(rhs, s, N, 1e-8 * R)
-        return tally.add(shoot(rhs, N, start, y0, R, 1e-10, 1e-12 * max(n, 1.0),
-                               cap=10.0 * n, dense=dense))
+    Each search runs on the Keller-Osserman tail map phi of the shot's
+    boundary value against phi(n): phi(u) is the distance to blow-up of
+    u'' = f(u), which falls nearly linearly in the parameter where log u is
+    singular.  A shot into the cap, continued to the boundary along phi's
+    tangent, reads below 0; one that stalls at the minimum step reads -span.
+    One memo of the shots serves every height and brackets each search by
+    the nearest shots on either side, found by doubling or halving from 1.
+    """
+    memo: dict[float, float] = {}
 
-    def endpoint(s):
-        sol = integrate(s)
-        if sol.t_events[0].size:
-            return 10.0 * n + (R - float(sol.t_events[0][0]))
-        return float(sol.y[0, -1])
+    def distance(p, tally):
+        if p not in memo:
+            sol = tally.add(shot(p, cap))
+            x, u, du = float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1])
+            if sol.status == -1:
+                memo[p] = -span
+            elif sol.t_events[0].size:
+                memo[p] = phi(u) - du * (span - x) / math.sqrt(2.0 * f.F(u))
+            else:
+                memo[p] = phi(u) if u > 0.0 else 1e300
+        return memo[p]
 
-    lo, hi = s_bracket
-    s = find_root_monotone(endpoint, n, lo, hi, tol=1e-8 * max(1.0, n),
-                           width_tol=1e-15)
-    return s, integrate(s, dense=True)
+    def solve(n, tally):
+        target = phi(n)
+        for _ in range(60):
+            below = [p for p, D in memo.items() if D > target]
+            above = [p for p, D in memo.items() if D < target and p > max(below, default=0.0)]
+            if below and above:
+                return find_root_monotone(lambda p: distance(p, tally), target, max(below),
+                                          min(above), tol=1e-4 * target, width_tol=1e-15)
+            distance(2.0 * max(below) if below else 0.5 * min(above, default=2.0), tally)
+        raise BracketError(f"no two shots bracket the level u = {n:g}")
+
+    return solve
 
 
 def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> RadialSolution:
-    """Boundary blow-up solution by the monotone u_n = n scheme.
+    """Boundary blow-up solution from two level problems u = n.
 
-    Solves the level BVPs with u = n on the blow-up boundary for
-    n = 10*2^j by default, checks monotonicity in n, and Aitken-
-    extrapolates across levels at every interior grid point.  Requires the
-    Keller-Osserman integral of f to converge and a_lin below the first
-    Dirichlet eigenvalue of the vanishing core when one is present.
+    By default the levels are n/100 and the top height n, the largest power
+    of ten whose Keller-Osserman tail map phi(n) = int_n^inf ds/sqrt(2F)
+    still reaches TOP_DISTANCE R, retried once at n/10^4 and n/100 when a
+    search fails; given n_levels, each height is solved and the top two
+    decide.  The searches run from the top height down, each bracketed by
+    the shots before it.  The solution is the top level at the grid points
+    where the two agree to AGREEMENT relative (fewer than two:
+    undetermined).  Requires the Keller-Osserman integral of f to converge
+    and a_lin below the first Dirichlet eigenvalue of the vanishing core
+    when one is present.
     """
     ko = keller_osserman(prob.f)
     if not ko.is_convergent:
@@ -697,57 +665,50 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
                 f"a = {prob.a_lin!r} >= lambda_inf_1 = {lam_gate!r}: no large solution"
             )
 
-    if n_levels is None:
-        n_levels = [10.0 * 2.0 ** j for j in range(9)]
-    n_levels = sorted(float(n) for n in n_levels)
-
     kind = prob.domain[0]
     if kind == "whole-space":
         return _whole_space_large(prob, n_grid)
 
-    if kind == "ball":
-        R0, R = 0.0, float(prob.domain[1])
-        blow_r, d_sign = R, -1.0
-        interior = R - np.geomspace(1e-3 * R, 0.98 * R, n_grid)[::-1]
-        interior = np.concatenate(([0.0], interior))
+    shot, span = _level_shot(prob)
+    phi = tail_map(prob.f)
+    if n_levels is None:
+        k = bisect.bisect(HEIGHT_EXPONENTS, False,
+                          key=lambda k: phi(10.0 ** k) < TOP_DISTANCE * span)
+        n = 10.0 ** max(k - 1, 0)
+        attempts = ([n / 100.0, n], [n / 1e4, n / 100.0])
     else:
-        R0, R = float(prob.domain[1]), float(prob.domain[2])
-        blow_r, d_sign = R0, +1.0
-        interior = R0 + np.geomspace(1e-3 * (R - R0), 0.98 * (R - R0), n_grid)
-        interior = np.concatenate((interior, [R]))
+        attempts = (sorted(float(n) for n in n_levels),)
+    for heights in attempts:
+        solve = _level_search(shot, span, 10.0 * heights[-1], prob.f, phi)
+        tallies = [ShotTally() for _ in heights]
+        try:  # from the top down: each search is bracketed by the shots before it
+            params = [solve(n, t) for n, t in zip(heights[::-1], tallies[::-1])][::-1]
+            break
+        except NumericsError as exc:
+            failure = exc
+    else:
+        tops = " or ".join(f"{h[-1]:g}" for h in attempts)
+        raise NumericsError(f"the level problems did not resolve with top height {tops}: "
+                            f"{failure}")
 
-    levels = np.empty((len(n_levels), interior.size))
-    params: list[float] = []
-    tallies = [ShotTally() for _ in n_levels]
-    for j, n in enumerate(n_levels):
-        if len(params) >= 2:
-            # log-linear prediction of the shooting parameter across levels;
-            # the previous parameter is a guaranteed lower bound
-            pred = params[-1] * (params[-1] / params[-2])
-            bracket = (params[-1], max(1.35 * pred, 1.05 * params[-1]))
-        elif params:
-            bracket = (params[-1], params[-1] * 4.0)
-        else:
-            bracket = (1e-6, n) if kind == "ball" else (1e-6, 1.0)
-        if kind == "ball":
-            shoot_param, sol = _shoot_level_ball(prob, n, R, bracket, tallies[j])
-        else:
-            shoot_param, sol = _shoot_level_annulus(prob, n, R0, R, bracket, tallies[j])
-        params.append(shoot_param)
-        # evaluate on the fixed grid, clamping into the level's dense range;
-        # tiny negative overshoot at the outer Dirichlet boundary is pure
-        # shooting residue
-        grid = np.clip(interior, sol.t[0], sol.t[-1])
-        levels[j] = np.maximum(sol.sol(grid)[0], 0.0)
-
-    for j in range(len(n_levels) - 1):
-        slack = 1e-7 * (1.0 + np.abs(levels[j])) + 1e-6 * n_levels[j + 1]
-        if np.any(levels[j + 1] < levels[j] - slack):
-            raise ValueError("levels are not monotone nondecreasing in n "
-                             "(maximum-principle ordering violated)")
-
+    R = float(prob.domain[-1])
+    if kind == "ball":
+        blow_r = R
+        x = interior = np.concatenate(([0.0], R - np.geomspace(1e-3 * R, 0.98 * R, n_grid)[::-1]))
+    else:
+        blow_r = float(prob.domain[1])
+        interior = np.concatenate((blow_r + np.geomspace(1e-3 * span, 0.98 * span, n_grid), [R]))
+        x = R - interior
+    # the top two levels, shot once more with dense output
+    levels = [t.add(shot(p, 10.0 * heights[-1], dense=True))
+              for p, t in zip(params[-2:], tallies[-2:])]
+    *low, u = (sol.sol(np.clip(x, sol.t[0], sol.t[-1]))[0] for sol in levels)
+    if low and np.any(low[0] > u + 1e-7 * (1.0 + np.abs(low[0]))):
+        raise ValueError("levels are not monotone nondecreasing in n "
+                         "(maximum-principle ordering violated)")
+    agree = np.abs(u - low[0]) <= AGREEMENT * np.abs(u) if low else np.zeros(u.size, bool)
     metadata = {
-        "n_levels": list(n_levels),
+        "n_levels": heights,
         "b_normalization": prob.b_normalization,
         "blowup_boundary": blow_r,
         "boundary_side": "outer" if kind == "ball" else "inner",
@@ -755,16 +716,10 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         "level_steps_accepted": [t.steps_accepted for t in tallies],
         "level_steps_rejected": [t.steps_rejected for t in tallies],
     }
-    if len(n_levels) == 1:
-        return RadialSolution(dimension=prob.N, r=interior, u=levels[0],
+    if np.count_nonzero(agree) < 2:
+        return RadialSolution(dimension=prob.N, r=interior, u=u,
                               classification=UNDETERMINED, metadata=metadata)
-    if len(n_levels) < 4:
-        u_inf, err = levels[-1], np.abs(levels[-1] - levels[-2])
-    else:
-        u_inf, err = _extrapolate_levels(levels)
-    metadata["extrapolation_err"] = err
-    metadata["distance_sign"] = d_sign
-    return RadialSolution(dimension=prob.N, r=interior, u=u_inf,
+    return RadialSolution(dimension=prob.N, r=interior[agree], u=u[agree],
                           classification=BOUNDARY_BLOWUP, blowup_radius=blow_r,
                           metadata=metadata)
 
@@ -773,7 +728,7 @@ def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
     """Entire-solution window sweep: growth must persist across 2 windows.
     A shot that blows up inside its window is returned as boundary-blowup
     at that radius, with the ratios of the windows before it."""
-    rhs = _level_rhs(prob)
+    rhs = _level_source(prob)
     Rmax = float(prob.domain[1])
     ratios = []
     for window in (Rmax, 2.0 * Rmax):
@@ -840,15 +795,19 @@ class RateTable:
 
 def measure_boundary_rate(sol: RadialSolution, profile: BlowupProfile,
                           points: int = 10) -> RateTable:
-    """Ratios u/h(d) and u/(xi0 h(d)) at the grid points nearest the boundary.
+    """Ratios u/h(d) and u/(xi0 h(d)) at the `points` grid points nearest the
+    boundary inside the profile table.
 
-    The limit is a Richardson (Aitken) extrapolation of the xi0-normalized
-    ratio along decreasing d, with the drift of the last two accelerated
-    values.  Refuses solutions whose b-normalization does not match the
-    profile variant.
+    The limit is the xi0-normalized ratio nearest the boundary and the drift
+    its change to the next point.  A reading whose two nearest ratios differ
+    by more than 1e-2 is a far-field ratio and is refused (NumericsError),
+    as are solutions whose b-normalization does not match the profile
+    variant.  Refusals name the level heights the solution carries.
     """
+    heights = sol.metadata.get("n_levels")
+    levels = f" (levels u = {', '.join(f'{n:g}' for n in heights)})" if heights else ""
     if sol.classification != BOUNDARY_BLOWUP:
-        raise ValueError("rate measurement needs a boundary-blowup solution")
+        raise ValueError(f"rate measurement needs a boundary-blowup solution{levels}")
     norm = sol.metadata.get("b_normalization")
     if norm is not None and norm != profile.normalization:
         raise ValueError(
@@ -857,49 +816,17 @@ def measure_boundary_rate(sol: RadialSolution, profile: BlowupProfile,
         )
     if profile.xi0 is None:
         raise ValueError("profile carries no xi0")
-    R_b = sol.blowup_radius
-    d_all = np.abs(sol.r - R_b)
-    in_table = (d_all >= profile.t[0]) & (d_all <= profile.t[-1]) & (d_all > 0.0)
-    err = sol.metadata.get("extrapolation_err")
-    usable = in_table
-    if err is not None:
-        # prefer points whose level extrapolation converged well; relax the
-        # quality threshold before giving up
-        rel = np.asarray(err) / np.maximum(np.abs(sol.u), 1e-300)
-        for threshold in (0.005, 0.02, math.inf):
-            usable = in_table & (rel <= threshold)
-            if usable.sum() >= 3:
-                break
-    idx = np.where(usable)[0]
-    if idx.size < 3:
-        raise ValueError("too few usable grid points inside the profile table")
-    # walk inward from the largest usable d and keep points while the ratio
-    # varies smoothly; this drops near-boundary points whose level
-    # extrapolation never converged (e.g. solutions reloaded without error
-    # metadata)
-    ordered = idx[np.argsort(d_all[idx])][::-1]  # decreasing d
-    ratios = []
-    kept = []
-    for i in ordered:
-        r_i = sol.u[i] / (profile.xi0 * profile.h_at(float(d_all[i])))
-        if ratios and not (0.8 * abs(ratios[-1]) <= abs(r_i) <= 1.25 * abs(ratios[-1])):
-            break
-        ratios.append(r_i)
-        kept.append(i)
-    if len(kept) < 3:
-        raise ValueError("boundary ratios are not consistent enough to extrapolate")
-    order = np.asarray(kept[-points:])  # the `points` nearest consistent ones
+    d_all = np.abs(sol.r - sol.blowup_radius)
+    idx = np.where((d_all >= profile.t[0]) & (d_all <= profile.t[-1]) & (d_all > 0.0))[0]
+    if idx.size < 2:
+        raise ValueError(f"too few resolved grid points inside the profile table{levels}")
+    order = idx[np.argsort(d_all[idx])][:points][::-1]  # the nearest, by decreasing d
     d = d_all[order]
-    hvals = np.array([profile.h_at(float(x)) for x in d])
-    ratio_h = sol.u[order] / hvals
+    ratio_h = sol.u[order] / np.array([profile.h_at(float(x)) for x in d])
     ratio_x = ratio_h / profile.xi0
-    acc = ratio_x.copy()
-    drift = abs(acc[-1] - acc[-2])
-    while acc.size >= 3:
-        nxt = _aitken(acc)
-        drift = abs(nxt[-1] - acc[-1])
-        acc = nxt
-        if acc.size < 3:
-            break
+    drift = abs(ratio_x[-1] - ratio_x[-2])
+    if drift > 1e-2:
+        raise NumericsError(f"far-field boundary rate refused: the ratios at d = {d[-1]:.3g} "
+                            f"and {d[-2]:.3g} differ by {drift:.3g} > 1e-2{levels}")
     return RateTable(d=d, ratio_h=ratio_h, ratio_xi0h=ratio_x,
-                     limit=float(acc[-1]), drift=float(drift))
+                     limit=float(ratio_x[-1]), drift=float(drift))

@@ -621,7 +621,7 @@ f = "t^3"
 b = "t^2"
 
 [numerics]
-levels = 10, 20, 40, 80, 160, 320, 640
+levels = 1e9, 1e11
 grid_depth = 14
 tol = 1e-9
 
@@ -634,6 +634,42 @@ json = summary.json
         assert "rate_ratio=" in out
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert abs(summary["rate_limit"] - 1.0) < 0.05
+
+    @staticmethod
+    def _blowup_shape(domain, N, p, alpha, levels=""):
+        if domain == "annulus":
+            geometry, b = "domain = annulus\nR0 = 0.0\nR = 1.0", f"t^{2.0 * alpha:.4f}"
+        else:
+            geometry, b = "domain = ball\nR = 1.0", f"(1-t)^{2.0 * alpha:.4f}"
+        return (f"[problem]\ncommand = blowup\nN = {N}\n{geometry}\nb_normalization = k2\n"
+                f"k_alpha = {alpha}\nnu = 1.0\nc = 1.0\n\n[functions]\nf = \"t^{p}\"\n"
+                f"b = \"{b}\"\n\n[numerics]\ngrid_depth = 14\n{levels}\n"
+                f"[output]\ncsv = solution.csv\njson = summary.json\n")
+
+    @pytest.mark.parametrize("domain, N, p, alpha", [
+        ("annulus", 1, 2.2, 0.9147),  # f undefined below 0, where a stage can land
+        ("annulus", 1, 2.0, 1.8418),  # u ~ d^-5.7: the top height is 1e20
+        ("ball", 2, 2.6, 0.6959),
+        ("annulus", 1, 3.6, 0.8311),
+        ("ball", 1, 2.0, 1.4041),  # u ~ d^-4.8: the levels agree only from d = 0.038
+    ])
+    def test_blowup_rate_of_bench_shapes(self, tmp_path, capsys, domain, N, p, alpha):
+        code, outdir = run_cli(tmp_path, self._blowup_shape(domain, N, p, alpha))
+        assert code == 0, open(os.path.join(outdir, "failure.json")).read()
+        summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
+        assert abs(summary["rate_limit"] - 1.0) <= 0.02
+        assert summary["levels"] == 2
+
+    def test_blowup_rate_unresolved_names_the_levels(self, tmp_path, capsys):
+        # u ~ d^-4.8 at this ball's boundary: the levels 1e10 and 1e12
+        # agree nowhere on the grid, so no rate is printed
+        code, outdir = run_cli(tmp_path, self._blowup_shape("ball", 1, 2.0, 1.4041,
+                                                            "levels = 1e10, 1e12\n"))
+        assert code == 3
+        assert "rate_ratio" not in capsys.readouterr().out
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error"] == ("rate measurement needs a boundary-blowup solution "
+                                 "(levels u = 1e+10, 1e+12)")
 
     def test_blowup_rate_with_k_kind(self, tmp_path, capsys):
         # k = D/S with S = t, D = 1 is the headline weight k = 1 in another form
@@ -659,7 +695,7 @@ f = "t^3"
 b = "t^2"
 
 [numerics]
-levels = 10, 20, 40, 80, 160, 320, 640
+levels = 1e9, 1e11
 tol = 1e-9
 
 [output]

@@ -13,6 +13,7 @@ from sel_lab.numerics import (
     UNDETERMINED,
     NumericsError,
     classify_tail_integral,
+    find_root_monotone,
     integrate_finite,
     shoot,
 )
@@ -505,8 +506,8 @@ class TestBoundaryBlowup:
         assert sum(meta["level_shots"]) == len(shots)
         assert sum(meta["level_steps_accepted"]) == sum(sol.steps_accepted for _, sol in shots)
         assert sum(meta["level_steps_rejected"]) == sum(sol.steps_rejected for _, sol in shots)
-        # only the solution kept for each level builds its interpolant
-        assert sum(dense for dense, _ in shots) == 3
+        # only the top two levels, which decide, build their interpolants
+        assert sum(dense for dense, _ in shots) == 2
 
     def test_single_level_undetermined(self, f_cubic):
         prob = LogisticProblem(N=1, f=f_cubic, b=ScalarFn.from_source("t^2"),
@@ -542,16 +543,58 @@ class TestBoundaryBlowup:
     def test_ball_mode(self, f_cubic):
         prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
                                a_lin=0.0, domain=("ball", 1.0))
-        sol = boundary_blowup(prob, n_levels=[10.0 * 2 ** j for j in range(6)])
+        sol = boundary_blowup(prob)
         assert sol.classification == "boundary-blowup"
         assert sol.blowup_radius == 1.0
-        # the extrapolated field grows toward the boundary wherever the
-        # level extrapolation has actually converged
-        err = np.asarray(sol.metadata["extrapolation_err"])
-        good = err <= 1e-2 * np.abs(sol.u)
-        idx = np.where(good)[0]
-        assert idx.size > 50
-        assert np.all(np.diff(sol.u[idx]) >= -1e-6 * np.abs(sol.u[idx][1:]))
+        # phi(n) = sqrt(2)/n: 1e13 is the last power of ten above 1e-13
+        assert sol.metadata["n_levels"] == [1e11, 1e13]
+        # the kept points, where the two levels agree, reach the centre and
+        # grow toward the boundary
+        assert sol.r[0] == 0.0 and sol.r.size > 100
+        assert np.all(np.diff(sol.u) > 0.0)
+
+    def test_levels_agree_on_the_kept_points(self, f_cubic):
+        # the top level read where the level n/100 agrees with it to 1e-4
+        prob = LogisticProblem(N=1, f=f_cubic, b=ScalarFn.from_source("t^2"),
+                               domain=("annulus", 0.0, 1.0))
+        top = boundary_blowup(prob, n_levels=[1e9, 1e11])
+        lower = boundary_blowup(prob, n_levels=[1e7, 1e9])
+        # a higher pair resolves a longer stretch toward the boundary r = 0
+        assert 2 <= lower.r.size < top.r.size
+        shared = np.isin(top.r, lower.r)
+        assert np.array_equal(top.r[shared], lower.r)
+        assert np.all(np.abs(top.u[shared] - lower.u) <= 1e-4 * top.u[shared])
+
+    def test_top_height_is_capped(self):
+        # phi(n) reaches 1e-13 near n = 1e22 for f = t^2.2: the cap 1e20 decides
+        prob = LogisticProblem(N=1, f=analyze_nonlinearity("t^2.2"),
+                               b=ScalarFn.from_source("t^1.8294"), domain=("annulus", 0.0, 1.0))
+        sol = boundary_blowup(prob)
+        assert sol.classification == "boundary-blowup"
+        assert sol.metadata["n_levels"] == [1e18, 1e20]
+
+    def test_failed_top_height_is_retried_once(self, monkeypatch, f_cubic):
+        searches = []
+
+        def first_fails(*args, **kwargs):
+            searches.append(args[1])
+            if len(searches) == 1:
+                raise NumericsError("no convergence")
+            return find_root_monotone(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "find_root_monotone", first_fails)
+        prob = LogisticProblem(N=1, f=f_cubic, b=ScalarFn.from_source("t^2"),
+                               domain=("annulus", 0.0, 1.0))
+        sol = boundary_blowup(prob)
+        assert sol.metadata["n_levels"] == [1e9, 1e11]
+        assert sol.classification == "boundary-blowup"
+
+        def always_fails(*args, **kwargs):
+            raise NumericsError("no convergence")
+
+        monkeypatch.setattr(radial, "find_root_monotone", always_fails)
+        with pytest.raises(NumericsError, match=r"top height 1e\+13 or 1e\+11: no convergence"):
+            boundary_blowup(prob)
 
 
 def test_rate_roundtrip_on_predicted_solution(f_cubic):
@@ -570,6 +613,25 @@ def test_rate_roundtrip_on_predicted_solution(f_cubic):
     rate = measure_boundary_rate(sol, profile)
     assert np.max(np.abs(rate.ratio_xi0h - 1.0)) < 1e-9
     assert rate.limit == pytest.approx(1.0, abs=1e-9)
+
+
+def test_far_field_rate_refused(f_cubic):
+    # ratios that still move by 3.5e-2 between the two nearest points are a
+    # far-field reading, not the boundary limit
+    from sel_lab.numerics import RadialSolution
+    from sel_lab.profile import predicted_rate
+
+    profile = build_profile(f_cubic, KFunction.power(1.0, nu=1.0),
+                            variant=VARIANT_K, c=1.0,
+                            t_grid=2.0 ** (-np.arange(1, 14, dtype=float)))
+    d = 0.2 * 1.035 ** np.arange(20)
+    u = np.array([predicted_rate(profile, float(x)) * (1.0 + 5.0 * x) for x in d])
+    sol = RadialSolution(dimension=1, r=d, u=u, classification="boundary-blowup",
+                         blowup_radius=0.0,
+                         metadata={"b_normalization": "k2", "n_levels": [1e6, 1e8]})
+    with pytest.raises(NumericsError, match=r"differ by 0.035.* > 1e-2 \(levels u = 1e\+06, "
+                                            r"1e\+08\)"):
+        measure_boundary_rate(sol, profile)
 
 
 def test_large_condition_domain_error_past_the_samples_propagates():

@@ -319,7 +319,9 @@ def test_solve_lef_shots(monkeypatch, mode, geometry):
     shots = _beside_reference(monkeypatch, bifurcation)
     sol = solve_lef(_lef_problem(mode, geometry), {"check_eps_sensitivity": True})
     assert sol.classification == "bounded"
-    assert shots[-3].sol is not None  # the dense shot at s*, before the two cut checks
+    # the dense shot at s*, before the cut check at half the cut (the check at
+    # the cut itself reads Brent's shot at s* from the search's memo)
+    assert shots[-2].sol is not None
 
 
 _COUNTS = ("shots", "steps_accepted", "steps_rejected", "rhs_calls")
@@ -351,12 +353,13 @@ def test_solve_lef_counts_match_the_reference(monkeypatch, mode, geometry, lam):
     assert got["probe_table"] == want["probe_table"]
 
 
-def test_annulus_level_shots_with_floor_and_cap(monkeypatch):
+def test_annulus_level_shots_with_cap(monkeypatch):
+    # the annulus shoots inward from its zero boundary: only the cap fires
     shots = _beside_reference(monkeypatch, radial)
     prob = LogisticProblem(N=1, f=analyze_nonlinearity("t^3"), b=ScalarFn.from_source("t^2"),
                            domain=("annulus", 0.0, 1.0))
     boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
-    assert {i for sol in shots for i in _fired(sol)} == {0, 1}
+    assert {i for sol in shots for i in _fired(sol)} == {0}
 
 
 def test_ball_level_shots_with_cap(monkeypatch):

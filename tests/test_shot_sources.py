@@ -1,10 +1,11 @@
 """The generated shot sources against the closure chains they replace.
 
-`bifurcation._lef_source` and `radial._level_rhs` inline the user
+`bifurcation._lef_source` and `radial._level_source` inline the user
 expressions into one straight-line function per problem.  The reference
 here is the chain of closures that composed the same right-hand sides
 call by call: the clamp and saturation wrapper around `LEFProblem`'s
-per-mode closure, and `b(r) f(u) - a u`.  The generated function must
+per-mode closure, and `b(r) f(max(u, 0)) - a u` (in x = R - r with the
+drift for the annulus).  The generated function must
 return the same float (bit for bit) and raise the same exception (same
 message, node and t) at every point of the grid.
 """
@@ -17,7 +18,7 @@ import pytest
 from sel_lab.bifurcation import EPS_BOUNDARY, LEFProblem, _lef_source
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import Nonlinearity
-from sel_lab.radial import LogisticProblem, _level_rhs
+from sel_lab.radial import LogisticProblem, _level_source
 
 
 def _reference_lef_source(prob):
@@ -53,15 +54,20 @@ def _reference_lef_source(prob):
     return source
 
 
-def _reference_level_rhs(prob):
+def _reference_level_source(prob, inward_from=None):
     b_call = prob.b.fast()
     f_call = prob.f.f.fast()
-    a = prob.a_lin
+    a, d = prob.a_lin, prob.N - 1.0
 
     def rhs(r, u, du):
-        return b_call(r) * f_call(u) - a * u
+        return b_call(r) * f_call(0.0 if u < 0.0 else u) - a * u
 
-    return rhs
+    def inward(x, u, du):
+        R = inward_from
+        value = b_call(R - x) * f_call(0.0 if u < 0.0 else u) - a * u
+        return value + d * du / (R - x) if d else value
+
+    return rhs if inward_from is None else inward
 
 
 def _nonlinearity(text):
@@ -178,14 +184,24 @@ def test_level_source_matches_the_closure_chain():
             (0.0, 1.3)):
         prob = LogisticProblem(N=1, f=_nonlinearity(f_text), b=ScalarFn.from_source(b_text),
                                a_lin=a_lin, domain=("annulus", 0.0, 1.0))
-        failures += _assert_equivalent(_level_rhs(prob), _reference_level_rhs(prob))
+        failures += _assert_equivalent(_level_source(prob), _reference_level_source(prob))
+        # the annulus shoots inward in x = R - r; N = 3 carries the drift
+        shell = LogisticProblem(N=3, f=prob.f, b=prob.b, a_lin=a_lin, domain=("annulus", 0.5, 1.0))
+        for inward in (prob, shell):
+            failures += _assert_equivalent(_level_source(inward, inward_from=1.0),
+                                           _reference_level_source(inward, inward_from=1.0))
     assert failures > 0
 
 
-def test_level_source_domain_error_at_a_negative_u():
+def test_level_source_reads_f_at_zero_below_zero():
+    # f = t^2.2 is undefined below 0, where a Runge-Kutta stage of a level
+    # shot can land: the source reads f(0) there instead of raising
     prob = LogisticProblem(N=1, f=_nonlinearity("t^2.2"), b=ScalarFn.from_source("t^1.8294"),
-                           domain=("annulus", 0.0, 1.0))
+                           a_lin=0.5, domain=("annulus", 0.0, 1.0))
+    assert _level_source(prob)(0.5, -0.25, 0.0) == 0.125
+    assert _level_source(prob, inward_from=1.0)(0.5, -0.25, 3.0) == 0.125
+    prob.b = ScalarFn.from_source("sqrt(0.5-t)")
     with pytest.raises(EvalDomainError) as err:
-        _level_rhs(prob)(0.5, -0.25, 0.0)
-    assert str(err.value) == "negative base with non-integer exponent in (t ^ 2.2) at t=-0.25"
-    assert err.value.node == prob.f.f.body and err.value.t == -0.25
+        _level_source(prob, inward_from=1.0)(0.25, -0.25, 0.0)  # b at r = 0.75
+    assert str(err.value) == "square root of a negative value in sqrt((0.5 - t)) at t=0.75"
+    assert err.value.node == prob.b.body and err.value.t == 0.75
