@@ -9,6 +9,7 @@ and evaluates the rate constants xi_0 and the two-term coefficient chi.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from .numerics import (
     ConvergenceVerdict,
     NonIntegrableError,
     NumericsError,
+    bertrand_tail,
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
@@ -115,6 +117,7 @@ class Antiderivative:
         self._kmin: int | None = None
         self._kmax: int | None = None
         self._kinf: int | None = None
+        self._arrays = None
 
     @staticmethod
     def _t_of(k: int) -> float:
@@ -230,6 +233,174 @@ class Antiderivative:
             return INF
         return base + self._quad(integrate_panel, self._t_of(k), t)
 
+    def overflow_index(self) -> int | None:
+        """The first lattice index where F is inf, found by filling ahead of
+        the lattice top; None when F stays finite up to _KTOP."""
+        self._fill(0)
+        while self._kinf is None and self._kmax < self._KTOP:
+            self._fill(self._kmax + 1)
+        return self._kinf
+
+    def _table(self):
+        """The lattice points and values over [kmin, kmax] as arrays, built
+        again only when the lattice has grown."""
+        if self._arrays is None or self._arrays[0] != (self._kmin, self._kmax):
+            ks = range(self._kmin, self._kmax + 1)
+            self._arrays = ((self._kmin, self._kmax), np.array([self._t_of(k) for k in ks]),
+                            np.array([self._lat[k] for k in ks]))
+        return self._arrays[1:]
+
+    def many(self, ts) -> np.ndarray:
+        """F at every point of the array ts, an array of ts's shape.
+
+        The lattice is filled once to the smallest and the largest index of
+        ts, its values are read by index from an array, and every remainder
+        is one integrate_panels call.  A remainder that fails the array
+        rule, every one when the array evaluation raises, and every point
+        of a plain callable or of an array holding a point that is not
+        positive and finite go through F(t).  A remainder by the array rule
+        is integrate_panel's value wherever f's array evaluator agrees with
+        its scalar one.
+        """
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        if self._expr is None or not np.all((flat > 0.0) & (flat < INF)):
+            return np.array([self(t) for t in flat.tolist()], dtype=float).reshape(ts.shape)
+        ks = np.floor(4.0 * np.log2(flat)).astype(np.int64)
+        self._fill(int(ks.min()))
+        self._fill(int(ks.max()))
+        points, values = self._table()
+        at = np.minimum(ks, self._kmax) - self._kmin
+        out = np.where(ks <= self._kmax, values[at], INF)
+        lanes = np.flatnonzero(np.isfinite(out) & (flat > points[at]))
+        if lanes.size:
+            try:
+                rem, ok = integrate_panels(self._expr.vector(), points[at[lanes]], flat[lanes],
+                                           self._tol)
+                out[lanes[ok]] += rem[ok]
+            except (ValueError, ArithmeticError):
+                ok = np.zeros(lanes.size, dtype=bool)
+            for i in lanes[~ok].tolist():
+                out[i] = self(float(flat[i]))
+        return out.reshape(ts.shape)
+
+
+class TailMap:
+    """Phi(y) = int_y^inf G, G = (2F)^(-1/2), the Keller-Osserman tail map,
+    cached on F's lattice t_k = 2^(k/4).
+
+    The lattice top is K, the last index where 2F is finite, found by F's
+    own fill-ahead.  Phi(t_K) is the remainder past t_K of the Bertrand fit
+    of G at t_0 .. t_K (numerics.bertrand_tail); a fit that does not read
+    convergent is a NumericsError.  Below the top, Phi(t_k) = Phi(t_{k+1})
+    + int_{t_k}^{t_{k+1}} G, a running sum from the top down, filled in
+    blocks of _BLOCK panels aligned on K, so a lattice value does not
+    depend on the order of the queries.  A block is one integrate_panels
+    call on G read through F.many at its nodes; a panel that fails the
+    array rule goes through integrate_panel on a scalar G.  A query y
+    reads Phi(t_{k+1}) plus one integrate_panel on the scalar G over
+    (y, t_{k+1}), and a query at a lattice point reads the lattice alone.
+    Every panel runs at F's tolerance.  Past the top, Phi(y) is the top
+    value scaled by G(y) y / (G(t_K) t_K): the fit's remainder at y when A
+    decides, and 0 where F overflows.
+    """
+
+    # 64 panels per array call keep the peak memory of a fill level with F's
+    _BLOCK = 64
+
+    def __init__(self, F: Antiderivative):
+        self._F = F
+        self._tol = F._tol
+        self._top: int | None = None
+        self._g_top = 0.0
+        self._lat: list[float] = []  # Phi(t_k) at k = top - i, increasing in i
+
+    def _g(self, s: float) -> float:
+        Fs = self._F(s)
+        if not math.isfinite(Fs):
+            return 0.0
+        if Fs <= 0.0:
+            raise ValueError(f"F({s!r}) <= 0: f is not positive below {s!r}")
+        return (2.0 * Fs) ** -0.5
+
+    def _panel(self, a: float, b: float) -> float:
+        return integrate_panel(self._g, a, b, self._tol)[0]
+
+    def _g_many(self, s: np.ndarray) -> np.ndarray:
+        Fs = self._F.many(s)
+        with np.errstate(all="ignore"):
+            return np.where(np.isfinite(Fs), (2.0 * Fs) ** -0.5, 0.0)
+
+    @property
+    def top(self) -> float:
+        """t_K, the largest lattice point where 2F is finite."""
+        if self._top is None:
+            self._anchor()
+        return Antiderivative._t_of(self._top)
+
+    def _anchor(self) -> None:
+        """Find the top K and set Phi(t_K) from the fit of G up to it."""
+        kinf = self._F.overflow_index()
+        ts = [Antiderivative._t_of(k)
+              for k in range(self._F._KTOP + 1 if kinf is None else kinf)]
+        gs = self._g_many(np.array(ts)).tolist()
+        while gs and gs[-1] == 0.0:  # 2F overflows
+            ts.pop()
+            gs.pop()
+        fit = bertrand_tail(ts, gs)
+        if fit is None or not fit[0]:
+            raise NumericsError(f"the fit of (2F)^(-1/2) at the {len(ts)} lattice points "
+                                "below the overflow of 2F does not read convergent: no tail map")
+        self._top, self._g_top, self._lat = len(ts) - 1, gs[-1] * ts[-1], [fit[1]]
+
+    def _extend(self) -> None:
+        """One more block at the bottom of the lattice."""
+        hi = self._top - len(self._lat) + 1
+        lo = max(hi - self._BLOCK, -Antiderivative._KTOP)
+        if lo == hi:
+            raise NumericsError(f"the tail map's lattice ends at t={Antiderivative._t_of(hi)!r}")
+        ends = [Antiderivative._t_of(j) for j in range(lo, hi + 1)]
+        panels, ok = integrate_panels(self._g_many, ends[:-1], ends[1:], self._tol)
+        value = self._lat[-1]
+        for i in range(hi - lo - 1, -1, -1):
+            value += panels[i] if ok[i] else self._panel(ends[i], ends[i + 1])
+            self._lat.append(value)
+
+    def __call__(self, y: float) -> float:
+        if not y > 0.0:
+            raise ValueError("tail map defined for y > 0")
+        t_top = self.top
+        if y >= t_top:
+            return self._lat[0] * (self._g(y) * y / self._g_top) if y > t_top else self._lat[0]
+        k = math.floor(4.0 * math.log2(y))
+        i = self._top - k
+        while len(self._lat) <= i:
+            self._extend()
+        hi = Antiderivative._t_of(k + 1)
+        if y >= hi:  # y rounds onto t_{k+1}
+            return self._lat[i - 1]
+        if y == Antiderivative._t_of(k):
+            return self._lat[i]
+        return self._lat[i - 1] + self._panel(y, hi)
+
+    def bracket(self, target: float) -> tuple[float, float]:
+        """(t_k, t_{k+1}) with Phi(t_k) >= target >= Phi(t_{k+1}), for a
+        target at least Phi at the top; the lattice grows down to it."""
+        if self._top is None:
+            self._anchor()
+        while self._lat[-1] < target:
+            self._extend()
+        k = self._top - max(bisect.bisect_left(self._lat, target), 1)
+        return Antiderivative._t_of(k), Antiderivative._t_of(k + 1)
+
+
+def tail_map(nl: Nonlinearity) -> TailMap:
+    """The Keller-Osserman tail map Phi(y) = int_y^inf ds/sqrt(2F(s)) of nl,
+    one TailMap per Nonlinearity, built on its cached F."""
+    if nl._Phi is None:
+        nl._Phi = TailMap(nl.F)
+    return nl._Phi
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -260,6 +431,7 @@ class Nonlinearity:
     source: str = ""
     notes: list = field(default_factory=list)
     _F: Antiderivative | None = field(default=None, repr=False, compare=False)
+    _Phi: TailMap | None = field(default=None, repr=False, compare=False)
 
     @property
     def F(self) -> Antiderivative:

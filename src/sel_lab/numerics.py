@@ -368,6 +368,35 @@ def _bertrand_fit(ts, fs):
                   "w_range": [float(w[0]), float(w[-1])]}
 
 
+def bertrand_tail(ts, fs):
+    """The Bertrand fit of tail samples (ts, fs) of an integrand
+    (_bertrand_fit) read as (converges, remainder, A, diag), or None below
+    three samples.  A decides outside the band |A + 1| <= SLOPE_BAND, and
+    inside it when the fit is exact (misfit <= 1e-9).  B decides when A is
+    -1 within the fit's resolution, |A + 1| <= the misfit (1e-9 to 1e-3):
+    B < -1.1 converges, B > -0.9 diverges.  converges is None where
+    neither decides.  A convergent fit's remainder is the integral past the
+    last sample T, fn(T) T/(-1-A), or fn(T) T ln T/(-1-B) when A ~ -1;
+    otherwise it is None.
+    """
+    fit = _bertrand_fit(ts, fs)
+    if fit is None:
+        return None
+    A, B, diag = fit
+    # A is resolved to about the misfit, and no better than 1e-9
+    near_one = abs(A + 1.0) <= min(1e-3, max(diag["misfit"], 1e-9))
+    if near_one and not -1.1 <= B <= -0.9:
+        converges = B < -1.0
+    elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= 1e-9):
+        converges = A < -1.0
+    else:
+        return None, None, A, diag
+    rem = None
+    if converges:
+        rem = fs[-1] * ts[-1] * (math.log(ts[-1]) / (-1.0 - B) if near_one else 1.0 / (-1.0 - A))
+    return converges, rem, A, diag
+
+
 def _log_substituted(fn):
     """g(w) = fn(e^w) e^w, the integrand after t = e^w.
 
@@ -392,16 +421,12 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     """Classify the convergence of the tail integral of fn over [a, inf).
 
     Bertrand's test (Bingham, Goldie & Teugels, Regular Variation, 1.5-1.6)
-    on one fit ln fn = A ln t + B ln ln t + c (_bertrand_fit) over samples
-    up to t = e^690 or to where fn stops being a finite normal float.
-    A decides outside the band |A + 1| <= SLOPE_BAND, and inside it when
-    the fit is exact (misfit <= 1e-9).  B decides when A is -1 within the
-    fit's resolution, |A + 1| <= the misfit (1e-9 to 1e-3): B < -1.1
-    converges, B > -0.9 diverges.  Anything else is Inconclusive.  A
-    convergent value integrates fn after t = e^w up to w = 690; err adds
-    the remainder past the last sample T from the fit, fn(T) T/(-1-A), or
-    fn(T) T ln T/(-1-B) when A ~ -1, so a run cut short by overflow is
-    bounded, not read as 0; an err not below |value| is Inconclusive.
+    on one fit ln fn = A ln t + B ln ln t + c (bertrand_tail) over samples
+    up to t = e^690 or to where fn stops being a finite normal float; a fit
+    that does not decide is Inconclusive.  A convergent value integrates fn
+    after t = e^w up to w = 690; err adds the fit's remainder past the last
+    sample, so a run cut short by overflow is bounded, not read as 0; an
+    err not below |value| is Inconclusive.
     a = 0 classifies the integral over [0, inf): the tail from 1 decides,
     and a convergent value includes the [0, 1] head at the same tol.
     """
@@ -416,26 +441,19 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     if _is_zero_function(fn, [a, 2.0 * a, 8.0 * a, 64.0 * a]):
         return ConvergenceVerdict.convergent(0.0, 0.0, slope=None, zero=True)
     ts, fs = _tail_samples(fn, a)
-    fit = _bertrand_fit(ts, fs)
+    fit = bertrand_tail(ts, fs)
     if fit is None:
         return ConvergenceVerdict.inconclusive(samples=len(ts))
-    A, B, diag = fit
-    # A is resolved to about the misfit, and no better than 1e-9
-    near_one = abs(A + 1.0) <= min(1e-3, max(diag["misfit"], 1e-9))
-    if near_one and not -1.1 <= B <= -0.9:
-        converges = B < -1.0
-    elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= 1e-9):
-        converges = A < -1.0
-    else:
+    converges, rem, A, diag = fit
+    if converges is None:
         return ConvergenceVerdict.inconclusive(slope=A, **diag)
     if not converges:
         return ConvergenceVerdict.divergent(A, **diag)
     quad_tol = min(tol * 0.25, 1e-9)
     g = _log_substituted(fn)
-    w_lo, w_hi, w_last = math.log(a), math.log(ts[:49][-1]), math.log(ts[-1])
+    w_lo, w_hi = math.log(a), math.log(ts[:49][-1])
     head, e1 = integrate_finite(g, w_lo, w_hi, quad_tol) if w_hi > w_lo else (0.0, 0.0)
     tail, e2 = integrate_finite(g, w_hi, 690.0, quad_tol) if w_hi < 690.0 else (0.0, 0.0)
-    rem = fs[-1] * ts[-1] * (w_last / (-1.0 - B) if near_one else 1.0 / (-1.0 - A))
     value, err = head + tail, e1 + e2 + rem
     if not err < abs(value):
         return ConvergenceVerdict.inconclusive(slope=A, value_estimate=value,

@@ -20,47 +20,21 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .ioutil import write_csv
-from .karamata import Antiderivative, KFunction, Nonlinearity, keller_osserman, xi0_power
-from .numerics import classify_origin_integral, find_root_monotone, integrate_finite, shoot
+from .karamata import (
+    Antiderivative,
+    KFunction,
+    Nonlinearity,
+    keller_osserman,
+    tail_map,
+    xi0_power,
+)
+from .numerics import NumericsError, classify_origin_integral, find_root_monotone, shoot
 
 VARIANT_K = "k-integrand"          # Phi(h) = int_0^t k;      pairs with b ~ c k^2(d)
 VARIANT_SQRT_K = "sqrt-k-integrand"  # Phi(h) = int_0^t sqrt(k); pairs with b ~ c k(d)
 
 # profile variant <-> weight normalization tag used by radial solutions
 VARIANT_NORMALIZATION = {VARIANT_K: "k2", VARIANT_SQRT_K: "k"}
-
-
-def tail_map(nl: Nonlinearity, tol: float = 1e-9):
-    """Phi(y) = int_y^inf (2F(s))^(-1/2) ds via s = y/(1-w), w in (0,1).
-
-    tol below ~1e-9 is refused by the quadrature error estimator on the
-    fractional-power tails left after grading; the achieved accuracy is
-    better (the profile round-trip check is enforced independently).
-    """
-    F = nl.F
-    memo: dict[float, float] = {}
-
-    def phi(y: float) -> float:
-        if y <= 0.0:
-            raise ValueError("tail map defined for y > 0")
-        if y in memo:
-            return memo[y]
-
-        def integrand(w):
-            om = 1.0 - w
-            if om <= 0.0:
-                return 0.0
-            s = y / om
-            Fs = F(s)
-            if not math.isfinite(Fs):
-                return 0.0
-            return (2.0 * Fs) ** -0.5 * y / (om * om)
-
-        value, _ = integrate_finite(integrand, 0.0, 1.0, tol)
-        memo[y] = value
-        return value
-
-    return phi
 
 
 @dataclass
@@ -140,9 +114,11 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
     """Invert the integral identity for h on a geometric t-grid.
 
     Requires the Keller-Osserman integral of f to converge (the identity is
-    vacuous otherwise).  h(t) is found by monotone root-finding on the tail
-    map Phi; the round-trip Phi(h(t)) = int_0^t (k or sqrt k) is checked to
-    1e-8 relative on the whole table.
+    vacuous otherwise).  h(t) is found by root-finding on the lattice panel
+    of the tail map Phi that holds its target; a target below Phi at the
+    lattice top, where F overflows, is a NumericsError.  The round-trip
+    Phi(h(t)) = int_0^t (k or sqrt k) is checked to 1e-8 relative on the
+    whole table.
     """
     if variant not in (VARIANT_K, VARIANT_SQRT_K):
         raise ValueError(f"unknown profile variant {variant!r}")
@@ -166,24 +142,19 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
         def weight(s):
             return math.sqrt(k_fast(s))
     I_k = Antiderivative(weight, tol=min(tol, 1e-11))
-    phi = tail_map(f, tol=1e-9)
+    phi = tail_map(f)
+    top = phi.top
 
     hs = np.empty_like(t_grid)
-    h_prev = None
-    rho = f.rho if (f.rho is not None and math.isfinite(f.rho)) else 4.0
-    for idx in range(t_grid.size - 1, -1, -1):
-        t = float(t_grid[idx])
+    for idx, t in enumerate(t_grid.tolist()):
         target = I_k(t)
         if target <= 0.0:
             raise ValueError(f"int_0^t weight vanished at t={t!r}")
-        if h_prev is None:
-            lo, hi = 1e-8, 10.0
-        else:
-            # warm start: h scales like t^(-2/rho) between neighbouring nodes
-            factor = (t_grid[idx + 1] / t) ** (2.0 / max(rho, 1e-3))
-            lo, hi = h_prev, h_prev * max(factor, 1.0 + 1e-6) * 1.5
-        hs[idx] = find_root_monotone(phi, target, lo, hi, tol=tol * abs(target))
-        h_prev = hs[idx]
+        if target < phi(top):
+            raise NumericsError(
+                f"h(t) at t={t!r} lies past the tail map's lattice top {top!r}, where F "
+                f"overflows: Phi there is {phi(top)!r} > {target!r}")
+        hs[idx] = find_root_monotone(phi, target, *phi.bracket(target), tol=tol * abs(target))
 
     # round-trip check of the defining identity
     rel = 0.0

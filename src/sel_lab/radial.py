@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expn
 
 from .expr import ScalarFn, compose_scalar
-from .karamata import Antiderivative, Nonlinearity, keller_osserman
+from .karamata import Antiderivative, Nonlinearity, keller_osserman, tail_map
 from .numerics import (
     BOUNDARY_BLOWUP,
     BOUNDED,
@@ -36,7 +36,7 @@ from .numerics import (
     series_start,
     shoot,
 )
-from .profile import BlowupProfile, tail_map
+from .profile import BlowupProfile
 
 MAX_PICARD_ITERATIONS = 200
 

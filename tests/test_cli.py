@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sel_lab.cli import ConfigError, _summary_value, main, parse_config
+from sel_lab.karamata import TailMap
 
 
 def write_cfg(tmp_path, text, name="problem.cfg"):
@@ -634,6 +635,42 @@ json = summary.json
         assert "rate_ratio=" in out
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert abs(summary["rate_limit"] - 1.0) < 0.05
+
+    def test_blowup_with_rate_fills_one_tail_map(self, tmp_path, monkeypatch):
+        # the level searches and the profile read one Keller-Osserman tail
+        # map, whose lattice is filled block by block, each block once
+        blocks = []
+        extend = TailMap._extend
+
+        def counted(phi):
+            blocks.append((phi, len(phi._lat)))
+            extend(phi)
+
+        monkeypatch.setattr(TailMap, "_extend", counted)
+        code, _ = run_cli(tmp_path, """
+[problem]
+command = blowup
+N = 1
+domain = annulus
+R0 = 0.0
+R = 1.0
+b_normalization = k2
+k_alpha = 1.0
+nu = 1.0
+c = 1.0
+
+[functions]
+f = "t^3"
+b = "t^2"
+
+[numerics]
+grid_depth = 14
+""")
+        assert code == 0
+        phi = blocks[0][0]
+        assert all(p is phi for p, _ in blocks)
+        assert len(blocks) == math.ceil((len(phi._lat) - 1) / TailMap._BLOCK)
+        assert len({n for _, n in blocks}) == len(blocks)
 
     @staticmethod
     def _blowup_shape(domain, N, p, alpha, levels=""):

@@ -177,6 +177,28 @@ class TestAntiderivative:
         with pytest.raises(EvalDomainError, match="square root of a negative value"):
             F(2e9)
 
+    @pytest.mark.parametrize("src", ["t^3", "t^2.2", "t*ln(1+t)^4"])
+    def test_many_matches_the_scalar_path(self, src):
+        # lattice points, points between them, below 1 and past the overflow
+        # of F (t ~ 1e77, 1e96 and 1e149)
+        lattice = [2.0 ** (k / 4.0) for k in (-9, -1, 0, 7, 160)]
+        ts = np.array(lattice + [0.3, 0.9, 1.3, 5.5, 77.7, 3.3e10, 1e160])
+        F = Antiderivative(ScalarFn.from_source(src))
+        got = F.many(ts)
+        want = np.array([F(t) for t in ts.tolist()])
+        assert got[:len(lattice)].tolist() == want[:len(lattice)].tolist()
+        assert got[-1] == want[-1] == math.inf
+        # a remainder runs numpy's pow, which may differ from libm's in the
+        # last bit of a node
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert F.many(ts.reshape(2, -1)).tolist() == got.reshape(2, -1).tolist()
+
+    def test_many_of_a_plain_callable_is_point_by_point(self):
+        fast = ScalarFn.from_source("t^2.2").fast()
+        ts = [2.0 ** -2.25, 0.3, 1.0, 77.7, 1e160]
+        scalar = Antiderivative(fast)
+        assert Antiderivative(fast).many(ts).tolist() == [scalar(t) for t in ts]
+
     def test_domain_error_is_no_ko_verdict(self):
         nl = analyze_nonlinearity("t^2*sqrt(1e9-t)")
         with pytest.raises(EvalDomainError, match="square root of a negative value"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sel_lab.karamata import KFunction, analyze_nonlinearity, analyze_singular_term
+from sel_lab.numerics import NumericsError
 from sel_lab.profile import (
     VARIANT_K,
     VARIANT_SQRT_K,
@@ -30,10 +31,33 @@ class TestTailMap:
             assert phi(y) == pytest.approx(math.sqrt(2.0) / y, rel=1e-9)
 
     def test_square_closed_form(self):
-        # F = t^3/3 gives Phi(y) = sqrt(6)/sqrt(y)
+        # F = t^3/3 gives Phi(y) = sqrt(6)/sqrt(y); at y = 1e20 Phi is 2.4e-10,
+        # below an absolute quadrature tolerance
         phi = tail_map(analyze_nonlinearity("t^2"))
-        for y in (1.0, 4.0, 100.0):
-            assert phi(y) == pytest.approx(math.sqrt(6.0 / y), rel=1e-8)
+        for y in (1.0, 4.0, 100.0, 1e20):
+            assert phi(y) == pytest.approx(math.sqrt(6.0 / y), rel=1e-12)
+
+    def test_slowly_converging_tail(self):
+        # F^(-1/2) ~ sqrt(2)/(t ln(t)^2), so Phi(y) ~ 1/ln y: the tail past the
+        # overflow of F (t ~ 1e149) is the fit's remainder.  References from
+        # DOP853 at rtol 1e-12 on (ln F, Phi) in w = ln s up to w = 1e6, plus
+        # the 1/w remainder
+        phi = tail_map(analyze_nonlinearity("t*ln(1+t)^4"))
+        assert phi(1e3) == pytest.approx(0.155184, rel=5e-3)
+        assert phi(1e20) == pytest.approx(0.021950, rel=5e-3)
+
+    def test_one_map_per_nonlinearity(self):
+        nl = analyze_nonlinearity("t^2.2")
+        assert tail_map(nl) is tail_map(nl)
+
+    def test_values_do_not_depend_on_the_first_query(self):
+        ys = (1.0, 3.7, 2.0 ** 10.25, 1e5, 1e20)
+        values = []
+        for first in (1e-8, 1.0, 1e20):
+            phi = tail_map(analyze_nonlinearity("t^2.2"))
+            phi(first)
+            values.append([phi(y) for y in ys])
+        assert values[0] == values[1] == values[2]
 
 
 class TestBuildProfile:
@@ -60,6 +84,13 @@ class TestBuildProfile:
         t = 0.25
         exact = 6.0 * (5.0 / (4.0 * t ** 1.25)) ** 2
         assert prof.h_at(t) == pytest.approx(exact, rel=1e-8)
+
+    def test_target_past_the_lattice_top_is_refused(self):
+        # h(2^-14) lies past t ~ 1e149, where F overflows
+        with pytest.raises(NumericsError, match=r"t=6\.103515625e-05 lies past the tail "
+                                                r"map's lattice top 1\.02\d*e\+149"):
+            build_profile(analyze_nonlinearity("t*ln(1+t)^4"), KFunction.power(1.0),
+                          t_grid=2.0 ** (-np.arange(1, 15, dtype=float)))
 
     def test_ko_divergent_refused(self):
         with pytest.raises(ValueError, match="Keller-Osserman"):
