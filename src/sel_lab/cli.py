@@ -4,11 +4,11 @@ Configs are line-oriented `key = value` files under [section] headers with
 the sections [problem], [functions], [numerics], [output].  Expressions are
 quoted strings in the shared grammar (single variable t; radial functions
 read r as t).  Each command is declared once, in _COMMANDS, with the keys
-it accepts.  Unknown and duplicate keys are errors, every [functions]
-expression must be quoted and parse before any computation starts, the
-output directory is created by the first write, and output files are
-written atomically, so a malformed config (exit code 2) leaves no
-artifacts.
+it accepts.  Unknown and duplicate keys are errors, every number must be
+finite, and every [functions] expression must be quoted and parse before
+any computation starts; the output directory is created by the first
+write, and output files are written atomically, so a malformed config
+(exit code 2) leaves no artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -96,8 +96,8 @@ class ProblemSpec:
     expression = get
 
     def validate(self):
-        """Reject unknown keys and unparsable expressions up front, before
-        any computation or output."""
+        """Reject unknown keys, unparsable expressions and a tol that is not
+        positive up front, before any computation or output."""
         allowed = _COMMANDS[self.command][1] | _COMMON_KEYS
         for section, entries in self.data.items():
             for key, (value, lineno) in entries.items():
@@ -112,6 +112,10 @@ class ProblemSpec:
                     parse_expression(value)
                 except ParseError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}", lineno) from exc
+        tol = self.get("numerics", "tol", 1.0, kind=float)
+        if not tol > 0.0:
+            raise ConfigError(f"[numerics] tol must be positive, not {tol!r}",
+                              self.data["numerics"]["tol"][1])
 
 
 def _parse_value(text: str, lineno: int):
@@ -168,7 +172,10 @@ def parse_config(path: str) -> ProblemSpec:
             raise ConfigError(f"duplicate key '{key}' in [{section}]", lineno)
         if section == "functions" and not (len(value) >= 2 and value[0] == value[-1] == '"'):
             raise ConfigError(f"[functions] {key} must be a quoted expression", lineno)
-        data[section][key] = (_parse_value(value, lineno), lineno)
+        parsed = _parse_value(value, lineno)
+        if isinstance(parsed, (float, list)) and not np.all(np.isfinite(parsed)):
+            raise ConfigError(f"[{section}] {key} must be finite, not {value!r}", lineno)
+        data[section][key] = (parsed, lineno)
 
     spec = ProblemSpec(command="", path=path, data=data)
     command = spec.get("problem", "command", required=True)
@@ -233,23 +240,21 @@ def _verdict_summary(v: _num.ConvergenceVerdict) -> dict:
 
 def _cmd_check_ko(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
-    tol = spec.get("numerics", "tol", 1e-8, kind=float)
     nl = _ka.analyze_nonlinearity(f_src)
-    verdict = _ka.keller_osserman(nl, tol)
+    verdict = _ka.keller_osserman(nl)
     return {"command": "check-ko", "f": f_src, **_verdict_summary(verdict)}
 
 
 def _cmd_classify(spec, outdir):
     fn_src = spec.expression("functions", "fn", required=True)
     direction = spec.get("problem", "direction", "tail")
-    tol = spec.get("numerics", "tol", 1e-8, kind=float)
     fn = ScalarFn.from_source(fn_src).fast()
     if direction == "tail":
         a = spec.get("problem", "a", 1.0, kind=float)
-        verdict = _num.classify_tail_integral(fn, a, tol)
+        verdict = _num.classify_tail_integral(fn, a)
     elif direction == "origin":
         b = spec.get("problem", "b", 1.0, kind=float)
-        verdict = _num.classify_origin_integral(fn, b, tol)
+        verdict = _num.classify_origin_integral(fn, b)
     else:
         raise ConfigError("direction must be 'tail' or 'origin'")
     return {"command": "classify", "direction": direction, "fn": fn_src,
@@ -623,9 +628,8 @@ def _cmd_young(spec, outdir):
 
 # command -> (handler, the [section] keys it accepts besides _COMMON_KEYS)
 _COMMANDS = {
-    "check-ko": (_cmd_check_ko, _keys(functions="f", numerics="tol")),
-    "classify": (_cmd_classify, _keys(problem="direction a b", functions="fn",
-                                      numerics="tol")),
+    "check-ko": (_cmd_check_ko, _keys(functions="f")),
+    "classify": (_cmd_classify, _keys(problem="direction a b", functions="fn")),
     "analyze-f": (_cmd_analyze_f, _keys(functions="f", numerics="u_max")),
     "ell": (_cmd_ell, _keys(problem="nu", functions="k")),
     "make-k": (_cmd_make_k, _keys(problem="kind D", functions="S")),

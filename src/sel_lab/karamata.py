@@ -21,7 +21,7 @@ from .numerics import (
     ConvergenceVerdict,
     NonIntegrableError,
     NumericsError,
-    bertrand_tail,
+    bertrand_remainder,
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
@@ -289,31 +289,36 @@ class TailMap:
     """Phi(y) = int_y^inf G, G = (2F)^(-1/2), the Keller-Osserman tail map,
     cached on F's lattice t_k = 2^(k/4).
 
-    The lattice top is K, the last index where 2F is finite, found by F's
-    own fill-ahead.  Phi(t_K) is the remainder past t_K of the Bertrand fit
-    of G at t_0 .. t_K (numerics.bertrand_tail); a fit that does not read
-    convergent is a NumericsError.  Below the top, Phi(t_k) = Phi(t_{k+1})
-    + int_{t_k}^{t_{k+1}} G, a running sum from the top down, filled in
-    blocks of _BLOCK panels aligned on K, so a lattice value does not
-    depend on the order of the queries.  A block is one integrate_panels
-    call on G read through F.many at its nodes; a panel that fails the
-    array rule goes through integrate_panel on a scalar G.  A query y
-    reads Phi(t_{k+1}) plus one integrate_panel on the scalar G over
-    (y, t_{k+1}), and a query at a lattice point reads the lattice alone.
-    Every panel runs at F's tolerance.  Past the top, Phi(y) is the top
-    value scaled by G(y) y / (G(t_K) t_K): the fit's remainder at y when A
-    decides, and 0 where F overflows.
+    The lattice top is K (top = t_K), the last index where 2F is finite,
+    found by F's own fill-ahead.  Phi(t_K) is the remainder past t_K of the
+    convergent Keller-Osserman verdict's fit (numerics.bertrand_remainder
+    with G(t_K)): that fit is of F^(-1/2), whose A, B and misfit are G's.
+    Below the top, Phi(t_k) = Phi(t_{k+1}) + int_{t_k}^{t_{k+1}} G, a
+    running sum from the top down, filled in blocks of _BLOCK panels
+    aligned on K, so a lattice value does not depend on the order of the
+    queries.  A block is one integrate_panels call on G read through F.many
+    at its nodes; a panel that fails the array rule goes through
+    integrate_panel on a scalar G.  A query y reads Phi(t_{k+1}) plus one
+    integrate_panel on the scalar G over (y, t_{k+1}), and a query at a
+    lattice point reads the lattice alone.  Every panel runs at F's
+    tolerance.  Past the top, Phi(y) is the fit's remainder at y with
+    G(y), 0 where F overflows.
     """
 
     # 64 panels per array call keep the peak memory of a fill level with F's
     _BLOCK = 64
 
-    def __init__(self, F: Antiderivative):
+    def __init__(self, F: Antiderivative, ko: ConvergenceVerdict):
         self._F = F
+        self._fit = ko.diagnostics
         self._tol = F._tol
-        self._top: int | None = None
-        self._g_top = 0.0
-        self._lat: list[float] = []  # Phi(t_k) at k = top - i, increasing in i
+        k = F.overflow_index()
+        k = F._KTOP if k is None else k - 1
+        while not math.isfinite(2.0 * F._fill(k)):  # 2F overflows
+            k -= 1
+        self._top, self.top = k, Antiderivative._t_of(k)
+        # Phi(t_k) at k = top - i, increasing in i
+        self._lat = [bertrand_remainder(self._fit, self.top, (2.0 * F._fill(k)) ** -0.5)]
 
     def _g(self, s: float) -> float:
         Fs = self._F(s)
@@ -331,28 +336,6 @@ class TailMap:
         with np.errstate(all="ignore"):
             return np.where(np.isfinite(Fs), (2.0 * Fs) ** -0.5, 0.0)
 
-    @property
-    def top(self) -> float:
-        """t_K, the largest lattice point where 2F is finite."""
-        if self._top is None:
-            self._anchor()
-        return Antiderivative._t_of(self._top)
-
-    def _anchor(self) -> None:
-        """Find the top K and set Phi(t_K) from the fit of G up to it."""
-        kinf = self._F.overflow_index()
-        ts = [Antiderivative._t_of(k)
-              for k in range(self._F._KTOP + 1 if kinf is None else kinf)]
-        gs = self._g_many(np.array(ts)).tolist()
-        while gs and gs[-1] == 0.0:  # 2F overflows
-            ts.pop()
-            gs.pop()
-        fit = bertrand_tail(ts, gs)
-        if fit is None or not fit[0]:
-            raise NumericsError(f"the fit of (2F)^(-1/2) at the {len(ts)} lattice points "
-                                "below the overflow of 2F does not read convergent: no tail map")
-        self._top, self._g_top, self._lat = len(ts) - 1, gs[-1] * ts[-1], [fit[1]]
-
     def _extend(self) -> None:
         """One more block at the bottom of the lattice."""
         hi = self._top - len(self._lat) + 1
@@ -369,9 +352,8 @@ class TailMap:
     def __call__(self, y: float) -> float:
         if not y > 0.0:
             raise ValueError("tail map defined for y > 0")
-        t_top = self.top
-        if y >= t_top:
-            return self._lat[0] * (self._g(y) * y / self._g_top) if y > t_top else self._lat[0]
+        if y >= self.top:
+            return bertrand_remainder(self._fit, y, self._g(y)) if y > self.top else self._lat[0]
         k = math.floor(4.0 * math.log2(y))
         i = self._top - k
         while len(self._lat) <= i:
@@ -386,8 +368,6 @@ class TailMap:
     def bracket(self, target: float) -> tuple[float, float]:
         """(t_k, t_{k+1}) with Phi(t_k) >= target >= Phi(t_{k+1}), for a
         target at least Phi at the top; the lattice grows down to it."""
-        if self._top is None:
-            self._anchor()
         while self._lat[-1] < target:
             self._extend()
         k = self._top - max(bisect.bisect_left(self._lat, target), 1)
@@ -396,9 +376,16 @@ class TailMap:
 
 def tail_map(nl: Nonlinearity) -> TailMap:
     """The Keller-Osserman tail map Phi(y) = int_y^inf ds/sqrt(2F(s)) of nl,
-    one TailMap per Nonlinearity, built on its cached F."""
+    one TailMap per Nonlinearity, built on its cached F and anchored on its
+    Keller-Osserman verdict; a verdict that is not convergent is a
+    ValueError, the one gate of every large-solution computation."""
     if nl._Phi is None:
-        nl._Phi = TailMap(nl.F)
+        ko = keller_osserman(nl)
+        if not ko.is_convergent:
+            raise ValueError(
+                f"Keller-Osserman integral is {ko.status}: large solutions and blow-up "
+                "profiles exist only under the Keller-Osserman condition")
+        nl._Phi = TailMap(nl.F, ko)
     return nl._Phi
 
 
@@ -432,6 +419,7 @@ class Nonlinearity:
     notes: list = field(default_factory=list)
     _F: Antiderivative | None = field(default=None, repr=False, compare=False)
     _Phi: TailMap | None = field(default=None, repr=False, compare=False)
+    _ko: ConvergenceVerdict | None = field(default=None, repr=False, compare=False)
 
     @property
     def F(self) -> Antiderivative:
@@ -749,12 +737,15 @@ def _ko_integrand(nl: Nonlinearity):
     return fn
 
 
-def keller_osserman(nl: Nonlinearity, tol: float = 1e-8) -> ConvergenceVerdict:
-    """Classify the Keller-Osserman integral int_1^inf F(t)^(-1/2) dt."""
-    return classify_tail_integral(_ko_integrand(nl), 1.0, tol)
+def keller_osserman(nl: Nonlinearity) -> ConvergenceVerdict:
+    """Classify the Keller-Osserman integral int_1^inf F(t)^(-1/2) dt, once
+    per Nonlinearity: the verdict is cached on nl, as F is."""
+    if nl._ko is None:
+        nl._ko = classify_tail_integral(_ko_integrand(nl), 1.0)
+    return nl._ko
 
 
-def necessary_condition_entire(nl: Nonlinearity, tol: float = 1e-8) -> ConvergenceVerdict:
+def necessary_condition_entire(nl: Nonlinearity) -> ConvergenceVerdict:
     """Classify int_1^inf dt/f(t), necessary for entire large solutions."""
     call = nl.f.fast()
 
@@ -764,7 +755,7 @@ def necessary_condition_entire(nl: Nonlinearity, tol: float = 1e-8) -> Convergen
             raise ValueError(f"f({t!r}) = 0 in the 1/f integrand")
         return 0.0 if not math.isfinite(v) else 1.0 / v
 
-    return classify_tail_integral(fn, 1.0, tol)
+    return classify_tail_integral(fn, 1.0)
 
 
 # ---------------------------------------------------------------------------

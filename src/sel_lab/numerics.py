@@ -40,6 +40,9 @@ from .ioutil import write_csv
 SLOPE_BAND = 0.05
 # The smallest normal float: a tail sample below it has lost its precision.
 _TINY = float(np.finfo(float).tiny)
+# Quadrature tolerances of the tail classifier: its tail after t = e^w, and
+# the [0, 1] head of an integral over [0, inf).
+_TAIL_QUAD_TOL, _HEAD_QUAD_TOL = 1e-9, 1e-8
 # Default blow-up threshold for the radial IVP (and its derivative).
 BLOWUP_THRESHOLD = 1e8
 
@@ -72,10 +75,10 @@ class ConvergenceVerdict:
 
     Convergent carries (value, err): err bounds |value - integral| by the
     quadrature error plus the remainder past the last sample from the
-    fitted (A, B), so on slowly converging tails it can exceed tol.  slope
-    is the fitted power A of the tail classifier (for an origin integral,
-    fn's local power at 0); diagnostics hold A, B, the misfit and the w
-    range of the fit.
+    fitted (A, B), so on slowly converging tails it can exceed the
+    quadrature tolerance.  slope is the fitted power A of the tail
+    classifier (for an origin integral, fn's local power at 0);
+    diagnostics hold A, B, the misfit and the w range of the fit.
     """
 
     status: str
@@ -368,32 +371,42 @@ def _bertrand_fit(ts, fs):
                   "w_range": [float(w[0]), float(w[-1])]}
 
 
+def _near_one(diag) -> bool:
+    """A fit's A is -1 within its resolution: the misfit, in [1e-9, 1e-3]."""
+    return abs(diag["a"] + 1.0) <= min(1e-3, max(diag["misfit"], 1e-9))
+
+
+def bertrand_remainder(diag, t: float, value: float) -> float:
+    """The integral past t of an integrand whose convergent Bertrand fit
+    has the diagnostics diag and whose value at t is value:
+    value t/(-1-A), or value t ln t/(-1-B) when A ~ -1."""
+    if _near_one(diag):
+        return value * t * (math.log(t) / (-1.0 - diag["b"]))
+    return value * t * (1.0 / (-1.0 - diag["a"]))
+
+
 def bertrand_tail(ts, fs):
     """The Bertrand fit of tail samples (ts, fs) of an integrand
     (_bertrand_fit) read as (converges, remainder, A, diag), or None below
     three samples.  A decides outside the band |A + 1| <= SLOPE_BAND, and
     inside it when the fit is exact (misfit <= 1e-9).  B decides when A is
-    -1 within the fit's resolution, |A + 1| <= the misfit (1e-9 to 1e-3):
-    B < -1.1 converges, B > -0.9 diverges.  converges is None where
-    neither decides.  A convergent fit's remainder is the integral past the
-    last sample T, fn(T) T/(-1-A), or fn(T) T ln T/(-1-B) when A ~ -1;
+    -1 within the fit's resolution (_near_one): B < -1.1 converges,
+    B > -0.9 diverges.  converges is None where neither decides.  A
+    convergent fit's remainder is bertrand_remainder at the last sample;
     otherwise it is None.
     """
     fit = _bertrand_fit(ts, fs)
     if fit is None:
         return None
     A, B, diag = fit
-    # A is resolved to about the misfit, and no better than 1e-9
-    near_one = abs(A + 1.0) <= min(1e-3, max(diag["misfit"], 1e-9))
+    near_one = _near_one(diag)
     if near_one and not -1.1 <= B <= -0.9:
         converges = B < -1.0
     elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= 1e-9):
         converges = A < -1.0
     else:
         return None, None, A, diag
-    rem = None
-    if converges:
-        rem = fs[-1] * ts[-1] * (math.log(ts[-1]) / (-1.0 - B) if near_one else 1.0 / (-1.0 - A))
+    rem = bertrand_remainder(diag, ts[-1], fs[-1]) if converges else None
     return converges, rem, A, diag
 
 
@@ -417,7 +430,7 @@ def _log_substituted(fn):
     return g
 
 
-def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdict:
+def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
     """Classify the convergence of the tail integral of fn over [a, inf).
 
     Bertrand's test (Bingham, Goldie & Teugels, Regular Variation, 1.5-1.6)
@@ -426,17 +439,18 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     that does not decide is Inconclusive.  A convergent value integrates fn
     after t = e^w up to w = 690; err adds the fit's remainder past the last
     sample, so a run cut short by overflow is bounded, not read as 0; an
-    err not below |value| is Inconclusive.
-    a = 0 classifies the integral over [0, inf): the tail from 1 decides,
-    and a convergent value includes the [0, 1] head at the same tol.
+    err not below |value| is Inconclusive.  The quadratures run at
+    _TAIL_QUAD_TOL.  a = 0 classifies the integral over [0, inf): the tail
+    from 1 decides, and a convergent value includes the [0, 1] head, at
+    _HEAD_QUAD_TOL.
     """
-    if a < 0.0:
-        raise ValueError("tail classification starts at a >= 0")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"tail classification starts at a finite a >= 0, not {a!r}")
     if a == 0.0:
-        verdict = classify_tail_integral(fn, 1.0, tol)
+        verdict = classify_tail_integral(fn, 1.0)
         if not verdict.is_convergent:
             return verdict
-        head, e_head = integrate_finite(fn, 0.0, 1.0, tol)
+        head, e_head = integrate_finite(fn, 0.0, 1.0, _HEAD_QUAD_TOL)
         return replace(verdict, value=verdict.value + head, err=verdict.err + e_head)
     if _is_zero_function(fn, [a, 2.0 * a, 8.0 * a, 64.0 * a]):
         return ConvergenceVerdict.convergent(0.0, 0.0, slope=None, zero=True)
@@ -449,11 +463,10 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
         return ConvergenceVerdict.inconclusive(slope=A, **diag)
     if not converges:
         return ConvergenceVerdict.divergent(A, **diag)
-    quad_tol = min(tol * 0.25, 1e-9)
     g = _log_substituted(fn)
     w_lo, w_hi = math.log(a), math.log(ts[:49][-1])
-    head, e1 = integrate_finite(g, w_lo, w_hi, quad_tol) if w_hi > w_lo else (0.0, 0.0)
-    tail, e2 = integrate_finite(g, w_hi, 690.0, quad_tol) if w_hi < 690.0 else (0.0, 0.0)
+    head, e1 = integrate_finite(g, w_lo, w_hi, _TAIL_QUAD_TOL) if w_hi > w_lo else (0.0, 0.0)
+    tail, e2 = integrate_finite(g, w_hi, 690.0, _TAIL_QUAD_TOL) if w_hi < 690.0 else (0.0, 0.0)
     value, err = head + tail, e1 + e2 + rem
     if not err < abs(value):
         return ConvergenceVerdict.inconclusive(slope=A, value_estimate=value,
@@ -461,16 +474,16 @@ def classify_tail_integral(fn, a: float, tol: float = 1e-8) -> ConvergenceVerdic
     return ConvergenceVerdict.convergent(value, err, slope=A, **diag)
 
 
-def classify_origin_integral(fn, b: float, tol: float = 1e-8) -> ConvergenceVerdict:
+def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
     """Classify the integral of fn over (0, b] as the tail integral of its
     t = 1/s image fn(1/s)/s^2 from 1/b.  The slope is fn's own local power
     at 0, p = -2 - (the image's tail slope): p > -1 converges.  The
     diagnostics are the image's fit, whose B is the power of ln(1/t).
     """
-    if b <= 0.0:
-        raise ValueError("origin classification needs b > 0")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"origin classification needs a finite b > 0, not {b!r}")
     # / s / s, not / (s * s): the log substitution reaches s = e^690
-    verdict = classify_tail_integral(lambda s: fn(1.0 / s) / s / s, 1.0 / b, tol)
+    verdict = classify_tail_integral(lambda s: fn(1.0 / s) / s / s, 1.0 / b)
     if verdict.slope is None:
         return verdict
     return replace(verdict, slope=-2.0 - verdict.slope)

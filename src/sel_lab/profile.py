@@ -24,7 +24,6 @@ from .karamata import (
     Antiderivative,
     KFunction,
     Nonlinearity,
-    keller_osserman,
     tail_map,
     xi0_power,
 )
@@ -114,20 +113,15 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
     """Invert the integral identity for h on a geometric t-grid.
 
     Requires the Keller-Osserman integral of f to converge (the identity is
-    vacuous otherwise).  h(t) is found by root-finding on the lattice panel
-    of the tail map Phi that holds its target; a target below Phi at the
-    lattice top, where F overflows, is a NumericsError.  The round-trip
-    Phi(h(t)) = int_0^t (k or sqrt k) is checked to 1e-8 relative on the
-    whole table.
+    vacuous otherwise): tail_map(f) is the gate.  h(t) is found by
+    root-finding on the lattice panel of the tail map Phi that holds its
+    target; a target below Phi at the lattice top, where F overflows, is a
+    NumericsError.  The round-trip Phi(h(t)) = int_0^t (k or sqrt k) is
+    checked to 1e-8 relative on the whole table.
     """
     if variant not in (VARIANT_K, VARIANT_SQRT_K):
         raise ValueError(f"unknown profile variant {variant!r}")
-    ko = keller_osserman(f)
-    if not ko.is_convergent:
-        raise ValueError(
-            f"Keller-Osserman integral is {ko.status}; large solutions do not exist, "
-            "so no blow-up profile is defined"
-        )
+    phi = tail_map(f)
     if t_grid is None:
         t_grid = k.nu * 2.0 ** (-np.arange(1, 33, dtype=float))
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
@@ -142,7 +136,6 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
         def weight(s):
             return math.sqrt(k_fast(s))
     I_k = Antiderivative(weight, tol=min(tol, 1e-11))
-    phi = tail_map(f)
     top = phi.top
 
     hs = np.empty_like(t_grid)
@@ -230,7 +223,7 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     g_call = g.f.fast()
-    verdict = classify_origin_integral(lambda s: g_call(s), 1.0, 1e-8)
+    verdict = classify_origin_integral(lambda s: g_call(s), 1.0)
     if not verdict.is_convergent:
         raise ValueError(
             f"g is not integrable at the origin ({verdict.status}); "

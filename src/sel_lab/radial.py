@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expn
 
 from .expr import ScalarFn, compose_scalar
-from .karamata import Antiderivative, Nonlinearity, keller_osserman, tail_map
+from .karamata import Antiderivative, Nonlinearity, tail_map
 from .numerics import (
     BOUNDARY_BLOWUP,
     BOUNDED,
@@ -151,13 +151,13 @@ class LogisticProblem:
 # Integral condition checkers
 # ---------------------------------------------------------------------------
 
-def check_slow_variation(pot: RadialPotential, tol: float = 1e-8):
+def check_slow_variation(pot: RadialPotential):
     """Classify int_0^inf r gap(r) Psi(r) dr (the slow-variation condition).
 
     Radial potentials (gap = 0) are trivially Convergent(0).
     """
     if pot.is_radial:
-        return classify_tail_integral(lambda r: 0.0, 1.0, tol)
+        return classify_tail_integral(lambda r: 0.0, 1.0)
 
     def integrand(r):
         g = pot.gap(r)
@@ -166,7 +166,7 @@ def check_slow_variation(pot: RadialPotential, tol: float = 1e-8):
         w = pot.weight(r)
         return r * g * w if math.isfinite(w) else math.inf
 
-    return classify_tail_integral(integrand, 0.0, tol)
+    return classify_tail_integral(integrand, 0.0)
 
 
 _SERIES_FROM = 600.0  # K_N's switch to the series, before E_n(s) nears subnormals (s ~ 703)
@@ -198,7 +198,7 @@ def _large_condition_kernel(N: int):
     return K
 
 
-def check_large_condition(psi_env, N: int, tol: float = 1e-8):
+def check_large_condition(psi_env, N: int):
     """Classify the outer weighted integral that gates entire large solutions.
 
     int_1^inf e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds dt = inf holds iff
@@ -213,9 +213,9 @@ def check_large_condition(psi_env, N: int, tol: float = 1e-8):
         raise ValueError("the gradient problem lives in dimension N >= 3")
     psi_call = psi_env.fast()
     K = _large_condition_kernel(N)
-    verdict = classify_tail_integral(lambda s: psi_call(s) * K(s), 0.0, tol)
+    verdict = classify_tail_integral(lambda s: psi_call(s) * K(s), 0.0)
     if verdict.is_convergent and verdict.value > 0.0:
-        bound = classify_tail_integral(lambda t: t * psi_call(t), 0.0, tol)
+        bound = classify_tail_integral(lambda t: t * psi_call(t), 0.0)
         if bound.is_convergent:
             limit = bound.value / (N - 2.0)
             verdict = replace(verdict, diagnostics={
@@ -424,8 +424,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     # ordering constant of the two-envelope comparison
     if pot is not None and not pot.is_radial:
         try:
-            gap = classify_tail_integral(lambda s: s * pot.gap(s), 0.0, 1e-8)
-            slow = check_slow_variation(pot, 1e-8)
+            gap = classify_tail_integral(lambda s: s * pot.gap(s), 0.0)
+            slow = check_slow_variation(pot)
             if gap.is_convergent and slow.is_convergent:
                 K_const = math.exp(lam_N * gap.value)
                 b_star = 1.0 + K_const * lam_N * slow.value
@@ -533,8 +533,8 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
                             f"{mesh_drift:.3g})")
 
     p_call, q_call = sys_.p.phi.fast(), sys_.q.phi.fast()
-    s2_p = classify_tail_integral(lambda s: s * p_call(s), 1.0, 1e-8)
-    s2_q = classify_tail_integral(lambda s: s * q_call(s), 1.0, 1e-8)
+    s2_p = classify_tail_integral(lambda s: s * p_call(s), 1.0)
+    s2_q = classify_tail_integral(lambda s: s * q_call(s), 1.0)
     metadata = {
         "iterations": iterations,
         "mesh_points": t.size - 1,
@@ -647,15 +647,11 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
     the shots before it.  The solution is the top level at the grid points
     where the two agree to AGREEMENT relative (fewer than two:
     undetermined).  Requires the Keller-Osserman integral of f to converge
-    and a_lin below the first Dirichlet eigenvalue of the vanishing core
-    when one is present.
+    (tail_map(f) is the gate, also of the whole-space branch) and a_lin
+    below the first Dirichlet eigenvalue of the vanishing core when one is
+    present.
     """
-    ko = keller_osserman(prob.f)
-    if not ko.is_convergent:
-        raise ValueError(
-            f"Keller-Osserman integral is {ko.status}: large solutions exist only "
-            "under the Keller-Osserman condition"
-        )
+    phi = tail_map(prob.f)
     if prob.omega0_radius > 0.0:
         from .bifurcation import lambda_inf_1
 
@@ -670,7 +666,6 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         return _whole_space_large(prob, n_grid)
 
     shot, span = _level_shot(prob)
-    phi = tail_map(prob.f)
     if n_levels is None:
         k = bisect.bisect(HEIGHT_EXPONENTS, False,
                           key=lambda k: phi(10.0 ** k) < TOP_DISTANCE * span)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from sel_lab import karamata, numerics
 from sel_lab.cli import ConfigError, _summary_value, main, parse_config
 from sel_lab.karamata import TailMap
 
@@ -233,6 +234,56 @@ g = "t^(-0.5)"
         assert code == 2
         assert "line 6: [problem] solve must be true or false" in capsys.readouterr().err
         assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("direction, line", [
+        ("tail", "a = inf"), ("tail", "a = nan"), ("tail", "a = -Infinity"),
+        ("origin", "b = 1, nan")])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, direction, line):
+        # a = inf read as the zero function, a = nan as inconclusive
+        code, outdir = run_cli(tmp_path, f"""[problem]
+command = classify
+direction = {direction}
+{line}
+
+[functions]
+fn = "t^(-2)"
+""")
+        assert code == 2
+        key = line.split(" =")[0]
+        assert f"line 4: [problem] {key} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "0.0"])
+    def test_non_positive_tol_is_config_error(self, tmp_path, capsys, tol):
+        # tol = -1 reached scipy's quad, which refused it: exit 3
+        code, outdir = run_cli(tmp_path, f"""[problem]
+command = profile
+k_alpha = 1
+
+[functions]
+f = "t^3"
+
+[numerics]
+tol = {tol}
+""")
+        assert code == 2
+        assert "line 9: [numerics] tol must be positive" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("command, functions", [("check-ko", 'f = "t^3"'),
+                                                    ("classify", 'fn = "t^(-2)"')])
+    def test_classifiers_take_no_tol(self, tmp_path, capsys, command, functions):
+        code, _ = run_cli(tmp_path, f"""[problem]
+command = {command}
+
+[functions]
+{functions}
+
+[numerics]
+tol = 1e-8
+""")
+        assert code == 2
+        assert f"unknown key 'tol' in [numerics] for command {command}" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # profile on a KO-divergent nonlinearity is a numerical-domain error
@@ -635,6 +686,20 @@ json = summary.json
         assert "rate_ratio=" in out
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert abs(summary["rate_limit"] - 1.0) < 0.05
+
+    def test_blowup_with_rate_judges_keller_osserman_once(self, tmp_path, monkeypatch):
+        # the level searches, the profile and the tail map read one verdict,
+        # from one classification and one Bertrand fit of f
+        classified, fits = [], []
+        classify, fit = karamata.classify_tail_integral, numerics._bertrand_fit
+        monkeypatch.setattr(karamata, "classify_tail_integral",
+                            lambda *args: classified.append(args) or classify(*args))
+        monkeypatch.setattr(numerics, "_bertrand_fit",
+                            lambda *args: fits.append(args) or fit(*args))
+        code, _ = run_cli(tmp_path, headline_blowup())
+        assert code == 0
+        assert len(classified) == 1
+        assert len(fits) == 1
 
     def test_blowup_with_rate_fills_one_tail_map(self, tmp_path, monkeypatch):
         # the level searches and the profile read one Keller-Osserman tail

@@ -110,7 +110,7 @@ class TestIntegratePanels:
 
 class TestTailClassifier:
     def test_inverse_square(self):
-        v = classify_tail_integral(lambda t: t ** -2, 1.0, 1e-8)
+        v = classify_tail_integral(lambda t: t ** -2, 1.0)
         assert v.is_convergent
         assert v.value == pytest.approx(1.0, abs=1e-8)
         assert v.err <= 1e-8 * (1.0 + abs(v.value))
@@ -122,7 +122,7 @@ class TestTailClassifier:
 
     def test_ko_integrand_of_cubic(self):
         # (2F)^(-1/2) with F = t^4/4 integrates to sqrt(2) (antiderivative -sqrt2/t)
-        v = classify_tail_integral(lambda t: (2.0 * t ** 4 / 4.0) ** -0.5, 1.0, 1e-8)
+        v = classify_tail_integral(lambda t: (2.0 * t ** 4 / 4.0) ** -0.5, 1.0)
         assert v.is_convergent
         assert v.value == pytest.approx(math.sqrt(2.0), rel=1e-8)
 
@@ -130,7 +130,7 @@ class TestTailClassifier:
         (0.5, True), (0.9, True), (0.98, True), (1.0, True), (1.02, False), (1.1, False),
         (2.0, False)])
     def test_power_family(self, s, divergent):
-        v = classify_tail_integral(lambda t: t ** -s, 1.0, 1e-8)
+        v = classify_tail_integral(lambda t: t ** -s, 1.0)
         if divergent:
             assert v.is_divergent
         elif s == 1.02:
@@ -144,14 +144,14 @@ class TestTailClassifier:
     def test_power_within_the_log_resolution_of_the_borderline(self):
         # t^-1.0005 converges (to 2000) but leaves 1416 of it past e^690: A is
         # resolved, so B = 0 does not call it divergent, and err refuses it
-        v = classify_tail_integral(lambda t: t ** -1.0005, 1.0, 1e-8)
+        v = classify_tail_integral(lambda t: t ** -1.0005, 1.0)
         assert v.status == numerics.INCONCLUSIVE
         assert v.diagnostics["a"] == pytest.approx(-1.0005, abs=1e-9)
 
     def test_bertrand_borderline(self):
         # int_1^inf dt/(t ln(1+t)^2) = 1.9935596806653638 (mpmath); the part
         # past the last sample, about 1/ln T, is in err, not in the value
-        v = classify_tail_integral(lambda t: 1.0 / (t * math.log(t + 1.0) ** 2), 1.0, 1e-8)
+        v = classify_tail_integral(lambda t: 1.0 / (t * math.log(t + 1.0) ** 2), 1.0)
         assert v.is_convergent
         assert abs(v.value - 1.9935596806653638) <= v.err
         assert v.diagnostics["a"] == pytest.approx(-1.0, abs=1e-6)
@@ -159,7 +159,7 @@ class TestTailClassifier:
 
     def test_log_power_does_not_hide_a_convergent_power(self):
         # t^-2 ln(1+t)^40 peaks near ln t = 40 and converges
-        v = classify_tail_integral(lambda t: t ** -2 * math.log(1.0 + t) ** 40, 1.0, 1e-8)
+        v = classify_tail_integral(lambda t: t ** -2 * math.log(1.0 + t) ** 40, 1.0)
         assert v.is_convergent
         assert v.slope == pytest.approx(-2.0, abs=1e-6)
 
@@ -174,7 +174,7 @@ class TestTailClassifier:
 
 class TestOriginClassifier:
     def test_mild_singularity(self):
-        v = classify_origin_integral(lambda t: t ** -0.5, 1.0, 1e-8)
+        v = classify_origin_integral(lambda t: t ** -0.5, 1.0)
         assert v.is_convergent
         assert v.value == pytest.approx(2.0, rel=1e-7)
 
@@ -184,7 +184,7 @@ class TestOriginClassifier:
 
     def test_nested_growth_condition(self):
         # (int_0^t s^-1/2 ds)^(-1/2) = (2 sqrt t)^(-1/2): power -1/4 > -1
-        v = classify_origin_integral(lambda t: (2.0 * math.sqrt(t)) ** -0.5, 1.0, 1e-8)
+        v = classify_origin_integral(lambda t: (2.0 * math.sqrt(t)) ** -0.5, 1.0)
         assert v.is_convergent
         assert v.value == pytest.approx((4.0 / 3.0) / math.sqrt(2.0), rel=1e-7)
 
@@ -192,7 +192,7 @@ class TestOriginClassifier:
         (0.5, False), (0.9, False), (0.98, False), (1.0, True), (1.02, True), (1.1, True),
         (2.0, True)])
     def test_power_family(self, s, divergent):
-        v = classify_origin_integral(lambda t: t ** -s, 1.0, 1e-8)
+        v = classify_origin_integral(lambda t: t ** -s, 1.0)
         assert v.is_divergent == divergent
 
     @pytest.mark.parametrize("fn", [ScalarFn.from_source("1/t^5").fast(), lambda t: 1.0 / t ** 5],
@@ -200,21 +200,21 @@ class TestOriginClassifier:
     def test_divergent_image_that_fails_past_the_samples(self, fn):
         # t^5 underflows to 0 at t = e^-152.9, a sample of the image in w = ln s
         # past s = 2^48: the division error ends the samples, as overflow does
-        v = classify_origin_integral(fn, 1.0, 1e-8)
+        v = classify_origin_integral(fn, 1.0)
         assert v.is_divergent
         assert v.slope == pytest.approx(-5.0, abs=1e-9)
 
     @pytest.mark.parametrize("b", [0.25, 3.0, 40.0])
     def test_other_upper_limits(self, b):
         # int_0^b t^-1/2 dt = 2 sqrt(b); t^-3/2 diverges whatever b is
-        v = classify_origin_integral(lambda t: t ** -0.5, b, 1e-8)
+        v = classify_origin_integral(lambda t: t ** -0.5, b)
         assert v.is_convergent
         assert v.value == pytest.approx(2.0 * math.sqrt(b), rel=1e-7)
-        assert classify_origin_integral(lambda t: t ** -1.5, b, 1e-8).is_divergent
+        assert classify_origin_integral(lambda t: t ** -1.5, b).is_divergent
 
     @pytest.mark.parametrize("p", [-1.5, -0.5, 0.5, 2.0])
     def test_slope_is_the_local_power_at_the_origin(self, p):
-        v = classify_origin_integral(lambda t: 3.0 * t ** p, 2.0, 1e-8)
+        v = classify_origin_integral(lambda t: 3.0 * t ** p, 2.0)
         assert v.is_convergent == (p > -1.0)
         assert v.is_divergent == (p < -1.0)
         assert v.slope == pytest.approx(p, abs=1e-9)
@@ -236,6 +236,39 @@ class TestWholeLineClassifier:
     def test_negative_lower_limit_is_rejected(self):
         with pytest.raises(ValueError):
             classify_tail_integral(lambda t: 1.0, -1.0)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_lower_limit_is_rejected(self, a):
+        # inf read as the zero function, nan as inconclusive
+        with pytest.raises(ValueError, match="finite"):
+            classify_tail_integral(lambda t: t ** -2, a)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_non_finite_upper_limit_is_rejected(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            classify_origin_integral(lambda t: t ** -0.5, b)
+
+
+class TestBertrandRemainder:
+    """The one remainder rule past a point T of a convergent Bertrand fit."""
+
+    def test_power_tail(self):
+        # int_T^inf t^-2 dt = 1/T: A = -2 decides
+        fit = classify_tail_integral(lambda t: t ** -2, 1.0).diagnostics
+        for T in (10.0, 1e10, 1e100):
+            assert numerics.bertrand_remainder(fit, T, T ** -2) == pytest.approx(1.0 / T, rel=1e-12)
+
+    def test_log_tail(self):
+        # int_T^inf dt/(t ln^2 t) = 1/ln T: A = -1 to the fit's resolution, B = -2 decides
+        def fn(t):
+            return 1.0 / (t * math.log(t) ** 2)
+
+        verdict = classify_tail_integral(fn, 2.0)
+        fit = verdict.diagnostics
+        assert verdict.is_convergent and abs(fit["a"] + 1.0) <= 1e-9
+        for T in (10.0, 1e10, 1e100):
+            assert numerics.bertrand_remainder(fit, T, fn(T)) == pytest.approx(
+                1.0 / math.log(T), rel=1e-9)
 
 
 def _once(fn, seen=None):

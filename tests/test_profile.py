@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sel_lab.karamata import KFunction, analyze_nonlinearity, analyze_singular_term
+from sel_lab.karamata import (
+    KFunction,
+    analyze_nonlinearity,
+    analyze_singular_term,
+    keller_osserman,
+)
 from sel_lab.numerics import NumericsError
 from sel_lab.profile import (
     VARIANT_K,
@@ -45,6 +50,16 @@ class TestTailMap:
         phi = tail_map(analyze_nonlinearity("t*ln(1+t)^4"))
         assert phi(1e3) == pytest.approx(0.155184, rel=5e-3)
         assert phi(1e20) == pytest.approx(0.021950, rel=5e-3)
+
+    @pytest.mark.parametrize("src", ["t^1.001", "t^1.001*ln(1+t)^6"])
+    def test_no_map_without_a_convergent_verdict(self, src):
+        # the Keller-Osserman verdict is the map's only judge: a lattice fit of
+        # its own read both of these borderline tails as convergent
+        nl = analyze_nonlinearity(src)
+        status = keller_osserman(nl).status
+        assert status == "inconclusive"
+        with pytest.raises(ValueError, match=f"Keller-Osserman integral is {status}"):
+            tail_map(nl)
 
     def test_one_map_per_nonlinearity(self):
         nl = analyze_nonlinearity("t^2.2")

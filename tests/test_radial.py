@@ -142,7 +142,7 @@ class TestLargeCondition:
             check_large_condition(ScalarFn.from_source("sqrt(1e3-t)"), 3)
 
 
-def _nested_large_condition(psi_src: str, N: int, tol: float = 1e-8):
+def _nested_large_condition(psi_src: str, N: int):
     """Reference: int_1^inf J(t) dt classified as a nested quadrature, with
     J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds by one adaptive inner
     integral per outer node (s = t - x, so only the last ~60 units count)."""
@@ -158,7 +158,7 @@ def _nested_large_condition(psi_src: str, N: int, tol: float = 1e-8):
 
         return integrate_finite(integrand, 0.0, min(t, 60.0), 1e-10)[0]
 
-    return classify_tail_integral(J, 1.0, tol)
+    return classify_tail_integral(J, 1.0)
 
 
 class TestLargeConditionKernel:
