@@ -12,6 +12,7 @@ solutions.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -234,44 +235,108 @@ def _graded_mesh(R: float, panels: int) -> np.ndarray:
     return R * i * i
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(degree: int) -> tuple:
+    """(node, weight) pairs of the degree-point Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(degree)
+    return tuple(zip(x.tolist(), w.tolist()))
+
+
+# Width in t of one block of the rate = 1 cumulative sum: a block's factors
+# e^(t_j+1 - anchor) lie in [1, e^64], so its panels scaled by their peak
+# cannot overflow.
+_RATE_BLOCK = 64.0
+
+
 def _volterra(t: np.ndarray, m: int, rate: int = 0):
     """fvals -> C_i = int_0^t_i e^(rate (s - t_i)) s^m fvals(s) ds at every node.
 
-    Product integration: fvals is interpolated by the cubic through the four
-    nodes around each panel (t[j-1..j+2], shifted inward at the ends) and the
-    weight e^(rate (s - t_j+1)) s^m is integrated against it by Gauss-Legendre,
-    exact for s^m times a cubic (four spare nodes resolve the exponential).
-    The weights are built once per mesh; an application is one gather, a
-    multiply-add and a cumulative sum.  With rate = 1 the panels are carried
-    with the factor e^(panel end) split off and summed by log-sum-exp,
-    positive and negative panel parts apart, so large t never overflows.
+    Product integration (Linz, Analytical and Numerical Methods for Volterra
+    Equations, SIAM 1985, ch. 7): fvals is interpolated by the cubic through
+    the four nodes around each panel (t[j-1..j+2], shifted inward at the
+    ends) and the weight e^(rate (s - t_j+1)) s^m is integrated against it by
+    Gauss-Legendre, exact for s^m times a cubic (four spare nodes resolve the
+    exponential).  The weights are built once per mesh, one row per
+    interpolation node: W[a, j] multiplies fvals[start_j + a] in panel j.
+    An application sums the inner panels as four multiply-adds on shifted
+    slices of fvals, the two end panels as ordered float sums, and then
+    accumulates them.  With rate = 1 the panels are summed in blocks of
+    width _RATE_BLOCK in t: inside a block anchored at t_b,
+    C_i = (C_b + sum_{b<=j<i} panel_j e^(t_j+1 - t_b)) / e^(t_i - t_b), the
+    block divided by a power of two at max(|panel|, |C_b|), so no term
+    overflows at any t (a single panel wider than a block is anchored at
+    its end less _RATE_BLOCK instead).
     """
-    k = min(4, t.size)
-    start = np.clip(np.arange(t.size - 1) - 1, 0, t.size - k)
-    idx = start[:, None] + np.arange(k)
-    nodes = t[idx]
+    n = t.size
+    if n < 2:  # a one-node mesh has no panel: every integral is 0
+        return lambda fvals: np.zeros_like(t)
+    k = min(4, n)
+    start = np.clip(np.arange(n - 1) - 1, 0, n - k)
+    nodes = t[start + np.arange(k)[:, None]]
     half = 0.5 * np.diff(t)
-    W = np.zeros(nodes.shape)
-    for x, gw in zip(*np.polynomial.legendre.leggauss((m + 5) // 2 + 4 * rate)):
+    W = np.zeros((k, n - 1))
+    for x, gw in _gauss_legendre((m + 5) // 2 + 4 * rate):
         s = t[:-1] + half * (x + 1.0)
-        weight = gw * half * s ** m * np.exp(rate * (s - t[1:]))
+        weight = gw * half
+        if m:
+            weight *= s ** m
+        if rate:
+            weight *= np.exp(s - t[1:])
+        d = s - nodes
         for a in range(k):
-            basis = weight.copy()
+            basis = weight
             for b in range(k):
                 if b != a:
-                    basis *= (s - nodes[:, b]) / (nodes[:, a] - nodes[:, b])
-            W[:, a] += basis
+                    basis = basis * d[b]
+            W[a] += basis
+    for a in range(k):
+        denom = np.ones(n - 1)
+        for b in range(k):
+            if b != a:
+                denom *= nodes[a] - nodes[b]
+        W[a] /= denom
+    first, last, inner = W[:, 0].tolist(), W[:, -1].tolist(), W[:, 1:-1]
+
+    if rate:
+        bounds = [0]
+        while bounds[-1] < n - 1:
+            b = bounds[-1]
+            top = int(np.searchsorted(t, t[b] + _RATE_BLOCK, side="right")) - 1
+            bounds.append(max(b + 1, top))
+        anchors = [max(float(t[b]), float(t[e]) - _RATE_BLOCK)
+                   for b, e in zip(bounds, bounds[1:])]
+        grow = np.exp(t[1:] - np.repeat(anchors, np.diff(bounds)))
+        blocks = [(b, e, math.exp(float(t[b]) - anchor))
+                  for b, e, anchor in zip(bounds, bounds[1:], anchors)]
 
     def apply(fvals):
-        panel = np.einsum("jk,jk->j", W, fvals[idx])
-        out = np.zeros_like(t)
+        panel = np.empty(n - 1)
+        if k == 4:
+            mid = np.multiply(inner[0], fvals[:-3], out=panel[1:-1])
+            for a in (1, 2, 3):
+                mid += inner[a] * fvals[a:n - 3 + a]
+        for j, w, f in ((0, first, fvals[:k].tolist()), (-1, last, fvals[n - k:].tolist())):
+            acc = w[0] * f[0]
+            for a in range(1, k):
+                acc += w[a] * f[a]
+            panel[j] = acc
+        out = np.empty_like(t)
+        out[0] = 0.0
         if not rate:
-            out[1:] = np.cumsum(panel)
+            np.cumsum(panel, out=out[1:])
             return out
-        with np.errstate(divide="ignore"):
-            for sign in (1.0, -1.0):
-                ln_cum = np.logaddexp.accumulate(np.log(np.maximum(sign * panel, 0.0)) + t[1:])
-                out[1:] += sign * np.exp(ln_cum - t[1:])
+        carry = 0.0
+        for b, e, decay in blocks:
+            seg = panel[b:e]
+            peak = max(float(np.max(np.abs(seg))), abs(carry))
+            scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+            acc = seg / scale
+            acc *= grow[b:e]
+            acc[0] += carry / scale * decay
+            np.cumsum(acc, out=acc)
+            acc /= grow[b:e]
+            np.multiply(acc, scale, out=out[b + 1:e + 1])
+            carry = float(out[e])
         return out
 
     return apply

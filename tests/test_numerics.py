@@ -171,6 +171,21 @@ class TestTailClassifier:
         v = classify_tail_integral(lambda t: 0.0, 1.0)
         assert v.is_convergent and v.value == 0.0
 
+    @pytest.mark.parametrize("classify,fn,limit,exact", [
+        (classify_tail_integral, lambda t: t ** -2, 1e300, 1e-300),
+        (classify_tail_integral, lambda t: t ** -2, 1e200, 1e-200),
+        (classify_origin_integral, lambda t: 1.0, 1e-300, 1e-300),
+    ], ids=["tail-1e300", "tail-1e200", "origin-1e-300"])
+    def test_underflow_is_not_the_zero_function(self, classify, fn, limit, exact):
+        # the integrand underflows to 0 at every probe of the zero test, but
+        # the integral is a normal float: the verdict may not read zero
+        v = classify(fn, limit)
+        assert not v.diagnostics.get("zero")
+        if v.is_convergent:
+            assert abs(v.value - exact) <= v.err
+        else:
+            assert v.status == "inconclusive"
+
 
 class TestOriginClassifier:
     def test_mild_singularity(self):

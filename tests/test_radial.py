@@ -204,7 +204,7 @@ class TestVolterraKernels:
         series = sum((-1) ** k * x ** (k + 1) / math.prod(range(N, N + k + 1))
                      for k in range(8))
         np.testing.assert_allclose(J, series, rtol=1e-13, atol=0.0)
-        # negative panels are carried apart from the positive ones
+        # every step of the operator is odd in fvals, so negation is exact
         np.testing.assert_array_equal(inner(-np.ones_like(t)), -inner(np.ones_like(t)))
 
     def test_outer_integral_exact_for_cubic(self):
@@ -223,6 +223,121 @@ class TestVolterraKernels:
         d1, d2 = (float(np.max(np.abs(fine[::2] - coarse)))
                   for coarse, fine in zip(runs, runs[1:]))
         assert d1 / d2 >= 12.0
+
+
+# ---------------------------------------------------------------------------
+# The reference Volterra operator
+# ---------------------------------------------------------------------------
+
+def _reference_volterra(t, m, rate=0):
+    """The operator _volterra replaced: the Lagrange basis divided out at
+    every Gauss point, the panels gathered through an index array and
+    contracted by einsum, and the rate = 1 sum carried by two log-sum-exp
+    scans, positive and negative panel parts apart."""
+    k = min(4, t.size)
+    start = np.clip(np.arange(t.size - 1) - 1, 0, t.size - k)
+    idx = start[:, None] + np.arange(k)
+    nodes = t[idx]
+    half = 0.5 * np.diff(t)
+    W = np.zeros(nodes.shape)
+    for x, gw in zip(*np.polynomial.legendre.leggauss((m + 5) // 2 + 4 * rate)):
+        s = t[:-1] + half * (x + 1.0)
+        weight = gw * half * s ** m * np.exp(rate * (s - t[1:]))
+        for a in range(k):
+            basis = weight.copy()
+            for b in range(k):
+                if b != a:
+                    basis *= (s - nodes[:, b]) / (nodes[:, a] - nodes[:, b])
+            W[:, a] += basis
+
+    def apply(fvals):
+        panel = np.einsum("jk,jk->j", W, fvals[idx])
+        out = np.zeros_like(t)
+        if not rate:
+            out[1:] = np.cumsum(panel)
+            return out
+        with np.errstate(divide="ignore"):
+            for sign in (1.0, -1.0):
+                ln_cum = np.logaddexp.accumulate(np.log(np.maximum(sign * panel, 0.0)) + t[1:])
+                out[1:] += sign * np.exp(ln_cum - t[1:])
+        return out
+
+    return apply
+
+
+def _mesh(kind, R, panels):
+    return _graded_mesh(R, panels) if kind == "graded" else np.linspace(0.0, R, panels + 1)
+
+
+class TestVolterraAgainstReference:
+    """The operator agrees with the one it replaced to 1e-12 relative, on
+    graded and uniform meshes and at the ends of the float range; with
+    rate = 1 it is closer to a closed form than the reference."""
+
+    # 2^(+-963) ~ 1e(+-290): a power of two scales both operators exactly
+    # where no product is subnormal.  The reference's log-sum-exp rounds
+    # ln|panel| + t, which at |ln fvals| ~ 668 drifts by ~1e-12 over 1024
+    # panels, so the scaled runs are held to the reference's run at scale 1
+    # times the scale, and to the scaled reference's finiteness.
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 963, 2.0 ** -963],
+                             ids=["smooth", "1e290", "1e-290"])
+    @pytest.mark.parametrize("R", [1.0, 50.0, 1500.0])
+    @pytest.mark.parametrize("kind", ["graded", "uniform"])
+    @pytest.mark.parametrize("rate", [0, 1])
+    @pytest.mark.parametrize("m", [0, 1, 2, 4])
+    def test_matches_reference(self, m, rate, kind, R, scale):
+        t = _mesh(kind, R, 1024)
+        fvals = (2.0 + np.sin(t)) / (1.0 + t * t)
+        got = _volterra(t, m, rate)(scale * fvals)
+        ref = _reference_volterra(t, m, rate)
+        np.testing.assert_allclose(got, scale * ref(fvals), rtol=1e-12,
+                                   atol=1e-12 * np.finfo(float).tiny)
+        assert np.all(np.isfinite(got[np.isfinite(ref(scale * fvals))]))
+
+    @pytest.mark.parametrize("R, rtol", [(50.0, 2e-15), (1500.0, 1e-13)])
+    def test_rate_one_closed_form(self, R, rtol):
+        # int_0^t e^(s-t) s^2 ds = t^2 - 2t + 2 - 2e^-t; the reference misses
+        # by 2.2e-13 at R = 1500, where ln-space sums round at ulp(t)
+        t = _graded_mesh(R, 2048)
+        got = _volterra(t, 2, rate=1)(np.ones_like(t))
+        x = t[t > 1.0]
+        exact = x * x - 2.0 * x + 2.0 - 2.0 * np.exp(-x)
+        np.testing.assert_allclose(got[t > 1.0], exact, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("rate", [0, 1])
+    def test_negation_is_exact_across_blocks(self, rate):
+        # R = 1500 sums the rate = 1 panels in many blocks; fvals change sign
+        t = _graded_mesh(1500.0, 1024)
+        fvals = np.sin(t) / (1.0 + t)
+        op = _volterra(t, 2, rate)
+        np.testing.assert_array_equal(op(-fvals), -op(fvals))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [0, 1, 2, 4])
+    def test_tiny_mesh_exact_for_polynomials(self, m, size):
+        # the interpolant has degree min(size, 4) - 1, so the end panels alone
+        # integrate s^m times any polynomial below that degree exactly; one
+        # node is no panel
+        t = np.array([0.0, 0.4, 1.1, 1.7, 2.6])[:size]
+        coef = [1.0, 2.0, 0.5, 0.25][:min(size, 4)]
+        fvals = sum(c * t ** p for p, c in enumerate(coef))
+        exact = sum(c * t ** (m + p + 1) / (m + p + 1) for p, c in enumerate(coef))
+        got = _volterra(t, m)(fvals)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], exact[1:], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("R", [1.0, 50.0, 1500.0, 5000.0])
+    def test_tiny_mesh_rate_one(self, m, size, R):
+        # from R = 1500 on, panels wider than a block (width 64) appear; at
+        # R = 5000 one is 2,000 wide, and its factor e^2000 would overflow
+        t = R * np.array([0.0, 0.2, 0.6, 0.6002, 1.0])[:size]
+        fvals = 1.0 + t / R
+        got = _volterra(t, m, rate=1)(fvals)
+        ref = _reference_volterra(t, m, rate=1)(fvals)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 class TestPicardGradient:
