@@ -1,14 +1,15 @@
 """Eigenvalues, singular Lane-Emden-Fowler solves, and parameter sweeps.
 
-The first Dirichlet eigenvalue of the radial Laplacian comes from shooting
-in lambda with a series start.  The singular boundary-value problems are
-solved by shooting on the center value (ball) or the starting slope
-(interval), with the zero located through an epsilon cut and a local linear
-model.  Both search their parameter with Brent's method
-(numerics.find_root_monotone).  Nonexistence is an audited verdict from the
-sign analysis of the shooting map over a log grid of probes.  The Gelfand
-substitution v = e^(lambda u) - 1 reduces the quadratic-convection problem
-to an absorption problem, and the Young-inequality constant handles
+The first Dirichlet eigenvalue of the radial Laplacian is scale invariant:
+one shot of -Delta w = w from a series start to its first zero j gives
+lambda_1 = (j/R)^2, and a second shot at lambda_1 gives the eigenfunction.
+The singular boundary-value problems are solved by shooting on the center
+value (ball) or the starting slope (interval), with the zero located through
+an epsilon cut and a local linear model, and Brent's method on that
+parameter (numerics.find_root_monotone).  Nonexistence is an audited verdict
+from the sign analysis of the shooting map over a log grid of probes.  The
+Gelfand substitution v = e^(lambda u) - 1 reduces the quadratic-convection
+problem to an absorption problem, and the Young-inequality constant handles
 1 < p < 2.
 """
 
@@ -44,7 +45,7 @@ PROBES = tuple(float(s) for s in np.concatenate((
     np.geomspace(1e-4 * 10.0 ** (-100 / 52), 1e-4, 11)[:-1],
     np.geomspace(1e-4, S_MAX_PROBE, 53))))
 N_PROBES = len(PROBES)  # a full audit table; bench/tracing.py counts those by it
-EIGEN_TOL = 1e-12  # width stop of the lambda_1 search, relative to lambda_1 R^2
+EIGEN_AUDIT = 1e-9  # largest |phi(R)| of the eigenfunction, relative to max |phi|
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +57,10 @@ class EigenResult:
     """lambda_1 with the eigenfunction table, normalized phi(0) = 1.
 
     For the N = 1 interval mode the normalization is phi'(0) = 1 instead
-    (phi vanishes at both endpoints).  shots counts the shots of the
-    bracket, the root search and the final eigenfunction, with their
-    accepted and rejected steps.
+    (phi vanishes at both endpoints).  shots counts the unit shot to the
+    first zero and the eigenfunction shot, with their accepted and rejected
+    steps; phi_at_R is the eigenfunction shot's phi(R), which the audit
+    bounds by EIGEN_AUDIT max |phi|.
     """
 
     lambda1: float
@@ -72,6 +74,7 @@ class EigenResult:
     shots: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
+    phi_at_R: float = math.nan
 
     def residual_sup(self, h: float | None = None) -> float:
         """sup |−phi'' − (N−1)/r phi' − lambda phi| with phi'' from
@@ -95,28 +98,17 @@ class EigenResult:
         write_csv(path, "r,phi", zip(self.r, self.phi), [f"lambda1={fmt(self.lambda1)}"])
 
 
-def _eigen_shoot(N: int, R: float, mode: str, tally: ShotTally):
-    """Return integrate(lam, dense) -> the shot of phi from the origin to R,
-    counted in tally."""
-    phi0, dphi0 = (0.0, 1.0) if mode == "interval" else (1.0, 0.0)
-
-    def integrate(lam, dense=False):
-        source = lambda r, u, du: -lam * u  # noqa: E731
-        start, y0 = series_start(source, phi0, N, 1e-6 * R, dphi0)
-        return tally.add(shoot(source, N, start, y0, R, 1e-13, 1e-14, dense=dense))
-
-    return integrate
-
-
 def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
     """First Dirichlet eigenvalue of -Delta on the ball of radius R.
 
     mode='ball' solves the radial problem with phi'(0) = 0 (for N = 1 this
     is the symmetric interval (-R, R)); mode='interval' (N = 1 only) is
-    the Dirichlet interval (0, R) with phi(0) = 0.  Brent's method on the
-    sign change of phi(R) over a doubling bracket from lambda = 0.1/R^2,
-    stopped when the bracket is narrower than about EIGEN_TOL*lambda; the
-    series start steps past the (N-1)/r singularity.
+    the Dirichlet interval (0, R) with phi(0) = 0.  The eigenproblem is
+    scale invariant: phi(r) = w(sqrt(lambda) r) with -Delta w = w, so one
+    shot of w from the series start to its first zero j gives
+    lambda_1 = (j/R)^2, with j = j_{N/2-1,1} on the N-ball (Watson 15.2).
+    A second, dense shot at lambda_1 builds the eigenfunction table; its
+    phi(R) is the audit that the scaled zero carries over to R.
     """
     if N < 1:
         raise ValueError("dimension N must be >= 1")
@@ -128,26 +120,31 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
         raise ValueError("interval mode is the 1-D Dirichlet analogue (N = 1)")
 
     tally = ShotTally()
-    integrate = _eigen_shoot(N, R, mode, tally)
+    phi0, dphi0 = (0.0, 1.0) if mode == "interval" else (1.0, 0.0)
 
-    def endpoint(mu):
-        # phi(R) at lambda = mu/R^2: the width stop on mu is relative at every R
-        return float(integrate(mu / (R * R)).y[0, -1])
+    def integrate(lam, eps, r_end, **kwargs):
+        source = lambda r, u, du: -lam * u  # noqa: E731
+        start, y0 = series_start(source, phi0, N, eps, dphi0)
+        return tally.add(shoot(source, N, start, y0, r_end, 1e-13, 1e-14, **kwargs))
 
-    phi_lo = endpoint(0.1)
-    if phi_lo <= 0.0:
-        raise NumericsError("eigenvalue bracket failure: phi(R) <= 0 at the smallest lambda")
-    # the finder asks for mu = 0.1 first: hand it the value already shot
-    lam = find_root_monotone(lambda mu: phi_lo if mu == 0.1 else endpoint(mu), 0.0, 0.1, 0.2,
-                             tol=0.0, width_tol=EIGEN_TOL) / (R * R)
+    span = 2.0 * N + 8.0  # past j_{N/2-1,1} < N + 2 and pi; the event ends the shot
+    unit = integrate(1.0, 1e-6, span, floors=(0.0,))
+    if unit.t_events[0].size == 0:
+        raise NumericsError(f"eigenvalue shot of -Delta w = w (N = {N}, mode {mode!r}) "
+                            f"has no zero on (0, {span!r}]: {unit.message}")
+    lam = (float(unit.t_events[0][0]) / R) ** 2
 
-    sol = integrate(lam, dense=True)
+    sol = integrate(lam, 1e-6 * R, R, dense=True)
+    phi_at_r = float(sol.y[0, -1])
+    if abs(phi_at_r) > EIGEN_AUDIT * float(np.max(np.abs(sol.y[0]))):
+        raise NumericsError(f"eigenfunction at lambda_1 = {lam!r} (N = {N}, mode {mode!r}) "
+                            f"misses its zero: phi(R = {R!r}) = {phi_at_r!r}")
     grid = np.linspace(sol.t[0], R, 401)
     vals = sol.sol(grid)
     return EigenResult(lambda1=lam, r=grid, phi=vals[0], dphi=vals[1], N=N, R=R,
                        mode=mode, _dense=sol.sol, shots=tally.shots,
                        steps_accepted=tally.steps_accepted,
-                       steps_rejected=tally.steps_rejected)
+                       steps_rejected=tally.steps_rejected, phi_at_R=phi_at_r)
 
 
 def lambda1_domain(N: int, geometry: str, R: float = 1.0) -> float:

@@ -116,6 +116,11 @@ class ProblemSpec:
         if not tol > 0.0:
             raise ConfigError(f"[numerics] tol must be positive, not {tol!r}",
                               self.data["numerics"]["tol"][1])
+        for key in ("panels", "mesh_points"):
+            size = self.get("numerics", key, 1, kind=int)
+            if size < 1:
+                raise ConfigError(f"[numerics] {key} must be at least 1, not {size!r}",
+                                  self.data["numerics"][key][1])
 
 
 def _parse_value(text: str, lineno: int):
@@ -522,7 +527,7 @@ def _cmd_eigen(spec, outdir):
     csv = spec.get("output", "csv", "eigen.csv")
     eig.to_csv(os.path.join(outdir, csv))
     return {"command": "eigen", "N": N, "R": R, "mode": mode,
-            "lambda1": eig.lambda1, "shots": eig.shots,
+            "lambda1": eig.lambda1, "phi_at_R": eig.phi_at_R, "shots": eig.shots,
             "steps_accepted": eig.steps_accepted, "steps_rejected": eig.steps_rejected,
             "csv": csv}
 

@@ -231,6 +231,8 @@ def check_large_condition(psi_env, N: int):
 
 def _graded_mesh(R: float, panels: int) -> np.ndarray:
     """Quadratic grading toward 0, where t^(1-N) concentrates mass."""
+    if panels < 1:
+        raise ValueError(f"a mesh needs at least one panel, not {panels!r}")
     i = np.arange(panels + 1, dtype=float) / panels
     return R * i * i
 
@@ -449,8 +451,10 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
         if mesh_drift <= tol:
             break
     if not monotone:
-        raise ValueError("Picard iterates failed to be nondecreasing: the scheme's "
-                         "assumptions are violated (check b0 >= 1 and f nondecreasing)")
+        raise ValueError(f"Picard iterates failed to be nondecreasing on {t.size - 1} panels "
+                         f"(refined from {panels}): "
+                         "the scheme's assumptions are violated (check b0 >= 1 and f "
+                         "nondecreasing) or the mesh is too coarse")
     if mesh_drift > tol:
         raise NumericsError(f"Picard mesh refinement stopped at {t.size - 1} panels with "
                             f"w(R) still moving by {mesh_drift:.3g} > tol = {tol:.3g}")
@@ -553,6 +557,8 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     """
     if N < 3:
         raise ValueError("the system scheme requires N >= 3")
+    if mesh_points < 1:
+        raise ValueError(f"a mesh needs at least one panel, not mesh_points = {mesh_points!r}")
     # sublinear coupling check: g(c f(t))/t -> 0
     f_call, g_call = sys_.f.f.fast(), sys_.g.f.fast()
     for c in (1.0, 10.0):
@@ -585,7 +591,9 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             break
     u, v, iterations, monotone, lower_ok = run
     if not monotone:
-        raise ValueError("system iterates failed to be nondecreasing")
+        raise ValueError(f"system iterates failed to be nondecreasing on {t.size - 1} panels "
+                         f"(refined from {mesh_points}): "
+                         "the mesh may be too coarse")
     # Richardson: drifts falling by ratio per doubling leave drift/(ratio - 1)
     # on the finest mesh; a ratio below 8 is not yet asymptotic
     mesh_drift = mesh_error = drifts[-1]

@@ -21,7 +21,14 @@ from sel_lab.bifurcation import (
 )
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
-from sel_lab.numerics import NO_SOLUTION, RadialSolution, shoot
+from sel_lab.numerics import (
+    NO_SOLUTION,
+    NumericsError,
+    RadialSolution,
+    find_root_monotone,
+    series_start,
+    shoot,
+)
 from sel_lab.radial import residual_on_table
 
 
@@ -43,6 +50,28 @@ def bessel_j0_first_zero():
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def first_bessel_zero(nu):
+    """j_{nu,1}: brentq on the first sign change of J_nu on a 1/8 grid."""
+    x = 0.125
+    while jv(nu, x + 0.125) > 0.0:
+        x += 0.125
+    return brentq(lambda t: jv(nu, t), x, x + 0.125, xtol=1e-15)
+
+
+def lambda1_by_search(N, R, mode="ball"):
+    """Reference copy of the former lambda_1 search: Brent's method on the
+    sign change of phi(R) over a doubling bracket from lambda = 0.1/R^2,
+    stopped when the bracket in lambda R^2 is narrower than about 1e-12."""
+    phi0, dphi0 = (0.0, 1.0) if mode == "interval" else (1.0, 0.0)
+
+    def endpoint(mu):
+        source = lambda r, u, du: -mu / (R * R) * u  # noqa: E731
+        start, y0 = series_start(source, phi0, N, 1e-6 * R, dphi0)
+        return float(shoot(source, N, start, y0, R, 1e-13, 1e-14).y[0, -1])
+
+    return find_root_monotone(endpoint, 0.0, 0.1, 0.2, tol=0.0, width_tol=1e-12) / (R * R)
 
 
 class TestEigenvalues:
@@ -102,18 +131,59 @@ class TestEigenvalues:
         shots, lams = [], []
 
         def counted(*args, **kwargs):
-            shots.append((kwargs["dense"], shoot(*args, **kwargs)))
+            shots.append((kwargs.get("dense", False), shoot(*args, **kwargs)))
             lams.append(-args[0](0.0, 1.0, 0.0))  # the source is -lambda u
             return shots[-1][1]
 
         monkeypatch.setattr(bifurcation, "shoot", counted)
         eig = lambda1_ball(3, 1.0)
-        assert eig.shots == len(shots) <= 25
+        assert eig.shots == len(shots) == 2
         assert eig.steps_accepted == sum(sol.steps_accepted for _, sol in shots)
         assert eig.steps_rejected == sum(sol.steps_rejected for _, sol in shots)
-        assert [dense for dense, _ in shots] == [False] * (len(shots) - 1) + [True]
-        # the search never shoots a lambda twice
-        assert len(set(lams[:-1])) == len(shots) - 1
+        # the unit shot to the first zero, then the eigenfunction at lambda_1
+        assert [dense for dense, _ in shots] == [False, True]
+        assert lams == [1.0, eig.lambda1]
+
+    @pytest.mark.parametrize("N, mode", [(N, "ball") for N in range(1, 13)] + [(1, "interval")])
+    @pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+    def test_scaled_zero_agrees_with_the_search(self, N, mode, R):
+        # each is within 1e-13 of j^2/R^2 (the search is off by 1.08e-13 at
+        # N = 11, the scaled zero by 8.1e-14 at N = 2), so they agree to 2e-13
+        if mode == "interval":
+            want = math.pi ** 2
+        elif N == 1:
+            want = (math.pi / 2.0) ** 2
+        else:
+            want = first_bessel_zero(N / 2.0 - 1.0) ** 2
+        got = lambda1_ball(N, R, mode=mode).lambda1
+        assert got == pytest.approx(want / R ** 2, rel=1e-13, abs=0.0)
+        assert got == pytest.approx(lambda1_by_search(N, R, mode), rel=2e-13, abs=0.0)
+
+    @pytest.mark.parametrize("N, mode", [(1, "ball"), (3, "ball"), (1, "interval")])
+    def test_phi_at_R_is_the_audited_zero(self, N, mode):
+        eig = lambda1_ball(N, 2.0, mode=mode)
+        assert eig.phi_at_R == eig.phi[-1] == pytest.approx(0.0, abs=1e-13)
+
+    def test_audit_fires_on_a_shifted_zero(self, monkeypatch):
+        def shifted(*args, **kwargs):
+            sol = shoot(*args, **kwargs)
+            if sol.t_events and sol.t_events[0].size:
+                sol.t_events[0] = sol.t_events[0] * (1.0 + 1e-6)
+            return sol
+
+        monkeypatch.setattr(bifurcation, "shoot", shifted)
+        with pytest.raises(NumericsError, match="misses its zero"):
+            lambda1_ball(3, 1.0)
+
+    def test_unit_shot_without_a_zero_is_a_numerics_error(self, monkeypatch):
+        # a span short of the first zero: the unit shot reaches its end
+        def short(source, N, r_start, y0, r_end, *args, **kwargs):
+            return shoot(source, N, r_start, y0, 1.0 if kwargs.get("floors") else r_end,
+                         *args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "shoot", short)
+        with pytest.raises(NumericsError, match=r"N = 3, mode 'ball'.* no zero on \(0, 14.0\]"):
+            lambda1_ball(3, 1.0)
 
     def test_interval_mode_requires_1d(self):
         with pytest.raises(ValueError):

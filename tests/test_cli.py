@@ -270,6 +270,28 @@ tol = {tol}
         assert "line 9: [numerics] tol must be positive" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize("command, functions, key", [
+        ("solve-entire", 'f = "t^0.5"\npsi = "1"', "panels"),
+        ("solve-system", 'p = "1"\nq = "1"\nf = "t^0.5"\ng = "t^0.5"', "mesh_points")])
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_mesh_below_one_panel_is_config_error(self, tmp_path, capsys, command, functions,
+                                                  key, size):
+        # panels = 0 divided 0 by 0 in the graded mesh and exited 0 with
+        # classification=undetermined mesh_points=0
+        code, outdir = run_cli(tmp_path, f"""[problem]
+command = {command}
+N = 3
+
+[functions]
+{functions}
+
+[numerics]
+{key} = {size}
+""")
+        assert code == 2
+        assert f"[numerics] {key} must be at least 1, not {size}" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     @pytest.mark.parametrize("command, functions", [("check-ko", 'f = "t^3"'),
                                                     ("classify", 'fn = "t^(-2)"')])
     def test_classifiers_take_no_tol(self, tmp_path, capsys, command, functions):
@@ -325,12 +347,14 @@ json = summary.json
         out = capsys.readouterr().out
         lam = float(out.split("lambda1=")[1].split()[0])
         assert lam == pytest.approx(math.pi ** 2, abs=1e-8)
-        assert int(out.split("shots=")[1].split()[0]) <= 25
+        assert int(out.split("shots=")[1].split()[0]) == 2
         assert int(out.split("steps_accepted=")[1].split()[0]) > 0
         assert int(out.split("steps_rejected=")[1].split()[0]) >= 0
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert summary["shots"] == int(out.split("shots=")[1].split()[0])
         assert {"steps_accepted", "steps_rejected"} <= set(summary)
+        assert summary["phi_at_R"] == float(out.split("phi_at_R=")[1].split()[0])
+        assert abs(summary["phi_at_R"]) <= 1e-13
         lines = open(os.path.join(outdir, "eigen.csv")).read().splitlines()
         assert lines[1] == "r,phi"
 

@@ -575,7 +575,7 @@ def eigen_step_shares():
 
     scipy's DOP853 forms its stage sums with numpy dot products; OpenBLAS's
     FMA kernels round them differently from the kernel's plain sums, which
-    moves a few shots by one accepted step (2 of the 19 shots for N = 3).
+    moves some shots by one accepted step.
     Without FMA every shot must take scipy's steps.
     """
     code = ("import pytest, test_numerics as t\n"
@@ -602,7 +602,7 @@ class TestDop853AgainstScipy:
     def test_eigen_shots(self, monkeypatch, eigen_step_shares, N, mode):
         pairs = _shots_beside_scipy(monkeypatch, bifurcation)
         bifurcation.lambda1_ball(N, 1.0, mode=mode)
-        assert len(pairs) <= 25  # the bracket, Brent's search on lambda and the final shot
+        assert len(pairs) == 2  # the unit shot to the first zero and the eigenfunction
         _assert_shots_agree(pairs, rel=1e-12)
         assert eigen_step_shares[N, mode] == 1.0
 

@@ -533,6 +533,40 @@ class TestMonotoneCheck:
                          10.0, 3, mesh_points=64)
 
 
+class TestMeshSize:
+    """A mesh below one panel is refused; a coarse one that breaks
+    monotonicity names its panels."""
+
+    def test_graded_mesh_needs_a_panel(self):
+        # panels = 0 divided 0 by 0 and read classification=undetermined
+        for panels in (0, -1):
+            with pytest.raises(ValueError, match="at least one panel"):
+                _graded_mesh(50.0, panels)
+        assert _graded_mesh(50.0, 1).tolist() == [0.0, 50.0]
+
+    def test_gradient_scheme_needs_a_panel(self, f_sqrt):
+        with pytest.raises(ValueError, match="at least one panel"):
+            picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 50.0, 3, panels=0)
+
+    def test_system_needs_a_panel(self, f_sqrt):
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        with pytest.raises(ValueError, match="at least one panel, not mesh_points = 0"):
+            solve_system(SystemProblem(p=one, q=one, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                         50.0, 3, mesh_points=0)
+
+    def test_coarse_gradient_mesh_names_its_panels(self, f_sqrt):
+        # one panel refined three times is 8 panels, still too coarse on [0, 50]
+        with pytest.raises(ValueError, match=r"nondecreasing on 8 panels \(refined from 1\)"):
+            picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 50.0, 3, panels=1)
+
+    def test_coarse_system_mesh_names_its_panels(self, f_sqrt):
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        with pytest.raises(ValueError, match=r"nondecreasing on 32 panels \(refined from 4\)"):
+            solve_system(SystemProblem(p=one, q=one, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                         50.0, 3, mesh_points=4)
+
+
+
 class TestLipschitz:
     def test_zero_lipschitz(self):
         assert lipschitz_constant(1.0, 1.0, 0.0) == 1.0
