@@ -46,6 +46,8 @@ PROBES = tuple(float(s) for s in np.concatenate((
     np.geomspace(1e-4, S_MAX_PROBE, 53))))
 N_PROBES = len(PROBES)  # a full audit table; bench/tracing.py counts those by it
 EIGEN_AUDIT = 1e-9  # largest |phi(R)| of the eigenfunction, relative to max |phi|
+EIGEN_MODES = ("ball", "interval")
+LEF_GEOMETRIES = ("interval", "ball")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ class EigenResult:
         return worst
 
     def to_csv(self, path):
-        write_csv(path, "r,phi", zip(self.r, self.phi), [f"lambda1={fmt(self.lambda1)}"])
+        write_csv(path, "r,phi", (self.r, self.phi), [f"lambda1={fmt(self.lambda1)}"])
 
 
 def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
@@ -114,7 +116,7 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
         raise ValueError("dimension N must be >= 1")
     if R <= 0.0:
         raise ValueError("radius must be positive")
-    if mode not in ("ball", "interval"):
+    if mode not in EIGEN_MODES:
         raise ValueError("mode must be 'ball' or 'interval'")
     if mode == "interval" and N != 1:
         raise ValueError("interval mode is the 1-D Dirichlet analogue (N = 1)")
@@ -197,13 +199,13 @@ class LEFProblem:
     mode: str = "absorption"
 
     def __post_init__(self):
-        if self.geometry not in ("interval", "ball"):
+        if self.geometry not in LEF_GEOMETRIES:
             raise ValueError("geometry must be 'interval' or 'ball'")
         if self.geometry == "interval" and self.N != 1:
             raise ValueError("interval geometry is one-dimensional")
         if not 0.0 <= self.grad_p <= 2.0:
             raise ValueError("the gradient power must lie in [0, 2]")
-        if self.mode not in ("absorption", "two-param", "convection", "convection-absorb"):
+        if self.mode not in LEF_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.source is not None and self.mu > 0.0:
             src = self.source.fast()
@@ -261,6 +263,7 @@ _LEF_RHS = {
     "convection": ("GDF", "G + lam * D + mu * F"),
     "convection-absorb": ("FKGD", "lam * F - K * G - D"),
 }
+LEF_MODES = tuple(_LEF_RHS)
 
 
 def _lef_source(prob: LEFProblem):
@@ -492,9 +495,9 @@ class BifurcationDiagram:
 
     def to_csv(self, path):
         write_csv(path, "lambda,status,sup_norm,center_value",
-                  ((lam, st, math.nan if sn is None else sn, math.nan if cv is None else cv)
-                   for lam, st, sn, cv in zip(self.lam, self.status, self.sup_norm,
-                                              self.center_value)))
+                  (self.lam, self.status,
+                   [math.nan if sn is None else sn for sn in self.sup_norm],
+                   [math.nan if cv is None else cv for cv in self.center_value]))
 
 
 def sweep(prob_template: LEFProblem, lam_grid) -> BifurcationDiagram:

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,11 +71,11 @@ class ProblemSpec:
     data: dict = field(default_factory=dict)
 
     def get(self, section: str, key: str, default=None, required: bool = False,
-            kind=None):
+            kind=None, choices=None):
         """The value of [section] key, or default when it is absent.  kind
         (float, int, list for a list of numbers, or bool for true/false)
-        converts a present value; a value it does not fit is a ConfigError
-        at the key's line."""
+        converts a present value; a value it does not fit, or one outside
+        choices, is a ConfigError at the key's line."""
         entry = self.data.get(section, {}).get(key)
         if entry is None:
             if required:
@@ -82,15 +83,27 @@ class ProblemSpec:
                                   f"for command {self.command}")
             return default
         value, lineno = entry
-        if kind is None or (kind in (list, bool) and isinstance(value, kind)):
-            return value
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if number and kind is not bool and (kind is not int or isinstance(value, int)
-                                            or value.is_integer()):
-            return [float(value)] if kind is list else kind(value)
-        expected = {int: "an integer", float: "a number", list: "a list of numbers",
-                    bool: "true or false"}[kind]
-        raise ConfigError(f"[{section}] {key} must be {expected}, not {value!r}", lineno)
+        if kind is not None and not (kind in (list, bool) and isinstance(value, kind)):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and kind is not bool and (kind is not int or isinstance(value, int)
+                                                     or value.is_integer())):
+                expected = {int: "an integer", float: "a number", list: "a list of numbers",
+                            bool: "true or false"}[kind]
+                raise ConfigError(f"[{section}] {key} must be {expected}, not {value!r}",
+                                  lineno)
+            value = [float(value)] if kind is list else kind(value)
+        if choices is not None and value not in choices:
+            raise ConfigError(f"[{section}] {key} must be one of {', '.join(choices)}, "
+                              f"not {value!r}", lineno)
+        return value
+
+    def check(self, section: str, key: str, value, ok: bool, must: str) -> None:
+        """Unless ok, a ConfigError saying that [section] key must be `must`,
+        at the key's line when the config sets it."""
+        if not ok:
+            entry = self.data.get(section, {}).get(key)
+            raise ConfigError(f"[{section}] {key} must be {must}, not {value!r}",
+                              entry[1] if entry else None)
 
     # the source text of a [functions] expression; validate() has parsed it
     expression = get
@@ -113,14 +126,10 @@ class ProblemSpec:
                 except ParseError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}", lineno) from exc
         tol = self.get("numerics", "tol", 1.0, kind=float)
-        if not tol > 0.0:
-            raise ConfigError(f"[numerics] tol must be positive, not {tol!r}",
-                              self.data["numerics"]["tol"][1])
+        self.check("numerics", "tol", tol, tol > 0.0, "positive")
         for key in ("panels", "mesh_points"):
             size = self.get("numerics", key, 1, kind=int)
-            if size < 1:
-                raise ConfigError(f"[numerics] {key} must be at least 1, not {size!r}",
-                                  self.data["numerics"][key][1])
+            self.check("numerics", key, size, size >= 1, "at least 1")
 
 
 def _parse_value(text: str, lineno: int):
@@ -252,16 +261,14 @@ def _cmd_check_ko(spec, outdir):
 
 def _cmd_classify(spec, outdir):
     fn_src = spec.expression("functions", "fn", required=True)
-    direction = spec.get("problem", "direction", "tail")
+    direction = spec.get("problem", "direction", "tail", choices=("tail", "origin"))
     fn = ScalarFn.from_source(fn_src).fast()
     if direction == "tail":
         a = spec.get("problem", "a", 1.0, kind=float)
         verdict = _num.classify_tail_integral(fn, a)
-    elif direction == "origin":
+    else:
         b = spec.get("problem", "b", 1.0, kind=float)
         verdict = _num.classify_origin_integral(fn, b)
-    else:
-        raise ConfigError("direction must be 'tail' or 'origin'")
     return {"command": "classify", "direction": direction, "fn": fn_src,
             **_verdict_summary(verdict)}
 
@@ -329,7 +336,8 @@ def _profile_from_spec(spec):
     command that has analysed f already hands its Nonlinearity to it."""
     f_src = spec.expression("functions", "f", required=True)
     weight = _weight_from_spec(spec)
-    variant = spec.get("problem", "variant", "k-integrand")
+    variant = spec.get("problem", "variant", _prof.VARIANT_K,
+                       choices=tuple(_prof.VARIANT_NORMALIZATION))
     c = spec.get("problem", "c", 1.0, kind=float)
     depth = spec.get("numerics", "grid_depth", 24, kind=int)
     tol = spec.get("numerics", "tol", 1e-10, kind=float)
@@ -388,6 +396,7 @@ def _cmd_solve_entire(spec, outdir):
     psi_src = spec.expression("functions", "psi", required=True)
     phi_src = spec.expression("functions", "phi", None)
     N = spec.get("problem", "N", required=True, kind=int)
+    spec.check("problem", "N", N, N >= 3, "at least 3")
     R = spec.get("problem", "R", 50.0, kind=float)
     b0 = spec.get("problem", "b0", 1.0, kind=float)
     tol = spec.get("numerics", "tol", 1e-8, kind=float)
@@ -417,6 +426,8 @@ def _cmd_solve_entire(spec, outdir):
 
 
 def _cmd_solve_system(spec, outdir):
+    N = spec.get("problem", "N", required=True, kind=int)
+    spec.check("problem", "N", N, N >= 3, "at least 3")
     sys_ = _rad.SystemProblem(
         p=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "p", required=True))),
         q=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "q", required=True))),
@@ -425,7 +436,6 @@ def _cmd_solve_system(spec, outdir):
         a=spec.get("problem", "a", 1.0, kind=float),
         b=spec.get("problem", "b", 1.0, kind=float),
     )
-    N = spec.get("problem", "N", required=True, kind=int)
     R = spec.get("problem", "R", 50.0, kind=float)
     tol = spec.get("numerics", "tol", 1e-10, kind=float)
     mesh = spec.get("numerics", "mesh_points", 4096, kind=int)
@@ -444,16 +454,15 @@ def _cmd_solve_system(spec, outdir):
 
 def _logistic_from_spec(spec) -> _rad.LogisticProblem:
     N = spec.get("problem", "N", required=True, kind=int)
-    domain_kind = spec.get("problem", "domain", "ball")
+    domain_kind = spec.get("problem", "domain", "ball",
+                           choices=("ball", "annulus", "whole-space"))
     if domain_kind == "ball":
         domain = ("ball", spec.get("problem", "R", 1.0, kind=float))
     elif domain_kind == "annulus":
         domain = ("annulus", spec.get("problem", "R0", 0.0, kind=float),
                   spec.get("problem", "R", 1.0, kind=float))
-    elif domain_kind == "whole-space":
-        domain = ("whole-space", spec.get("problem", "R", 10.0, kind=float))
     else:
-        raise ConfigError(f"unknown domain {domain_kind!r}")
+        domain = ("whole-space", spec.get("problem", "R", 10.0, kind=float))
     return _rad.LogisticProblem(
         N=N,
         f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
@@ -461,7 +470,8 @@ def _logistic_from_spec(spec) -> _rad.LogisticProblem:
         a_lin=spec.get("problem", "a", 0.0, kind=float),
         domain=domain,
         omega0_radius=spec.get("problem", "omega0", 0.0, kind=float),
-        b_normalization=spec.get("problem", "b_normalization", "k2"),
+        b_normalization=spec.get("problem", "b_normalization", "k2",
+                                 choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
     )
 
 
@@ -494,7 +504,7 @@ def _cmd_rate(spec, outdir):
     rate = _rad.measure_boundary_rate(sol, _profile_from_spec(spec)())
     csv = spec.get("output", "csv", "rate.csv")
     write_csv(os.path.join(outdir, csv), "d,ratio_h,ratio_xi0h",
-              zip(rate.d.tolist(), rate.ratio_h.tolist(), rate.ratio_xi0h.tolist()))
+              (rate.d, rate.ratio_h, rate.ratio_xi0h))
     return {"command": "rate", "limit": rate.limit, "drift": rate.drift, "csv": csv}
 
 
@@ -522,7 +532,11 @@ def _read_solution_csv(path) -> _num.RadialSolution:
 def _cmd_eigen(spec, outdir):
     N = spec.get("problem", "N", required=True, kind=int)
     R = spec.get("problem", "R", 1.0, kind=float)
-    mode = spec.get("problem", "mode", "ball")
+    mode = spec.get("problem", "mode", "ball", choices=_bif.EIGEN_MODES)
+    spec.check("problem", "N", N, N >= 1, "at least 1")
+    if mode == "interval":
+        spec.check("problem", "N", N, N == 1, "1 in interval mode")
+    spec.check("problem", "R", R, R > 0.0, "positive")
     eig = _bif.lambda1_ball(N, R, mode=mode)
     csv = spec.get("output", "csv", "eigen.csv")
     eig.to_csv(os.path.join(outdir, csv))
@@ -538,9 +552,14 @@ def _lef_from_spec(spec) -> _bif.LEFProblem:
     a_src = spec.expression("functions", "a", None)
     K_src = spec.expression("functions", "K", None)
     src_src = spec.expression("functions", "source", None)
+    N = spec.get("problem", "N", required=True, kind=int)
+    geometry = spec.get("problem", "geometry", "interval", choices=_bif.LEF_GEOMETRIES)
+    spec.check("problem", "N", N, geometry == "ball" or N == 1, "1 on the interval geometry")
+    grad_p = spec.get("problem", "grad_p", 0.0, kind=float)
+    spec.check("problem", "grad_p", grad_p, 0.0 <= grad_p <= 2.0, "in [0, 2]")
     return _bif.LEFProblem(
-        N=spec.get("problem", "N", required=True, kind=int),
-        geometry=spec.get("problem", "geometry", "interval"),
+        N=N,
+        geometry=geometry,
         R=spec.get("problem", "R", 1.0, kind=float),
         lam=spec.get("problem", "lambda", 0.0, kind=float),
         mu=spec.get("problem", "mu", 0.0, kind=float),
@@ -549,8 +568,8 @@ def _lef_from_spec(spec) -> _bif.LEFProblem:
         a_pot=ScalarFn.from_source(a_src) if a_src else None,
         K_pot=ScalarFn.from_source(K_src) if K_src else None,
         source=ScalarFn.from_source(src_src) if src_src else None,
-        grad_p=spec.get("problem", "grad_p", 0.0, kind=float),
-        mode=spec.get("problem", "mode", "absorption"),
+        grad_p=grad_p,
+        mode=spec.get("problem", "mode", "absorption", choices=_bif.LEF_MODES),
     )
 
 
@@ -560,7 +579,8 @@ def _cmd_lef(spec, outdir):
     out = {"command": "lef", "classification": sol.classification}
     if sol.classification == _num.NO_SOLUTION:
         csv = spec.get("output", "csv", "lef_probes.csv")
-        write_csv(os.path.join(outdir, csv), "s,zero_location", sol.metadata["probe_table"])
+        write_csv(os.path.join(outdir, csv), "s,zero_location",
+                  zip(*sol.metadata["probe_table"]))
         out["sup_zero_location"] = sol.metadata["sup_zero_location"]
         out["failed_probes"] = sol.metadata["failed_probes"]
     else:
@@ -596,8 +616,11 @@ def _cmd_gelfand(spec, outdir):
     mu = spec.get("problem", "mu", required=True, kind=float)
     g_src = spec.expression("functions", "g", required=True)
     N = spec.get("problem", "N", 1, kind=int)
-    geometry = spec.get("problem", "geometry", "interval")
+    geometry = spec.get("problem", "geometry", "interval", choices=_bif.LEF_GEOMETRIES)
     solve = spec.get("problem", "solve", False, kind=bool)
+    if solve:
+        spec.check("problem", "N", N, geometry == "ball" or N == 1,
+                   "1 on the interval geometry")
     g_nl = _ka.analyze_singular_term(g_src)
     a_lim = g_nl.value_at_inf if g_nl.value_at_inf is not None else 0.0
     lam1 = _bif.lambda1_domain(N, geometry)
@@ -625,7 +648,7 @@ def _cmd_young(spec, outdir):
     lam1 = spec.get("problem", "lambda1", None, kind=float)
     if lam1 is None:
         N = spec.get("problem", "N", 1, kind=int)
-        geometry = spec.get("problem", "geometry", "interval")
+        geometry = spec.get("problem", "geometry", "interval", choices=_bif.LEF_GEOMETRIES)
         lam1 = _bif.lambda1_domain(N, geometry)
     C = _bif.young_constant(a_lim, p, lam1)
     return {"command": "young", "a": a_lim, "p": p, "lambda1": lam1, "C": C}
@@ -668,7 +691,10 @@ def run(spec: ProblemSpec, outdir: str, verbose: bool = False) -> dict:
     return summary
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call: parsing leaves it
+    unchanged, so every later main call in the process reuses it."""
     parser = argparse.ArgumentParser(
         prog="sel-lab",
         description="Numerical laboratory for singular and blow-up radial elliptic problems",
@@ -676,7 +702,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="problem configuration file")
     parser.add_argument("--out", default=".", help="output directory for artifacts")
     parser.add_argument("--verbose", action="store_true")
-    opts = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    opts = _parser().parse_args(argv)
 
     try:
         spec = parse_config(opts.config)

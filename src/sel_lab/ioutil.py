@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from itertools import chain
 
 
 def fmt(x: float) -> str:
@@ -28,12 +29,20 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_csv(path, header: str, rows, comments=()) -> None:
+def write_csv(path, header: str, columns, comments=()) -> None:
     """Atomically write '# comment' lines, the header and one line per row.
 
-    Strings are written as they are, every other value through fmt.
+    columns holds the table column by column, all of one length (numpy
+    arrays or sequences).  A column whose first value is a string is written
+    as it is, every other value as fmt writes it: '%.17g' is the same
+    format, applied to the whole table in one pass.
     """
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    lines.extend(",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [c.tolist() if hasattr(c, "tolist") else list(c) for c in columns]
+    rows = len(columns[0]) if columns else 0
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
+    text = "".join(f"# {c}\n" for c in comments) + header + "\n"
+    if rows:
+        row = ",".join("%s" if isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
+        text += (row * rows) % tuple(chain.from_iterable(zip(*columns)))
+    atomic_write_text(path, text)

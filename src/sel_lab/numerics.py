@@ -145,8 +145,7 @@ class RadialSolution:
         comments.append(f"dimension={self.dimension}")
         if "b_normalization" in self.metadata:
             comments.append(f"b_normalization={self.metadata['b_normalization']}")
-        write_csv(path, ",".join(name for name, _ in cols), zip(*(col for _, col in cols)),
-                  comments)
+        write_csv(path, ",".join(name for name, _ in cols), [col for _, col in cols], comments)
 
 
 # ---------------------------------------------------------------------------

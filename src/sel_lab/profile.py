@@ -103,8 +103,9 @@ class BlowupProfile:
         return 0.5 * dv / math.sqrt(kv)
 
     def export_csv(self, path):
+        t = self.t.tolist()
         write_csv(path, "t,h,h_prime",
-                  ((ti, self.h_at(float(ti)), self.h_prime(float(ti))) for ti in self.t),
+                  (t, [self.h_at(ti) for ti in t], [self.h_prime(ti) for ti in t]),
                   [f"variant={self.variant}"])
 
 
@@ -208,7 +209,7 @@ class OdeProfile:
         return 2.0 * float(self.h[-1]), float(self.hp[-1]) ** 2 + 1.0
 
     def export_csv(self, path):
-        write_csv(path, "t,h,h_prime", zip(self.t, self.h, self.hp))
+        write_csv(path, "t,h,h_prime", (self.t, self.h, self.hp))
 
 
 def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,

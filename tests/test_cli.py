@@ -307,6 +307,52 @@ tol = 1e-8
         assert code == 2
         assert f"unknown key 'tol' in [numerics] for command {command}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ("command = eigen\nN = 3\nmode = annulus",
+         "line 4: [problem] mode must be one of ball, interval, not 'annulus'"),
+        ("command = eigen\nN = 3\nmode = interval",
+         "line 3: [problem] N must be 1 in interval mode, not 3"),
+        ("command = eigen\nN = 0", "line 3: [problem] N must be at least 1, not 0"),
+        ("command = eigen\nN = 2\nR = 0", "line 4: [problem] R must be positive, not 0.0"),
+        ("command = eigen\nN = 2\nR = -1.5", "line 4: [problem] R must be positive, not -1.5"),
+        ("command = lef\nN = 1\ngeometry = disk",
+         "line 4: [problem] geometry must be one of interval, ball, not 'disk'"),
+        ("command = lef\nN = 1\nmode = diffusion",
+         "line 4: [problem] mode must be one of absorption, two-param, convection, "
+         "convection-absorb, not 'diffusion'"),
+        ("command = lef\nN = 3", "line 3: [problem] N must be 1 on the interval geometry"),
+        ("command = lef\nN = 1\ngrad_p = 2.5", "line 4: [problem] grad_p must be in [0, 2]"),
+        ("command = sweep\nN = 1\nlambda_grid = 1, 2\ngeometry = shell",
+         "line 5: [problem] geometry must be one of interval, ball, not 'shell'"),
+        ("command = sweep\nN = 1\nlambda_grid = 1, 2\nmode = 3",
+         "line 5: [problem] mode must be one of absorption"),
+        ('command = solve-entire\nN = 2\n[functions]\nf = "t^0.5"\npsi = "1"',
+         "line 3: [problem] N must be at least 3, not 2"),
+        ('command = solve-system\nN = 1\n[functions]\np = "1"\nq = "1"\nf = "t^0.5"\n'
+         'g = "t^0.5"', "line 3: [problem] N must be at least 3, not 1"),
+        ('command = classify\ndirection = sideways\n[functions]\nfn = "t^(-2)"',
+         "line 3: [problem] direction must be one of tail, origin, not 'sideways'"),
+        ('command = blowup\nN = 1\ndomain = torus\n[functions]\nf = "t^3"\nb = "1"',
+         "line 4: [problem] domain must be one of ball, annulus, whole-space, not 'torus'"),
+        ('command = blowup\nN = 1\nb_normalization = k3\n[functions]\nf = "t^3"\nb = "1"',
+         "line 4: [problem] b_normalization must be one of k2, k, not 'k3'"),
+        ('command = profile\nk_alpha = 1\nvariant = k\n[functions]\nf = "t^3"',
+         "line 4: [problem] variant must be one of k-integrand, sqrt-k-integrand, not 'k'"),
+        ('command = gelfand\nlambda = 0.5\nmu = 1\ngeometry = annulus\n[functions]\n'
+         'g = "exp(-t)"', "line 5: [problem] geometry must be one of interval, ball"),
+        ('command = gelfand\nlambda = 0.5\nmu = 1\nN = 3\nsolve = true\n[functions]\n'
+         'g = "exp(-t)"', "line 5: [problem] N must be 1 on the interval geometry, not 3"),
+        ("command = young\np = 1.5\nN = 3\ngeometry = annulus",
+         "line 5: [problem] geometry must be one of interval, ball, not 'annulus'"),
+    ])
+    def test_bad_enumerated_or_ranged_key_is_config_error(self, tmp_path, capsys, config,
+                                                          message):
+        # most reached the library's ValueError: exit 3 and a failure.json
+        code, outdir = run_cli(tmp_path, f"[problem]\n{config}\n")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # profile on a KO-divergent nonlinearity is a numerical-domain error
         code, outdir = run_cli(tmp_path, """
@@ -890,6 +936,22 @@ f = "t"
         diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
         assert "must be increasing" in diag["error"]
         assert not os.path.exists(os.path.join(outdir, "sweep.csv"))
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        eigen = write_cfg(tmp_path, "[problem]\ncommand = eigen\nN = 2\n", name="eigen.cfg")
+        young = write_cfg(tmp_path, "[problem]\ncommand = young\np = 1.5\n", name="young.cfg")
+        assert main(["--config", eigen, "--out", str(tmp_path / "a")]) == 0
+        assert main(["--config", young, "--out", str(tmp_path / "b"), "--verbose"]) == 0
+        first = capsys.readouterr()
+        assert "command=eigen N=2" in first.out and "command=young" in first.out
+        assert first.err == f"artifacts in {tmp_path / 'b'}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+        assert main(["--config", young, "--out", str(tmp_path / "d")]) == 0
+        assert os.path.exists(tmp_path / "d" / "young_summary.json")
+        assert not os.path.exists(tmp_path / "c")
 
     def test_removed_flags_are_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[problem]\ncommand = young\np = 1.5\n")
