@@ -275,8 +275,7 @@ def _cmd_classify(spec, outdir):
 
 def _cmd_analyze_f(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
-    u_max = spec.get("numerics", "u_max", 1e8, kind=float)
-    nl = _ka.analyze_nonlinearity(f_src, u_max)
+    nl = _ka.analyze_nonlinearity(f_src)
 
     def show(x):
         return "unavailable" if x is None else x
@@ -285,7 +284,6 @@ def _cmd_analyze_f(spec, outdir):
         "command": "analyze-f", "f": f_src,
         "m": show(nl.m), "Lambda": show(nl.Lambda), "theta": show(nl.theta),
         "gamma": show(nl.gamma), "rho": show(nl.rho),
-        "alpha_sing": show(nl.alpha_sing),
         "identities_ok": nl.check_remark_identities(),
     }
 
@@ -658,7 +656,7 @@ def _cmd_young(spec, outdir):
 _COMMANDS = {
     "check-ko": (_cmd_check_ko, _keys(functions="f")),
     "classify": (_cmd_classify, _keys(problem="direction a b", functions="fn")),
-    "analyze-f": (_cmd_analyze_f, _keys(functions="f", numerics="u_max")),
+    "analyze-f": (_cmd_analyze_f, _keys(functions="f")),
     "ell": (_cmd_ell, _keys(problem="nu", functions="k")),
     "make-k": (_cmd_make_k, _keys(problem="kind D", functions="S")),
     "profile": (_cmd_profile, _PROFILE_KEYS),

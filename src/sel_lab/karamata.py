@@ -18,9 +18,14 @@ import numpy as np
 
 from .expr import ExprAst, ScalarFn, parse_expression, substitute
 from .numerics import (
+    EXACT_MISFIT,
+    SLOPE_BAND,
     ConvergenceVerdict,
     NonIntegrableError,
     NumericsError,
+    _bertrand_fit,
+    _resolution,
+    _tail_samples,
     bertrand_remainder,
     classify_tail_integral,
     find_root_monotone,
@@ -31,20 +36,20 @@ from .numerics import (
 
 INF = math.inf
 
-# Limits at infinity are sampled on u_max/2^k and must stabilize to this
-# relative spread before they are reported as converged.
+# f is checked on [1e-6, U_MAX], and theta and gamma are sampled on U_MAX/2^k.
+U_MAX = 1e8
+# theta and gamma must stabilize to this relative spread before they are
+# reported as converged; m, Lambda and the RV index come from the fit of ln f.
 STABILIZE_TOL = 1e-3
 
 
 class NotRegularlyVarying(ValueError):
-    """rv_index spread exceeded 0.05: not regularly varying at this scale."""
+    """rv_index's fit of ln fn missed by more than RV_MISFIT."""
 
-    def __init__(self, index: float, spread: float):
-        super().__init__(
-            f"not regularly varying at this scale (index~{index:.4f}, spread {spread:.4f})"
-        )
+    def __init__(self, index: float, misfit: float):
+        super().__init__(f"not regularly varying (index~{index:.4f}, misfit {misfit:.4f})")
         self.index = index
-        self.spread = spread
+        self.misfit = misfit
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +402,12 @@ def tail_map(nl: Nonlinearity) -> TailMap:
 class Nonlinearity:
     """An absorption/singular term with its growth metadata.
 
-    m = lim f(s)/s at infinity, Lambda = sup_{s>=1} f(s)/s, theta =
-    lim u f'(u)/f(u), gamma = lim (F/f)'(u), rho = theta - 1 (the RV index
-    of f').  Fields are math.inf when flagged infinite and None when the
-    sampled limit did not stabilize (recorded in notes).  alpha_sing/sing_c0
-    describe an origin singularity f(s) <= C0 s^-alpha on (0, sing_eta).
+    m = lim f(s)/s at infinity, Lambda = sup_{s>=1} f(s)/s and value_at_inf
+    = lim f come from one fit of ln f; theta = lim u f'(u)/f(u), gamma =
+    lim (F/f)'(u) are sampled apart, rho = theta - 1 (the RV index of f').
+    Fields are math.inf when infinite and None when undecided (see notes).
+    alpha_sing/sing_c0 (analyze_singular_term) describe an origin
+    singularity f(s) <= C0 s^-alpha on (0, sing_eta).
     """
 
     f: ScalarFn
@@ -428,11 +434,12 @@ class Nonlinearity:
         return self._F
 
     def check_remark_identities(self, tol: float = 1e-3) -> bool:
-        """gamma = 1/(rho+2) = 1/(theta+1) when rho is finite."""
+        """gamma (rho + 2) = gamma (theta + 1) = 1 within tol when rho is
+        finite; relative, so an error in theta is not shrunk by gamma^2."""
         if self.rho is None or self.gamma is None or not math.isfinite(self.rho):
             return True
-        ok1 = abs(self.gamma - 1.0 / (self.rho + 2.0)) <= tol
-        ok2 = self.theta is not None and abs(self.gamma - 1.0 / (self.theta + 1.0)) <= tol
+        ok1 = abs(self.gamma * (self.rho + 2.0) - 1.0) <= tol
+        ok2 = self.theta is not None and abs(self.gamma * (self.theta + 1.0) - 1.0) <= tol
         return ok1 and ok2
 
 
@@ -509,42 +516,63 @@ class TwoTermSpec:
 
 
 # ---------------------------------------------------------------------------
-# Regular-variation index
+# Regular variation: one fit of ln f
 # ---------------------------------------------------------------------------
 
-def rv_index(fn, u_max: float = 1e8) -> float:
-    """Estimate the regular-variation index of fn at infinity.
+# A fit of ln f that misses by more than this is not of regular variation.
+RV_MISFIT = 0.05
 
-    Raw estimates log(fn(xi*u)/fn(u))/log(xi) are taken over xi in {2,4,8}
-    and u in {u_max/8, u_max/4, u_max/2}.  Slowly varying factors bias each
-    raw estimate by O(1/log u), so per xi the estimates at the outer two u
-    scales are combined with a log-Richardson step before averaging.
-    Raises NotRegularlyVarying when the raw spread exceeds 0.05.
+
+def rv_index(fn) -> float:
+    """The regular-variation index of fn at infinity: the A of the fit
+    ln fn = A ln t + B ln ln t + c (numerics._bertrand_fit) of fn's samples
+    from t = 1 (numerics._tail_samples).  Raises NotRegularlyVarying when
+    the fit misses by more than RV_MISFIT, ValueError when fn is negative
+    or positive and finite at fewer than three samples."""
+    ts, fs = _tail_samples(fn.fast() if isinstance(fn, ScalarFn) else fn, 1.0)
+    fit = _bertrand_fit(ts, fs)
+    if fit is None:
+        raise ValueError(f"rv_index needs fn > 0 at three samples from t = 1 (got {len(ts)})")
+    A, _, diag = fit
+    if diag["misfit"] > RV_MISFIT:
+        raise NotRegularlyVarying(A, diag["misfit"])
+    return A
+
+
+def _growth_limits(call, notes):
+    """(m, Lambda, value_at_inf) of f read off the fit of ln f, as in rv_index.
+
+    f(t)/t ~ t^(A-1) (ln t)^B: the first of A - 1 and B that is off 0 by
+    more than the fit's resolution decides m = inf (positive) or 0
+    (negative), outside SLOPE_BAND or when the fit is exact.  When both
+    are 0 within the resolution, m is f(t)/t at the last sample.  Lambda
+    is inf with m, otherwise the largest f(t)/t over the samples.
+    value_at_inf is f at the last sample when A and B are 0 within the
+    resolution.  Where the fit does not decide, or f fails in it (a
+    domain error, a negative value), m and Lambda are None with a note.
     """
-    call = fn.fast() if isinstance(fn, ScalarFn) else fn
-    raw = {}
-    for u_div in (8.0, 4.0, 2.0):
-        u = u_max / u_div
-        fu = call(u)
-        if not fu > 0.0:
-            raise ValueError(f"rv_index needs fn > 0 (fn({u!r}) = {fu!r})")
-        for xi in (2.0, 4.0, 8.0):
-            fxu = call(xi * u)
-            if not fxu > 0.0 or not math.isfinite(fxu):
-                raise ValueError("rv_index sample not positive finite")
-            raw[(xi, u)] = math.log(fxu / fu) / math.log(xi)
-    estimates = list(raw.values())
-    spread = float(np.max(estimates) - np.min(estimates))
-    refined = []
-    for xi in (2.0, 4.0, 8.0):
-        u1, u2 = u_max / 8.0, u_max / 2.0
-        L1, L2 = math.log(u1), math.log(u2)
-        e1, e2 = raw[(xi, u1)], raw[(xi, u2)]
-        refined.append((L2 * e2 - L1 * e1) / (L2 - L1))
-    index = float(np.mean(refined))
-    if spread > 0.05:
-        raise NotRegularlyVarying(index, spread)
-    return index
+    try:
+        ts, fs = _tail_samples(call, 1.0)
+    except (ArithmeticError, ValueError) as exc:
+        notes.append(f"m and Lambda unknown: f fails in the fit of ln f ({exc})")
+        return None, None, None
+    fit = _bertrand_fit(ts, fs)
+    if fit is None:
+        notes.append(f"m and Lambda unknown: {len(ts)} samples of f are too few to fit")
+        return None, None, None
+    A, B, diag = fit
+    res = _resolution(diag)
+    value_at_inf = fs[-1] if abs(A) <= res and abs(B) <= res else None
+    x = A - 1.0 if abs(A - 1.0) > res else B
+    if abs(x) <= res:
+        m = fs[-1] / ts[-1]
+    elif abs(x) > SLOPE_BAND or diag["misfit"] <= EXACT_MISFIT:
+        m = INF if x > 0.0 else 0.0
+    else:
+        notes.append(f"m and Lambda unknown: the fit of ln f does not decide (A={A:.6g}, "
+                     f"B={B:.6g}, misfit {diag['misfit']:.2g})")
+        return None, None, value_at_inf
+    return m, INF if m == INF else max(f / t for t, f in zip(ts, fs)), value_at_inf
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +612,22 @@ def _limit_by_samples(values, notes, name):
     return None
 
 
-def analyze_nonlinearity(f_src: str, u_max: float = 1e8) -> Nonlinearity:
+def analyze_nonlinearity(f_src: str) -> Nonlinearity:
     """Parse f and measure its growth metadata at infinity.
 
-    Requires f positive and nondecreasing on the sampled range.  Limits are
-    taken at u_max/2^k with a stabilization test; monotonically escaping
-    sequences are flagged inf; anything else is left None with a note.
+    f must be nonnegative and nondecreasing on 121 geometric points of
+    [1e-6, U_MAX]; that check runs first, and a domain error of f there
+    propagates.  m, Lambda and value_at_inf come from one fit of ln f from
+    t = 1 (_growth_limits).  theta and gamma are measured on their own, at
+    U_MAX/2^k, with a stabilization test (_limit_by_samples), and rho =
+    theta - 1, so the identities compare gamma with an independent theta.
     """
     ast = parse_expression(f_src)
     f = ScalarFn(ast)
     fp = f.derivative_fn()
     call, dcall = f.fast(), fp.fast()
 
-    grid = np.geomspace(1e-6, u_max, 121)
+    grid = np.geomspace(1e-6, U_MAX, 121)
     vals = []
     for u in grid:
         v = call(float(u))
@@ -608,34 +639,9 @@ def analyze_nonlinearity(f_src: str, u_max: float = 1e8) -> Nonlinearity:
             raise ValueError("f must be nondecreasing on the sampled range")
 
     notes: list = []
-    cap = _finite_cap(call, u_max)
+    m, Lambda, value_at_inf = _growth_limits(call, notes)
+    cap = _finite_cap(call, U_MAX)
     cap = min(cap, _finite_cap(dcall, cap))
-
-    # m and the finite limit of f itself, from the top-decade log slope
-    us = [cap / 2.0 ** k for k in range(4)][::-1]
-    sigma = float(np.polyfit(np.log(us), np.log([max(call(u), 1e-300) for u in us]), 1)[0])
-    top = [call(u) / u for u in us]
-    if sigma > 1.01:
-        m = INF
-    elif sigma < 0.99:
-        m = 0.0
-    else:
-        m = float(np.median(top))
-    f_top = [call(u) for u in us]
-    value_at_inf = None
-    if abs(f_top[-1] - f_top[-2]) <= 1e-6 * (1.0 + abs(f_top[-1])):
-        value_at_inf = f_top[-1]
-
-    # Lambda = sup_{s >= 1} f(s)/s on a 200-point log grid to 1e8
-    s_grid = np.geomspace(1.0, 1e8, 200)
-    ratios = np.array([call(float(s)) / float(s) for s in s_grid])
-    top_decade = s_grid >= 1e7
-    if np.any(~np.isfinite(ratios)) or (
-        ratios[top_decade][-1] > ratios[top_decade][0] * (1.0 + 1e-9)
-    ):
-        Lambda = INF
-    else:
-        Lambda = float(np.max(ratios))
 
     # theta = lim u f'/f
     theta_samples = []
@@ -667,23 +673,8 @@ def analyze_nonlinearity(f_src: str, u_max: float = 1e8) -> Nonlinearity:
     if theta is not None:
         rho = INF if theta == INF else theta - 1.0
 
-    # origin singularity metadata for singular terms g(s) <= C0 s^-alpha
-    alpha_sing = sing_c0 = sing_eta = None
-    try:
-        near = np.geomspace(1e-6, 1e-2, 9)
-        fv = np.array([call(float(s)) for s in near])
-        if np.all(fv > 0.0) and fv[0] > fv[-1] and fv[0] > 10.0:
-            slope = float(np.polyfit(np.log(near), np.log(fv), 1)[0])
-            if slope < -1e-3:
-                alpha_sing = -slope
-                sing_c0 = float(np.max(fv * near ** alpha_sing))
-                sing_eta = 1e-2
-    except Exception:
-        pass
-
     nl = Nonlinearity(f=f, fprime=fp, m=m, Lambda=Lambda, theta=theta, gamma=gamma,
-                      rho=rho, value_at_inf=value_at_inf, alpha_sing=alpha_sing,
-                      sing_c0=sing_c0, sing_eta=sing_eta, source=f_src, notes=notes)
+                      rho=rho, value_at_inf=value_at_inf, source=f_src, notes=notes)
     nl._F = F
     if not nl.check_remark_identities():
         notes.append("gamma/rho/theta consistency identities failed at sampling accuracy")
@@ -868,7 +859,7 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
     kind=expA:   k(t) = exp(-S(1/t))      -> ell_1 = 0
     kind=invS:   k(t) = 1/S(1/t)          -> ell_1 = 1/(q+2)
     kind=invLnS: k(t) = 1/ln(S(1/t))      -> ell_1 = 1
-    where q > -1 is the RV index of S' (checked via rv_index).
+    where q > -1 is the RV index of S' (rv_index).
     """
     if kind not in _K_KINDS:
         raise ValueError(f"kind must be one of {_K_KINDS}")

@@ -36,8 +36,11 @@ from scipy.optimize import brentq
 from .expr import EvalDomainError
 from .ioutil import write_csv
 
-# Band half-width around the -1 borderline of the tail classifier's fitted power.
+# Band half-width around the borderline of a fitted power: -1 for the tail
+# classifier, 1 for karamata's growth constant m.
 SLOPE_BAND = 0.05
+# A Bertrand fit that misses by no more than this is exact: A decides in the band.
+EXACT_MISFIT = 1e-9
 # The smallest normal float: a tail sample below it has lost its precision.
 _TINY = float(np.finfo(float).tiny)
 # Quadrature tolerances of the tail classifier: its tail after t = e^w, and
@@ -346,7 +349,7 @@ def _tail_samples(fn, a: float):
                 raise
             break
         if v < 0.0:
-            raise ValueError(f"classifier integrand is negative at t={t!r}")
+            raise ValueError(f"the sampled function is negative at t={t!r}")
         if not _TINY <= v < 1e300:
             break
         fs.append(v)
@@ -372,9 +375,14 @@ def _bertrand_fit(ts, fs):
                   "w_range": [float(w[0]), float(w[-1])]}
 
 
+def _resolution(diag) -> float:
+    """How closely a fit resolves its A and B: the misfit, in [1e-9, 1e-3]."""
+    return min(1e-3, max(diag["misfit"], 1e-9))
+
+
 def _near_one(diag) -> bool:
-    """A fit's A is -1 within its resolution: the misfit, in [1e-9, 1e-3]."""
-    return abs(diag["a"] + 1.0) <= min(1e-3, max(diag["misfit"], 1e-9))
+    """A fit's A is -1 within its resolution."""
+    return abs(diag["a"] + 1.0) <= _resolution(diag)
 
 
 def bertrand_remainder(diag, t: float, value: float) -> float:
@@ -403,7 +411,7 @@ def bertrand_tail(ts, fs):
     near_one = _near_one(diag)
     if near_one and not -1.1 <= B <= -0.9:
         converges = B < -1.0
-    elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= 1e-9):
+    elif not near_one and (abs(A + 1.0) > SLOPE_BAND or diag["misfit"] <= EXACT_MISFIT):
         converges = A < -1.0
     else:
         return None, None, A, diag

@@ -307,6 +307,20 @@ tol = 1e-8
         assert code == 2
         assert f"unknown key 'tol' in [numerics] for command {command}" in capsys.readouterr().err
 
+    def test_analyze_f_takes_no_u_max(self, tmp_path, capsys):
+        # m and Lambda come from one fit of ln f, with no sampling range to set
+        code, _ = run_cli(tmp_path, """[problem]
+command = analyze-f
+
+[functions]
+f = "t"
+
+[numerics]
+u_max = 1e8
+""")
+        assert code == 2
+        assert "unknown key 'u_max' in [numerics] for command analyze-f" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config, message", [
         ("command = eigen\nN = 3\nmode = annulus",
          "line 4: [problem] mode must be one of ball, interval, not 'annulus'"),

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sel_lab.bifurcation import LEFProblem
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import (
     Antiderivative,
@@ -248,6 +249,56 @@ class TestAnalyze:
         assert nl.m == 0.0
         assert nl.Lambda == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("src, m", [
+        # a power or a log power away from linear moves m off 1 at once
+        ("t^1.005", math.inf),
+        ("t*ln(2+t)^0.05", math.inf),
+        ("t^0.995", 0.0),
+        ("t/ln(2+t)^0.05", 0.0),
+        # f(u)/u = 1 + u^(-1/2) reaches 1 only in the limit
+        ("t+sqrt(t)", 1.0),
+    ])
+    def test_growth_constant_is_the_limit(self, src, m):
+        got = analyze_nonlinearity(src).m
+        assert got == m if m in (0.0, math.inf) else got == pytest.approx(m, abs=1e-12)
+
+    @pytest.mark.parametrize("src", [
+        # f(u)/u oscillates between 1 and 3: no limit
+        "t*(2+sin(ln(t+1)))",
+        # f(u)/u = 1 + 1/ln(2+u) has no power of ln u that the fit resolves
+        "t*(1+1/ln(2+t))",
+    ])
+    def test_undecided_fit_leaves_m_unknown(self, src):
+        nl = analyze_nonlinearity(src)
+        assert nl.m is None and nl.Lambda is None
+        assert any("does not decide" in note for note in nl.notes)
+
+    def test_no_threshold_for_superlinear_growth(self):
+        prob = LEFProblem(N=1, geometry="interval", lam=1.0, f=analyze_nonlinearity("t^1.005"))
+        assert prob.lam_star(math.pi ** 2 / 4.0) is None
+
+    def test_lambda_is_the_sup_from_one(self):
+        # f(u)/u = 1 + u^(-1/2) peaks at u = 1
+        nl = analyze_nonlinearity("t+sqrt(t)")
+        assert nl.Lambda == 2.0
+
+    def test_bounded_f_has_a_value_at_infinity(self):
+        nl = analyze_nonlinearity("1-exp(-t)")
+        assert nl.m == 0.0
+        assert nl.value_at_inf == 1.0
+
+    def test_domain_error_past_the_grid_leaves_m_unknown(self):
+        # f is defined on the 121-point grid to 1e8 but not at t = 2^30
+        nl = analyze_nonlinearity("t^2*sqrt(1e9-t)")
+        assert nl.m is None and nl.Lambda is None
+        assert any("square root of a negative value" in note for note in nl.notes)
+
+    def test_identities_fail_on_a_moved_theta(self):
+        nl = analyze_nonlinearity("t^3")
+        assert nl.check_remark_identities()
+        nl.theta += 1e-2
+        assert not nl.check_remark_identities()
+
     def test_monotonicity_precondition(self):
         with pytest.raises(ValueError):
             analyze_nonlinearity("1/(1+t)")
@@ -343,9 +394,12 @@ class TestMakeK:
         assert k.ell1 == pytest.approx(1.0, abs=2e-2)
 
     def test_rejects_bad_rv_index(self):
-        # S' has RV index -1.5 <= -1
-        with pytest.raises(ValueError):
+        # S' = -t^(-3/2)/2 is negative
+        with pytest.raises(ValueError, match="is negative"):
             make_k("invS", "t^(-1/2)", 2.0)
+        # S' = t^(-3/2)/2 has RV index -1.5 <= -1
+        with pytest.raises(ValueError, match="index q > -1"):
+            make_k("invS", "-t^(-1/2)", 2.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
