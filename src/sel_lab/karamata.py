@@ -23,6 +23,7 @@ from .numerics import (
     ConvergenceVerdict,
     NonIntegrableError,
     NumericsError,
+    _TINY,
     _bertrand_fit,
     _resolution,
     _tail_samples,
@@ -539,6 +540,23 @@ def rv_index(fn) -> float:
     return A
 
 
+def _octave_samples(call, top: float):
+    """(ts, fs): call at t = 2^(j/16) below top, up to the first value that
+    is 0, subnormal, >= 1e300 or not finite, or where call overflows."""
+    ts, fs = [], []
+    for j in range(int(16 * math.log2(top))):
+        t = 2.0 ** (j / 16.0)
+        try:
+            v = call(t)
+        except OverflowError:
+            break
+        if not _TINY <= v < 1e300:
+            break
+        ts.append(t)
+        fs.append(v)
+    return ts, fs
+
+
 def _growth_limits(call, notes):
     """(m, Lambda, value_at_inf) of f read off the fit of ln f, as in rv_index.
 
@@ -548,11 +566,16 @@ def _growth_limits(call, notes):
     are 0 within the resolution, m is f(t)/t at the last sample.  Lambda
     is inf with m, otherwise the largest f(t)/t over the samples.
     value_at_inf is f at the last sample when A and B are 0 within the
-    resolution.  Where the fit does not decide, or f fails in it (a
+    resolution.  The samples double from t = 1 (numerics._tail_samples);
+    when f overflows by t = 8, as exp(exp(t)) does past 6.5, too few are
+    left to fit, and f is sampled 16 times an octave up to the overflow
+    (_octave_samples).  Where the fit does not decide, or f fails in it (a
     domain error, a negative value), m and Lambda are None with a note.
     """
     try:
         ts, fs = _tail_samples(call, 1.0)
+        if 0 < len(ts) < 4:
+            ts, fs = _octave_samples(call, 2.0 * ts[-1])
     except (ArithmeticError, ValueError) as exc:
         notes.append(f"m and Lambda unknown: f fails in the fit of ln f ({exc})")
         return None, None, None

@@ -237,6 +237,11 @@ def _graded_mesh(R: float, panels: int) -> np.ndarray:
     return R * i * i
 
 
+def _uniform_mesh(R: float, panels: int) -> np.ndarray:
+    """panels equal panels on [0, R]."""
+    return np.linspace(0.0, R, panels + 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(degree: int) -> tuple:
     """(node, weight) pairs of the degree-point Gauss-Legendre rule on [-1, 1]."""
@@ -249,29 +254,15 @@ def _gauss_legendre(degree: int) -> tuple:
 # cannot overflow.
 _RATE_BLOCK = 64.0
 
+# Bound of the per-process store of Volterra tables (_volterra_table); a
+# cyclic run over more mesh shapes than this rebuilds every table.
+_VOLTERRA_TABLES = 32
 
-def _volterra(t: np.ndarray, m: int, rate: int = 0):
-    """fvals -> C_i = int_0^t_i e^(rate (s - t_i)) s^m fvals(s) ds at every node.
 
-    Product integration (Linz, Analytical and Numerical Methods for Volterra
-    Equations, SIAM 1985, ch. 7): fvals is interpolated by the cubic through
-    the four nodes around each panel (t[j-1..j+2], shifted inward at the
-    ends) and the weight e^(rate (s - t_j+1)) s^m is integrated against it by
-    Gauss-Legendre, exact for s^m times a cubic (four spare nodes resolve the
-    exponential).  The weights are built once per mesh, one row per
-    interpolation node: W[a, j] multiplies fvals[start_j + a] in panel j.
-    An application sums the inner panels as four multiply-adds on shifted
-    slices of fvals, the two end panels as ordered float sums, and then
-    accumulates them.  With rate = 1 the panels are summed in blocks of
-    width _RATE_BLOCK in t: inside a block anchored at t_b,
-    C_i = (C_b + sum_{b<=j<i} panel_j e^(t_j+1 - t_b)) / e^(t_i - t_b), the
-    block divided by a power of two at max(|panel|, |C_b|), so no term
-    overflows at any t (a single panel wider than a block is anchored at
-    its end less _RATE_BLOCK instead).
-    """
+def _volterra_weights(t: np.ndarray, m: int, rate: int) -> np.ndarray:
+    """Product-integration weights on the mesh t, one row per interpolation
+    node: W[a, j] multiplies fvals[start_j + a] in panel j (see _volterra)."""
     n = t.size
-    if n < 2:  # a one-node mesh has no panel: every integral is 0
-        return lambda fvals: np.zeros_like(t)
     k = min(4, n)
     start = np.clip(np.arange(n - 1) - 1, 0, n - k)
     nodes = t[start + np.arange(k)[:, None]]
@@ -297,19 +288,75 @@ def _volterra(t: np.ndarray, m: int, rate: int = 0):
             if b != a:
                 denom *= nodes[a] - nodes[b]
         W[a] /= denom
-    first, last, inner = W[:, 0].tolist(), W[:, -1].tolist(), W[:, 1:-1]
+    return W
 
+
+@functools.lru_cache(maxsize=_VOLTERRA_TABLES)
+def _volterra_table(grading, panels: int, m: int, rate: int, R: float) -> tuple:
+    """(W, blocks) of _volterra on the mesh grading(R, panels), read-only;
+    blocks is None for rate = 0, else (grow, ((b, e, decay), ...)) of the
+    block sums."""
+    t = grading(R, panels)
+    W = _volterra_weights(t, m, rate)
+    W.flags.writeable = False
+    if not rate:
+        return W, None
+    n = t.size
+    bounds = [0]
+    while bounds[-1] < n - 1:
+        b = bounds[-1]
+        top = int(np.searchsorted(t, t[b] + _RATE_BLOCK, side="right")) - 1
+        bounds.append(max(b + 1, top))
+    anchors = [max(float(t[b]), float(t[e]) - _RATE_BLOCK)
+               for b, e in zip(bounds, bounds[1:])]
+    grow = np.exp(t[1:] - np.repeat(anchors, np.diff(bounds)))
+    grow.flags.writeable = False
+    return W, (grow, tuple((b, e, math.exp(float(t[b]) - anchor))
+                           for b, e, anchor in zip(bounds, bounds[1:], anchors)))
+
+
+def _volterra(grading, R: float, panels: int, m: int, rate: int = 0):
+    """fvals -> C_i = int_0^t_i e^(rate (s - t_i)) s^m fvals(s) ds at every
+    node t of the mesh grading(R, panels).
+
+    Product integration (Linz, Analytical and Numerical Methods for Volterra
+    Equations, SIAM 1985, ch. 7): fvals is interpolated by the cubic through
+    the four nodes around each panel (t[j-1..j+2], shifted inward at the
+    ends) and the weight e^(rate (s - t_j+1)) s^m is integrated against it by
+    Gauss-Legendre, exact for s^m times a cubic (four spare nodes resolve the
+    exponential).  The weights hold one row per interpolation node
+    (_volterra_weights).  An application sums the inner panels as four
+    multiply-adds on shifted slices of fvals, the two end panels as ordered
+    float sums, and then accumulates them.  With rate = 1 the panels are
+    summed in blocks of width _RATE_BLOCK in t: inside a block anchored at
+    t_b, C_i = (C_b + sum_{b<=j<i} panel_j e^(t_j+1 - t_b)) / e^(t_i - t_b),
+    the block divided by a power of two at max(|panel|, |C_b|), so no term
+    overflows at any t (a single panel wider than a block is anchored at
+    its end less _RATE_BLOCK instead).
+
+    grading(R, panels) must be R grading(1, panels), as _graded_mesh and
+    _uniform_mesh are.  The weights come from one per-process LRU store
+    (_volterra_table) of at most _VOLTERRA_TABLES tables, keyed by tuples
+    without arrays.  For rate = 0 the key is (grading, panels, m) and the
+    table is the unit-mesh W(1), which every call scales to R^(m+1) W(1):
+    the weights, not the result, so fvals near the ends of the float range
+    stay as exact as a build at R.  The kernel e^(s - t) of rate = 1 does
+    not scale, so its table is keyed by (grading, panels, m, R) and also
+    holds the block factors.  A repeat is therefore a lookup plus, for
+    rate = 0, one 4 x panels scaling, and a result never depends on what
+    the store holds.  A table takes 32 panels bytes (40 panels with
+    rate = 1): at most 32 MiB at the bound with the largest default mesh
+    (solve_system's 4096 points doubled three times, 32,768 panels).
+    """
+    n = panels + 1
+    if panels < 1:  # a one-node mesh has no panel: every integral is 0
+        return lambda fvals: np.zeros(n)
     if rate:
-        bounds = [0]
-        while bounds[-1] < n - 1:
-            b = bounds[-1]
-            top = int(np.searchsorted(t, t[b] + _RATE_BLOCK, side="right")) - 1
-            bounds.append(max(b + 1, top))
-        anchors = [max(float(t[b]), float(t[e]) - _RATE_BLOCK)
-                   for b, e in zip(bounds, bounds[1:])]
-        grow = np.exp(t[1:] - np.repeat(anchors, np.diff(bounds)))
-        blocks = [(b, e, math.exp(float(t[b]) - anchor))
-                  for b, e, anchor in zip(bounds, bounds[1:], anchors)]
+        W, (grow, blocks) = _volterra_table(grading, panels, m, 1, float(R))
+    else:
+        W = _volterra_table(grading, panels, m, 0, 1.0)[0] * float(R) ** (m + 1)
+    k = W.shape[0]
+    first, last, inner = W[:, 0].tolist(), W[:, -1].tolist(), W[:, 1:-1]
 
     def apply(fvals):
         panel = np.empty(n - 1)
@@ -322,7 +369,7 @@ def _volterra(t: np.ndarray, m: int, rate: int = 0):
             for a in range(1, k):
                 acc += w[a] * f[a]
             panel[j] = acc
-        out = np.empty_like(t)
+        out = np.empty(n)
         out[0] = 0.0
         if not rate:
             np.cumsum(panel, out=out[1:])
@@ -406,10 +453,13 @@ def _dichotomy(verdicts, t: np.ndarray, u: np.ndarray, R: float, rerun,
     return UNDETERMINED
 
 
-def _picard_gradient_run(psi_vals, f_vec, b0: float, t: np.ndarray, N: int,
+def _picard_gradient_run(psi_vals, f_vec, b0: float, R: float, panels: int, N: int,
                          tol: float):
     # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
-    inner, outer = _volterra(t, N - 1, rate=1), _volterra(t, 0)
+    # on the mesh t = _graded_mesh(R, panels), where psi_vals are read
+    t = _graded_mesh(R, panels)
+    inner = _volterra(_graded_mesh, R, panels, N - 1, rate=1)
+    outer = _volterra(_graded_mesh, R, panels, 0)
     t_scale = np.concatenate(([0.0], t[1:] ** (1.0 - N)))
     (w,), iterations, monotone = _monotone_picard(
         lambda state: (b0 + outer(t_scale * inner(psi_vals * f_vec(state[0]))),),
@@ -441,12 +491,14 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     # refinement: double panels until the fixed point stops moving at R
     w = None
     for level in range(4):
-        t = _graded_mesh(R, panels * 2 ** level)
+        n_panels = panels * 2 ** level
+        t = _graded_mesh(R, n_panels)
         psi_vals = psi.vector()(t)
         if np.any(psi_vals < 0.0):
             raise ValueError("psi envelope must be nonnegative")
         w_prev = w
-        w, iterations, monotone = _picard_gradient_run(psi_vals, f_vec, b0, t, N, tol)
+        w, iterations, monotone = _picard_gradient_run(psi_vals, f_vec, b0, R, n_panels, N,
+                                                       tol)
         mesh_drift = abs(w[-1] - w_prev[-1]) / (1.0 + abs(w[-1])) if level else math.nan
         if mesh_drift <= tol:
             break
@@ -485,8 +537,9 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
         metadata["large_condition_error"] = str(exc)
 
     def rerun():
-        t_half = _graded_mesh(R / 2.0, t.size - 1)
-        return _picard_gradient_run(psi.vector()(t_half), f_vec, b0, t_half, N, tol)[0]
+        t_half = _graded_mesh(R / 2.0, n_panels)
+        return _picard_gradient_run(psi.vector()(t_half), f_vec, b0, R / 2.0, n_panels, N,
+                                    tol)[0]
 
     classification = _dichotomy(verdicts, t, w, R, rerun, metadata)
 
@@ -499,9 +552,10 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 K_const = math.exp(lam_N * gap.value)
                 b_star = 1.0 + K_const * lam_N * slow.value
                 metadata["b_star"] = b_star
-                v_run, _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, t, N, tol)
-                w_run, _, _ = _picard_gradient_run(psi_vals, f_vec,
-                                                   b_star * (1.0 + 1e-9), t, N, tol)
+                v_run, _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, R,
+                                                   n_panels, N, tol)
+                w_run, _, _ = _picard_gradient_run(psi_vals, f_vec, b_star * (1.0 + 1e-9),
+                                                   R, n_panels, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
         except NumericsError as exc:
             metadata["ordering_error"] = str(exc)
@@ -514,21 +568,32 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 # Coupled systems
 # ---------------------------------------------------------------------------
 
-def _green_kernel(t: np.ndarray, N: int):
-    """fvals -> int_0^r t^(1-N) int_0^t s^(N-1) fvals ds dt on the mesh.
+def _green_kernel(R: float, panels: int, N: int):
+    """fvals -> int_0^r t^(1-N) int_0^t s^(N-1) fvals ds dt on the mesh
+    _uniform_mesh(R, panels).
 
     Swapping the order gives the radial Green's function split
     (P(r) - r^(2-N) Q(r)) / (N-2) with P = int_0^r s f, Q = int_0^r s^(N-1) f.
     """
-    P, Q = _volterra(t, 1), _volterra(t, N - 1)
+    P = _volterra(_uniform_mesh, R, panels, 1)
+    Q = _volterra(_uniform_mesh, R, panels, N - 1)
+    t = _uniform_mesh(R, panels)
     scale = np.concatenate(([0.0], t[1:] ** (2.0 - N)))
     return lambda fvals: (P(fvals) - scale * Q(fvals)) / (N - 2.0)
 
 
-def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
+def _system_lower_bounds(sys_: SystemProblem, K, p_vals, q_vals) -> tuple:
+    """The theory's lower bounds u >= a + g(b) A(r), v >= b + f(a) B(r) on the
+    mesh, with A = K[p] and B = K[q]."""
+    return (sys_.a + sys_.g.f(sys_.b) * K(p_vals),
+            sys_.b + sys_.f.f(sys_.a) * K(q_vals))
+
+
+def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
+    t = _uniform_mesh(R, panels)
     p_vals, q_vals = sys_.p.phi.vector()(t), sys_.q.phi.vector()(t)
     f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
-    K = _green_kernel(t, N)
+    K = _green_kernel(R, panels, N)
 
     def step(state):
         u_next = sys_.a + K(p_vals * g_vec(state[1]))
@@ -536,9 +601,7 @@ def _system_run(sys_: SystemProblem, t: np.ndarray, N: int, tol: float):
 
     (u, v), iterations, monotone = _monotone_picard(
         step, (np.full_like(t, sys_.a), np.full_like(t, sys_.b)), tol)
-    # theory lower bounds u >= a + g(b) A(r), v >= b + f(a) B(r)
-    lower_u = sys_.a + sys_.g.f(sys_.b) * K(p_vals)
-    lower_v = sys_.b + sys_.f.f(sys_.a) * K(q_vals)
+    lower_u, lower_v = _system_lower_bounds(sys_, K, p_vals, q_vals)
     lower_ok = bool(np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
                     and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12))
     return u, v, iterations, monotone, lower_ok
@@ -578,17 +641,17 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
 
     # refinement: double the mesh until neither u nor v moves on the coarse nodes
     target = max(tol, 1e-9)
-    t = np.linspace(0.0, R, mesh_points + 1)
-    run = _system_run(sys_, t, N, tol)
+    panels = mesh_points
+    run = _system_run(sys_, R, panels, N, tol)
     drifts = []
     for _ in range(3):
-        t2 = np.linspace(0.0, R, 2 * (t.size - 1) + 1)
-        run2 = _system_run(sys_, t2, N, tol)
+        run2 = _system_run(sys_, R, 2 * panels, N, tol)
         drifts.append(max(float(np.max(np.abs(fine[::2] - coarse) / (1.0 + np.abs(coarse))))
                           for coarse, fine in zip(run[:2], run2[:2])))
-        t, run = t2, run2
+        panels, run = 2 * panels, run2
         if drifts[-1] <= target:
             break
+    t = _uniform_mesh(R, panels)
     u, v, iterations, monotone, lower_ok = run
     if not monotone:
         raise ValueError(f"system iterates failed to be nondecreasing on {t.size - 1} panels "
@@ -620,7 +683,7 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
 
     classification = _dichotomy(
         [s2_p, s2_q], t, u, R,
-        lambda: _system_run(sys_, np.linspace(0.0, R / 2.0, t.size), N, tol)[0], metadata)
+        lambda: _system_run(sys_, R / 2.0, panels, N, tol)[0], metadata)
     metadata["prediction_agrees"] = classification != UNDETERMINED
 
     return RadialSolution(dimension=N, r=t, u=u, v=v, classification=classification,

@@ -273,6 +273,20 @@ class TestAnalyze:
         assert nl.m is None and nl.Lambda is None
         assert any("does not decide" in note for note in nl.notes)
 
+    @pytest.mark.parametrize("src, m, Lambda", [
+        # overflows past t = 6.5: the doubling samples t = 1, 2, 4 are too
+        # few to fit, so f is sampled 16 times an octave up to the overflow
+        ("exp(exp(t))", math.inf, math.inf),
+        # enough doubling samples: read as before
+        ("exp(t^2)", math.inf, math.inf),
+        ("t^2", math.inf, math.inf),
+        ("t^0.5", 0.0, 1.0),
+    ])
+    def test_growth_of_f_that_overflows_early(self, src, m, Lambda):
+        nl = analyze_nonlinearity(src)
+        assert (nl.m, nl.Lambda) == (m, Lambda)
+        assert not any(note.startswith("m and Lambda unknown") for note in nl.notes)
+
     def test_no_threshold_for_superlinear_growth(self):
         prob = LEFProblem(N=1, geometry="interval", lam=1.0, f=analyze_nonlinearity("t^1.005"))
         assert prob.lam_star(math.pi ** 2 / 4.0) is None

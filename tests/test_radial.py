@@ -23,6 +23,7 @@ from sel_lab.radial import (
     _graded_mesh,
     _green_kernel,
     _large_condition_kernel,
+    _uniform_mesh,
     _volterra,
     LogisticProblem,
     RadialPotential,
@@ -185,7 +186,7 @@ class TestVolterraKernels:
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_system_kernel_exact(self, N):
         t = np.linspace(0.0, 50.0, 1025)
-        K = _green_kernel(t, N)
+        K = _green_kernel(50.0, 1024, N)
         for fvals, exact in ((np.ones_like(t), t ** 2 / (2.0 * N)),
                              (t ** 2, t ** 4 / (4.0 * (N + 2)))):
             got = K(fvals)
@@ -198,7 +199,7 @@ class TestVolterraKernels:
         # J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) ds
         #      = t/N - t^2/(N(N+1)) + t^3/(N(N+1)(N+2)) - ...
         t = _graded_mesh(50.0, 1024)
-        inner = _volterra(t, N - 1, rate=1)
+        inner = _volterra(_graded_mesh, 50.0, 1024, N - 1, rate=1)
         J = inner(np.ones_like(t))[1:4] * t[1:4] ** (1.0 - N)
         x = t[1:4]
         series = sum((-1) ** k * x ** (k + 1) / math.prod(range(N, N + k + 1))
@@ -209,7 +210,8 @@ class TestVolterraKernels:
 
     def test_outer_integral_exact_for_cubic(self):
         t = _graded_mesh(50.0, 1024)
-        np.testing.assert_allclose(_volterra(t, 0)(t ** 3)[1:], t[1:] ** 4 / 4.0,
+        np.testing.assert_allclose(_volterra(_graded_mesh, 50.0, 1024, 0)(t ** 3)[1:],
+                                   t[1:] ** 4 / 4.0,
                                    rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("N", [3, 4, 5])
@@ -217,7 +219,7 @@ class TestVolterraKernels:
         # the drift between consecutive mesh doublings falls ~16x
         def kernel(panels):
             t = np.linspace(0.0, 100.0, panels + 1)
-            return _green_kernel(t, N)((1.0 + t * t) ** -2)
+            return _green_kernel(100.0, panels, N)((1.0 + t * t) ** -2)
 
         runs = [kernel(1024 * 2 ** k) for k in range(3)]
         d1, d2 = (float(np.max(np.abs(fine[::2] - coarse)))
@@ -265,8 +267,16 @@ def _reference_volterra(t, m, rate=0):
     return apply
 
 
-def _mesh(kind, R, panels):
-    return _graded_mesh(R, panels) if kind == "graded" else np.linspace(0.0, R, panels + 1)
+_GRADINGS = {"graded": _graded_mesh, "uniform": _uniform_mesh}
+
+
+def _five_nodes(R, panels):
+    # an uneven tiny mesh: the first panels + 1 of five fixed nodes
+    return R * np.array([0.0, 0.4, 1.1, 1.7, 2.6])[:panels + 1]
+
+
+def _close_nodes(R, panels):
+    return R * np.array([0.0, 0.2, 0.6, 0.6002, 1.0])[:panels + 1]
 
 
 class TestVolterraAgainstReference:
@@ -281,14 +291,16 @@ class TestVolterraAgainstReference:
     # times the scale, and to the scaled reference's finiteness.
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** 963, 2.0 ** -963],
                              ids=["smooth", "1e290", "1e-290"])
-    @pytest.mark.parametrize("R", [1.0, 50.0, 1500.0])
+    # at rate = 0 every R reads the unit-mesh table stored for this mesh
+    # and m, scaled by R^(m+1); R = 37 is one more radius on that table
+    @pytest.mark.parametrize("R", [1.0, 37.0, 50.0, 1500.0])
     @pytest.mark.parametrize("kind", ["graded", "uniform"])
     @pytest.mark.parametrize("rate", [0, 1])
     @pytest.mark.parametrize("m", [0, 1, 2, 4])
     def test_matches_reference(self, m, rate, kind, R, scale):
-        t = _mesh(kind, R, 1024)
+        t = _GRADINGS[kind](R, 1024)
         fvals = (2.0 + np.sin(t)) / (1.0 + t * t)
-        got = _volterra(t, m, rate)(scale * fvals)
+        got = _volterra(_GRADINGS[kind], R, 1024, m, rate)(scale * fvals)
         ref = _reference_volterra(t, m, rate)
         np.testing.assert_allclose(got, scale * ref(fvals), rtol=1e-12,
                                    atol=1e-12 * np.finfo(float).tiny)
@@ -299,7 +311,7 @@ class TestVolterraAgainstReference:
         # int_0^t e^(s-t) s^2 ds = t^2 - 2t + 2 - 2e^-t; the reference misses
         # by 2.2e-13 at R = 1500, where ln-space sums round at ulp(t)
         t = _graded_mesh(R, 2048)
-        got = _volterra(t, 2, rate=1)(np.ones_like(t))
+        got = _volterra(_graded_mesh, R, 2048, 2, rate=1)(np.ones_like(t))
         x = t[t > 1.0]
         exact = x * x - 2.0 * x + 2.0 - 2.0 * np.exp(-x)
         np.testing.assert_allclose(got[t > 1.0], exact, rtol=rtol, atol=0.0)
@@ -309,7 +321,7 @@ class TestVolterraAgainstReference:
         # R = 1500 sums the rate = 1 panels in many blocks; fvals change sign
         t = _graded_mesh(1500.0, 1024)
         fvals = np.sin(t) / (1.0 + t)
-        op = _volterra(t, 2, rate)
+        op = _volterra(_graded_mesh, 1500.0, 1024, 2, rate)
         np.testing.assert_array_equal(op(-fvals), -op(fvals))
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -318,11 +330,11 @@ class TestVolterraAgainstReference:
         # the interpolant has degree min(size, 4) - 1, so the end panels alone
         # integrate s^m times any polynomial below that degree exactly; one
         # node is no panel
-        t = np.array([0.0, 0.4, 1.1, 1.7, 2.6])[:size]
+        t = _five_nodes(1.0, size - 1)
         coef = [1.0, 2.0, 0.5, 0.25][:min(size, 4)]
         fvals = sum(c * t ** p for p, c in enumerate(coef))
         exact = sum(c * t ** (m + p + 1) / (m + p + 1) for p, c in enumerate(coef))
-        got = _volterra(t, m)(fvals)
+        got = _volterra(_five_nodes, 1.0, size - 1, m)(fvals)
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], exact[1:], rtol=1e-14, atol=0.0)
 
@@ -332,12 +344,118 @@ class TestVolterraAgainstReference:
     def test_tiny_mesh_rate_one(self, m, size, R):
         # from R = 1500 on, panels wider than a block (width 64) appear; at
         # R = 5000 one is 2,000 wide, and its factor e^2000 would overflow
-        t = R * np.array([0.0, 0.2, 0.6, 0.6002, 1.0])[:size]
+        t = _close_nodes(R, size - 1)
         fvals = 1.0 + t / R
-        got = _volterra(t, m, rate=1)(fvals)
+        got = _volterra(_close_nodes, R, size - 1, m, rate=1)(fvals)
         ref = _reference_volterra(t, m, rate=1)(fvals)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """(panels, R, m, rate) of every Volterra weight build, from an empty store."""
+    builds = []
+    build = radial._volterra_weights
+
+    def counting(t, m, rate):
+        builds.append((t.size - 1, float(t[-1]), m, rate))
+        return build(t, m, rate)
+
+    monkeypatch.setattr(radial, "_volterra_weights", counting)
+    radial._volterra_table.cache_clear()
+    return builds
+
+
+class TestVolterraStore:
+    """Each weight table is built once per mesh shape and reused while the
+    bounded store holds it; rate = 0 tables are built on the unit mesh."""
+
+    def test_second_system_call_builds_nothing(self, f_sqrt, weight_builds):
+        dec = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
+        problem = SystemProblem(p=dec, q=dec, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0)
+        first = solve_system(problem, 100.0, 3, mesh_points=1024)
+        # the [0, R/2] rerun of the dichotomy shares the unit-mesh tables
+        assert first.metadata["plateau_drift"] < 1e-6
+        assert sorted(weight_builds) == [(p, 1.0, m, 0) for p in (1024, 2048, 4096, 8192)
+                                         for m in (1, 2)]
+        weight_builds.clear()
+        second = solve_system(problem, 100.0, 3, mesh_points=1024)
+        assert weight_builds == []
+        np.testing.assert_array_equal(second.u, first.u)
+        np.testing.assert_array_equal(second.v, first.v)
+
+    def test_two_envelope_picard_builds_each_table_once(self, f_sqrt, weight_builds):
+        # the final mesh runs the scheme three times on [0, R] (w and the two
+        # ordering runs) and once on [0, R/2]
+        pot = RadialPotential(phi=ScalarFn.from_source("(t^2+1)/((t^2+1)^2+1)"),
+                              psi=ScalarFn.from_source("1/(t^2+2)"),
+                              lam_N=1.0)
+        sol = picard_gradient_entire(pot, f_sqrt, 1.5, 30.0, 3, panels=1024)
+        assert sol.metadata["ordering_ok"]
+        assert len(set(weight_builds)) == len(weight_builds)
+        final = sol.metadata["mesh_points"]
+        assert sorted(b for b in weight_builds if b[0] == final) == [
+            (final, 1.0, 0, 0), (final, 15.0, 2, 1), (final, 30.0, 2, 1)]
+
+    def test_store_never_exceeds_its_bound(self, weight_builds):
+        bound = radial._VOLTERRA_TABLES
+        assert radial._volterra_table.cache_info().maxsize == bound
+        for panels in (*range(1, bound + 6), 1):
+            t = _uniform_mesh(2.0, panels)
+            np.testing.assert_allclose(_volterra(_uniform_mesh, 2.0, panels, 0)(np.ones_like(t)),
+                                       t, rtol=1e-14)
+            assert radial._volterra_table.cache_info().currsize <= bound
+        # the one-panel table was the least recently used when the store
+        # filled, so asking for it again builds it again
+        assert len(weight_builds) == bound + 6
+        assert radial._volterra_table.cache_info().currsize == bound
+
+
+class TestAuditsCanFail:
+    """Each audit flag of the Picard schemes reads False, or raises, when
+    its inequality is broken on purpose."""
+
+    def test_system_lower_bound_doubled(self, f_sqrt, monkeypatch):
+        bounds = radial._system_lower_bounds
+        monkeypatch.setattr(radial, "_system_lower_bounds",
+                            lambda *args: tuple(2.0 * b for b in bounds(*args)))
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        sol = solve_system(SystemProblem(p=one, q=one, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                           50.0, 3, mesh_points=1024)
+        assert sol.classification == ENTIRE_LARGE
+        assert sol.metadata["lower_bound_ok"] is False
+
+    def test_ordering_with_v_above_w(self, f_sqrt, monkeypatch):
+        # only the subsolution run v starts from b0 = 1
+        run = radial._picard_gradient_run
+
+        def lifted(psi_vals, f_vec, b0, *args):
+            w, iterations, monotone = run(psi_vals, f_vec, b0, *args)
+            return (10.0 * w if b0 == 1.0 else w), iterations, monotone
+
+        monkeypatch.setattr(radial, "_picard_gradient_run", lifted)
+        pot = RadialPotential(phi=ScalarFn.from_source("(t^2+1)/((t^2+1)^2+1)"),
+                              psi=ScalarFn.from_source("1/(t^2+2)"),
+                              lam_N=1.0)
+        sol = picard_gradient_entire(pot, f_sqrt, 1.5, 30.0, 3, panels=1024)
+        assert sol.metadata["b_star"] > 1.0
+        assert sol.metadata["ordering_ok"] is False
+
+    def test_growth_bound_with_a_scaled_iterate(self, f_sqrt, monkeypatch):
+        psi = ScalarFn.from_source("(1+t)^(-3)")
+        M = picard_gradient_entire(psi, f_sqrt, 1.0, 20.0, 3,
+                                   panels=256).metadata["growth_bound_M"]
+        run = radial._picard_gradient_run
+        factor = 2.0 * math.exp(M * 20.0)  # past b0 e^(M r) at every r <= R
+
+        def scaled(*args):
+            w, iterations, monotone = run(*args)
+            return factor * w, iterations, monotone
+
+        monkeypatch.setattr(radial, "_picard_gradient_run", scaled)
+        with pytest.raises(ValueError, match=r"growth bound .* violated"):
+            picard_gradient_entire(psi, f_sqrt, 1.0, 20.0, 3, panels=256)
 
 
 class TestPicardGradient:
@@ -519,7 +637,8 @@ class TestMonotoneCheck:
     def lowering_kernel(self, monkeypatch):
         # every Volterra integral reads -1, so the first step lowers u(0)
         monkeypatch.setattr(radial, "_volterra",
-                            lambda t, m, rate=0: lambda fvals: np.full_like(t, -1.0))
+                            lambda grading, R, panels, m, rate=0:
+                            lambda fvals: np.full(panels + 1, -1.0))
 
     def test_gradient_scheme_raises(self, f_sqrt, lowering_kernel):
         with pytest.raises(ValueError, match="nondecreasing"):
