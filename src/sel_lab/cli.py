@@ -488,7 +488,10 @@ def _cmd_blowup(spec, outdir):
     sol.to_csv(os.path.join(outdir, csv))
     out = {"command": "blowup", "classification": sol.classification,
            "blowup_radius": sol.blowup_radius if sol.blowup_radius is not None else "none",
-           "levels": len(sol.metadata.get("n_levels", [])), "csv": csv}
+           "levels": len(sol.metadata.get("n_levels", [])),
+           **{key: sol.metadata[key] for key in ("level_shots", "level_search_exponent")
+              if key in sol.metadata},
+           "csv": csv}
     if make_profile is not None:
         rate = _rad.measure_boundary_rate(sol, make_profile(prob.f))
         out.update(rate_ratio=f"{rate.limit:.2f}x", rate_limit=rate.limit, rate_drift=rate.drift)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import expn
 
 from .expr import ScalarFn, compose_scalar
-from .karamata import Antiderivative, Nonlinearity, tail_map
+from .karamata import Antiderivative, Nonlinearity, keller_osserman, tail_map
 from .numerics import (
     BOUNDARY_BLOWUP,
     BOUNDED,
@@ -733,16 +733,46 @@ def _level_shot(prob: LogisticProblem):
     return shot, span
 
 
-def _level_search(shot, span: float, cap: float, f: Nonlinearity, phi):
+def _search_exponent(prob: LogisticProblem, span: float) -> float:
+    """beta, the power of the level search's distance D ~ c (P - p)^beta
+    below the critical parameter P: the decay exponent of the linearisation
+    of u'' = d^(2 alpha) u^q about its blow-up profile C d^-k, k = 2(1 +
+    alpha)/(q - 1).  q = -2A - 1 comes from the Keller-Osserman fit
+    F^(-1/2) ~ t^A, alpha from the log-log slope of b against the distance
+    d to the blow-up boundary at d = span 2^-12 and span 2^-20.  beta is 1
+    exactly when alpha = 0, and 1 wherever q or alpha cannot be read."""
+    A = keller_osserman(prob.f).slope
+    q = -2.0 * A - 1.0 if A is not None else math.nan
+    d = (span * 2.0 ** -12, span * 2.0 ** -20)
+    r = ([prob.domain[1] - x for x in d] if prob.domain[0] == "ball"
+         else [prob.domain[1] + x for x in d])
+    try:
+        b = [prob.b(float(x)) for x in r]
+    except (ValueError, ArithmeticError):
+        return 1.0
+    if not (q > 1.0 and math.isfinite(q) and all(0.0 < v < math.inf for v in b)):
+        return 1.0
+    alpha = 0.5 * (math.log(b[1]) - math.log(b[0])) / math.log(d[1] / d[0])
+    k = 2.0 * (1.0 + alpha) / (q - 1.0)
+    gap = math.sqrt(1.0 + 4.0 * q * k * (k + 1.0)) - 2.0 * k - 1.0
+    if alpha == 0.0 or not (k > 0.0 and gap > 0.0):
+        return 1.0
+    return 2.0 * (1.0 + alpha) / gap
+
+
+def _level_search(shot, span: float, cap: float, f: Nonlinearity, phi, beta: float):
     """solve(n, tally): the shooting parameter of the level u = n.
 
     Each search runs on the Keller-Osserman tail map phi of the shot's
-    boundary value against phi(n): phi(u) is the distance to blow-up of
-    u'' = f(u), which falls nearly linearly in the parameter where log u is
-    singular.  A shot into the cap, continued to the boundary along phi's
-    tangent, reads below 0; one that stalls at the minimum step reads -span.
-    One memo of the shots serves every height and brackets each search by
-    the nearest shots on either side, found by doubling or halving from 1.
+    boundary value: phi(u) is the distance D to blow-up of u'' = f(u),
+    which below the critical parameter P falls like c (P - p)^beta
+    (_search_exponent).  Brent's method runs on sign(D) |D|^(1/beta),
+    linear in p near P, against phi(n)^(1/beta), to (1e-4/beta)
+    phi(n)^(1/beta): to first order the stop |D - phi(n)| <= 1e-4 phi(n).
+    A shot into the cap, continued to the boundary along phi's tangent,
+    reads below 0; one that stalls at the minimum step reads -span.  One
+    memo of the shots serves every height and brackets each search by the
+    nearest shots on either side, found by doubling or halving from 1.
     """
     memo: dict[float, float] = {}
 
@@ -758,14 +788,19 @@ def _level_search(shot, span: float, cap: float, f: Nonlinearity, phi):
                 memo[p] = phi(u) if u > 0.0 else 1e300
         return memo[p]
 
+    def linear(p, tally):
+        D = distance(p, tally)
+        return math.copysign(abs(D) ** (1.0 / beta), D)
+
     def solve(n, tally):
         target = phi(n)
         for _ in range(60):
             below = [p for p, D in memo.items() if D > target]
             above = [p for p, D in memo.items() if D < target and p > max(below, default=0.0)]
             if below and above:
-                return find_root_monotone(lambda p: distance(p, tally), target, max(below),
-                                          min(above), tol=1e-4 * target, width_tol=1e-15)
+                goal = target ** (1.0 / beta)
+                return find_root_monotone(lambda p: linear(p, tally), goal, max(below),
+                                          min(above), tol=1e-4 / beta * goal, width_tol=1e-15)
             distance(2.0 * max(below) if below else 0.5 * min(above, default=2.0), tally)
         raise BracketError(f"no two shots bracket the level u = {n:g}")
 
@@ -802,6 +837,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         return _whole_space_large(prob, n_grid)
 
     shot, span = _level_shot(prob)
+    beta = _search_exponent(prob, span)
     if n_levels is None:
         k = bisect.bisect(HEIGHT_EXPONENTS, False,
                           key=lambda k: phi(10.0 ** k) < TOP_DISTANCE * span)
@@ -810,7 +846,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
     else:
         attempts = (sorted(float(n) for n in n_levels),)
     for heights in attempts:
-        solve = _level_search(shot, span, 10.0 * heights[-1], prob.f, phi)
+        solve = _level_search(shot, span, 10.0 * heights[-1], prob.f, phi, beta)
         tallies = [ShotTally() for _ in heights]
         try:  # from the top down: each search is bracketed by the shots before it
             params = [solve(n, t) for n, t in zip(heights[::-1], tallies[::-1])][::-1]
@@ -844,6 +880,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         "blowup_boundary": blow_r,
         "boundary_side": "outer" if kind == "ball" else "inner",
         "level_shots": [t.shots for t in tallies],
+        "level_search_exponent": beta,
         "level_steps_accepted": [t.steps_accepted for t in tallies],
         "level_steps_rejected": [t.steps_rejected for t in tallies],
     }

@@ -846,6 +846,18 @@ grid_depth = 14
         assert abs(summary["rate_limit"] - 1.0) <= 0.02
         assert summary["levels"] == 2
 
+    def test_blowup_summary_carries_the_level_search(self, tmp_path, capsys):
+        # b vanishes like d^2.5376: the searches run on D^(1/beta), beta =
+        # 1.1641, and the summary shows their shots per level
+        code, outdir = run_cli(tmp_path, self._blowup_shape("ball", 3, 3.4, 1.2688))
+        assert code == 0
+        out = capsys.readouterr().out
+        summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
+        shots, beta = summary["level_shots"], summary["level_search_exponent"]
+        assert len(shots) == 2 and sum(shots) <= 15
+        assert beta == pytest.approx(1.1641, abs=1e-4)
+        assert f"level_shots=[{shots[0]},{shots[1]}] level_search_exponent={beta!r} " in out
+
     def test_blowup_rate_unresolved_names_the_levels(self, tmp_path, capsys):
         # u ~ d^-4.8 at this ball's boundary: the levels 1e10 and 1e12
         # agree nowhere on the grid, so no rate is printed

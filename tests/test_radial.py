@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import expn
 
 from sel_lab import radial
 from sel_lab.expr import EvalDomainError, ScalarFn
-from sel_lab.karamata import KFunction, analyze_nonlinearity
+from sel_lab.karamata import KFunction, analyze_nonlinearity, tail_map
 from sel_lab.numerics import (
     BOUNDED,
     ENTIRE_LARGE,
     UNDETERMINED,
+    BracketError,
     NumericsError,
+    ShotTally,
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
@@ -863,6 +866,162 @@ class TestBoundaryBlowup:
         monkeypatch.setattr(radial, "find_root_monotone", always_fails)
         with pytest.raises(NumericsError, match=r"top height 1e\+13 or 1e\+11: no convergence"):
             boundary_blowup(prob)
+
+
+
+# ---------------------------------------------------------------------------
+# The level search's exponent
+# ---------------------------------------------------------------------------
+
+def _reference_level_search(shot, span, cap, f, phi):
+    """The level search as it was before the exponent: Brent's method on
+    the distance D itself, against phi(n), to 1e-4 phi(n)."""
+    memo = {}
+
+    def distance(p, tally):
+        if p not in memo:
+            sol = tally.add(shot(p, cap))
+            x, u, du = float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1])
+            if sol.status == -1:
+                memo[p] = -span
+            elif sol.t_events[0].size:
+                memo[p] = phi(u) - du * (span - x) / math.sqrt(2.0 * f.F(u))
+            else:
+                memo[p] = phi(u) if u > 0.0 else 1e300
+        return memo[p]
+
+    def solve(n, tally):
+        target = phi(n)
+        for _ in range(60):
+            below = [p for p, D in memo.items() if D > target]
+            above = [p for p, D in memo.items() if D < target and p > max(below, default=0.0)]
+            if below and above:
+                return find_root_monotone(lambda p: distance(p, tally), target, max(below),
+                                          min(above), tol=1e-4 * target, width_tol=1e-15)
+            distance(2.0 * max(below) if below else 0.5 * min(above, default=2.0), tally)
+        raise BracketError(f"no two shots bracket the level u = {n:g}")
+
+    return solve
+
+
+# (N, f, b, domain): the README headline and the bench's ball N = 3 shape,
+# whose b vanish at the blow-up boundary like d^2 and d^2.5376, and the
+# ball with 100 b, whose order is b's and whose value at d is not d^2.5376
+_LEVEL_SHAPES = {
+    "headline": (1, "t^3", "t^2", ("annulus", 0.0, 1.0)),
+    "ball3": (3, "t^3.4", "(1-t)^2.5376", ("ball", 1.0)),
+    "ball3_scaled": (3, "t^3.4", "100*(1-t)^2.5376", ("ball", 1.0)),
+}
+
+
+def _level_problem(name):
+    N, f, b, domain = _LEVEL_SHAPES[name]
+    return LogisticProblem(N=N, f=analyze_nonlinearity(f), b=ScalarFn.from_source(b),
+                           domain=domain)
+
+
+def _traced_blowup(name):
+    """boundary_blowup of a shape with every level shot, (p, sol), in order."""
+    prob = _level_problem(name)
+    shot, span = radial._level_shot(prob)
+    shots = []
+
+    def traced(p, cap, dense=False):
+        shots.append((p, shot(p, cap, dense)))
+        return shots[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "_level_shot", lambda prob: (traced, span))
+        return boundary_blowup(prob), shots
+
+
+@pytest.fixture(scope="module")
+def traced_blowups():
+    return {name: _traced_blowup(name) for name in _LEVEL_SHAPES}
+
+
+def _power_exponent(points):
+    """beta of the power law D = c (P - p)^beta through three (p, D): the
+    beta for which the D^(1/beta) lie on one line in p."""
+    (p1, D1), (p2, D2), (p3, D3) = sorted(points)
+
+    def bend(beta):
+        y1, y2, y3 = (D ** (1.0 / beta) for D in (D1, D2, D3))
+        return (y2 - y1) / (p2 - p1) - (y3 - y2) / (p3 - p2)
+
+    return brentq(bend, 0.5, 3.0, xtol=1e-12)
+
+
+class TestLevelSearchExponent:
+    @pytest.mark.parametrize("name, most", [("headline", 18), ("ball3", 15)])
+    def test_level_shots(self, traced_blowups, name, most):
+        # Brent on D itself takes [4, 25] and [4, 21] shots here
+        sol, shots = traced_blowups[name]
+        assert sum(sol.metadata["level_shots"]) == len(shots) <= most
+
+    @pytest.mark.parametrize("name, levels", [("headline", [1e11, 1e13]),
+                                              ("ball3", [1e8, 1e10])])
+    def test_verdict_and_levels(self, traced_blowups, name, levels):
+        sol, _ = traced_blowups[name]
+        assert sol.classification == "boundary-blowup"
+        assert sol.metadata["n_levels"] == levels
+
+    @pytest.mark.parametrize("name, beta", [("headline", 1.1287), ("ball3", 1.1641),
+                                            ("ball3_scaled", 1.1641)])
+    def test_exponent_is_the_power_of_the_traced_distance(self, traced_blowups, name, beta):
+        # the top-search shots that end at the boundary lie on D = c (P -
+        # p)^beta with beta the predicted one: read at the three nearest the
+        # root whose distances differ tenfold, so float spacings of p do not
+        # decide
+        sol, shots = traced_blowups[name]
+        phi = tail_map(_level_problem(name).f)
+        top_search = shots[:sol.metadata["level_shots"][-1] - 1]
+        ends = sorted((phi(float(s.y[0, -1])), p) for p, s in top_search
+                      if s.status == 0 and not s.t_events[0].size)
+        nearest = [ends[0]]
+        for D, p in ends:
+            if len(nearest) < 3 and D >= 10.0 * nearest[-1][0]:
+                nearest.append((D, p))
+        nearest = [(p, D) for D, p in nearest]
+        predicted = sol.metadata["level_search_exponent"]
+        assert predicted == pytest.approx(beta, abs=1e-4)
+        assert abs(_power_exponent(nearest) - predicted) <= 1e-3
+
+    @pytest.mark.parametrize("domain", [("annulus", 0.0, 1.0), ("ball", 1.0)])
+    def test_flat_weight_searches_as_the_reference(self, f_cubic, domain):
+        # b = 1 does not vanish at the boundary: beta is exactly 1 and every
+        # level parameter and shot count is the reference search's
+        prob = LogisticProblem(N=1 if domain[0] == "annulus" else 3, f=f_cubic,
+                               b=ScalarFn.from_source("1"), domain=domain)
+        shot, span = radial._level_shot(prob)
+        beta = radial._search_exponent(prob, span)
+        assert beta == 1.0
+        phi, heights = tail_map(f_cubic), [1e13, 1e11, 1e9]
+        runs = []
+        for solve in (radial._level_search(shot, span, 1e14, f_cubic, phi, beta),
+                      _reference_level_search(shot, span, 1e14, f_cubic, phi)):
+            tallies = [ShotTally() for _ in heights]
+            runs.append(([solve(n, t) for n, t in zip(heights, tallies)],
+                         [t.shots for t in tallies]))
+        assert runs[0] == runs[1]
+        assert boundary_blowup(prob).metadata["level_search_exponent"] == 1.0
+
+    @pytest.mark.parametrize("name", ["headline", "ball3"])
+    def test_both_exponents_meet_the_stop_rule(self, name):
+        prob = _level_problem(name)
+        shot, span = radial._level_shot(prob)
+        phi, n = tail_map(prob.f), 1e10
+        for beta in (1.0, radial._search_exponent(prob, span)):
+            p = radial._level_search(shot, span, 10.0 * n, prob.f, phi, beta)(n, ShotTally())
+            sol = shot(p, 10.0 * n)
+            assert sol.status == 0 and not sol.t_events[0].size
+            assert abs(phi(float(sol.y[0, -1])) - phi(n)) <= 1e-4 * phi(n)
+
+    @pytest.mark.parametrize("b", ["t^0.5*0", "-(1-t)^2", "ln(1-t)", "(1-t)^-2",
+                                   "exp(-1/(1-t))", "sqrt(0.5-t)"])
+    def test_unreadable_weight_falls_back_to_one(self, f_cubic, b):
+        prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source(b), domain=("ball", 1.0))
+        assert radial._search_exponent(prob, 1.0) == 1.0
 
 
 def test_rate_roundtrip_on_predicted_solution(f_cubic):
