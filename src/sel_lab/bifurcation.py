@@ -365,7 +365,8 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     factor CUT_MARGIN.  When no probe of the whole grid brackets R, the
     singular problem is declared no-solution with the table attached;
     failed_probes counts the probes whose shot failed (zero location nan),
-    which neither bracket R nor enter sup_zero_location.
+    which neither bracket R nor enter sup_zero_location; nor does a probe
+    whose peak stays under CUT_MARGIN times the cut.
     options={'check_eps_sensitivity': True} records the drift of the zero
     when the cut is halved; options={'regularization_levels': [k, ...]}
     solves the problems with u = 1/k on the boundary, on either geometry,
@@ -416,10 +417,14 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     s_star, probes = shoot_to_R(0.0)
     if s_star is None:
         zeros = [z for _, z in probes if math.isfinite(z)]
+        # the sup reads only the probes that bracket_in would accept: a peak
+        # under the margin puts the modelled zero far beyond the true one
+        sup = max((z for s, z in probes if math.isfinite(z)
+                   and probes_at[0.0](s)[1] >= CUT_MARGIN * EPS_BOUNDARY), default=math.nan)
         return RadialSolution(
             dimension=prob.N, r=np.array([0.0, R]), u=np.zeros(2),
             classification=NO_SOLUTION,
-            metadata={"probe_table": probes, "sup_zero_location": max(zeros, default=math.nan),
+            metadata={"probe_table": probes, "sup_zero_location": sup,
                       "failed_probes": len(probes) - len(zeros), **asdict(tally)},
         )
 

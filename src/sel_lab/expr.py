@@ -15,7 +15,9 @@ grammar, so derivatives are exact rather than numeric.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,11 +396,16 @@ _VALUE = {
 _NONFINITE = {math.inf: "_INF", -math.inf: "(-_INF)"}
 
 
-def _operand(value: float) -> str:
-    """A constant as generated code."""
+def _operand(value: float, consts: list) -> str:
+    """A constant as generated code: a finite one is the name _k<i> of its
+    slot in `consts`, so the text is the same for every value."""
     if math.isnan(value):
         return "_NAN"
-    return _NONFINITE.get(value) or _const_text(value)
+    name = _NONFINITE.get(value)
+    if name is None:
+        name = f"_k{len(consts)}"
+        consts.append(value)
+    return name
 
 
 def _checks(node: ExprAst):
@@ -434,21 +441,24 @@ _VECTOR_ENV = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt, "_atan": np.arc
                "_np": np, "_lanes": _lanes, "_shaped": _shaped}
 
 
-def _emit(ast: ExprAst, var: str, nodes: list, scalar: list, vec: list | None = None) -> str:
+def _emit(ast: ExprAst, var: str, nodes: list, consts: list, scalar: list,
+          vec: list | None = None) -> str:
     """Write the strict evaluation of `ast` at t = `var`; return the operand
     that holds its value.
 
     The walk appends straight-line code to `scalar`, over Python floats,
     and to `vec`, over numpy arrays, when one is given: one local v<k> per
     operation node, k counting `nodes`, and the checks of _CHECKS in node
-    order.  A failing scalar check raises EvalDomainError with its node
-    and `var` as t; a failing vector check returns the scalar evaluator
-    `_f` run lane by lane.
+    order.  A finite constant is read from the global _k<i>, i counting
+    `consts`, so the code is that of the tree's shape and the checks its
+    constant exponents settle.  A failing scalar check raises
+    EvalDomainError with its node and `var` as t; a failing vector check
+    returns the scalar evaluator `_f` run lane by lane.
     """
     def emit(node: ExprAst) -> str:
         k = node.kind
         if k == "const":
-            return _operand(node.value)
+            return _operand(node.value, consts)
         if k == "var":
             return var
         ops = dict(zip("ab", (emit(c) for c in node.children)))
@@ -479,9 +489,30 @@ def _emit(ast: ExprAst, var: str, nodes: list, scalar: list, vec: list | None = 
     return emit(ast)
 
 
-def _scalar_env(nodes: list) -> dict:
-    return {"_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
-            "_NAN": math.nan, **_SCALAR_ENV}
+# Bound of the per-process store of generated code (_code); a run over more
+# expression shapes than this compiles the ones it evicted again.
+_CODE_SHAPES = 256
+
+
+@functools.lru_cache(maxsize=_CODE_SHAPES)
+def _code(text: str, filename: str) -> types.CodeType:
+    """The code object of the one function that `text` defines."""
+    module = compile(text, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+def _function(lines: list, filename: str, nodes: list, consts: list, env: dict):
+    """The function that `lines` define, over a fresh globals dict: env,
+    then the names every body reads and this instance's _NODES and _k<i>.
+
+    It runs a copy of the stored code object: the interpreter specializes
+    a global read for one globals dict, and two evaluators of one shape
+    called in turn through one code object would undo each other's.
+    """
+    scope = {**env, "_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
+             "_NAN": math.nan}
+    scope.update((f"_k{i}", value) for i, value in enumerate(consts))
+    return types.FunctionType(_code("\n".join(lines), filename).replace(), scope)
 
 
 def _compile(ast: ExprAst, scalar_fn=None):
@@ -491,24 +522,23 @@ def _compile(ast: ExprAst, scalar_fn=None):
     scalar one over Python floats and the vector one over numpy arrays,
     with the same locals, the same checks from _CHECKS and the same node
     order.  Given scalar_fn, the scalar evaluator of the same tree, only the
-    vector body is compiled: a vector check is a mask, and when any lane
+    vector body is built: a vector check is a mask, and when any lane
     fails it, the vector evaluator returns scalar_fn run lane by lane, so
-    the error (message, node and t) is the scalar one.
+    the error (message, node and t) is the scalar one.  Each body is
+    compiled once per shape (_code); an evaluator binds its own constants.
     """
     scalar = ["def _f(t):", "    t = float(t)"]
     vec = None if scalar_fn is None else [
         "def _fv(t):", "    t = _np.array(t, dtype=float)", "    with _np.errstate(all='ignore'):"]
     nodes: list[ExprAst] = []
-    root = _emit(ast, "t", nodes, scalar, vec)
+    consts: list[float] = []
+    root = _emit(ast, "t", nodes, consts, scalar, vec)
     if vec is None:
         scalar.append(f"    return {root}")
-        env = _scalar_env(nodes)
-        exec(compile("\n".join(scalar), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
-        return env["_f"]
+        return _function(scalar, "<sel_lab expression>", nodes, consts, _SCALAR_ENV)
     vec.append(f"        return _shaped({root}, t)")
-    env = {"_f": scalar_fn, "_INF": math.inf, "_NAN": math.nan, **_VECTOR_ENV}
-    exec(compile("\n".join(vec), "<sel_lab expression>", "exec"), env)  # noqa: S102 - own codegen
-    return env["_fv"]
+    return _function(vec, "<sel_lab expression>", nodes, consts,
+                     {**_VECTOR_ENV, "_f": scalar_fn})
 
 
 def compose_scalar(params: str, lines, env: dict):
@@ -521,11 +551,13 @@ def compose_scalar(params: str, lines, env: dict):
     pow overflow included, and raises EvalDomainError with its own node and
     t.  arg is an expression over the parameters; it is evaluated and
     converted once, at the first term that reads it, so a line must not
-    rebind what it reads.  The generated locals are v<k> and t<k>; env
-    binds every other free name of the lines.
+    rebind what it reads.  The generated locals are v<k> and t<k> and the
+    constants the globals _k<i>; env binds every other free name of the
+    lines.  The code is compiled once per shape of the whole function.
     """
-    body: list[str] = []
+    body = [f"def _composed({params}):"]
     nodes: list[ExprAst] = []
+    consts: list[float] = []
     converted: dict[str, str] = {}
     for line in lines:
         if isinstance(line, str):
@@ -536,11 +568,8 @@ def compose_scalar(params: str, lines, env: dict):
         if var is None and ast.kind != "const":  # a constant reads no t
             var = converted[arg] = f"t{len(converted)}"
             body.append(f"    {var} = float({arg})")
-        body.append(f"    {name} = {_emit(ast, var, nodes, body)}")
-    scope = {**env, **_scalar_env(nodes)}
-    source = "\n".join([f"def _composed({params}):"] + body)
-    exec(compile(source, "<sel_lab composed source>", "exec"), scope)  # noqa: S102 - own codegen
-    return scope["_composed"]
+        body.append(f"    {name} = {_emit(ast, var, nodes, consts, body)}")
+    return _function(body, "<sel_lab composed source>", nodes, consts, {**env, **_SCALAR_ENV})
 
 
 def compile_scalar(ast: ExprAst):
@@ -553,13 +582,15 @@ def compile_scalar(ast: ExprAst):
     sub-expression and t.  Overflow of exp and ^ yields IEEE +-inf, as the
     other operations do.  t is converted to float once, so numpy scalars
     get Python float semantics.  ScalarFn.vector() is the numpy back end
-    of the same codegen.
+    of the same codegen.  Trees that differ only in their constants (and
+    agree in the checks their constant exponents settle) share one
+    compiled code object; each evaluator binds its own constants.
     """
     return _compile(ast)
 
 
 def evaluate(ast: ExprAst, t: float) -> float:
-    """Evaluate `ast` at the point t (compiles on every call; see ScalarFn)."""
+    """Evaluate `ast` at the point t (builds an evaluator on every call; see ScalarFn)."""
     return compile_scalar(ast)(t)
 
 

@@ -272,6 +272,16 @@ class TestSolveLEF:
         # the coarse scan is a slice of the table: no probe is shot twice
         assert sol.metadata["shots"] == len(PROBES) == 63
 
+    def test_sup_zero_location_skips_probes_under_the_cut_margin(self, f_linear):
+        # every shot of -u'' = lam u returns to 0 at pi/sqrt(lam); the probe at
+        # s ~ 4.5e-6 peaks at ~ 1.04e-6, crosses the cut with a near-zero slope
+        # and its linear model reads ~ 1.18, which bracket_in already refuses
+        lam = 18.5157
+        sol = solve_lef(LEFProblem(N=1, geometry="interval", lam=lam, f=f_linear))
+        assert sol.classification == NO_SOLUTION
+        assert sol.metadata["sup_zero_location"] == pytest.approx(math.pi / math.sqrt(lam),
+                                                                  rel=1e-4)
+
     def test_coarse_scan_is_a_slice_of_the_probe_grid(self):
         assert np.array_equal(PROBES[10::4], np.geomspace(1e-4, S_MAX_PROBE, 14))
         assert PROBES[-1] == S_MAX_PROBE

@@ -1,10 +1,13 @@
+import builtins
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from sel_lab import expr
+from sel_lab import bifurcation, expr
+from sel_lab.bifurcation import EPS_BOUNDARY, LEFProblem, _lef_source
 from sel_lab.expr import (
     EvalDomainError,
     ExprAst,
@@ -17,6 +20,14 @@ from sel_lab.expr import (
     substitute,
     to_source,
 )
+from sel_lab.karamata import Nonlinearity
+
+
+@pytest.fixture(autouse=True)
+def _empty_code_store():
+    # the store of compiled shapes lives as long as the process: each test
+    # starts from an empty one, whatever ran before it
+    expr._code.cache_clear()
 
 
 def const(v):
@@ -395,3 +406,240 @@ def test_vector_result_does_not_alias_the_input():
     out = ScalarFn.from_source("t").vector()(t)
     out[0] = 5.0
     assert t[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# One code object per expression shape
+# ---------------------------------------------------------------------------
+# The reference is the code generator that wrote each constant into the
+# text as a literal and compiled every evaluator on its own.  Evaluators
+# that share the code of their shape and bind their constants by value must
+# return the same floats, bit for bit, and raise the same errors.
+
+def _literal(value):
+    if math.isnan(value):
+        return "_NAN"
+    return {math.inf: "_INF", -math.inf: "(-_INF)"}.get(value) or expr._const_text(value)
+
+
+def _reference_emit(ast, var, nodes, scalar, vec=None):
+    def emit(node):
+        k = node.kind
+        if k == "const":
+            return _literal(node.value)
+        if k == "var":
+            return var
+        ops = dict(zip("ab", (emit(c) for c in node.children)))
+        for condition, message in expr._checks(node):
+            condition = condition.format(**ops)
+            scalar.append(f"    if {condition}:")
+            scalar.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], {var})")
+            if vec is not None:
+                vec.append(f"        if _any({condition}): return _lanes(_f, t)")
+        nodes.append(node)
+        out = f"v{len(nodes)}"
+        value = f"{out} = {expr._VALUE[k].format(**ops)}"
+        if vec is not None:
+            vec.append(f"        {value}")
+        if k == "exp":
+            scalar.extend((f"    try: {out} = _exp({ops['a']})",
+                           f"    except OverflowError: {out} = _INF"))
+        elif k == "pow":
+            a, b = ops["a"], ops["b"]
+            scalar.extend((f"    try: {out} = {a} ** {b}",
+                           f"    except OverflowError: {out} = _INF if {a} > 0.0 or {b} % 2.0 == 0.0 "
+                           "else -_INF"))
+        else:
+            scalar.append(f"    {value}")
+        return out
+
+    return emit(ast)
+
+
+def _reference_scalar_env(nodes):
+    return {"_Err": EvalDomainError, "_NODES": tuple(nodes), "_INF": math.inf,
+            "_NAN": math.nan, **expr._SCALAR_ENV}
+
+
+def _reference_compile(ast, scalar_fn=None):
+    scalar = ["def _f(t):", "    t = float(t)"]
+    vec = None if scalar_fn is None else [
+        "def _fv(t):", "    t = _np.array(t, dtype=float)", "    with _np.errstate(all='ignore'):"]
+    nodes = []
+    root = _reference_emit(ast, "t", nodes, scalar, vec)
+    if vec is None:
+        scalar.append(f"    return {root}")
+        env = _reference_scalar_env(nodes)
+        exec(compile("\n".join(scalar), "<sel_lab expression>", "exec"), env)  # noqa: S102
+        return env["_f"]
+    vec.append(f"        return _shaped({root}, t)")
+    env = {"_f": scalar_fn, "_INF": math.inf, "_NAN": math.nan, **expr._VECTOR_ENV}
+    exec(compile("\n".join(vec), "<sel_lab expression>", "exec"), env)  # noqa: S102
+    return env["_fv"]
+
+
+def _reference_compose_scalar(params, lines, env):
+    body, nodes, converted = [], [], {}
+    for line in lines:
+        if isinstance(line, str):
+            body.append(f"    {line}")
+            continue
+        name, ast, arg = line
+        var = converted.get(arg)
+        if var is None and ast.kind != "const":
+            var = converted[arg] = f"t{len(converted)}"
+            body.append(f"    {var} = float({arg})")
+        body.append(f"    {name} = {_reference_emit(ast, var, nodes, body)}")
+    scope = {**env, **_reference_scalar_env(nodes)}
+    source = "\n".join([f"def _composed({params}):"] + body)
+    exec(compile(source, "<sel_lab composed source>", "exec"), scope)  # noqa: S102
+    return scope["_composed"]
+
+
+def _count_compiles(monkeypatch):
+    """The sources handed to the builtin compile from now on."""
+    calls, real = [], builtins.compile
+
+    def counted(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    return calls
+
+
+def _bits(fn, *args):
+    """fn's float, bit for bit, or its EvalDomainError: message, node and t."""
+    try:
+        value = fn(*args)
+    except EvalDomainError as err:
+        return "error", str(err), id(err.node), repr(err.t)
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    return "value", type(value), struct.pack("<d", value)
+
+
+# both signs across the whole float range, the neighbourhood of 0, and the
+# points where t^p overflows, sqrt(c - t) leaves its domain and ln(1 + t) hits 0
+_BIT_GRID = np.concatenate((
+    np.geomspace(1e-300, 1e300, 3000), -np.geomspace(1e-300, 1e300, 3000),
+    np.linspace(-4.0, 4.0, 4001), [0.0, -0.0, math.inf, -math.inf, math.nan, -1.0]))
+
+# two instances of each shape; the derivatives of each pair share a shape too
+_SHAPE_PAIRS = [
+    ("t^2.5", "t^3.7"),
+    ("t^3", "t^7"),
+    ("sqrt(2-t)+t^4.9802", "sqrt(3-t)+t^1.5"),
+    ("t^1.7*ln(1+t)^2.3", "t^2.2*ln(1+t)^1.6"),
+]
+
+
+def _evaluators(ast, compose=expr.compose_scalar, build=expr._compile):
+    """The scalar, vector and composed evaluators of ast."""
+    scalar = build(ast)
+    return scalar, build(ast, scalar), compose("x", [("v", ast, "x"), "return v"], {})
+
+
+def _assert_same_bits(ast, built):
+    scalar, vector, composed = built
+    ref_scalar, ref_vector, ref_composed = _evaluators(
+        ast, _reference_compose_scalar, _reference_compile)
+    points = _BIT_GRID.tolist()
+    got = [_bits(scalar, x) for x in points]
+    assert got == [_bits(ref_scalar, x) for x in points]
+    assert [_bits(composed, x) for x in points] == got
+    assert [_bits(ref_composed, x) for x in points] == got
+    # the vector back ends on the lanes where the scalar one has a value, and
+    # on the whole grid, where the error is that of the first failing lane
+    ok = np.array([x for x, out in zip(points, got) if out[0] == "value"])
+    assert ok.size >= 2000
+    assert _bits(vector, ok) == _bits(ref_vector, ok)
+    assert _bits(vector, _BIT_GRID) == _bits(ref_vector, _BIT_GRID)
+    return got
+
+
+@pytest.mark.parametrize("pair", _SHAPE_PAIRS)
+def test_one_shape_gives_the_literal_reference_bits(monkeypatch, pair):
+    first, second = (parse_expression(src) for src in pair)
+    asts = [first, differentiate(first), second, differentiate(second)]
+    built = [_evaluators(ast) for ast in asts[:2]]
+    calls = _count_compiles(monkeypatch)
+    built += [_evaluators(ast) for ast in asts[2:]]
+    assert calls == []  # the second instance reuses the first one's code
+    monkeypatch.undo()
+    outcomes = [_assert_same_bits(ast, evaluators) for ast, evaluators in zip(asts, built)]
+    if pair == ("t^3", "t^7"):  # no checks; an odd power overflows to -inf
+        assert [built[2][0](x) for x in (-1e300, 1e300)] == [-math.inf, math.inf]
+    else:  # the grid leaves the domain
+        assert any(out[0] == "error" for got in outcomes for out in got)
+
+
+def _lef_problem(lam, alpha):
+    g = ScalarFn.from_source(f"t^(-{alpha})")
+    return LEFProblem(N=1, lam=lam, f=Nonlinearity(f=ScalarFn.from_source("t"), fprime=None,
+                                                    source="t"),
+                      g=Nonlinearity(f=g, fprime=None, source=f"t^(-{alpha})"),
+                      a_pot=ScalarFn.from_source("1+t"))
+
+
+def test_lef_sources_of_one_mode_give_the_literal_reference_bits(monkeypatch):
+    first = _lef_problem(2.0, 0.5)
+    source = _lef_source(first)
+    calls = _count_compiles(monkeypatch)
+    second = _lef_problem(7.25, 0.3)
+    other = _lef_source(second)
+    assert calls == []
+    assert other.__code__ == source.__code__
+    monkeypatch.setattr(bifurcation, "compose_scalar", _reference_compose_scalar)
+    references = [_lef_source(first), _lef_source(second)]
+    monkeypatch.undo()
+    floor = EPS_BOUNDARY / 100.0
+    # below, at and above the floor clamp; u past 1e308 / lam, where the
+    # source overflows and saturates; nan
+    us = np.concatenate((np.geomspace(1e-300, 1e308, 800), -np.geomspace(1e-300, 1e300, 200),
+                         [0.0, floor, math.nan, math.inf, -math.inf])).tolist()
+    points = [(r, u, du) for r in (0.0, 0.3, 1.0) for u in us
+              for du in (0.0, -0.7, 1e200, math.nan)]
+    assert len(points) >= 10000
+    for fn, ref in zip((source, other), references):
+        got = [_bits(fn, *p) for p in points]
+        assert got == [_bits(ref, *p) for p in points]
+        values = {struct.unpack("<d", out[2])[0] for out in got}
+        assert {-1e15, 1e15} <= values  # saturated: overflow to -inf, and nan
+        assert fn(0.3, -1.0, 0.0) == fn(0.3, floor, 0.0)  # the floor clamp
+
+
+def test_constants_and_nodes_stay_with_their_instance():
+    two, three = ScalarFn.from_source("sqrt(2-t)"), ScalarFn.from_source("sqrt(3-t)")
+    f2, f3 = two.fast(), three.fast()
+    assert f2.__code__ == f3.__code__
+    with pytest.raises(EvalDomainError) as err:
+        f2(2.5)
+    assert "sqrt((2.0 - t))" in str(err.value) and err.value.node is two.body
+    assert f3(2.5) == math.sqrt(0.5)
+    # a failing lane re-raises the scalar error of the vector's own instance
+    with pytest.raises(EvalDomainError) as err:
+        two.vector()(np.array([1.0, 2.5]))
+    assert err.value.node is two.body and err.value.t == 2.5
+    assert np.array_equal(three.vector()(np.array([1.0, 2.5])), [math.sqrt(2.0), math.sqrt(0.5)])
+    with pytest.raises(EvalDomainError) as err:
+        three.vector()(np.array([1.0, 3.5]))
+    assert err.value.node is three.body and err.value.t == 3.5
+    assert "sqrt((3.0 - t))" in str(err.value)
+
+
+def test_an_evicted_shape_is_rebuilt_to_the_same_bits(monkeypatch):
+    ast = parse_expression("t^1.7*ln(1+t)^2.3")
+    before = compile_scalar(ast)
+    # as many other shapes as the store holds: nests of sin and cos
+    for i in range(expr._CODE_SHAPES):
+        src = "t"
+        for bit in range(8):
+            src = f"{'sin' if i >> bit & 1 else 'cos'}({src})"
+        compile_scalar(parse_expression(src))
+    calls = _count_compiles(monkeypatch)
+    after = compile_scalar(ast)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    points = _BIT_GRID.tolist()
+    assert [_bits(after, x) for x in points] == [_bits(before, x) for x in points]
