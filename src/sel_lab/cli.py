@@ -277,14 +277,14 @@ def _cmd_analyze_f(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
     nl = _ka.analyze_nonlinearity(f_src)
 
-    def show(x):
-        return "unavailable" if x is None else x
+    def show(x, unknown="unavailable"):
+        return unknown if x is None else x
 
     return {
         "command": "analyze-f", "f": f_src,
         "m": show(nl.m), "Lambda": show(nl.Lambda), "theta": show(nl.theta),
         "gamma": show(nl.gamma), "rho": show(nl.rho),
-        "identities_ok": nl.check_remark_identities(),
+        "identities_ok": show(nl.check_remark_identities(), "unknown"),
     }
 
 

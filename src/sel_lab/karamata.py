@@ -25,6 +25,7 @@ from .numerics import (
     NumericsError,
     _TINY,
     _bertrand_fit,
+    _inverse_log_fit,
     _resolution,
     _tail_samples,
     bertrand_remainder,
@@ -37,11 +38,9 @@ from .numerics import (
 
 INF = math.inf
 
-# f is checked on [1e-6, U_MAX], and theta and gamma are sampled on U_MAX/2^k.
+# f is checked on [1e-6, U_MAX], and gamma is fitted on f's samples up to
+# U_MAX; every other growth index comes from f's samples from t = 1.
 U_MAX = 1e8
-# theta and gamma must stabilize to this relative spread before they are
-# reported as converged; m, Lambda and the RV index come from the fit of ln f.
-STABILIZE_TOL = 1e-3
 
 
 class NotRegularlyVarying(ValueError):
@@ -404,8 +403,10 @@ class Nonlinearity:
     """An absorption/singular term with its growth metadata.
 
     m = lim f(s)/s at infinity, Lambda = sup_{s>=1} f(s)/s and value_at_inf
-    = lim f come from one fit of ln f; theta = lim u f'(u)/f(u), gamma =
-    lim (F/f)'(u) are sampled apart, rho = theta - 1 (the RV index of f').
+    = lim f come from one fit of ln f (its diagnostics kept as _fit);
+    theta = lim u f'(u)/f(u) and gamma = lim (F/f)'(u) from fits in 1/ln u
+    on the same samples of f (their resolutions kept in _res), rho =
+    theta - 1 (the RV index of f').
     Fields are math.inf when infinite and None when undecided (see notes).
     alpha_sing/sing_c0 (analyze_singular_term) describe an origin
     singularity f(s) <= C0 s^-alpha on (0, sing_eta).
@@ -427,6 +428,8 @@ class Nonlinearity:
     _F: Antiderivative | None = field(default=None, repr=False, compare=False)
     _Phi: TailMap | None = field(default=None, repr=False, compare=False)
     _ko: ConvergenceVerdict | None = field(default=None, repr=False, compare=False)
+    _fit: dict | None = field(default=None, repr=False, compare=False)
+    _res: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def F(self) -> Antiderivative:
@@ -434,14 +437,23 @@ class Nonlinearity:
             self._F = Antiderivative(self.f)
         return self._F
 
-    def check_remark_identities(self, tol: float = 1e-3) -> bool:
-        """gamma (rho + 2) = gamma (theta + 1) = 1 within tol when rho is
-        finite; relative, so an error in theta is not shrunk by gamma^2."""
-        if self.rho is None or self.gamma is None or not math.isfinite(self.rho):
-            return True
+    def check_remark_identities(self, tol: float = 1e-3) -> bool | None:
+        """gamma (rho + 2) = gamma (theta + 1) = 1 within tol plus what the
+        resolutions of theta and gamma allow, relative, so an error in theta
+        is not shrunk by gamma^2; and theta is the A of the fit of ln f
+        within the resolutions of both fits.  gamma = 0 and rho = inf when
+        theta = inf.  None when theta, rho or gamma is unknown."""
+        if self.theta is None or self.rho is None or self.gamma is None:
+            return None
+        if self.theta == INF:
+            return self.rho == INF and self.gamma == 0.0
+        res_theta, res_gamma = self._res.get("theta", 0.0), self._res.get("gamma", 0.0)
+        tol += self.gamma * res_theta + (self.theta + 1.0) * res_gamma
         ok1 = abs(self.gamma * (self.rho + 2.0) - 1.0) <= tol
-        ok2 = self.theta is not None and abs(self.gamma * (self.theta + 1.0) - 1.0) <= tol
-        return ok1 and ok2
+        ok2 = abs(self.gamma * (self.theta + 1.0) - 1.0) <= tol
+        ok3 = (self._fit is None
+               or abs(self.theta - self._fit["a"]) <= _resolution(self._fit) + res_theta)
+        return ok1 and ok2 and ok3
 
 
 @dataclass
@@ -557,8 +569,9 @@ def _octave_samples(call, top: float):
     return ts, fs
 
 
-def _growth_limits(call, notes):
-    """(m, Lambda, value_at_inf) of f read off the fit of ln f, as in rv_index.
+def _growth_limits(ts, fs, fit, notes):
+    """(m, Lambda, value_at_inf) of f read off the fit of ln f on f's
+    samples (ts, fs), as in rv_index.
 
     f(t)/t ~ t^(A-1) (ln t)^B: the first of A - 1 and B that is off 0 by
     more than the fit's resolution decides m = inf (positive) or 0
@@ -566,20 +579,9 @@ def _growth_limits(call, notes):
     are 0 within the resolution, m is f(t)/t at the last sample.  Lambda
     is inf with m, otherwise the largest f(t)/t over the samples.
     value_at_inf is f at the last sample when A and B are 0 within the
-    resolution.  The samples double from t = 1 (numerics._tail_samples);
-    when f overflows by t = 8, as exp(exp(t)) does past 6.5, too few are
-    left to fit, and f is sampled 16 times an octave up to the overflow
-    (_octave_samples).  Where the fit does not decide, or f fails in it (a
-    domain error, a negative value), m and Lambda are None with a note.
+    resolution.  Where the fit does not decide, m and Lambda are None with
+    a note.
     """
-    try:
-        ts, fs = _tail_samples(call, 1.0)
-        if 0 < len(ts) < 4:
-            ts, fs = _octave_samples(call, 2.0 * ts[-1])
-    except (ArithmeticError, ValueError) as exc:
-        notes.append(f"m and Lambda unknown: f fails in the fit of ln f ({exc})")
-        return None, None, None
-    fit = _bertrand_fit(ts, fs)
     if fit is None:
         notes.append(f"m and Lambda unknown: {len(ts)} samples of f are too few to fit")
         return None, None, None
@@ -602,37 +604,30 @@ def _growth_limits(call, notes):
 # Nonlinearity analysis
 # ---------------------------------------------------------------------------
 
-def _finite_cap(call, u_max: float) -> float:
-    """Largest u <= u_max (walking down by 2) where the value is finite."""
-    u = u_max
-    for _ in range(80):
-        try:
-            v = call(u)
-        except Exception:
-            v = INF
-        if v is not None and math.isfinite(v):
-            return u
-        u *= 0.5
-    raise ValueError("function not finitely evaluable at any sampled scale")
+def _limit(ts, ys):
+    """(limit, resolution) of the samples ys(t) as t -> inf, or (None, why):
+    L of y = L + c1/ln t + c2/ln^2 t (numerics._inverse_log_fit), or the
+    last sample where the 1/ln t terms are 0 within the resolution.  The
+    resolution is numerics._resolution of the spread: the misfit of an
+    exact fit, else the larger of the misfit and the move of L without the
+    last six samples (inf without enough samples); past it, L is unknown."""
+    fit = _inverse_log_fit(ts, ys)
+    if fit is None:
+        return None, f"{len(ts)} samples are too few to fit"
+    L, tail, spread = fit
+    if spread > EXACT_MISFIT:
+        short = _inverse_log_fit(ts[:-6], ys[:-6])
+        spread = INF if short is None else max(spread, abs(L - short[0]))
+    res = _resolution({"misfit": spread})
+    if spread > res:
+        return None, f"the fit in 1/ln u does not resolve it (L={L:.6g}, spread {spread:.2g})"
+    return (float(ys[-1]) if abs(tail) <= res else L), res
 
 
-def _limit_by_samples(values, notes, name):
-    """Classify a sampled sequence (ascending u): value, inf flag, or None."""
-    last, prev = values[-1], values[-2]
-    if abs(last - prev) <= STABILIZE_TOL * (1.0 + abs(last)):
-        # Aitken acceleration when the tail looks geometric
-        if len(values) >= 3:
-            d1, d2 = values[-1] - values[-2], values[-2] - values[-3]
-            if d2 != 0.0 and abs(d1) < abs(d2):
-                acc = values[-1] - d1 * d1 / (d1 - d2) if d1 != d2 else values[-1]
-                if abs(acc - last) <= 10.0 * STABILIZE_TOL * (1.0 + abs(last)):
-                    return acc
-        return last
-    increasing = all(b >= a for a, b in zip(values, values[1:]))
-    if increasing and last > values[0] + 0.5:
-        return INF
-    notes.append(f"{name} did not stabilize (last samples {prev:.4g}, {last:.4g})")
-    return None
+def _finite_prefix(values: np.ndarray) -> np.ndarray:
+    """values up to the first that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    return values[:bad[0]] if bad.size else values
 
 
 def analyze_nonlinearity(f_src: str) -> Nonlinearity:
@@ -640,15 +635,18 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
 
     f must be nonnegative and nondecreasing on 121 geometric points of
     [1e-6, U_MAX]; that check runs first, and a domain error of f there
-    propagates.  m, Lambda and value_at_inf come from one fit of ln f from
-    t = 1 (_growth_limits).  theta and gamma are measured on their own, at
-    U_MAX/2^k, with a stabilization test (_limit_by_samples), and rho =
-    theta - 1, so the identities compare gamma with an independent theta.
+    propagates.  Every index comes from one set of samples of f, doubling
+    from t = 1 (numerics._tail_samples), or 16 an octave when f overflows
+    by t = 8, as exp(exp(t)) does (_octave_samples): m, Lambda and
+    value_at_inf from the fit of ln f (_growth_limits), theta = lim u f'/f
+    and gamma = lim (F/f)' = lim 1 - F f'/f^2 from fits in 1/ln u (_limit;
+    gamma up to U_MAX, where F is filled), rho = theta - 1.  Where theta(u)
+    grows like u^A, A > SLOPE_BAND, theta = inf and gamma = 0.  Where f, f'
+    or F fails at the samples, the indices left are None with a note.
     """
-    ast = parse_expression(f_src)
-    f = ScalarFn(ast)
+    f = ScalarFn(parse_expression(f_src))
     fp = f.derivative_fn()
-    call, dcall = f.fast(), fp.fast()
+    call = f.fast()
 
     grid = np.geomspace(1e-6, U_MAX, 121)
     vals = []
@@ -662,44 +660,45 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
             raise ValueError("f must be nondecreasing on the sampled range")
 
     notes: list = []
-    m, Lambda, value_at_inf = _growth_limits(call, notes)
-    cap = _finite_cap(call, U_MAX)
-    cap = min(cap, _finite_cap(dcall, cap))
+    nl = Nonlinearity(f=f, fprime=fp, source=f_src, notes=notes)
+    try:
+        ts, fs = _tail_samples(call, 1.0)
+        if 0 < len(ts) < 4:
+            ts, fs = _octave_samples(call, 2.0 * ts[-1])
+    except (ArithmeticError, ValueError) as exc:
+        notes.append(f"m, Lambda, theta and gamma unknown: f fails in its samples ({exc})")
+        return nl
+    fit = _bertrand_fit(ts, fs)
+    nl._fit = None if fit is None else fit[2]
+    nl.m, nl.Lambda, nl.value_at_inf = _growth_limits(ts, fs, fit, notes)
 
-    # theta = lim u f'/f
-    theta_samples = []
-    for k in range(10, -1, -1):
-        u = cap / 2.0 ** k
-        fu = call(u)
-        if fu <= 0.0 or not math.isfinite(fu):
-            continue
-        theta_samples.append(u * dcall(u) / fu)
-    theta = _limit_by_samples(theta_samples, notes, "theta") if len(theta_samples) >= 3 else None
-
-    # gamma = lim (F/f)' from the identity (F/f)' = 1 - F f'/f^2
-    F = Antiderivative(f)
-    gamma_samples = []
-    for k in range(6, -1, -1):
-        u = cap / 2.0 ** k
-        try:
-            fu = call(u)
-            g = 1.0 - F(u) / fu * (dcall(u) / fu)
-        except Exception:
-            continue
-        if math.isfinite(g):
-            gamma_samples.append(g)
-    gamma = _limit_by_samples(gamma_samples, notes, "gamma") if len(gamma_samples) >= 3 else None
-    if gamma == INF:
-        gamma = None
-
-    rho = None
-    if theta is not None:
-        rho = INF if theta == INF else theta - 1.0
-
-    nl = Nonlinearity(f=f, fprime=fp, m=m, Lambda=Lambda, theta=theta, gamma=gamma,
-                      rho=rho, value_at_inf=value_at_inf, source=f_src, notes=notes)
-    nl._F = F
-    if not nl.check_remark_identities():
+    u, fu = np.array(ts), np.array(fs)
+    try:
+        with np.errstate(all="ignore"):
+            dcall = fp.fast()
+            thetas = _finite_prefix(np.array([t * dcall(t) for t in ts]) / fu)
+            n = min(bisect.bisect_right(ts, U_MAX), thetas.size)
+            Fs = np.array([nl.F(t) for t in reversed(ts[:n])])[::-1]  # top first: one fill
+            gammas = _finite_prefix(1.0 - thetas[:n] * (Fs / (u[:n] * fu[:n])))
+    except (ArithmeticError, ValueError) as exc:
+        notes.append(f"theta and gamma unknown: f' or F fails at the samples of f ({exc})")
+        return nl
+    v = u[:thetas.size]
+    theta, res = _limit(v, thetas)
+    power = theta is None and thetas.size and thetas.min() > 0.0 and _bertrand_fit(v, thetas)
+    if power and power[0] > SLOPE_BAND:  # theta(u) ~ u^A
+        nl.theta, nl.rho, nl.gamma = INF, INF, 0.0
+        return nl
+    if theta is None:
+        notes.append(f"theta unknown: {res}")
+    else:
+        nl.theta, nl.rho, nl._res["theta"] = theta, theta - 1.0, res
+    gamma, res = _limit(u[:gammas.size], gammas)
+    if gamma is None:
+        notes.append(f"gamma unknown: {res}")
+    else:
+        nl.gamma, nl._res["gamma"] = gamma, res
+    if nl.check_remark_identities() is False:
         notes.append("gamma/rho/theta consistency identities failed at sampling accuracy")
     return nl
 

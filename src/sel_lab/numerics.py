@@ -356,15 +356,21 @@ def _tail_samples(fn, a: float):
     return ts[:len(fs)], fs
 
 
+def _fit_window(w) -> int:
+    """The first index of a tail fit's window over ascending w = ln t: the
+    samples with w >= max(1, w_last/4), at least the last four with w > 0."""
+    return max(min(int(np.searchsorted(w, max(1.0, w[-1] / 4.0))), w.size - 4),
+               int(np.searchsorted(w, 0.0, side="right")))
+
+
 def _bertrand_fit(ts, fs):
     """Least-squares (A, B, diagnostics) of ln fn = A w + B ln w + c, w = ln t,
-    over the samples with w >= max(1, w_last/4), at least the last four with
-    w > 0; the misfit is the largest residual.  None below three samples."""
+    over the window of _fit_window; the misfit is the largest residual.
+    None below three samples in the window."""
     if len(ts) < 3:
         return None
     w = np.log(ts)
-    start = max(min(int(np.searchsorted(w, max(1.0, w[-1] / 4.0))), w.size - 4),
-                int(np.searchsorted(w, 0.0, side="right")))
+    start = _fit_window(w)
     if w.size - start < 3:
         return None
     w, y = w[start:], np.log(fs[start:])
@@ -373,6 +379,23 @@ def _bertrand_fit(ts, fs):
     A, B = float(coef[0]), float(coef[1])
     return A, B, {"a": A, "b": B, "misfit": float(np.max(np.abs(basis @ coef - y))),
                   "w_range": [float(w[0]), float(w[-1])]}
+
+
+def _inverse_log_fit(ts, ys):
+    """Least-squares (L, tail, misfit) of y = L + c1/w + c2/w^2, w = ln t,
+    over _bertrand_fit's window; tail is c1/w + c2/w^2 at the last sample
+    and the misfit the largest residual.  None below four samples in the
+    window, one more than the fit's parameters."""
+    w = np.log(ts)
+    start = _fit_window(w) if w.size >= 4 else 0
+    if w.size - start < 4:
+        return None
+    x = w[start] / w[start:]  # 1/w scaled to (0, 1]
+    y = np.asarray(ys[start:], dtype=float)
+    basis = np.column_stack((np.ones_like(x), x, x * x))
+    coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+    misfit = float(np.max(np.abs(basis @ coef - y)))
+    return float(coef[0]), float(coef[1] * x[-1] + coef[2] * x[-1] ** 2), misfit
 
 
 def _resolution(diag) -> float:

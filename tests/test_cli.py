@@ -482,6 +482,17 @@ f = "t^3"
         out = capsys.readouterr().out
         assert "rho=2" in out and "identities_ok=true" in out
 
+    @pytest.mark.parametrize("f, printed", [
+        # gamma is not resolved from samples up to 1e8: nothing is compared
+        ("t^2*ln(1+t)^3", ["gamma=unavailable", "identities_ok=unknown"]),
+        ("exp(t^2)", ["theta=inf", "gamma=0 ", "identities_ok=true"]),
+    ])
+    def test_analyze_f_prints_unknown_identities(self, tmp_path, capsys, f, printed):
+        code, _ = run_cli(tmp_path, f'[problem]\ncommand = analyze-f\n\n[functions]\nf = "{f}"\n')
+        assert code == 0
+        out = capsys.readouterr().out
+        assert all(p in out for p in printed)
+
     def test_ell(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """
 [problem]
@@ -875,6 +886,30 @@ grid_depth = 14
                                                          'S = "t"'))
         assert code == 0
         assert "rate_ratio=1.00x" in capsys.readouterr().out
+        summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
+        assert abs(summary["rate_limit"] - 1.0) <= 0.02
+
+    def test_blowup_rate_with_a_slowly_varying_factor(self, tmp_path, capsys):
+        # theta = 2 of f = t^2 ln(1+t)^3 is read off the fit in 1/ln u, so
+        # the profile carries xi0 and the rate is measured
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = blowup
+N = 3
+domain = ball
+R = 1.0
+k_alpha = 1
+
+[functions]
+f = "t^2*ln(1+t)^3"
+b = "(1-t)^2"
+
+[output]
+json = summary.json
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "classification=boundary-blowup" in out and "rate_ratio=1.0" in out
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert abs(summary["rate_limit"] - 1.0) <= 0.02
 

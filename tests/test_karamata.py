@@ -307,11 +307,74 @@ class TestAnalyze:
         assert nl.m is None and nl.Lambda is None
         assert any("square root of a negative value" in note for note in nl.notes)
 
+    def test_f_vanishing_at_one_has_no_growth_index(self):
+        # the samples of f start at t = 1, where this f is 0: none to fit
+        nl = analyze_nonlinearity("(t-1+abs(t-1))/2")
+        assert (nl.m, nl.theta, nl.gamma) == (None, None, None)
+        assert "gamma unknown: 0 samples are too few to fit" in nl.notes
+        assert nl.check_remark_identities() is None
+
     def test_identities_fail_on_a_moved_theta(self):
         nl = analyze_nonlinearity("t^3")
         assert nl.check_remark_identities()
         nl.theta += 1e-2
         assert not nl.check_remark_identities()
+
+    def test_identities_fail_on_a_moved_gamma(self):
+        nl = analyze_nonlinearity("t^3")
+        assert nl.check_remark_identities()
+        nl.gamma += 1e-2
+        assert nl.check_remark_identities() is False
+
+    def test_identities_fail_on_a_theta_off_the_fit_of_ln_f(self):
+        # theta, rho and gamma moved together keep gamma (theta + 1) = 1:
+        # only the comparison with the A of the fit of ln f sees the move
+        nl = analyze_nonlinearity("t^2*ln(1+t)")
+        assert nl.check_remark_identities()
+        nl.theta += 1e-2
+        nl.rho += 1e-2
+        nl.gamma = 1.0 / (nl.theta + 1.0)
+        assert nl.check_remark_identities() is False
+
+    @pytest.mark.parametrize("index", ["theta", "gamma"])
+    def test_identities_unknown_with_an_unknown_index(self, index):
+        nl = analyze_nonlinearity("t^3")
+        setattr(nl, index, None)
+        assert nl.check_remark_identities() is None
+
+    # f = t^A L(u) with L slowly varying: theta(u) = A + B/ln u + ...
+    SLOWLY_VARYING = [
+        ("t^2*ln(1+t)^3", 2.0),
+        ("t^2*ln(1+t)", 2.0),
+        ("t^2*ln(1+t)^0.5", 2.0),
+        ("t^2/ln(2+t)", 2.0),
+        ("t*ln(1+t)^4", 1.0),
+        ("t^0.5*ln(1+t)^3", 0.5),
+    ]
+
+    @pytest.mark.parametrize("src, A", SLOWLY_VARYING)
+    def test_theta_of_a_slowly_varying_factor(self, src, A):
+        nl = analyze_nonlinearity(src)
+        assert nl.theta == pytest.approx(A, abs=1e-6)
+        assert nl.rho == pytest.approx(A - 1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("src, A", SLOWLY_VARYING)
+    def test_gamma_of_a_slowly_varying_factor(self, src, A):
+        # gamma(u) converges like 1/ln u from samples up to 1e8: read within
+        # 1e-3 or unknown with a note, and then the identities are unknown
+        nl = analyze_nonlinearity(src)
+        if nl.gamma is None:
+            assert any(note.startswith("gamma unknown") for note in nl.notes)
+            assert nl.check_remark_identities() is None
+        else:
+            assert nl.gamma == pytest.approx(1.0 / (A + 1.0), abs=1e-3)
+            assert nl.check_remark_identities()
+
+    @pytest.mark.parametrize("src", ["exp(t^2)", "exp(exp(t))"])
+    def test_rapid_variation_has_infinite_theta_and_zero_gamma(self, src):
+        nl = analyze_nonlinearity(src)
+        assert (nl.theta, nl.rho, nl.gamma) == (math.inf, math.inf, 0.0)
+        assert nl.check_remark_identities()
 
     def test_monotonicity_precondition(self):
         with pytest.raises(ValueError):
