@@ -262,7 +262,7 @@ def _cmd_check_ko(spec, outdir):
 def _cmd_classify(spec, outdir):
     fn_src = spec.expression("functions", "fn", required=True)
     direction = spec.get("problem", "direction", "tail", choices=("tail", "origin"))
-    fn = ScalarFn.from_source(fn_src).fast()
+    fn = ScalarFn.from_source(fn_src)
     if direction == "tail":
         a = spec.get("problem", "a", 1.0, kind=float)
         verdict = _num.classify_tail_integral(fn, a)

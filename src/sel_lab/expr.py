@@ -643,5 +643,9 @@ class ScalarFn:
             self._vector = _compile(self.body, self.fast())
         return self._vector
 
+    def many(self, t) -> np.ndarray:
+        """The expression at every point of the array t, by vector()."""
+        return self.vector()(t)
+
     def source(self) -> str:
         return to_source(self.body)

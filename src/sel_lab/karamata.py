@@ -21,6 +21,7 @@ from .numerics import (
     EXACT_MISFIT,
     SLOPE_BAND,
     ConvergenceVerdict,
+    Integrand,
     NonIntegrableError,
     NumericsError,
     _TINY,
@@ -91,17 +92,18 @@ class Antiderivative:
     (integrate_finite), so F(t) for t >= 1 does not depend on the order of
     the queries; a query below the lattice takes one more such quadrature.
     The lattice panels above are 15-point Gauss-Kronrod panels.  For an
-    expression (ScalarFn) a block of _MIN_BLOCK or more new panels is one
-    integrate_panels call, a single array evaluation of f.  A panel that
-    fails its error test, every panel of a block whose array evaluation
-    raises, and every panel of a shorter block or of a plain callable goes
-    through integrate_panel (which falls back to integrate_finite), one
-    panel at a time and in order.  A block that extends the lattice upward
-    to k runs ahead, up to 2k - kmin + 16, and keeps the panels past k
-    while the array rule accepts them, up to the first where the sum
-    overflows.  Past k, f is evaluated only by that array call (which runs
-    f lane by lane, up to the first failing node, where one of its domain
-    checks fails), never by integrate_panel.
+    expression (ScalarFn) the lattice grows upward to a query in blocks of
+    at most _BLOCK panels, each one integrate_panels call, a single array
+    evaluation of f, and stops after the block where F overflows: f is
+    evaluated on at most one block past the overflow, and never past the
+    query; a downward fill of _MIN_BLOCK or more panels is one such call
+    too.  A panel that fails its error test, every panel of a block whose
+    array evaluation raises, every panel of a shorter downward fill and
+    every panel of a plain callable go through integrate_panel (which
+    falls back to integrate_finite), one panel at a time and in order, up
+    to the overflow.  Each panel's value is that of its own rule whatever
+    block it falls in, so the lattice does not depend on how the queries
+    split it into blocks.
     The remainder from the nearest lattice point below a query is one
     integrate_panel call.  Once f or the running integral overflows, or
     the quadrature of a panel fails (not integrable, or short of its
@@ -111,7 +113,12 @@ class Antiderivative:
 
     # t_4096 = 2^1024 overflows
     _KTOP = 4095
-    # one array call costs about as much as 15 scalar panels
+    # panels per array call of an upward fill, and so the most panels of f
+    # work wasted past the overflow: calls of 256-512 panels cost least per
+    # panel (about 0.5 us, against 0.9 us at 2,048)
+    _BLOCK = 256
+    # a downward fill of fewer panels goes panel by panel: one array call
+    # costs about as much as 15 scalar panels
     _MIN_BLOCK = 16
 
     def __init__(self, fn, tol: float = 1e-12):
@@ -127,6 +134,11 @@ class Antiderivative:
     @staticmethod
     def _t_of(k: int) -> float:
         return 2.0 ** (k / 4.0)
+
+    @classmethod
+    def _points(cls, lo: int, hi: int) -> np.ndarray:
+        """The lattice points t_lo..t_hi as an array, each _t_of's float."""
+        return _LATTICE[lo + cls._KTOP:hi + cls._KTOP + 1]
 
     def _quad(self, rule, a: float, b: float) -> float:
         if b <= a:
@@ -170,23 +182,23 @@ class Antiderivative:
 
     def _block(self, j0: int, top: int):
         """(values, ok) lists of the panels j0+1..top by one integrate_panels
-        call; empty for a plain callable, a block of fewer than _MIN_BLOCK
-        panels, or where the array evaluation raised."""
-        if self._expr is None or top - j0 < self._MIN_BLOCK:
+        call; empty for a plain callable or where the array evaluation
+        raised."""
+        if self._expr is None:
             return [], []
-        edges = [self._t_of(j) for j in range(j0, top + 1)]
         try:
-            values, ok = integrate_panels(self._expr.vector(), edges[:-1], edges[1:], self._tol)
+            values, ok = integrate_panels(self._expr.vector(), self._points(j0, top - 1),
+                                          self._points(j0 + 1, top), self._tol)
         except (ValueError, ArithmeticError):
             return [], []
         return values.tolist(), ok.tolist()
 
-    def _accumulate(self, j0: int, val: float, k: int, ahead: int | None = None) -> int:
-        """Store val at j0 and add panels up to k; the first non-finite
-        value sets kinf.  Panels past k, up to ahead, are stored only while
-        the block rule accepts them, up to the first where the sum
-        overflows.  Returns the last index stored."""
-        values, ok = self._block(j0, k if ahead is None else ahead)
+    def _accumulate(self, j0: int, val: float, k: int, array: bool = True) -> None:
+        """Store val at j0 and add the panels up to k, in order: those of one
+        _block call when array is set, the rest and those it rejects by
+        integrate_panel.  The first value that is not finite sets kinf;
+        from it on every value is inf and no panel is integrated."""
+        values, ok = self._block(j0, k) if array and k > j0 else ([], [])
         lat = self._lat
         for j in range(j0, k + 1):
             if j > j0 and math.isfinite(val):
@@ -200,31 +212,22 @@ class Antiderivative:
                 if self._kinf is None or j < self._kinf:
                     self._kinf = j
             lat[j] = val
-        for i in range(k - j0, len(values)):
-            if not (ok[i] and math.isfinite(val)):
-                return j0 + i
-            val += values[i]
-            if not math.isfinite(val):
-                # F overflows on an accepted panel, where the panel-by-panel
-                # path finds it too
-                val = INF
-                self._kinf = j0 + i + 1
-            lat[j0 + i + 1] = val
-        return max(k, j0 + len(values))
 
     def _fill(self, k: int) -> float:
         # invariant: the lattice is contiguous on [kmin, kmax]
         if self._kmin is None:
             self._kmin = self._kmax = 0
             self._accumulate(0, self._quad(integrate_finite, 0.0, 1.0), 0)
+        if k < self._kmin:
+            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1,
+                             self._kmin - 1 - k >= self._MIN_BLOCK)
+            self._kmin = k
+        while self._kmax < k and self._kinf is None:
+            top = min(k, self._kmax + self._BLOCK)
+            self._accumulate(self._kmax, self._lat[self._kmax], top)
+            self._kmax = top
         if self._kinf is not None and k >= self._kinf:
             return INF
-        if k < self._kmin:
-            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1)
-            self._kmin = k
-        elif k > self._kmax:
-            ahead = min(2 * k - self._kmin + 16, self._KTOP)
-            self._kmax = self._accumulate(self._kmax, self._lat[self._kmax], k, ahead)
         return self._lat[k]
 
     def __call__(self, t: float) -> float:
@@ -239,11 +242,9 @@ class Antiderivative:
         return base + self._quad(integrate_panel, self._t_of(k), t)
 
     def overflow_index(self) -> int | None:
-        """The first lattice index where F is inf, found by filling ahead of
-        the lattice top; None when F stays finite up to _KTOP."""
-        self._fill(0)
-        while self._kinf is None and self._kmax < self._KTOP:
-            self._fill(self._kmax + 1)
+        """The first lattice index where F is inf, found by filling the
+        lattice up to it; None when F stays finite up to _KTOP."""
+        self._fill(self._KTOP)
         return self._kinf
 
     def _table(self):
@@ -251,8 +252,8 @@ class Antiderivative:
         again only when the lattice has grown."""
         if self._arrays is None or self._arrays[0] != (self._kmin, self._kmax):
             ks = range(self._kmin, self._kmax + 1)
-            self._arrays = ((self._kmin, self._kmax), np.array([self._t_of(k) for k in ks]),
-                            np.array([self._lat[k] for k in ks]))
+            self._arrays = ((self._kmin, self._kmax), self._points(self._kmin, self._kmax),
+                            np.fromiter(map(self._lat.__getitem__, ks), float, len(ks)))
         return self._arrays[1:]
 
     def many(self, ts) -> np.ndarray:
@@ -288,6 +289,12 @@ class Antiderivative:
             for i in lanes[~ok].tolist():
                 out[i] = self(float(flat[i]))
         return out.reshape(ts.shape)
+
+
+# Every lattice point t_k = 2^(k/4), |k| <= _KTOP, by Python's pow as _t_of
+# takes it: numpy's power differs in the last bit at some of them.
+_LATTICE = np.array([Antiderivative._t_of(k)
+                     for k in range(-Antiderivative._KTOP, Antiderivative._KTOP + 1)])
 
 
 class TailMap:
@@ -347,7 +354,7 @@ class TailMap:
         lo = max(hi - self._BLOCK, -Antiderivative._KTOP)
         if lo == hi:
             raise NumericsError(f"the tail map's lattice ends at t={Antiderivative._t_of(hi)!r}")
-        ends = [Antiderivative._t_of(j) for j in range(lo, hi + 1)]
+        ends = Antiderivative._points(lo, hi).tolist()
         panels, ok = integrate_panels(self._g_many, ends[:-1], ends[1:], self._tol)
         value = self._lat[-1]
         for i in range(hi - lo - 1, -1, -1):
@@ -736,7 +743,8 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
 # Existence integrals
 # ---------------------------------------------------------------------------
 
-def _ko_integrand(nl: Nonlinearity):
+def _ko_integrand(nl: Nonlinearity) -> Integrand:
+    """F^(-1/2), 0 where F overflows, at a point and over arrays (F.many)."""
     F = nl.F
 
     def fn(t):
@@ -747,20 +755,28 @@ def _ko_integrand(nl: Nonlinearity):
             raise ValueError(f"F({t!r}) <= 0: f is not positive below {t!r}")
         return Ft ** -0.5
 
-    return fn
+    def many(ts):
+        Fs = F.many(ts)
+        if np.any(Fs <= 0.0):
+            raise ValueError("F <= 0: f is not positive")
+        return np.where(np.isfinite(Fs), Fs ** -0.5, 0.0)
+
+    return Integrand(fn, many)
 
 
 def keller_osserman(nl: Nonlinearity) -> ConvergenceVerdict:
     """Classify the Keller-Osserman integral int_1^inf F(t)^(-1/2) dt, once
-    per Nonlinearity: the verdict is cached on nl, as F is."""
+    per Nonlinearity, over arrays through F.many: the verdict is cached on
+    nl, as F is."""
     if nl._ko is None:
         nl._ko = classify_tail_integral(_ko_integrand(nl), 1.0)
     return nl._ko
 
 
 def necessary_condition_entire(nl: Nonlinearity) -> ConvergenceVerdict:
-    """Classify int_1^inf dt/f(t), necessary for entire large solutions."""
-    call = nl.f.fast()
+    """Classify int_1^inf dt/f(t), necessary for entire large solutions,
+    over arrays through f's vector back end."""
+    call, vec = nl.f.fast(), nl.f.vector()
 
     def fn(t):
         v = call(t)
@@ -768,7 +784,13 @@ def necessary_condition_entire(nl: Nonlinearity) -> ConvergenceVerdict:
             raise ValueError(f"f({t!r}) = 0 in the 1/f integrand")
         return 0.0 if not math.isfinite(v) else 1.0 / v
 
-    return classify_tail_integral(fn, 1.0)
+    def many(ts):
+        v = vec(ts)
+        if np.any(v == 0.0):
+            raise ValueError("f = 0 in the 1/f integrand")
+        return np.where(np.isfinite(v), 1.0 / v, 0.0)
+
+    return classify_tail_integral(Integrand(fn, many), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ many panels in one array evaluation (integrate_panels, no fallback: it
 reports which panels pass), one improper-integral classifier for
 tails [a, inf) (a = 0 means the integral over [0, inf)): Bertrand's test
 on one least-squares fit ln fn = A ln t + B ln ln t + c, which decides the
-verdict and bounds the remainder past the last sample.  It also
-classifies an origin integral over (0, b] as its t -> 1/s image,
-bracketed root finding, and the radial shooting kernel: `shoot`
-integrates u'' + (N-1)/r u' = F(r, u, u') with terminal floor, cap and
-blow-up events.  Every ODE solve of the package goes through it, on
+verdict and bounds the remainder past the last sample, and a convergent
+value by a composite Gauss-Kronrod rule on geometric w = ln t panels,
+bisected in numpy where they fail.  The samples and each level of that
+rule are one array call of the integrand's array form (`many`: ScalarFn's
+vector back end, or an Integrand); a plain callable is mapped node by
+node.  It also classifies an origin integral over (0, b] as its t -> 1/s
+image.  Then bracketed root finding, and the radial shooting kernel:
+`shoot` integrates u'' + (N-1)/r u' = F(r, u, u') with terminal floor,
+cap and blow-up events.  Every ODE solve of the package goes through it, on
 DOP853 over plain floats.  The whole step loop (stages, error norm, step
 control, the drift (N-1)/r u' and four event slots: floor 0, floor 1,
 cap, blow-up) is one function generated at import from scipy's
@@ -287,17 +291,16 @@ def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
     return integrate_finite(fn, a, b, tol)
 
 
-def integrate_panels(vec, a, b, tol: float = 1e-10):
+def _gk15(vec, a, b):
     """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
-    (values, ok), arrays with one entry per panel.
+    the arrays (values, errs) of the Kronrod values and the raw estimates
+    |K15 - G7|.
 
-    vec is an array evaluator of fn (ScalarFn.vector()), called once on the
-    (n, 15) array of every panel's nodes in integrate_panel's order; its
-    exceptions propagate.  The Kronrod and Gauss sums are integrate_panel's
-    float operations in its order (a running sum, not a pairwise one), so a
-    panel's value is integrate_panel's wherever vec agrees with fn.  ok is
-    integrate_panel's acceptance test; a panel that fails it is left to the
-    caller, with no fallback here.
+    vec is called once on the (n, 15) array of every panel's nodes in
+    integrate_panel's order; its exceptions propagate.  The Kronrod and
+    Gauss sums are integrate_panel's float operations in its order (a
+    running sum, not a pairwise one), so a panel's value is integrate_panel's
+    wherever vec agrees with fn.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(all="ignore"):
@@ -309,11 +312,25 @@ def integrate_panels(vec, a, b, tol: float = 1e-10):
         nodes[:, 2::2] = centre[:, None] + dx
         fv = vec(nodes)
         pair = fv[:, 1::2] + fv[:, 2::2]
-        kronrod = np.add.accumulate(
-            np.column_stack((_GK15_CENTRE[0] * fv[:, 0], _GK15_KRONROD * pair)), axis=1)[:, -1]
-        gauss = np.add.accumulate(
-            np.column_stack((_GK15_CENTRE[1] * fv[:, 0], _GK15_GAUSS * pair)), axis=1)[:, -1]
-        value, err = kronrod * half, np.abs(kronrod - gauss) * half
+        kp, gp = (_GK15_KRONROD * pair).T, (_GK15_GAUSS * pair).T
+        kronrod, gauss = _GK15_CENTRE[0] * fv[:, 0], _GK15_CENTRE[1] * fv[:, 0]
+        for j in range(7):  # a running sum in integrate_panel's order
+            kronrod = kronrod + kp[j]
+            gauss = gauss + gp[j]
+        return kronrod * half, np.abs(kronrod - gauss) * half
+
+
+def integrate_panels(vec, a, b, tol: float = 1e-10):
+    """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
+    (values, ok), arrays with one entry per panel.
+
+    vec is an array evaluator of fn (ScalarFn.vector()), called once on all
+    the nodes (_gk15); its exceptions propagate.  ok is integrate_panel's
+    acceptance test; a panel that fails it is left to the caller, with no
+    fallback here.
+    """
+    value, err = _gk15(vec, a, b)
+    with np.errstate(invalid="ignore"):
         ok = np.isfinite(value) & (err <= tol * (1.0 + np.abs(value)))
     return value, ok
 
@@ -331,29 +348,71 @@ def _is_zero_function(fn, a: float) -> bool:
     return all(fn(t) == 0.0 for t in (a, 2.0 * a, 8.0 * a, 64.0 * a))
 
 
-def _tail_samples(fn, a: float):
-    """(ts, fs): fn at t = a 2^j for j < 49, then with w = ln t up by 10 % a
-    step to w = 690, up to the first value that is 0, subnormal, >= 1e300
-    or not finite, or where fn overflows or (past the 49th) fails."""
-    ts = [a * 2.0 ** j for j in range(49)]
+class Integrand:
+    """A scalar integrand with its array form: fn(t) at one point and
+    fn.many(ts) at an array of points, an array of ts's shape, as ScalarFn
+    has them.  The classifiers read every sample and every quadrature node
+    through many where an integrand has it; a plain callable is mapped
+    node by node."""
+
+    __slots__ = ("scalar", "many")
+
+    def __init__(self, scalar, many):
+        self.scalar, self.many = scalar, many
+
+    def __call__(self, t: float) -> float:
+        return self.scalar(t)
+
+
+# The geometric samples of a tail: t = a 2^j for j < _GEOMETRIC.
+_GEOMETRIC = 49
+
+
+def _sample_points(a: float) -> list:
+    """t = a 2^j for j < _GEOMETRIC, then with w = ln t up by 10 % a step to
+    w = 690."""
+    ts = [a * 2.0 ** j for j in range(_GEOMETRIC)]
     w = max(math.log(ts[-1]), 1.0)
     while w * 1.1 <= 690.0:
         w *= 1.1
         ts.append(math.exp(w))
-    fs = []
-    for t in ts:
+    return ts
+
+
+def _tail_samples(fn, a: float, lead_zeros: bool = False):
+    """(ts, fs): fn at _sample_points(a), up to the first value that is 0,
+    subnormal, >= 1e300 or not finite, or where fn overflows or (past the
+    geometric samples) fails; with lead_zeros, the zeros before the first
+    positive value are skipped.  An fn with an array form (`many`) is
+    evaluated in one array call, and point by point when that call raises."""
+    ts = _sample_points(a)
+    values = None
+    if hasattr(fn, "many"):
         try:
-            v = fn(t)
-        except (ArithmeticError, ValueError) as exc:
-            if len(fs) < 49 and not isinstance(exc, OverflowError):
-                raise
-            break
+            with np.errstate(all="ignore"):
+                values = np.asarray(fn.many(np.array(ts)), dtype=float).tolist()
+        except Exception:  # noqa: BLE001 - the point-by-point pass decides
+            pass
+    start, fs = 0, []
+    for j, t in enumerate(ts):
+        if values is not None:
+            v = values[j]
+        else:
+            try:
+                v = fn(t)
+            except (ArithmeticError, ValueError) as exc:
+                if j < _GEOMETRIC and not isinstance(exc, OverflowError):
+                    raise
+                break
         if v < 0.0:
             raise ValueError(f"the sampled function is negative at t={t!r}")
+        if v == 0.0 and lead_zeros and not fs:
+            start = j + 1
+            continue
         if not _TINY <= v < 1e300:
             break
         fs.append(v)
-    return ts[:len(fs)], fs
+    return ts[start:start + len(fs)], fs
 
 
 def _fit_window(w) -> int:
@@ -442,24 +501,101 @@ def bertrand_tail(ts, fs):
     return converges, rem, A, diag
 
 
-def _log_substituted(fn):
-    """g(w) = fn(e^w) e^w, the integrand after t = e^w.
+def _log_integrand(fn, w) -> np.ndarray:
+    """g(w) = fn(e^w) e^w at the array w, the integrand after t = e^w.
 
-    Points where fn overflows or is not finite contribute 0: past the last
-    finite sample the integrand has degenerated in float arithmetic, and
-    the remainder bound from the fit covers them.  A point outside fn's
-    domain (EvalDomainError) is a failure, not a zero, and propagates.
+    The node rule: where fn overflows, divides by zero, raises any other
+    ValueError or is not finite, g is 0.  Past the last finite sample the
+    integrand has degenerated in float arithmetic, and the remainder bound
+    from the fit covers those points.  A point outside fn's domain
+    (EvalDomainError) is a failure, not a zero, and propagates.  An fn with
+    an array form (`many`) is evaluated in one array call; a call that
+    raises anything but EvalDomainError is redone node by node.
     """
-    def g(w):
-        try:
-            v = fn(math.exp(w))
-        except EvalDomainError:
-            raise
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return 0.0
-        return v * math.exp(w) if math.isfinite(v) else 0.0
+    t = np.exp(w)
+    v = None
+    with np.errstate(all="ignore"):
+        if hasattr(fn, "many"):
+            try:
+                v = np.asarray(fn.many(t), dtype=float)
+            except EvalDomainError:
+                raise
+            except Exception:  # noqa: BLE001 - redone node by node
+                pass
+        if v is None:
+            v = np.array([_node(fn, x) for x in t.ravel().tolist()],
+                         dtype=float).reshape(t.shape)
+        g = v * t
+    return np.where(np.isfinite(g), g, 0.0)
 
-    return g
+
+def _node(fn, t: float) -> float:
+    """fn(t) under _log_integrand's node rule."""
+    try:
+        return fn(t)
+    except EvalDomainError:
+        raise
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return 0.0
+
+
+# ln of the largest float: the tail quadrature's nodes stay below it.
+_LN_MAX = math.log(np.finfo(float).max)
+# Bisection levels of the tail quadrature, and the most panels one level may hold.
+_TAIL_DEPTH, _TAIL_PANELS = 40, 4096
+
+
+def _panel_edges(a: float) -> list:
+    """The first panel edges of the tail quadrature in w = ln t, every
+    second geometric sample point and every third one after them: t = a 4^j
+    up to a 2^48, then w up by 33.1 % a step.  The last edge is w = 690, or
+    a 2^48 where that is further, and never past _LN_MAX."""
+    w0, step = math.log(a), math.log(4.0)
+    edges = [w0 + j * step for j in range(_GEOMETRIC // 2 + 1)]
+    w = max(edges[-1], 1.0)
+    while w * 1.331 <= 690.0:
+        w *= 1.331
+        edges.append(w)
+    top = min(max(edges[-1], 690.0), _LN_MAX)
+    return [w for w in edges if w < top] + [top]
+
+
+def _integrate_log_tail(fn, edges, tol: float):
+    """(value, err) of the integral of g = _log_integrand(fn) over w from
+    edges[0] to edges[-1]: a composite 15-point Gauss-Kronrod rule on the
+    panels between the edges, each level one array evaluation of g on the
+    nodes of its open panels (Piessens et al., QUADPACK, 1983; Gonnet, ACM
+    Comput. Surv. 44, 2012, art. 22).
+
+    err is the sum of the panels' raw estimates |K15 - G7|.  The rule stops
+    once err <= tol (1 + |value|); until then a panel whose estimate exceeds
+    its share of that budget, in proportion to its width, is bisected, and
+    the others are kept.  On a panel that holds a jump the estimate can fall
+    short of the true error; the one jump the classifier meets is where fn
+    degenerates past its last sample, and the fit's remainder covers it.
+    Past _TAIL_DEPTH levels, or at more than _TAIL_PANELS open panels, it
+    raises NumericsError.
+    """
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    span = edges[-1] - edges[0]
+    kept_v, kept_e = [], []
+    for _ in range(_TAIL_DEPTH):
+        v, e = _gk15(lambda w: _log_integrand(fn, w), lo, hi)
+        value = math.fsum(kept_v + v.tolist())
+        err = math.fsum(kept_e + e.tolist())
+        budget = tol * (1.0 + abs(value))
+        if err <= budget:
+            return value, err
+        keep = e <= budget * ((hi - lo) / span)
+        kept_v += v[keep].tolist()
+        kept_e += e[keep].tolist()
+        lo, hi = lo[~keep], hi[~keep]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        if lo.size > _TAIL_PANELS:
+            break
+    raise NumericsError(f"tail quadrature short of its tolerance {tol!r} with "
+                        f"{lo.size} panels open (error estimate {err:.3g})")
 
 
 def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
@@ -467,14 +603,20 @@ def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
 
     Bertrand's test (Bingham, Goldie & Teugels, Regular Variation, 1.5-1.6)
     on one fit ln fn = A ln t + B ln ln t + c (bertrand_tail) over samples
-    up to t = e^690 or to where fn stops being a finite normal float; a fit
-    that does not decide is Inconclusive.  A convergent value integrates fn
-    after t = e^w up to w = 690; err adds the fit's remainder past the last
-    sample, so a run cut short by overflow is bounded, not read as 0; an
-    err not below |value| is Inconclusive.  The quadratures run at
-    _TAIL_QUAD_TOL.  a = 0 classifies the integral over [0, inf): the tail
-    from 1 decides, and a convergent value includes the [0, 1] head, at
-    _HEAD_QUAD_TOL.
+    up to t = e^690 or to where fn stops being a finite normal float; zeros
+    of fn before its first positive sample are skipped.  A fit that does
+    not decide is Inconclusive.  A convergent value integrates fn after
+    t = e^w up to w = 690 (or to the last geometric sample, if further) by
+    a composite Gauss-Kronrod rule over arrays, on geometric panels in w
+    that are bisected where they fail (_integrate_log_tail on _panel_edges,
+    at _TAIL_QUAD_TOL); err
+    adds the fit's remainder past the last sample, so a run cut short by
+    overflow is bounded, not read as 0; an err not below |value| is
+    Inconclusive.  fn's array form (Integrand, ScalarFn) evaluates the
+    samples in one call and each level of the rule in one more; a plain
+    callable is mapped node by node.  a = 0 classifies the integral over
+    [0, inf): the tail from 1 decides, and a convergent value includes the
+    [0, 1] head (integrate_finite, at _HEAD_QUAD_TOL).
     """
     if not 0.0 <= a < math.inf:
         raise ValueError(f"tail classification starts at a finite a >= 0, not {a!r}")
@@ -486,7 +628,7 @@ def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
         return replace(verdict, value=verdict.value + head, err=verdict.err + e_head)
     if _is_zero_function(fn, a):
         return ConvergenceVerdict.convergent(0.0, 0.0, slope=None, zero=True)
-    ts, fs = _tail_samples(fn, a)
+    ts, fs = _tail_samples(fn, a, lead_zeros=True)
     fit = bertrand_tail(ts, fs)
     if fit is None:
         return ConvergenceVerdict.inconclusive(samples=len(ts))
@@ -495,11 +637,8 @@ def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
         return ConvergenceVerdict.inconclusive(slope=A, **diag)
     if not converges:
         return ConvergenceVerdict.divergent(A, **diag)
-    g = _log_substituted(fn)
-    w_lo, w_hi = math.log(a), math.log(ts[:49][-1])
-    head, e1 = integrate_finite(g, w_lo, w_hi, _TAIL_QUAD_TOL) if w_hi > w_lo else (0.0, 0.0)
-    tail, e2 = integrate_finite(g, w_hi, 690.0, _TAIL_QUAD_TOL) if w_hi < 690.0 else (0.0, 0.0)
-    value, err = head + tail, e1 + e2 + rem
+    value, err = _integrate_log_tail(fn, _panel_edges(a), _TAIL_QUAD_TOL)
+    err += rem
     if not err < abs(value):
         return ConvergenceVerdict.inconclusive(slope=A, value_estimate=value,
                                                err_estimate=err, **diag)
@@ -508,14 +647,24 @@ def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
 
 def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
     """Classify the integral of fn over (0, b] as the tail integral of its
-    t = 1/s image fn(1/s)/s^2 from 1/b.  The slope is fn's own local power
-    at 0, p = -2 - (the image's tail slope): p > -1 converges.  The
-    diagnostics are the image's fit, whose B is the power of ln(1/t).
+    t = 1/s image fn(1/s)/s^2 from 1/b, with an array form where fn has
+    one.  The slope is fn's own local power at 0, p = -2 - (the image's
+    tail slope): p > -1 converges.  The diagnostics are the image's fit,
+    whose B is the power of ln(1/t).
     """
     if not 0.0 < b < math.inf:
         raise ValueError(f"origin classification needs a finite b > 0, not {b!r}")
+
     # / s / s, not / (s * s): the log substitution reaches s = e^690
-    verdict = classify_tail_integral(lambda s: fn(1.0 / s) / s / s, 1.0 / b)
+    def image(s):
+        return fn(1.0 / s) / s / s
+
+    if hasattr(fn, "many"):
+        def many(s):
+            return fn.many(1.0 / s) / s / s
+
+        image = Integrand(image, many)
+    verdict = classify_tail_integral(image, 1.0 / b)
     if verdict.slope is None:
         return verdict
     return replace(verdict, slope=-2.0 - verdict.slope)

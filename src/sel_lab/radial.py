@@ -28,6 +28,7 @@ from .numerics import (
     ENTIRE_LARGE,
     UNDETERMINED,
     BracketError,
+    Integrand,
     NumericsError,
     RadialSolution,
     ShotTally,
@@ -196,7 +197,32 @@ def _large_condition_kernel(N: int):
                 return total
             term, total, k = nxt, total + nxt, k + 1
 
-    return K
+    def many(s: np.ndarray) -> np.ndarray:
+        """K over an array of s > 0, branch by branch as K takes them."""
+        out = np.empty_like(s)
+        low, far = s < 1.0, s >= _SERIES_FROM
+        mid = ~(low | far)
+        out[low] = np.exp(s[low]) * s[low] ** n * head
+        out[mid] = s[mid] * np.exp(s[mid]) * expn(n, s[mid])
+        x = s[far]
+        total, term, live = np.ones_like(x), np.ones_like(x), np.ones(x.shape, dtype=bool)
+        k = n
+        while live.any():
+            nxt = -term * k / x
+            live &= (1e-17 <= np.abs(nxt)) & (np.abs(nxt) < np.abs(term))
+            total = np.where(live, total + nxt, total)
+            term = np.where(live, nxt, term)
+            k += 1
+        out[far] = total
+        return out
+
+    return Integrand(K, many)
+
+
+def _times_t(fn: ScalarFn) -> Integrand:
+    """t fn(t), at a point and over arrays."""
+    call, vec = fn.fast(), fn.vector()
+    return Integrand(lambda t: t * call(t), lambda t: t * vec(t))
 
 
 def check_large_condition(psi_env, N: int):
@@ -212,11 +238,12 @@ def check_large_condition(psi_env, N: int):
     """
     if N < 3:
         raise ValueError("the gradient problem lives in dimension N >= 3")
-    psi_call = psi_env.fast()
+    psi_call, psi_vec = psi_env.fast(), psi_env.vector()
     K = _large_condition_kernel(N)
-    verdict = classify_tail_integral(lambda s: psi_call(s) * K(s), 0.0)
+    verdict = classify_tail_integral(
+        Integrand(lambda s: psi_call(s) * K(s), lambda s: psi_vec(s) * K.many(s)), 0.0)
     if verdict.is_convergent and verdict.value > 0.0:
-        bound = classify_tail_integral(lambda t: t * psi_call(t), 0.0)
+        bound = classify_tail_integral(_times_t(psi_env), 0.0)
         if bound.is_convergent:
             limit = bound.value / (N - 2.0)
             verdict = replace(verdict, diagnostics={
@@ -668,9 +695,8 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
                             f"mesh error {mesh_error:.3g} > {target:.3g} (last drift "
                             f"{mesh_drift:.3g})")
 
-    p_call, q_call = sys_.p.phi.fast(), sys_.q.phi.fast()
-    s2_p = classify_tail_integral(lambda s: s * p_call(s), 1.0)
-    s2_q = classify_tail_integral(lambda s: s * q_call(s), 1.0)
+    s2_p = classify_tail_integral(_times_t(sys_.p.phi), 1.0)
+    s2_q = classify_tail_integral(_times_t(sys_.q.phi), 1.0)
     metadata = {
         "iterations": iterations,
         "mesh_points": t.size - 1,

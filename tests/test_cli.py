@@ -431,6 +431,24 @@ fn = "t^(-1/2)"
         assert code == 0
         assert "verdict=convergent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("direction,fn,exact", [("tail", "t^(-2)*ln(t)", 1.0),
+                                                     ("origin", "t^(-0.5)*ln(1/t)", 4.0)])
+    def test_classify_integrand_vanishing_at_the_limit(self, tmp_path, capsys, direction, fn,
+                                                       exact):
+        # ln vanishes at t = 1, the first sample of either classifier
+        code, _ = run_cli(tmp_path, f"""
+[problem]
+command = classify
+direction = {direction}
+
+[functions]
+fn = "{fn}"
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict=convergent" in out
+        assert float(out.split("value=")[1].split()[0]) == pytest.approx(exact, abs=1e-8)
+
     def test_classify_overflowing_constant(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """
 [problem]

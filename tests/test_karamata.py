@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sel_lab import karamata
 from sel_lab.bifurcation import LEFProblem
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import (
@@ -204,6 +205,55 @@ class TestAntiderivative:
         nl = analyze_nonlinearity("t^2*sqrt(1e9-t)")
         with pytest.raises(EvalDomainError, match="square root of a negative value"):
             keller_osserman(nl)
+
+    @pytest.mark.parametrize("src", ["t^2.3*ln(1+t)^1.7", "t^3", "exp(t)"])
+    def test_lattice_does_not_depend_on_the_query_order(self, src):
+        # F overflows near t = 1e130, 1e77 and 710; the points reach past it
+        ts = [2.0 ** j for j in range(0, 480, 3)]
+        ascending = Antiderivative(ScalarFn.from_source(src))
+        for t in ts:
+            ascending(t)
+        many = Antiderivative(ScalarFn.from_source(src))
+        many.many(np.array(ts))
+        first = Antiderivative(ScalarFn.from_source(src))
+        first.overflow_index()
+        for t in ts:
+            first(t)
+        kinf = ascending._kinf
+        assert kinf is not None and many._kinf == first._kinf == kinf
+
+        def upto(F):
+            return {k: v for k, v in F._lat.items() if 0 <= k <= kinf}
+
+        assert upto(ascending) == upto(many) == upto(first)
+        assert len(upto(ascending)) == kinf + 1
+
+    @pytest.mark.parametrize("before", ["nothing", "a point", "many", "overflow index"])
+    def test_ko_fill_stops_one_block_past_the_overflow(self, before):
+        # f is evaluated by its array back end on at most one block of
+        # panels past the lattice index where F overflows, whatever was
+        # asked of F before the verdict
+        f = ScalarFn.from_source("t^2.3*ln(1+t)^1.7")
+        vec = f.vector()
+        nodes = []
+
+        def counted(t):
+            nodes.append(np.asarray(t, dtype=float).ravel())
+            return vec(t)
+
+        f._vector = counted
+        nl = Nonlinearity(f=f, fprime=f.derivative_fn())
+        if before == "a point":
+            nl.F(1e300)
+        elif before == "many":
+            nl.F.many(np.array([1e300]))
+        elif before == "overflow index":
+            nl.F.overflow_index()
+        assert keller_osserman(nl).is_convergent
+        kinf = nl.F._kinf
+        assert kinf is not None
+        past = sum(int(np.count_nonzero(t > Antiderivative._t_of(kinf))) for t in nodes)
+        assert 0 < past <= 15 * Antiderivative._BLOCK
 
 
 class TestRvIndex:
@@ -429,6 +479,24 @@ class TestExistenceIntegrals:
         assert necessary_condition_entire(analyze_nonlinearity("t^0.8584*ln(1+t)^8")).is_divergent
         # an exact fit resolves index -0.999 > -1, and log power -3 cannot save it
         assert necessary_condition_entire(analyze_nonlinearity("t^0.999*ln(1+t)^3")).is_divergent
+
+    @pytest.mark.parametrize("which", ["ko", "1/f"])
+    def test_closed_forms_on_both_paths(self, which):
+        # KO of t^3: F = t^4/4, int_1^inf F^(-1/2) = 2; 1/f of t^2 integrates to 1
+        if which == "ko":
+            nl = analyze_nonlinearity("t^3")
+            array, exact = keller_osserman(nl), 2.0
+            scalar = karamata.classify_tail_integral(karamata._ko_integrand(nl).scalar, 1.0)
+        else:
+            nl = analyze_nonlinearity("t^2")
+            array, exact = necessary_condition_entire(nl), 1.0
+            call = nl.f.fast()
+            scalar = karamata.classify_tail_integral(lambda t: 1.0 / call(t), 1.0)
+        for v in (array, scalar):
+            assert v.is_convergent
+            assert abs(v.value - exact) <= v.err
+        assert array.slope == pytest.approx(scalar.slope, rel=1e-12, abs=0.0)
+        assert array.value == pytest.approx(scalar.value, rel=1e-14, abs=0.0)
 
     def test_ko_just_past_the_borderline(self):
         # F = t^2.04/2.04: int_1^inf F^(-1/2) = sqrt(2.04)/0.02, and F overflows

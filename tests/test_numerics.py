@@ -15,6 +15,7 @@ from sel_lab.numerics import (
     BOUNDARY_BLOWUP,
     BOUNDED,
     BracketError,
+    Integrand,
     NonIntegrableError,
     NumericsError,
     RadialSolution,
@@ -171,6 +172,29 @@ class TestTailClassifier:
         v = classify_tail_integral(lambda t: 0.0, 1.0)
         assert v.is_convergent and v.value == 0.0
 
+    @pytest.mark.parametrize("src,exact", [("t^(-2)*ln(t)", 1.0), ("(t-1)*t^(-3)", 0.5)])
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_zero_at_the_lower_limit(self, src, exact, path):
+        # the integrand is 0 at t = a, its first sample: that zero is skipped
+        fn = ScalarFn.from_source(src)
+        v = classify_tail_integral(fn if path == "array" else fn.fast(), 1.0)
+        assert v.is_convergent
+        assert abs(v.value - exact) <= v.err
+
+    def test_zeros_end_the_samples_only_after_a_positive_one(self):
+        def fn(t):
+            return 0.0 if t < 3.0 or t > 100.0 else t ** -2
+
+        ts, fs = numerics._tail_samples(fn, 1.0, lead_zeros=True)
+        assert ts == [4.0, 8.0, 16.0, 32.0, 64.0]
+        assert fs == [t ** -2 for t in ts]
+        assert numerics._tail_samples(fn, 1.0) == ([], [])
+
+    def test_zero_at_the_zero_test_points_is_the_zero_function(self):
+        # 0 at a, 2a, 8a and 64a reads as the zero function, whatever lies between
+        v = classify_tail_integral(lambda t: 0.0 if t in (1.0, 2.0, 8.0, 64.0) else t ** -2, 1.0)
+        assert v.is_convergent and v.value == 0.0 and v.diagnostics["zero"]
+
     @pytest.mark.parametrize("classify,fn,limit,exact", [
         (classify_tail_integral, lambda t: t ** -2, 1e300, 1e-300),
         (classify_tail_integral, lambda t: t ** -2, 1e200, 1e-200),
@@ -219,6 +243,15 @@ class TestOriginClassifier:
         assert v.is_divergent
         assert v.slope == pytest.approx(-5.0, abs=1e-9)
 
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_zero_at_the_upper_limit(self, path):
+        # int_0^1 t^-1/2 ln(1/t) dt = 4: the image s^-3/2 ln s is 0 at s = 1
+        fn = ScalarFn.from_source("t^(-0.5)*ln(1/t)")
+        v = classify_origin_integral(fn if path == "array" else fn.fast(), 1.0)
+        assert v.is_convergent
+        assert abs(v.value - 4.0) <= v.err
+        assert v.slope == pytest.approx(-0.5, abs=1e-6)
+
     @pytest.mark.parametrize("b", [0.25, 3.0, 40.0])
     def test_other_upper_limits(self, b):
         # int_0^b t^-1/2 dt = 2 sqrt(b); t^-3/2 diverges whatever b is
@@ -262,6 +295,81 @@ class TestWholeLineClassifier:
     def test_non_finite_upper_limit_is_rejected(self, b):
         with pytest.raises(ValueError, match="finite"):
             classify_origin_integral(lambda t: t ** -0.5, b)
+
+
+class TestTailQuadrature:
+    """The composite Gauss-Kronrod rule of the convergent branch over arrays."""
+
+    @pytest.mark.parametrize("src,a,exact", [
+        ("t^(-1.02)", 1.0, 50.0), ("ln(t)/t^2", 1.0, 1.0), ("(1+t)^(-3)", 0.0, 0.5)])
+    def test_closed_forms_on_both_paths(self, src, a, exact):
+        fn = ScalarFn.from_source(src)
+        array, scalar = classify_tail_integral(fn, a), classify_tail_integral(fn.fast(), a)
+        for v in (array, scalar):
+            assert v.is_convergent
+            assert abs(v.value - exact) <= v.err
+        # numpy's pow may differ from libm's in the last bit of a node
+        assert array.slope == pytest.approx(scalar.slope, rel=1e-12, abs=0.0)
+        assert array.value == pytest.approx(scalar.value, rel=1e-14, abs=0.0)
+
+    def test_one_array_call_per_level(self):
+        calls = []
+        f = ScalarFn.from_source("t^(-2)")
+
+        def many(t):
+            calls.append(t.shape)
+            return f.many(t)
+
+        v = classify_tail_integral(Integrand(f.fast(), many), 1.0)
+        assert v.is_convergent and v.value == pytest.approx(1.0, rel=1e-14)
+        # the samples, then the first panels in one call
+        assert calls[0] == (len(numerics._sample_points(1.0)),)
+        assert calls[1] == (len(numerics._panel_edges(1.0)) - 1, 15)
+        assert len(calls) == 2
+
+    def test_a_jump_is_bisected_down_to_the_tolerance(self):
+        # int_1^10 t^-2 dt = 0.9, with the integrand cut to 0 past t = 10; on
+        # the panel that holds the jump |K15 - G7| only estimates the error
+        def fn(t):
+            return t ** -2 if t <= 10.0 else 0.0
+
+        value, err = numerics._integrate_log_tail(fn, [0.0, 1.0, 5.0], 1e-9)
+        assert err <= 1e-9 * 1.9
+        assert abs(value - 0.9) <= 2.0 * err
+
+    def test_a_tail_that_never_passes_is_a_numerics_error(self):
+        # noise on every scale: no panel ever passes its test
+        many = Integrand(lambda t: 1.0 + math.sin(1e9 * t), lambda t: 1.0 + np.sin(1e9 * t))
+        with pytest.raises(NumericsError, match="tail quadrature"):
+            numerics._integrate_log_tail(many, [0.0, 2.0, 4.0], 1e-9)
+
+    @pytest.mark.parametrize("exc", [OverflowError, ValueError, ZeroDivisionError,
+                                     FloatingPointError])
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_node_rule(self, exc, path):
+        # a node that fails in float arithmetic, or is not finite, reads 0;
+        # an array call that raises is redone node by node
+        def scalar(t):
+            if t > 5.0:
+                raise exc("float failure")
+            return math.inf if t > 3.0 else 1.0
+
+        def many(t):
+            raise exc("array failure")
+
+        fn = Integrand(scalar, many) if path == "array" else scalar
+        w = np.log(np.array([[2.0, 4.0, 8.0]]))
+        if exc is FloatingPointError:  # not an error of the node rule
+            with pytest.raises(FloatingPointError):
+                numerics._log_integrand(fn, w)
+            return
+        assert numerics._log_integrand(fn, w).tolist() == [[pytest.approx(2.0), 0.0, 0.0]]
+
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_node_rule_propagates_a_domain_error(self, path):
+        fn = ScalarFn.from_source("sqrt(1e20-t)*(1+t)^(-3)")
+        with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t=5.18"):
+            numerics._log_integrand(fn if path == "array" else fn.fast(), np.array([1.0, 50.0]))
 
 
 class TestBertrandRemainder:
@@ -676,12 +784,12 @@ def test_radial_solution_csv_roundtrip(tmp_path):
 
 def test_tail_domain_error_past_the_samples_propagates():
     # psi is defined up to 1e20, far past the geometric samples (up to 2^48):
-    # the samples in w = ln t beyond them and the log-substituted tail
-    # integral reach its failing points
+    # the samples in w = ln t beyond them and the nodes of the tail
+    # quadrature reach its failing points
     psi = ScalarFn.from_source("sqrt(1e20-t)*(1+t)^(-3)").fast()
     with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t="):
         classify_tail_integral(psi, 1.0)
     with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t=5.18"):
-        numerics._log_substituted(psi)(50.0)
+        numerics._log_integrand(psi, np.array([50.0]))
     # a failure in float arithmetic still reads as a zero
-    assert numerics._log_substituted(lambda t: math.log(-t))(0.0) == 0.0
+    assert numerics._log_integrand(lambda t: math.log(-t), np.array([0.0])).tolist() == [0.0]

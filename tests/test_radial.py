@@ -13,6 +13,7 @@ from sel_lab.numerics import (
     ENTIRE_LARGE,
     UNDETERMINED,
     BracketError,
+    Integrand,
     NumericsError,
     ShotTally,
     classify_tail_integral,
@@ -135,8 +136,12 @@ class TestLargeCondition:
     def test_bound_check_can_fail(self, monkeypatch):
         # a kernel ten times too large breaks outer <= (N-2)^-1 int t psi
         kernel = radial._large_condition_kernel
-        monkeypatch.setattr(radial, "_large_condition_kernel",
-                            lambda N: (lambda s, K=kernel(N): 10.0 * K(s)))
+
+        def tenfold(N):
+            K = kernel(N)
+            return Integrand(lambda s: 10.0 * K(s), lambda s: 10.0 * K.many(s))
+
+        monkeypatch.setattr(radial, "_large_condition_kernel", tenfold)
         v = check_large_condition(ScalarFn.from_source("(1+t)^(-3)"), 3)
         assert v.is_convergent and not v.diagnostics["bound_holds"]
 
@@ -172,6 +177,20 @@ class TestLargeConditionKernel:
         for s in (1.0, _SERIES_FROM):
             below = K(math.nextafter(s, 0.0))
             assert below == pytest.approx(K(s), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 9])
+    def test_array_form_matches_the_scalar_kernel(self, N):
+        # every branch: the power below 1, s e^s E_n(s) up to the series switch,
+        # the series past it
+        K = _large_condition_kernel(N)
+        s = np.concatenate((np.geomspace(1e-3, 0.999, 7), np.geomspace(1.0, 599.0, 9),
+                            np.geomspace(_SERIES_FROM, 1e150, 9)))
+        got = K.many(s.reshape(5, -1)).ravel()
+        want = np.array([K(x) for x in s.tolist()])
+        # numpy's exp may differ from libm's in the last bit
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+        far = s >= _SERIES_FROM
+        assert got[far].tolist() == want[far].tolist()
 
     @pytest.mark.parametrize("N", [3, 4, 5, 6, 9])
     def test_tends_to_one(self, N):
