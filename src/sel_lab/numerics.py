@@ -263,6 +263,8 @@ _GK15 = (
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
 # the columns of _GK15 as arrays, for integrate_panels
 _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = (np.array(col) for col in zip(*_GK15))
+# the Kronrod weights in _gk15's node order: centre, then -x, +x per node
+_GK15_ROW = np.array([_GK15_CENTRE[0], *np.repeat(_GK15_KRONROD, 2)])
 
 
 def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
@@ -293,14 +295,19 @@ def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
 
 def _gk15(vec, a, b):
     """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
-    the arrays (values, errs) of the Kronrod values and the raw estimates
-    |K15 - G7|.
+    the arrays (values, errs, scaled) of the Kronrod values, the raw
+    estimates |K15 - G7| and QUADPACK's scaled estimates.
 
     vec is called once on the (n, 15) array of every panel's nodes in
     integrate_panel's order; its exceptions propagate.  The Kronrod and
     Gauss sums are integrate_panel's float operations in its order (a
     running sum, not a pairwise one), so a panel's value is integrate_panel's
-    wherever vec agrees with fn.
+    wherever vec agrees with fn.  The scaled estimate is qk15's: with
+    resasc the Kronrod-weighted |f - mean f| and resabs the Kronrod-weighted
+    |f|, it is resasc min(1, (200 raw / resasc)^1.5), and at least
+    50 eps resabs.  It is far below the raw one on a smooth panel and
+    near resasc on a panel that holds a jump, where the raw one can fall
+    short of the true error.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(all="ignore"):
@@ -317,7 +324,13 @@ def _gk15(vec, a, b):
         for j in range(7):  # a running sum in integrate_panel's order
             kronrod = kronrod + kp[j]
             gauss = gauss + gp[j]
-        return kronrod * half, np.abs(kronrod - gauss) * half
+        raw = np.abs(kronrod - gauss) * half
+        resabs = np.abs(fv) @ _GK15_ROW * half
+        resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _GK15_ROW * half
+        scaled = np.where((resasc > 0.0) & (raw > 0.0),
+                          resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
+        scaled = np.maximum(scaled, 50.0 * _EPS * resabs)
+        return kronrod * half, raw, scaled
 
 
 def integrate_panels(vec, a, b, tol: float = 1e-10):
@@ -329,7 +342,7 @@ def integrate_panels(vec, a, b, tol: float = 1e-10):
     acceptance test; a panel that fails it is left to the caller, with no
     fallback here.
     """
-    value, err = _gk15(vec, a, b)
+    value, err, _ = _gk15(vec, a, b)
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(value) & (err <= tol * (1.0 + np.abs(value)))
     return value, ok
@@ -567,20 +580,18 @@ def _integrate_log_tail(fn, edges, tol: float):
     nodes of its open panels (Piessens et al., QUADPACK, 1983; Gonnet, ACM
     Comput. Surv. 44, 2012, art. 22).
 
-    err is the sum of the panels' raw estimates |K15 - G7|.  The rule stops
-    once err <= tol (1 + |value|); until then a panel whose estimate exceeds
-    its share of that budget, in proportion to its width, is bisected, and
-    the others are kept.  On a panel that holds a jump the estimate can fall
-    short of the true error; the one jump the classifier meets is where fn
-    degenerates past its last sample, and the fit's remainder covers it.
-    Past _TAIL_DEPTH levels, or at more than _TAIL_PANELS open panels, it
-    raises NumericsError.
+    err is the sum of the panels' scaled estimates (qk15's, see _gk15),
+    which bound a panel that holds a jump as well as a smooth one.  The
+    rule stops once err <= tol (1 + |value|); until then a panel whose
+    estimate exceeds its share of that budget, in proportion to its width,
+    is bisected, and the others are kept.  Past _TAIL_DEPTH levels, or at
+    more than _TAIL_PANELS open panels, it raises NumericsError.
     """
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     span = edges[-1] - edges[0]
     kept_v, kept_e = [], []
     for _ in range(_TAIL_DEPTH):
-        v, e = _gk15(lambda w: _log_integrand(fn, w), lo, hi)
+        v, _, e = _gk15(lambda w: _log_integrand(fn, w), lo, hi)
         value = math.fsum(kept_v + v.tolist())
         err = math.fsum(kept_e + e.tolist())
         budget = tol * (1.0 + abs(value))

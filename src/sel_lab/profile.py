@@ -224,7 +224,7 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     g_call = g.f.fast()
-    verdict = classify_origin_integral(lambda s: g_call(s), 1.0)
+    verdict = classify_origin_integral(g.f, 1.0)
     if not verdict.is_convergent:
         raise ValueError(
             f"g is not integrable at the origin ({verdict.status}); "
