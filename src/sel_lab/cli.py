@@ -623,7 +623,9 @@ def _cmd_gelfand(spec, outdir):
         spec.check("problem", "N", N, geometry == "ball" or N == 1,
                    "1 on the interval geometry")
     g_nl = _ka.analyze_singular_term(g_src)
-    a_lim = g_nl.value_at_inf if g_nl.value_at_inf is not None else 0.0
+    a_lim = g_nl.value_at_inf
+    if a_lim is None:
+        raise ValueError(g_nl.notes[-1])
     lam1 = _bif.lambda1_domain(N, geometry)
     solvable = _bif.gelfand_solvable(lam, mu, a_lim, lam1)
     out = {"command": "gelfand", "lambda": lam, "mu": mu, "a": a_lim,

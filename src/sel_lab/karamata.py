@@ -28,6 +28,7 @@ from .numerics import (
     _bertrand_fit,
     _inverse_log_fit,
     _resolution,
+    _sample_points,
     _tail_samples,
     bertrand_remainder,
     classify_tail_integral,
@@ -612,12 +613,26 @@ def _growth_limits(ts, fs, fit, notes):
 # ---------------------------------------------------------------------------
 
 def _limit(ts, ys):
-    """(limit, resolution) of the samples ys(t) as t -> inf, or (None, why):
-    L of y = L + c1/ln t + c2/ln^2 t (numerics._inverse_log_fit), or the
-    last sample where the 1/ln t terms are 0 within the resolution.  The
-    resolution is numerics._resolution of the spread: the misfit of an
-    exact fit, else the larger of the misfit and the move of L without the
-    last six samples (inf without enough samples); past it, L is unknown."""
+    """(limit, resolution) of the samples ys(t) as t -> inf, or (None, why).
+
+    Positive samples whose fit ln y = A ln t + B ln ln t + c
+    (numerics._bertrand_fit) has A > SLOPE_BAND grow like a power: the
+    limit is inf; with A < -SLOPE_BAND it is 0, whatever the fit's misfit
+    (exp(-t) fits with A = -430), and the resolution is that fit's
+    (numerics._resolution).  Otherwise the limit is L of y = L + c1/ln t +
+    c2/ln^2 t (numerics._inverse_log_fit), or the last sample where the
+    1/ln t terms are 0 within the resolution.  That resolution is
+    numerics._resolution of the spread: the misfit of an exact fit, else
+    the larger of the misfit and the move of L without the last six
+    samples (inf without enough samples).  Past it, samples whose steps
+    |y_j - y_j-1| fit with A < -SLOPE_BAND converge like a power of t: the
+    limit is the last sample, and the resolution is the remainder
+    c t^A that the last step gives, unless that passes 1e-3; otherwise
+    the limit is unknown."""
+    ys = np.asarray(ys, dtype=float)
+    power = ys.size and ys.min() > 0.0 and _bertrand_fit(ts, ys)
+    if power and abs(power[0]) > SLOPE_BAND:  # ys(t) ~ t^A
+        return (INF if power[0] > 0.0 else 0.0), _resolution(power[2])
     fit = _inverse_log_fit(ts, ys)
     if fit is None:
         return None, f"{len(ts)} samples are too few to fit"
@@ -626,9 +641,15 @@ def _limit(ts, ys):
         short = _inverse_log_fit(ts[:-6], ys[:-6])
         spread = INF if short is None else max(spread, abs(L - short[0]))
     res = _resolution({"misfit": spread})
-    if spread > res:
-        return None, f"the fit in 1/ln u does not resolve it (L={L:.6g}, spread {spread:.2g})"
-    return (float(ys[-1]) if abs(tail) <= res else L), res
+    if spread <= res:
+        return (float(ys[-1]) if abs(tail) <= res else L), res
+    steps = np.abs(np.diff(ys))
+    power = steps.min() > 0.0 and _bertrand_fit(ts[1:], steps)
+    if power and power[0] < -SLOPE_BAND:  # ys(t) - lim ~ t^A
+        rest = float(steps[-1]) / ((ts[-2] / ts[-1]) ** power[0] - 1.0)
+        if rest <= 1e-3:
+            return float(ys[-1]), _resolution({"misfit": rest})
+    return None, f"the fit in 1/ln u does not resolve it (L={L:.6g}, spread {spread:.2g})"
 
 
 def _finite_prefix(values: np.ndarray) -> np.ndarray:
@@ -648,7 +669,7 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
     value_at_inf from the fit of ln f (_growth_limits), theta = lim u f'/f
     and gamma = lim (F/f)' = lim 1 - F f'/f^2 from fits in 1/ln u (_limit;
     gamma up to U_MAX, where F is filled), rho = theta - 1.  Where theta(u)
-    grows like u^A, A > SLOPE_BAND, theta = inf and gamma = 0.  Where f, f'
+    grows like a power of u (_limit reads inf), gamma = 0.  Where f, f'
     or F fails at the samples, the indices left are None with a note.
     """
     f = ScalarFn(parse_expression(f_src))
@@ -690,10 +711,8 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
     except (ArithmeticError, ValueError) as exc:
         notes.append(f"theta and gamma unknown: f' or F fails at the samples of f ({exc})")
         return nl
-    v = u[:thetas.size]
-    theta, res = _limit(v, thetas)
-    power = theta is None and thetas.size and thetas.min() > 0.0 and _bertrand_fit(v, thetas)
-    if power and power[0] > SLOPE_BAND:  # theta(u) ~ u^A
+    theta, res = _limit(u[:thetas.size], thetas)
+    if theta == INF:  # theta(u) ~ u^A
         nl.theta, nl.rho, nl.gamma = INF, INF, 0.0
         return nl
     if theta is None:
@@ -713,8 +732,11 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
 def analyze_singular_term(g_src: str) -> Nonlinearity:
     """Metadata for a nonincreasing singular term g (no growth analysis).
 
-    Fits the origin exponent alpha and constant C0 of g(s) <= C0 s^-alpha,
-    and records lim g at infinity when it stabilizes.
+    Fits the origin exponent alpha and constant C0 of g(s) <= C0 s^-alpha.
+    value_at_inf = lim g is read by _limit off g's samples from t = 1
+    (numerics._tail_samples), and is 0 where g vanishes at the sample past
+    them; where it does not resolve it is None with _limit's reason in the
+    notes.
     """
     ast = parse_expression(g_src)
     g = ScalarFn(ast)
@@ -730,13 +752,15 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
             alpha_sing = -slope
             sing_c0 = float(np.max(gv * near ** alpha_sing))
             sing_eta = 1e-2
-    tail = [call(u) for u in (1e6, 1e7, 1e8)]
-    value_at_inf = None
-    if all(math.isfinite(v) for v in tail) and abs(tail[-1] - tail[-2]) <= 1e-6 * (1.0 + abs(tail[-1])):
-        value_at_inf = tail[-1]
+    ts, gs = _tail_samples(g, 1.0)
+    value_at_inf, why = _limit(ts, gs)
+    points = _sample_points(1.0)
+    if value_at_inf is None and len(ts) < len(points) and call(points[len(ts)]) < _TINY:
+        value_at_inf = 0.0
+    notes = [] if value_at_inf is not None else [f"lim g unknown: {why}"]
     return Nonlinearity(f=g, fprime=g.derivative_fn(), m=0.0, value_at_inf=value_at_inf,
                         alpha_sing=alpha_sing, sing_c0=sing_c0, sing_eta=sing_eta,
-                        source=g_src)
+                        source=g_src, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -797,97 +821,79 @@ def necessary_condition_entire(nl: Nonlinearity) -> ConvergenceVerdict:
 # ell-limits of boundary weights
 # ---------------------------------------------------------------------------
 
+# the tolerance of ell_limits' quadratures
+_ELL_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class EllEstimate:
-    """ell_0/ell_1 with their extrapolation error bars and the raw table."""
+    """ell_0/ell_1 with their resolutions, those _limit reports."""
 
     ell0: float
     ell1: float
     ell0_err: float
     ell1_err: float
-    table: tuple = ()
 
 
-def _k_ratio_factory(k, quad_tol: float):
-    """Return r(t) = (int_0^t k)/k(t), stable also for exp-form weights.
+def _ratio_samples(k: ScalarFn, ts: np.ndarray):
+    """(r, dlnk): r(t) = (int_0^t k)/k(t) and k'(t)/k(t) over a prefix of
+    the descending ts, with k's exact derivative.
 
-    When k = exp(g) the ratio is evaluated as int_0^t exp(g(s)-g(t)) ds,
-    which survives the severe underflow of weights like exp(-1/t).
+    For k = exp(g), r(t) = t int_0^1 exp(g(tx) - g(t)) dx, one
+    integrate_finite per t, and k'/k = g': weights like exp(-1/t) keep
+    their ratio where k underflows.  Their samples end at the first t
+    where that quadrature fails or its error estimate is not below 1e-6 of
+    its value.  For any other k, int_0^t k is one integrate_finite up to
+    the smallest t plus one panel per sample above it (integrate_panels,
+    and integrate_panel for a panel it rejects), and the samples end where
+    k falls below 1e-280, so that int_0^t k stays a normal float.
     """
-    if isinstance(k, ScalarFn) and k.body.kind == "exp":
-        lnk = ScalarFn(k.body.children[0]).fast()
+    if k.body.kind == "exp":
+        g = ScalarFn(k.body.children[0])
+        lng, r = g.fast(), []
+        for t in ts.tolist():
+            def integrand(x, t=t, shift=lng(t)):
+                return math.exp(max(lng(t * x) - shift, -745.0))
 
-        def ratio(t):
-            shift = lnk(t)
-
-            def integrand(s):
-                return math.exp(max(lnk(s) - shift, -745.0))
-
-            v, _ = integrate_finite(integrand, 0.0, t, quad_tol)
-            return v
-
-        return ratio
-
-    call = k.fast() if isinstance(k, ScalarFn) else k
-    cache = Antiderivative(k, tol=quad_tol)
-
-    def ratio(t):
-        kt = call(t)
-        if not (kt > 1e-280 and math.isfinite(kt)):
-            raise OverflowError(f"k not evaluable at t={t!r}")
-        return cache(t) / kt
-
-    return ratio
+            try:
+                v, err = integrate_finite(integrand, 0.0, 1.0, _ELL_TOL)
+            except (NumericsError, ArithmeticError):
+                break
+            if not err <= 1e-6 * v:
+                break
+            r.append(t * v)
+        return np.array(r), g.derivative_fn().vector()(ts[:len(r)])
+    call, vec, lo, hi = k.fast(), k.vector(), ts[1:], ts[:-1]
+    panels, ok = integrate_panels(vec, lo, hi, _ELL_TOL)
+    for i in np.flatnonzero(~ok).tolist():
+        panels[i] = integrate_panel(call, lo[i], hi[i], _ELL_TOL)[0]
+    K = np.cumsum(np.append(panels, integrate_finite(call, 0.0, ts[-1], _ELL_TOL)[0])[::-1])
+    with np.errstate(all="ignore"):
+        ks = vec(ts)
+        r = _finite_prefix(np.where(ks >= 1e-280, K[::-1] / ks, np.nan))
+        return r, (k.derivative_fn().vector()(ts) / ks)[:r.size]
 
 
-def ell_limits(k, nu: float, quad_tol: float = 1e-11) -> EllEstimate:
+def ell_limits(k: ScalarFn, nu: float) -> EllEstimate:
     """Measure ell_i = lim_{t->0+} ((int_0^t k)/k(t))^(i), i = 0, 1.
 
-    r(t) is sampled at t = t0*10^-j; ell_1 comes from Richardson-refined
-    centered differences of r, extrapolated against 1/log(1/t) (two-point
-    elimination), which also handles weights with logarithmic corrections.
-    Scales where k underflows are skipped and the error bar widened.
+    r(t) and k'/k are sampled at t = t0 2^-j, j <= 26, t0 = min(0.1,
+    0.45 nu) (_ratio_samples); ell_0 is _limit of r and ell_1 _limit of
+    r' = 1 - r k'/k, both over s = 1/t, so a fit in 1/ln(1/t) takes the
+    logarithmic corrections of weights like 1/ln(1/t), and an r' that
+    decays like a power of t reads 0.  The error bars are _limit's
+    resolutions; a limit that does not resolve is a ValueError.
     """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    ratio = _k_ratio_factory(k, quad_tol)
-    t0 = min(0.1, 0.45 * nu)
-    rows = []
-    skipped = 0
-    for j in range(8):
-        t = t0 * 10.0 ** (-j)
-        try:
-            r = ratio(t)
-            h = 0.25 * t
-            d1 = (ratio(t + h) - ratio(t - h)) / (2.0 * h)
-            d2 = (ratio(t + 0.5 * h) - ratio(t - 0.5 * h)) / h
-        except (OverflowError, ZeroDivisionError, ValueError):
-            skipped += 1
-            continue
-        rp = (4.0 * d2 - d1) / 3.0
-        rows.append((t, r, rp))
-    if len(rows) < 2:
-        raise ValueError("k evaluable at too few scales to estimate ell limits")
-
-    def log_extrapolate(pairs):
-        # eliminate the leading c/log(1/t) correction between scales
-        ests = []
-        for (ta, va), (tb, vb) in zip(pairs, pairs[1:]):
-            La, Lb = -math.log(ta), -math.log(tb)
-            ests.append((Lb * vb - La * va) / (Lb - La))
-        return ests
-
-    r_pairs = [(t, r) for t, r, _ in rows]
-    rp_pairs = [(t, rp) for t, _, rp in rows]
-    e0 = log_extrapolate(r_pairs)
-    e1 = log_extrapolate(rp_pairs)
-    ell0, ell1 = e0[-1], e1[-1]
-    err0 = abs(e0[-1] - e0[-2]) if len(e0) > 1 else abs(ell0 - r_pairs[-1][1])
-    err1 = abs(e1[-1] - e1[-2]) if len(e1) > 1 else abs(ell1 - rp_pairs[-1][1])
-    if skipped:
-        err0 += 0.005 * skipped
-        err1 += 0.005 * skipped
-    return EllEstimate(ell0, ell1, err0 + 1e-12, err1 + 1e-12, table=tuple(rows))
+    ts = min(0.1, 0.45 * nu) * 2.0 ** -np.arange(27.0)
+    r, dlnk = _ratio_samples(k, ts)
+    s = 1.0 / ts[:r.size]
+    (ell0, err0), (ell1, err1) = _limit(s, r), _limit(s, 1.0 - r * dlnk)
+    for name, value, why in (("ell_0", ell0, err0), ("ell_1", ell1, err1)):
+        if value is None:
+            raise ValueError(f"{name} unknown: {why}")
+    return EllEstimate(ell0, ell1, err0, err1)
 
 
 # ---------------------------------------------------------------------------
@@ -968,31 +974,20 @@ def xi0_power(rho: float, ell1: float, c: float) -> float:
 
 
 def _A_functional(nl: Nonlinearity):
-    """A(xi) = lim_{u->inf} f(xi*u)/(xi*f(u)) sampled at u = 1e6..1e8.
-
-    Slowly varying factors bias the raw samples by O(1/log u); consecutive
-    samples are combined with a log-Richardson step before the
-    stabilization test, so f like u^p log(u+1) pass as the theory says.
-    """
-    call = nl.f.fast()
-    us = (1e6, 1e7, 1e8)
-    Ls = [math.log(u) for u in us]
+    """A(xi) = lim_{u->inf} f(xi u)/(xi f(u)), read by _limit off f's
+    samples from u = 1 (numerics._tail_samples), with f(xi u) from f's
+    vector back end; a limit that does not resolve is a ValueError."""
+    ts, fs = _tail_samples(nl.f, 1.0)
+    u, fu = np.array(ts), np.array(fs)
+    vec = nl.f.vector()
 
     def A(xi):
-        vals = []
-        for u in us:
-            fu = call(u)
-            fxu = call(xi * u)
-            if not (fu > 0.0 and math.isfinite(fu) and math.isfinite(fxu)):
-                raise ValueError(f"A({xi!r}) not evaluable at u={u!r}")
-            vals.append(fxu / (xi * fu))
-        refined = [
-            (Ls[i + 1] * vals[i + 1] - Ls[i] * vals[i]) / (Ls[i + 1] - Ls[i])
-            for i in range(len(us) - 1)
-        ]
-        if abs(refined[-1] - refined[-2]) > 1e-3 * (1.0 + abs(refined[-1])):
-            raise ValueError(f"A({xi!r}) did not stabilize: {vals}")
-        return refined[-1]
+        with np.errstate(all="ignore"):
+            ys = _finite_prefix(vec(xi * u) / (xi * fu))
+        value, why = _limit(u[:ys.size], ys)
+        if value is None:
+            raise ValueError(f"A({xi!r}) unknown: {why}")
+        return value
 
     return A
 

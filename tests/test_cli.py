@@ -710,6 +710,35 @@ g = "exp(-t)"
         assert "solvable=true" in out and "agrees=true" in out
         assert os.path.exists(os.path.join(outdir, "gelfand.csv"))
 
+    def test_gelfand_reads_the_limit_of_g(self, tmp_path, capsys):
+        # lim g = 2: lambda (a + mu) = 10 > pi^2, so the predicate is false
+        code, _ = run_cli(tmp_path, """
+[problem]
+command = gelfand
+lambda = 2.5
+mu = 2
+
+[functions]
+g = "2+t^(-0.5)"
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "a=2 " in out and "solvable=false" in out
+
+    def test_gelfand_refuses_a_limit_of_g_that_does_not_resolve(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = gelfand
+lambda = 2.5
+mu = 2
+
+[functions]
+g = "2+sin(ln(1+t))"
+""")
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error"].startswith("lim g unknown: the fit in 1/ln u does not resolve it")
+
     def test_lef_no_solution_writes_probe_table(self, tmp_path, capsys):
         code, outdir = run_cli(tmp_path, f"""
 [problem]

@@ -447,6 +447,36 @@ class TestAnalyze:
         g = analyze_singular_term("exp(-t)")
         assert g.value_at_inf == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("src,limit", [("2+t^(-0.5)", 2.0), ("t^(-0.5)", 0.0),
+                                           ("exp(-t^5)", 0.0), ("0", 0.0)])
+    def test_singular_limit_at_infinity(self, src, limit):
+        # a power-law decay reads exactly its limit; exp(-t^5) and 0 vanish
+        # past their first samples
+        assert analyze_singular_term(src).value_at_inf == limit
+
+    def test_singular_limit_that_does_not_resolve(self):
+        g = analyze_singular_term("2+sin(ln(1+t))")
+        assert g.value_at_inf is None
+        assert g.notes[-1].startswith("lim g unknown: the fit in 1/ln u does not resolve it")
+
+
+class TestLimit:
+    def test_power_decay_reads_zero(self):
+        s = 10.0 * 2.0 ** np.arange(27.0)
+        assert karamata._limit(s, 2.0 / s)[0] == 0.0
+
+    def test_power_growth_reads_inf(self):
+        u = 2.0 ** np.arange(49.0)
+        assert karamata._limit(u, u ** 0.5)[0] == math.inf
+
+    def test_power_convergence_reads_the_last_sample(self):
+        # y - 1/2 = 1/sqrt(s) is no series in 1/ln s: the limit is the last
+        # sample, and the resolution bounds the remainder 1/sqrt(s_last)
+        s = 10.0 * 2.0 ** np.arange(27.0)
+        value, res = karamata._limit(s, 0.5 + s ** -0.5)
+        assert value == 0.5 + s[-1] ** -0.5
+        assert s[-1] ** -0.5 <= res <= 1.01 * s[-1] ** -0.5
+
 
 class TestExistenceIntegrals:
     @pytest.mark.parametrize("src,expected", [
@@ -521,6 +551,29 @@ class TestEllLimits:
         est = ell_limits(ScalarFn.from_source("1/ln(1/t)"), 0.5)
         assert est.ell1 == pytest.approx(1.0, abs=2e-2)
 
+    def test_log_weight_to_its_resolution(self):
+        # r' = 1 - 1/ln(1/t) + O(1/ln^2(1/t)): the fit in 1/ln(1/t) reads 1
+        est = ell_limits(ScalarFn.from_source("1/ln(1/t)"), 0.5)
+        assert abs(est.ell1 - 1.0) <= 1.5e-3
+        assert abs(est.ell1 - 1.0) <= 2.0 * est.ell1_err
+
+    def test_log_corrected_power(self):
+        # r' = 1/3 + 1/(9L) + 1/(9L^2), L = ln(1/t): exactly the fit's form
+        est = ell_limits(ScalarFn.from_source("t^2*ln(1/t)"), 0.5)
+        assert abs(est.ell1 - 1.0 / 3.0) <= 1e-6
+
+    @pytest.mark.parametrize("src,exact", [("t+t^2", 0.5), ("t^0.5+t", 2.0 / 3.0)])
+    def test_power_corrected_weight(self, src, exact):
+        # r' - ell_1 ~ t or t^0.5: a power of t, not a series in 1/ln(1/t)
+        est = ell_limits(ScalarFn.from_source(src), 1.0)
+        assert est.ell1_err <= 1e-4
+        assert abs(est.ell1 - exact) <= 2.0 * est.ell1_err
+
+    def test_exponential_weight_reads_zero(self):
+        # r' ~ 2t decays like a power of t, the scaled ratio keeps it positive
+        est = ell_limits(ScalarFn.from_source("exp(-1/t)"), 1.0)
+        assert abs(est.ell1) <= 1e-6
+
 
 class TestMakeK:
     def test_inv_s(self):
@@ -593,6 +646,12 @@ class TestXi0:
         gamma = 1.0 / (rho + 2.0)
         got = xi0_via_A(nl, gamma, kprime0, 1.0)
         assert got == pytest.approx(xi0_power(rho, kprime0, 1.0), abs=1e-6)
+
+    def test_via_A_with_a_slowly_varying_factor(self):
+        # t^2.5 ln(1+t)^3 varies regularly with index 2.5: A(xi) = xi^1.5
+        nl = analyze_nonlinearity("t^2.5*ln(1+t)^3")
+        got = xi0_via_A(nl, 1.0 / 3.5, 0.5, 1.0)
+        assert abs(got - xi0_power(1.5, 0.5, 1.0)) <= 1e-6
 
     def test_A_monotone_for_log_corrected_power(self):
         nl = analyze_nonlinearity("t^2*ln(1+t)")
