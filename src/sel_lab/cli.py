@@ -323,7 +323,7 @@ def _weight_from_spec(spec):
         k = ScalarFn.from_source(k_src)
         est = _ka.ell_limits(k, nu)
         return _ka.KFunction(k=k, nu=nu, ell0=est.ell0, ell1=est.ell1,
-                             ell0_err=est.ell0_err, ell1_err=est.ell1_err, tag="user")
+                             ell0_err=est.ell0_err, ell1_err=est.ell1_err)
 
     return user_weight
 

@@ -88,23 +88,23 @@ def _peak(fn, a: float, b: float) -> float:
 class Antiderivative:
     """F(t) = int_0^t f with F(0) = 0, cached on the lattice t_k = 2^(k/4).
 
-    Lattice values fill lazily over a contiguous range of k.  A fresh
-    lattice starts at k = 0 (t = 1) with one quadrature from 0
-    (integrate_finite), so F(t) for t >= 1 does not depend on the order of
-    the queries; a query below the lattice takes one more such quadrature.
-    The lattice panels above are 15-point Gauss-Kronrod panels.  For an
-    expression (ScalarFn) the lattice grows upward to a query in blocks of
-    at most _BLOCK panels, each one integrate_panels call, a single array
-    evaluation of f, and stops after the block where F overflows: f is
-    evaluated on at most one block past the overflow, and never past the
-    query; a downward fill of _MIN_BLOCK or more panels is one such call
-    too.  A panel that fails its error test, every panel of a block whose
-    array evaluation raises, every panel of a shorter downward fill and
-    every panel of a plain callable go through integrate_panel (which
-    falls back to integrate_finite), one panel at a time and in order, up
-    to the overflow.  Each panel's value is that of its own rule whatever
-    block it falls in, so the lattice does not depend on how the queries
-    split it into blocks.
+    f is an expression (ScalarFn).  Lattice values fill lazily over a
+    contiguous range of k.  A fresh lattice starts at k = 0 (t = 1) with
+    one quadrature from 0 (integrate_finite), so F(t) for t >= 1 does not
+    depend on the order of the queries; a query below the lattice takes
+    one more such quadrature.  The lattice panels above are 15-point
+    Gauss-Kronrod panels.  The lattice grows upward to a query in blocks
+    of at most _BLOCK panels, each one integrate_panels call, a single
+    array evaluation of f, and stops after the block where F overflows: f
+    is evaluated on at most one block past the overflow, and never past
+    the query; a downward fill of _MIN_BLOCK or more panels is one such
+    call too.  A panel that fails its error test, every panel of a block
+    whose array evaluation raises and every panel of a shorter downward
+    fill go through integrate_panel (which falls back to
+    integrate_finite), one panel at a time and in order, up to the
+    overflow.  Each panel's value is that of its own rule whatever block
+    it falls in, so the lattice does not depend on how the queries split
+    it into blocks.
     The remainder from the nearest lattice point below a query is one
     integrate_panel call.  Once f or the running integral overflows, or
     the quadrature of a panel fails (not integrable, or short of its
@@ -118,14 +118,15 @@ class Antiderivative:
     # work wasted past the overflow: calls of 256-512 panels cost least per
     # panel (about 0.5 us, against 0.9 us at 2,048)
     _BLOCK = 256
-    # a downward fill of fewer panels goes panel by panel: one array call
-    # costs about as much as 15 scalar panels
+    # a downward fill of fewer panels goes panel by panel: for F of t^2.6,
+    # base quadrature included, 2-16 panels take 22-59 us one by one and
+    # 65-77 us as one array call; the two break even near 24 panels
     _MIN_BLOCK = 16
+    _TOL = 1e-12
 
-    def __init__(self, fn, tol: float = 1e-12):
-        self._fn = fn.fast() if isinstance(fn, ScalarFn) else fn
-        self._expr = fn if isinstance(fn, ScalarFn) else None
-        self._tol = tol
+    def __init__(self, fn: ScalarFn):
+        self._fn = fn.fast()
+        self._expr = fn
         self._lat: dict[int, float] = {}
         self._kmin: int | None = None
         self._kmax: int | None = None
@@ -145,7 +146,7 @@ class Antiderivative:
         if b <= a:
             return 0.0
         try:
-            v, _ = rule(self._fn, a, b, self._tol)
+            v, _ = rule(self._fn, a, b, self._TOL)
         except NonIntegrableError:
             return INF
         except NumericsError:
@@ -171,7 +172,7 @@ class Antiderivative:
         """integrate_finite up to a pole at an end.  t is rounded next to the
         pole, so f carries noise of about ulp(t)^(1-p) there for a pole of
         order p; the tolerance is loosened 100-fold per failure, up to 1e-6."""
-        tol = self._tol
+        tol = self._TOL
         while tol <= 1e-6:
             try:
                 return integrate_finite(self._fn, a, b, tol)[0]
@@ -183,13 +184,10 @@ class Antiderivative:
 
     def _block(self, j0: int, top: int):
         """(values, ok) lists of the panels j0+1..top by one integrate_panels
-        call; empty for a plain callable or where the array evaluation
-        raised."""
-        if self._expr is None:
-            return [], []
+        call; empty where the array evaluation raised."""
         try:
             values, ok = integrate_panels(self._expr.vector(), self._points(j0, top - 1),
-                                          self._points(j0 + 1, top), self._tol)
+                                          self._points(j0 + 1, top), self._TOL)
         except (ValueError, ArithmeticError):
             return [], []
         return values.tolist(), ok.tolist()
@@ -264,14 +262,13 @@ class Antiderivative:
         ts, its values are read by index from an array, and every remainder
         is one integrate_panels call.  A remainder that fails the array
         rule, every one when the array evaluation raises, and every point
-        of a plain callable or of an array holding a point that is not
-        positive and finite go through F(t).  A remainder by the array rule
-        is integrate_panel's value wherever f's array evaluator agrees with
-        its scalar one.
+        of an array holding a point that is not positive and finite go
+        through F(t).  A remainder by the array rule is integrate_panel's
+        value wherever f's array evaluator agrees with its scalar one.
         """
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
-        if self._expr is None or not np.all((flat > 0.0) & (flat < INF)):
+        if not np.all((flat > 0.0) & (flat < INF)):
             return np.array([self(t) for t in flat.tolist()], dtype=float).reshape(ts.shape)
         ks = np.floor(4.0 * np.log2(flat)).astype(np.int64)
         self._fill(int(ks.min()))
@@ -283,7 +280,7 @@ class Antiderivative:
         if lanes.size:
             try:
                 rem, ok = integrate_panels(self._expr.vector(), points[at[lanes]], flat[lanes],
-                                           self._tol)
+                                           self._TOL)
                 out[lanes[ok]] += rem[ok]
             except (ValueError, ArithmeticError):
                 ok = np.zeros(lanes.size, dtype=bool)
@@ -324,7 +321,6 @@ class TailMap:
     def __init__(self, F: Antiderivative, ko: ConvergenceVerdict):
         self._F = F
         self._fit = ko.diagnostics
-        self._tol = F._tol
         k = F.overflow_index()
         k = F._KTOP if k is None else k - 1
         while not math.isfinite(2.0 * F._fill(k)):  # 2F overflows
@@ -342,7 +338,7 @@ class TailMap:
         return (2.0 * Fs) ** -0.5
 
     def _panel(self, a: float, b: float) -> float:
-        return integrate_panel(self._g, a, b, self._tol)[0]
+        return integrate_panel(self._g, a, b, Antiderivative._TOL)[0]
 
     def _g_many(self, s: np.ndarray) -> np.ndarray:
         Fs = self._F.many(s)
@@ -356,7 +352,7 @@ class TailMap:
         if lo == hi:
             raise NumericsError(f"the tail map's lattice ends at t={Antiderivative._t_of(hi)!r}")
         ends = Antiderivative._points(lo, hi).tolist()
-        panels, ok = integrate_panels(self._g_many, ends[:-1], ends[1:], self._tol)
+        panels, ok = integrate_panels(self._g_many, ends[:-1], ends[1:], Antiderivative._TOL)
         value = self._lat[-1]
         for i in range(hi - lo - 1, -1, -1):
             value += panels[i] if ok[i] else self._panel(ends[i], ends[i + 1])
@@ -417,7 +413,7 @@ class Nonlinearity:
     theta - 1 (the RV index of f').
     Fields are math.inf when infinite and None when undecided (see notes).
     alpha_sing/sing_c0 (analyze_singular_term) describe an origin
-    singularity f(s) <= C0 s^-alpha on (0, sing_eta).
+    singularity f(s) <= C0 s^-alpha near 0.
     """
 
     f: ScalarFn
@@ -430,7 +426,6 @@ class Nonlinearity:
     value_at_inf: float | None = None
     alpha_sing: float | None = None
     sing_c0: float | None = None
-    sing_eta: float | None = None
     source: str = ""
     notes: list = field(default_factory=list)
     _F: Antiderivative | None = field(default=None, repr=False, compare=False)
@@ -468,10 +463,7 @@ class Nonlinearity:
 class KFunction:
     """A boundary weight k on (0, nu) with its ell_0/ell_1 limits.
 
-    ell_0 = 0 for every admitted k; ell_1 lies in [0, 1].  zeta/ell_star
-    are the extra two-term-expansion descriptors of the class with ell_1=0
-    and t^-zeta (int k / k)' -> ell_star; the artifact takes them as
-    user-supplied fields, there is no stable estimator for ell_star.
+    ell_0 = 0 for every admitted k; ell_1 lies in [0, 1].
     """
 
     k: ScalarFn
@@ -480,10 +472,7 @@ class KFunction:
     ell1: float
     ell0_err: float = 0.0
     ell1_err: float = 0.0
-    tag: str = "user"
     predicted_ell1: float | None = None
-    zeta: float | None = None
-    ell_star: float | None = None
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -499,7 +488,7 @@ class KFunction:
             raise ValueError("power weight needs alpha > 0")
         body = ExprAst("pow", children=(parse_expression("t"), ExprAst("const", alpha)))
         return cls(k=ScalarFn(body), nu=nu, ell0=0.0, ell1=1.0 / (alpha + 1.0),
-                   tag=f"power({alpha:g})", predicted_ell1=1.0 / (alpha + 1.0))
+                   predicted_ell1=1.0 / (alpha + 1.0))
 
 
 @dataclass
@@ -544,13 +533,14 @@ class TwoTermSpec:
 RV_MISFIT = 0.05
 
 
-def rv_index(fn) -> float:
-    """The regular-variation index of fn at infinity: the A of the fit
-    ln fn = A ln t + B ln ln t + c (numerics._bertrand_fit) of fn's samples
-    from t = 1 (numerics._tail_samples).  Raises NotRegularlyVarying when
-    the fit misses by more than RV_MISFIT, ValueError when fn is negative
-    or positive and finite at fewer than three samples."""
-    ts, fs = _tail_samples(fn.fast() if isinstance(fn, ScalarFn) else fn, 1.0)
+def rv_index(fn: ScalarFn) -> float:
+    """The regular-variation index of the expression fn at infinity: the A
+    of the fit ln fn = A ln t + B ln ln t + c (numerics._bertrand_fit) of
+    fn's scalar samples from t = 1 (numerics._tail_samples).  Raises
+    NotRegularlyVarying when the fit misses by more than RV_MISFIT,
+    ValueError when fn is negative or positive and finite at fewer than
+    three samples."""
+    ts, fs = _tail_samples(fn.fast(), 1.0)
     fit = _bertrand_fit(ts, fs)
     if fit is None:
         raise ValueError(f"rv_index needs fn > 0 at three samples from t = 1 (got {len(ts)})")
@@ -628,7 +618,8 @@ def _limit(ts, ys):
     |y_j - y_j-1| fit with A < -SLOPE_BAND converge like a power of t: the
     limit is the last sample, and the resolution is the remainder
     c t^A that the last step gives, unless that passes 1e-3; otherwise
-    the limit is unknown."""
+    the limit is unknown.  Every resolution is an estimate of the error,
+    not a bound."""
     ys = np.asarray(ys, dtype=float)
     power = ys.size and ys.min() > 0.0 and _bertrand_fit(ts, ys)
     if power and abs(power[0]) > SLOPE_BAND:  # ys(t) ~ t^A
@@ -729,10 +720,28 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
     return nl
 
 
+def _pure_power(ast: ExprAst):
+    """(alpha, C0) with g = C0 t^-alpha, alpha > 0 and C0 > 0, when g's AST
+    is t^p, c*t^p, t^p*c, c/t^q or c/t with constants p < 0 < q; else None."""
+    c, x, alpha = 1.0, ast, -1.0  # g = c x^-alpha, to start with x = g itself
+    if ast.kind in ("mul", "div"):
+        x, y = ast.children
+        if ast.kind == "mul" and y.kind == "const":
+            x, y = y, x
+        if x.kind != "const":
+            return None
+        c, x, alpha = x.value, y, (1.0 if ast.kind == "div" else -1.0)
+    if x.kind == "pow" and x.children[1].kind == "const":
+        x, alpha = x.children[0], alpha * x.children[1].value
+    return (alpha, c) if x.kind == "var" and alpha > 0.0 < c else None
+
+
 def analyze_singular_term(g_src: str) -> Nonlinearity:
     """Metadata for a nonincreasing singular term g (no growth analysis).
 
-    Fits the origin exponent alpha and constant C0 of g(s) <= C0 s^-alpha.
+    The origin exponent alpha and constant C0 of g(s) <= C0 s^-alpha are
+    read off the AST when g is a pure power (_pure_power), and fitted on
+    13 points of [1e-8, 1e-2] otherwise.
     value_at_inf = lim g is read by _limit off g's samples from t = 1
     (numerics._tail_samples), and is 0 where g vanishes at the sample past
     them; where it does not resolve it is None with _limit's reason in the
@@ -745,13 +754,12 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
     gv = np.array([call(float(s)) for s in near])
     if np.any(gv < 0.0):
         raise ValueError("singular term must be nonnegative")
-    alpha_sing = sing_c0 = sing_eta = None
-    if np.all(gv > 0.0):
+    alpha_sing, sing_c0 = _pure_power(ast) or (None, None)
+    if alpha_sing is None and np.all(gv > 0.0):
         slope = float(np.polyfit(np.log(near), np.log(gv), 1)[0])
         if slope < -1e-6:
             alpha_sing = -slope
             sing_c0 = float(np.max(gv * near ** alpha_sing))
-            sing_eta = 1e-2
     ts, gs = _tail_samples(g, 1.0)
     value_at_inf, why = _limit(ts, gs)
     points = _sample_points(1.0)
@@ -759,8 +767,7 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
         value_at_inf = 0.0
     notes = [] if value_at_inf is not None else [f"lim g unknown: {why}"]
     return Nonlinearity(f=g, fprime=g.derivative_fn(), m=0.0, value_at_inf=value_at_inf,
-                        alpha_sing=alpha_sing, sing_c0=sing_c0, sing_eta=sing_eta,
-                        source=g_src, notes=notes)
+                        alpha_sing=alpha_sing, sing_c0=sing_c0, source=g_src, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +842,18 @@ class EllEstimate:
     ell1_err: float
 
 
+def _integral_from_zero(w: ScalarFn, ts: np.ndarray, tol: float) -> np.ndarray:
+    """int_0^t w at every t of the increasing ts, never evaluating w past
+    the largest: one integrate_finite from 0 to the smallest t, then one
+    15-point Gauss-Kronrod panel per step of ts (integrate_panels, and
+    integrate_panel for a panel it rejects), summed upward."""
+    call, lo, hi = w.fast(), ts[:-1], ts[1:]
+    panels, ok = integrate_panels(w.vector(), lo, hi, tol)
+    for i in np.flatnonzero(~ok).tolist():
+        panels[i] = integrate_panel(call, lo[i], hi[i], tol)[0]
+    return np.cumsum(np.append(integrate_finite(call, 0.0, ts[0], tol)[0], panels))
+
+
 def _ratio_samples(k: ScalarFn, ts: np.ndarray):
     """(r, dlnk): r(t) = (int_0^t k)/k(t) and k'(t)/k(t) over a prefix of
     the descending ts, with k's exact derivative.
@@ -843,10 +862,9 @@ def _ratio_samples(k: ScalarFn, ts: np.ndarray):
     integrate_finite per t, and k'/k = g': weights like exp(-1/t) keep
     their ratio where k underflows.  Their samples end at the first t
     where that quadrature fails or its error estimate is not below 1e-6 of
-    its value.  For any other k, int_0^t k is one integrate_finite up to
-    the smallest t plus one panel per sample above it (integrate_panels,
-    and integrate_panel for a panel it rejects), and the samples end where
-    k falls below 1e-280, so that int_0^t k stays a normal float.
+    its value.  For any other k, int_0^t k is _integral_from_zero, and
+    the samples end where k falls below 1e-280, so that int_0^t k stays a
+    normal float.
     """
     if k.body.kind == "exp":
         g = ScalarFn(k.body.children[0])
@@ -863,14 +881,10 @@ def _ratio_samples(k: ScalarFn, ts: np.ndarray):
                 break
             r.append(t * v)
         return np.array(r), g.derivative_fn().vector()(ts[:len(r)])
-    call, vec, lo, hi = k.fast(), k.vector(), ts[1:], ts[:-1]
-    panels, ok = integrate_panels(vec, lo, hi, _ELL_TOL)
-    for i in np.flatnonzero(~ok).tolist():
-        panels[i] = integrate_panel(call, lo[i], hi[i], _ELL_TOL)[0]
-    K = np.cumsum(np.append(panels, integrate_finite(call, 0.0, ts[-1], _ELL_TOL)[0])[::-1])
+    K = _integral_from_zero(k, ts[::-1], _ELL_TOL)[::-1]
     with np.errstate(all="ignore"):
-        ks = vec(ts)
-        r = _finite_prefix(np.where(ks >= 1e-280, K[::-1] / ks, np.nan))
+        ks = k.vector()(ts)
+        r = _finite_prefix(np.where(ks >= 1e-280, K / ks, np.nan))
         return r, (k.derivative_fn().vector()(ts) / ks)[:r.size]
 
 
@@ -954,8 +968,7 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
             f"beyond the error bar {est.ell1_err:.2g}"
         )
     return KFunction(k=k, nu=nu, ell0=est.ell0, ell1=est.ell1,
-                     ell0_err=est.ell0_err, ell1_err=est.ell1_err,
-                     tag=kind, predicted_ell1=predicted)
+                     ell0_err=est.ell0_err, ell1_err=est.ell1_err, predicted_ell1=predicted)
 
 
 # ---------------------------------------------------------------------------

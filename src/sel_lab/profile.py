@@ -19,14 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .expr import ExprAst, ScalarFn
 from .ioutil import write_csv
-from .karamata import (
-    Antiderivative,
-    KFunction,
-    Nonlinearity,
-    tail_map,
-    xi0_power,
-)
+from .karamata import KFunction, Nonlinearity, _integral_from_zero, tail_map, xi0_power
 from .numerics import NumericsError, classify_origin_integral, find_root_monotone, shoot
 
 VARIANT_K = "k-integrand"          # Phi(h) = int_0^t k;      pairs with b ~ c k^2(d)
@@ -34,6 +29,15 @@ VARIANT_SQRT_K = "sqrt-k-integrand"  # Phi(h) = int_0^t sqrt(k); pairs with b ~ 
 
 # profile variant <-> weight normalization tag used by radial solutions
 VARIANT_NORMALIZATION = {VARIANT_K: "k2", VARIANT_SQRT_K: "k"}
+
+
+def _weight(k: KFunction, variant: str) -> ScalarFn:
+    """The integrand w of the variant's identity: k, or the expression sqrt(k)."""
+    if variant == VARIANT_K:
+        return k.k
+    if variant == VARIANT_SQRT_K:
+        return ScalarFn(ExprAst("sqrt", children=(k.k.body,)))
+    raise ValueError(f"unknown profile variant {variant!r}")
 
 
 @dataclass
@@ -57,8 +61,10 @@ class BlowupProfile:
     varpi: float | None = None
     roundtrip_err: float = 0.0
     _interp: object = field(default=None, repr=False)
+    _w: ScalarFn = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._w = _weight(self.k, self.variant)
         self.t = np.asarray(self.t, dtype=float)
         self.h = np.asarray(self.h, dtype=float)
         if np.any(np.diff(self.t) <= 0.0):
@@ -81,26 +87,12 @@ class BlowupProfile:
 
     def h_prime(self, t: float) -> float:
         """h'(t) = -w(t) sqrt(2 F(h(t))) with w = k or sqrt(k) per variant."""
-        kt = self._k_value(t)
-        return -kt * math.sqrt(2.0 * self.f.F(self.h_at(t)))
+        return -self._w(t) * math.sqrt(2.0 * self.f.F(self.h_at(t)))
 
     def h_second(self, t: float) -> float:
         """h'' from differentiating the defining identity (not differences)."""
-        kt = self._k_value(t)
-        dkt = self._k_deriv(t)
-        h = self.h_at(t)
-        return kt * kt * self.f.f(h) - dkt * math.sqrt(2.0 * self.f.F(h))
-
-    def _k_value(self, t: float) -> float:
-        v = self.k.k(t)
-        return v if self.variant == VARIANT_K else math.sqrt(v)
-
-    def _k_deriv(self, t: float) -> float:
-        kv = self.k.k(t)
-        dv = self.k.k.deriv(t)
-        if self.variant == VARIANT_K:
-            return dv
-        return 0.5 * dv / math.sqrt(kv)
+        wt, h = self._w(t), self.h_at(t)
+        return wt * wt * self.f.f(h) - self._w.deriv(t) * math.sqrt(2.0 * self.f.F(h))
 
     def export_csv(self, path):
         t = self.t.tolist()
@@ -114,14 +106,16 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
     """Invert the integral identity for h on a geometric t-grid.
 
     Requires the Keller-Osserman integral of f to converge (the identity is
-    vacuous otherwise): tail_map(f) is the gate.  h(t) is found by
-    root-finding on the lattice panel of the tail map Phi that holds its
-    target; a target below Phi at the lattice top, where F overflows, is a
-    NumericsError.  The round-trip Phi(h(t)) = int_0^t (k or sqrt k) is
-    checked to 1e-8 relative on the whole table.
+    vacuous otherwise): tail_map(f) is the gate.  The targets int_0^t w,
+    w = k or sqrt(k), are read on t_grid itself (karamata's
+    _integral_from_zero), so w is never evaluated past the largest t; a w
+    that is not integrable at 0 raises NonIntegrableError.  h(t) is found
+    by root-finding on the lattice panel of the tail map Phi that holds
+    its target; a target below Phi at the lattice top, where F overflows,
+    is a NumericsError.  The round-trip Phi(h(t)) = int_0^t w is checked
+    to 1e-8 relative on the whole table.
     """
-    if variant not in (VARIANT_K, VARIANT_SQRT_K):
-        raise ValueError(f"unknown profile variant {variant!r}")
+    w = _weight(k, variant)
     phi = tail_map(f)
     if t_grid is None:
         t_grid = k.nu * 2.0 ** (-np.arange(1, 33, dtype=float))
@@ -129,19 +123,10 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
     if t_grid[0] <= 0.0 or t_grid[-1] >= k.nu * (1.0 + 1e-12):
         raise ValueError("t_grid must lie inside (0, nu)")
 
-    if variant == VARIANT_K:
-        weight = k.k
-    else:
-        k_fast = k.k.fast()
-
-        def weight(s):
-            return math.sqrt(k_fast(s))
-    I_k = Antiderivative(weight, tol=min(tol, 1e-11))
+    targets = _integral_from_zero(w, t_grid, min(tol, 1e-11))
     top = phi.top
-
     hs = np.empty_like(t_grid)
-    for idx, t in enumerate(t_grid.tolist()):
-        target = I_k(t)
+    for idx, (t, target) in enumerate(zip(t_grid.tolist(), targets.tolist())):
         if target <= 0.0:
             raise ValueError(f"int_0^t weight vanished at t={t!r}")
         if target < phi(top):
@@ -151,10 +136,8 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
         hs[idx] = find_root_monotone(phi, target, *phi.bracket(target), tol=tol * abs(target))
 
     # round-trip check of the defining identity
-    rel = 0.0
-    for t, h in zip(t_grid, hs):
-        lhs, rhs = phi(float(h)), I_k(float(t))
-        rel = max(rel, abs(lhs - rhs) / (abs(rhs) + 1e-300))
+    rel = max(abs(phi(h) - rhs) / (abs(rhs) + 1e-300)
+              for h, rhs in zip(hs.tolist(), targets.tolist()))
     if rel > 1e-8:
         raise ValueError(f"profile round-trip error {rel:.3e} exceeds 1e-8")
 

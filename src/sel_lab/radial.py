@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expn
 
-from .expr import ScalarFn, compose_scalar
+from .expr import VAR, ExprAst, ScalarFn, compose_scalar
 from .karamata import Antiderivative, Nonlinearity, keller_osserman, tail_map
 from .numerics import (
     BOUNDARY_BLOWUP,
@@ -89,8 +89,7 @@ class RadialPotential:
     def weight(self, r: float) -> float:
         """Psi(r); nondecreasing with Psi(0) = 1."""
         if self._psi_int is None:
-            psi = self.psi.fast()
-            self._psi_int = Antiderivative(lambda s: s * psi(s))
+            self._psi_int = Antiderivative(ScalarFn(ExprAst("mul", children=(VAR, self.psi.body))))
         return math.exp(self.lam_N * self._psi_int(r))
 
 

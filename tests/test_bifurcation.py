@@ -253,6 +253,15 @@ class TestSolveLEF:
         assert 0.0 < sol.metadata["eps_cut_drift"] < 1e-6
         assert sol.metadata["eps_cut_ok"]
 
+    @pytest.mark.parametrize("g", ["t^(-1)", "t^(-1.0)", "1/t"])
+    def test_inverse_power_singular_term_is_bounded(self, f_linear, g):
+        # alpha = 1 exactly: the start takes no 1/(1 - alpha) correction
+        prob = LEFProblem(N=1, geometry="interval", lam=1.0, f=f_linear,
+                          g=analyze_singular_term(g), a_pot=ScalarFn.from_source("1"))
+        sol = solve_lef(prob)
+        assert sol.classification == "bounded"
+        assert sol.metadata["shots"] > 0
+
     def test_no_solution_past_threshold(self, f_linear, g_half):
         prob = LEFProblem(N=1, geometry="interval", lam=1.1 * math.pi ** 2,
                           f=f_linear, g=g_half, a_pot=ScalarFn.from_source("1"))

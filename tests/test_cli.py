@@ -960,6 +960,25 @@ json = summary.json
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert abs(summary["rate_limit"] - 1.0) <= 0.02
 
+    def test_blowup_with_a_weight_defined_only_below_nu(self, tmp_path, capsys):
+        # k = t/sqrt(1-2t) is defined on (0, 1/2) only: the profile reads
+        # int_0^t k on its own grid, which ends at t = 1/4
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = blowup
+N = 3
+domain = ball
+R = 1.0
+nu = 0.5
+
+[functions]
+f = "t^3"
+b = "(1-t)^2"
+k = "t/sqrt(1-2*t)"
+""")
+        assert code == 0, open(os.path.join(outdir, "failure.json")).read()
+        assert "rate_ratio=1.00x" in capsys.readouterr().out
+
     def test_rate_from_solution_csv(self, tmp_path, capsys):
         blow_cfg = """
 [problem]

@@ -27,6 +27,10 @@ from sel_lab.karamata import (
 from sel_lab.numerics import integrate_panel
 
 
+def _no_arrays(ts):
+    raise ArithmeticError("no array evaluation")
+
+
 class TestAntiderivative:
     def test_cubic(self):
         F = Antiderivative(ScalarFn.from_source("t^3"))
@@ -79,12 +83,20 @@ class TestAntiderivative:
         assert F(5.0) == math.inf
 
     def test_downward_fill_is_one_base_quadrature(self):
+        # f's evaluations counted at the point and over arrays, one per node
+        cube = ScalarFn.from_source("t^3")
+        scalar, vec = cube.fast(), cube.vector()
         calls = [0]
 
-        def cube(t):
+        def counted(t):
             calls[0] += 1
-            return t ** 3
+            return scalar(t)
 
+        def counted_many(ts):
+            calls[0] += np.size(ts)
+            return vec(ts)
+
+        cube._fast, cube._vector = counted, counted_many
         F = Antiderivative(cube)
         assert F(1e6) == pytest.approx(0.25e24, rel=1e-12)
         calls[0] = 0
@@ -124,8 +136,11 @@ class TestAntiderivative:
                                         ("(1+t)^(-2)", 1.7e308),
                                         ("abs(t-3)^(-0.5)", 40.0)])
     def test_block_fill_matches_the_scalar_path(self, src, t):
-        fn = ScalarFn.from_source(src)
-        block, scalar = Antiderivative(fn), Antiderivative(fn.fast())
+        # the reference's array evaluator raises, so _block sends every
+        # panel through the scalar panel rule
+        ref = ScalarFn.from_source(src)
+        ref._vector = _no_arrays
+        block, scalar = Antiderivative(ScalarFn.from_source(src)), Antiderivative(ref)
         block(t)
         scalar(t)
         # the block fill runs ahead of the query; ask the scalar path as far
@@ -195,11 +210,12 @@ class TestAntiderivative:
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
         assert F.many(ts.reshape(2, -1)).tolist() == got.reshape(2, -1).tolist()
 
-    def test_many_of_a_plain_callable_is_point_by_point(self):
-        fast = ScalarFn.from_source("t^2.2").fast()
+    def test_many_falls_back_point_by_point_when_the_array_call_raises(self):
+        fn = ScalarFn.from_source("t^2.2")
+        fn._vector = _no_arrays
         ts = [2.0 ** -2.25, 0.3, 1.0, 77.7, 1e160]
-        scalar = Antiderivative(fast)
-        assert Antiderivative(fast).many(ts).tolist() == [scalar(t) for t in ts]
+        scalar = Antiderivative(fn)
+        assert Antiderivative(fn).many(ts).tolist() == [scalar(t) for t in ts]
 
     def test_domain_error_is_no_ko_verdict(self):
         nl = analyze_nonlinearity("t^2*sqrt(1e9-t)")
@@ -442,6 +458,15 @@ class TestAnalyze:
         g = analyze_singular_term("t^(-1/2)")
         assert g.alpha_sing == pytest.approx(0.5, abs=1e-6)
         assert g.sing_c0 == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("src, alpha, c0", [("t^(-0.5)", 0.5, 1.0), ("t^(-1)", 1.0, 1.0),
+                                                ("t^(-1.0)", 1.0, 1.0), ("5/t", 1.0, 5.0),
+                                                ("3*t^(-0.25)", 0.25, 3.0),
+                                                ("t^(-0.5)*3", 0.5, 3.0), ("2/t^0.3", 0.3, 2.0)])
+    def test_pure_power_singular_term_is_exact(self, src, alpha, c0):
+        # alpha and C0 come from the AST, not from a fit that misses by an ulp
+        g = analyze_singular_term(src)
+        assert (g.alpha_sing, g.sing_c0) == (alpha, c0)
 
     def test_bounded_limit_at_infinity(self):
         g = analyze_singular_term("exp(-t)")

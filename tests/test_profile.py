@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from sel_lab.expr import ScalarFn
 from sel_lab.karamata import (
     KFunction,
     analyze_nonlinearity,
     analyze_singular_term,
+    ell_limits,
     keller_osserman,
+    xi0_power,
 )
-from sel_lab.numerics import NumericsError
+from sel_lab.numerics import NonIntegrableError, NumericsError
 from sel_lab.profile import (
     VARIANT_K,
     VARIANT_SQRT_K,
@@ -114,6 +117,44 @@ class TestBuildProfile:
     def test_h_decreasing_to_infinity(self, cubic_profile):
         assert np.all(np.diff(cubic_profile.h) < 0.0)
         assert cubic_profile.h[0] > 1e6  # t = 2^-20 end
+
+
+class TestWeightDomain:
+    """int_0^t k is read on the profile's own grid, inside (0, nu)."""
+
+    def test_weight_defined_only_below_nu(self):
+        # k = t/sqrt(1-2t) is no number past t = 1/2; its ell_1 is 1/2
+        k = ScalarFn.from_source("t/sqrt(1-2*t)")
+        est = ell_limits(k, 0.5)
+        prof = build_profile(analyze_nonlinearity("t^3"),
+                             KFunction(k=k, nu=0.5, ell0=est.ell0, ell1=est.ell1))
+        assert prof.roundtrip_err <= 1e-8
+        assert prof.xi0 == pytest.approx(xi0_power(2.0, 0.5, 1.0), abs=1e-9)
+
+    def test_weight_is_evaluated_only_up_to_the_grid(self):
+        k = ScalarFn.from_source("t")
+        scalar, vec = k.fast(), k.vector()
+        seen = []
+
+        def counted(t):
+            seen.append(t)
+            return scalar(t)
+
+        def counted_many(ts):
+            seen.extend(np.ravel(ts).tolist())
+            return vec(ts)
+
+        k._fast, k._vector = counted, counted_many
+        t_grid = 0.5 * 2.0 ** -np.arange(1.0, 25.0)
+        build_profile(analyze_nonlinearity("t^3"),
+                      KFunction(k=k, nu=0.5, ell0=0.0, ell1=0.5), t_grid=t_grid)
+        assert seen
+        assert 0.0 < min(seen) and max(seen) <= t_grid.max()
+
+    def test_weight_not_integrable_at_zero(self):
+        k = KFunction(k=ScalarFn.from_source("1/t"), nu=1.0, ell0=0.0, ell1=0.0)
+        with pytest.raises(NonIntegrableError, match="left endpoint"):
+            build_profile(analyze_nonlinearity("t^3"), k)
 
 
 class TestPredictedRate:
