@@ -263,11 +263,6 @@ def _graded_mesh(R: float, panels: int) -> np.ndarray:
     return R * i * i
 
 
-def _uniform_mesh(R: float, panels: int) -> np.ndarray:
-    """panels equal panels on [0, R]."""
-    return np.linspace(0.0, R, panels + 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(degree: int) -> tuple:
     """(node, weight) pairs of the degree-point Gauss-Legendre rule on [-1, 1]."""
@@ -360,10 +355,10 @@ def _volterra(grading, R: float, panels: int, m: int, rate: int = 0):
     overflows at any t (a single panel wider than a block is anchored at
     its end less _RATE_BLOCK instead).
 
-    grading(R, panels) must be R grading(1, panels), as _graded_mesh and
-    _uniform_mesh are.  The weights come from one per-process LRU store
-    (_volterra_table) of at most _VOLTERRA_TABLES tables, keyed by tuples
-    without arrays.  For rate = 0 the key is (grading, panels, m) and the
+    grading(R, panels) must be R grading(1, panels), as _graded_mesh, the
+    one mesh of both Picard schemes, is.  The weights come from one
+    per-process LRU store (_volterra_table) of at most _VOLTERRA_TABLES
+    tables, keyed by tuples without arrays.  For rate = 0 the key is (grading, panels, m) and the
     table is the unit-mesh W(1), which every call scales to R^(m+1) W(1):
     the weights, not the result, so fvals near the ends of the float range
     stay as exact as a build at R.  The kernel e^(s - t) of rate = 1 does
@@ -596,14 +591,15 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 
 def _green_kernel(R: float, panels: int, N: int):
     """fvals -> int_0^r t^(1-N) int_0^t s^(N-1) fvals ds dt on the mesh
-    _uniform_mesh(R, panels).
+    _graded_mesh(R, panels), graded toward 0 as the weights s^(N-1) and
+    r^(2-N) concentrate the kernel's mass there.
 
     Swapping the order gives the radial Green's function split
     (P(r) - r^(2-N) Q(r)) / (N-2) with P = int_0^r s f, Q = int_0^r s^(N-1) f.
     """
-    P = _volterra(_uniform_mesh, R, panels, 1)
-    Q = _volterra(_uniform_mesh, R, panels, N - 1)
-    t = _uniform_mesh(R, panels)
+    P = _volterra(_graded_mesh, R, panels, 1)
+    Q = _volterra(_graded_mesh, R, panels, N - 1)
+    t = _graded_mesh(R, panels)
     scale = np.concatenate(([0.0], t[1:] ** (2.0 - N)))
     return lambda fvals: (P(fvals) - scale * Q(fvals)) / (N - 2.0)
 
@@ -616,7 +612,7 @@ def _system_lower_bounds(sys_: SystemProblem, K, p_vals, q_vals) -> tuple:
 
 
 def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
-    t = _uniform_mesh(R, panels)
+    t = _graded_mesh(R, panels)
     p_vals, q_vals = sys_.p.phi.vector()(t), sys_.q.phi.vector()(t)
     f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
     K = _green_kernel(R, panels, N)
@@ -641,8 +637,10 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     and t q(t): both divergent and sustained growth -> entire-large; both
     convergent and a window-independent plateau -> bounded; mixed verdicts
     are undetermined (only the two pure cases are covered by the theory).
-    Raises NumericsError when the mesh error left after at most three
-    doublings (metadata mesh_error) misses max(tol, 1e-9).
+    u and v live on _graded_mesh(R, mesh_points), the gradient scheme's
+    mesh; each doubling keeps its nodes as every second node.  Raises
+    NumericsError when the mesh error left after at most three doublings
+    (metadata mesh_error) misses max(tol, 1e-9).
     """
     if N < 3:
         raise ValueError("the system scheme requires N >= 3")
@@ -677,7 +675,7 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
         panels, run = 2 * panels, run2
         if drifts[-1] <= target:
             break
-    t = _uniform_mesh(R, panels)
+    t = _graded_mesh(R, panels)
     u, v, iterations, monotone, lower_ok = run
     if not monotone:
         raise ValueError(f"system iterates failed to be nondecreasing on {t.size - 1} panels "

@@ -612,8 +612,9 @@ mesh_points = 512
         assert os.path.exists(os.path.join(outdir, "system.csv"))
 
     def test_solve_system_domain_error_in_the_mesh_sweep(self, tmp_path):
-        # p is undefined past 40: the sweep over the 256-panel mesh on [0, 50]
-        # fails at its first node past 40, with the scalar evaluator's message
+        # p is undefined past 40: the sweep over the 256-panel graded mesh on
+        # [0, 50] fails at its first node past 40, node 229, with the scalar
+        # evaluator's message
         code, outdir = run_cli(tmp_path, """
 [problem]
 command = solve-system
@@ -633,7 +634,7 @@ mesh_points = 256
         diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
         assert diag["error_type"] == "EvalDomainError"
         assert diag["error"] == ("square root of a negative value in sqrt((40.0 - t)) "
-                                 "at t=40.0390625")
+                                 "at t=40.009307861328125")
 
     def test_solve_entire(self, tmp_path, capsys):
         code, outdir = run_cli(tmp_path, """

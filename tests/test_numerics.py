@@ -59,6 +59,30 @@ class TestIntegrateFinite:
         with pytest.raises(NonIntegrableError):
             integrate_finite(lambda t: 1.0 / t, 0.0, 1.0, 1e-9)
 
+    # QUADPACK's extrapolation on the graded integrand settles on a finite
+    # value for these, with a small error estimate: -1.0 for t^-2, -6.23 for
+    # t^-1.2 (finite parts) and 13.5 for t^-3
+    @pytest.mark.parametrize("p, b", [(2.0, 1.0), (1.2, 1.0 / 3.0), (3.0, 1.0 / 3.0)])
+    def test_stronger_power_than_one_over_t(self, p, b):
+        with pytest.raises(NonIntegrableError,
+                           match=rf"left endpoint \(local power {-p:.3f}\)"):
+            integrate_finite(lambda t: t ** -p, 0.0, b, 1e-10)
+
+    def test_negative_pole_at_the_right_end(self):
+        with pytest.raises(NonIntegrableError, match="right endpoint"):
+            integrate_finite(lambda t: -(1.0 - t) ** -2, 0.0, 1.0, 1e-10)
+
+    @pytest.mark.parametrize("fn, exact", [
+        (lambda t: t ** -0.999, 1000.0),
+        (lambda t: t ** -0.95 * math.log(1.0 / t) ** 2, 16000.0),
+        (math.log, -1.0),
+    ], ids=["t^-0.999", "t^-0.95 ln^2", "ln"])
+    def test_integrable_near_minus_one_passes(self, fn, exact):
+        # a log factor steepens t^-0.95 ln(1/t)^2 beyond t^-1 for every t above
+        # e^-40 ~ 4e-18; read at 2^-60 of the width its slope is -0.998
+        v, _ = integrate_finite(fn, 0.0, 1.0, 1e-10)
+        assert v == pytest.approx(exact, rel=1e-7)
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_finite(lambda t: t, 1.0, 0.0, 1e-9)

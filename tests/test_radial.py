@@ -27,7 +27,6 @@ from sel_lab.radial import (
     _graded_mesh,
     _green_kernel,
     _large_condition_kernel,
-    _uniform_mesh,
     _volterra,
     LogisticProblem,
     RadialPotential,
@@ -207,7 +206,7 @@ class TestVolterraKernels:
 
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_system_kernel_exact(self, N):
-        t = np.linspace(0.0, 50.0, 1025)
+        t = _graded_mesh(50.0, 1024)
         K = _green_kernel(50.0, 1024, N)
         for fvals, exact in ((np.ones_like(t), t ** 2 / (2.0 * N)),
                              (t ** 2, t ** 4 / (4.0 * (N + 2)))):
@@ -287,6 +286,12 @@ def _reference_volterra(t, m, rate=0):
         return out
 
     return apply
+
+
+def _uniform_mesh(R, panels):
+    # panels equal panels on [0, R]: a grading for _volterra alone, as
+    # _five_nodes and _close_nodes are
+    return np.linspace(0.0, R, panels + 1)
 
 
 _GRADINGS = {"graded": _graded_mesh, "uniform": _uniform_mesh}
@@ -399,7 +404,7 @@ class TestVolterraStore:
         first = solve_system(problem, 100.0, 3, mesh_points=1024)
         # the [0, R/2] rerun of the dichotomy shares the unit-mesh tables
         assert first.metadata["plateau_drift"] < 1e-6
-        assert sorted(weight_builds) == [(p, 1.0, m, 0) for p in (1024, 2048, 4096, 8192)
+        assert sorted(weight_builds) == [(p, 1.0, m, 0) for p in (1024, 2048, 4096)
                                          for m in (1, 2)]
         weight_builds.clear()
         second = solve_system(problem, 100.0, 3, mesh_points=1024)
@@ -600,25 +605,41 @@ class TestSolveSystem:
         assert sol.classification == BOUNDED
         assert sol.metadata["plateau_drift"] < 1e-6
         assert sol.metadata["lower_bound_ok"]
-        # the refinement stops after three doublings with a last drift of
-        # 4.5-8.8e-9; the drifts fall ~16x per doubling, so the Richardson
-        # error left on the finest mesh meets the 1e-9 target
-        assert sol.metadata["mesh_points"] == 8192
+        # on the graded mesh the refinement stops after two doublings with a
+        # last drift of 1.2-3.0e-10; the drifts fall ~15x per doubling, so the
+        # Richardson error left on the finest mesh meets the 1e-9 target
+        assert sol.metadata["mesh_points"] == 4096
         assert sol.metadata["mesh_drift"] < 1e-7
         assert sol.metadata["mesh_error"] <= 1e-9
 
+    def test_graded_mesh_meets_the_target_against_a_fine_reference(self, f_sqrt):
+        # the README's bounded N = 4 system stops at 4096 panels; at the radii
+        # it shares with a solve started at 16384 panels (which ends on 32768:
+        # every eighth node) u and v agree to 2e-11, inside the 1e-9 target
+        dec = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
+        problem = SystemProblem(p=dec, q=dec, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0)
+        sol = solve_system(problem, 100.0, 4, mesh_points=1024)
+        ref = solve_system(problem, 100.0, 4, mesh_points=16384)
+        assert sol.metadata["mesh_points"] == 4096
+        assert ref.metadata["mesh_points"] >= 16384
+        stride = ref.metadata["mesh_points"] // sol.metadata["mesh_points"]
+        np.testing.assert_array_equal(ref.r[::stride], sol.r)
+        np.testing.assert_allclose(sol.u, ref.u[::stride], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(sol.v, ref.v[::stride], rtol=1e-9, atol=0.0)
+
     def test_unmet_mesh_target_raises(self, f_sqrt):
-        # 16 panels doubled three times leave a drift of ~3e-2
+        # 16 panels doubled three times leave a drift of ~3e-4
         dec = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
         with pytest.raises(NumericsError, match="mesh error"):
             solve_system(SystemProblem(p=dec, q=dec, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
                          100.0, 3, mesh_points=16)
 
-    @pytest.mark.parametrize("potential, where", [("p", "t=40.0390625"), ("q", "t=40.0390625")])
+    @pytest.mark.parametrize("potential, where", [("p", "t=40.009307861328125"),
+                                                  ("q", "t=40.009307861328125")])
     def test_domain_error_from_the_mesh_sweep_is_the_scalar_error(self, f_sqrt, potential,
                                                                    where):
         # the vector sweep over the mesh reports the scalar evaluator's error
-        # at the first mesh node past 40
+        # at the first mesh node past 40, node 229 of _graded_mesh(50, 256)
         one = RadialPotential(phi=ScalarFn.from_source("1"))
         bad = RadialPotential(phi=ScalarFn.from_source("sqrt(40-t)"))
         pots = {"p": one, "q": one, potential: bad}
