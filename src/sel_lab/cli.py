@@ -415,7 +415,7 @@ def _cmd_solve_entire(spec, outdir):
            "iterations": sol.metadata["iterations"],
            "growth_bound_ok": sol.metadata["growth_bound_ok"],
            "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
-           "u_end": float(sol.u[-1]), "csv": csv}
+           "mesh_error": sol.metadata["mesh_error"], "u_end": float(sol.u[-1]), "csv": csv}
     for key in ("large_condition", "large_condition_error", "b_star", "ordering_ok",
                 "ordering_error", "plateau_drift"):
         if key in sol.metadata:
@@ -489,7 +489,8 @@ def _cmd_blowup(spec, outdir):
     out = {"command": "blowup", "classification": sol.classification,
            "blowup_radius": sol.blowup_radius if sol.blowup_radius is not None else "none",
            "levels": len(sol.metadata.get("n_levels", [])),
-           **{key: sol.metadata[key] for key in ("level_shots", "level_search_exponent")
+           **{key: sol.metadata[key] for key in ("level_shots", "level_search_exponent",
+                                                 "level_parameter_gap")
               if key in sol.metadata},
            "csv": csv}
     if make_profile is not None:

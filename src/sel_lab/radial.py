@@ -2,8 +2,9 @@
 
 Monotone Picard iterations for entire solutions (with the exponential
 gradient kernel and for coupled systems, both through one loop,
-`_monotone_picard`), the integral condition checkers and the one
-bounded-vs-large dichotomy (`_dichotomy`) both schemes share, Gronwall
+`_monotone_picard`, refined by one rule on one graded mesh, `_refined`),
+the integral condition checkers and the one bounded-vs-large dichotomy
+(`_dichotomy`) both schemes share, Gronwall
 Lipschitz constants, boundary blow-up solutions from two level problems
 u = n read where they agree, and residual verification of explicit
 solutions.
@@ -474,6 +475,38 @@ def _dichotomy(verdicts, t: np.ndarray, u: np.ndarray, R: float, rerun,
     return UNDETERMINED
 
 
+def _refined(run, R: float, panels: int, target: float, scheme: str):
+    """run(R, n) at n = panels and up to three doublings, until no state array
+    moves by more than target (relative) on the coarse nodes, which each
+    doubling of _graded_mesh keeps.  run returns _monotone_picard's (state,
+    iterations, monotone) plus any extras.  Returns (panels, result,
+    mesh_drift, mesh_error) of the last run; refuses, named by scheme, a
+    last run that is not monotone and a mesh_error that misses target."""
+    first, result, drifts = panels, run(R, panels), []
+    for _ in range(3):
+        fine = run(R, 2 * panels)
+        drifts.append(max(float(np.max(np.abs(new[::2] - old) / (1.0 + np.abs(old))))
+                          for old, new in zip(result[0], fine[0])))
+        panels, result = 2 * panels, fine
+        if drifts[-1] <= target:
+            break
+    if not result[2]:
+        raise ValueError(f"{scheme} iterates failed to be nondecreasing on {panels} panels "
+                         f"(refined from {first}): the scheme's assumptions are violated "
+                         "or the mesh is too coarse")
+    # Richardson: drifts falling by ratio per doubling leave drift/(ratio - 1)
+    # on the finest mesh; a ratio below 8 is not yet asymptotic
+    mesh_drift = mesh_error = drifts[-1]
+    ratio = drifts[-2] / mesh_drift if len(drifts) > 1 and mesh_drift > 0.0 else 0.0
+    if ratio >= 8.0:
+        mesh_error = mesh_drift / (ratio - 1.0)
+    if not mesh_error <= target:
+        raise NumericsError(f"{scheme} mesh refinement stopped at {panels} panels with "
+                            f"mesh error {mesh_error:.3g} > {target:.3g} (last drift "
+                            f"{mesh_drift:.3g})")
+    return panels, result, mesh_drift, mesh_error
+
+
 def _picard_gradient_run(psi_vals, f_vec, b0: float, R: float, panels: int, N: int,
                          tol: float):
     # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
@@ -482,10 +515,9 @@ def _picard_gradient_run(psi_vals, f_vec, b0: float, R: float, panels: int, N: i
     inner = _volterra(_graded_mesh, R, panels, N - 1, rate=1)
     outer = _volterra(_graded_mesh, R, panels, 0)
     t_scale = np.concatenate(([0.0], t[1:] ** (1.0 - N)))
-    (w,), iterations, monotone = _monotone_picard(
+    return _monotone_picard(
         lambda state: (b0 + outer(t_scale * inner(psi_vals * f_vec(state[0]))),),
         (np.full_like(t, b0),), tol)
-    return w, iterations, monotone
 
 
 def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int,
@@ -497,8 +529,10 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     M = lam_N max_{[0,R]} t psi(t), classifies large-vs-bounded by pairing
     the large-condition verdict with the growth ratio w(R)/w(R/2), and, when both
     envelopes are supplied, computes the ordering constant b* and checks
-    the sub/super ordering v <= w pointwise.  Raises NumericsError when
-    w(R) still moves by more than tol at the last of four mesh levels.
+    the sub/super ordering v <= w pointwise.  w lives on
+    _graded_mesh(R, panels), refined as the system's mesh is (_refined):
+    raises NumericsError when the mesh error of w over every node misses
+    tol after at most three doublings.
     """
     if N < 3:
         raise ValueError("the gradient scheme requires N >= 3")
@@ -509,28 +543,15 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     psi = pot.psi if pot is not None else pot_env
     f_vec = f.f.vector()
 
-    # refinement: double panels until the fixed point stops moving at R
-    w = None
-    for level in range(4):
-        n_panels = panels * 2 ** level
-        t = _graded_mesh(R, n_panels)
-        psi_vals = psi.vector()(t)
+    def run(r_end, n):
+        psi_vals = psi.vector()(_graded_mesh(r_end, n))
         if np.any(psi_vals < 0.0):
             raise ValueError("psi envelope must be nonnegative")
-        w_prev = w
-        w, iterations, monotone = _picard_gradient_run(psi_vals, f_vec, b0, R, n_panels, N,
-                                                       tol)
-        mesh_drift = abs(w[-1] - w_prev[-1]) / (1.0 + abs(w[-1])) if level else math.nan
-        if mesh_drift <= tol:
-            break
-    if not monotone:
-        raise ValueError(f"Picard iterates failed to be nondecreasing on {t.size - 1} panels "
-                         f"(refined from {panels}): "
-                         "the scheme's assumptions are violated (check b0 >= 1 and f "
-                         "nondecreasing) or the mesh is too coarse")
-    if mesh_drift > tol:
-        raise NumericsError(f"Picard mesh refinement stopped at {t.size - 1} panels with "
-                            f"w(R) still moving by {mesh_drift:.3g} > tol = {tol:.3g}")
+        return (*_picard_gradient_run(psi_vals, f_vec, b0, r_end, n, N, tol), psi_vals)
+
+    panels, ((w,), iterations, monotone, psi_vals), mesh_drift, mesh_error = _refined(
+        run, R, panels, tol, "Picard")
+    t = _graded_mesh(R, panels)
 
     lam = f.Lambda if f.Lambda is not None else math.inf
     lam_N = lam / (N - 2.0)
@@ -543,8 +564,9 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 
     metadata = {
         "iterations": iterations,
-        "mesh_points": t.size - 1,
+        "mesh_points": panels,
         "mesh_drift": mesh_drift,
+        "mesh_error": mesh_error,
         "growth_bound_M": M,
         "growth_bound_ok": growth_ok,
         "monotone": monotone,
@@ -557,12 +579,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     except NumericsError as exc:  # a quadrature failure leaves the class undetermined
         metadata["large_condition_error"] = str(exc)
 
-    def rerun():
-        t_half = _graded_mesh(R / 2.0, n_panels)
-        return _picard_gradient_run(psi.vector()(t_half), f_vec, b0, R / 2.0, n_panels, N,
-                                    tol)[0]
-
-    classification = _dichotomy(verdicts, t, w, R, rerun, metadata)
+    classification = _dichotomy(verdicts, t, w, R, lambda: run(R / 2.0, panels)[0][0],
+                                metadata)
 
     # ordering constant of the two-envelope comparison
     if pot is not None and not pot.is_radial:
@@ -573,10 +591,10 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 K_const = math.exp(lam_N * gap.value)
                 b_star = 1.0 + K_const * lam_N * slow.value
                 metadata["b_star"] = b_star
-                v_run, _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, R,
-                                                   n_panels, N, tol)
-                w_run, _, _ = _picard_gradient_run(psi_vals, f_vec, b_star * (1.0 + 1e-9),
-                                                   R, n_panels, N, tol)
+                (v_run,), _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, R,
+                                                      panels, N, tol)
+                (w_run,), _, _ = _picard_gradient_run(psi_vals, f_vec, b_star * (1.0 + 1e-9),
+                                                      R, panels, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
         except NumericsError as exc:
             metadata["ordering_error"] = str(exc)
@@ -621,12 +639,12 @@ def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
         u_next = sys_.a + K(p_vals * g_vec(state[1]))
         return u_next, sys_.b + K(q_vals * f_vec(u_next))
 
-    (u, v), iterations, monotone = _monotone_picard(
-        step, (np.full_like(t, sys_.a), np.full_like(t, sys_.b)), tol)
+    result = _monotone_picard(step, (np.full_like(t, sys_.a), np.full_like(t, sys_.b)), tol)
+    u, v = result[0]
     lower_u, lower_v = _system_lower_bounds(sys_, K, p_vals, q_vals)
     lower_ok = bool(np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
                     and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12))
-    return u, v, iterations, monotone, lower_ok
+    return (*result, lower_ok)
 
 
 def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
@@ -637,10 +655,10 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     and t q(t): both divergent and sustained growth -> entire-large; both
     convergent and a window-independent plateau -> bounded; mixed verdicts
     are undetermined (only the two pure cases are covered by the theory).
-    u and v live on _graded_mesh(R, mesh_points), the gradient scheme's
-    mesh; each doubling keeps its nodes as every second node.  Raises
-    NumericsError when the mesh error left after at most three doublings
-    (metadata mesh_error) misses max(tol, 1e-9).
+    u and v live on _graded_mesh(R, mesh_points), refined as the gradient
+    scheme's w is (_refined): raises NumericsError when the mesh error of u
+    and v over every node (metadata mesh_error) misses max(tol, 1e-9) after
+    at most three doublings.
     """
     if N < 3:
         raise ValueError("the system scheme requires N >= 3")
@@ -663,40 +681,16 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             )
             break
 
-    # refinement: double the mesh until neither u nor v moves on the coarse nodes
-    target = max(tol, 1e-9)
-    panels = mesh_points
-    run = _system_run(sys_, R, panels, N, tol)
-    drifts = []
-    for _ in range(3):
-        run2 = _system_run(sys_, R, 2 * panels, N, tol)
-        drifts.append(max(float(np.max(np.abs(fine[::2] - coarse) / (1.0 + np.abs(coarse))))
-                          for coarse, fine in zip(run[:2], run2[:2])))
-        panels, run = 2 * panels, run2
-        if drifts[-1] <= target:
-            break
+    run = functools.partial(_system_run, sys_, N=N, tol=tol)
+    panels, ((u, v), iterations, _, lower_ok), mesh_drift, mesh_error = _refined(
+        run, R, mesh_points, max(tol, 1e-9), "system")
     t = _graded_mesh(R, panels)
-    u, v, iterations, monotone, lower_ok = run
-    if not monotone:
-        raise ValueError(f"system iterates failed to be nondecreasing on {t.size - 1} panels "
-                         f"(refined from {mesh_points}): "
-                         "the mesh may be too coarse")
-    # Richardson: drifts falling by ratio per doubling leave drift/(ratio - 1)
-    # on the finest mesh; a ratio below 8 is not yet asymptotic
-    mesh_drift = mesh_error = drifts[-1]
-    ratio = drifts[-2] / mesh_drift if len(drifts) > 1 and mesh_drift > 0.0 else 0.0
-    if ratio >= 8.0:
-        mesh_error = mesh_drift / (ratio - 1.0)
-    if not mesh_error <= target:
-        raise NumericsError(f"system mesh refinement stopped at {t.size - 1} panels with "
-                            f"mesh error {mesh_error:.3g} > {target:.3g} (last drift "
-                            f"{mesh_drift:.3g})")
 
     s2_p = classify_tail_integral(_times_t(sys_.p.phi), 1.0)
     s2_q = classify_tail_integral(_times_t(sys_.q.phi), 1.0)
     metadata = {
         "iterations": iterations,
-        "mesh_points": t.size - 1,
+        "mesh_points": panels,
         "mesh_drift": mesh_drift,
         "mesh_error": mesh_error,
         "tp_verdict": s2_p.status,
@@ -704,9 +698,8 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
         "lower_bound_ok": lower_ok,
     }
 
-    classification = _dichotomy(
-        [s2_p, s2_q], t, u, R,
-        lambda: _system_run(sys_, R / 2.0, panels, N, tol)[0], metadata)
+    classification = _dichotomy([s2_p, s2_q], t, u, R, lambda: run(R / 2.0, panels)[0][0],
+                                metadata)
     metadata["prediction_agrees"] = classification != UNDETERMINED
 
     return RadialSolution(dimension=N, r=t, u=u, v=v, classification=classification,
@@ -839,8 +832,10 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
     search fails; given n_levels, each height is solved and the top two
     decide.  The searches run from the top height down, each bracketed by
     the shots before it.  The solution is the top level at the grid points
-    where the two agree to AGREEMENT relative (fewer than two:
-    undetermined).  Requires the Keller-Osserman integral of f to converge
+    where the two agree to AGREEMENT relative; it is undetermined at fewer
+    than two such points, and when the two levels are the same shot
+    (metadata level_parameter_gap = |p_top - p_low|/|p_top| is 0).
+    Requires the Keller-Osserman integral of f to converge
     (tail_map(f) is the gate, also of the whole-space branch) and a_lin
     below the first Dirichlet eigenvalue of the vanishing core when one is
     present.
@@ -907,7 +902,9 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
         "level_steps_accepted": [t.steps_accepted for t in tallies],
         "level_steps_rejected": [t.steps_rejected for t in tallies],
     }
-    if np.count_nonzero(agree) < 2:
+    if low:  # two levels read on one parameter are one shot, not two
+        metadata["level_parameter_gap"] = abs(params[-1] - params[-2]) / abs(params[-1])
+    if np.count_nonzero(agree) < 2 or metadata.get("level_parameter_gap") == 0.0:
         return RadialSolution(dimension=prob.N, r=interior, u=u,
                               classification=UNDETERMINED, metadata=metadata)
     return RadialSolution(dimension=prob.N, r=interior[agree], u=u[agree],

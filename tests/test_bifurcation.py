@@ -253,6 +253,21 @@ class TestSolveLEF:
         assert 0.0 < sol.metadata["eps_cut_drift"] < 1e-6
         assert sol.metadata["eps_cut_ok"]
 
+    def test_eps_cut_audit_fires_on_a_moved_cut(self, monkeypatch, g_half):
+        # the audit's halved cut read as a cut 1e4 times wider: the local
+        # linear model of the zero then drifts far past 1e-6
+        def wide(*args, floors, **kwargs):
+            if floors[0] == floors[1] + bifurcation.EPS_BOUNDARY / 2.0:
+                floors = (floors[1] + 1e-2, floors[1])
+            return shoot(*args, floors=floors, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "shoot", wide)
+        prob = LEFProblem(N=1, geometry="interval", lam=0.0, g=g_half,
+                          a_pot=ScalarFn.from_source("1"))
+        sol = solve_lef(prob, options={"check_eps_sensitivity": True})
+        assert sol.metadata["eps_cut_drift"] > 1e-6
+        assert sol.metadata["eps_cut_ok"] is False
+
     @pytest.mark.parametrize("g", ["t^(-1)", "t^(-1.0)", "1/t"])
     def test_inverse_power_singular_term_is_bounded(self, f_linear, g):
         # alpha = 1 exactly: the start takes no 1/(1 - alpha) correction
@@ -308,6 +323,20 @@ class TestSolveLEF:
                           a_pot=ScalarFn.from_source("1"))
         sol = solve_lef(prob, options={"regularization_levels": [2, 4, 8, 16]})
         assert sol.metadata["regularization"]["monotone_decreasing"]
+
+    def test_regularization_audit_fires_on_two_swapped_levels(self, g_half):
+        # levels that sort in reverse: the runs are solved for k = 4, then
+        # k = 2, and u = 1/2 on the boundary lies above u = 1/4
+        class Reversed(float):
+            def __lt__(self, other):
+                return float.__gt__(self, other)
+
+        prob = LEFProblem(N=1, geometry="interval", lam=0.0, g=g_half,
+                          a_pot=ScalarFn.from_source("1"))
+        sol = solve_lef(prob, options={"regularization_levels": [Reversed(2), Reversed(4)]})
+        reg = sol.metadata["regularization"]
+        assert reg["k_levels"] == [4, 2]
+        assert reg["monotone_decreasing"] is False
 
     @pytest.mark.parametrize("N,f,g,a", [(2, "t", "t^-0.3", "1+t"),
                                          (3, "t^3", "t^-0.5", "1")])

@@ -657,6 +657,28 @@ panels = 512
         assert "growth_bound_ok=true" in out
         assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+", out)
 
+    def test_solve_entire_far_radius_reports_its_mesh_error(self, tmp_path, capsys):
+        # the R = 1500 CI config: w moves by 2.6e-8 near r = 1.65 from 4096
+        # to 8192 panels, so the refinement goes on to 8192
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = solve-entire
+N = 3
+R = 1500
+
+[functions]
+f = "t^0.5"
+psi = "(1+t^2)^(-2)"
+
+[numerics]
+panels = 1024
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "classification=bounded" in out
+        match = re.search(r"mesh_points=8192 mesh_drift=\S+ mesh_error=(\S+) ", out)
+        assert match and float(match.group(1)) <= 1e-8
+
     def test_solve_entire_domain_error_in_the_large_condition(self, tmp_path, capsys):
         # psi is defined on the mesh [0, 50] but not past 1000: the large
         # condition's tail samples reach t = 1024, which is a numerical
@@ -916,6 +938,31 @@ grid_depth = 14
         assert len(shots) == 2 and sum(shots) <= 15
         assert beta == pytest.approx(1.1641, abs=1e-4)
         assert f"level_shots=[{shots[0]},{shots[1]}] level_search_exponent={beta!r} " in out
+
+    def test_blowup_on_one_shooting_parameter_is_undetermined(self, tmp_path, capsys):
+        # the vanishing core r <= 0.5 at a ~ 0.5 lambda_inf_1: both levels
+        # land on one parameter, so the summary shows a gap of 0
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = blowup
+N = 3
+domain = ball
+R = 1.0
+a = 19.74
+omega0 = 0.5
+
+[functions]
+f = "t^3"
+b = "((t-0.5+abs(t-0.5))/2)^2"
+
+[output]
+json = summary.json
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "classification=undetermined" in out and "level_parameter_gap=0 " in out
+        summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
+        assert summary["level_parameter_gap"] == 0.0
 
     def test_blowup_rate_unresolved_names_the_levels(self, tmp_path, capsys):
         # u ~ d^-4.8 at this ball's boundary: the levels 1e10 and 1e12

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sel_lab import profile
 from sel_lab.expr import ScalarFn
 from sel_lab.karamata import (
     KFunction,
@@ -12,7 +13,7 @@ from sel_lab.karamata import (
     keller_osserman,
     xi0_power,
 )
-from sel_lab.numerics import NonIntegrableError, NumericsError
+from sel_lab.numerics import NonIntegrableError, NumericsError, find_root_monotone
 from sel_lab.profile import (
     VARIANT_K,
     VARIANT_SQRT_K,
@@ -91,6 +92,17 @@ class TestBuildProfile:
 
     def test_xi0(self, cubic_profile):
         assert cubic_profile.xi0 == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
+
+    def test_roundtrip_check_fires_on_a_moved_root(self, monkeypatch):
+        # every h off its root by 1e-6 relative misses Phi(h) = int_0^t k
+        # by about as much, far past the 1e-8 the check allows
+        monkeypatch.setattr(profile, "find_root_monotone",
+                            lambda *args, **kwargs: find_root_monotone(*args, **kwargs)
+                            * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="round-trip error"):
+            build_profile(analyze_nonlinearity("t^3"), KFunction.power(1.0, nu=1.0),
+                          variant=VARIANT_K, c=1.0,
+                          t_grid=2.0 ** (-np.arange(1, 11, dtype=float)))
 
     def test_sqrt_k_variant_roundtrip(self):
         f = analyze_nonlinearity("t^2")

@@ -458,8 +458,8 @@ class TestAuditsCanFail:
         run = radial._picard_gradient_run
 
         def lifted(psi_vals, f_vec, b0, *args):
-            w, iterations, monotone = run(psi_vals, f_vec, b0, *args)
-            return (10.0 * w if b0 == 1.0 else w), iterations, monotone
+            (w,), iterations, monotone = run(psi_vals, f_vec, b0, *args)
+            return (10.0 * w if b0 == 1.0 else w,), iterations, monotone
 
         monkeypatch.setattr(radial, "_picard_gradient_run", lifted)
         pot = RadialPotential(phi=ScalarFn.from_source("(t^2+1)/((t^2+1)^2+1)"),
@@ -477,8 +477,8 @@ class TestAuditsCanFail:
         factor = 2.0 * math.exp(M * 20.0)  # past b0 e^(M r) at every r <= R
 
         def scaled(*args):
-            w, iterations, monotone = run(*args)
-            return factor * w, iterations, monotone
+            (w,), iterations, monotone = run(*args)
+            return (factor * w,), iterations, monotone
 
         monkeypatch.setattr(radial, "_picard_gradient_run", scaled)
         with pytest.raises(ValueError, match=r"growth bound .* violated"):
@@ -566,10 +566,31 @@ class TestPicardGradient:
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
 
     def test_unmet_tolerance_raises(self, f_sqrt):
-        # w(R) still moves by ~8e-12 after the last doubling to 1024 panels
+        # after the last doubling to 1024 panels w still moves by ~6e-10 on
+        # the coarse nodes, a mesh error of ~4e-11
         with pytest.raises(NumericsError, match="Picard mesh refinement"):
             picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, 1.0, 50.0, 3,
                                    tol=1e-14, panels=128)
+
+    def test_refinement_checks_every_node(self):
+        # w(R) moves by only 7e-14 from 1024 to 2048 panels while interior
+        # nodes still move by ~2e-11: a w(R)-only check stopped at 2048
+        sol = picard_gradient_entire(ScalarFn.from_source("1"), analyze_nonlinearity("t^0.4042"),
+                                     1.0, 50.0, 4, tol=1e-12, panels=1024)
+        assert sol.classification == ENTIRE_LARGE
+        assert sol.metadata["mesh_points"] == 8192
+        assert sol.metadata["mesh_error"] <= 1e-12
+
+    def test_far_radius_refines_past_the_drift_at_r_near_one(self, f_sqrt):
+        # the R = 1500 CI config: at 4096 panels w(R) has settled to 3.5e-9,
+        # but w near r = 1.65 still moves by 2.6e-8 > tol; at 8192 panels
+        # u_end moves by 4.0e-10 relative from the 4096-panel value
+        sol = picard_gradient_entire(ScalarFn.from_source("(1+t^2)^(-2)"), f_sqrt, 1.0,
+                                     1500.0, 3, panels=1024)
+        assert sol.classification == BOUNDED
+        assert sol.metadata["mesh_points"] == 8192
+        assert sol.metadata["mesh_error"] <= 1e-8
+        assert sol.u[-1] == pytest.approx(1.212589756458416, rel=1e-9)
 
     def test_domain_error_from_the_mesh_sweep_is_the_scalar_error(self, f_sqrt):
         with pytest.raises(EvalDomainError) as err:
@@ -839,6 +860,26 @@ class TestBoundaryBlowup:
                                omega0_radius=1.0)
         with pytest.raises(ValueError, match="lambda_inf_1"):
             boundary_blowup(prob)
+
+    @pytest.fixture(scope="class")
+    @classmethod
+    def vanishing_core(cls, f_cubic):
+        """The ball N = 3 whose b is 0 on the core r <= 0.5, at a linear term a."""
+        return lambda a: boundary_blowup(LogisticProblem(
+            N=3, f=f_cubic, b=ScalarFn.from_source("((t-0.5+abs(t-0.5))/2)^2"), a_lin=a,
+            domain=("ball", 1.0), omega0_radius=0.5))
+
+    def test_two_levels_on_one_parameter_are_undetermined(self, vanishing_core):
+        # at a ~ 0.5 lambda_inf_1 both level searches return 370.4485398658448:
+        # the two levels are one shot, which agrees with itself everywhere
+        sol = vanishing_core(19.74)
+        assert sol.metadata["level_parameter_gap"] == 0.0
+        assert sol.classification == UNDETERMINED
+
+    def test_two_distinct_levels_keep_the_verdict(self, vanishing_core):
+        sol = vanishing_core(0.0)
+        assert 0.0 < sol.metadata["level_parameter_gap"] < 1e-9
+        assert sol.classification == "boundary-blowup"
 
     def test_whole_space_shot_that_blows_up_in_its_window(self, f_cubic):
         # u(0) = 1, Delta u = u^3 in R^3 blows up at r ~ 2.5747, inside the
