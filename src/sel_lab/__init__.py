@@ -51,7 +51,6 @@ from .numerics import (
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
-    integrate_radial_ivp,
 )
 from .profile import (
     BlowupProfile,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,29 +72,10 @@ class EigenResult:
     N: int
     R: float
     mode: str = "ball"
-    _dense: object = field(default=None, repr=False)
     shots: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
     phi_at_R: float = math.nan
-
-    def residual_sup(self, h: float | None = None) -> float:
-        """sup |−phi'' − (N−1)/r phi' − lambda phi| with phi'' from
-        Richardson differences of the dense phi'."""
-        if self._dense is None:
-            raise ValueError("eigenfunction dense output not available")
-        if h is None:
-            h = 3e-3 * self.R
-        worst = 0.0
-        for r in np.linspace(self.r[0] + 2.5 * h, self.R - 2.5 * h, 101):
-            dp = lambda x: float(self._dense(x)[1])  # noqa: E731
-            d_a = (dp(r + h) - dp(r - h)) / (2.0 * h)
-            d_b = (dp(r + 0.5 * h) - dp(r - 0.5 * h)) / h
-            ddphi = (4.0 * d_b - d_a) / 3.0
-            phi, dphi = (float(v) for v in self._dense(r))
-            drift = (self.N - 1) / r * dphi if (self.N > 1 and r > 0.0) else 0.0
-            worst = max(worst, abs(-ddphi - drift - self.lambda1 * phi))
-        return worst
 
     def to_csv(self, path):
         write_csv(path, "r,phi", (self.r, self.phi), [f"lambda1={fmt(self.lambda1)}"])
@@ -131,10 +112,10 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
 
     span = 2.0 * N + 8.0  # past j_{N/2-1,1} < N + 2 and pi; the event ends the shot
     unit = integrate(1.0, 1e-6, span, floors=(0.0,))
-    if unit.t_events[0].size == 0:
+    if unit.event is None:
         raise NumericsError(f"eigenvalue shot of -Delta w = w (N = {N}, mode {mode!r}) "
                             f"has no zero on (0, {span!r}]: {unit.message}")
-    lam = (float(unit.t_events[0][0]) / R) ** 2
+    lam = (float(unit.t[-1]) / R) ** 2
 
     sol = integrate(lam, 1e-6 * R, R, dense=True)
     phi_at_r = float(sol.y[0, -1])
@@ -144,7 +125,7 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
     grid = np.linspace(sol.t[0], R, 401)
     vals = sol.sol(grid)
     return EigenResult(lambda1=lam, r=grid, phi=vals[0], dphi=vals[1], N=N, R=R,
-                       mode=mode, _dense=sol.sol, shots=tally.shots,
+                       mode=mode, shots=tally.shots,
                        steps_accepted=tally.steps_accepted,
                        steps_rejected=tally.steps_rejected, phi_at_R=phi_at_r)
 
@@ -336,18 +317,11 @@ def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None, u_cap: float
     def located(sol, level):
         if not sol.success:
             return math.nan
-        if sol.t_events[0].size:
-            r_ev = float(sol.t_events[0][0])
-            u_ev = float(sol.y_events[0][0][0]) - level
-            du_ev = float(sol.y_events[0][0][1])
-            if du_ev < 0.0:
-                return r_ev + u_ev / (-du_ev)  # local model u - level ~ c (R - r)
-            return r_ev
-        if sol.t_events[1].size:
-            return float(sol.t_events[1][0])
-        u_end, du_end = float(sol.y[0, -1]) - level, float(sol.y[1, -1])
-        if u_end > 0.0 and du_end < 0.0 and not sol.t_events[2].size:
-            return sol.t[-1] + u_end / (-du_end)
+        r_end, u_end, du_end = float(sol.t[-1]), float(sol.y[0, -1]) - level, float(sol.y[1, -1])
+        if sol.event == 1 or (sol.event == 0 and not du_end < 0.0):
+            return r_end
+        if du_end < 0.0 and (sol.event == 0 or (sol.event is None and u_end > 0.0)):
+            return r_end + u_end / (-du_end)  # local model u - level ~ c (R - r)
         return r_cap + 1.0 + math.log1p(max(u_end, 0.0))  # past the cap or never back
 
     return zero_location, integrate
@@ -429,7 +403,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         )
 
     sol = integrate(s_star, dense=True)
-    r_end = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
+    r_end = float(sol.t[-1])
     grid = np.linspace(sol.t[0], r_end, 401)
     vals = sol.sol(grid)
     u, du = vals[0], vals[1]

@@ -13,17 +13,17 @@ rule are one array call of the integrand's array form (`many`: ScalarFn's
 vector back end, or an Integrand); a plain callable is mapped node by
 node.  It also classifies an origin integral over (0, b] as its t -> 1/s
 image.  Then bracketed root finding, and the radial shooting kernel:
-`shoot` integrates u'' + (N-1)/r u' = F(r, u, u') with terminal floor,
-cap and blow-up events.  Every ODE solve of the package goes through it, on
+`shoot` integrates u'' + (N-1)/r u' = F(r, u, u') with terminal floor
+and cap events.  Every ODE solve of the package goes through it, on
 DOP853 over plain floats.  The whole step loop (stages, error norm, step
-control, the drift (N-1)/r u' and four event slots: floor 0, floor 1,
-cap, blow-up) is one function generated at import from scipy's
-tables, one for N = 1 and one for N >= 2; it calls the problem's source and
-returns to Python only at the end of the interval, at the minimum step or
-on a step where an event fires.  `shoot` then locates the event and returns
-a `ShotResult` with its step and RHS-call counts.  `series_start` steps past
-the (N-1)/r origin singularity, and `integrate_radial_ivp` builds graded
-solutions on top of both.
+control, the drift (N-1)/r u' and three event slots: floor 0, floor 1,
+cap) is one function generated at import from scipy's tables, one for
+N = 1 and one for N >= 2; it calls the problem's source and returns to
+Python only at the end of the interval, at the minimum step or on a step
+where an event fires.  `shoot` then locates the event, ends the shot
+there and returns a `ShotResult` that names the slot that fired, with its
+step and RHS-call counts.  `series_start` steps past the (N-1)/r origin
+singularity.
 
 All functions here are pure over immutable inputs; no global state.
 """
@@ -50,8 +50,6 @@ _TINY = float(np.finfo(float).tiny)
 # Quadrature tolerances of the tail classifier: its tail after t = e^w, and
 # the [0, 1] head of an integral over [0, inf).
 _TAIL_QUAD_TOL, _HEAD_QUAD_TOL = 1e-9, 1e-8
-# Default blow-up threshold for the radial IVP (and its derivative).
-BLOWUP_THRESHOLD = 1e8
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -772,12 +770,12 @@ _MESSAGES = {-1: "Required step size is less than spacing between numbers.",
 _STAGES = DOP853.n_stages  # RHS calls of an attempted step: 12
 _DENSE_STAGES = len(DOP853.C_EXTRA)  # and of one step's interpolant: 3
 _ERROR_EXPONENT = 1 / (DOP853.error_estimator_order + 1)  # 1/8
-# The four event slots, in t_events order, as g(u, au = |u|, av = |u'|): u
-# falls to floor 0 or 1, rises to the cap, max(|u|, |u'|) reaches the blow-up
-# level.  An absent slot's level is -inf (floors) or +inf: its g is never <= 0.
-# The step loop writes max(a, b) as the builtin evaluates it, b if b > a else
-# a, and min(a, b) as b if b < a else a, nan included.
-_GATES = ("{u} - lo0", "{u} - lo1", "cap - {u}", "blow - ({av} if {av} > {au} else {au})")
+# The three event slots, numbered as ShotResult.event, as g(u): u falls to
+# floor 0 or 1, or rises to the cap.  An absent slot's level is -inf (floors)
+# or +inf (cap): its g is never <= 0.  The step loop writes max(a, b) as the
+# builtin evaluates it, b if b > a else a, and min(a, b) as b if b < a else
+# a, nan included.
+_GATES = ("{u} - lo0", "{u} - lo1", "cap - {u}")
 
 
 def _weighted(coefs, names) -> str:
@@ -815,14 +813,14 @@ def _indent(lines, depth: int) -> list:
 
 def _compile_kernel(drift: bool):
     """Generate (run, slope, gates) for one drift class from scipy's DOP853
-    tables: u'' at (r, u, u' = v), the four event functions, and the step
-    loop.  run steps from (r, u, v) with slope f, trying h_next first, and
-    appends each accepted step's end to ts, us, vs and, when dense, its
+    tables: u'' at (r, u, u' = v), the three event functions of u, and the
+    step loop.  run steps from (r, u, v) with slope f, trying h_next first,
+    and appends each accepted step's end to ts, us, vs and, when dense, its
     interpolant (r, h, u, v, F rows of u, F rows of v) to steps.  It returns
     (status, accepted, rejected, r_new, step, fired) at r_end (status 0),
     at the minimum step (-1) or on a step where an event slot fires (1);
     only then are the last three that step's end, its interpolant and the
-    four slots' flags, and the step's end is left to the caller.  The
+    three slots' flags, and the step's end is left to the caller.  The
     u-slope of each stage is that stage's v.
     """
     ku, kv = ["v"], ["f"]
@@ -861,9 +859,6 @@ def _compile_kernel(drift: bool):
         "(dv, h * f - dv, 2 * dv - h * (f_new + f), "
         f"{', '.join(f'h * ({_weighted(d, kv)})' for d in rows)}))"]
 
-    def gate_exprs(u, au, av):
-        return [g.format(u=u, au=au, av=av) for g in _GATES]
-
     exponent = -_ERROR_EXPONENT
     crossed = [f"g{i} >= 0.0 >= g{i}_new" for i in range(len(_GATES))]
     lines = [
@@ -871,17 +866,15 @@ def _compile_kernel(drift: bool):
         *_indent(_slope_lines("f", "r", "u", "v", drift), 1),
         "    return f",
         "",
-        "def gates(u, v, lo0, lo1, cap, blow):",
-        "    au = abs(u)",
-        "    av = abs(v)",
-        f"    return {', '.join(gate_exprs('u', 'au', 'av'))}",
+        "def gates(u, lo0, lo1, cap):",
+        f"    return {', '.join(g.format(u='u') for g in _GATES)}",
         "",
-        "def run(source, d, r, u, v, f, h_next, r_end, rtol, atol, lo0, lo1, cap, blow,",
+        "def run(source, d, r, u, v, f, h_next, r_end, rtol, atol, lo0, lo1, cap,",
         "        dense, ts, us, vs, steps):",
         "    accepted = rejected = 0",
         "    au = abs(u)",
         "    av = abs(v)",
-        *(f"    g{i} = {g}" for i, g in enumerate(gate_exprs("u", "au", "av"))),
+        *(f"    g{i} = {g.format(u='u')}" for i, g in enumerate(_GATES)),
         "    while True:",
         "        min_step = 10.0 * (_nextafter(r, _inf) - r)",
         "        h = min_step if min_step > h_next else h_next",
@@ -904,8 +897,7 @@ def _compile_kernel(drift: bool):
         "            step_rejected = True",
         "            rejected += 1",
         "        accepted += 1",
-        *(f"        g{i}_new = {g}"
-          for i, g in enumerate(gate_exprs("u_new", "au_new", "av_new"))),
+        *(f"        g{i}_new = {g.format(u='u_new')}" for i, g in enumerate(_GATES)),
         f"        event = {' or '.join(crossed)}",
         "        if dense or event:",
         *_indent(interpolant, 3),
@@ -913,8 +905,7 @@ def _compile_kernel(drift: bool):
         "                steps.append(step)",
         "            if event:",
         f"                return 1, accepted, rejected, r_new, step, ({', '.join(crossed)})",
-        *(f"        {x} = {x}_new" for x in ("r", "u", "v", "f", "au", "av", "g0", "g1", "g2",
-                                                "g3")),
+        *(f"        {x} = {x}_new" for x in ("r", "u", "v", "f", "au", "av", "g0", "g1", "g2")),
         "        ts.append(r)",
         "        us.append(u)",
         "        vs.append(v)",
@@ -973,13 +964,15 @@ class _DenseSolution:
 
 @dataclass
 class ShotResult:
-    """One shot of `shoot`, with the fields of scipy's OdeResult that
-    callers read plus the accepted and rejected step counts."""
+    """One shot of `shoot`: the accepted steps' ends (t, y = (u, u')), the
+    slot that ended it (event: 0 or 1 for floors[0] or floors[1], 2 for the
+    cap, None when no event did; the located root is the shot's last
+    point), the dense solution, scipy's status and message, and the RHS
+    calls and accepted and rejected step counts."""
 
     t: np.ndarray
     y: np.ndarray
-    t_events: list
-    y_events: list
+    event: int | None
     sol: _DenseSolution | None
     status: int
     message: str
@@ -1011,23 +1004,22 @@ class ShotTally:
 
 
 def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: float,
-          floors=(), cap: float | None = None, blowup: float | None = None,
-          dense: bool = False) -> ShotResult:
+          floors=(), cap: float | None = None, dense: bool = False) -> ShotResult:
     """Integrate u'' + (N-1)/r u' = source(r, u, u') from (r_start, y0) to r_end > r_start.
 
-    The drift term is dropped at r = 0.  Terminal events, in t_events order:
-    u falls to each level in floors (at most two), u rises to cap,
-    max(|u|, |u'|) reaches blowup.  Every shot is a DOP853 (Dormand-Prince
-    8(5,3)) shot that mirrors scipy's solver step for step (initial step,
-    error norm, step-size control, minimum step), so the results match
-    scipy's up to rounding.  The step loop runs in one generated function
-    per drift class, with the drift and the four event slots inline; it
-    returns here only at r_end, at the minimum step (status -1, also for a
-    nan source) or on a step where an event falls through zero, which is
-    then located by brentq on the step's interpolant (the earliest root
-    ends the shot).  Squares are x * x, so an overflow gives inf or nan and
-    a rejected step rather than an exception.  dense=True builds the
-    continuous solution `sol`, at three more RHS calls per step.
+    The drift term is dropped at r = 0.  Terminal events, numbered as
+    ShotResult.event: u falls to floors[0] (0) or floors[1] (1), u rises to
+    cap (2).  Every shot is a DOP853 (Dormand-Prince 8(5,3)) shot that
+    mirrors scipy's solver step for step (initial step, error norm,
+    step-size control, minimum step), so the results match scipy's up to
+    rounding.  The step loop runs in one generated function per drift
+    class, with the drift and the three event slots inline; it returns here
+    only at r_end, at the minimum step (status -1, also for a nan source)
+    or on a step where an event falls through zero, which is then located
+    by brentq on the step's interpolant: the earliest root ends the shot
+    and is its last point.  Squares are x * x, so an overflow gives inf or
+    nan and a rejected step rather than an exception.  dense=True builds
+    the continuous solution `sol`, at three more RHS calls per step.
     """
     if len(floors) > 2:
         raise ValueError("shoot takes at most two floors")
@@ -1056,22 +1048,18 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
         h1 = (0.01 / max(d1, d2)) ** _ERROR_EXPONENT
     h_next = min(100 * h0, h1, interval)
 
-    # slots[k] is the event slot of t_events[k]; absent slots never fire
-    levels = ((*floors, -math.inf, -math.inf)[:2]
-              + (math.inf if cap is None else cap, math.inf if blowup is None else blowup))
-    slots = [*range(len(floors)), *[2] * (cap is not None), *[3] * (blowup is not None)]
+    # the levels of the event slots; absent slots never fire
+    levels = (*floors, -math.inf, -math.inf)[:2] + (math.inf if cap is None else cap,)
     ts, us, vs, steps = [r], [u], [v], []
     status, accepted, rejected, r_new, step, fired = run(
         source, d, r, u, v, f, h_next, r_end, rtol, atol, *levels, dense, ts, us, vs, steps)
-    t_events = [[] for _ in slots]
-    y_events = [[] for _ in slots]
+    event = None
     if status == 1:  # the earliest root on the step's interpolant ends the shot
-        root, k = min((brentq(lambda x, j=j: gates(*_interpolate_nested(step, x), *levels)[j],
-                              step[0], r_new, xtol=4 * _EPS, rtol=4 * _EPS), k)
-                      for k, j in enumerate(slots) if fired[j])
+        root, event = min((brentq(lambda x, j=j: gates(_interpolate_nested(step, x)[0],
+                                                       *levels)[j],
+                                  step[0], r_new, xtol=4 * _EPS, rtol=4 * _EPS), j)
+                          for j in range(len(_GATES)) if fired[j])
         u, v = _interpolate_nested(step, root)
-        t_events[k].append(root)
-        y_events[k].append((u, v))
         if dense and len(ts) > 1 and ts[-1] == root:
             steps.pop()
         else:
@@ -1081,51 +1069,9 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
 
     interpolants = accepted if dense else status == 1
     return ShotResult(
-        t=np.array(ts), y=np.array([us, vs]),
-        t_events=[np.asarray(te) for te in t_events],
-        y_events=[np.asarray(ye) for ye in y_events],
+        t=np.array(ts), y=np.array([us, vs]), event=event,
         sol=_DenseSolution(ts, steps) if dense and steps else None,
         status=status, message=_MESSAGES[status],
         nfev=2 + _STAGES * (accepted + rejected) + _DENSE_STAGES * interpolants,
         steps_accepted=accepted, steps_rejected=rejected)
 
-
-def integrate_radial_ivp(rhs, u0: float, du0: float, N: int, r_max: float,
-                         tol: float = 1e-10, blowup_threshold: float = BLOWUP_THRESHOLD,
-                         n_points: int = 513) -> RadialSolution:
-    """Integrate u'' + (N-1)/r u' = rhs(r, u, u') from the origin.
-
-    For N >= 2 the first step uses the series u(eps) ~ u0 + du0*eps +
-    rhs(0,u0,0) eps^2/(2N) at eps = 1e-6*r_max, which keeps the local error
-    below the integrator tolerance while skipping the (N-1)/r singularity.
-    Integration stops early with classification boundary-blowup when |u| or
-    |u'| exceeds blowup_threshold; the event radius comes from the solver's
-    inverse interpolation.
-    """
-    if N < 1:
-        raise ValueError("dimension N must be >= 1")
-    if r_max <= 0.0:
-        raise ValueError("r_max must be positive")
-
-    r_start, y0 = series_start(rhs, u0, N, 1e-6 * r_max, du0)
-    rtol = max(tol, 1e-13)
-    sol = shoot(rhs, N, r_start, y0, r_max, rtol, rtol * 1e-3,
-                blowup=blowup_threshold, dense=True)
-    if sol.status == -1:
-        raise NumericsError(f"radial IVP integrator failed: {sol.message}")
-
-    blew_up = sol.status == 1 and sol.t_events[0].size > 0
-    r_end = float(sol.t_events[0][0]) if blew_up else r_max
-    grid = np.linspace(r_start, r_end, n_points)
-    vals = sol.sol(grid)
-    classification = BOUNDARY_BLOWUP if blew_up else BOUNDED
-    return RadialSolution(
-        dimension=N,
-        r=grid,
-        u=vals[0],
-        du=vals[1],
-        classification=classification,
-        blowup_radius=r_end if blew_up else None,
-        metadata={"nfev": sol.nfev, "steps_accepted": sol.steps_accepted,
-                  "steps_rejected": sol.steps_rejected, "start": r_start, "rtol": rtol},
-    )

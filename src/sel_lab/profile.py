@@ -202,7 +202,8 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
     Gate: int_0 g must converge (origin integrability), otherwise the flat
     start h'(0) = 0 is not attainable and this raises.  The start matches
     the local power solution h ~ C t^beta, beta = 2/(1+alpha), obtained
-    from g ~ C0 s^-alpha near 0.
+    from g ~ C0 s^-alpha near 0; where analyze_singular_term found no such
+    power, g is bounded at 0 and the start is alpha = 0, C0 = g(t0).
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
@@ -213,23 +214,19 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
             f"g is not integrable at the origin ({verdict.status}); "
             "h''=g(h) admits no profile with h(0)=h'(0)=0"
         )
+    t0 = 1e-6 * t_max
     if g.alpha_sing is not None:
         alpha, c0 = g.alpha_sing, g.sing_c0
-    else:
-        near = np.geomspace(1e-8, 1e-3, 11)
-        vals = np.array([g_call(float(s)) for s in near])
-        if np.any(vals <= 0.0):
+    else:  # g is bounded at the origin: h ~ g(0) t^2 / 2
+        alpha, c0 = 0.0, g_call(t0)
+        if not c0 > 0.0:
             raise ValueError("g must be positive near the origin")
-        alpha = -float(np.polyfit(np.log(near), np.log(vals), 1)[0])
-        alpha = max(alpha, 0.0)
-        c0 = float(np.median(vals * near ** alpha))
     if alpha >= 1.0:
         raise ValueError(f"origin exponent alpha={alpha:.3f} >= 1 contradicts integrability")
 
     beta = 2.0 / (1.0 + alpha)
     coef = (c0 / (beta * (beta - 1.0))) ** (1.0 / (1.0 + alpha))
 
-    t0 = 1e-6 * t_max
     y0 = (coef * t0 ** beta, coef * beta * t0 ** (beta - 1.0))
 
     grid = np.geomspace(t0 * 2.0, t_max, n_points)

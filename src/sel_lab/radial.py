@@ -35,7 +35,6 @@ from .numerics import (
     ShotTally,
     classify_tail_integral,
     find_root_monotone,
-    integrate_radial_ivp,
     series_start,
     shoot,
 )
@@ -798,7 +797,7 @@ def _level_search(shot, span: float, cap: float, f: Nonlinearity, phi, beta: flo
             x, u, du = float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1])
             if sol.status == -1:
                 memo[p] = -span
-            elif sol.t_events[0].size:
+            elif sol.event == 2:
                 memo[p] = phi(u) - du * (span - x) / math.sqrt(2.0 * f.F(u))
             else:
                 memo[p] = phi(u) if u > 0.0 else 1e300
@@ -912,23 +911,41 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
                           metadata=metadata)
 
 
+# u at which a whole-space shot ends: it blows up inside its window
+WHOLE_SPACE_CAP = 1e8
+
+
 def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
-    """Entire-solution window sweep: growth must persist across 2 windows.
-    A shot that blows up inside its window is returned as boundary-blowup
-    at that radius, with the ratios of the windows before it."""
+    """Entire-solution window sweep from u(0) = 1: one shot per window,
+    from series_start, stopped where u reaches WHOLE_SPACE_CAP.  Growth must
+    persist across 2 windows.  A shot that reaches the cap inside its window
+    is returned as boundary-blowup at that radius, with the ratios of the
+    windows before it."""
     rhs = _level_source(prob)
-    Rmax = float(prob.domain[1])
+    Rmax, rtol = float(prob.domain[1]), 1e-10
     ratios = []
     for window in (Rmax, 2.0 * Rmax):
-        sol = integrate_radial_ivp(rhs, 1.0, 0.0, prob.N, window, 1e-10, n_points=n_grid)
-        if sol.classification == BOUNDARY_BLOWUP:
+        start, y0 = series_start(rhs, 1.0, prob.N, 1e-6 * window)
+        shot = shoot(rhs, prob.N, start, y0, window, rtol, rtol * 1e-3, cap=WHOLE_SPACE_CAP,
+                     dense=True)
+        if shot.status == -1:
+            raise NumericsError(f"whole-space shot over [0, {window!r}] failed: {shot.message}")
+        r_end = float(shot.t[-1])
+        r = np.linspace(start, r_end, n_grid)
+        u, du = shot.sol(r)
+        if shot.event == 2:
+            classification = BOUNDARY_BLOWUP
             break
-        mid = float(np.interp(window / 2.0, sol.r, sol.u))
-        ratios.append(float(sol.u[-1] / mid) if mid else math.inf)
+        mid = float(np.interp(window / 2.0, r, u))
+        ratios.append(float(u[-1] / mid) if mid else math.inf)
     else:
-        sol.classification = ENTIRE_LARGE if all(r > 1.05 for r in ratios) else UNDETERMINED
-    sol.metadata["window_ratios"] = ratios
-    return sol
+        classification = ENTIRE_LARGE if all(q > 1.05 for q in ratios) else UNDETERMINED
+    return RadialSolution(
+        dimension=prob.N, r=r, u=u, du=du, classification=classification,
+        blowup_radius=r_end if classification == BOUNDARY_BLOWUP else None,
+        metadata={"nfev": shot.nfev, "steps_accepted": shot.steps_accepted,
+                  "steps_rejected": shot.steps_rejected, "start": start,
+                  "rtol": rtol, "window_ratios": ratios})
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from sel_lab.karamata import (
     make_k,
     ell_limits,
 )
-from sel_lab.numerics import NO_SOLUTION, integrate_radial_ivp
+from sel_lab.numerics import NO_SOLUTION, series_start, shoot
 from sel_lab.profile import VARIANT_K, build_profile, profile_ode_g
 from sel_lab.radial import (
     LogisticProblem,
@@ -63,9 +63,12 @@ def check_1():
         return u - 2.0 ** (alpha - 2.0) * r ** alpha * abs(du) ** (2.0 - alpha)
 
     res = residual("t^2+6", rhs, N, np.linspace(0.0, 10.0, 201))
-    sol = integrate_radial_ivp(rhs, 2.0 * N, 0.0, N, 10.0, tol=1e-10)
-    exact = sol.r ** 2 + 2.0 * N
-    track = float(np.max(np.abs(sol.u - exact) / exact))
+    # one shot from the series start at 1e-6 R to R = 10, read on 513 points
+    start, y0 = series_start(rhs, 2.0 * N, N, 1e-6 * 10.0)
+    sol = shoot(rhs, N, start, y0, 10.0, 1e-10, 1e-13, dense=True)
+    r = np.linspace(start, 10.0, 513)
+    exact = r ** 2 + 2.0 * N
+    track = float(np.max(np.abs(sol.sol(r)[0] - exact) / exact))
     ok = res <= 1e-10 and track <= 1e-6
     return ok, f"residual={res:.2e} (<=1e-10), ivp rel err={track:.2e} (<=1e-6)"
 

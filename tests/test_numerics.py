@@ -12,7 +12,6 @@ from sel_lab.bifurcation import PROBES, LEFProblem
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
-    BOUNDARY_BLOWUP,
     BOUNDED,
     BracketError,
     Integrand,
@@ -24,7 +23,6 @@ from sel_lab.numerics import (
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
-    integrate_radial_ivp,
     series_start,
     shoot,
 )
@@ -491,57 +489,67 @@ def _nan_past_half(r, u, du):
     return math.nan if r > 0.5 else -u
 
 
+def _radial_shot(source, u0, N, r_max, rtol=1e-10, cap=None):
+    """A dense shot of u'' + (N-1)/r u' = source from u(0) = u0, u'(0) = 0
+    over [0, r_max]: the series start at 1e-6 r_max, atol = rtol/1000."""
+    start, y0 = series_start(source, u0, N, 1e-6 * r_max)
+    return shoot(source, N, start, y0, r_max, rtol, rtol * 1e-3, cap=cap, dense=True)
+
+
+def _on_grid(sol):
+    """(r, u) on 513 points from the start to the end of the shot."""
+    r = np.linspace(sol.t[0], sol.t[-1], 513)
+    return r, sol.sol(r)[0]
+
+
 class TestRadialIVP:
     def test_constant_solution(self):
-        sol = integrate_radial_ivp(lambda r, u, du: 0.0, 1.0, 0.0, 3, 5.0)
-        assert sol.classification == BOUNDED
-        assert np.max(np.abs(sol.u - 1.0)) < 1e-12
+        sol = _radial_shot(lambda r, u, du: 0.0, 1.0, 3, 5.0)
+        assert sol.status == 0 and sol.event is None
+        assert np.max(np.abs(_on_grid(sol)[1] - 1.0)) < 1e-12
 
     def test_radial_eigenfunction(self):
         # u'' + (2/r) u' = -pi^2 u from u(0)=1 is sin(pi r)/(pi r): u(1) = 0
         lam = math.pi ** 2
-        sol = integrate_radial_ivp(lambda r, u, du: -lam * u, 1.0, 0.0, 3, 1.0,
-                                   tol=1e-12)
-        assert abs(sol.u[-1]) < 1e-8
+        sol = _radial_shot(lambda r, u, du: -lam * u, 1.0, 3, 1.0, rtol=1e-12)
+        assert sol.t[-1] == 1.0 and abs(sol.y[0, -1]) < 1e-8
 
     def test_gradient_counterexample_tracks_exact_solution(self):
         # u = r^2 + 2N solves u'' + (N-1)/r u' = u - 2^(a-2) r^a |u'|^(2-a)
         alpha, N = 0.5, 3
-        sol = integrate_radial_ivp(
+        sol = _radial_shot(
             lambda r, u, du: u - 2.0 ** (alpha - 2.0) * r ** alpha * abs(du) ** (2.0 - alpha),
-            2.0 * N, 0.0, N, 10.0, tol=1e-10)
-        exact = sol.r ** 2 + 2.0 * N
-        assert np.max(np.abs(sol.u - exact) / exact) < 1e-6
+            2.0 * N, N, 10.0)
+        r, u = _on_grid(sol)
+        exact = r ** 2 + 2.0 * N
+        assert np.max(np.abs(u - exact) / exact) < 1e-6
 
     def test_blowup_detection(self):
-        # u'' = u^2 from a large start blows up before r = 10
-        sol = integrate_radial_ivp(lambda r, u, du: u * u, 10.0, 0.0, 1, 10.0,
-                                   blowup_threshold=1e8)
-        assert sol.classification == BOUNDARY_BLOWUP
-        assert sol.blowup_radius is not None and 0.0 < sol.blowup_radius < 10.0
-        assert np.max(np.abs(sol.u)) <= 2e8
+        # u'' = u^2 from a large start blows up before r = 10: the cap ends the shot
+        sol = _radial_shot(lambda r, u, du: u * u, 10.0, 1, 10.0, cap=1e8)
+        assert sol.status == 1 and sol.event == 2
+        assert 0.0 < sol.t[-1] < 10.0
+        assert np.max(np.abs(_on_grid(sol)[1])) <= 2e8
 
     def test_step_counts_account_for_every_rhs_call(self):
         # one call at the start, one for the initial step, twelve per attempted
         # step and three per accepted step for its interpolant
-        sol = integrate_radial_ivp(lambda r, u, du: -u, 1.0, 0.0, 3, 8.0, tol=1e-9)
-        meta = sol.metadata
-        assert meta["steps_accepted"] > 0 and meta["steps_rejected"] >= 0
-        assert meta["nfev"] == (2 + 12 * (meta["steps_accepted"] + meta["steps_rejected"])
-                                + 3 * meta["steps_accepted"])
+        sol = _radial_shot(lambda r, u, du: -u, 1.0, 3, 8.0, rtol=1e-9)
+        assert sol.steps_accepted > 0 and sol.steps_rejected >= 0
+        assert sol.nfev == (2 + 12 * (sol.steps_accepted + sol.steps_rejected)
+                            + 3 * sol.steps_accepted)
 
     @pytest.mark.parametrize("source", [_nan_past_half, lambda r, u, du: math.nan])
     def test_nan_source_fails_with_the_step_size(self, source):
-        with pytest.raises(NumericsError, match="step size"):
-            integrate_radial_ivp(source, 1.0, 0.0, 1, 2.0)
+        sol = _radial_shot(source, 1.0, 1, 2.0)
+        assert sol.status == -1 and "step size" in sol.message
 
     def test_tolerance_controls_error_like_high_order(self):
         lam = math.pi ** 2
         errs = []
         for tol in (1e-5, 1e-7, 1e-9, 1e-11):
-            sol = integrate_radial_ivp(lambda r, u, du: -lam * u, 1.0, 0.0, 3, 1.0,
-                                       tol=tol)
-            errs.append(abs(float(sol.u[-1])))
+            sol = _radial_shot(lambda r, u, du: -lam * u, 1.0, 3, 1.0, rtol=tol)
+            errs.append(abs(float(sol.y[0, -1])))
         # adaptive embedded pair of order >= 4: error tracks the tolerance
         assert errs[1] < errs[0] and errs[2] < errs[1] * 0.5 and errs[3] < 1e-8
         assert errs[3] <= errs[0] * 1e-3
@@ -552,24 +560,28 @@ class TestShoot:
         # u'' = -u from (1, 0) is cos r: it falls to 1/2 at pi/3 before reaching 0
         sol = shoot(lambda r, u, du: -u, 1, 0.0, (1.0, 0.0), 3.0, 1e-12, 1e-14,
                     floors=(0.5, 0.0))
-        assert sol.status == 1
-        assert sol.t_events[0][0] == pytest.approx(math.pi / 3.0, abs=1e-10)
-        assert sol.t_events[1].size == 0
-        assert sol.t[-1] == sol.t_events[0][0]
+        assert sol.status == 1 and sol.event == 0
+        assert sol.t[-1] == pytest.approx(math.pi / 3.0, abs=1e-10)
 
     def test_cap_event(self):
         # u'' = u from (1, 0) is cosh r: it rises to 2 at arccosh 2
         sol = shoot(lambda r, u, du: u, 1, 0.0, (1.0, 0.0), 3.0, 1e-12, 1e-14,
                     cap=2.0)
-        assert sol.t_events[0][0] == pytest.approx(math.acosh(2.0), abs=1e-10)
+        assert sol.event == 2
+        assert sol.t[-1] == pytest.approx(math.acosh(2.0), abs=1e-10)
 
-    def test_event_order_floors_cap_blowup(self):
-        # max(cosh r, |sinh r|) = cosh r reaches 3 at arccosh 3, before the cap 10
+    def test_event_order_floors_cap(self):
+        # event numbers the slot, floors then cap, whichever slots are present:
+        # cos r falls to the second floor 0 at pi/2, cosh r rises to the cap 3
+        # at arccosh 3 with one floor
+        sol = shoot(lambda r, u, du: -u, 1, 0.0, (1.0, 0.0), 5.0, 1e-12, 1e-14,
+                    floors=(-0.5, 0.0), cap=5.0)
+        assert sol.event == 1
+        assert sol.t[-1] == pytest.approx(math.pi / 2.0, abs=1e-10)
         sol = shoot(lambda r, u, du: u, 1, 0.0, (1.0, 0.0), 5.0, 1e-12, 1e-14,
-                    floors=(0.5,), cap=10.0, blowup=3.0)
-        assert len(sol.t_events) == 3
-        assert sol.t_events[0].size == 0 and sol.t_events[1].size == 0
-        assert sol.t_events[2][0] == pytest.approx(math.acosh(3.0), abs=1e-10)
+                    floors=(0.5,), cap=3.0)
+        assert sol.event == 2
+        assert sol.t[-1] == pytest.approx(math.acosh(3.0), abs=1e-10)
 
     def test_drift_term_with_series_start(self):
         # u'' + (2/r) u' = -u from u(0) = 1 is sin(r)/r: first zero at pi
@@ -577,7 +589,7 @@ class TestShoot:
         r0, y0 = series_start(source, 1.0, 3, 1e-6)
         sol = shoot(source, 3, r0, y0, 4.0, 1e-12, 1e-14, floors=(0.0,),
                     dense=True)
-        assert sol.t_events[0][0] == pytest.approx(math.pi, abs=1e-9)
+        assert sol.event == 0 and sol.t[-1] == pytest.approx(math.pi, abs=1e-9)
         assert float(sol.sol(1.0)[0]) == pytest.approx(math.sin(1.0), abs=1e-10)
 
     def test_series_start(self):
@@ -610,9 +622,9 @@ class TestDormandPrinceKernel:
 
 
 def _scipy_shoot(source, N, r_start, y0, r_end, rtol, atol, floors=(), cap=None,
-                 blowup=None, dense=False):
+                 dense=False):
     """Reference: `shoot` with the same arguments through scipy's
-    solve_ivp(method="DOP853")."""
+    solve_ivp(method="DOP853"), with the slot of its fired event as `event`."""
 
     def f(r, y):
         val = source(r, y[0], y[1])
@@ -623,13 +635,14 @@ def _scipy_shoot(source, N, r_start, y0, r_end, rtol, atol, floors=(), cap=None,
     events = [lambda r, y, level=level: y[0] - level for level in floors]
     if cap is not None:
         events.append(lambda r, y: cap - y[0])
-    if blowup is not None:
-        events.append(lambda r, y: blowup - max(abs(y[0]), abs(y[1])))
     for event in events:
         event.terminal = True
         event.direction = -1
-    return solve_ivp(f, (r_start, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
-                     dense_output=dense, events=events or None)
+    sol = solve_ivp(f, (r_start, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=dense, events=events or None)
+    slots = [*range(len(floors)), *[2] * (cap is not None)]
+    sol.event = next((slot for slot, te in zip(slots, sol.t_events or []) if te.size), None)
+    return sol
 
 
 def _probe_table(prob):
@@ -638,8 +651,7 @@ def _probe_table(prob):
     table = []
     for s in PROBES:
         sol = integrate(s)
-        fired = None if sol is None else [i for i, te in enumerate(sol.t_events) if te.size]
-        table.append((fired, zero_location(s)[0]))
+        table.append((None if sol is None else sol.event, zero_location(s)[0]))
     return table
 
 
@@ -661,8 +673,8 @@ def test_shooting_map_matches_scipy_dop853(monkeypatch, name):
     got = _probe_table(prob)
     monkeypatch.setattr(bifurcation, "shoot", _scipy_shoot)
     want = _probe_table(prob)
-    for (fired, z), (fired_ref, z_ref) in zip(got, want):
-        assert fired == fired_ref
+    for (event, z), (event_ref, z_ref) in zip(got, want):
+        assert event == event_ref
         # a failed shot has no zero location, on both sides
         assert math.isnan(z) == math.isnan(z_ref)
         if not math.isnan(z_ref):
@@ -684,14 +696,12 @@ def _shots_beside_scipy(monkeypatch, module):
 
 
 def _assert_shots_agree(pairs, rel):
-    """Same fired event, and event radius and end point (r, u) within rel of
-    the shot's scale; returns the share of shots with scipy's accepted-step count."""
+    """Same fired event, and end point (r, u), the event radius where one
+    fired, within rel of the shot's scale; returns the share of shots with
+    scipy's accepted-step count."""
     same_steps = 0
     for got, ref in pairs:
-        fired = [i for i, te in enumerate(got.t_events) if te.size]
-        assert fired == [i for i, te in enumerate(ref.t_events or []) if te.size]
-        for te, te_ref in zip(got.t_events, ref.t_events or []):
-            assert te == pytest.approx(te_ref, rel=rel)
+        assert got.event == ref.event
         assert got.t[-1] == pytest.approx(ref.t[-1], rel=rel)
         assert abs(got.y[0, -1] - ref.y[0, -1]) <= rel * np.max(np.abs(ref.y[0]))
         same_steps += got.t.size == ref.t.size
@@ -745,7 +755,7 @@ class TestDop853AgainstScipy:
         prob = LogisticProblem(N=1, f=analyze_nonlinearity("t^3"),
                                b=ScalarFn.from_source("t^2"), domain=("annulus", 0.0, 1.0))
         boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
-        assert {i for got, _ in pairs for i, te in enumerate(got.t_events) if te.size} == {0}
+        assert {got.event for got, _ in pairs} - {None} == {2}
         assert _assert_shots_agree(pairs, rel=1e-12) >= 0.9
 
     def test_ball_level_shots_with_cap(self, monkeypatch):
@@ -753,7 +763,7 @@ class TestDop853AgainstScipy:
         prob = LogisticProblem(N=3, f=analyze_nonlinearity("t^3"), b=ScalarFn.from_source("1"),
                                domain=("ball", 1.0))
         boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
-        assert any(got.t_events[0].size for got, _ in pairs)
+        assert any(got.event == 2 for got, _ in pairs)
         # shots into the cap are ill-conditioned: one ulp on the centre value
         # moves scipy's own cap radius by up to 7e-13 relative, and the
         # kernel's cap radii differ from scipy's by up to 2.2e-12

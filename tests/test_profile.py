@@ -269,6 +269,16 @@ class TestOdeProfile:
         c1, c2 = sqrt_profile.lh_constants(p)
         assert np.max(sqrt_profile.hp ** p - c1 * sqrt_profile.hpp - c2) <= 0.0
 
+    def test_bounded_g_starts_from_its_value(self):
+        # g = 2 has no origin power: alpha = 0, C0 = g(t0) = 2, so h = t^2 exactly
+        prof = profile_ode_g(analyze_singular_term("2"), 1.0)
+        assert prof.alpha == 0.0 and prof.power_coef == 1.0
+        assert np.max(np.abs(prof.h - prof.t ** 2)) <= 1e-12
+
+    def test_vanishing_g_is_refused(self):
+        with pytest.raises(ValueError, match="g must be positive near the origin"):
+            profile_ode_g(analyze_singular_term("0*t"), 1.0)
+
     def test_origin_divergent_gate(self):
         with pytest.raises(ValueError, match="not integrable at the origin"):
             profile_ode_g(analyze_singular_term("1/t"), 1.0)

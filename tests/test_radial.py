@@ -19,6 +19,7 @@ from sel_lab.numerics import (
     classify_tail_integral,
     find_root_monotone,
     integrate_finite,
+    series_start,
     shoot,
 )
 from sel_lab.profile import VARIANT_K, VARIANT_SQRT_K, build_profile
@@ -882,15 +883,36 @@ class TestBoundaryBlowup:
         assert sol.classification == "boundary-blowup"
 
     def test_whole_space_shot_that_blows_up_in_its_window(self, f_cubic):
-        # u(0) = 1, Delta u = u^3 in R^3 blows up at r ~ 2.5747, inside the
+        # u(0) = 1, Delta u = u^3 in R^3 blows up at r ~ 2.5748, inside the
         # first window [0, 10]: no ratio is read past the end of the shot
         prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
                                domain=("whole-space", 10.0))
         sol = boundary_blowup(prob)
         assert sol.classification == "boundary-blowup"
-        assert sol.blowup_radius == pytest.approx(2.5747178212, rel=1e-9)
+        assert sol.blowup_radius == pytest.approx(2.574836727800781, rel=1e-9)
         assert sol.r[-1] == sol.blowup_radius
         assert sol.metadata["window_ratios"] == []
+
+    def test_whole_space_blowup_radius_is_where_u_blows_up(self, f_cubic):
+        # the shot ends where u reaches 1e8: within 1e-7 of where it reaches
+        # 1e12, not where |u'| reaches 1e8 first (4.6e-5 short)
+        prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
+                               domain=("whole-space", 10.0))
+        source = radial._level_source(prob)
+        start, y0 = series_start(source, 1.0, 3, 1e-5)
+        far = shoot(source, 3, start, y0, 10.0, 1e-10, 1e-13, cap=1e12)
+        assert far.event == 2
+        assert boundary_blowup(prob).blowup_radius == pytest.approx(far.t[-1], rel=1e-7)
+
+    def test_whole_space_windows_of_a_decaying_weight(self, f_cubic):
+        # Delta u = e^-r u^3 from u(0) = 1 stays finite over both windows; the
+        # verdict is not asserted here, only the numbers of the two shots
+        prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("exp(-t)"),
+                               domain=("whole-space", 10.0))
+        sol = boundary_blowup(prob)
+        assert sol.metadata["window_ratios"] == [1.4246048899276365, 1.1806032243221471]
+        assert sol.u[-1] == 3.836987781824512
+        assert sol.r[-1] == 20.0 and sol.blowup_radius is None
 
     def test_ball_mode(self, f_cubic):
         prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
@@ -965,7 +987,7 @@ def _reference_level_search(shot, span, cap, f, phi):
             x, u, du = float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1])
             if sol.status == -1:
                 memo[p] = -span
-            elif sol.t_events[0].size:
+            elif sol.event == 2:
                 memo[p] = phi(u) - du * (span - x) / math.sqrt(2.0 * f.F(u))
             else:
                 memo[p] = phi(u) if u > 0.0 else 1e300
@@ -1058,7 +1080,7 @@ class TestLevelSearchExponent:
         phi = tail_map(_level_problem(name).f)
         top_search = shots[:sol.metadata["level_shots"][-1] - 1]
         ends = sorted((phi(float(s.y[0, -1])), p) for p, s in top_search
-                      if s.status == 0 and not s.t_events[0].size)
+                      if s.status == 0 and s.event is None)
         nearest = [ends[0]]
         for D, p in ends:
             if len(nearest) < 3 and D >= 10.0 * nearest[-1][0]:
@@ -1095,7 +1117,7 @@ class TestLevelSearchExponent:
         for beta in (1.0, radial._search_exponent(prob, span)):
             p = radial._level_search(shot, span, 10.0 * n, prob.f, phi, beta)(n, ShotTally())
             sol = shot(p, 10.0 * n)
-            assert sol.status == 0 and not sol.t_events[0].size
+            assert sol.status == 0 and sol.event is None
             assert abs(phi(float(sol.y[0, -1])) - phi(n)) <= 1e-4 * phi(n)
 
     @pytest.mark.parametrize("b", ["t^0.5*0", "-(1-t)^2", "ln(1-t)", "(1-t)^-2",

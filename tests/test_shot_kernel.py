@@ -1,12 +1,12 @@
 """The generated DOP853 step loop against the Python step loop it replaces.
 
 `numerics.shoot` runs each shot in one generated function that holds the
-accept/reject loop, the drift (N-1)/r u' and four event slots.  The
+accept/reject loop, the drift (N-1)/r u' and three event slots.  The
 reference here is the integrator that ran every shot before: a generated
 `step`/`dense` pair called once per attempted step through a drift
 wrapper, with the events as Python lambdas and the step loop in Python.
-Every shot must come out the same, bit for bit: the same t, y, events,
-dense solution, status, message, RHS calls and step counts, or the same
+Every shot must come out the same, bit for bit: the same t, y, fired event
+slot, dense solution, status, message, RHS calls and step counts, or the same
 exception with the same message, node and t.
 """
 
@@ -26,7 +26,6 @@ from sel_lab.numerics import (
     ShotResult,
     _DenseSolution,
     _interpolate_nested,
-    integrate_radial_ivp,
     series_start,
     shoot,
 )
@@ -125,9 +124,8 @@ def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense):
 
     ts, us, vs = [r], [u], [v]
     steps = []
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    g_old = [g(u, v) for g in events]
+    event = None
+    g_old = [g(u, v) for _, g in events]
     accepted = rejected = 0
     status = None
     while status is None:
@@ -153,7 +151,7 @@ def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense):
             break
 
         accepted += 1
-        g_new = [g(u_new, v_new) for g in events]
+        g_new = [g(u_new, v_new) for _, g in events]
         active = [i for i, (before, after) in enumerate(zip(g_old, g_new))
                   if before >= 0.0 >= after]
         g_old = g_new
@@ -167,12 +165,11 @@ def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense):
         if r >= r_end:
             status = 0
         if active:
-            root, i = min((brentq(lambda x, g=events[i]: g(*_interpolate_nested(step, x)),
+            root, i = min((brentq(lambda x, g=events[i][1]: g(*_interpolate_nested(step, x)),
                                   r_old, r, xtol=4 * _EPS, rtol=4 * _EPS), i)
                           for i in active)
             r, (u, v) = root, _interpolate_nested(step, root)
-            t_events[i].append(root)
-            y_events[i].append((u, v))
+            event = events[i][0]
             status = 1
         if dense and len(ts) > 1 and ts[-1] == r:
             steps.pop()
@@ -182,16 +179,14 @@ def _runge_kutta(acc, r0, y0, r_end, rtol, atol, events, dense):
             vs.append(v)
 
     return ShotResult(
-        t=np.array(ts), y=np.array([us, vs]),
-        t_events=[np.asarray(te) for te in t_events],
-        y_events=[np.asarray(ye) for ye in y_events],
+        t=np.array(ts), y=np.array([us, vs]), event=event,
         sol=_DenseSolution(ts, steps) if dense and steps else None,
         status=status, message=_MESSAGES[status],
         nfev=nfev, steps_accepted=accepted, steps_rejected=rejected)
 
 
 def reference_shoot(source, N, r_start, y0, r_end, rtol, atol, floors=(), cap=None,
-                    blowup=None, dense=False):
+                    dense=False):
     if N == 1:
         acc = source
     else:
@@ -201,11 +196,10 @@ def reference_shoot(source, N, r_start, y0, r_end, rtol, atol, floors=(), cap=No
                 val -= (N - 1) / r * du
             return val
 
-    events = [lambda u, du, level=level: u - level for level in floors]
+    # (slot, g): the floors are slots 0 and 1, the cap slot 2
+    events = [(k, lambda u, du, level=level: u - level) for k, level in enumerate(floors)]
     if cap is not None:
-        events.append(lambda u, du: cap - u)
-    if blowup is not None:
-        events.append(lambda u, du: blowup - max(abs(u), abs(du)))
+        events.append((2, lambda u, du: cap - u))
     return _runge_kutta(acc, r_start, y0, r_end, rtol, atol, events, dense)
 
 
@@ -220,12 +214,9 @@ def _same_array(a, b):
 
 def _assert_same_shot(got, want):
     assert isinstance(got, ShotResult)
-    for name in ("status", "message", "nfev", "steps_accepted", "steps_rejected"):
+    for name in ("event", "status", "message", "nfev", "steps_accepted", "steps_rejected"):
         assert getattr(got, name) == getattr(want, name), name
     assert _same_array(got.t, want.t) and _same_array(got.y, want.y)
-    assert len(got.t_events) == len(want.t_events) == len(got.y_events)
-    for a, b in zip(got.t_events + got.y_events, want.t_events + want.y_events):
-        assert _same_array(a, b)
     assert (got.sol is None) == (want.sol is None)
     if want.sol is not None:
         for name in ("ts", "r_old", "h", "y_old", "coefs"):
@@ -271,10 +262,6 @@ def _beside_reference(monkeypatch, module):
     return shots
 
 
-def _fired(sol):
-    return [i for i, te in enumerate(sol.t_events) if te.size]
-
-
 # ---------------------------------------------------------------------------
 # The shots of the searches
 # ---------------------------------------------------------------------------
@@ -308,7 +295,7 @@ def test_probe_table_shots(monkeypatch, mode, geometry):
     for s in PROBES:
         integrate(s)
     assert len(shots) > len(PROBES) // 2
-    assert any(_fired(sol) for sol in shots)
+    assert any(sol.event is not None for sol in shots)
     if (mode, geometry) == ("gelfand", "ball"):
         # past s ~ 890 the probes end at the minimum step
         assert sum(sol.status == -1 for sol in shots) >= 10
@@ -359,7 +346,7 @@ def test_annulus_level_shots_with_cap(monkeypatch):
     prob = LogisticProblem(N=1, f=analyze_nonlinearity("t^3"), b=ScalarFn.from_source("t^2"),
                            domain=("annulus", 0.0, 1.0))
     boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
-    assert {i for sol in shots for i in _fired(sol)} == {0}
+    assert {sol.event for sol in shots} - {None} == {2}
 
 
 def test_ball_level_shots_with_cap(monkeypatch):
@@ -367,7 +354,7 @@ def test_ball_level_shots_with_cap(monkeypatch):
     prob = LogisticProblem(N=3, f=analyze_nonlinearity("t^3"), b=ScalarFn.from_source("1"),
                            domain=("ball", 1.0))
     boundary_blowup(prob, n_levels=[10.0, 20.0, 40.0])
-    assert any(_fired(sol) == [0] for sol in shots)
+    assert any(sol.event == 2 for sol in shots)
 
 
 @pytest.mark.parametrize("N, mode", [(1, "ball"), (2, "ball"), (3, "ball"), (4, "ball"),
@@ -384,11 +371,14 @@ def test_profile_shot(monkeypatch):
     assert len(shots) == 1 and shots[0].sol is not None
 
 
-def test_radial_ivp_blowup_shot(monkeypatch):
-    shots = _beside_reference(monkeypatch, numerics)
-    sol = integrate_radial_ivp(lambda r, u, du: u * u, 1.0, 0.0, 3, 10.0)
+def test_whole_space_blowup_shot(monkeypatch):
+    # Delta u = u^2 in R^3 from u(0) = 1 reaches the cap inside the first window
+    shots = _beside_reference(monkeypatch, radial)
+    prob = LogisticProblem(N=3, f=analyze_nonlinearity("t^2"), b=ScalarFn.from_source("1"),
+                           domain=("whole-space", 10.0))
+    sol = boundary_blowup(prob)
     assert sol.classification == "boundary-blowup"
-    assert _fired(shots[0]) == [0]
+    assert len(shots) == 1 and shots[0].event == 2 and shots[0].sol is not None
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +397,19 @@ def _nan_past_half(r, u, du):
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("events", [
     {}, {"floors": (0.5, 0.0)}, {"floors": (0.0,), "cap": 0.9}, {"cap": 2.0},
-    {"blowup": 0.5}, {"floors": (-2.0, -3.0), "cap": 5.0, "blowup": 4.0}])
+    {"floors": (2.0, 0.0)}, {"floors": (-2.0, -3.0), "cap": 5.0}])
 def test_single_shots(N, dense, events):
     r0, y0 = series_start(_cosine, 1.0, N, 1e-6)
     sol = _assert_same_outcome((_cosine, N, r0, y0, 7.0, 1e-10, 1e-12),
                                dict(events, dense=dense))
-    assert len(sol.t_events) == (len(events.get("floors", ())) + ("cap" in events)
-                                 + ("blowup" in events))
+    slots = [*range(len(events.get("floors", ()))), *[2] * ("cap" in events)]
+    assert sol.event is None or sol.event in slots
 
 
-def test_growing_shot_with_blowup_event_and_dense_output():
+def test_growing_shot_with_cap_event_and_dense_output():
     sol = _assert_same_outcome((lambda r, u, du: u, 1, 0.0, (1.0, 0.0), 5.0, 1e-12, 1e-14),
-                               dict(floors=(0.5,), cap=10.0, blowup=3.0, dense=True))
-    assert _fired(sol) == [2]
+                               dict(floors=(0.5,), cap=3.0, dense=True))
+    assert sol.event == 2
 
 
 @pytest.mark.parametrize("N", [1, 3])
@@ -451,4 +441,4 @@ def test_overflowing_shot_without_a_cap_reports_no_event(N, events):
     sol = _assert_same_outcome((lambda r, u, du: u * u * u, N, 1e-6 * (N > 1), (1.0, 0.0),
                                 10.0, 1e-10, 1e-12), events)
     assert sol.status == -1
-    assert not _fired(sol)
+    assert sol.event is None
