@@ -6,8 +6,9 @@ lambda_1 = (j/R)^2, and a second shot at lambda_1 gives the eigenfunction.
 The singular boundary-value problems are solved by shooting on the center
 value (ball) or the starting slope (interval), with the zero located through
 an epsilon cut and a local linear model, and Brent's method on that
-parameter (numerics.find_root_monotone).  Nonexistence is an audited verdict
-from the sign analysis of the shooting map over a log grid of probes.  The
+parameter (numerics.find_root_monotone).  Nonexistence is an audited verdict:
+the shooting map has no sign change on a log grid of probes, nor at the
+located maxima of the zero location, which also give the fold.  The
 Gelfand substitution v = e^(lambda u) - 1 reduces the quadratic-convection
 problem to an absorption problem, and the Young-inequality constant handles
 1 < p < 2.
@@ -15,11 +16,11 @@ problem to an absorption problem, and the Young-inequality constant handles
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .expr import EvalDomainError, ScalarFn, compose_scalar, const
 from .ioutil import fmt, write_csv
@@ -37,8 +38,9 @@ from .numerics import (
 
 EPS_BOUNDARY = 1e-6  # epsilon cut where integration stops and the zero is modelled
 CUT_MARGIN = 10.0  # the bracket end past R must rise to CUT_MARGIN * EPS_BOUNDARY
+R_CAP = 3.0  # shots end at r = R_CAP * R: a zero location past it is no zero
 S_MAX_PROBE = 1e6
-# The one probe grid of every shooting search: 63 probes a factor 10^(10/52)
+# The probe grid of the shooting searches: 63 probes a factor 10^(10/52)
 # apart, from 1.19e-6 to S_MAX_PROBE.  Every fourth from the eleventh,
 # PROBES[10::4], is the coarse scan geomspace(1e-4, S_MAX_PROBE, 14) bit for bit.
 PROBES = tuple(float(s) for s in np.concatenate((
@@ -293,7 +295,7 @@ def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None, u_cap: float
     peak is the highest u on the solver's steps.
     """
     N, R = prob.N, prob.R
-    r_cap = 3.0 * R
+    r_cap = R_CAP * R
     source = _lef_source(prob)
 
     def integrate(s, level=0.0, eps_b=EPS_BOUNDARY, dense=False):
@@ -327,20 +329,29 @@ def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None, u_cap: float
     return zero_location, integrate
 
 
+class _Bracketed(Exception):
+    """Ends a fold search at the first shot that brackets R."""
+
+
 def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
-    One search serves every boundary level: the shooting map
-    s -> zero_location(s, level) is probed on the grid PROBES, first on its
-    coarse slice PROBES[10::4] up to the first bracket and then, when that
-    slice has none, on the whole grid, and Brent's method solves
-    zero_location(s) = R on the first probe bracket; no s is shot twice.  A
-    bracket counts only when its probe past R clears the epsilon cut by the
-    factor CUT_MARGIN.  When no probe of the whole grid brackets R, the
-    singular problem is declared no-solution with the table attached;
-    failed_probes counts the probes whose shot failed (zero location nan),
-    which neither bracket R nor enter sup_zero_location; nor does a probe
-    whose peak stays under CUT_MARGIN times the cut.
+    One search serves every boundary level.  The shooting map
+    s -> z(s) = zero_location(s, level) is probed on the coarse slice
+    PROBES[10::4] up to the first bracket of R.  When that slice has none,
+    z is maximised at each interior turning maximum of the slice, highest
+    first, by a bounded Brent search in ln s between the maximum's
+    neighbours, up to the first shot that brackets R: a window around a
+    fold where z exceeds R is located, not sampled (Keller 1977).  Brent's
+    method then solves z(s) = R on that bracket; no s is shot twice.  A
+    bracket counts, and the search reads z, only where the shot clears the
+    epsilon cut by the factor CUT_MARGIN.  When no shot brackets R, the
+    singular problem is declared no-solution with every shot, sorted by s,
+    in probe_table: sup_zero_location is the largest z read and
+    fold_parameter its s; a scale-invariant problem (-Delta u = lam f(u)
+    alone, lam > 0) also records lambda_star = lam (sup_zero_location/R)^2,
+    where its branch folds, when that z lies within the shots' reach.
+    failed_probes counts the shots that failed (zero location nan).
     options={'check_eps_sensitivity': True} records the drift of the zero
     when the cut is halved; options={'regularization_levels': [k, ...]}
     solves the problems with u = 1/k on the boundary, on either geometry,
@@ -353,25 +364,38 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     zero_location, integrate = _shooting_map(prob, tally)
     R = prob.R
 
+    def admissible(z, peak):
+        # a probe that barely clears the cut crosses it with a near-zero
+        # slope, and the linear model puts its zero far beyond the true one
+        # (a probe that never clears it gets the true zero from the backstop
+        # event); only a peak of CUT_MARGIN times the cut is read
+        return math.isfinite(z) and peak >= CUT_MARGIN * EPS_BOUNDARY
+
     def bracket_in(points):
         # a sign change of zero_location - R counts only when the probe past
-        # R rose to CUT_MARGIN times the cut: a probe that barely clears the
-        # cut crosses it with a near-zero slope, and the linear model puts
-        # its zero far beyond the true one (a probe that never clears it
-        # gets the true zero from the backstop event)
+        # R is admissible
         for (s1, z1, peak1), (s2, z2, peak2) in zip(points, points[1:]):
-            if ((z1 - R) * (z2 - R) <= 0.0
-                    and (peak1 if z1 > z2 else peak2) >= CUT_MARGIN * EPS_BOUNDARY):
+            if (z1 - R) * (z2 - R) <= 0.0 and (admissible(z1, peak1) if z1 > z2
+                                               else admissible(z2, peak2)):
                 return s1, s2
         return None
 
-    probes_at = {}  # one memo of zero_location per boundary level
+    probes_at = {}  # one memoised zero_location per boundary level
 
     def shoot_to_R(level):
-        """(s*, probe table); s* is None when no probe brackets R."""
-        # one memo serves the coarse scan, the whole grid, Brent's method
+        """(s*, every shot as (s, z, peak) sorted by s); s* is None when no
+        shot brackets R."""
+        # one memo serves the coarse scan, the fold search, Brent's method
         # and the cut audit
-        probe = probes_at[level] = functools.cache(lambda s: zero_location(s, level))
+        shots = {}
+
+        def probe(s):
+            if s not in shots:
+                shots[s] = zero_location(s, level)
+            return shots[s]
+
+        probes_at[level] = probe
+
         points = []
         for s in PROBES[10::4]:
             points.append((s, *probe(s)))
@@ -379,27 +403,57 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
             if bracket is not None:
                 break
         else:
-            points = [(s, *probe(s)) for s in PROBES]
-            bracket = bracket_in(points)
-        probes = [(s, z) for s, z, _ in points]
+            bracket = fold_search(probe, shots, points)
+            points = [(s, *shots[s]) for s in sorted(shots)]
         if bracket is None:
-            return None, probes
+            return None, points
         s_star = find_root_monotone(lambda s: probe(s)[0], R, *bracket,
                                     tol=1e-9 * R, width_tol=1e-13)
-        return s_star, probes
+        return s_star, points
 
-    s_star, probes = shoot_to_R(0.0)
+    def fold_search(probe, shots, coarse):
+        """Maximise z at the coarse slice's turning maxima, highest first;
+        the first bracket of R that a shot completes, or None."""
+        tol = 1e-9 * R
+        ok = [(s, z) for s, z, peak in coarse if admissible(z, peak)]
+        # a maximum between two lower admissible neighbours; at either end of
+        # the slice z may keep rising toward shots that cannot be read, and a
+        # search there only climbs into the model error of the cut
+        maxima = sorted(((z, lo, hi) for (lo, z_lo), (_, z), (hi, z_hi)
+                         in zip(ok, ok[1:], ok[2:]) if z > max(z_lo, z_hi) + tol),
+                        reverse=True)
+
+        def minus_z(x):
+            z, peak = probe(math.exp(x))
+            bracket = bracket_in([(s, *shots[s]) for s in sorted(shots)])
+            if bracket is not None:
+                raise _Bracketed(bracket)
+            return -z if admissible(z, peak) else 0.0
+
+        for _, lo, hi in maxima:
+            try:
+                minimize_scalar(minus_z, bounds=(math.log(lo), math.log(hi)),
+                                method="bounded", options={"xatol": 1e-5})
+            except _Bracketed as found:
+                return found.args[0]
+        return None
+
+    s_star, points = shoot_to_R(0.0)
+    probes = [(s, z) for s, z, _ in points]
     if s_star is None:
-        zeros = [z for _, z in probes if math.isfinite(z)]
-        # the sup reads only the probes that bracket_in would accept: a peak
-        # under the margin puts the modelled zero far beyond the true one
-        sup = max((z for s, z in probes if math.isfinite(z)
-                   and probes_at[0.0](s)[1] >= CUT_MARGIN * EPS_BOUNDARY), default=math.nan)
+        sup, fold = max(((z, s) for s, z, peak in points if admissible(z, peak)),
+                        default=(math.nan, math.nan))
+        metadata = {"probe_table": probes, "sup_zero_location": sup, "fold_parameter": fold}
+        if (prob.mode == "absorption" and prob.g is None and prob.f is not None
+                and prob.lam > 0.0 and sup <= R_CAP * R):
+            # -Delta u = lam f(u) alone scales, on the ball and the interval:
+            # u(r) = w(sqrt(lam) r) with -Delta w = f(w), so the largest zero
+            # location goes like 1/sqrt(lam), and the branch folds where it is R
+            metadata["lambda_star"] = prob.lam * (sup / R) ** 2
+        metadata["failed_probes"] = sum(not math.isfinite(z) for _, z in probes)
         return RadialSolution(
             dimension=prob.N, r=np.array([0.0, R]), u=np.zeros(2),
-            classification=NO_SOLUTION,
-            metadata={"probe_table": probes, "sup_zero_location": sup,
-                      "failed_probes": len(probes) - len(zeros), **asdict(tally)},
+            classification=NO_SOLUTION, metadata={**metadata, **asdict(tally)},
         )
 
     sol = integrate(s_star, dense=True)

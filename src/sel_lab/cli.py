@@ -30,7 +30,7 @@ from . import karamata as _ka
 from . import numerics as _num
 from . import profile as _prof
 from . import radial as _rad
-from .expr import ParseError, ScalarFn, parse_expression
+from .expr import EvalDomainError, ParseError, ScalarFn, parse_expression
 from .ioutil import atomic_write_text, write_csv
 
 SECTIONS = ("problem", "functions", "numerics", "output")
@@ -402,9 +402,14 @@ def _cmd_solve_entire(spec, outdir):
     nl = _ka.analyze_nonlinearity(f_src)
     lam = nl.Lambda if nl.Lambda is not None else math.inf
     if phi_src is not None:
-        pot = _rad.RadialPotential(phi=ScalarFn.from_source(phi_src),
-                                   psi=ScalarFn.from_source(psi_src),
-                                   lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
+        try:
+            pot = _rad.RadialPotential(phi=ScalarFn.from_source(phi_src),
+                                       psi=ScalarFn.from_source(psi_src),
+                                       lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
+        except EvalDomainError:
+            raise  # an envelope undefined where it is sampled is a numerical failure
+        except ValueError as exc:  # envelopes out of order: the config asks the impossible
+            raise ConfigError(f"[functions] phi: {exc}", spec.data["functions"]["phi"][1]) from exc
         sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
     else:
         sol = _rad.picard_gradient_entire(ScalarFn.from_source(psi_src), nl, b0, R, N,
@@ -583,8 +588,9 @@ def _cmd_lef(spec, outdir):
         csv = spec.get("output", "csv", "lef_probes.csv")
         write_csv(os.path.join(outdir, csv), "s,zero_location",
                   zip(*sol.metadata["probe_table"]))
-        out["sup_zero_location"] = sol.metadata["sup_zero_location"]
-        out["failed_probes"] = sol.metadata["failed_probes"]
+        out.update((key, sol.metadata[key])
+                   for key in ("sup_zero_location", "fold_parameter", "lambda_star",
+                               "failed_probes") if key in sol.metadata)
     else:
         csv = spec.get("output", "csv", "lef.csv")
         sol.to_csv(os.path.join(outdir, csv))

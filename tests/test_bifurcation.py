@@ -285,7 +285,11 @@ class TestSolveLEF:
         sol = solve_lef(prob)
         assert sol.classification == NO_SOLUTION
         assert sol.metadata["sup_zero_location"] < 1.0
-        assert len(sol.metadata["probe_table"]) >= 60
+        # z rises over the whole coarse slice: no turning maximum to search
+        assert [s for s, _ in sol.metadata["probe_table"]] == list(PROBES[10::4])
+        assert sol.metadata["fold_parameter"] == S_MAX_PROBE
+        # the singular term breaks the scaling u(r) = w(sqrt(lam) r)
+        assert "lambda_star" not in sol.metadata
 
     @pytest.mark.parametrize("lam", [2.0, 10.45, 12.0, 16.52])
     def test_linear_problem_has_no_positive_solution(self, f_linear, lam):
@@ -294,9 +298,12 @@ class TestSolveLEF:
         prob = LEFProblem(N=1, geometry="interval", lam=lam, f=f_linear)
         sol = solve_lef(prob)
         assert sol.classification == NO_SOLUTION
-        assert len(sol.metadata["probe_table"]) == len(PROBES)
-        # the coarse scan is a slice of the table: no probe is shot twice
-        assert sol.metadata["shots"] == len(PROBES) == 63
+        # z = pi/sqrt(lam) up to the cut's model error, which falls with s:
+        # the lowest probe is no turning maximum, and no probe is shot twice
+        assert sol.metadata["shots"] == len(sol.metadata["probe_table"]) == 14
+        # the linear problem scales: lambda_star is lambda_1 = pi^2 up to
+        # twice the model error of the lowest probe's zero
+        assert sol.metadata["lambda_star"] == pytest.approx(math.pi ** 2, rel=1e-4)
 
     def test_sup_zero_location_skips_probes_under_the_cut_margin(self, f_linear):
         # every shot of -u'' = lam u returns to 0 at pi/sqrt(lam); the probe at
@@ -470,7 +477,7 @@ class TestGelfandBall:
         sol = solve_lef(LEFProblem(N=1, geometry="ball", lam=0.9, f=f_exp))
         assert sol.classification == NO_SOLUTION
         zeros = [z for _, z in sol.metadata["probe_table"]]
-        assert sol.metadata["failed_probes"] == sum(map(math.isnan, zeros)) >= 16
+        assert sol.metadata["failed_probes"] == sum(map(math.isnan, zeros)) == 5
         assert sol.metadata["shots"] <= len(PROBES)
         assert sol.metadata["sup_zero_location"] == max(z for z in zeros if not math.isnan(z))
 
@@ -482,14 +489,70 @@ class TestGelfandBall:
 
     def test_n3_just_below_threshold_is_solved(self, f_exp):
         # at lam = 3.3 < lam* ~ 3.322 the zero location exceeds R only on the
-        # window s ~ 1.4-1.8 of the branch's turning point, where the probe at
-        # s ~ 1.70 lands.  A window narrower than the grid ratio 10^(10/52)
-        # ~ 1.557 can still fall between two probes and read no-solution.
+        # window s ~ 1.4-1.8 of the branch's turning point
         sol = solve_lef(LEFProblem(N=3, geometry="ball", lam=3.3, f=f_exp))
         assert sol.classification == "bounded"
         diagram = sweep(LEFProblem(N=3, geometry="ball", f=f_exp), [3.0, 3.3, 3.5])
         assert diagram.status == ["solved", "solved", "no-solution"]
         assert diagram.lam_star_bracket == (3.3, 3.5)
+
+
+BRATU_THETA = brentq(lambda t: t * math.tanh(t) - 1.0, 0.5, 2.0)
+
+
+def bratu_lambda_star(R):
+    """Closed-form fold of -u'' = lam e^u on an interval of length R:
+    lam* = 8 theta^2/(R^2 cosh^2 theta) with theta tanh theta = 1 (Gelfand
+    1963); R = 2 is the N = 1 ball (-1, 1)."""
+    return 8.0 * BRATU_THETA ** 2 / (R * math.cosh(BRATU_THETA)) ** 2
+
+
+@pytest.mark.filterwarnings("error")
+class TestFold:
+    """The zero-location map z(s) of -Delta u = lam e^u exceeds R only on a
+    window around the fold, which the search locates instead of sampling."""
+
+    @pytest.mark.parametrize("N, geometry, R, lam", [
+        (1, "interval", 2.0, 0.877),   # lam* = 0.87846
+        (1, "interval", 1.0, 3.513),   # lam* = 3.51383
+        (2, "ball", 1.0, 1.998),       # lam* = 2
+        (2, "ball", 1.0, 1.99),
+        (2, "ball", 1.0, 1.96),
+        (3, "ball", 1.0, 3.321),       # lam* ~ 3.32199
+    ])
+    def test_just_below_the_fold_is_solved(self, f_exp, N, geometry, R, lam):
+        sol = solve_lef(LEFProblem(N=N, geometry=geometry, R=R, lam=lam, f=f_exp))
+        assert sol.classification == "bounded"
+        # every shot once: the coarse slice, the search and Brent's method
+        assert sol.metadata["shots"] < 40
+
+    @pytest.mark.parametrize("N, geometry, R, lam, lam_star", [
+        (1, "interval", 2.0, 0.9, bratu_lambda_star(2.0)),
+        (1, "interval", 1.0, 4.0, bratu_lambda_star(1.0)),
+        (1, "ball", 1.0, 0.9, bratu_lambda_star(2.0)),
+        (2, "ball", 1.0, 2.2, 2.0),
+    ])
+    def test_lambda_star_matches_the_closed_forms(self, f_exp, N, geometry, R, lam, lam_star):
+        sol = solve_lef(LEFProblem(N=N, geometry=geometry, R=R, lam=lam, f=f_exp))
+        assert sol.classification == NO_SOLUTION
+        assert sol.metadata["lambda_star"] == pytest.approx(lam_star, rel=1e-9)
+        assert sol.metadata["sup_zero_location"] < R
+
+    @pytest.mark.parametrize("N, lam, s_fold", [
+        # u(0) at the fold: 2 ln cosh theta for N = 1, ln 4 for N = 2
+        (1, 0.9, 2.0 * math.log(math.cosh(BRATU_THETA))),
+        (2, 2.2, math.log(4.0)),
+    ])
+    def test_fold_parameter_is_the_center_value_at_the_fold(self, f_exp, N, lam, s_fold):
+        # the search stops at 1e-5 in ln s
+        sol = solve_lef(LEFProblem(N=N, geometry="ball", lam=lam, f=f_exp))
+        assert sol.metadata["fold_parameter"] == pytest.approx(s_fold, rel=1e-5)
+
+    def test_no_shot_is_repeated(self, f_exp):
+        sol = solve_lef(LEFProblem(N=3, geometry="ball", lam=3.5, f=f_exp))
+        table = [s for s, _ in sol.metadata["probe_table"]]
+        assert table == sorted(set(table))
+        assert set(PROBES[10::4]) <= set(table)
 
 
 class TestGelfand:

@@ -657,6 +657,41 @@ panels = 512
         assert "growth_bound_ok=true" in out
         assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+", out)
 
+    @staticmethod
+    def _entire_config(phi=""):
+        return f"""
+[problem]
+command = solve-entire
+N = 3
+R = 50
+
+[functions]
+f = "t^0.5"
+psi = "(1+t^2)^(-2)"
+{phi}
+"""
+
+    def test_solve_entire_with_equal_envelopes(self, tmp_path, capsys):
+        # phi = psi is the radial potential given twice: the same solution,
+        # with the ordering of the sub- and super-solution runs on top
+        code, _ = run_cli(tmp_path, self._entire_config(), out="radial")
+        assert code == 0
+        radial = capsys.readouterr().out
+        code, _ = run_cli(tmp_path, self._entire_config('phi = "(1+t^2)^(-2)"'), out="two")
+        assert code == 0
+        two = capsys.readouterr().out
+        u_end = re.search(r" u_end=\S+ ", radial).group(0)
+        assert u_end in two
+        assert "b_star=1 ordering_ok=true" in two
+
+    def test_solve_entire_phi_below_psi_is_config_error(self, tmp_path, capsys):
+        # exited 3 with a failure.json as if the solve had failed
+        code, outdir = run_cli(tmp_path, self._entire_config('phi = "(1+t^2)^(-3)"'))
+        assert code == 2
+        assert ("line 10: [functions] phi: envelopes must satisfy phi >= psi >= 0"
+                in capsys.readouterr().err)
+        assert not os.path.exists(outdir)
+
     def test_solve_entire_far_radius_reports_its_mesh_error(self, tmp_path, capsys):
         # the R = 1500 CI config: w moves by 2.6e-8 near r = 1.65 from 4096
         # to 8192 panels, so the refinement goes on to 8192
@@ -780,7 +815,11 @@ a = "1"
         assert "classification=no-solution" in out and "failed_probes=0" in out
         lines = open(os.path.join(outdir, "lef_probes.csv")).read().splitlines()
         assert lines[0] == "s,zero_location"
-        assert len(lines) >= 61
+        # the coarse slice: z rises over all of it, so there is no fold to search
+        assert len(lines) == 15
+        summary = json.loads(open(os.path.join(outdir, "lef_summary.json")).read())
+        assert summary["fold_parameter"] == 1e6
+        assert "lambda_star" not in summary
 
     def test_lef_reports_its_shots(self, tmp_path, capsys):
         code, outdir = run_cli(tmp_path, """
@@ -795,11 +834,37 @@ f = "exp(t)"
 """)
         assert code == 0
         out = capsys.readouterr().out
-        assert "center_value=0.9584223804421385" in out and "c2=1.4419375461971118" in out
+        assert "center_value=0.958422380442605" in out and "c2=1.441937546163609" in out
         summary = json.loads(open(os.path.join(outdir, "lef_summary.json")).read())
-        assert summary["shots"] > 60
+        # 14 coarse probes without a bracket, the fold search up to its first
+        # bracket, then Brent's method and the dense shot
+        assert summary["shots"] == 21
         assert summary["rhs_calls"] > 12 * (summary["steps_accepted"]
                                             + summary["steps_rejected"])
+
+    @pytest.mark.parametrize("lam, printed", [
+        (1.98, "classification=bounded "),
+        (2.2, "classification=no-solution sup_zero_location=0.9534625892419333 "
+              "fold_parameter=1.3862965594040688 lambda_star=1.9999999999846496 "),
+    ])
+    def test_lef_at_the_n2_gelfand_fold(self, tmp_path, capsys, lam, printed):
+        # lambda* = 2 on the unit disc; lambda_star reads it off the located
+        # maximum of the zero location
+        code, outdir = run_cli(tmp_path, f"""
+[problem]
+command = lef
+N = 2
+geometry = ball
+lambda = {lam}
+
+[functions]
+f = "exp(t)"
+""")
+        assert code == 0
+        assert f"command=lef {printed}" in capsys.readouterr().out
+        if lam > 2.0:
+            summary = json.loads(open(os.path.join(outdir, "lef_summary.json")).read())
+            assert summary["lambda_star"] == pytest.approx(2.0, rel=1e-9)
 
     def test_sweep_domain_error_exits_3(self, tmp_path):
         code, outdir = run_cli(tmp_path, """
@@ -1152,13 +1217,13 @@ R = 1.0
 
 
 @pytest.mark.parametrize("mode, printed", [
-    ("two-param", "classification=no-solution sup_zero_location=3.199929438456093 "
-                  "failed_probes=0"),
+    ("two-param", "classification=no-solution sup_zero_location=3.1999300196326215 "
+                  "fold_parameter=0.009840647208645376 failed_probes=0"),
     ("convection", "classification=bounded sup_norm=0.32968186115974374 "
                    "center_value=0.32968186060815396 c1=1.1291306356517536 "
                    "c2=1.6897836063549032"),
-    ("convection-absorb", "classification=no-solution sup_zero_location=8.225050300606199 "
-                          "failed_probes=0"),
+    ("convection-absorb", "classification=no-solution sup_zero_location=8.225059190902815 "
+                          "fold_parameter=0.009763582580980135 failed_probes=0"),
 ])
 def test_lef_modes_on_the_interval(tmp_path, capsys, mode, printed):
     code, outdir = run_cli(tmp_path, f"""
