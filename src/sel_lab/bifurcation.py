@@ -1,8 +1,9 @@
 """Eigenvalues, singular Lane-Emden-Fowler solves, and parameter sweeps.
 
 The first Dirichlet eigenvalue of the radial Laplacian is scale invariant:
-one shot of -Delta w = w from a series start to its first zero j gives
-lambda_1 = (j/R)^2, and a second shot at lambda_1 gives the eigenfunction.
+one shot of -Delta w = w from its exact series at x = 1 to its first zero
+j gives lambda_1 = (j/R)^2, and a second shot at lambda_1 gives the
+eigenfunction.
 The singular boundary-value problems are solved by shooting on the center
 value (ball) or the starting slope (interval), with the zero located through
 an epsilon cut and a local linear model, and Brent's method on that
@@ -31,6 +32,7 @@ from .numerics import (
     NumericsError,
     RadialSolution,
     ShotTally,
+    bessel_psi,
     find_root_monotone,
     series_start,
     shoot,
@@ -47,6 +49,7 @@ PROBES = tuple(float(s) for s in np.concatenate((
     np.geomspace(1e-4 * 10.0 ** (-100 / 52), 1e-4, 11)[:-1],
     np.geomspace(1e-4, S_MAX_PROBE, 53))))
 N_PROBES = len(PROBES)  # a full audit table; bench/tracing.py counts those by it
+EIGEN_START = 1.0  # where the eigen shots leave the series of w: below every j_{N/2-1,1}
 EIGEN_AUDIT = 1e-9  # largest |phi(R)| of the eigenfunction, relative to max |phi|
 EIGEN_MODES = ("ball", "interval")
 LEF_GEOMETRIES = ("interval", "ball")
@@ -89,11 +92,14 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
     mode='ball' solves the radial problem with phi'(0) = 0 (for N = 1 this
     is the symmetric interval (-R, R)); mode='interval' (N = 1 only) is
     the Dirichlet interval (0, R) with phi(0) = 0.  The eigenproblem is
-    scale invariant: phi(r) = w(sqrt(lambda) r) with -Delta w = w, so one
-    shot of w from the series start to its first zero j gives
-    lambda_1 = (j/R)^2, with j = j_{N/2-1,1} on the N-ball (Watson 15.2).
-    A second, dense shot at lambda_1 builds the eigenfunction table; its
-    phi(R) is the audit that the scaled zero carries over to R.
+    scale invariant: phi(r) = w(sqrt(lambda) r) with -Delta w = w, and
+    below x = EIGEN_START the regular w is its exact series (bessel_psi):
+    psi_N on the ball, x psi_3(x) = sin x on the interval.  One shot of w
+    from EIGEN_START to its first zero j gives lambda_1 = (j/R)^2, with
+    j = j_{N/2-1,1} >= pi/2 > EIGEN_START on the N-ball (Watson 15.2).  A
+    second, dense shot at lambda_1 from r = EIGEN_START/sqrt(lambda_1) to R
+    builds the eigenfunction table, whose rows below that start are the
+    series; its phi(R) is the audit that the scaled zero carries over to R.
     """
     if N < 1:
         raise ValueError("dimension N must be >= 1")
@@ -104,29 +110,42 @@ def lambda1_ball(N: int, R: float, mode: str = "ball") -> EigenResult:
     if mode == "interval" and N != 1:
         raise ValueError("interval mode is the 1-D Dirichlet analogue (N = 1)")
 
-    tally = ShotTally()
-    phi0, dphi0 = (0.0, 1.0) if mode == "interval" else (1.0, 0.0)
+    def unit(x):
+        """(w, w') at x, floats or arrays."""
+        if mode == "interval":
+            return x * bessel_psi(3, x), bessel_psi(1, x)
+        return bessel_psi(N, x), -(x / N) * bessel_psi(N + 2, x)
 
-    def integrate(lam, eps, r_end, **kwargs):
+    tally = ShotTally()
+
+    def integrate(lam, start, y0, r_end, **kwargs):
         source = lambda r, u, du: -lam * u  # noqa: E731
-        start, y0 = series_start(source, phi0, N, eps, dphi0)
         return tally.add(shoot(source, N, start, y0, r_end, 1e-13, 1e-14, **kwargs))
 
+    w, dw = unit(EIGEN_START)
     span = 2.0 * N + 8.0  # past j_{N/2-1,1} < N + 2 and pi; the event ends the shot
-    unit = integrate(1.0, 1e-6, span, floors=(0.0,))
-    if unit.event is None:
+    shot = integrate(1.0, EIGEN_START, (w, dw), span, floors=(0.0,))
+    if shot.event is None:
         raise NumericsError(f"eigenvalue shot of -Delta w = w (N = {N}, mode {mode!r}) "
-                            f"has no zero on (0, {span!r}]: {unit.message}")
-    lam = (float(unit.t[-1]) / R) ** 2
-
-    sol = integrate(lam, 1e-6 * R, R, dense=True)
+                            f"has no zero on (0, {span!r}]: {shot.message}")
+    k = float(shot.t[-1]) / R
+    lam = k * k
+    # phi(r) = c w(k r): phi(0) = 1 on the ball, phi'(0) = 1 on the interval
+    c = 1.0 / k if mode == "interval" else 1.0
+    start = EIGEN_START / k
+    sol = integrate(lam, start, (c * w, c * k * dw), R, dense=True)
     phi_at_r = float(sol.y[0, -1])
     if abs(phi_at_r) > EIGEN_AUDIT * float(np.max(np.abs(sol.y[0]))):
         raise NumericsError(f"eigenfunction at lambda_1 = {lam!r} (N = {N}, mode {mode!r}) "
                             f"misses its zero: phi(R = {R!r}) = {phi_at_r!r}")
-    grid = np.linspace(sol.t[0], R, 401)
-    vals = sol.sol(grid)
-    return EigenResult(lambda1=lam, r=grid, phi=vals[0], dphi=vals[1], N=N, R=R,
+    # the r column the eigen CSVs have: from 0 for N = 1, from 1e-6 R for N >= 2
+    grid = np.linspace(0.0 if N == 1 else 1e-6 * R, R, 401)
+    head = grid < start
+    w, dw = unit(k * grid[head])
+    vals = sol.sol(grid[~head])
+    phi = np.concatenate((c * w, vals[0]))
+    dphi = np.concatenate((c * k * dw, vals[1]))
+    return EigenResult(lambda1=lam, r=grid, phi=phi, dphi=dphi, N=N, R=R,
                        mode=mode, shots=tally.shots,
                        steps_accepted=tally.steps_accepted,
                        steps_rejected=tally.steps_rejected, phi_at_R=phi_at_r)

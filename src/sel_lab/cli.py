@@ -30,7 +30,7 @@ from . import karamata as _ka
 from . import numerics as _num
 from . import profile as _prof
 from . import radial as _rad
-from .expr import EvalDomainError, ParseError, ScalarFn, parse_expression
+from .expr import ParseError, ScalarFn, parse_expression
 from .ioutil import atomic_write_text, write_csv
 
 SECTIONS = ("problem", "functions", "numerics", "output")
@@ -406,11 +406,9 @@ def _cmd_solve_entire(spec, outdir):
             pot = _rad.RadialPotential(phi=ScalarFn.from_source(phi_src),
                                        psi=ScalarFn.from_source(psi_src),
                                        lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
-        except EvalDomainError:
-            raise  # an envelope undefined where it is sampled is a numerical failure
-        except ValueError as exc:  # envelopes out of order: the config asks the impossible
+            sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
+        except _rad.EnvelopeError as exc:  # envelopes out of order: the config asks the impossible
             raise ConfigError(f"[functions] phi: {exc}", spec.data["functions"]["phi"][1]) from exc
-        sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
     else:
         sol = _rad.picard_gradient_entire(ScalarFn.from_source(psi_src), nl, b0, R, N,
                                           tol, panels)

@@ -23,7 +23,7 @@ Python only at the end of the interval, at the minimum step or on a step
 where an event fires.  `shoot` then locates the event, ends the shot
 there and returns a `ShotResult` that names the slot that fired, with its
 step and RHS-call counts.  `series_start` steps past the (N-1)/r origin
-singularity.
+singularity, and `bessel_psi` sums the regular solution of -Delta w = w.
 
 All functions here are pure over immutable inputs; no global state.
 """
@@ -292,10 +292,11 @@ def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
     return integrate_finite(fn, a, b, tol)
 
 
-def _gk15(vec, a, b):
+def _gk15(vec, a, b, scaled: bool = False):
     """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
-    the arrays (values, errs, scaled) of the Kronrod values, the raw
-    estimates |K15 - G7| and QUADPACK's scaled estimates.
+    the arrays (values, errs) of the Kronrod values and the raw estimates
+    |K15 - G7|, and with scaled=True (values, errs, scaled), with
+    QUADPACK's scaled estimates too.
 
     vec is called once on the (n, 15) array of every panel's nodes in
     integrate_panel's order; its exceptions propagate.  The Kronrod and
@@ -324,12 +325,13 @@ def _gk15(vec, a, b):
             kronrod = kronrod + kp[j]
             gauss = gauss + gp[j]
         raw = np.abs(kronrod - gauss) * half
+        if not scaled:
+            return kronrod * half, raw
         resabs = np.abs(fv) @ _GK15_ROW * half
         resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _GK15_ROW * half
-        scaled = np.where((resasc > 0.0) & (raw > 0.0),
-                          resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
-        scaled = np.maximum(scaled, 50.0 * _EPS * resabs)
-        return kronrod * half, raw, scaled
+        est = np.where((resasc > 0.0) & (raw > 0.0),
+                       resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
+        return kronrod * half, raw, np.maximum(est, 50.0 * _EPS * resabs)
 
 
 def integrate_panels(vec, a, b, tol: float = 1e-10):
@@ -341,7 +343,7 @@ def integrate_panels(vec, a, b, tol: float = 1e-10):
     acceptance test; a panel that fails it is left to the caller, with no
     fallback here.
     """
-    value, err, _ = _gk15(vec, a, b)
+    value, err = _gk15(vec, a, b)
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(value) & (err <= tol * (1.0 + np.abs(value)))
     return value, ok
@@ -590,7 +592,7 @@ def _integrate_log_tail(fn, edges, tol: float):
     span = edges[-1] - edges[0]
     kept_v, kept_e = [], []
     for _ in range(_TAIL_DEPTH):
-        v, _, e = _gk15(lambda w: _log_integrand(fn, w), lo, hi)
+        v, _, e = _gk15(lambda w: _log_integrand(fn, w), lo, hi, scaled=True)
         value = math.fsum(kept_v + v.tolist())
         err = math.fsum(kept_e + e.tolist())
         budget = tol * (1.0 + abs(value))
@@ -754,6 +756,28 @@ def series_start(source, u0: float, N: int, eps: float, du0: float = 0.0):
         return 0.0, (u0, du0)
     g0 = source(0.0, u0, 0.0)
     return eps, (u0 + du0 * eps + g0 * eps * eps / (2.0 * N), du0 + g0 * eps / N)
+
+
+def bessel_psi(M: int, x):
+    """psi_M(x) = sum_j (-x^2/4)^j / (j! (M/2)_j), a float or an array like x.
+
+    The regular solution of -Delta w = w in dimension M with w(0) = 1:
+    Gamma(M/2) (x/2)^(1-M/2) J_{M/2-1}(x) (Watson, Bessel Functions, 3.1;
+    Abramowitz & Stegun 9.1.10), cos x for M = 1 and sin x / x for M = 3.
+    Its slope is psi_M'(x) = -(x/M) psi_{M+2}(x).  The sum is nested
+    (Horner) and runs until the terms at max |x| fall below 1e-17; on
+    |x| <= 1 they fall like 4^-j/j!, so it is exact to rounding there.
+    """
+    q = 0.25 * x * x
+    q_max, a = float(np.max(q)) if isinstance(q, np.ndarray) else q, 0.5 * M
+    terms, term = 0, 1.0
+    while term > 1e-17:  # the terms rise while j (a + j - 1) < q_max, then fall
+        terms += 1
+        term *= q_max / (terms * (a + terms - 1))
+    total = 1.0
+    for j in range(terms, 0, -1):
+        total = 1.0 - q / (j * (a + j - 1)) * total
+    return total
 
 
 # The explicit Runge-Kutta pair as scipy runs it: DOP853 (Dormand-Prince

@@ -47,6 +47,10 @@ MAX_PICARD_ITERATIONS = 200
 # Domain types
 # ---------------------------------------------------------------------------
 
+class EnvelopeError(ValueError):
+    """The envelopes of a RadialPotential are out of order: not phi >= psi >= 0."""
+
+
 @dataclass
 class RadialPotential:
     """Radial envelopes of a (possibly non-radial) potential.
@@ -54,7 +58,8 @@ class RadialPotential:
     phi(r) = max_{|x|=r} p, psi(r) = min_{|x|=r} p; a radial potential has
     phi = psi and gap = 0.  Psi(r) = exp(lam_N int_0^r s psi(s) ds) with
     lam_N = Lambda/(N-2) is the Gronwall weight of the slow-variation
-    condition.
+    condition.  The envelopes are checked at 41 radii of [0, 20] here, and
+    each solve checks them again on its own mesh of [0, R] (check).
     """
 
     phi: ScalarFn
@@ -65,11 +70,18 @@ class RadialPotential:
     def __post_init__(self):
         if self.psi is None:
             self.psi = self.phi
-        fphi, fpsi = self.phi.fast(), self.psi.fast()
-        for r in np.linspace(0.0, 20.0, 41):
-            lo, hi = fpsi(float(r)), fphi(float(r))
-            if lo < -1e-12 or hi < lo - 1e-12 * (1.0 + abs(hi)):
-                raise ValueError("envelopes must satisfy phi >= psi >= 0")
+        self.check(np.linspace(0.0, 20.0, 41))
+
+    def check(self, r) -> None:
+        """Raise EnvelopeError, naming the first offending radius, unless
+        phi >= psi >= 0 (to 1e-12) at every radius of the array r."""
+        lo = self.psi.vector()(r)
+        hi = lo if self.is_radial else self.phi.vector()(r)
+        bad = (lo < -1e-12) | (hi < lo - 1e-12 * (1.0 + np.abs(hi)))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise EnvelopeError(f"envelopes must satisfy phi >= psi >= 0 (r = {float(r[i])!r}: "
+                                f"phi = {float(hi[i])!r}, psi = {float(lo[i])!r})")
 
     @property
     def is_radial(self) -> bool:
@@ -531,7 +543,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     the sub/super ordering v <= w pointwise.  w lives on
     _graded_mesh(R, panels), refined as the system's mesh is (_refined):
     raises NumericsError when the mesh error of w over every node misses
-    tol after at most three doublings.
+    tol after at most three doublings, and EnvelopeError when a
+    RadialPotential's envelopes are out of order at a node of a mesh.
     """
     if N < 3:
         raise ValueError("the gradient scheme requires N >= 3")
@@ -543,7 +556,10 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     f_vec = f.f.vector()
 
     def run(r_end, n):
-        psi_vals = psi.vector()(_graded_mesh(r_end, n))
+        mesh = _graded_mesh(r_end, n)
+        if pot is not None:
+            pot.check(mesh)
+        psi_vals = psi.vector()(mesh)
         if np.any(psi_vals < 0.0):
             raise ValueError("psi envelope must be nonnegative")
         return (*_picard_gradient_run(psi_vals, f_vec, b0, r_end, n, N, tol), psi_vals)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.special import jv, spherical_jn
 
 from sel_lab import bifurcation
 from sel_lab.bifurcation import (
@@ -186,6 +186,36 @@ class TestEigenvalues:
         monkeypatch.setattr(bifurcation, "shoot", short)
         with pytest.raises(NumericsError, match=r"N = 3, mode 'ball'.* no zero on \(0, 14.0\]"):
             lambda1_ball(3, 1.0)
+
+    # (phi, phi'/k) at x = k r, k = sqrt(lambda_1), with phi(0) = 1 on the
+    # ball and phi'(0) = 1 on the interval (there k phi and phi')
+    CLOSED_FORMS = {
+        (1, "ball"): lambda x: (np.cos(x), -np.sin(x)),
+        (1, "interval"): lambda x: (np.sin(x), np.cos(x)),
+        (2, "ball"): lambda x: (jv(0.0, x), -jv(1.0, x)),
+        (3, "ball"): lambda x: (spherical_jn(0, x), -spherical_jn(1, x)),
+        (5, "ball"): lambda x: (3.0 * spherical_jn(1, x) / x, -3.0 * spherical_jn(2, x) / x),
+    }
+
+    @pytest.mark.parametrize("N, mode", list(CLOSED_FORMS))
+    @pytest.mark.parametrize("R", [0.5, 2.0])
+    def test_table_rows_on_each_side_of_the_series_start(self, N, mode, R):
+        # rows below EIGEN_START/k are the series, the rest the dense shot
+        eig = lambda1_ball(N, R, mode=mode)
+        k = math.sqrt(eig.lambda1)
+        start = np.searchsorted(eig.r, bifurcation.EIGEN_START / k)
+        assert 0 < start < eig.r.size - 3
+        rows = slice(start - 3, start + 3)
+        phi, slope = self.CLOSED_FORMS[N, mode](k * eig.r[rows])
+        scale = k if mode == "interval" else 1.0
+        assert np.max(np.abs(scale * eig.phi[rows] - phi)) <= 1e-12
+        assert np.max(np.abs(scale * eig.dphi[rows] / k - slope)) <= 1e-12
+
+    def test_five_ball_steps(self):
+        # both shots start at x = 1 on the series, past the origin, where the
+        # drift (N-1)/r u' is stiff: 68 accepted steps, 234 from r = 1e-6
+        eig = lambda1_ball(5, 1.0)
+        assert eig.steps_accepted <= 100
 
     def test_interval_mode_requires_1d(self):
         with pytest.raises(ValueError):

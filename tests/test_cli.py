@@ -692,6 +692,16 @@ psi = "(1+t^2)^(-2)"
                 in capsys.readouterr().err)
         assert not os.path.exists(outdir)
 
+    def test_solve_entire_envelopes_are_checked_out_to_R(self, tmp_path, capsys):
+        # phi dips below psi only past r = 20.5, inside the solve's [0, 50]:
+        # it exited 0 with ordering_ok=true while only [0, 20] was checked
+        phi = 'phi = "(1+t^2)^(-2)*(1+(20.5-t)/1000)"'
+        code, outdir = run_cli(tmp_path, self._entire_config(phi))
+        assert code == 2
+        assert ("line 10: [functions] phi: envelopes must satisfy phi >= psi >= 0"
+                in capsys.readouterr().err)
+        assert not os.path.exists(outdir)
+
     def test_solve_entire_far_radius_reports_its_mesh_error(self, tmp_path, capsys):
         # the R = 1500 CI config: w moves by 2.6e-8 near r = 1.65 from 4096
         # to 8192 panels, so the refinement goes on to 8192

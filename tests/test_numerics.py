@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import gamma, jv
 
 from sel_lab import bifurcation, numerics, radial
 from sel_lab.bifurcation import PROBES, LEFProblem
@@ -19,6 +20,7 @@ from sel_lab.numerics import (
     NumericsError,
     RadialSolution,
     ShotResult,
+    bessel_psi,
     classify_origin_integral,
     classify_tail_integral,
     find_root_monotone,
@@ -600,6 +602,46 @@ class TestShoot:
         assert r0 == 1e-3
         assert u == pytest.approx(2.0 + 0.5e-3 + 7e-6 / 6.0, rel=1e-15)
         assert du == pytest.approx(0.5 + 7e-3 / 3.0, rel=1e-15)
+
+
+class TestBesselPsi:
+    """psi_M(x) = Gamma(M/2) (x/2)^(1-M/2) J_{M/2-1}(x), summed as its series."""
+
+    X = np.linspace(0.0, 1.0, 201)
+
+    @pytest.mark.parametrize("M, closed", [
+        (1, np.cos),
+        (3, lambda x: np.sin(x) / x),
+        (2, lambda x: jv(0.0, x)),
+        (4, lambda x: 2.0 * jv(1.0, x) / x),
+        (5, lambda x: gamma(2.5) * (0.5 * x) ** -1.5 * jv(1.5, x)),
+    ])
+    def test_closed_forms_on_the_unit_interval(self, M, closed):
+        assert bessel_psi(M, 0.0) == 1.0
+        x = self.X[1:]
+        assert bessel_psi(M, x) == pytest.approx(closed(x), rel=1e-14, abs=0.0)
+
+    def test_interval_eigenfunction_is_sin(self):
+        assert self.X * bessel_psi(3, self.X) == pytest.approx(np.sin(self.X), rel=1e-14,
+                                                               abs=0.0)
+
+    def test_floats_and_arrays_agree(self):
+        values = bessel_psi(4, self.X)
+        assert [bessel_psi(4, float(x)) for x in self.X] == values.tolist()
+        assert isinstance(bessel_psi(4, 0.5), float)
+
+    @pytest.mark.parametrize("M", range(1, 8))
+    def test_slope_is_the_series_two_dimensions_up(self, M):
+        # psi_M' = -(x/M) psi_{M+2}, against a fourth-order central difference
+        x, h = self.X, 1e-3
+        diff = (8.0 * (bessel_psi(M, x + h) - bessel_psi(M, x - h))
+                - (bessel_psi(M, x + 2 * h) - bessel_psi(M, x - 2 * h))) / (12.0 * h)
+        assert np.max(np.abs(diff + (x / M) * bessel_psi(M + 2, x))) <= 1e-12
+
+    def test_past_the_unit_interval(self):
+        # the terms rise before they fall: the sum runs past the largest one
+        x = np.linspace(0.0, 6.0, 61)
+        assert np.max(np.abs(bessel_psi(1, x) - np.cos(x))) <= 1e-13
 
 
 class TestDormandPrinceKernel:

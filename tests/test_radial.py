@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -530,6 +531,29 @@ class TestPicardGradient:
             psi=ScalarFn.from_source("1/(t^2+2)"), lam_N=1.0)
         with pytest.raises(EvalDomainError, match=r"sqrt\(\(1000.0 - t\)\)"):
             picard_gradient_entire(pot, f_sqrt, 1.5, 30.0, 3, panels=256)
+
+    @pytest.mark.parametrize("R, panels", [(50.0, 256), (50.0, 2048), (25.0, 1024)])
+    def test_envelopes_out_of_order_past_20_are_refused(self, f_sqrt, R, panels):
+        # phi falls below psi only past r = 20.5, beyond the 41 radii of
+        # [0, 20] checked when the potential is built: the solve checks its
+        # own mesh of [0, R] and names the first node past 20.5
+        pot = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)*(1+(20.5-t)/1000)"),
+                              psi=ScalarFn.from_source("(1+t^2)^(-2)"), lam_N=1.0)
+        mesh = _graded_mesh(R, panels)
+        first = float(mesh[mesh > 20.5][0])
+        with pytest.raises(radial.EnvelopeError,
+                           match=rf"phi >= psi >= 0 \(r = {re.escape(repr(first))}:"):
+            picard_gradient_entire(pot, f_sqrt, 1.5, R, 3, panels=panels)
+        # inside [0, 20.5] the same envelopes are in order
+        sol = picard_gradient_entire(pot, f_sqrt, 1.5, 20.0, 3, panels=256)
+        assert sol.metadata["ordering_ok"]
+
+    def test_envelope_check_names_a_negative_psi(self):
+        pot = RadialPotential(phi=ScalarFn.from_source("1"),
+                              psi=ScalarFn.from_source("(30-t)/(30+t^2)"))
+        with pytest.raises(radial.EnvelopeError, match=r"\(r = 31.0: phi = 1.0, psi = -"):
+            pot.check(np.array([0.0, 10.0, 31.0, 40.0]))
+        pot.check(np.array([0.0, 10.0, 30.0]))
 
     def test_large_condition_quadrature_failure_is_recorded(self, f_sqrt, monkeypatch):
         def fail(psi, N):
