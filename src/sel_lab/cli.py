@@ -464,16 +464,25 @@ def _logistic_from_spec(spec) -> _rad.LogisticProblem:
                   spec.get("problem", "R", 1.0, kind=float))
     else:
         domain = ("whole-space", spec.get("problem", "R", 10.0, kind=float))
-    return _rad.LogisticProblem(
-        N=N,
-        f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
-        b=ScalarFn.from_source(spec.expression("functions", "b", required=True)),
-        a_lin=spec.get("problem", "a", 0.0, kind=float),
-        domain=domain,
-        omega0_radius=spec.get("problem", "omega0", 0.0, kind=float),
-        b_normalization=spec.get("problem", "b_normalization", "k2",
-                                 choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
-    )
+    omega0 = spec.get("problem", "omega0", 0.0, kind=float)
+    if omega0 > 0.0:
+        spec.check("problem", "omega0", omega0, domain_kind != "annulus",
+                   "0 on an annulus")
+        spec.check("problem", "omega0", omega0, domain_kind != "ball" or omega0 < domain[1],
+                   "below R on a ball")
+    try:
+        return _rad.LogisticProblem(
+            N=N,
+            f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
+            b=ScalarFn.from_source(spec.expression("functions", "b", required=True)),
+            a_lin=spec.get("problem", "a", 0.0, kind=float),
+            domain=domain,
+            omega0_radius=omega0,
+            b_normalization=spec.get("problem", "b_normalization", "k2",
+                                     choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
+        )
+    except _rad.CoreError as exc:  # b is not 0 on its core: the config asks the impossible
+        raise ConfigError(f"[functions] b: {exc}", spec.data["functions"]["b"][1]) from exc
 
 
 def _cmd_blowup(spec, outdir):

@@ -13,6 +13,8 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,6 +45,8 @@ INF = math.inf
 # f is checked on [1e-6, U_MAX], and gamma is fitted on f's samples up to
 # U_MAX; every other growth index comes from f's samples from t = 1.
 U_MAX = 1e8
+# the 121 geometric points of [1e-6, U_MAX] where f is checked
+_CHECK_GRID = np.geomspace(1e-6, U_MAX, 121).tolist()
 
 
 class NotRegularlyVarying(ValueError):
@@ -402,6 +406,31 @@ def tail_map(nl: Nonlinearity) -> TailMap:
 # Domain types
 # ---------------------------------------------------------------------------
 
+class _Measured:
+    """A growth index of a Nonlinearity that its stage measures on the
+    first read (Nonlinearity._settle).  An assignment settles the stage
+    first, so the assigned value stays; with nothing pending the index is
+    a plain attribute.  Read on the class, it is the default."""
+
+    def __init__(self, stage: str, default=None):
+        self.stage, self.default = stage, default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.default
+        if self.stage in obj._pending:
+            obj._settle(self.stage)
+        return obj.__dict__.get(self.name, self.default)
+
+    def __set__(self, obj, value):
+        if self.stage in obj._pending:
+            obj._settle(self.stage)
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class Nonlinearity:
     """An absorption/singular term with its growth metadata.
@@ -414,16 +443,27 @@ class Nonlinearity:
     Fields are math.inf when infinite and None when undecided (see notes).
     alpha_sing/sing_c0 (analyze_singular_term) describe an origin
     singularity f(s) <= C0 s^-alpha near 0.
+
+    analyze_nonlinearity and analyze_singular_term leave the indices
+    pending, and each is measured on its first read by its stage: "fit"
+    measures m, Lambda, value_at_inf and _fit; "theta" measures theta,
+    gamma, rho and _res, also on a call of check_remark_identities, and
+    runs "fit" first.  A stage runs once, appends its notes to notes, and
+    caches its indices on the instance, as F, the tail map and the KO
+    verdict are cached; so notes hold the notes of the stages measured so
+    far, in the order of an analysis that measured them all at once.  An
+    assignment to an index settles its stage first, so the assigned value
+    stays.  A Nonlinearity built directly has nothing pending.
     """
 
     f: ScalarFn
     fprime: ScalarFn
-    m: float | None = None
-    Lambda: float | None = None
-    theta: float | None = None
-    gamma: float | None = None
-    rho: float | None = None
-    value_at_inf: float | None = None
+    m: float | None = _Measured("fit")
+    Lambda: float | None = _Measured("fit")
+    theta: float | None = _Measured("theta")
+    gamma: float | None = _Measured("theta")
+    rho: float | None = _Measured("theta")
+    value_at_inf: float | None = _Measured("fit")
     alpha_sing: float | None = None
     sing_c0: float | None = None
     source: str = ""
@@ -431,14 +471,23 @@ class Nonlinearity:
     _F: Antiderivative | None = field(default=None, repr=False, compare=False)
     _Phi: TailMap | None = field(default=None, repr=False, compare=False)
     _ko: ConvergenceVerdict | None = field(default=None, repr=False, compare=False)
-    _fit: dict | None = field(default=None, repr=False, compare=False)
-    _res: dict = field(default_factory=dict, repr=False, compare=False)
+    # not fields: the fit's diagnostics, the resolutions of theta and gamma,
+    # the samples of f the two stages share, and the stages still to run
+    _fit = _Measured("fit")
+    _res = _Measured("theta", MappingProxyType({}))
+    _samples: ClassVar[tuple | None] = None
+    _pending: ClassVar[dict] = {}
 
     @property
     def F(self) -> Antiderivative:
         if self._F is None:
             self._F = Antiderivative(self.f)
         return self._F
+
+    def _settle(self, stage: str) -> None:
+        """Run stage if it is pending; it runs once."""
+        if stage in self._pending:
+            self._pending.pop(stage)(self)
 
     def check_remark_identities(self, tol: float = 1e-3) -> bool | None:
         """gamma (rho + 2) = gamma (theta + 1) = 1 within tol plus what the
@@ -650,27 +699,28 @@ def _finite_prefix(values: np.ndarray) -> np.ndarray:
 
 
 def analyze_nonlinearity(f_src: str) -> Nonlinearity:
-    """Parse f and measure its growth metadata at infinity.
+    """Parse f, check it, and leave its growth metadata at infinity to be
+    measured on the first read of each index (Nonlinearity).
 
     f must be nonnegative and nondecreasing on 121 geometric points of
-    [1e-6, U_MAX]; that check runs first, and a domain error of f there
-    propagates.  Every index comes from one set of samples of f, doubling
-    from t = 1 (numerics._tail_samples), or 16 an octave when f overflows
-    by t = 8, as exp(exp(t)) does (_octave_samples): m, Lambda and
-    value_at_inf from the fit of ln f (_growth_limits), theta = lim u f'/f
-    and gamma = lim (F/f)' = lim 1 - F f'/f^2 from fits in 1/ln u (_limit;
-    gamma up to U_MAX, where F is filled), rho = theta - 1.  Where theta(u)
-    grows like a power of u (_limit reads inf), gamma = 0.  Where f, f'
-    or F fails at the samples, the indices left are None with a note.
+    [1e-6, U_MAX]; that check runs here, and a domain error of f there
+    propagates, so a config error surfaces at construction.  Every index
+    comes from one set of samples of f, doubling from t = 1
+    (numerics._tail_samples), or 16 an octave when f overflows by t = 8,
+    as exp(exp(t)) does (_octave_samples).  The "fit" stage (_fit_stage)
+    reads m, Lambda and value_at_inf off the fit of ln f; the "theta"
+    stage (_theta_stage) reads theta = lim u f'/f and gamma = lim (F/f)'
+    = lim 1 - F f'/f^2 from fits in 1/ln u, and rho = theta - 1.  Where f,
+    f' or F fails at the samples, the indices left are None with a note;
+    a read never raises.
     """
     f = ScalarFn(parse_expression(f_src))
     fp = f.derivative_fn()
     call = f.fast()
 
-    grid = np.geomspace(1e-6, U_MAX, 121)
     vals = []
-    for u in grid:
-        v = call(float(u))
+    for u in _CHECK_GRID:
+        v = call(u)
         vals.append(v)
         if v < 0.0:
             raise ValueError(f"f must be nonnegative (f({u:.3g}) = {v:.3g})")
@@ -678,46 +728,65 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
         if math.isfinite(a) and math.isfinite(b) and b < a * (1.0 - 1e-9) - 1e-300:
             raise ValueError("f must be nondecreasing on the sampled range")
 
-    notes: list = []
-    nl = Nonlinearity(f=f, fprime=fp, source=f_src, notes=notes)
+    nl = Nonlinearity(f=f, fprime=fp, source=f_src)
+    nl._pending = {"fit": _fit_stage, "theta": _theta_stage}
+    return nl
+
+
+def _fit_stage(nl: Nonlinearity) -> None:
+    """m, Lambda and value_at_inf from the fit of ln f on f's samples
+    (_growth_limits), the fit's diagnostics as _fit; the samples are kept
+    for the theta stage."""
+    call = nl.f.fast()
     try:
         ts, fs = _tail_samples(call, 1.0)
         if 0 < len(ts) < 4:
             ts, fs = _octave_samples(call, 2.0 * ts[-1])
     except (ArithmeticError, ValueError) as exc:
-        notes.append(f"m, Lambda, theta and gamma unknown: f fails in its samples ({exc})")
-        return nl
+        nl.notes.append(f"m, Lambda, theta and gamma unknown: f fails in its samples ({exc})")
+        return
     fit = _bertrand_fit(ts, fs)
     nl._fit = None if fit is None else fit[2]
-    nl.m, nl.Lambda, nl.value_at_inf = _growth_limits(ts, fs, fit, notes)
+    nl.m, nl.Lambda, nl.value_at_inf = _growth_limits(ts, fs, fit, nl.notes)
+    nl._samples = ts, fs
 
+
+def _theta_stage(nl: Nonlinearity) -> None:
+    """theta, rho and gamma with their resolutions (_res) from fits in
+    1/ln u on the fit stage's samples (_limit; gamma up to U_MAX, where F
+    is filled).  Where theta(u) grows like a power of u (_limit reads inf),
+    gamma = 0."""
+    nl._settle("fit")
+    nl._res = {}
+    if nl._samples is None:
+        return
+    ts, fs = nl._samples
     u, fu = np.array(ts), np.array(fs)
     try:
         with np.errstate(all="ignore"):
-            dcall = fp.fast()
+            dcall = nl.fprime.fast()
             thetas = _finite_prefix(np.array([t * dcall(t) for t in ts]) / fu)
             n = min(bisect.bisect_right(ts, U_MAX), thetas.size)
             Fs = np.array([nl.F(t) for t in reversed(ts[:n])])[::-1]  # top first: one fill
             gammas = _finite_prefix(1.0 - thetas[:n] * (Fs / (u[:n] * fu[:n])))
     except (ArithmeticError, ValueError) as exc:
-        notes.append(f"theta and gamma unknown: f' or F fails at the samples of f ({exc})")
-        return nl
+        nl.notes.append(f"theta and gamma unknown: f' or F fails at the samples of f ({exc})")
+        return
     theta, res = _limit(u[:thetas.size], thetas)
     if theta == INF:  # theta(u) ~ u^A
         nl.theta, nl.rho, nl.gamma = INF, INF, 0.0
-        return nl
+        return
     if theta is None:
-        notes.append(f"theta unknown: {res}")
+        nl.notes.append(f"theta unknown: {res}")
     else:
         nl.theta, nl.rho, nl._res["theta"] = theta, theta - 1.0, res
     gamma, res = _limit(u[:gammas.size], gammas)
     if gamma is None:
-        notes.append(f"gamma unknown: {res}")
+        nl.notes.append(f"gamma unknown: {res}")
     else:
         nl.gamma, nl._res["gamma"] = gamma, res
     if nl.check_remark_identities() is False:
-        notes.append("gamma/rho/theta consistency identities failed at sampling accuracy")
-    return nl
+        nl.notes.append("gamma/rho/theta consistency identities failed at sampling accuracy")
 
 
 def _pure_power(ast: ExprAst):
@@ -741,11 +810,12 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
 
     The origin exponent alpha and constant C0 of g(s) <= C0 s^-alpha are
     read off the AST when g is a pure power (_pure_power), and fitted on
-    13 points of [1e-8, 1e-2] otherwise.
-    value_at_inf = lim g is read by _limit off g's samples from t = 1
-    (numerics._tail_samples), and is 0 where g vanishes at the sample past
-    them; where it does not resolve it is None with _limit's reason in the
-    notes.
+    13 points of [1e-8, 1e-2] otherwise.  g's samples from t = 1
+    (numerics._tail_samples) are taken here, so an error in them surfaces
+    at construction.  value_at_inf = lim g is the "fit" stage, measured on
+    its first read (Nonlinearity): _limit reads it off those samples, and
+    it is 0 where g vanishes at the sample past them; where it does not
+    resolve it is None with _limit's reason in the notes.
     """
     ast = parse_expression(g_src)
     g = ScalarFn(ast)
@@ -760,14 +830,28 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
         if slope < -1e-6:
             alpha_sing = -slope
             sing_c0 = float(np.max(gv * near ** alpha_sing))
-    ts, gs = _tail_samples(g, 1.0)
+    nl = Nonlinearity(f=g, fprime=g.derivative_fn(), m=0.0, alpha_sing=alpha_sing,
+                      sing_c0=sing_c0, source=g_src)
+    nl._samples = _tail_samples(g, 1.0)
+    nl._pending = {"fit": _singular_limit_stage}
+    return nl
+
+
+def _singular_limit_stage(nl: Nonlinearity) -> None:
+    """value_at_inf = lim g off the samples analyze_singular_term took; a
+    point past them where g raises does not count as g vanishing."""
+    ts, gs = nl._samples
     value_at_inf, why = _limit(ts, gs)
     points = _sample_points(1.0)
-    if value_at_inf is None and len(ts) < len(points) and call(points[len(ts)]) < _TINY:
-        value_at_inf = 0.0
-    notes = [] if value_at_inf is not None else [f"lim g unknown: {why}"]
-    return Nonlinearity(f=g, fprime=g.derivative_fn(), m=0.0, value_at_inf=value_at_inf,
-                        alpha_sing=alpha_sing, sing_c0=sing_c0, source=g_src, notes=notes)
+    if value_at_inf is None and len(ts) < len(points):
+        try:
+            if nl.f.fast()(points[len(ts)]) < _TINY:
+                value_at_inf = 0.0
+        except (ArithmeticError, ValueError):
+            pass
+    nl.value_at_inf = value_at_inf
+    if value_at_inf is None:
+        nl.notes.append(f"lim g unknown: {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ class EnvelopeError(ValueError):
     """The envelopes of a RadialPotential are out of order: not phi >= psi >= 0."""
 
 
+class CoreError(ValueError):
+    """The weight b of a LogisticProblem is not 0 on its vanishing core."""
+
+
 @dataclass
 class RadialPotential:
     """Radial envelopes of a (possibly non-radial) potential.
@@ -128,9 +132,11 @@ class LogisticProblem:
     domain is ("ball", R), ("annulus", R0, R) or ("whole-space", Rmax);
     blow-up data sits on the outer boundary for a ball and on the inner
     boundary for an annulus.  omega0_radius is the concentric vanishing
-    ball of b (0 = empty).  b_normalization records whether b ~ c k^2(d)
-    ("k2") or b ~ c k(d) ("k") so rate measurements can refuse mismatched
-    profiles.
+    ball of b (0 = empty): it must lie inside a ball and is refused on an
+    annulus, and b must be 0 at 41 radii of [0, omega0_radius] (CoreError
+    names the first where it is not).  b_normalization records whether
+    b ~ c k^2(d) ("k2") or b ~ c k(d) ("k") so rate measurements can
+    refuse mismatched profiles.
     """
 
     N: int
@@ -158,6 +164,23 @@ class LogisticProblem:
             raise ValueError(f"unknown domain kind {kind!r}")
         if self.b_normalization not in ("k2", "k"):
             raise ValueError("b_normalization must be 'k2' or 'k'")
+        if self.omega0_radius > 0.0:
+            self._check_core()
+
+    def _check_core(self) -> None:
+        omega0 = self.omega0_radius
+        if self.domain[0] == "annulus":
+            raise ValueError("a vanishing core needs a ball or the whole space, not an annulus")
+        if self.domain[0] == "ball" and omega0 >= self.domain[1]:
+            raise ValueError(f"the vanishing core must lie inside the ball (omega0 = {omega0!r}, "
+                             f"R = {self.domain[1]!r})")
+        r = np.linspace(0.0, omega0, 41)
+        b = np.broadcast_to(self.b.vector()(r), r.shape)
+        bad = b != 0.0
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise CoreError(f"b must vanish on the core r <= {omega0!r} "
+                            f"(r = {float(r[i])!r}: b = {float(b[i])!r})")
 
 
 # ---------------------------------------------------------------------------

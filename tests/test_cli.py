@@ -1039,6 +1039,37 @@ json = summary.json
         summary = json.loads(open(os.path.join(outdir, "summary.json")).read())
         assert summary["level_parameter_gap"] == 0.0
 
+    @staticmethod
+    def _core_config(omega0, b, domain="ball\nR = 1.0"):
+        return f"""
+[problem]
+command = blowup
+N = 3
+domain = {domain}
+omega0 = {omega0}
+
+[functions]
+f = "t^3"
+b = "{b}"
+"""
+
+    def test_blowup_core_where_b_does_not_vanish_is_config_error(self, tmp_path, capsys):
+        # b = t^2 is not 0 on the core r <= 0.5: it was solved as if it were
+        code, outdir = run_cli(tmp_path, self._core_config(0.5, "t^2"))
+        assert code == 2
+        assert ("line 11: [functions] b: b must vanish on the core r <= 0.5 "
+                "(r = 0.0125: b = 0.00015625000000000003)" in capsys.readouterr().err)
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("omega0, domain", [(1.0, "ball\nR = 1.0"),
+                                                (0.25, "annulus\nR0 = 0.5\nR = 1.0")])
+    def test_blowup_core_outside_the_domain_is_config_error(self, tmp_path, capsys,
+                                                            omega0, domain):
+        code, outdir = run_cli(tmp_path, self._core_config(omega0, "0", domain))
+        assert code == 2
+        assert "[problem] omega0 must be" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     def test_blowup_rate_unresolved_names_the_levels(self, tmp_path, capsys):
         # u ~ d^-4.8 at this ball's boundary: the levels 1e10 and 1e12
         # agree nowhere on the grid, so no rate is printed

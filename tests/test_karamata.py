@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sel_lab import karamata
-from sel_lab.bifurcation import LEFProblem
+from sel_lab.bifurcation import LEFProblem, solve_lef
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import (
     Antiderivative,
@@ -25,6 +26,7 @@ from sel_lab.karamata import (
     xi0_via_A,
 )
 from sel_lab.numerics import integrate_panel
+from sel_lab.radial import RadialPotential, SystemProblem, picard_gradient_entire, solve_system
 
 
 def _no_arrays(ts):
@@ -501,6 +503,157 @@ class TestLimit:
         value, res = karamata._limit(s, 0.5 + s ** -0.5)
         assert value == 0.5 + s[-1] ** -0.5
         assert s[-1] ** -0.5 <= res <= 1.01 * s[-1] ** -0.5
+
+
+# The eager analysis the lazy stages must reproduce: analyze_nonlinearity
+# and analyze_singular_term as they were when every index was measured at
+# construction, on a Nonlinearity built directly (nothing pending), whose
+# _res starts as a dict of its own.
+
+def _eager_analysis(f_src):
+    f = ScalarFn.from_source(f_src)
+    fp = f.derivative_fn()
+    call = f.fast()
+    notes = []
+    nl = Nonlinearity(f=f, fprime=fp, source=f_src, notes=notes)
+    nl._res = {}
+    try:
+        ts, fs = karamata._tail_samples(call, 1.0)
+        if 0 < len(ts) < 4:
+            ts, fs = karamata._octave_samples(call, 2.0 * ts[-1])
+    except (ArithmeticError, ValueError) as exc:
+        notes.append(f"m, Lambda, theta and gamma unknown: f fails in its samples ({exc})")
+        return nl
+    fit = karamata._bertrand_fit(ts, fs)
+    nl._fit = None if fit is None else fit[2]
+    nl.m, nl.Lambda, nl.value_at_inf = karamata._growth_limits(ts, fs, fit, notes)
+
+    u, fu = np.array(ts), np.array(fs)
+    try:
+        with np.errstate(all="ignore"):
+            dcall = fp.fast()
+            thetas = karamata._finite_prefix(np.array([t * dcall(t) for t in ts]) / fu)
+            n = min(bisect.bisect_right(ts, karamata.U_MAX), thetas.size)
+            Fs = np.array([nl.F(t) for t in reversed(ts[:n])])[::-1]
+            gammas = karamata._finite_prefix(1.0 - thetas[:n] * (Fs / (u[:n] * fu[:n])))
+    except (ArithmeticError, ValueError) as exc:
+        notes.append(f"theta and gamma unknown: f' or F fails at the samples of f ({exc})")
+        return nl
+    theta, res = karamata._limit(u[:thetas.size], thetas)
+    if theta == math.inf:
+        nl.theta, nl.rho, nl.gamma = math.inf, math.inf, 0.0
+        return nl
+    if theta is None:
+        notes.append(f"theta unknown: {res}")
+    else:
+        nl.theta, nl.rho, nl._res["theta"] = theta, theta - 1.0, res
+    gamma, res = karamata._limit(u[:gammas.size], gammas)
+    if gamma is None:
+        notes.append(f"gamma unknown: {res}")
+    else:
+        nl.gamma, nl._res["gamma"] = gamma, res
+    if nl.check_remark_identities() is False:
+        notes.append("gamma/rho/theta consistency identities failed at sampling accuracy")
+    return nl
+
+
+def _eager_singular_limit(g_src):
+    g = ScalarFn.from_source(g_src)
+    ts, gs = karamata._tail_samples(g, 1.0)
+    value_at_inf, why = karamata._limit(ts, gs)
+    points = karamata._sample_points(1.0)
+    if (value_at_inf is None and len(ts) < len(points)
+            and g.fast()(points[len(ts)]) < karamata._TINY):
+        value_at_inf = 0.0
+    return value_at_inf, [] if value_at_inf is not None else [f"lim g unknown: {why}"]
+
+
+_INDICES = ("m", "Lambda", "value_at_inf", "theta", "gamma", "rho", "_res", "_fit", "notes")
+
+
+def _read_all(nl):
+    return {name: getattr(nl, name) for name in _INDICES}
+
+
+class TestLazyIndices:
+    # "t^2*sqrt(1e9-t)" is defined on the checked grid but fails in its samples
+    SOURCES = ["t", "t^0.5123", "t^3", "t^1.005", "t+sqrt(t)", "t^2*ln(1+t)^3", "exp(t)",
+               "exp(t^2)", "t^2*sqrt(1e9-t)"]
+
+    @pytest.fixture(scope="class")
+    def eager(self):
+        return {src: _read_all(_eager_analysis(src)) for src in self.SOURCES}
+
+    @pytest.mark.parametrize("src", SOURCES)
+    @pytest.mark.parametrize("first", ["m", "theta", "identities", "ko and tail map"])
+    def test_every_read_order_matches_the_eager_analysis(self, eager, src, first):
+        nl = analyze_nonlinearity(src)
+        if first == "identities":
+            nl.check_remark_identities()
+        elif first == "ko and tail map":
+            # F is filled by the verdict (or raises where f stops being
+            # defined) before theta and gamma read it
+            try:
+                if keller_osserman(nl).is_convergent:
+                    karamata.tail_map(nl)(2.0)
+            except EvalDomainError:
+                assert src == "t^2*sqrt(1e9-t)"
+        else:
+            getattr(nl, first)
+        assert _read_all(nl) == eager[src]
+
+    @pytest.mark.parametrize("src", ["t^(-0.5)", "5/t", "exp(-t)", "2+t^(-0.5)", "exp(-t^5)",
+                                     "0", "2+sin(ln(1+t))", "1/ln(2+t)"])
+    @pytest.mark.parametrize("first", ["value_at_inf", "m"])
+    def test_singular_limit_matches_the_eager_analysis(self, src, first):
+        g = analyze_singular_term(src)
+        getattr(g, first)
+        assert (g.value_at_inf, g.notes) == _eager_singular_limit(src)
+        assert g.m == 0.0
+
+    def test_nothing_is_measured_until_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(karamata, "_limit",
+                            lambda *args, limit=karamata._limit: calls.append(1) or limit(*args))
+        nl = analyze_nonlinearity("t^3")
+        g = analyze_singular_term("t^(-0.5)")
+        assert nl.__dict__["m"] is None and nl.__dict__["theta"] is None
+        assert (nl.notes, nl._F, g.notes, calls) == ([], None, [], [])
+        assert nl.Lambda == math.inf and nl._F is None and calls == []
+        assert nl.rho == pytest.approx(2.0, abs=1e-6) and len(calls) == 2
+
+    def test_an_assignment_before_the_first_read_stays(self):
+        want = _read_all(_eager_analysis("t^3"))
+        nl = analyze_nonlinearity("t^3")
+        nl.theta = 7.0
+        nl.m = None
+        assert (nl.theta, nl.m) == (7.0, None)
+        assert (nl.gamma, nl.rho, nl.Lambda, nl._fit) == (want["gamma"], want["rho"],
+                                                          want["Lambda"], want["_fit"])
+
+    def test_a_nonlinearity_built_directly_has_nothing_pending(self):
+        f = ScalarFn.from_source("t^3")
+        nl = Nonlinearity(f=f, fprime=f.derivative_fn(), theta=3.0)
+        assert (nl.m, nl.theta, nl.gamma, nl._fit, dict(nl._res)) == (None, 3.0, None, None, {})
+        assert nl.check_remark_identities() is None and nl._F is None
+        assert Nonlinearity.m is None
+
+    def test_solves_measure_no_index_they_do_not_read(self, monkeypatch):
+        # the system and the gradient scheme read Lambda at most, and the
+        # singular LEF shots read f's m and g's alpha and C0: no theta stage
+        # fills F, and no limit is fitted
+        calls = []
+        monkeypatch.setattr(karamata, "_limit",
+                            lambda *args, limit=karamata._limit: calls.append(1) or limit(*args))
+        f = analyze_nonlinearity("t^0.5")
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        solve_system(SystemProblem(p=one, q=one, f=f, g=f, a=1.0, b=1.0), 50.0, 3,
+                     mesh_points=1024)
+        picard_gradient_entire(ScalarFn.from_source("1"), f, 1.0, 50.0, 3, panels=1024)
+        lin, g = analyze_nonlinearity("t"), analyze_singular_term("t^(-0.5)")
+        solve_lef(LEFProblem(N=1, geometry="interval", lam=1.0, f=lin, g=g))
+        assert (f._F, lin._F, g._F) == (None, None, None)
+        assert calls == []
 
 
 class TestExistenceIntegrals:

@@ -879,12 +879,37 @@ class TestBoundaryBlowup:
         with pytest.raises(ValueError, match="Keller-Osserman"):
             boundary_blowup(prob)
 
+    # b vanishes on the core r <= 0.5 of the unit ball, whose first Dirichlet
+    # eigenvalue is lambda_inf_1 = 4 pi^2
+    CORE_B = "((t-0.5+abs(t-0.5))/2)^2"
+
     def test_eigenvalue_gate(self, f_cubic):
-        prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("1"),
-                               a_lin=50.0, domain=("annulus", 1.0, 2.0),
-                               omega0_radius=1.0)
+        # a = 40 lies past lambda_inf_1 = 4 pi^2 = 39.48
+        prob = LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source(self.CORE_B),
+                               a_lin=40.0, domain=("ball", 1.0), omega0_radius=0.5)
         with pytest.raises(ValueError, match="lambda_inf_1"):
             boundary_blowup(prob)
+
+    @pytest.mark.parametrize("b, r, value", [
+        ("1", 0.0, 1.0),
+        # zero on r <= 0.45 only: the grid of [0, 0.5] meets it at r = 0.4625
+        ("((t-0.45+abs(t-0.45))/2)^2", 0.4625, 0.00015625000000000027),
+    ])
+    def test_a_core_where_b_does_not_vanish_is_refused(self, f_cubic, b, r, value):
+        with pytest.raises(radial.CoreError, match=re.escape(
+                f"b must vanish on the core r <= 0.5 (r = {r!r}: b = {value!r})")):
+            LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source(b), domain=("ball", 1.0),
+                            omega0_radius=0.5)
+
+    @pytest.mark.parametrize("domain, omega0, why", [
+        (("ball", 1.0), 1.0, "inside the ball"),
+        (("ball", 1.0), 2.0, "inside the ball"),
+        (("annulus", 0.5, 1.0), 0.25, "annulus"),
+    ])
+    def test_a_core_outside_the_domain_is_refused(self, f_cubic, domain, omega0, why):
+        with pytest.raises(ValueError, match=why):
+            LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source("0"), domain=domain,
+                            omega0_radius=omega0)
 
     @pytest.fixture(scope="class")
     @classmethod
