@@ -41,6 +41,7 @@ from .numerics import (
 EPS_BOUNDARY = 1e-6  # epsilon cut where integration stops and the zero is modelled
 CUT_MARGIN = 10.0  # the bracket end past R must rise to CUT_MARGIN * EPS_BOUNDARY
 R_CAP = 3.0  # shots end at r = R_CAP * R: a zero location past it is no zero
+U_CAP = 1e9  # shots also end where u reaches U_CAP
 S_MAX_PROBE = 1e6
 # The probe grid of the shooting searches: 63 probes a factor 10^(10/52)
 # apart, from 1.19e-6 to S_MAX_PROBE.  Every fourth from the eleventh,
@@ -298,7 +299,7 @@ def _lef_source(prob: LEFProblem):
         "_isfinite": math.isfinite})
 
 
-def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None, u_cap: float = 1e9):
+def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None):
     """Return zero_location(s, level) -> (where the solution returns to the
     boundary value level, peak height above it), and the shot itself; the
     shots are counted in tally when one is given.
@@ -326,7 +327,7 @@ def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None, u_cap: float
         if y0[0] <= level:
             return None
         sol = shoot(source, N, start, y0, r_cap, 1e-10, 1e-13 * max(1.0, s),
-                    floors=(level + eps_b, level), cap=u_cap, dense=dense)
+                    floors=(level + eps_b, level), cap=U_CAP, dense=dense)
         return sol if tally is None else tally.add(sol)
 
     def zero_location(s, level=0.0, eps_b=EPS_BOUNDARY):

@@ -391,7 +391,7 @@ def _cmd_chi(spec, outdir):
 
 def _cmd_solve_entire(spec, outdir):
     f_src = spec.expression("functions", "f", required=True)
-    psi_src = spec.expression("functions", "psi", required=True)
+    psi = ScalarFn.from_source(spec.expression("functions", "psi", required=True))
     phi_src = spec.expression("functions", "phi", None)
     N = spec.get("problem", "N", required=True, kind=int)
     spec.check("problem", "N", N, N >= 3, "at least 3")
@@ -401,17 +401,13 @@ def _cmd_solve_entire(spec, outdir):
     panels = spec.get("numerics", "panels", 2048, kind=int)
     nl = _ka.analyze_nonlinearity(f_src)
     lam = nl.Lambda if nl.Lambda is not None else math.inf
-    if phi_src is not None:
-        try:
-            pot = _rad.RadialPotential(phi=ScalarFn.from_source(phi_src),
-                                       psi=ScalarFn.from_source(psi_src),
-                                       lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
-            sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
-        except _rad.EnvelopeError as exc:  # envelopes out of order: the config asks the impossible
-            raise ConfigError(f"[functions] phi: {exc}", spec.data["functions"]["phi"][1]) from exc
-    else:
-        sol = _rad.picard_gradient_entire(ScalarFn.from_source(psi_src), nl, b0, R, N,
-                                          tol, panels)
+    try:
+        pot = _rad.RadialPotential(phi=psi if phi_src is None else ScalarFn.from_source(phi_src),
+                                   psi=psi, lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
+        sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
+    except _rad.EnvelopeError as exc:  # envelopes out of order: the config asks the impossible
+        key = "psi" if phi_src is None else "phi"
+        raise ConfigError(f"[functions] {key}: {exc}", spec.data["functions"][key][1]) from exc
     csv = spec.get("output", "csv", "entire.csv")
     sol.to_csv(os.path.join(outdir, csv))
     out = {"command": "solve-entire", "classification": sol.classification,
@@ -429,18 +425,20 @@ def _cmd_solve_entire(spec, outdir):
 def _cmd_solve_system(spec, outdir):
     N = spec.get("problem", "N", required=True, kind=int)
     spec.check("problem", "N", N, N >= 3, "at least 3")
-    sys_ = _rad.SystemProblem(
-        p=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "p", required=True))),
-        q=_rad.RadialPotential(phi=ScalarFn.from_source(spec.expression("functions", "q", required=True))),
-        f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
-        g=_ka.analyze_nonlinearity(spec.expression("functions", "g", required=True)),
-        a=spec.get("problem", "a", 1.0, kind=float),
-        b=spec.get("problem", "b", 1.0, kind=float),
-    )
+    p, q = (ScalarFn.from_source(spec.expression("functions", k, required=True)) for k in "pq")
+    f = _ka.analyze_nonlinearity(spec.expression("functions", "f", required=True))
+    g = _ka.analyze_nonlinearity(spec.expression("functions", "g", required=True))
+    a, b = (spec.get("problem", k, 1.0, kind=float) for k in "ab")
     R = spec.get("problem", "R", 50.0, kind=float)
     tol = spec.get("numerics", "tol", 1e-10, kind=float)
     mesh = spec.get("numerics", "mesh_points", 4096, kind=int)
-    sol = _rad.solve_system(sys_, R, N, tol, mesh)
+    try:
+        sys_ = _rad.SystemProblem(p=_rad.RadialPotential(phi=p), q=_rad.RadialPotential(phi=q),
+                                  f=f, g=g, a=a, b=b)
+        sol = _rad.solve_system(sys_, R, N, tol, mesh)
+    except _rad.EnvelopeError as exc:  # a negative p or q: the config asks the impossible
+        key = "p" if exc.potential.phi is p else "q"
+        raise ConfigError(f"[functions] {key}: {exc}", spec.data["functions"][key][1]) from exc
     csv = spec.get("output", "csv", "system.csv")
     sol.to_csv(os.path.join(outdir, csv))
     return {"command": "solve-system", "classification": sol.classification,

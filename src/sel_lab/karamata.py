@@ -47,6 +47,7 @@ INF = math.inf
 U_MAX = 1e8
 # the 121 geometric points of [1e-6, U_MAX] where f is checked
 _CHECK_GRID = np.geomspace(1e-6, U_MAX, 121).tolist()
+IDENTITY_TOL = 1e-3  # of the remark identities, before the fits' resolutions
 
 
 class NotRegularlyVarying(ValueError):
@@ -489,18 +490,18 @@ class Nonlinearity:
         if stage in self._pending:
             self._pending.pop(stage)(self)
 
-    def check_remark_identities(self, tol: float = 1e-3) -> bool | None:
-        """gamma (rho + 2) = gamma (theta + 1) = 1 within tol plus what the
-        resolutions of theta and gamma allow, relative, so an error in theta
-        is not shrunk by gamma^2; and theta is the A of the fit of ln f
-        within the resolutions of both fits.  gamma = 0 and rho = inf when
+    def check_remark_identities(self) -> bool | None:
+        """gamma (rho + 2) = gamma (theta + 1) = 1 within IDENTITY_TOL plus
+        what the resolutions of theta and gamma allow, relative, so an error
+        in theta is not shrunk by gamma^2; and theta is the A of the fit of
+        ln f within the resolutions of both fits.  gamma = 0 and rho = inf when
         theta = inf.  None when theta, rho or gamma is unknown."""
         if self.theta is None or self.rho is None or self.gamma is None:
             return None
         if self.theta == INF:
             return self.rho == INF and self.gamma == 0.0
         res_theta, res_gamma = self._res.get("theta", 0.0), self._res.get("gamma", 0.0)
-        tol += self.gamma * res_theta + (self.theta + 1.0) * res_gamma
+        tol = IDENTITY_TOL + (self.gamma * res_theta + (self.theta + 1.0) * res_gamma)
         ok1 = abs(self.gamma * (self.rho + 2.0) - 1.0) <= tol
         ok2 = abs(self.gamma * (self.theta + 1.0) - 1.0) <= tol
         ok3 = (self._fit is None

@@ -167,22 +167,17 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
     width = b - a
     if width <= 0.0:
         return 0.0, 0.0
+    end, step = (a, width) if toward == "left" else (b, -width)
+
     # when w^3 underflows the graded argument collapses onto the endpoint;
     # for any integrable singularity the limit of the graded integrand is 0
-    if toward == "left":
-        def g(w):
-            t = a + width * w ** 3
-            if t == a:
-                return 0.0
-            return 3.0 * width * w * w * fn(t)
-    else:
-        def g(w):
-            t = b - width * w ** 3
-            if t == b:
-                return 0.0
-            return 3.0 * width * w * w * fn(t)
-    value, err = quad(g, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:2]
-    return value, err
+    def g(w):
+        t = end + step * w ** 3
+        if t == end:
+            return 0.0
+        return 3.0 * width * w * w * fn(t)
+
+    return quad(g, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:2]
 
 
 def _raise_if_not_integrable(fn, a: float, b: float) -> None:

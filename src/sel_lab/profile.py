@@ -30,6 +30,9 @@ VARIANT_SQRT_K = "sqrt-k-integrand"  # Phi(h) = int_0^t sqrt(k); pairs with b ~ 
 # profile variant <-> weight normalization tag used by radial solutions
 VARIANT_NORMALIZATION = {VARIANT_K: "k2", VARIANT_SQRT_K: "k"}
 
+ODE_POINTS = 400  # geometric points of (0, t_max] profile_ode_g reads h at
+ODE_TOL = 1e-11  # rtol of its shot; atol is 1e-2 of it
+
 
 def _weight(k: KFunction, variant: str) -> ScalarFn:
     """The integrand w of the variant's identity: k, or the expression sqrt(k)."""
@@ -195,8 +198,7 @@ class OdeProfile:
         write_csv(path, "t,h,h_prime", (self.t, self.h, self.hp))
 
 
-def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
-                  tol: float = 1e-11) -> OdeProfile:
+def profile_ode_g(g: Nonlinearity, t_max: float) -> OdeProfile:
     """Integrate h'' = g(h) with h(0) = h'(0) = 0.
 
     Gate: int_0 g must converge (origin integrability), otherwise the flat
@@ -229,8 +231,8 @@ def profile_ode_g(g: Nonlinearity, t_max: float, n_points: int = 400,
 
     y0 = (coef * t0 ** beta, coef * beta * t0 ** (beta - 1.0))
 
-    grid = np.geomspace(t0 * 2.0, t_max, n_points)
-    sol = shoot(lambda t, h, dh: g_call(h), 1, t0, y0, t_max, tol, tol * 1e-2, dense=True)
+    grid = np.geomspace(t0 * 2.0, t_max, ODE_POINTS)
+    sol = shoot(lambda t, h, dh: g_call(h), 1, t0, y0, t_max, ODE_TOL, ODE_TOL * 1e-2, dense=True)
     if not sol.success:
         raise ValueError(f"profile ODE integration failed: {sol.message}")
     vals = sol.sol(grid)

@@ -41,6 +41,7 @@ from .numerics import (
 from .profile import BlowupProfile
 
 MAX_PICARD_ITERATIONS = 200
+RATE_POINTS = 10  # grid points nearest the boundary a rate is read at
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,11 @@ MAX_PICARD_ITERATIONS = 200
 # ---------------------------------------------------------------------------
 
 class EnvelopeError(ValueError):
-    """The envelopes of a RadialPotential are out of order: not phi >= psi >= 0."""
+    """The envelopes of `potential` are out of order: not phi >= psi >= 0."""
+
+    def __init__(self, message: str, potential: "RadialPotential"):
+        super().__init__(message)
+        self.potential = potential
 
 
 class CoreError(ValueError):
@@ -62,8 +67,8 @@ class RadialPotential:
     phi(r) = max_{|x|=r} p, psi(r) = min_{|x|=r} p; a radial potential has
     phi = psi and gap = 0.  Psi(r) = exp(lam_N int_0^r s psi(s) ds) with
     lam_N = Lambda/(N-2) is the Gronwall weight of the slow-variation
-    condition.  The envelopes are checked at 41 radii of [0, 20] here, and
-    each solve checks them again on its own mesh of [0, R] (check).
+    condition.  check reads them on each Picard mesh and here on 41 radii
+    of [0, 20], which the verdict and ordering integrals read as well.
     """
 
     phi: ScalarFn
@@ -76,16 +81,19 @@ class RadialPotential:
             self.psi = self.phi
         self.check(np.linspace(0.0, 20.0, 41))
 
-    def check(self, r) -> None:
-        """Raise EnvelopeError, naming the first offending radius, unless
-        phi >= psi >= 0 (to 1e-12) at every radius of the array r."""
+    def check(self, r) -> tuple:
+        """(phi, psi) at the radii r, one array if radial; EnvelopeError, naming
+        the first offending radius, unless phi >= psi >= 0 (to 1e-12) there."""
         lo = self.psi.vector()(r)
         hi = lo if self.is_radial else self.phi.vector()(r)
-        bad = (lo < -1e-12) | (hi < lo - 1e-12 * (1.0 + np.abs(hi)))
+        bad = lo < -1e-12
+        if hi is not lo:  # a radial potential has no envelopes to order
+            bad |= hi < lo - 1e-12 * (1.0 + np.abs(hi))
         if np.any(bad):
             i = int(np.argmax(bad))
             raise EnvelopeError(f"envelopes must satisfy phi >= psi >= 0 (r = {float(r[i])!r}: "
-                                f"phi = {float(hi[i])!r}, psi = {float(lo[i])!r})")
+                                f"phi = {float(hi[i])!r}, psi = {float(lo[i])!r})", self)
+        return hi, lo
 
     @property
     def is_radial(self) -> bool:
@@ -105,7 +113,7 @@ class RadialPotential:
     def weight(self, r: float) -> float:
         """Psi(r); nondecreasing with Psi(0) = 1."""
         if self._psi_int is None:
-            self._psi_int = Antiderivative(ScalarFn(ExprAst("mul", children=(VAR, self.psi.body))))
+            self._psi_int = Antiderivative(_times_t(self.psi))
         return math.exp(self.lam_N * self._psi_int(r))
 
 
@@ -253,10 +261,9 @@ def _large_condition_kernel(N: int):
     return Integrand(K, many)
 
 
-def _times_t(fn: ScalarFn) -> Integrand:
-    """t fn(t), at a point and over arrays."""
-    call, vec = fn.fast(), fn.vector()
-    return Integrand(lambda t: t * call(t), lambda t: t * vec(t))
+def _times_t(fn: ScalarFn) -> ScalarFn:
+    """t fn(t), the integrand of Psi, of the large condition's bound and the t p, t q verdicts."""
+    return ScalarFn(ExprAst("mul", children=(VAR, fn.body)))
 
 
 def check_large_condition(psi_env, N: int):
@@ -558,36 +565,31 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                            tol: float = 1e-8, panels: int = 2048) -> RadialSolution:
     """Monotone Picard scheme w_{k+1} = b0 + K[psi f(w_k)] on [0, R].
 
+    pot_env is a RadialPotential or a bare psi, the RadialPotential(phi=psi).
     K is the exponential radial kernel of the gradient problem.  Verifies
     the induction growth bound w_k <= b0 e^(M r) with
     M = lam_N max_{[0,R]} t psi(t), classifies large-vs-bounded by pairing
-    the large-condition verdict with the growth ratio w(R)/w(R/2), and, when both
-    envelopes are supplied, computes the ordering constant b* and checks
-    the sub/super ordering v <= w pointwise.  w lives on
-    _graded_mesh(R, panels), refined as the system's mesh is (_refined):
-    raises NumericsError when the mesh error of w over every node misses
-    tol after at most three doublings, and EnvelopeError when a
-    RadialPotential's envelopes are out of order at a node of a mesh.
+    the large-condition verdict with the growth ratio w(R)/w(R/2), and, when
+    the envelopes differ, computes the ordering constant b* and checks the
+    sub/super ordering v <= w pointwise.  w lives on _graded_mesh(R, panels),
+    refined as the system's mesh is (_refined), each mesh read through
+    RadialPotential.check: raises EnvelopeError at a node where the envelopes
+    are out of order, and NumericsError when the mesh error of w over every
+    node misses tol after at most three doublings.
     """
     if N < 3:
         raise ValueError("the gradient scheme requires N >= 3")
     if b0 < 1.0:
         warnings.warn("the monotone scheme assumes b0 >= 1 (f(w) <= Lambda w needs w >= 1)",
                       RuntimeWarning, stacklevel=2)
-    pot = pot_env if isinstance(pot_env, RadialPotential) else None
-    psi = pot.psi if pot is not None else pot_env
+    pot = pot_env if isinstance(pot_env, RadialPotential) else RadialPotential(phi=pot_env)
     f_vec = f.f.vector()
 
     def run(r_end, n):
-        mesh = _graded_mesh(r_end, n)
-        if pot is not None:
-            pot.check(mesh)
-        psi_vals = psi.vector()(mesh)
-        if np.any(psi_vals < 0.0):
-            raise ValueError("psi envelope must be nonnegative")
-        return (*_picard_gradient_run(psi_vals, f_vec, b0, r_end, n, N, tol), psi_vals)
+        phi_vals, psi_vals = pot.check(_graded_mesh(r_end, n))
+        return (*_picard_gradient_run(psi_vals, f_vec, b0, r_end, n, N, tol), phi_vals, psi_vals)
 
-    panels, ((w,), iterations, monotone, psi_vals), mesh_drift, mesh_error = _refined(
+    panels, ((w,), iterations, monotone, phi_vals, psi_vals), mesh_drift, mesh_error = _refined(
         run, R, panels, tol, "Picard")
     t = _graded_mesh(R, panels)
 
@@ -612,7 +614,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 
     verdicts = []
     try:
-        verdicts.append(check_large_condition(psi, N))
+        verdicts.append(check_large_condition(pot.psi, N))
         metadata["large_condition"] = verdicts[0].status
     except NumericsError as exc:  # a quadrature failure leaves the class undetermined
         metadata["large_condition_error"] = str(exc)
@@ -621,7 +623,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                                 metadata)
 
     # ordering constant of the two-envelope comparison
-    if pot is not None and not pot.is_radial:
+    if not pot.is_radial:
         try:
             gap = classify_tail_integral(lambda s: s * pot.gap(s), 0.0)
             slow = check_slow_variation(pot)
@@ -629,8 +631,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 K_const = math.exp(lam_N * gap.value)
                 b_star = 1.0 + K_const * lam_N * slow.value
                 metadata["b_star"] = b_star
-                (v_run,), _, _ = _picard_gradient_run(pot.phi.vector()(t), f_vec, 1.0, R,
-                                                      panels, N, tol)
+                (v_run,), _, _ = _picard_gradient_run(phi_vals, f_vec, 1.0, R, panels, N, tol)
                 (w_run,), _, _ = _picard_gradient_run(psi_vals, f_vec, b_star * (1.0 + 1e-9),
                                                       R, panels, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
@@ -669,7 +670,7 @@ def _system_lower_bounds(sys_: SystemProblem, K, p_vals, q_vals) -> tuple:
 
 def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
     t = _graded_mesh(R, panels)
-    p_vals, q_vals = sys_.p.phi.vector()(t), sys_.q.phi.vector()(t)
+    p_vals, q_vals = sys_.p.check(t)[0], sys_.q.check(t)[0]
     f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
     K = _green_kernel(R, panels, N)
 
@@ -694,9 +695,10 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     convergent and a window-independent plateau -> bounded; mixed verdicts
     are undetermined (only the two pure cases are covered by the theory).
     u and v live on _graded_mesh(R, mesh_points), refined as the gradient
-    scheme's w is (_refined): raises NumericsError when the mesh error of u
-    and v over every node (metadata mesh_error) misses max(tol, 1e-9) after
-    at most three doublings.
+    scheme's w is (_refined), each mesh read through RadialPotential.check:
+    raises EnvelopeError at a node where p or q is negative, and
+    NumericsError when the mesh error of u and v over every node (metadata
+    mesh_error) misses max(tol, 1e-9) after at most three doublings.
     """
     if N < 3:
         raise ValueError("the system scheme requires N >= 3")
@@ -758,6 +760,7 @@ def lipschitz_constant(Cp: float, Cq: float, m_lip: float) -> float:
 TOP_DISTANCE = 1e-13  # phi(n)/R a few hundred float spacings of a shot resolve
 HEIGHT_EXPONENTS = range(21)  # the top height is a power of ten, at most 1e20
 AGREEMENT = 1e-4  # the two levels agree where they differ by this much relative
+N_GRID = 200  # radii a boundary-blowup or whole-space solution is read at
 
 
 def _level_source(prob: LogisticProblem, inward_from: float | None = None):
@@ -861,7 +864,7 @@ def _level_search(shot, span: float, cap: float, f: Nonlinearity, phi, beta: flo
     return solve
 
 
-def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> RadialSolution:
+def boundary_blowup(prob: LogisticProblem, n_levels=None) -> RadialSolution:
     """Boundary blow-up solution from two level problems u = n.
 
     By default the levels are n/100 and the top height n, the largest power
@@ -890,7 +893,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
 
     kind = prob.domain[0]
     if kind == "whole-space":
-        return _whole_space_large(prob, n_grid)
+        return _whole_space_large(prob)
 
     shot, span = _level_shot(prob)
     beta = _search_exponent(prob, span)
@@ -917,10 +920,10 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
     R = float(prob.domain[-1])
     if kind == "ball":
         blow_r = R
-        x = interior = np.concatenate(([0.0], R - np.geomspace(1e-3 * R, 0.98 * R, n_grid)[::-1]))
+        x = interior = np.concatenate(([0.0], R - np.geomspace(1e-3 * R, 0.98 * R, N_GRID)[::-1]))
     else:
         blow_r = float(prob.domain[1])
-        interior = np.concatenate((blow_r + np.geomspace(1e-3 * span, 0.98 * span, n_grid), [R]))
+        interior = np.concatenate((blow_r + np.geomspace(1e-3 * span, 0.98 * span, N_GRID), [R]))
         x = R - interior
     # the top two levels, shot once more with dense output
     levels = [t.add(shot(p, 10.0 * heights[-1], dense=True))
@@ -954,7 +957,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None, n_grid: int = 200) -> 
 WHOLE_SPACE_CAP = 1e8
 
 
-def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
+def _whole_space_large(prob: LogisticProblem) -> RadialSolution:
     """Entire-solution window sweep from u(0) = 1: one shot per window,
     from series_start, stopped where u reaches WHOLE_SPACE_CAP.  Growth must
     persist across 2 windows.  A shot that reaches the cap inside its window
@@ -970,7 +973,7 @@ def _whole_space_large(prob: LogisticProblem, n_grid: int) -> RadialSolution:
         if shot.status == -1:
             raise NumericsError(f"whole-space shot over [0, {window!r}] failed: {shot.message}")
         r_end = float(shot.t[-1])
-        r = np.linspace(start, r_end, n_grid)
+        r = np.linspace(start, r_end, N_GRID)
         u, du = shot.sol(r)
         if shot.event == 2:
             classification = BOUNDARY_BLOWUP
@@ -1037,10 +1040,9 @@ class RateTable:
     drift: float
 
 
-def measure_boundary_rate(sol: RadialSolution, profile: BlowupProfile,
-                          points: int = 10) -> RateTable:
-    """Ratios u/h(d) and u/(xi0 h(d)) at the `points` grid points nearest the
-    boundary inside the profile table.
+def measure_boundary_rate(sol: RadialSolution, profile: BlowupProfile) -> RateTable:
+    """Ratios u/h(d) and u/(xi0 h(d)) at the RATE_POINTS grid points nearest
+    the boundary inside the profile table.
 
     The limit is the xi0-normalized ratio nearest the boundary and the drift
     its change to the next point.  A reading whose two nearest ratios differ
@@ -1064,7 +1066,7 @@ def measure_boundary_rate(sol: RadialSolution, profile: BlowupProfile,
     idx = np.where((d_all >= profile.t[0]) & (d_all <= profile.t[-1]) & (d_all > 0.0))[0]
     if idx.size < 2:
         raise ValueError(f"too few resolved grid points inside the profile table{levels}")
-    order = idx[np.argsort(d_all[idx])][:points][::-1]  # the nearest, by decreasing d
+    order = idx[np.argsort(d_all[idx])][:RATE_POINTS][::-1]  # the nearest, by decreasing d
     d = d_all[order]
     ratio_h = sol.u[order] / np.array([profile.h_at(float(x)) for x in d])
     ratio_x = ratio_h / profile.xi0

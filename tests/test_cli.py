@@ -636,6 +636,32 @@ mesh_points = 256
         assert diag["error"] == ("square root of a negative value in sqrt((40.0 - t)) "
                                  "at t=40.009307861328125")
 
+    @pytest.mark.parametrize("negative, line", [("p", 8), ("q", 9)])
+    def test_solve_system_negative_potential_is_config_error(self, tmp_path, capsys,
+                                                              negative, line):
+        # p or q = 1 - t/30 is negative past 30: it exited 3 after refining
+        # 512 panels to 4,096, blaming the mesh
+        pots = {"p": "1", "q": "1", negative: "1-t/30"}
+        code, outdir = run_cli(tmp_path, f"""
+[problem]
+command = solve-system
+N = 3
+R = 50
+
+[functions]
+p = "{pots['p']}"
+q = "{pots['q']}"
+f = "t^0.5"
+g = "t^0.5"
+
+[numerics]
+mesh_points = 512
+""")
+        assert code == 2
+        assert (f"line {line}: [functions] {negative}: envelopes must satisfy phi >= psi >= 0 "
+                "(r = 30.06153106689453:" in capsys.readouterr().err)
+        assert not os.path.exists(outdir)
+
     def test_solve_entire(self, tmp_path, capsys):
         code, outdir = run_cli(tmp_path, """
 [problem]
@@ -690,6 +716,15 @@ psi = "(1+t^2)^(-2)"
         assert code == 2
         assert ("line 10: [functions] phi: envelopes must satisfy phi >= psi >= 0"
                 in capsys.readouterr().err)
+        assert not os.path.exists(outdir)
+
+    def test_solve_entire_negative_psi_is_config_error(self, tmp_path, capsys):
+        # a bare psi had its own rule, a numerical failure naming no radius;
+        # the first node past 30 of the default 2,048-panel mesh is named
+        code, outdir = run_cli(tmp_path, self._entire_config().replace("(1+t^2)^(-2)", "1-t/30"))
+        assert code == 2
+        assert ("line 9: [functions] psi: envelopes must satisfy phi >= psi >= 0 "
+                "(r = 30.023682117462158:" in capsys.readouterr().err)
         assert not os.path.exists(outdir)
 
     def test_solve_entire_envelopes_are_checked_out_to_R(self, tmp_path, capsys):

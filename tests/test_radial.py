@@ -553,7 +553,24 @@ class TestPicardGradient:
                               psi=ScalarFn.from_source("(30-t)/(30+t^2)"))
         with pytest.raises(radial.EnvelopeError, match=r"\(r = 31.0: phi = 1.0, psi = -"):
             pot.check(np.array([0.0, 10.0, 31.0, 40.0]))
-        pot.check(np.array([0.0, 10.0, 30.0]))
+        r = np.array([0.0, 10.0, 30.0])
+        phi, psi = pot.check(r)
+        np.testing.assert_array_equal(phi, pot.phi.vector()(r))
+        np.testing.assert_array_equal(psi, pot.psi.vector()(r))
+
+    def test_envelope_check_reads_a_radial_potential_once(self):
+        pot = RadialPotential(phi=ScalarFn.from_source("1/(1+t^2)"))
+        phi, psi = pot.check(np.array([0.0, 1.0, 2.0]))
+        assert phi is psi
+
+    def test_a_negative_bare_psi_is_named_on_the_first_mesh(self, f_sqrt):
+        # psi = 1 - t/30 is read through RadialPotential.check: the first
+        # node past 30 of _graded_mesh(50, 512), node 397, is named; the
+        # bare psi had its own rule, "psi envelope must be nonnegative"
+        with pytest.raises(radial.EnvelopeError,
+                           match=r"\(r = 30\.06153106689453: phi = -0\.00205"):
+            picard_gradient_entire(ScalarFn.from_source("1-t/30"), f_sqrt, 1.0, 50.0, 3,
+                                   panels=512)
 
     def test_large_condition_quadrature_failure_is_recorded(self, f_sqrt, monkeypatch):
         def fail(psi, N):
@@ -694,6 +711,20 @@ class TestSolveSystem:
                          mesh_points=256)
         assert str(err.value) == ("square root of a negative value in sqrt((40.0 - t)) "
                                   f"at {where}")
+
+    @pytest.mark.parametrize("negative", ["p", "q"])
+    def test_a_negative_potential_is_named_on_the_first_mesh(self, f_sqrt, negative):
+        # p or q = 1 - t/30 was read unchecked: the scheme refined 512 panels
+        # to 4,096 and then blamed the mesh ("iterates failed to be
+        # nondecreasing"); the first node past 30 is named on the first mesh
+        one = RadialPotential(phi=ScalarFn.from_source("1"))
+        bad = RadialPotential(phi=ScalarFn.from_source("1-t/30"))
+        pots = {"p": one, "q": one, negative: bad}
+        with pytest.raises(radial.EnvelopeError,
+                           match=r"\(r = 30\.06153106689453: phi = -0\.00205") as err:
+            solve_system(SystemProblem(f=f_sqrt, g=f_sqrt, a=1.0, b=1.0, **pots), 50.0, 3,
+                         mesh_points=512)
+        assert err.value.potential is bad
 
     def test_zero_potentials(self, f_sqrt):
         zero = RadialPotential(phi=ScalarFn.from_source("0"))
