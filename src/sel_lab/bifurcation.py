@@ -34,6 +34,7 @@ from .numerics import (
     ShotTally,
     bessel_psi,
     find_root_monotone,
+    refuse_samples,
     series_start,
     shoot,
 )
@@ -185,7 +186,8 @@ class LEFProblem:
       convection:        g(u) + lam |u'|^p + mu f(u)
       convection-absorb: lam f(u) - K(x) g(u) - |u'|^p
     The gradient power p must lie in [0, 2] (quadratic growth is the
-    natural ceiling for the maximum principle).
+    maximum principle's ceiling); with mu > 0, a source <= 0 at one of 17
+    points of [0, R] is a SampleError.
     """
 
     N: int
@@ -211,10 +213,10 @@ class LEFProblem:
         if self.mode not in LEF_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.source is not None and self.mu > 0.0:
-            src = self.source.fast()
-            for x in np.linspace(0.0, self.R, 17):
-                if src(float(x)) <= 0.0:
-                    raise ValueError("the source term must be positive on the domain")
+            src, xs = self.source.fast(), np.linspace(0.0, self.R, 17)
+            values = np.array([src(float(x)) for x in xs])
+            refuse_samples(self.source, "the source term must be positive on the domain",
+                           values <= 0.0, xs, "x", source=values)
 
     @property
     def m(self) -> float:

@@ -401,13 +401,9 @@ def _cmd_solve_entire(spec, outdir):
     panels = spec.get("numerics", "panels", 2048, kind=int)
     nl = _ka.analyze_nonlinearity(f_src)
     lam = nl.Lambda if nl.Lambda is not None else math.inf
-    try:
-        pot = _rad.RadialPotential(phi=psi if phi_src is None else ScalarFn.from_source(phi_src),
-                                   psi=psi, lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
-        sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
-    except _rad.EnvelopeError as exc:  # envelopes out of order: the config asks the impossible
-        key = "psi" if phi_src is None else "phi"
-        raise ConfigError(f"[functions] {key}: {exc}", spec.data["functions"][key][1]) from exc
+    pot = _rad.RadialPotential(phi=psi if phi_src is None else ScalarFn.from_source(phi_src),
+                               psi=psi, lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
+    sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
     csv = spec.get("output", "csv", "entire.csv")
     sol.to_csv(os.path.join(outdir, csv))
     out = {"command": "solve-entire", "classification": sol.classification,
@@ -429,16 +425,14 @@ def _cmd_solve_system(spec, outdir):
     f = _ka.analyze_nonlinearity(spec.expression("functions", "f", required=True))
     g = _ka.analyze_nonlinearity(spec.expression("functions", "g", required=True))
     a, b = (spec.get("problem", k, 1.0, kind=float) for k in "ab")
+    spec.check("problem", "a", a, a > 0.0, "positive")
+    spec.check("problem", "b", b, b > 0.0, "positive")
     R = spec.get("problem", "R", 50.0, kind=float)
     tol = spec.get("numerics", "tol", 1e-10, kind=float)
     mesh = spec.get("numerics", "mesh_points", 4096, kind=int)
-    try:
-        sys_ = _rad.SystemProblem(p=_rad.RadialPotential(phi=p), q=_rad.RadialPotential(phi=q),
-                                  f=f, g=g, a=a, b=b)
-        sol = _rad.solve_system(sys_, R, N, tol, mesh)
-    except _rad.EnvelopeError as exc:  # a negative p or q: the config asks the impossible
-        key = "p" if exc.potential.phi is p else "q"
-        raise ConfigError(f"[functions] {key}: {exc}", spec.data["functions"][key][1]) from exc
+    sys_ = _rad.SystemProblem(p=_rad.RadialPotential(phi=p), q=_rad.RadialPotential(phi=q),
+                              f=f, g=g, a=a, b=b)
+    sol = _rad.solve_system(sys_, R, N, tol, mesh)
     csv = spec.get("output", "csv", "system.csv")
     sol.to_csv(os.path.join(outdir, csv))
     return {"command": "solve-system", "classification": sol.classification,
@@ -453,6 +447,7 @@ def _cmd_solve_system(spec, outdir):
 
 def _logistic_from_spec(spec) -> _rad.LogisticProblem:
     N = spec.get("problem", "N", required=True, kind=int)
+    spec.check("problem", "N", N, N >= 1, "at least 1")
     domain_kind = spec.get("problem", "domain", "ball",
                            choices=("ball", "annulus", "whole-space"))
     if domain_kind == "ball":
@@ -460,6 +455,7 @@ def _logistic_from_spec(spec) -> _rad.LogisticProblem:
     elif domain_kind == "annulus":
         domain = ("annulus", spec.get("problem", "R0", 0.0, kind=float),
                   spec.get("problem", "R", 1.0, kind=float))
+        spec.check("problem", "R0", domain[1], 0.0 <= domain[1] < domain[2], "in [0, R)")
     else:
         domain = ("whole-space", spec.get("problem", "R", 10.0, kind=float))
     omega0 = spec.get("problem", "omega0", 0.0, kind=float)
@@ -468,19 +464,16 @@ def _logistic_from_spec(spec) -> _rad.LogisticProblem:
                    "0 on an annulus")
         spec.check("problem", "omega0", omega0, domain_kind != "ball" or omega0 < domain[1],
                    "below R on a ball")
-    try:
-        return _rad.LogisticProblem(
-            N=N,
-            f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
-            b=ScalarFn.from_source(spec.expression("functions", "b", required=True)),
-            a_lin=spec.get("problem", "a", 0.0, kind=float),
-            domain=domain,
-            omega0_radius=omega0,
-            b_normalization=spec.get("problem", "b_normalization", "k2",
-                                     choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
-        )
-    except _rad.CoreError as exc:  # b is not 0 on its core: the config asks the impossible
-        raise ConfigError(f"[functions] b: {exc}", spec.data["functions"]["b"][1]) from exc
+    return _rad.LogisticProblem(
+        N=N,
+        f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
+        b=ScalarFn.from_source(spec.expression("functions", "b", required=True)),
+        a_lin=spec.get("problem", "a", 0.0, kind=float),
+        domain=domain,
+        omega0_radius=omega0,
+        b_normalization=spec.get("problem", "b_normalization", "k2",
+                                 choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
+    )
 
 
 def _cmd_blowup(spec, outdir):
@@ -494,6 +487,7 @@ def _cmd_blowup(spec, outdir):
     prob = _logistic_from_spec(spec)
     levels = spec.get("numerics", "levels", None, kind=list)
     sol = _rad.boundary_blowup(prob, n_levels=levels)
+    rate = None if make_profile is None else _rad.measure_boundary_rate(sol, make_profile(prob.f))
     csv = spec.get("output", "csv", "blowup.csv")
     sol.to_csv(os.path.join(outdir, csv))
     out = {"command": "blowup", "classification": sol.classification,
@@ -503,8 +497,7 @@ def _cmd_blowup(spec, outdir):
                                                  "level_parameter_gap")
               if key in sol.metadata},
            "csv": csv}
-    if make_profile is not None:
-        rate = _rad.measure_boundary_rate(sol, make_profile(prob.f))
+    if rate is not None:
         out.update(rate_ratio=f"{rate.limit:.2f}x", rate_limit=rate.limit, rate_drift=rate.drift)
     return out
 
@@ -696,9 +689,16 @@ _COMMANDS = {
 
 def run(spec: ProblemSpec, outdir: str, verbose: bool = False) -> dict:
     """Validate the config, then dispatch the command; returns the summary
-    dict (also printed)."""
+    dict (also printed).  A function refused on its samples (SampleError)
+    is a ConfigError at the [functions] key that parses to it, if any."""
     spec.validate()
-    summary = _COMMANDS[spec.command][0](spec, outdir)
+    try:
+        summary = _COMMANDS[spec.command][0](spec, outdir)
+    except _num.SampleError as exc:
+        for key, (source, lineno) in spec.data.get("functions", {}).items():
+            if parse_expression(source) == exc.fn.body:
+                raise ConfigError(f"[functions] {key}: {exc}", lineno) from exc
+        raise ConfigError(str(exc)) from exc
     json_name = spec.get("output", "json", f"{spec.command.replace('-', '_')}_summary.json")
     _emit(summary, outdir, json_name)
     if verbose:
@@ -724,11 +724,7 @@ def main(argv=None) -> int:
     opts = _parser().parse_args(argv)
 
     try:
-        spec = parse_config(opts.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        spec = parse_config(opts.config)  # raises no error but ConfigError
         run(spec, opts.out, opts.verbose)
     except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

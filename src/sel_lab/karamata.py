@@ -38,6 +38,7 @@ from .numerics import (
     integrate_finite,
     integrate_panel,
     integrate_panels,
+    refuse_samples,
 )
 
 INF = math.inf
@@ -704,8 +705,8 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
     measured on the first read of each index (Nonlinearity).
 
     f must be nonnegative and nondecreasing on 121 geometric points of
-    [1e-6, U_MAX]; that check runs here, and a domain error of f there
-    propagates, so a config error surfaces at construction.  Every index
+    [1e-6, U_MAX]; that check runs here (SampleError at the first failing
+    point), and a domain error of f there propagates.  Every index
     comes from one set of samples of f, doubling from t = 1
     (numerics._tail_samples), or 16 an octave when f overflows by t = 8,
     as exp(exp(t)) does (_octave_samples).  The "fit" stage (_fit_stage)
@@ -717,17 +718,13 @@ def analyze_nonlinearity(f_src: str) -> Nonlinearity:
     """
     f = ScalarFn(parse_expression(f_src))
     fp = f.derivative_fn()
-    call = f.fast()
 
-    vals = []
-    for u in _CHECK_GRID:
-        v = call(u)
-        vals.append(v)
-        if v < 0.0:
-            raise ValueError(f"f must be nonnegative (f({u:.3g}) = {v:.3g})")
-    for a, b in zip(vals, vals[1:]):
-        if math.isfinite(a) and math.isfinite(b) and b < a * (1.0 - 1e-9) - 1e-300:
-            raise ValueError("f must be nondecreasing on the sampled range")
+    vals = np.fromiter(map(f.fast(), _CHECK_GRID), float)
+    refuse_samples(f, "f must be nonnegative", vals < 0.0, _CHECK_GRID, f=vals)
+    lo, hi = vals[:-1], vals[1:]
+    refuse_samples(f, "f must be nondecreasing on the sampled range",
+                   np.isfinite(lo) & (hi < lo * (1.0 - 1e-9) - 1e-300),
+                   _CHECK_GRID[1:], f=hi, f_before=lo)
 
     nl = Nonlinearity(f=f, fprime=fp, source=f_src)
     nl._pending = {"fit": _fit_stage, "theta": _theta_stage}
@@ -811,20 +808,19 @@ def analyze_singular_term(g_src: str) -> Nonlinearity:
 
     The origin exponent alpha and constant C0 of g(s) <= C0 s^-alpha are
     read off the AST when g is a pure power (_pure_power), and fitted on
-    13 points of [1e-8, 1e-2] otherwise.  g's samples from t = 1
-    (numerics._tail_samples) are taken here, so an error in them surfaces
-    at construction.  value_at_inf = lim g is the "fit" stage, measured on
-    its first read (Nonlinearity): _limit reads it off those samples, and
-    it is 0 where g vanishes at the sample past them; where it does not
-    resolve it is None with _limit's reason in the notes.
+    13 points of [1e-8, 1e-2] otherwise; g < 0 there is a SampleError.
+    g's samples from t = 1 (numerics._tail_samples) are taken here, so an
+    error in them surfaces at construction.  value_at_inf = lim g is the
+    "fit" stage, measured on its first read (Nonlinearity): _limit reads
+    it off those samples, and it is 0 where g vanishes at the sample past
+    them; where it does not resolve it is None with _limit's reason in the
+    notes.
     """
     ast = parse_expression(g_src)
     g = ScalarFn(ast)
-    call = g.fast()
     near = np.geomspace(1e-8, 1e-2, 13)
-    gv = np.array([call(float(s)) for s in near])
-    if np.any(gv < 0.0):
-        raise ValueError("singular term must be nonnegative")
+    gv = np.array([g(float(s)) for s in near])
+    refuse_samples(g, "singular term must be nonnegative", gv < 0.0, near, g=gv)
     alpha_sing, sing_c0 = _pure_power(ast) or (None, None)
     if alpha_sing is None and np.all(gv > 0.0):
         slope = float(np.polyfit(np.log(near), np.log(gv), 1)[0])
@@ -1008,15 +1004,16 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
     kind=expA:   k(t) = exp(-S(1/t))      -> ell_1 = 0
     kind=invS:   k(t) = 1/S(1/t)          -> ell_1 = 1/(q+2)
     kind=invLnS: k(t) = 1/ln(S(1/t))      -> ell_1 = 1
-    where q > -1 is the RV index of S' (rv_index).
+    where q > -1 is the RV index of S' (rv_index); k not positive increasing
+    at 24 points of (0, nu) is a SampleError for S.
     """
     if kind not in _K_KINDS:
         raise ValueError(f"kind must be one of {_K_KINDS}")
     if D <= 0.0:
         raise ValueError("D must be positive")
     S_ast = parse_expression(S_src)
-    Sp = ScalarFn(S_ast).derivative_fn()
-    q = rv_index(Sp)
+    S = ScalarFn(S_ast)
+    q = rv_index(S.derivative_fn())
     if q <= -1.0:
         raise ValueError(f"S' must vary regularly with index q > -1 (got {q:.4f})")
 
@@ -1035,16 +1032,14 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
 
     nu = 1.0 / D
     k = ScalarFn(body)
-    kp = k.fast()
-    dkp = k.derivative_fn().fast()
-    for t in np.geomspace(1e-6 * nu, 0.95 * nu, 24):
-        try:
-            kt = kp(float(t))
-            dk = dkp(float(t))
-        except ValueError as exc:
-            raise ValueError(f"k not defined on (0, nu): {exc}") from exc
-        if kt < 0.0 or (kt > 0.0 and dk < -1e-9 * max(kt / t, 1.0)):
-            raise ValueError("constructed k is not positive increasing on (0, nu)")
+    ts = np.geomspace(1e-6 * nu, 0.95 * nu, 24)
+    try:
+        ks, dks = np.array([(k(float(t)), k.deriv(float(t))) for t in ts]).T
+    except ValueError as exc:
+        raise ValueError(f"k not defined on (0, nu): {exc}") from exc
+    refuse_samples(S, "constructed k is not positive increasing on (0, nu)",
+                   (ks < 0.0) | ((ks > 0.0) & (dks < -1e-9 * np.maximum(ks / ts, 1.0))),
+                   ts, k=ks, dk=dks)
 
     est = ell_limits(k, nu)
     if abs(est.ell1 - predicted) > 0.02 + 3.0 * est.ell1_err:

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import DOP853, quad
 from scipy.optimize import brentq
 
-from .expr import EvalDomainError
+from .expr import EvalDomainError, ScalarFn
 from .ioutil import write_csv
 
 # Band half-width around the borderline of a fitted power: -1 for the tail
@@ -72,6 +72,25 @@ class NonIntegrableError(NumericsError):
 
 class BracketError(NumericsError):
     """Root bracketing failed after the allowed expansions."""
+
+
+class SampleError(ValueError):
+    """The ScalarFn `fn` fails a hypothesis at one of its samples."""
+
+    def __init__(self, message: str, fn: ScalarFn):
+        super().__init__(message)
+        self.fn = fn
+
+
+def refuse_samples(fn: ScalarFn, what: str, bad, points, /, var: str = "t", **values) -> None:
+    """Raise SampleError for fn at the first sample where the mask bad holds, as
+    "what (var = x: name = v, ...)": its point and values (arrays, or one for all)."""
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(bad.argmax())
+        x, *vs = (float(v[i] if np.ndim(v) else v) for v in (points, *values.values()))
+        named = ", ".join(f"{name} = {v!r}" for name, v in zip(values, vs))
+        raise SampleError(f"{what} ({var} = {x!r}: {named})", fn)
 
 
 @dataclass(frozen=True)
@@ -392,7 +411,8 @@ def _tail_samples(fn, a: float, lead_zeros: bool = False):
     """(ts, fs): fn at _sample_points(a), up to the first value that is 0,
     subnormal, >= 1e300 or not finite, or where fn overflows or (past the
     geometric samples) fails; with lead_zeros, the zeros before the first
-    positive value are skipped.  An fn with an array form (`many`) is
+    positive value are skipped; a negative value before that is a ValueError
+    (SampleError for a ScalarFn).  An fn with an array form (`many`) is
     evaluated in one array call, and point by point when that call raises."""
     ts = _sample_points(a)
     values = None
@@ -414,6 +434,8 @@ def _tail_samples(fn, a: float, lead_zeros: bool = False):
                     raise
                 break
         if v < 0.0:
+            if isinstance(fn, ScalarFn):  # an expression its caller can name
+                refuse_samples(fn, "the sampled function is negative", True, t, fn=v)
             raise ValueError(f"the sampled function is negative at t={t!r}")
         if v == 0.0 and lead_zeros and not fs:
             start = j + 1
@@ -740,17 +762,17 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
 # Radial initial value problems
 # ---------------------------------------------------------------------------
 
-def series_start(source, u0: float, N: int, eps: float, du0: float = 0.0):
-    """Start point (r, (u, u')) of a radial shot from the origin.
+def series_start(source, u0: float, N: int, eps: float):
+    """Start point (r, (u, u')) of a radial shot from the origin with u'(0) = 0.
 
     N = 1 starts at the origin itself.  For N >= 2 the second-order series
-    u(eps) ~ u0 + du0*eps + source(0,u0,0) eps^2/(2N) steps past the (N-1)/r
+    u(eps) ~ u0 + source(0,u0,0) eps^2/(2N) steps past the (N-1)/r
     singularity.
     """
     if N == 1:
-        return 0.0, (u0, du0)
+        return 0.0, (u0, 0.0)
     g0 = source(0.0, u0, 0.0)
-    return eps, (u0 + du0 * eps + g0 * eps * eps / (2.0 * N), du0 + g0 * eps / N)
+    return eps, (u0 + g0 * eps * eps / (2.0 * N), g0 * eps / N)
 
 
 def bessel_psi(M: int, x):

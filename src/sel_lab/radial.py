@@ -35,6 +35,7 @@ from .numerics import (
     ShotTally,
     classify_tail_integral,
     find_root_monotone,
+    refuse_samples,
     series_start,
     shoot,
 )
@@ -48,18 +49,6 @@ RATE_POINTS = 10  # grid points nearest the boundary a rate is read at
 # Domain types
 # ---------------------------------------------------------------------------
 
-class EnvelopeError(ValueError):
-    """The envelopes of `potential` are out of order: not phi >= psi >= 0."""
-
-    def __init__(self, message: str, potential: "RadialPotential"):
-        super().__init__(message)
-        self.potential = potential
-
-
-class CoreError(ValueError):
-    """The weight b of a LogisticProblem is not 0 on its vanishing core."""
-
-
 @dataclass
 class RadialPotential:
     """Radial envelopes of a (possibly non-radial) potential.
@@ -69,6 +58,7 @@ class RadialPotential:
     lam_N = Lambda/(N-2) is the Gronwall weight of the slow-variation
     condition.  check reads them on each Picard mesh and here on 41 radii
     of [0, 20], which the verdict and ordering integrals read as well.
+    t_psi = t psi(t) serves Psi, the large condition's bound and t p, t q.
     """
 
     phi: ScalarFn
@@ -79,20 +69,18 @@ class RadialPotential:
     def __post_init__(self):
         if self.psi is None:
             self.psi = self.phi
+        self.t_psi = ScalarFn(ExprAst("mul", children=(VAR, self.psi.body)))
         self.check(np.linspace(0.0, 20.0, 41))
 
     def check(self, r) -> tuple:
-        """(phi, psi) at the radii r, one array if radial; EnvelopeError, naming
-        the first offending radius, unless phi >= psi >= 0 (to 1e-12) there."""
+        """(phi, psi) at the radii r, one array if radial; a SampleError for
+        psi < 0 or phi < psi (to 1e-12) at the first radius where either holds."""
         lo = self.psi.vector()(r)
         hi = lo if self.is_radial else self.phi.vector()(r)
-        bad = lo < -1e-12
-        if hi is not lo:  # a radial potential has no envelopes to order
-            bad |= hi < lo - 1e-12 * (1.0 + np.abs(hi))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise EnvelopeError(f"envelopes must satisfy phi >= psi >= 0 (r = {float(r[i])!r}: "
-                                f"phi = {float(hi[i])!r}, psi = {float(lo[i])!r})", self)
+        negative = lo < -1e-12
+        bad = negative if hi is lo else negative | (hi < lo - 1e-12 * (1.0 + np.abs(hi)))
+        refuse_samples(self.psi if negative[bad.argmax()] else self.phi,
+                       "envelopes must satisfy phi >= psi >= 0", bad, r, "r", phi=hi, psi=lo)
         return hi, lo
 
     @property
@@ -113,13 +101,13 @@ class RadialPotential:
     def weight(self, r: float) -> float:
         """Psi(r); nondecreasing with Psi(0) = 1."""
         if self._psi_int is None:
-            self._psi_int = Antiderivative(_times_t(self.psi))
+            self._psi_int = Antiderivative(self.t_psi)
         return math.exp(self.lam_N * self._psi_int(r))
 
 
 @dataclass
 class SystemProblem:
-    """Coupled system Delta u = p g(v), Delta v = q f(u) with central values."""
+    """Coupled system Delta u = p g(v), Delta v = q f(u) with central values (p, q read as psi)."""
 
     p: RadialPotential
     q: RadialPotential
@@ -141,10 +129,10 @@ class LogisticProblem:
     blow-up data sits on the outer boundary for a ball and on the inner
     boundary for an annulus.  omega0_radius is the concentric vanishing
     ball of b (0 = empty): it must lie inside a ball and is refused on an
-    annulus, and b must be 0 at 41 radii of [0, omega0_radius] (CoreError
-    names the first where it is not).  b_normalization records whether
-    b ~ c k^2(d) ("k2") or b ~ c k(d) ("k") so rate measurements can
-    refuse mismatched profiles.
+    annulus, and b must be 0 at 41 radii of [0, omega0_radius] (a
+    SampleError for b names the first where it is not).  b_normalization
+    records whether b ~ c k^2(d) ("k2") or b ~ c k(d) ("k") so rate
+    measurements can refuse mismatched profiles.
     """
 
     N: int
@@ -156,6 +144,8 @@ class LogisticProblem:
     b_normalization: str = "k2"
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("dimension N must be >= 1")
         kind = self.domain[0]
         if kind == "ball":
             if len(self.domain) != 2 or self.domain[1] <= 0.0:
@@ -183,12 +173,8 @@ class LogisticProblem:
             raise ValueError(f"the vanishing core must lie inside the ball (omega0 = {omega0!r}, "
                              f"R = {self.domain[1]!r})")
         r = np.linspace(0.0, omega0, 41)
-        b = np.broadcast_to(self.b.vector()(r), r.shape)
-        bad = b != 0.0
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise CoreError(f"b must vanish on the core r <= {omega0!r} "
-                            f"(r = {float(r[i])!r}: b = {float(b[i])!r})")
+        b = self.b.vector()(r)
+        refuse_samples(self.b, f"b must vanish on the core r <= {omega0!r}", b != 0.0, r, "r", b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +247,27 @@ def _large_condition_kernel(N: int):
     return Integrand(K, many)
 
 
-def _times_t(fn: ScalarFn) -> ScalarFn:
-    """t fn(t), the integrand of Psi, of the large condition's bound and the t p, t q verdicts."""
-    return ScalarFn(ExprAst("mul", children=(VAR, fn.body)))
-
-
-def check_large_condition(psi_env, N: int):
+def check_large_condition(pot_env, N: int):
     """Classify the outer weighted integral that gates entire large solutions.
 
+    pot_env is a RadialPotential or a bare psi, the RadialPotential(phi=psi).
     int_1^inf e^-t t^(1-N) int_0^t e^s s^(N-1) psi(s) ds dt = inf holds iff
     entire large solutions of the gradient problem exist.  As psi >= 0 the
     order of integration swaps (Tonelli) into int_0^inf psi K_N ds with
     K_N -> 1 (_large_condition_kernel), so the verdict reads psi's own tail
     and a convergent value is the whole int_0^inf psi K_N.  The elementary
-    bound outer <= (N-2)^-1 int_0^inf t psi(t) dt is a cross-check
-    reported in the diagnostics of a convergent verdict.
+    bound outer <= (N-2)^-1 int_0^inf t psi(t) dt (t_psi) is a cross-check
+    in the diagnostics of a convergent verdict.
     """
     if N < 3:
         raise ValueError("the gradient problem lives in dimension N >= 3")
-    psi_call, psi_vec = psi_env.fast(), psi_env.vector()
+    pot = pot_env if isinstance(pot_env, RadialPotential) else RadialPotential(phi=pot_env)
+    psi_call, psi_vec = pot.psi.fast(), pot.psi.vector()
     K = _large_condition_kernel(N)
     verdict = classify_tail_integral(
         Integrand(lambda s: psi_call(s) * K(s), lambda s: psi_vec(s) * K.many(s)), 0.0)
     if verdict.is_convergent and verdict.value > 0.0:
-        bound = classify_tail_integral(_times_t(psi_env), 0.0)
+        bound = classify_tail_integral(pot.t_psi, 0.0)
         if bound.is_convergent:
             limit = bound.value / (N - 2.0)
             verdict = replace(verdict, diagnostics={
@@ -573,7 +556,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     the envelopes differ, computes the ordering constant b* and checks the
     sub/super ordering v <= w pointwise.  w lives on _graded_mesh(R, panels),
     refined as the system's mesh is (_refined), each mesh read through
-    RadialPotential.check: raises EnvelopeError at a node where the envelopes
+    RadialPotential.check: raises SampleError at a node where the envelopes
     are out of order, and NumericsError when the mesh error of w over every
     node misses tol after at most three doublings.
     """
@@ -614,7 +597,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 
     verdicts = []
     try:
-        verdicts.append(check_large_condition(pot.psi, N))
+        verdicts.append(check_large_condition(pot, N))
         metadata["large_condition"] = verdicts[0].status
     except NumericsError as exc:  # a quadrature failure leaves the class undetermined
         metadata["large_condition_error"] = str(exc)
@@ -670,7 +653,7 @@ def _system_lower_bounds(sys_: SystemProblem, K, p_vals, q_vals) -> tuple:
 
 def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
     t = _graded_mesh(R, panels)
-    p_vals, q_vals = sys_.p.check(t)[0], sys_.q.check(t)[0]
+    p_vals, q_vals = sys_.p.check(t)[1], sys_.q.check(t)[1]
     f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
     K = _green_kernel(R, panels, N)
 
@@ -691,12 +674,13 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     """Alternating monotone Picard scheme for the coupled system on [0, R].
 
     Classification follows the dichotomy of the tail integrals of t p(t)
-    and t q(t): both divergent and sustained growth -> entire-large; both
-    convergent and a window-independent plateau -> bounded; mixed verdicts
-    are undetermined (only the two pure cases are covered by the theory).
+    and t q(t), one verdict when p is q: both divergent and sustained
+    growth -> entire-large; both convergent and a window-independent
+    plateau -> bounded; mixed verdicts are undetermined (only the two pure
+    cases are covered by the theory).
     u and v live on _graded_mesh(R, mesh_points), refined as the gradient
     scheme's w is (_refined), each mesh read through RadialPotential.check:
-    raises EnvelopeError at a node where p or q is negative, and
+    raises SampleError at a node where p or q is negative, and
     NumericsError when the mesh error of u and v over every node (metadata
     mesh_error) misses max(tol, 1e-9) after at most three doublings.
     """
@@ -726,8 +710,8 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
         run, R, mesh_points, max(tol, 1e-9), "system")
     t = _graded_mesh(R, panels)
 
-    s2_p = classify_tail_integral(_times_t(sys_.p.phi), 1.0)
-    s2_q = classify_tail_integral(_times_t(sys_.q.phi), 1.0)
+    s2_p = classify_tail_integral(sys_.p.t_psi, 1.0)
+    s2_q = s2_p if sys_.q is sys_.p else classify_tail_integral(sys_.q.t_psi, 1.0)
     metadata = {
         "iterations": iterations,
         "mesh_points": panels,

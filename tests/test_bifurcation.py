@@ -68,7 +68,7 @@ def lambda1_by_search(N, R, mode="ball"):
 
     def endpoint(mu):
         source = lambda r, u, du: -mu / (R * R) * u  # noqa: E731
-        start, y0 = series_start(source, phi0, N, 1e-6 * R, dphi0)
+        start, y0 = (0.0, (phi0, dphi0)) if dphi0 else series_start(source, phi0, N, 1e-6 * R)
         return float(shoot(source, N, start, y0, R, 1e-13, 1e-14).y[0, -1])
 
     return find_root_monotone(endpoint, 0.0, 0.1, 0.2, tol=0.0, width_tol=1e-12) / (R * R)

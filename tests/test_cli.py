@@ -358,6 +358,47 @@ u_max = 1e8
          'g = "exp(-t)"', "line 5: [problem] N must be 1 on the interval geometry, not 3"),
         ("command = young\np = 1.5\nN = 3\ngeometry = annulus",
          "line 5: [problem] geometry must be one of interval, ball, not 'annulus'"),
+        ('command = solve-system\nN = 3\na = -1\n[functions]\np = "1"\nq = "1"\n'
+         'f = "t^0.5"\ng = "t^0.5"', "line 4: [problem] a must be positive, not -1.0"),
+        ('command = solve-system\nN = 3\nb = 0\n[functions]\np = "1"\nq = "1"\n'
+         'f = "t^0.5"\ng = "t^0.5"', "line 4: [problem] b must be positive, not 0.0"),
+        ('command = blowup\nN = 1\ndomain = annulus\nR0 = 1\nR = 1\n[functions]\nf = "t^3"\n'
+         'b = "1"', "line 5: [problem] R0 must be in [0, R), not 1.0"),
+        ('command = blowup\nN = 0\n[functions]\nf = "t^3"\nb = "1"',
+         "line 3: [problem] N must be at least 1, not 0"),
+        # a function that fails its hypotheses at a sample is named with the
+        # point and its values there
+        ('command = check-ko\n[functions]\nf = "1-t"',
+         "line 4: [functions] f: f must be nonnegative (t = 1.165914401179831: "
+         "f = -0.16591440117983103)"),
+        ('command = check-ko\n[functions]\nf = "1/(1+t)"',
+         "line 4: [functions] f: f must be nondecreasing on the sampled range "
+         "(t = 1.308177474260193e-06: f = 0.999998691824237, "
+         "f_before = 0.9999990000010001)"),
+        ('command = lef\nN = 1\nlambda = 1\n[functions]\nf = "t"\ng = "-t^(-0.5)"\na = "1"',
+         "line 7: [functions] g: singular term must be nonnegative (t = 1e-08: g = -10000.0)"),
+        ('command = lef\nN = 1\nlambda = 1\nmu = 1\nmode = two-param\n[functions]\nf = "t"\n'
+         'g = "t^(-0.5)"\nK = "1"\nsource = "t-0.5"',
+         "line 11: [functions] source: the source term must be positive on the domain "
+         "(x = 0.0: source = -0.5)"),
+        ('command = sweep\nN = 1\nlambda_grid = 1, 2\nmu = 1\nmode = two-param\n[functions]\n'
+         'f = "t"\ng = "t^(-0.5)"\nK = "1"\nsource = "t-0.5"',
+         "line 11: [functions] source: the source term must be positive on the domain "
+         "(x = 0.0: source = -0.5)"),
+        ('command = classify\n[functions]\nfn = "-t^(-2)"',
+         "line 4: [functions] fn: the sampled function is negative (t = 1.0: fn = -1.0)"),
+        ('command = make-k\nkind = invLnS\nD = 0.5\n[functions]\nS = "t"',
+         "line 6: [functions] S: constructed k is not positive increasing on (0, nu) "
+         "(t = 1.0443656392604836: k = -23.036348630903902, dk = 508.12985251058086)"),
+        # the weight is built after the blow-up solve, before any file is written
+        ('command = blowup\nN = 3\nk_kind = invLnS\nD = 0.5\n[functions]\nf = "t^3"\n'
+         'b = "(1-t)^2"\nS = "t"',
+         "line 9: [functions] S: constructed k is not positive increasing on (0, nu)"),
+        # t p is negative past R, where its tail verdict samples it: no key
+        # parses to t p, so the message is given alone
+        ('command = solve-system\nN = 3\nR = 50\n[functions]\np = "(1+t^2)^(-2)*(1-t/100)"\n'
+         'q = "(1+t^2)^(-2)"\nf = "t^0.5"\ng = "t^0.5"\n[numerics]\nmesh_points = 256',
+         "config error: the sampled function is negative (t = 128.0: fn = "),
     ])
     def test_bad_enumerated_or_ranged_key_is_config_error(self, tmp_path, capsys, config,
                                                           message):
@@ -548,6 +589,24 @@ c = 1.0
         assert code == 0
         xi0 = float(capsys.readouterr().out.split("xi0=")[1].split()[0])
         assert xi0 == pytest.approx(math.sqrt(3.0) / 2.0)
+
+    def test_xi0_via_A(self, tmp_path, capsys):
+        # the A-functional route of the xi0 command, as xi0_via_A's own test
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = xi0
+gamma = 0.25
+kprime0 = 0.5
+
+[functions]
+f = "t^3"
+""")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "method=A f=t^3 " in out
+        xi0 = float(out.split("xi0=")[1].split()[0])
+        assert xi0 == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-6)
+        assert json.loads(open(os.path.join(outdir, "xi0_summary.json")).read())["xi0"] == xi0
 
     def test_chi(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """

@@ -7,7 +7,7 @@ import pytest
 
 from sel_lab import karamata
 from sel_lab.bifurcation import LEFProblem, solve_lef
-from sel_lab.expr import EvalDomainError, ScalarFn
+from sel_lab.expr import EvalDomainError, ScalarFn, parse_expression
 from sel_lab.karamata import (
     Antiderivative,
     KFunction,
@@ -25,7 +25,7 @@ from sel_lab.karamata import (
     xi0_power,
     xi0_via_A,
 )
-from sel_lab.numerics import integrate_panel
+from sel_lab.numerics import SampleError, integrate_panel
 from sel_lab.radial import RadialPotential, SystemProblem, picard_gradient_entire, solve_system
 
 
@@ -882,3 +882,28 @@ def test_kfunction_invariants():
         KFunction(k=ScalarFn.from_source("t"), nu=1.0, ell0=0.4, ell1=0.5)
     with pytest.raises(ValueError):
         KFunction(k=ScalarFn.from_source("t"), nu=1.0, ell0=0.0, ell1=1.4)
+
+
+@pytest.mark.parametrize("build, source, message", [
+    (analyze_nonlinearity, "1-t",
+     "f must be nonnegative (t = 1.165914401179831: f = -0.16591440117983103)"),
+    (analyze_nonlinearity, "1/(1+t)",
+     "f must be nondecreasing on the sampled range (t = 1.308177474260193e-06: "
+     "f = 0.999998691824237, f_before = 0.9999990000010001)"),
+    (analyze_singular_term, "-t^(-0.5)",
+     "singular term must be nonnegative (t = 1e-08: g = -10000.0)"),
+    (lambda S: make_k("invLnS", S, 0.5), "t",
+     "constructed k is not positive increasing on (0, nu) (t = 1.0443656392604836: "
+     "k = -23.036348630903902, dk = 508.12985251058086)"),
+    (lambda src: LEFProblem(N=1, lam=1.0, mu=1.0, mode="two-param",
+                            source=ScalarFn.from_source(src)), "t-0.5",
+     "the source term must be positive on the domain (x = 0.0: source = -0.5)"),
+])
+def test_a_function_refused_on_its_samples_is_carried_and_its_point_named(build, source,
+                                                                          message):
+    # each site named no point or printed 3 digits, and its ValueError
+    # carried nothing a caller could name the function by
+    with pytest.raises(SampleError) as err:
+        build(source)
+    assert str(err.value) == message
+    assert err.value.fn.body == parse_expression(source)

@@ -19,6 +19,7 @@ from sel_lab.numerics import (
     NonIntegrableError,
     NumericsError,
     RadialSolution,
+    SampleError,
     ShotResult,
     bessel_psi,
     classify_origin_integral,
@@ -214,6 +215,18 @@ class TestTailClassifier:
         assert fs == [t ** -2 for t in ts]
         assert numerics._tail_samples(fn, 1.0) == ([], [])
 
+    def test_a_negative_expression_is_refused_with_its_function(self):
+        # a ScalarFn is carried by the SampleError, so a caller can name it;
+        # a plain callable has no expression to name
+        fn = ScalarFn.from_source("1-t/3")
+        with pytest.raises(SampleError, match=r"^the sampled function is negative "
+                                              r"\(t = 4\.0: fn = -0\.33333333333333326\)$") as err:
+            numerics._tail_samples(fn, 1.0)
+        assert err.value.fn is fn
+        with pytest.raises(ValueError, match=r"negative at t=4\.0") as err:
+            numerics._tail_samples(fn.fast(), 1.0)
+        assert not isinstance(err.value, SampleError)
+
     def test_zero_at_the_zero_test_points_is_the_zero_function(self):
         # 0 at a, 2a, 8a and 64a reads as the zero function, whatever lies between
         v = classify_tail_integral(lambda t: 0.0 if t in (1.0, 2.0, 8.0, 64.0) else t ** -2, 1.0)
@@ -233,6 +246,29 @@ class TestTailClassifier:
             assert abs(v.value - exact) <= v.err
         else:
             assert v.status == "inconclusive"
+
+
+class TestRefuseSamples:
+    def test_no_failing_sample_passes(self):
+        fn = ScalarFn.from_source("t")
+        assert numerics.refuse_samples(fn, "t must be > 0", np.zeros(3, bool), [1.0, 2.0, 3.0],
+                                       t=[1.0, 2.0, 3.0]) is None
+
+    def test_the_first_failing_sample_is_named_with_its_values(self):
+        fn = ScalarFn.from_source("t")
+        r = np.array([0.0, 0.5, 1.0, 1.5])
+        with pytest.raises(SampleError) as err:
+            numerics.refuse_samples(fn, "u must stay below 2", np.array([False, False, True, True]),
+                                    r, "r", u=2.0 * r, c=7.0)
+        assert str(err.value) == "u must stay below 2 (r = 1.0: u = 2.0, c = 7.0)"
+        assert err.value.fn is fn and isinstance(err.value, ValueError)
+
+    def test_one_mask_value_for_every_sample_names_the_first(self):
+        # a constant expression fails at every sample alike
+        fn = ScalarFn.from_source("1")
+        r = np.linspace(0.0, 0.5, 41)
+        with pytest.raises(SampleError, match=r"^b must vanish \(r = 0\.0: b = 1\.0\)$"):
+            numerics.refuse_samples(fn, "b must vanish", np.float64(1.0) != 0.0, r, "r", b=1.0)
 
 
 class TestOriginClassifier:
@@ -596,12 +632,12 @@ class TestShoot:
 
     def test_series_start(self):
         source = lambda r, u, du: 3.0 * u + 1.0  # noqa: E731
-        assert series_start(source, 2.0, 1, 1e-3, du0=0.5) == (0.0, (2.0, 0.5))
-        r0, (u, du) = series_start(source, 2.0, 3, 1e-3, du0=0.5)
-        # g0 = source(0, 2, 0) = 7: u ~ 2 + 0.5 eps + 7 eps^2/6, u' ~ 0.5 + 7 eps/3
+        assert series_start(source, 2.0, 1, 1e-3) == (0.0, (2.0, 0.0))
+        r0, (u, du) = series_start(source, 2.0, 3, 1e-3)
+        # g0 = source(0, 2, 0) = 7: u ~ 2 + 7 eps^2/6, u' ~ 7 eps/3
         assert r0 == 1e-3
-        assert u == pytest.approx(2.0 + 0.5e-3 + 7e-6 / 6.0, rel=1e-15)
-        assert du == pytest.approx(0.5 + 7e-3 / 3.0, rel=1e-15)
+        assert u == pytest.approx(2.0 + 7e-6 / 6.0, rel=1e-15)
+        assert du == pytest.approx(7e-3 / 3.0, rel=1e-15)
 
 
 class TestBesselPsi:

@@ -16,6 +16,7 @@ from sel_lab.numerics import (
     BracketError,
     Integrand,
     NumericsError,
+    SampleError,
     ShotTally,
     classify_tail_integral,
     find_root_monotone,
@@ -92,6 +93,22 @@ class TestLargeCondition:
         assert v.diagnostics["elementary_bound"] == pytest.approx(0.5, rel=1e-8)
         assert v.diagnostics["bound_holds"]
         assert v.value <= 0.5
+
+    def test_the_bound_and_the_weight_read_the_potentials_t_psi(self, monkeypatch):
+        # t psi is built once per potential, not once per reader
+        seen = []
+
+        def spy(fn, a, *args, **kwargs):
+            seen.append(fn)
+            return classify_tail_integral(fn, a, *args, **kwargs)
+
+        monkeypatch.setattr(radial, "classify_tail_integral", spy)
+        pot = RadialPotential(phi=ScalarFn.from_source("(1+t)^(-3)"))
+        v = check_large_condition(pot, 3)
+        assert seen[-1] is pot.t_psi
+        assert v == check_large_condition(ScalarFn.from_source("(1+t)^(-3)"), 3)
+        pot.weight(2.0)
+        assert pot._psi_int._fn is pot.t_psi.fast()
 
     def test_zero_weight(self):
         v = check_large_condition(ScalarFn.from_source("0"), 3)
@@ -541,9 +558,10 @@ class TestPicardGradient:
                               psi=ScalarFn.from_source("(1+t^2)^(-2)"), lam_N=1.0)
         mesh = _graded_mesh(R, panels)
         first = float(mesh[mesh > 20.5][0])
-        with pytest.raises(radial.EnvelopeError,
-                           match=rf"phi >= psi >= 0 \(r = {re.escape(repr(first))}:"):
+        with pytest.raises(SampleError,
+                           match=rf"phi >= psi >= 0 \(r = {re.escape(repr(first))}:") as err:
             picard_gradient_entire(pot, f_sqrt, 1.5, R, 3, panels=panels)
+        assert err.value.fn is pot.phi  # phi fell below psi
         # inside [0, 20.5] the same envelopes are in order
         sol = picard_gradient_entire(pot, f_sqrt, 1.5, 20.0, 3, panels=256)
         assert sol.metadata["ordering_ok"]
@@ -551,8 +569,9 @@ class TestPicardGradient:
     def test_envelope_check_names_a_negative_psi(self):
         pot = RadialPotential(phi=ScalarFn.from_source("1"),
                               psi=ScalarFn.from_source("(30-t)/(30+t^2)"))
-        with pytest.raises(radial.EnvelopeError, match=r"\(r = 31.0: phi = 1.0, psi = -"):
+        with pytest.raises(SampleError, match=r"\(r = 31.0: phi = 1.0, psi = -") as err:
             pot.check(np.array([0.0, 10.0, 31.0, 40.0]))
+        assert err.value.fn is pot.psi
         r = np.array([0.0, 10.0, 30.0])
         phi, psi = pot.check(r)
         np.testing.assert_array_equal(phi, pot.phi.vector()(r))
@@ -567,10 +586,11 @@ class TestPicardGradient:
         # psi = 1 - t/30 is read through RadialPotential.check: the first
         # node past 30 of _graded_mesh(50, 512), node 397, is named; the
         # bare psi had its own rule, "psi envelope must be nonnegative"
-        with pytest.raises(radial.EnvelopeError,
-                           match=r"\(r = 30\.06153106689453: phi = -0\.00205"):
-            picard_gradient_entire(ScalarFn.from_source("1-t/30"), f_sqrt, 1.0, 50.0, 3,
-                                   panels=512)
+        psi = ScalarFn.from_source("1-t/30")
+        with pytest.raises(SampleError,
+                           match=r"\(r = 30\.06153106689453: phi = -0\.00205") as err:
+            picard_gradient_entire(psi, f_sqrt, 1.0, 50.0, 3, panels=512)
+        assert err.value.fn is psi
 
     def test_large_condition_quadrature_failure_is_recorded(self, f_sqrt, monkeypatch):
         def fail(psi, N):
@@ -720,11 +740,11 @@ class TestSolveSystem:
         one = RadialPotential(phi=ScalarFn.from_source("1"))
         bad = RadialPotential(phi=ScalarFn.from_source("1-t/30"))
         pots = {"p": one, "q": one, negative: bad}
-        with pytest.raises(radial.EnvelopeError,
+        with pytest.raises(SampleError,
                            match=r"\(r = 30\.06153106689453: phi = -0\.00205") as err:
             solve_system(SystemProblem(f=f_sqrt, g=f_sqrt, a=1.0, b=1.0, **pots), 50.0, 3,
                          mesh_points=512)
-        assert err.value.potential is bad
+        assert err.value.fn is bad.phi
 
     def test_zero_potentials(self, f_sqrt):
         zero = RadialPotential(phi=ScalarFn.from_source("0"))
@@ -732,6 +752,28 @@ class TestSolveSystem:
                                          a=1.0, b=2.0), 10.0, 3, mesh_points=256)
         assert np.max(np.abs(sol.u - 1.0)) == 0.0
         assert np.max(np.abs(sol.v - 2.0)) == 0.0
+
+    def test_one_potential_is_classified_once(self, f_sqrt, monkeypatch):
+        # p is q: one tail verdict of t p, read off the potential's own t_psi,
+        # and the same solution as from two potentials of the same p
+        seen = []
+
+        def spy(fn, a, *args, **kwargs):
+            seen.append(fn)
+            return classify_tail_integral(fn, a, *args, **kwargs)
+
+        monkeypatch.setattr(radial, "classify_tail_integral", spy)
+        pot = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
+        one = solve_system(SystemProblem(p=pot, q=pot, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                           20.0, 3, mesh_points=256)
+        assert seen == [pot.t_psi] and seen[0] is pot.t_psi
+        twin = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
+        two = solve_system(SystemProblem(p=pot, q=twin, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                           20.0, 3, mesh_points=256)
+        assert len(seen) == 3
+        np.testing.assert_array_equal(one.u, two.u)
+        np.testing.assert_array_equal(one.v, two.v)
+        assert one.metadata == two.metadata
 
     def test_mixed_verdicts_undetermined(self, f_sqrt):
         one = RadialPotential(phi=ScalarFn.from_source("1"))
@@ -921,13 +963,18 @@ class TestBoundaryBlowup:
         with pytest.raises(ValueError, match="lambda_inf_1"):
             boundary_blowup(prob)
 
+    def test_dimension_below_one_is_refused(self, f_cubic):
+        # N = 0 reached the series start's division by N
+        with pytest.raises(ValueError, match="dimension N must be >= 1"):
+            LogisticProblem(N=0, f=f_cubic, b=ScalarFn.from_source("1"))
+
     @pytest.mark.parametrize("b, r, value", [
         ("1", 0.0, 1.0),
         # zero on r <= 0.45 only: the grid of [0, 0.5] meets it at r = 0.4625
         ("((t-0.45+abs(t-0.45))/2)^2", 0.4625, 0.00015625000000000027),
     ])
     def test_a_core_where_b_does_not_vanish_is_refused(self, f_cubic, b, r, value):
-        with pytest.raises(radial.CoreError, match=re.escape(
+        with pytest.raises(SampleError, match=re.escape(
                 f"b must vanish on the core r <= 0.5 (r = {r!r}: b = {value!r})")):
             LogisticProblem(N=3, f=f_cubic, b=ScalarFn.from_source(b), domain=("ball", 1.0),
                             omega0_radius=0.5)
