@@ -430,8 +430,10 @@ def _cmd_solve_system(spec, outdir):
     R = spec.get("problem", "R", 50.0, kind=float)
     tol = spec.get("numerics", "tol", 1e-10, kind=float)
     mesh = spec.get("numerics", "mesh_points", 4096, kind=int)
-    sys_ = _rad.SystemProblem(p=_rad.RadialPotential(phi=p), q=_rad.RadialPotential(phi=q),
-                              f=f, g=g, a=a, b=b)
+    # one potential when both keys parse to one tree: one tail verdict, one mesh read
+    p_pot = _rad.RadialPotential(phi=p)
+    q_pot = p_pot if q.body == p.body else _rad.RadialPotential(phi=q)
+    sys_ = _rad.SystemProblem(p=p_pot, q=q_pot, f=f, g=g, a=a, b=b)
     sol = _rad.solve_system(sys_, R, N, tol, mesh)
     csv = spec.get("output", "csv", "system.csv")
     sol.to_csv(os.path.join(outdir, csv))

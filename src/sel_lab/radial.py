@@ -42,6 +42,8 @@ from .numerics import (
 from .profile import BlowupProfile
 
 MAX_PICARD_ITERATIONS = 200
+MONOTONE_SLACK = 1e-9  # a Picard step may lower a component by this much relative
+WARM_MARGIN = 1e-8  # a warm start lies this far (relative) below the solution it is read from
 RATE_POINTS = 10  # grid points nearest the boundary a rate is read at
 
 
@@ -437,39 +439,80 @@ def _volterra(grading, R: float, panels: int, m: int, rate: int = 0):
     return apply
 
 
-def _cubic_read(t: np.ndarray, y: np.ndarray, x: float) -> float:
-    """y at x from the cubic through the four mesh nodes around x (shifted
-    inward at the ends), the interpolant _volterra integrates."""
+def _cubic_read(t: np.ndarray, y: np.ndarray, x):
+    """y at the points x (a float or an array) from the cubic through the
+    four mesh nodes around each (shifted inward at the ends), the
+    interpolant _volterra integrates."""
     k = min(4, t.size)
-    start = int(np.clip(np.searchsorted(t, x, side="right") - 2, 0, t.size - k))
-    nodes, vals = t[start:start + k], y[start:start + k]
+    start = np.clip(np.searchsorted(t, x, side="right") - 2, 0, t.size - k)
+    at = np.add.outer(np.arange(k), start)
+    nodes, vals = t[at], y[at]
     total = 0.0
     for a in range(k):
         term = vals[a]
         for b in range(k):
             if b != a:
-                term *= (x - nodes[b]) / (nodes[a] - nodes[b])
-        total += term
-    return float(total)
+                term = term * ((x - nodes[b]) / (nodes[a] - nodes[b]))
+        total = total + term
+    return total
 
 
-def _monotone_picard(step, state: tuple, tol: float):
+def _warm_start(R: float, panels: int, state: tuple) -> tuple:
+    """state on _graded_mesh(R, panels) read on the doubled mesh: its own
+    values on the even nodes, which are the coarse ones, the cubic read on
+    the odd ones, all lowered by WARM_MARGIN relative."""
+    t = _graded_mesh(R, panels)
+    odd = _graded_mesh(R, 2 * panels)[1::2]
+    warm = []
+    for y in state:
+        fine = np.empty(2 * panels + 1)
+        fine[::2] = y
+        fine[1::2] = _cubic_read(t, y, odd)
+        warm.append(fine * (1.0 - WARM_MARGIN))
+    return tuple(warm)
+
+
+def _lowers(old: tuple, new: tuple) -> bool:
+    """Whether a step old -> new lowers a component by more than MONOTONE_SLACK relative."""
+    return any(np.any(b < a - MONOTONE_SLACK * (1.0 + np.abs(a))) for a, b in zip(old, new))
+
+
+def _monotone_picard(step, cold: tuple, tol: float, warm: tuple | None = None,
+                     steps: list | None = None):
     """Iterate state -> step(state) over tuples of mesh arrays until no
     component moves by tol (relative) or MAX_PICARD_ITERATIONS is reached.
 
-    Returns (state, iterations, monotone); monotone is False once a step
-    lowered a component by more than 1e-9 relative.
+    The run starts from cold, or from warm floored at cold when warm is
+    given and its first step lowers no component by more than
+    MONOTONE_SLACK relative: a sub-solution, from which the iteration climbs
+    monotonically as from cold (Sattinger 1972).  A warm start that is no
+    sub-solution costs that one step and the run restarts from cold, so it
+    is refused as non-monotone exactly when the cold run is.  Returns
+    (state, iterations, monotone): iterations counts the steps of the
+    returned run, and monotone is False once one of them lowered a
+    component by more than MONOTONE_SLACK relative.  steps, when given,
+    gets the number of steps taken appended, a rejected warm step included.
     """
+    state, nxt = cold, None
+    if warm is not None:
+        warm = tuple(np.maximum(w, c) for w, c in zip(warm, cold))
+        first = step(warm)
+        if not _lowers(warm, first):
+            state, nxt = warm, first
+    rejected = warm is not None and nxt is None
     monotone = True
     for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
-        nxt = step(state)
-        if any(np.any(new < old - 1e-9 * (1.0 + np.abs(old))) for old, new in zip(state, nxt)):
+        if nxt is None:
+            nxt = step(state)
+        if _lowers(state, nxt):
             monotone = False
         change = max(float(np.max(np.abs(new - old) / (1.0 + np.abs(new))))
                      for old, new in zip(state, nxt))
-        state = nxt
+        state, nxt = nxt, None
         if change < tol:
             break
+    if steps is not None:
+        steps.append(iterations + rejected)
     return state, iterations, monotone
 
 
@@ -484,7 +527,7 @@ def _dichotomy(verdicts, t: np.ndarray, u: np.ndarray, R: float, rerun,
     else, and no verdict at all, is undetermined.  u(R/2) is the cubic
     read of the mesh values.
     """
-    half = _cubic_read(t, u, R / 2.0)
+    half = float(_cubic_read(t, u, R / 2.0))
     ratio = u[-1] / half if half > 0.0 else math.inf
     metadata["growth_ratio"] = float(ratio)
     if not verdicts:
@@ -500,15 +543,20 @@ def _dichotomy(verdicts, t: np.ndarray, u: np.ndarray, R: float, rerun,
 
 
 def _refined(run, R: float, panels: int, target: float, scheme: str):
-    """run(R, n) at n = panels and up to three doublings, until no state array
-    moves by more than target (relative) on the coarse nodes, which each
-    doubling of _graded_mesh keeps.  run returns _monotone_picard's (state,
-    iterations, monotone) plus any extras.  Returns (panels, result,
-    mesh_drift, mesh_error) of the last run; refuses, named by scheme, a
+    """run(R, n, warm, steps) at n = panels and up to three doublings, until
+    no state array moves by more than target (relative) on the coarse nodes,
+    which each doubling of _graded_mesh keeps.  The first run starts cold
+    (warm = None); each doubling's run is handed the state it refines, read
+    on the doubled mesh (_warm_start), for _monotone_picard to keep if it is
+    a sub-solution.  run returns _monotone_picard's (state, iterations,
+    monotone) plus any extras and passes steps on to it.  Returns (panels,
+    result, mesh_drift, mesh_error, steps) of the last run, steps being the
+    Picard steps of each run, coarse to fine; refuses, named by scheme, a
     last run that is not monotone and a mesh_error that misses target."""
-    first, result, drifts = panels, run(R, panels), []
+    steps = []
+    first, result, drifts = panels, run(R, panels, None, steps), []
     for _ in range(3):
-        fine = run(R, 2 * panels)
+        fine = run(R, 2 * panels, _warm_start(R, panels, result[0]), steps)
         drifts.append(max(float(np.max(np.abs(new[::2] - old) / (1.0 + np.abs(old))))
                           for old, new in zip(result[0], fine[0])))
         panels, result = 2 * panels, fine
@@ -528,11 +576,11 @@ def _refined(run, R: float, panels: int, target: float, scheme: str):
         raise NumericsError(f"{scheme} mesh refinement stopped at {panels} panels with "
                             f"mesh error {mesh_error:.3g} > {target:.3g} (last drift "
                             f"{mesh_drift:.3g})")
-    return panels, result, mesh_drift, mesh_error
+    return panels, result, mesh_drift, mesh_error, steps
 
 
 def _picard_gradient_run(psi_vals, f_vec, b0: float, R: float, panels: int, N: int,
-                         tol: float):
+                         tol: float, warm: tuple | None = None, steps: list | None = None):
     # w = b0 + int_0^r J with J(t) = e^-t t^(1-N) int_0^t e^s s^(N-1) psi f(w) ds
     # on the mesh t = _graded_mesh(R, panels), where psi_vals are read
     t = _graded_mesh(R, panels)
@@ -541,7 +589,7 @@ def _picard_gradient_run(psi_vals, f_vec, b0: float, R: float, panels: int, N: i
     t_scale = np.concatenate(([0.0], t[1:] ** (1.0 - N)))
     return _monotone_picard(
         lambda state: (b0 + outer(t_scale * inner(psi_vals * f_vec(state[0]))),),
-        (np.full_like(t, b0),), tol)
+        (np.full_like(t, b0),), tol, warm, steps)
 
 
 def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int,
@@ -555,10 +603,12 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     the large-condition verdict with the growth ratio w(R)/w(R/2), and, when
     the envelopes differ, computes the ordering constant b* and checks the
     sub/super ordering v <= w pointwise.  w lives on _graded_mesh(R, panels),
-    refined as the system's mesh is (_refined), each mesh read through
-    RadialPotential.check: raises SampleError at a node where the envelopes
-    are out of order, and NumericsError when the mesh error of w over every
-    node misses tol after at most three doublings.
+    refined as the system's mesh is (_refined, each doubling warm-started;
+    metadata iterations counts the final run's steps, picard_steps every
+    run's), each mesh read through RadialPotential.check: raises
+    SampleError at a node where the envelopes are out of order, and
+    NumericsError when the mesh error of w over every node misses tol after
+    at most three doublings.
     """
     if N < 3:
         raise ValueError("the gradient scheme requires N >= 3")
@@ -568,12 +618,13 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     pot = pot_env if isinstance(pot_env, RadialPotential) else RadialPotential(phi=pot_env)
     f_vec = f.f.vector()
 
-    def run(r_end, n):
+    def run(r_end, n, warm=None, steps=None):
         phi_vals, psi_vals = pot.check(_graded_mesh(r_end, n))
-        return (*_picard_gradient_run(psi_vals, f_vec, b0, r_end, n, N, tol), phi_vals, psi_vals)
+        return (*_picard_gradient_run(psi_vals, f_vec, b0, r_end, n, N, tol, warm, steps),
+                phi_vals, psi_vals)
 
-    panels, ((w,), iterations, monotone, phi_vals, psi_vals), mesh_drift, mesh_error = _refined(
-        run, R, panels, tol, "Picard")
+    panels, ((w,), iterations, monotone, phi_vals, psi_vals), mesh_drift, mesh_error, steps = (
+        _refined(run, R, panels, tol, "Picard"))
     t = _graded_mesh(R, panels)
 
     lam = f.Lambda if f.Lambda is not None else math.inf
@@ -587,6 +638,7 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
 
     metadata = {
         "iterations": iterations,
+        "picard_steps": steps,
         "mesh_points": panels,
         "mesh_drift": mesh_drift,
         "mesh_error": mesh_error,
@@ -614,9 +666,9 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
                 K_const = math.exp(lam_N * gap.value)
                 b_star = 1.0 + K_const * lam_N * slow.value
                 metadata["b_star"] = b_star
-                (v_run,), _, _ = _picard_gradient_run(phi_vals, f_vec, 1.0, R, panels, N, tol)
-                (w_run,), _, _ = _picard_gradient_run(psi_vals, f_vec, b_star * (1.0 + 1e-9),
-                                                      R, panels, N, tol)
+                (v_run,), *_ = _picard_gradient_run(phi_vals, f_vec, 1.0, R, panels, N, tol)
+                (w_run,), *_ = _picard_gradient_run(psi_vals, f_vec, b_star * (1.0 + 1e-9),
+                                                    R, panels, N, tol)
                 metadata["ordering_ok"] = bool(np.all(v_run <= w_run * (1.0 + 1e-9)))
         except NumericsError as exc:
             metadata["ordering_error"] = str(exc)
@@ -651,9 +703,11 @@ def _system_lower_bounds(sys_: SystemProblem, K, p_vals, q_vals) -> tuple:
             sys_.b + sys_.f.f(sys_.a) * K(q_vals))
 
 
-def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
+def _system_run(sys_: SystemProblem, N: int, tol: float, R: float, panels: int,
+                warm: tuple | None = None, steps: list | None = None):
     t = _graded_mesh(R, panels)
-    p_vals, q_vals = sys_.p.check(t)[1], sys_.q.check(t)[1]
+    p_vals = sys_.p.check(t)[1]
+    q_vals = p_vals if sys_.q is sys_.p else sys_.q.check(t)[1]
     f_vec, g_vec = sys_.f.f.vector(), sys_.g.f.vector()
     K = _green_kernel(R, panels, N)
 
@@ -661,12 +715,8 @@ def _system_run(sys_: SystemProblem, R: float, panels: int, N: int, tol: float):
         u_next = sys_.a + K(p_vals * g_vec(state[1]))
         return u_next, sys_.b + K(q_vals * f_vec(u_next))
 
-    result = _monotone_picard(step, (np.full_like(t, sys_.a), np.full_like(t, sys_.b)), tol)
-    u, v = result[0]
-    lower_u, lower_v = _system_lower_bounds(sys_, K, p_vals, q_vals)
-    lower_ok = bool(np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
-                    and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12))
-    return (*result, lower_ok)
+    cold = (np.full_like(t, sys_.a), np.full_like(t, sys_.b))
+    return (*_monotone_picard(step, cold, tol, warm, steps), p_vals, q_vals)
 
 
 def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
@@ -679,10 +729,13 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
     plateau -> bounded; mixed verdicts are undetermined (only the two pure
     cases are covered by the theory).
     u and v live on _graded_mesh(R, mesh_points), refined as the gradient
-    scheme's w is (_refined), each mesh read through RadialPotential.check:
-    raises SampleError at a node where p or q is negative, and
-    NumericsError when the mesh error of u and v over every node (metadata
-    mesh_error) misses max(tol, 1e-9) after at most three doublings.
+    scheme's w is (_refined, with the same iterations and picard_steps),
+    each mesh read through RadialPotential.check, once when p is q: raises
+    SampleError at a node where p or q is negative, and NumericsError when
+    the mesh error of u and v over every node (metadata mesh_error) misses
+    max(tol, 1e-9) after at most three doublings.  The lower bounds
+    (_system_lower_bounds, metadata lower_bound_ok) are audited on the
+    final mesh.
     """
     if N < 3:
         raise ValueError("the system scheme requires N >= 3")
@@ -705,15 +758,19 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
             )
             break
 
-    run = functools.partial(_system_run, sys_, N=N, tol=tol)
-    panels, ((u, v), iterations, _, lower_ok), mesh_drift, mesh_error = _refined(
+    run = functools.partial(_system_run, sys_, N, tol)
+    panels, ((u, v), iterations, _, p_vals, q_vals), mesh_drift, mesh_error, steps = _refined(
         run, R, mesh_points, max(tol, 1e-9), "system")
     t = _graded_mesh(R, panels)
+    lower_u, lower_v = _system_lower_bounds(sys_, _green_kernel(R, panels, N), p_vals, q_vals)
+    lower_ok = bool(np.all(u >= lower_u * (1.0 - 1e-9) - 1e-12)
+                    and np.all(v >= lower_v * (1.0 - 1e-9) - 1e-12))
 
     s2_p = classify_tail_integral(sys_.p.t_psi, 1.0)
     s2_q = s2_p if sys_.q is sys_.p else classify_tail_integral(sys_.q.t_psi, 1.0)
     metadata = {
         "iterations": iterations,
+        "picard_steps": steps,
         "mesh_points": panels,
         "mesh_drift": mesh_drift,
         "mesh_error": mesh_error,

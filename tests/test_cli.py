@@ -670,6 +670,44 @@ mesh_points = 512
         assert re.search(r"mesh_points=(1024|2048|4096) mesh_drift=\S+ mesh_error=\S+", out)
         assert os.path.exists(os.path.join(outdir, "system.csv"))
 
+    def test_solve_system_with_one_expression_builds_one_potential(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # the bounded N = 4 system of the CI: p and q parse to one tree, so
+        # one tail is classified; q written as q * 1 is a second tree with
+        # the same values, which builds a second potential and classifies a
+        # second tail, and must print the same line and write the same CSV
+        classify = numerics.classify_tail_integral
+        calls = []
+        monkeypatch.setattr("sel_lab.radial.classify_tail_integral",
+                            lambda *args: calls.append(args) or classify(*args))
+        lines, tables = [], []
+        for q, classified in (("(1+t^2)^(-2)", 1), ("(1+t^2)^(-2)*1", 2)):
+            calls.clear()
+            code, outdir = run_cli(tmp_path, f"""
+[problem]
+command = solve-system
+N = 4
+R = 100
+
+[functions]
+p = "(1+t^2)^(-2)"
+q = "{q}"
+f = "t^0.5"
+g = "t^0.5"
+
+[numerics]
+mesh_points = 1024
+""", out=f"out{len(lines)}")
+            assert code == 0
+            lines.append(capsys.readouterr().out)
+            tables.append(open(os.path.join(outdir, "system.csv"), "rb").read())
+            assert len(calls) == classified
+        assert lines[0] == lines[1]
+        assert tables[0] == tables[1]
+        assert "classification=bounded" in lines[0] and "mesh_points=4096" in lines[0]
+        # the steps of each refinement run stay in the metadata, off the line
+        assert "picard_steps" not in lines[0]
+
     def test_solve_system_domain_error_in_the_mesh_sweep(self, tmp_path):
         # p is undefined past 40: the sweep over the 256-panel graded mesh on
         # [0, 50] fails at its first node past 40, node 229, with the scalar
@@ -768,6 +806,19 @@ psi = "(1+t^2)^(-2)"
         u_end = re.search(r" u_end=\S+ ", radial).group(0)
         assert u_end in two
         assert "b_star=1 ordering_ok=true" in two
+
+    def test_solve_entire_warm_started_doubling(self, tmp_path, capsys):
+        # the CI's entire-large config: the 2,048-panel run starts from the
+        # 1,024-panel solution and takes one step; the steps of both runs
+        # stay in the metadata, off the line
+        config = self._entire_config().replace('"(1+t^2)^(-2)"', '"1"')
+        code, _ = run_cli(tmp_path, config + "\n[numerics]\npanels = 1024\n")
+        assert code == 0
+        out = capsys.readouterr().out
+        for field in ("classification=entire-large", "iterations=1 ", "growth_bound_ok=true",
+                      "mesh_points=2048"):
+            assert field in out
+        assert "picard_steps" not in out
 
     def test_solve_entire_phi_below_psi_is_config_error(self, tmp_path, capsys):
         # exited 3 with a failure.json as if the solve had failed

@@ -814,6 +814,112 @@ class TestMonotoneCheck:
                          10.0, 3, mesh_points=64)
 
 
+class TestWarmStart:
+    """Each doubling of the refinement starts from the solution it refines,
+    read on the doubled mesh; a start that is no sub-solution costs one
+    step and the run is the cold one."""
+
+    @staticmethod
+    def _gradient(psi, R, tol=1e-8):
+        def solve(f):
+            return picard_gradient_entire(ScalarFn.from_source(psi), f, 1.0, R, 3, tol=tol,
+                                          panels=1024)
+        return solve
+
+    @staticmethod
+    def _system(p, R, N, tol=1e-10):
+        def solve(f):
+            pot = RadialPotential(phi=ScalarFn.from_source(p))
+            return solve_system(SystemProblem(p=pot, q=pot, f=f, g=f, a=1.0, b=1.0), R, N,
+                                tol=tol, mesh_points=1024)
+        return solve
+
+    @pytest.mark.parametrize("case, verdict", [
+        ("gradient bounded", BOUNDED), ("gradient large", ENTIRE_LARGE),
+        ("system bounded", BOUNDED), ("system large", ENTIRE_LARGE)])
+    def test_matches_a_cold_solve_on_the_final_mesh(self, f_sqrt, monkeypatch, case, verdict):
+        solve, tol = {
+            "gradient bounded": (self._gradient("(1+t)^(-3)", 100.0), 1e-8),
+            "gradient large": (self._gradient("1", 50.0), 1e-8),
+            "system bounded": (self._system("(1+t^2)^(-2)", 100.0, 4), 1e-10),
+            "system large": (self._system("1", 50.0, 3), 1e-10)}[case]
+        warm = solve(f_sqrt)
+        # with no warm start every run is cold: the last is the cold solve
+        # on the final mesh
+        monkeypatch.setattr(radial, "_warm_start", lambda *args: None)
+        cold = solve(f_sqrt)
+        assert warm.classification == cold.classification == verdict
+        assert warm.metadata["mesh_points"] == cold.metadata["mesh_points"]
+        for name in ("u", "v"):
+            if getattr(cold, name) is not None:
+                w, c = getattr(warm, name), getattr(cold, name)
+                assert np.max(np.abs(w - c) / (1.0 + np.abs(c))) <= tol
+        # one run per mesh, coarse to fine; no warm start was rejected here,
+        # so each refined run took fewer steps than its cold one
+        steps, cold_steps = warm.metadata["picard_steps"], cold.metadata["picard_steps"]
+        assert len(steps) == len(cold_steps) >= 2
+        assert steps[0] == cold_steps[0]
+        assert all(s < c for s, c in zip(steps[1:], cold_steps[1:]))
+        assert steps[-1] == warm.metadata["iterations"]
+        assert cold_steps[-1] == cold.metadata["iterations"]
+
+    def test_lifted_gradient_start_reruns_cold(self, f_sqrt):
+        t = _graded_mesh(50.0, 256)
+        args = (np.ones_like(t), f_sqrt.f.vector(), 1.0, 50.0, 256, 3, 1e-8)
+        (w,), iterations, monotone = radial._picard_gradient_run(*args)
+        # 1e-6 above the solution: the first step lowers it, so it is refused
+        steps = []
+        (again,), again_iterations, again_monotone = radial._picard_gradient_run(
+            *args, (w * (1.0 + 1e-6),), steps)
+        np.testing.assert_array_equal(again, w)
+        assert (again_iterations, again_monotone) == (iterations, monotone)
+        assert steps == [iterations + 1]
+
+    def test_lifted_system_start_reruns_cold(self, f_sqrt):
+        one = RadialPotential(phi=ScalarFn.from_source("(1+t^2)^(-2)"))
+        problem = SystemProblem(p=one, q=one, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0)
+        (u, v), iterations, monotone, *_ = radial._system_run(problem, 4, 1e-10, 100.0, 256)
+        steps = []
+        (u2, v2), iterations2, monotone2, *_ = radial._system_run(
+            problem, 4, 1e-10, 100.0, 256, (u * (1.0 + 1e-6), v * (1.0 + 1e-6)), steps)
+        np.testing.assert_array_equal(u2, u)
+        np.testing.assert_array_equal(v2, v)
+        assert (iterations2, monotone2) == (iterations, monotone)
+        assert steps == [iterations + 1]
+
+    def test_warm_start_keeps_the_coarse_nodes(self):
+        R, panels = 50.0, 64
+        t = _graded_mesh(R, panels)
+        y = 1.0 + t ** 3 - 0.5 * t ** 2  # a cubic: the read is exact to rounding
+        (fine,) = radial._warm_start(R, panels, (y,))
+        np.testing.assert_array_equal(fine[::2], y * (1.0 - radial.WARM_MARGIN))
+        odd = _graded_mesh(R, 2 * panels)[1::2]
+        np.testing.assert_allclose(fine[1::2], (1.0 + odd ** 3 - 0.5 * odd ** 2)
+                                   * (1.0 - radial.WARM_MARGIN), rtol=1e-12)
+        # the array read is the scalar read, point by point
+        reads = radial._cubic_read(t, y, odd)
+        assert reads.tolist() == [float(radial._cubic_read(t, y, float(x))) for x in odd]
+
+    @pytest.mark.parametrize("scheme", ["Picard", "system"])
+    def test_refusals_keep_their_messages(self, f_sqrt, monkeypatch, scheme):
+        # the lowering kernel of TestMonotoneCheck: every step sets u(0) one
+        # below its start, so the doubled mesh's warm start is refused after
+        # one step and the cold run that follows lowers u(0)
+        monkeypatch.setattr(radial, "_volterra",
+                            lambda grading, R, panels, m, rate=0:
+                            lambda fvals: np.full(panels + 1, -1.0))
+        message = (f"{scheme} iterates failed to be nondecreasing on 128 panels (refined from "
+                   "64): the scheme's assumptions are violated or the mesh is too coarse")
+        one = ScalarFn.from_source("1")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if scheme == "Picard":
+                picard_gradient_entire(one, f_sqrt, 1.0, 10.0, 3, panels=64)
+            else:
+                pot = RadialPotential(phi=one)
+                solve_system(SystemProblem(p=pot, q=pot, f=f_sqrt, g=f_sqrt, a=1.0, b=1.0),
+                             10.0, 3, mesh_points=64)
+
+
 class TestMeshSize:
     """A mesh below one panel is refused; a coarse one that breaks
     monotonicity names its panels."""
