@@ -43,7 +43,8 @@ from .profile import BlowupProfile
 
 MAX_PICARD_ITERATIONS = 200
 MONOTONE_SLACK = 1e-9  # a Picard step may lower a component by this much relative
-WARM_MARGIN = 1e-8  # a warm start lies this far (relative) below the solution it is read from
+WARM_MARGIN = 10.0  # a warm start lies this many mesh targets (relative) below what it is read from
+WARM_TOL = 0.1  # a warm-started run stops once no component moves by this fraction of tol
 RATE_POINTS = 10  # grid points nearest the boundary a rate is read at
 
 
@@ -457,10 +458,11 @@ def _cubic_read(t: np.ndarray, y: np.ndarray, x):
     return total
 
 
-def _warm_start(R: float, panels: int, state: tuple) -> tuple:
+def _warm_start(R: float, panels: int, state: tuple, target: float) -> tuple:
     """state on _graded_mesh(R, panels) read on the doubled mesh: its own
     values on the even nodes, which are the coarse ones, the cubic read on
-    the odd ones, all lowered by WARM_MARGIN relative."""
+    the odd ones, all lowered by WARM_MARGIN * target relative, so that a
+    doubling that moves the solution by less than that starts below it."""
     t = _graded_mesh(R, panels)
     odd = _graded_mesh(R, 2 * panels)[1::2]
     warm = []
@@ -468,7 +470,7 @@ def _warm_start(R: float, panels: int, state: tuple) -> tuple:
         fine = np.empty(2 * panels + 1)
         fine[::2] = y
         fine[1::2] = _cubic_read(t, y, odd)
-        warm.append(fine * (1.0 - WARM_MARGIN))
+        warm.append(fine * (1.0 - WARM_MARGIN * target))
     return tuple(warm)
 
 
@@ -484,21 +486,26 @@ def _monotone_picard(step, cold: tuple, tol: float, warm: tuple | None = None,
 
     The run starts from cold, or from warm floored at cold when warm is
     given and its first step lowers no component by more than
-    MONOTONE_SLACK relative: a sub-solution, from which the iteration climbs
-    monotonically as from cold (Sattinger 1972).  A warm start that is no
-    sub-solution costs that one step and the run restarts from cold, so it
-    is refused as non-monotone exactly when the cold run is.  Returns
+    MONOTONE_SLACK relative: a sub-solution, from which the iteration
+    climbs monotonically as from cold (Sattinger 1972).  A warm start that
+    is no sub-solution costs that one step and the run restarts from cold,
+    so it is refused as non-monotone exactly when the cold run is.  A
+    warm-started run stops at WARM_TOL * tol: a run from the constant start
+    stops once its steps shrink fast, a small fraction of tol short of its
+    fixed point, but one from close by stops while they still shrink
+    slowly, about tol short, a gap a mesh drift comparing the two would
+    read as the mesh's.  Returns
     (state, iterations, monotone): iterations counts the steps of the
     returned run, and monotone is False once one of them lowered a
     component by more than MONOTONE_SLACK relative.  steps, when given,
     gets the number of steps taken appended, a rejected warm step included.
     """
-    state, nxt = cold, None
+    state, nxt, stop = cold, None, tol
     if warm is not None:
         warm = tuple(np.maximum(w, c) for w, c in zip(warm, cold))
         first = step(warm)
         if not _lowers(warm, first):
-            state, nxt = warm, first
+            state, nxt, stop = warm, first, WARM_TOL * tol
     rejected = warm is not None and nxt is None
     monotone = True
     for iterations in range(1, MAX_PICARD_ITERATIONS + 1):
@@ -509,7 +516,7 @@ def _monotone_picard(step, cold: tuple, tol: float, warm: tuple | None = None,
         change = max(float(np.max(np.abs(new - old) / (1.0 + np.abs(new))))
                      for old, new in zip(state, nxt))
         state, nxt = nxt, None
-        if change < tol:
+        if change < stop:
             break
     if steps is not None:
         steps.append(iterations + rejected)
@@ -556,7 +563,7 @@ def _refined(run, R: float, panels: int, target: float, scheme: str):
     steps = []
     first, result, drifts = panels, run(R, panels, None, steps), []
     for _ in range(3):
-        fine = run(R, 2 * panels, _warm_start(R, panels, result[0]), steps)
+        fine = run(R, 2 * panels, _warm_start(R, panels, result[0], target), steps)
         drifts.append(max(float(np.max(np.abs(new[::2] - old) / (1.0 + np.abs(old))))
                           for old, new in zip(result[0], fine[0])))
         panels, result = 2 * panels, fine

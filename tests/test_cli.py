@@ -807,18 +807,25 @@ psi = "(1+t^2)^(-2)"
         assert u_end in two
         assert "b_star=1 ordering_ok=true" in two
 
-    def test_solve_entire_warm_started_doubling(self, tmp_path, capsys):
+    def test_solve_entire_warm_started_doubling(self, tmp_path, capsys, monkeypatch):
         # the CI's entire-large config: the 2,048-panel run starts from the
-        # 1,024-panel solution and takes one step; the steps of both runs
+        # 1,024-panel solution and takes fewer steps than a cold run on the
+        # same mesh, with the same verdict and mesh; the steps of both runs
         # stay in the metadata, off the line
         config = self._entire_config().replace('"(1+t^2)^(-2)"', '"1"')
-        code, _ = run_cli(tmp_path, config + "\n[numerics]\npanels = 1024\n")
+        config += "\n[numerics]\npanels = 1024\n"
+        code, _ = run_cli(tmp_path, config, out="warm")
         assert code == 0
-        out = capsys.readouterr().out
-        for field in ("classification=entire-large", "iterations=1 ", "growth_bound_ok=true",
-                      "mesh_points=2048"):
-            assert field in out
-        assert "picard_steps" not in out
+        warm = capsys.readouterr().out
+        monkeypatch.setattr("sel_lab.radial._warm_start", lambda *args: None)
+        code, _ = run_cli(tmp_path, config, out="cold")
+        assert code == 0
+        cold = capsys.readouterr().out
+        for field in ("classification=entire-large", "growth_bound_ok=true", "mesh_points=2048"):
+            assert field in warm and field in cold
+        steps = [int(re.search(r" iterations=(\d+) ", out).group(1)) for out in (warm, cold)]
+        assert 1 < steps[0] < steps[1]
+        assert "picard_steps" not in warm
 
     def test_solve_entire_phi_below_psi_is_config_error(self, tmp_path, capsys):
         # exited 3 with a failure.json as if the solve had failed

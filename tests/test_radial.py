@@ -863,6 +863,20 @@ class TestWarmStart:
         assert steps[-1] == warm.metadata["iterations"]
         assert cold_steps[-1] == cold.metadata["iterations"]
 
+    def test_the_drift_reads_the_mesh(self, monkeypatch):
+        # f = t^0.9 converges slowly: a warm run stopped at tol would end
+        # about tol short of its fixed point, so the drift of the doubling to
+        # 2,048 panels (1.05e-8 between cold runs, above tol) would read
+        # below tol and stop the refinement one doubling early
+        solve = self._gradient("1", 50.0)
+        f = analyze_nonlinearity("t^0.9")
+        warm = solve(f)
+        monkeypatch.setattr(radial, "_warm_start", lambda *args: None)
+        cold = solve(f)
+        assert warm.metadata["mesh_points"] == cold.metadata["mesh_points"] == 4096
+        assert abs(warm.metadata["mesh_drift"] - cold.metadata["mesh_drift"]) <= 1e-9
+        assert np.max(np.abs(warm.u - cold.u) / (1.0 + np.abs(cold.u))) <= 1e-8
+
     def test_lifted_gradient_start_reruns_cold(self, f_sqrt):
         t = _graded_mesh(50.0, 256)
         args = (np.ones_like(t), f_sqrt.f.vector(), 1.0, 50.0, 256, 3, 1e-8)
@@ -891,11 +905,12 @@ class TestWarmStart:
         R, panels = 50.0, 64
         t = _graded_mesh(R, panels)
         y = 1.0 + t ** 3 - 0.5 * t ** 2  # a cubic: the read is exact to rounding
-        (fine,) = radial._warm_start(R, panels, (y,))
-        np.testing.assert_array_equal(fine[::2], y * (1.0 - radial.WARM_MARGIN))
+        (fine,) = radial._warm_start(R, panels, (y,), 1e-9)
+        lowered = 1.0 - radial.WARM_MARGIN * 1e-9
+        np.testing.assert_array_equal(fine[::2], y * lowered)
         odd = _graded_mesh(R, 2 * panels)[1::2]
-        np.testing.assert_allclose(fine[1::2], (1.0 + odd ** 3 - 0.5 * odd ** 2)
-                                   * (1.0 - radial.WARM_MARGIN), rtol=1e-12)
+        np.testing.assert_allclose(fine[1::2], (1.0 + odd ** 3 - 0.5 * odd ** 2) * lowered,
+                                   rtol=1e-12)
         # the array read is the scalar read, point by point
         reads = radial._cubic_read(t, y, odd)
         assert reads.tolist() == [float(radial._cubic_read(t, y, float(x))) for x in odd]
