@@ -486,7 +486,10 @@ def _emit(ast: ExprAst, var: str, nodes: list, consts: list, scalar: list,
             scalar.append(f"    {value}")
         return out
 
-    return emit(ast)
+    try:
+        return emit(ast)
+    finally:
+        emit = None  # emit calls itself through its closure: break that cycle
 
 
 # Bound of the per-process store of generated code (_code); a run over more

@@ -28,7 +28,13 @@ from .numerics import (
     NumericsError,
     _TINY,
     _bertrand_fit,
+    _gk15_nodes,
+    _gk15_ok,
+    _gk15_partials,
+    _gk15_sums,
+    _gk15_tail_coefficients,
     _inverse_log_fit,
+    _legendre_sum,
     _resolution,
     _sample_points,
     _tail_samples,
@@ -312,13 +318,30 @@ class TailMap:
     Below the top, Phi(t_k) = Phi(t_{k+1}) + int_{t_k}^{t_{k+1}} G, a
     running sum from the top down, filled in blocks of _BLOCK panels
     aligned on K, so a lattice value does not depend on the order of the
-    queries.  A block is one integrate_panels call on G read through F.many
-    at its nodes; a panel that fails the array rule goes through
-    integrate_panel on a scalar G.  A query y reads Phi(t_{k+1}) plus one
-    integrate_panel on the scalar G over (y, t_{k+1}), and a query at a
-    lattice point reads the lattice alone.  Every panel runs at F's
-    tolerance.  Past the top, Phi(y) is the fit's remainder at y with
-    G(y), 0 where F overflows.
+    queries.
+
+    A block is one array call of f at the Kronrod nodes of its panels, each
+    of which is one panel of F's lattice.  A panel's 15 samples of f fix
+    the degree-14 interpolant of f there, and F at the same nodes is F(t_k)
+    plus the interpolant's partial integrals (numerics._gk15_partials);
+    G at the nodes follows, and the panel of Phi is the Kronrod sum of
+    those values of G.  A panel takes this path (is interpolated) when f's
+    rule and G's rule both pass integrate_panel's test and F is finite and
+    positive at its nodes.  Every other panel, and every panel of a block
+    whose array call raises, falls back to the nested rule: one
+    integrate_panels call on G read through F.many at its nodes, then
+    integrate_panel on a scalar G for a panel that fails it, which is where
+    a refusal such as F(s) <= 0 comes from.  G's node values are kept, one
+    array per block.
+
+    A query y inside an interpolated panel reads Phi(t_{k+1}) plus the
+    integral of G's interpolant over (y, t_{k+1}): a Legendre sum whose
+    coefficients are built on the panel's first query and cached.  Inside a
+    panel that fell back it reads Phi(t_{k+1}) plus one integrate_panel on
+    the scalar G over (y, t_{k+1}); a query at a lattice point reads the
+    lattice alone.  Every panel runs at F's tolerance.  Past the top,
+    Phi(y) is the fit's remainder at y with G(y), 0 where F overflows.
+    panels and fallback_panels count the lattice panels of either kind.
     """
 
     # 64 panels per array call keep the peak memory of a fill level with F's
@@ -334,6 +357,11 @@ class TailMap:
         self._top, self.top = k, Antiderivative._t_of(k)
         # Phi(t_k) at k = top - i, increasing in i
         self._lat = [bertrand_remainder(self._fit, self.top, (2.0 * F._fill(k)) ** -0.5)]
+        # per block, from the top down: (lo, G at the nodes, interpolated mask)
+        self._blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
+        # k -> the Legendre coefficients of the panel's tail, None if it fell back
+        self._tails: dict[int, list | None] = {}
+        self.panels = self.fallback_panels = 0
 
     def _g(self, s: float) -> float:
         Fs = self._F(s)
@@ -351,18 +379,62 @@ class TailMap:
         with np.errstate(all="ignore"):
             return np.where(np.isfinite(Fs), (2.0 * Fs) ** -0.5, 0.0)
 
+    def _interpolated(self, lo: int, hi: int, ends: np.ndarray):
+        """(values, G, ok) of the panels t_lo..t_hi from one array call of f:
+        the Kronrod sums of G, G at the nodes, and where a panel may take
+        them; ok is all False (and G None) when the array call raises."""
+        F, n = self._F, hi - lo
+        nodes, half = _gk15_nodes(ends[:-1], ends[1:])
+        try:
+            with np.errstate(all="ignore"):
+                fv = F._expr.vector()(nodes)
+        except (ValueError, ArithmeticError):
+            return np.zeros(n), None, np.zeros(n, dtype=bool)
+        F._fill(lo)
+        F._fill(hi - 1)
+        base = np.fromiter(map(F._lat.__getitem__, range(lo, hi)), float, n)
+        both = np.empty((2 * n, 15))  # f's rows, then G's: one rule for both
+        both[:n] = fv
+        with np.errstate(all="ignore"):
+            Fn = base[:, None] + half[:, None] * _gk15_partials(fv)
+            np.power(2.0 * Fn, -0.5, out=both[n:])
+        values, errs, _ = _gk15_sums(both, np.concatenate((half, half)))
+        ok = _gk15_ok(values, errs, Antiderivative._TOL)
+        ok = ok[:n] & ok[n:] & np.all((Fn > 0.0) & (Fn < INF), axis=1)
+        return values[n:], both[n:].copy(), ok
+
     def _extend(self) -> None:
         """One more block at the bottom of the lattice."""
         hi = self._top - len(self._lat) + 1
         lo = max(hi - self._BLOCK, -Antiderivative._KTOP)
         if lo == hi:
             raise NumericsError(f"the tail map's lattice ends at t={Antiderivative._t_of(hi)!r}")
-        ends = Antiderivative._points(lo, hi).tolist()
-        panels, ok = integrate_panels(self._g_many, ends[:-1], ends[1:], Antiderivative._TOL)
+        ends = Antiderivative._points(lo, hi)
+        panels, G, ok = self._interpolated(lo, hi, ends)
+        self._blocks.append((lo, G, ok))
+        accepted, rest = ok.copy(), np.flatnonzero(~ok)
+        if rest.size:  # the nested rule, then integrate_panel where it fails
+            panels[rest], accepted[rest] = integrate_panels(
+                self._g_many, ends[rest], ends[rest + 1], Antiderivative._TOL)
+        self.panels += int(np.count_nonzero(ok))
+        self.fallback_panels += int(rest.size)
+        ends, panels, accepted = ends.tolist(), panels.tolist(), accepted.tolist()
         value = self._lat[-1]
         for i in range(hi - lo - 1, -1, -1):
-            value += panels[i] if ok[i] else self._panel(ends[i], ends[i + 1])
+            value += panels[i] if accepted[i] else self._panel(ends[i], ends[i + 1])
             self._lat.append(value)
+
+    def _tail(self, k: int, y: float, hi: float) -> float:
+        """int_y^{t_{k+1}} G over the lattice panel k."""
+        if k not in self._tails:
+            lo, G, ok = self._blocks[(self._top - k - 1) // self._BLOCK]
+            self._tails[k] = _gk15_tail_coefficients(G[k - lo].tolist()) if ok[k - lo] else None
+        coef = self._tails[k]
+        if coef is None:
+            return self._panel(y, hi)
+        a = Antiderivative._t_of(k)
+        centre, half = 0.5 * (a + hi), 0.5 * (hi - a)
+        return half * _legendre_sum(coef, (y - centre) / half)
 
     def __call__(self, y: float) -> float:
         if not y > 0.0:
@@ -378,7 +450,11 @@ class TailMap:
             return self._lat[i - 1]
         if y == Antiderivative._t_of(k):
             return self._lat[i]
-        return self._lat[i - 1] + self._panel(y, hi)
+        return self._lat[i - 1] + self._tail(k, y, hi)
+
+    def panel_counts(self) -> dict:
+        """The lattice panels so far, as the metadata of a solution reads them."""
+        return {"tail_map_panels": self.panels, "tail_map_fallback_panels": self.fallback_panels}
 
     def bracket(self, target: float) -> tuple[float, float]:
         """(t_k, t_{k+1}) with Phi(t_k) >= target >= Phi(t_{k+1}), for a

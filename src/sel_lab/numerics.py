@@ -3,7 +3,8 @@
 Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
 panel rule that falls back to it (integrate_panel) and the same rule over
 many panels in one array evaluation (integrate_panels, no fallback: it
-reports which panels pass), one improper-integral classifier for
+reports which panels pass) with the integrals of the degree-14
+interpolant its 15 samples fix, one improper-integral classifier for
 tails [a, inf) (a = 0 means the integral over [0, inf)): Bertrand's test
 on one least-squares fit ln fn = A ln t + B ln ln t + c, which decides the
 verdict and bounds the remainder past the last sample, and a convergent
@@ -280,6 +281,102 @@ _GK15_NODES, _GK15_KRONROD, _GK15_GAUSS = (np.array(col) for col in zip(*_GK15))
 _GK15_ROW = np.array([_GK15_CENTRE[0], *np.repeat(_GK15_KRONROD, 2)])
 
 
+def _legendre(x: float, n: int) -> list:
+    """P_0(x), ..., P_(n-1)(x) by Bonnet's recurrence."""
+    p = [1.0, x]
+    for m in range(1, n - 1):
+        p.append(((2 * m + 1) * x * p[m] - m * p[m - 1]) / (m + 1))
+    return p[:n]
+
+
+def _gk15_interpolation():
+    """(partial, tail): the constants of the degree-14 interpolant of 15 node
+    values on [-1, 1], nodes in _gk15's order (a panel's 15 Kronrod samples
+    fix it, and its integrals are exact to rounding wherever the panel's
+    |K15 - G7| meets a tight tolerance: QUADPACK, sec. 2.2).
+
+    partial[i] is the column of int_{-1}^{x_j} l_i over the nodes x_j, a
+    (15, 1) array, l_i the Lagrange basis on the nodes, so int_{-1}^{x_j}
+    of the interpolant of f is sum_i partial[i][j] f_i.
+    tail[i] holds the Legendre coefficients (degree 0..15) of
+    int_x^1 l_i, so int_x^1 of the interpolant has the coefficients
+    sum_i tail[i] f_i, read at any x by _legendre_sum.  The Legendre
+    coefficients of the l_i come from the Legendre-Vandermonde matrix
+    P_m(x_j), inverted by Gauss-Jordan elimination in Python floats (its
+    condition number is about 60), and every later sum is correctly rounded
+    by fsum: the constants are the same bytes wherever IEEE floats are,
+    whatever the BLAS or LAPACK build.
+    """
+    xs = [0.0]
+    for x, _, _ in _GK15:
+        xs += [-x, x]
+    n = len(xs)
+    rows = [_legendre(x, n) + [float(i == j) for i in range(n)] for j, x in enumerate(xs)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    # coef[m][i]: the coefficient of P_m in l_i; int_{-1}^x P_0 = P_0 + P_1
+    # and int_{-1}^x P_m = (P_(m+1) - P_(m-1))/(2m+1) for m >= 1
+    coef = [row[n:] for row in rows]
+    lift = [[0.0] * n for _ in range(n + 1)]  # lift[r][m]: P_r in int_{-1}^x P_m
+    lift[0][0] = lift[1][0] = 1.0
+    for m in range(1, n):
+        lift[m + 1][m], lift[m - 1][m] = 1.0 / (2 * m + 1), -1.0 / (2 * m + 1)
+    anti = [[math.fsum(lift[r][m] * coef[m][i] for m in range(n)) for i in range(n)]
+            for r in range(n + 1)]
+    # int_x^1 l_i = int_{-1}^1 l_i - int_{-1}^x l_i, and P_r(1) = 1
+    total = [math.fsum(anti[r][i] for r in range(n + 1)) for i in range(n)]
+    tail = tuple(tuple(float(r == 0) * total[i] - anti[r][i] for r in range(n + 1))
+                 for i in range(n))
+    ps = [_legendre(x, n + 1) for x in xs]
+    partial = tuple(np.array([[math.fsum(map(float.__mul__, column, p))] for p in ps])
+                    for column in zip(*anti))
+    return partial, tail
+
+
+_GK15_PARTIAL, _GK15_TAIL = _gk15_interpolation()
+# Clenshaw's recurrence of the Legendre sums: P_(m+1) = A_m x P_m + B_m P_(m-1)
+_LEGENDRE_A = tuple((2 * m + 1) / (m + 1) for m in range(16))
+_LEGENDRE_B = tuple(-m / (m + 1) for m in range(17))
+
+
+def _legendre_sum(coef, x: float) -> float:
+    """sum_m coef[m] P_m(x) by Clenshaw's recurrence, from the top down."""
+    b1 = b2 = 0.0
+    for m in range(len(coef) - 1, 0, -1):
+        b1, b2 = coef[m] + _LEGENDRE_A[m] * x * b1 + _LEGENDRE_B[m + 1] * b2, b1
+    return coef[0] + x * b1 - 0.5 * b2
+
+
+def _gk15_tail_coefficients(values) -> list:
+    """The Legendre coefficients of int_x^1 of the interpolant of the 15
+    node values (_GK15_TAIL), each a running sum over the nodes in order."""
+    coef = [0.0] * 16
+    for v, column in zip(values, _GK15_TAIL):
+        coef = [c + w * v for c, w in zip(coef, column)]
+    return coef
+
+
+def _gk15_partials(fv):
+    """int_{-1}^{x_j} of the interpolant of each row of fv, an (n, 15) array
+    of node values in _gk15's order, as an (n, 15) array: a running sum over
+    the nodes in order, no matrix product, so the bytes do not depend on
+    the BLAS kernel."""
+    rows = fv.T.copy()  # node i's values over the panels, contiguous
+    with np.errstate(all="ignore"):
+        acc = _GK15_PARTIAL[0] * rows[0]
+        term = np.empty_like(acc)
+        for column, row in zip(_GK15_PARTIAL[1:], rows[1:]):
+            np.multiply(column, row, out=term)
+            acc += term
+    return acc.T
+
+
 def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
     """Quadrature of fn over one smooth panel (a, b); returns (value, err).
 
@@ -306,23 +403,10 @@ def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
     return integrate_finite(fn, a, b, tol)
 
 
-def _gk15(vec, a, b, scaled: bool = False):
-    """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
-    the arrays (values, errs) of the Kronrod values and the raw estimates
-    |K15 - G7|, and with scaled=True (values, errs, scaled), with
-    QUADPACK's scaled estimates too.
-
-    vec is called once on the (n, 15) array of every panel's nodes in
-    integrate_panel's order; its exceptions propagate.  The Kronrod and
-    Gauss sums are integrate_panel's float operations in its order (a
-    running sum, not a pairwise one), so a panel's value is integrate_panel's
-    wherever vec agrees with fn.  The scaled estimate is qk15's: with
-    resasc the Kronrod-weighted |f - mean f| and resabs the Kronrod-weighted
-    |f|, it is resasc min(1, (200 raw / resasc)^1.5), and at least
-    50 eps resabs.  It is far below the raw one on a smooth panel and
-    near resasc on a panel that holds a jump, where the raw one can fall
-    short of the true error.
-    """
+def _gk15_nodes(a, b):
+    """(nodes, half): the (n, 15) array of the Kronrod nodes of the panels
+    (a[i], b[i]) in integrate_panel's order, centre first, then -x and +x
+    per node of _GK15, and the panels' half-widths."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(all="ignore"):
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -331,21 +415,59 @@ def _gk15(vec, a, b, scaled: bool = False):
         nodes[:, 0] = centre
         nodes[:, 1::2] = centre[:, None] - dx
         nodes[:, 2::2] = centre[:, None] + dx
-        fv = vec(nodes)
+    return nodes, half
+
+
+def _gk15_sums(fv, half):
+    """(values, errs, kronrod): the Kronrod values of the rows of fv, an (n, 15)
+    array of node values in _gk15_nodes's order, with their raw estimates
+    |K15 - G7| and the unscaled Kronrod sums.  The sums are integrate_panel's
+    float operations in its order (a running sum, not a pairwise one)."""
+    with np.errstate(all="ignore"):
         pair = fv[:, 1::2] + fv[:, 2::2]
         kp, gp = (_GK15_KRONROD * pair).T, (_GK15_GAUSS * pair).T
         kronrod, gauss = _GK15_CENTRE[0] * fv[:, 0], _GK15_CENTRE[1] * fv[:, 0]
         for j in range(7):  # a running sum in integrate_panel's order
             kronrod = kronrod + kp[j]
             gauss = gauss + gp[j]
-        raw = np.abs(kronrod - gauss) * half
-        if not scaled:
-            return kronrod * half, raw
+        return kronrod * half, np.abs(kronrod - gauss) * half, kronrod
+
+
+def _gk15_ok(values, errs, tol: float):
+    """integrate_panel's acceptance test of each panel: a finite value whose
+    raw estimate is <= tol*(1+|value|)."""
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(values) & (errs <= tol * (1.0 + np.abs(values)))
+
+
+def _gk15(vec, a, b, scaled: bool = False):
+    """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
+    the arrays (values, errs) of the Kronrod values and the raw estimates
+    |K15 - G7|, and with scaled=True (values, errs, scaled), with
+    QUADPACK's scaled estimates too.
+
+    vec is called once on the (n, 15) array of every panel's nodes in
+    integrate_panel's order (_gk15_nodes); its exceptions propagate.  A
+    panel's value is integrate_panel's wherever vec agrees with fn
+    (_gk15_sums).  The scaled estimate is qk15's: with
+    resasc the Kronrod-weighted |f - mean f| and resabs the Kronrod-weighted
+    |f|, it is resasc min(1, (200 raw / resasc)^1.5), and at least
+    50 eps resabs.  It is far below the raw one on a smooth panel and
+    near resasc on a panel that holds a jump, where the raw one can fall
+    short of the true error.
+    """
+    nodes, half = _gk15_nodes(a, b)
+    with np.errstate(all="ignore"):
+        fv = vec(nodes)
+    values, raw, kronrod = _gk15_sums(fv, half)
+    if not scaled:
+        return values, raw
+    with np.errstate(all="ignore"):
         resabs = np.abs(fv) @ _GK15_ROW * half
         resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _GK15_ROW * half
         est = np.where((resasc > 0.0) & (raw > 0.0),
                        resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
-        return kronrod * half, raw, np.maximum(est, 50.0 * _EPS * resabs)
+        return values, raw, np.maximum(est, 50.0 * _EPS * resabs)
 
 
 def integrate_panels(vec, a, b, tol: float = 1e-10):
@@ -358,9 +480,7 @@ def integrate_panels(vec, a, b, tol: float = 1e-10):
     fallback here.
     """
     value, err = _gk15(vec, a, b)
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(value) & (err <= tol * (1.0 + np.abs(value)))
-    return value, ok
+    return value, _gk15_ok(value, err, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +872,10 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
                             maxiter=200, full_output=True, disp=False)
     except _Converged as hit:
         return hit.args[0]
+    finally:
+        # brentq's wrapper of residual refers to itself, so residual lives on
+        # in a reference cycle until a collection: it keeps no fn alive
+        fn = None
     if not info.converged:
         raise NumericsError(f"root search for target {target!r} did not converge on "
                             f"[{lo!r}, {hi!r}]: {info.flag} after {info.iterations} iterations")

@@ -50,7 +50,9 @@ class BlowupProfile:
     h decreases in t with h(t) -> inf as t -> 0+; interpolation is
     monotone cubic in log-log; queries outside the table raise (no silent
     extrapolation).  xi0 multiplies h in the predicted boundary rate; the
-    optional (chi, varpi) pair enables the two-term rate.
+    optional (chi, varpi) pair enables the two-term rate.  metadata holds
+    the tail map's lattice panels when the table was built, interpolated
+    and fallen back (tail_map_panels, tail_map_fallback_panels).
     """
 
     variant: str
@@ -63,6 +65,7 @@ class BlowupProfile:
     chi: float | None = None
     varpi: float | None = None
     roundtrip_err: float = 0.0
+    metadata: dict = field(default_factory=dict)
     _interp: object = field(default=None, repr=False)
     _w: ScalarFn = field(init=False, repr=False)
 
@@ -151,7 +154,7 @@ def build_profile(f: Nonlinearity, k: KFunction, variant: str = VARIANT_K,
         elif f.rho == math.inf:
             xi0 = 1.0  # limit of ((2 + ell1 rho)/(c(2+rho)))^(1/rho)
     return BlowupProfile(variant=variant, f=f, k=k, c=c, xi0=xi0,
-                         t=t_grid, h=hs, roundtrip_err=rel)
+                         t=t_grid, h=hs, roundtrip_err=rel, metadata=phi.panel_counts())
 
 
 def predicted_rate(profile: BlowupProfile, d: float, order: str = "one") -> float:

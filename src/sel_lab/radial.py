@@ -77,11 +77,16 @@ class RadialPotential:
 
     def check(self, r) -> tuple:
         """(phi, psi) at the radii r, one array if radial; a SampleError for
-        psi < 0 or phi < psi (to 1e-12) at the first radius where either holds."""
+        psi < 0 or phi < psi (to 1e-12) at the first radius where either holds,
+        for a radial potential p < 0 with its one value."""
         lo = self.psi.vector()(r)
-        hi = lo if self.is_radial else self.phi.vector()(r)
         negative = lo < -1e-12
-        bad = negative if hi is lo else negative | (hi < lo - 1e-12 * (1.0 + np.abs(hi)))
+        if self.is_radial:
+            refuse_samples(self.phi, "radial potential must be nonnegative", negative, r, "r",
+                           p=lo)
+            return lo, lo
+        hi = self.phi.vector()(r)
+        bad = negative | (hi < lo - 1e-12 * (1.0 + np.abs(hi)))
         refuse_samples(self.psi if negative[bad.argmax()] else self.phi,
                        "envelopes must satisfy phi >= psi >= 0", bad, r, "r", phi=hi, psi=lo)
         return hi, lo
@@ -927,7 +932,9 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None) -> RadialSolution:
     Requires the Keller-Osserman integral of f to converge
     (tail_map(f) is the gate, also of the whole-space branch) and a_lin
     below the first Dirichlet eigenvalue of the vanishing core when one is
-    present.
+    present.  The metadata of a level solution counts the tail map's
+    lattice panels so far, interpolated and fallen back (tail_map_panels,
+    tail_map_fallback_panels).
     """
     phi = tail_map(prob.f)
     if prob.omega0_radius > 0.0:
@@ -990,6 +997,7 @@ def boundary_blowup(prob: LogisticProblem, n_levels=None) -> RadialSolution:
         "level_search_exponent": beta,
         "level_steps_accepted": [t.steps_accepted for t in tallies],
         "level_steps_rejected": [t.steps_rejected for t in tallies],
+        **phi.panel_counts(),
     }
     if low:  # two levels read on one parameter are one shot, not two
         metadata["level_parameter_gap"] = abs(params[-1] - params[-2]) / abs(params[-1])

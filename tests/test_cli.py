@@ -755,8 +755,8 @@ g = "t^0.5"
 mesh_points = 512
 """)
         assert code == 2
-        assert (f"line {line}: [functions] {negative}: envelopes must satisfy phi >= psi >= 0 "
-                "(r = 30.06153106689453:" in capsys.readouterr().err)
+        assert (f"line {line}: [functions] {negative}: radial potential must be nonnegative "
+                "(r = 30.06153106689453: p = -0.00205" in capsys.readouterr().err)
         assert not os.path.exists(outdir)
 
     def test_solve_entire(self, tmp_path, capsys):
@@ -840,8 +840,8 @@ psi = "(1+t^2)^(-2)"
         # the first node past 30 of the default 2,048-panel mesh is named
         code, outdir = run_cli(tmp_path, self._entire_config().replace("(1+t^2)^(-2)", "1-t/30"))
         assert code == 2
-        assert ("line 9: [functions] psi: envelopes must satisfy phi >= psi >= 0 "
-                "(r = 30.023682117462158:" in capsys.readouterr().err)
+        assert ("line 9: [functions] psi: radial potential must be nonnegative "
+                "(r = 30.023682117462158: p = -0.00078" in capsys.readouterr().err)
         assert not os.path.exists(outdir)
 
     def test_solve_entire_envelopes_are_checked_out_to_R(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import math
 import random
 import struct
@@ -406,6 +407,20 @@ def test_vector_result_does_not_alias_the_input():
     out = ScalarFn.from_source("t").vector()(t)
     out[0] = 5.0
     assert t[0] == 1.0
+
+
+def test_a_compile_leaves_no_reference_cycle():
+    # the codegen walk calls itself through its closure; each compile left
+    # that cycle, with the walk's node and code lists, to the collector
+    gc.collect()
+    gc.disable()
+    try:
+        fn = ScalarFn.from_source("t^3.5*ln(1+t)+exp(-t)")
+        fn.fast(), fn.vector()
+        del fn
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
