@@ -24,7 +24,6 @@ from .expr import (
     ParseError,
     ScalarFn,
     differentiate,
-    evaluate,
     parse_expression,
     to_source,
 )
@@ -52,13 +51,7 @@ from .numerics import (
     find_root_monotone,
     integrate_finite,
 )
-from .profile import (
-    BlowupProfile,
-    OdeProfile,
-    build_profile,
-    predicted_rate,
-    profile_ode_g,
-)
+from .profile import BlowupProfile, build_profile
 from .radial import (
     LogisticProblem,
     RadialPotential,
@@ -66,10 +59,8 @@ from .radial import (
     boundary_blowup,
     check_large_condition,
     check_slow_variation,
-    lipschitz_constant,
     measure_boundary_rate,
     picard_gradient_entire,
-    residual,
     solve_system,
 )
 

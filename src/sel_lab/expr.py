@@ -34,7 +34,8 @@ class ParseError(ExprError):
 
 
 class EvalDomainError(ExprError, ValueError):
-    """Evaluation hit a point outside a sub-expression's domain."""
+    """Evaluation hit a point outside a sub-expression's domain; at_zero: a
+    division by zero or 0 to a negative power, as an operand underflowed to 0 makes."""
 
     def __init__(self, message: str, node: "ExprAst | None" = None, t: float | None = None):
         detail = message
@@ -45,6 +46,7 @@ class EvalDomainError(ExprError, ValueError):
         super().__init__(detail)
         self.node = node
         self.t = t
+        self.at_zero = node is not None and (node.kind == "div" or message == _ZERO_TO_NEGATIVE)
 
 
 _UNARY = ("neg", "exp", "ln", "sqrt", "abs", "atan", "sin", "cos")
@@ -592,11 +594,6 @@ def compile_scalar(ast: ExprAst):
     return _compile(ast)
 
 
-def evaluate(ast: ExprAst, t: float) -> float:
-    """Evaluate `ast` at the point t (builds an evaluator on every call; see ScalarFn)."""
-    return compile_scalar(ast)(t)
-
-
 # ---------------------------------------------------------------------------
 # ScalarFn: an expression plus its lazily built exact derivative
 # ---------------------------------------------------------------------------
@@ -649,6 +646,3 @@ class ScalarFn:
     def many(self, t) -> np.ndarray:
         """The expression at every point of the array t, by vector()."""
         return self.vector()(t)
-
-    def source(self) -> str:
-        return to_source(self.body)

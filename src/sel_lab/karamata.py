@@ -26,6 +26,7 @@ from .numerics import (
     Integrand,
     NonIntegrableError,
     NumericsError,
+    SampleError,
     _TINY,
     _bertrand_fit,
     _gk15_nodes,
@@ -665,9 +666,9 @@ def rv_index(fn: ScalarFn) -> float:
     of the fit ln fn = A ln t + B ln ln t + c (numerics._bertrand_fit) of
     fn's scalar samples from t = 1 (numerics._tail_samples).  Raises
     NotRegularlyVarying when the fit misses by more than RV_MISFIT,
-    ValueError when fn is negative or positive and finite at fewer than
-    three samples."""
-    ts, fs = _tail_samples(fn.fast(), 1.0)
+    SampleError when fn is negative, ValueError when it is positive and
+    finite at fewer than three samples."""
+    ts, fs = _tail_samples(fn, 1.0, array=False)  # the array back end's ^ differs in the last bit
     fit = _bertrand_fit(ts, fs)
     if fit is None:
         raise ValueError(f"rv_index needs fn > 0 at three samples from t = 1 (got {len(ts)})")
@@ -1089,7 +1090,10 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
         raise ValueError("D must be positive")
     S_ast = parse_expression(S_src)
     S = ScalarFn(S_ast)
-    q = rv_index(S.derivative_fn())
+    try:
+        q = rv_index(S.derivative_fn())
+    except SampleError as exc:  # S' is no expression of the caller's: name S
+        raise SampleError(f"its derivative S': {exc}", S) from exc
     if q <= -1.0:
         raise ValueError(f"S' must vary regularly with index q > -1 (got {q:.4f})")
 

@@ -501,12 +501,13 @@ class Integrand:
     fn.many(ts) at an array of points, an array of ts's shape, as ScalarFn
     has them.  The classifiers read every sample and every quadrature node
     through many where an integrand has it; a plain callable is mapped
-    node by node."""
+    node by node.  negative(t), where given, raises the SampleError of the
+    expression the integrand is made from for a negative sample at t."""
 
-    __slots__ = ("scalar", "many")
+    __slots__ = ("scalar", "many", "negative")
 
-    def __init__(self, scalar, many):
-        self.scalar, self.many = scalar, many
+    def __init__(self, scalar, many, negative=None):
+        self.scalar, self.many, self.negative = scalar, many, negative
 
     def __call__(self, t: float) -> float:
         return self.scalar(t)
@@ -527,16 +528,17 @@ def _sample_points(a: float) -> list:
     return ts
 
 
-def _tail_samples(fn, a: float, lead_zeros: bool = False):
+def _tail_samples(fn, a: float, lead_zeros: bool = False, array: bool = True):
     """(ts, fs): fn at _sample_points(a), up to the first value that is 0,
     subnormal, >= 1e300 or not finite, or where fn overflows or (past the
     geometric samples) fails; with lead_zeros, the zeros before the first
     positive value are skipped; a negative value before that is a ValueError
-    (SampleError for a ScalarFn).  An fn with an array form (`many`) is
-    evaluated in one array call, and point by point when that call raises."""
+    (SampleError for a ScalarFn or an Integrand with `negative`).  With
+    array, an fn with an array form (`many`) is evaluated in one array call,
+    and point by point when that call raises."""
     ts = _sample_points(a)
     values = None
-    if hasattr(fn, "many"):
+    if array and hasattr(fn, "many"):
         try:
             with np.errstate(all="ignore"):
                 values = np.asarray(fn.many(np.array(ts)), dtype=float).tolist()
@@ -556,6 +558,8 @@ def _tail_samples(fn, a: float, lead_zeros: bool = False):
         if v < 0.0:
             if isinstance(fn, ScalarFn):  # an expression its caller can name
                 refuse_samples(fn, "the sampled function is negative", True, t, fn=v)
+            if getattr(fn, "negative", None) is not None:
+                fn.negative(t)
             raise ValueError(f"the sampled function is negative at t={t!r}")
         if v == 0.0 and lead_zeros and not fs:
             start = j + 1
@@ -652,16 +656,17 @@ def bertrand_tail(ts, fs):
     return converges, rem, A, diag
 
 
-def _log_integrand(fn, w) -> np.ndarray:
+def _log_integrand(fn, w, last: float) -> np.ndarray:
     """g(w) = fn(e^w) e^w at the array w, the integrand after t = e^w.
 
     The node rule: where fn overflows, divides by zero, raises any other
     ValueError or is not finite, g is 0.  Past the last finite sample the
     integrand has degenerated in float arithmetic, and the remainder bound
     from the fit covers those points.  A point outside fn's domain
-    (EvalDomainError) is a failure, not a zero, and propagates.  An fn with
-    an array form (`many`) is evaluated in one array call; a call that
-    raises anything but EvalDomainError is redone node by node.
+    (EvalDomainError) is a failure, not a zero, and propagates, except past
+    the sample `last`, where one at_zero has degenerated too.  An fn with an
+    array form (`many`) is evaluated in one array call; a call that raises
+    anything but EvalDomainError, or one past `last`, is redone node by node.
     """
     t = np.exp(w)
     v = None
@@ -670,21 +675,24 @@ def _log_integrand(fn, w) -> np.ndarray:
             try:
                 v = np.asarray(fn.many(t), dtype=float)
             except EvalDomainError:
-                raise
+                if not np.any(t > last):
+                    raise
             except Exception:  # noqa: BLE001 - redone node by node
                 pass
         if v is None:
-            v = np.array([_node(fn, x) for x in t.ravel().tolist()],
+            v = np.array([_node(fn, x, last) for x in t.ravel().tolist()],
                          dtype=float).reshape(t.shape)
         g = v * t
     return np.where(np.isfinite(g), g, 0.0)
 
 
-def _node(fn, t: float) -> float:
+def _node(fn, t: float, last: float) -> float:
     """fn(t) under _log_integrand's node rule."""
     try:
         return fn(t)
-    except EvalDomainError:
+    except EvalDomainError as exc:
+        if t > last and exc.at_zero:
+            return 0.0
         raise
     except (OverflowError, ValueError, ZeroDivisionError):
         return 0.0
@@ -711,8 +719,8 @@ def _panel_edges(a: float) -> list:
     return [w for w in edges if w < top] + [top]
 
 
-def _integrate_log_tail(fn, edges, tol: float):
-    """(value, err) of the integral of g = _log_integrand(fn) over w from
+def _integrate_log_tail(fn, edges, tol: float, last: float):
+    """(value, err) of the integral of g = _log_integrand(fn, last) over w from
     edges[0] to edges[-1]: a composite 15-point Gauss-Kronrod rule on the
     panels between the edges, each level one array evaluation of g on the
     nodes of its open panels (Piessens et al., QUADPACK, 1983; Gonnet, ACM
@@ -729,7 +737,7 @@ def _integrate_log_tail(fn, edges, tol: float):
     span = edges[-1] - edges[0]
     kept_v, kept_e = [], []
     for _ in range(_TAIL_DEPTH):
-        v, _, e = _gk15(lambda w: _log_integrand(fn, w), lo, hi, scaled=True)
+        v, _, e = _gk15(lambda w: _log_integrand(fn, w, last), lo, hi, scaled=True)
         value = math.fsum(kept_v + v.tolist())
         err = math.fsum(kept_e + e.tolist())
         budget = tol * (1.0 + abs(value))
@@ -786,7 +794,7 @@ def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
         return ConvergenceVerdict.inconclusive(slope=A, **diag)
     if not converges:
         return ConvergenceVerdict.divergent(A, **diag)
-    value, err = _integrate_log_tail(fn, _panel_edges(a), _TAIL_QUAD_TOL)
+    value, err = _integrate_log_tail(fn, _panel_edges(a), _TAIL_QUAD_TOL, ts[-1])
     err += rem
     if not err < abs(value):
         return ConvergenceVerdict.inconclusive(slope=A, value_estimate=value,
@@ -812,7 +820,10 @@ def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
         def many(s):
             return fn.many(1.0 / s) / s / s
 
-        image = Integrand(image, many)
+        def negative(s):  # the image is negative at s where fn is at 1/s
+            refuse_samples(fn, "the sampled function is negative", True, 1.0 / s, fn=fn(1.0 / s))
+
+        image = Integrand(image, many, negative if isinstance(fn, ScalarFn) else None)
     verdict = classify_tail_integral(image, 1.0 / b)
     if verdict.slope is None:
         return verdict
@@ -858,7 +869,7 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
         width_tol = tol
     known = {lo: glo, hi: ghi}
 
-    def residual(x):
+    def gap(x):
         g = known.pop(x) if x in known else fn(x) - target
         if math.isnan(g):
             raise NumericsError(f"root search for target {target!r}: fn is nan at x={x!r}")
@@ -867,14 +878,14 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
         return g
 
     try:
-        root, info = brentq(residual, lo, hi, xtol=width_tol,
+        root, info = brentq(gap, lo, hi, xtol=width_tol,
                             rtol=max(width_tol, 4.0 * np.finfo(float).eps),
                             maxiter=200, full_output=True, disp=False)
     except _Converged as hit:
         return hit.args[0]
     finally:
-        # brentq's wrapper of residual refers to itself, so residual lives on
-        # in a reference cycle until a collection: it keeps no fn alive
+        # brentq's wrapper of gap refers to itself, so gap lives on in a
+        # reference cycle until a collection: it keeps no fn alive
         fn = None
     if not info.converged:
         raise NumericsError(f"root search for target {target!r} did not converge on "

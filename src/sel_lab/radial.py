@@ -4,10 +4,9 @@ Monotone Picard iterations for entire solutions (with the exponential
 gradient kernel and for coupled systems, both through one loop,
 `_monotone_picard`, refined by one rule on one graded mesh, `_refined`),
 the integral condition checkers and the one bounded-vs-large dichotomy
-(`_dichotomy`) both schemes share, Gronwall
-Lipschitz constants, boundary blow-up solutions from two level problems
-u = n read where they agree, and residual verification of explicit
-solutions.
+(`_dichotomy`) both schemes share, boundary blow-up solutions from two
+level problems u = n read where they agree, and the boundary rate of a
+blow-up solution against a profile.
 """
 
 from __future__ import annotations
@@ -799,13 +798,6 @@ def solve_system(sys_: SystemProblem, R: float, N: int, tol: float = 1e-10,
                           metadata=metadata)
 
 
-def lipschitz_constant(Cp: float, Cq: float, m_lip: float) -> float:
-    """(1 + m Cq) e^(m^2 Cp Cq): the Gronwall factor on central-value gaps."""
-    if Cp < 0.0 or Cq < 0.0 or m_lip < 0.0:
-        raise ValueError("Cp, Cq, m must be nonnegative")
-    return (1.0 + m_lip * Cq) * math.exp(m_lip * m_lip * Cp * Cq)
-
-
 # ---------------------------------------------------------------------------
 # Boundary blow-up from two level problems u = n
 # ---------------------------------------------------------------------------
@@ -1047,43 +1039,8 @@ def _whole_space_large(prob: LogisticProblem) -> RadialSolution:
 
 
 # ---------------------------------------------------------------------------
-# Residual verification and rate measurement
+# Rate measurement
 # ---------------------------------------------------------------------------
-
-def residual(u_src: str, rhs, N: int, r_grid) -> float:
-    """sup over the grid of |u'' + (N-1)/r u' - rhs(r, u, u')| for symbolic u."""
-    u_fn = ScalarFn.from_source(u_src)
-    du_fn = u_fn.derivative_fn()
-    ddu_fn = du_fn.derivative_fn()
-    worst = 0.0
-    for r in np.asarray(r_grid, dtype=float):
-        u = u_fn(r)
-        du = du_fn(r)
-        ddu = ddu_fn(r)
-        if r == 0.0:
-            lap = N * ddu  # radial Laplacian limit at the origin
-        else:
-            lap = ddu + (N - 1) / r * du
-        worst = max(worst, abs(lap - rhs(float(r), u, du)))
-    return worst
-
-
-def residual_on_table(r, u, du, rhs, N: int) -> float:
-    """Residual of a tabulated solution; u'' via Richardson differences of u'."""
-    r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
-    worst = 0.0
-    for i in range(2, r.size - 2):
-        h1 = r[i + 1] - r[i - 1]
-        h2 = r[i + 2] - r[i - 2]
-        d_a = (du[i + 1] - du[i - 1]) / h1
-        d_b = (du[i + 2] - du[i - 2]) / h2
-        ddu = (4.0 * d_a - d_b) / 3.0 if abs(h2 - 2.0 * h1) < 1e-9 * h1 else d_a
-        lap = ddu + ((N - 1) / r[i] * du[i] if r[i] > 0.0 else (N - 1) * ddu)
-        worst = max(worst, abs(lap - rhs(float(r[i]), float(u[i]), float(du[i]))))
-    return worst
-
 
 @dataclass(frozen=True)
 class RateTable:

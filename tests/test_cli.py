@@ -387,6 +387,13 @@ u_max = 1e8
          "(x = 0.0: source = -0.5)"),
         ('command = classify\n[functions]\nfn = "-t^(-2)"',
          "line 4: [functions] fn: the sampled function is negative (t = 1.0: fn = -1.0)"),
+        # the origin classifier samples fn through its t -> 1/s image
+        ('command = classify\ndirection = origin\n[functions]\nfn = "-t^(-0.5)"',
+         "line 5: [functions] fn: the sampled function is negative (t = 1.0: fn = -1.0)"),
+        # make-k reads the RV index of S' off its samples
+        ('command = make-k\nkind = invS\nD = 2\n[functions]\nS = "t^(-1/2)"',
+         "line 6: [functions] S: its derivative S': the sampled function is negative "
+         "(t = 1.0: fn = -0.5)"),
         ('command = make-k\nkind = invLnS\nD = 0.5\n[functions]\nS = "t"',
          "line 6: [functions] S: constructed k is not positive increasing on (0, nu) "
          "(t = 1.0443656392604836: k = -23.036348630903902, dk = 508.12985251058086)"),
@@ -489,6 +496,25 @@ fn = "{fn}"
         out = capsys.readouterr().out
         assert "verdict=convergent" in out
         assert float(out.split("value=")[1].split()[0]) == pytest.approx(exact, abs=1e-8)
+
+    def test_classify_origin_through_an_underflowed_quotient(self, tmp_path, capsys):
+        # int_0^1 e^(-1/t)/t^2 = 1/e: past the image's last sample, at s ~ 1e166,
+        # both e^(-s) and 1/s^2 underflow and the quotient is 0/0
+        code, _ = run_cli(tmp_path, '[problem]\ncommand = classify\ndirection = origin\nb = 1.0\n'
+                                    '[functions]\nfn = "exp(-1/t)/t^2"\n')
+        assert code == 0
+        fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+        assert fields["verdict"] == "convergent"
+        assert abs(float(fields["value"]) - math.exp(-1.0)) <= float(fields["err"])
+
+    def test_classify_origin_domain_error_inside_the_samples(self, tmp_path):
+        # the image's second sample, s = 2, is t = 0.5: a division by zero
+        # there is no degenerate float
+        code, outdir = run_cli(tmp_path, '[problem]\ncommand = classify\ndirection = origin\n'
+                                         '[functions]\nfn = "1/(t-0.5)"\n')
+        assert code == 3
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert "division by zero in (1.0 / (t - 0.5)) at t=0.5" in diag["error"]
 
     def test_classify_overflowing_constant(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, """

@@ -16,7 +16,6 @@ from sel_lab.expr import (
     ScalarFn,
     compile_scalar,
     differentiate,
-    evaluate,
     parse_expression,
     substitute,
     to_source,
@@ -36,6 +35,10 @@ def const(v):
 
 
 VAR = ExprAst("var")
+
+
+def evaluate(ast, t):
+    return compile_scalar(ast)(t)
 
 
 class TestParse:

