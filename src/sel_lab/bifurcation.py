@@ -275,9 +275,10 @@ def _lef_source(prob: LEFProblem):
     """minus the RHS with a positivity clamp below the epsilon cut, as one
     generated function of (r, u, u') with the user expressions inlined.
 
-    Runge-Kutta stages can overshoot u slightly below the terminal events; the
-    singular term is evaluated at max(u, eps/100) there (a nan u stays nan),
-    which leaves the dynamics above the cut untouched.  Non-finite right-hand
+    Runge-Kutta stages can overshoot u slightly below the terminal events;
+    every term in u, f as well as the singular g, is evaluated at
+    max(u, eps/100) (a nan u stays nan), which leaves the dynamics above
+    the clamp untouched.  Non-finite right-hand
     sides are saturated (the cap event terminates those trajectories anyway).
     An absent f or g reads 0, an absent a, K or source 1.
     """

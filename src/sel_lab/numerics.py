@@ -451,7 +451,9 @@ def _gk15(vec, a, b, scaled: bool = False):
     panel's value is integrate_panel's wherever vec agrees with fn
     (_gk15_sums).  The scaled estimate is qk15's: with
     resasc the Kronrod-weighted |f - mean f| and resabs the Kronrod-weighted
-    |f|, it is resasc min(1, (200 raw / resasc)^1.5), and at least
+    |f|, both summed as _gk15_sums sums the values (no matrix product, so
+    the bytes do not depend on the BLAS kernel), it is
+    resasc min(1, (200 raw / resasc)^1.5), and at least
     50 eps resabs.  It is far below the raw one on a smooth panel and
     near resasc on a panel that holds a jump, where the raw one can fall
     short of the true error.
@@ -463,8 +465,8 @@ def _gk15(vec, a, b, scaled: bool = False):
     if not scaled:
         return values, raw
     with np.errstate(all="ignore"):
-        resabs = np.abs(fv) @ _GK15_ROW * half
-        resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _GK15_ROW * half
+        resabs = _gk15_sums(np.abs(fv), half)[0]
+        resasc = _gk15_sums(np.abs(fv - 0.5 * kronrod[:, None]), half)[0]
         est = np.where((resasc > 0.0) & (raw > 0.0),
                        resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5), raw)
         return values, raw, np.maximum(est, 50.0 * _EPS * resabs)
@@ -577,9 +579,37 @@ def _fit_window(w) -> int:
                int(np.searchsorted(w, 0.0, side="right")))
 
 
+def _lstsq3(cols, y):
+    """(coef, misfit): the least-squares coefficients (c0, c1, c2) of y on
+    three linearly independent columns cols, and the largest residual
+    |c0 col0 + c1 col1 + c2 col2 - y|.
+
+    Modified Gram-Schmidt on [cols | y], the right-hand side taken along
+    as a fourth column (Bjorck, Numerical Methods for Least Squares
+    Problems, 1996, sec. 2.4), then back substitution.  Every dot product
+    is a correctly rounded fsum and every update an elementwise array
+    operation, with no BLAS or LAPACK call: the same bytes on every BLAS
+    kernel.
+    """
+    q = [*cols, y]
+    r = [[0.0] * 4 for _ in range(3)]
+    for j in range(3):
+        r[j][j] = math.sqrt(math.fsum((q[j] * q[j]).tolist()))
+        q[j] = q[j] / r[j][j]
+        for k in range(j + 1, 4):
+            r[j][k] = math.fsum((q[j] * q[k]).tolist())
+            q[k] = q[k] - r[j][k] * q[j]
+    coef = [0.0] * 3
+    for j in (2, 1, 0):
+        coef[j] = (r[j][3] - math.fsum(r[j][k] * coef[k] for k in range(j + 1, 3))) / r[j][j]
+    c0, c1, c2 = coef
+    misfit = float(np.max(np.abs(c0 * cols[0] + c1 * cols[1] + c2 * cols[2] - y)))
+    return coef, misfit
+
+
 def _bertrand_fit(ts, fs):
     """Least-squares (A, B, diagnostics) of ln fn = A w + B ln w + c, w = ln t,
-    over the window of _fit_window; the misfit is the largest residual.
+    over the window of _fit_window (_lstsq3); the misfit is the largest residual.
     None below three samples in the window."""
     if len(ts) < 3:
         return None
@@ -588,16 +618,13 @@ def _bertrand_fit(ts, fs):
     if w.size - start < 3:
         return None
     w, y = w[start:], np.log(fs[start:])
-    basis = np.column_stack((w, np.log(w), np.ones_like(w)))
-    coef = np.linalg.lstsq(basis, y, rcond=None)[0]
-    A, B = float(coef[0]), float(coef[1])
-    return A, B, {"a": A, "b": B, "misfit": float(np.max(np.abs(basis @ coef - y))),
-                  "w_range": [float(w[0]), float(w[-1])]}
+    (A, B, _), misfit = _lstsq3((w, np.log(w), np.ones_like(w)), y)
+    return A, B, {"a": A, "b": B, "misfit": misfit, "w_range": [float(w[0]), float(w[-1])]}
 
 
 def _inverse_log_fit(ts, ys):
     """Least-squares (L, tail, misfit) of y = L + c1/w + c2/w^2, w = ln t,
-    over _bertrand_fit's window; tail is c1/w + c2/w^2 at the last sample
+    over _bertrand_fit's window (_lstsq3); tail is c1/w + c2/w^2 at the last sample
     and the misfit the largest residual.  None below four samples in the
     window, one more than the fit's parameters."""
     w = np.log(ts)
@@ -606,10 +633,8 @@ def _inverse_log_fit(ts, ys):
         return None
     x = w[start] / w[start:]  # 1/w scaled to (0, 1]
     y = np.asarray(ys[start:], dtype=float)
-    basis = np.column_stack((np.ones_like(x), x, x * x))
-    coef = np.linalg.lstsq(basis, y, rcond=None)[0]
-    misfit = float(np.max(np.abs(basis @ coef - y)))
-    return float(coef[0]), float(coef[1] * x[-1] + coef[2] * x[-1] ** 2), misfit
+    coef, misfit = _lstsq3((np.ones_like(x), x, x * x), y)
+    return coef[0], float(coef[1] * x[-1] + coef[2] * x[-1] ** 2), misfit
 
 
 def _resolution(diag) -> float:

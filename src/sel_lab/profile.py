@@ -11,11 +11,11 @@ and b ~ c*k(d); they coexist and are never converted into one another.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .expr import ExprAst, ScalarFn
 from .ioutil import write_csv
@@ -27,6 +27,65 @@ VARIANT_SQRT_K = "sqrt-k-integrand"  # Phi(h) = int_0^t sqrt(k); pairs with b ~ 
 
 # profile variant <-> weight normalization tag used by radial solutions
 VARIANT_NORMALIZATION = {VARIANT_K: "k2", VARIANT_SQRT_K: "k"}
+
+
+class MonotoneCubic:
+    """Fritsch-Carlson monotone cubic (PCHIP) through the points (x, y), x
+    increasing: the slopes, coefficients and evaluation of scipy's PCHIP
+    interpolant, float operation for float, so its values are scipy's
+    bytes (Fritsch and Butland, SIAM J. Sci. Comput. 5, 1984; Moler,
+    Numerical Computing with MATLAB, 2004, sec. 3.6).
+
+    The interior slopes are the weighted harmonic means of the secants, 0
+    where they change sign or vanish; the end slopes are one-sided
+    three-point estimates kept shape-preserving; two points give a line.
+    A query v is read on the panel [x_i, x_(i+1)) that holds it (the last
+    panel closed, outside points on the end panels) as the panel's Hermite
+    cubic in s = v - x_i, summed from the constant term up.  Its one
+    caller reads scalars, so the evaluation is in Python floats.
+    """
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        if x.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d = np.zeros_like(y)
+            d[1:-1][~flat] = 1.0 / whmean[~flat]
+            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x.tolist()
+        # per panel, the coefficients of 1, s, s^2 and s^3
+        self.c = tuple(col.tolist() for col in (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        """The one-sided three-point slope at an end, 0 where its sign is
+        not the end secant's, and 3 m0 where the secants change sign and it
+        exceeds 3 |m0|."""
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, v: float) -> float:
+        i = min(max(bisect.bisect_right(self.x, v) - 1, 0), len(self.x) - 2)
+        s = v - self.x[i]
+        res, z = 0.0, 1.0
+        for coef in self.c:
+            res += coef[i] * z
+            z *= s
+        return res
 
 
 def _weight(k: KFunction, variant: str) -> ScalarFn:
@@ -70,7 +129,7 @@ class BlowupProfile:
             raise ValueError("profile table t must be increasing")
         if np.any(np.diff(self.h) >= 0.0):
             raise ValueError("profile h must be decreasing in t")
-        self._interp = PchipInterpolator(np.log(self.t), np.log(self.h))
+        self._interp = MonotoneCubic(np.log(self.t), np.log(self.h))
 
     @property
     def normalization(self) -> str:
@@ -82,7 +141,7 @@ class BlowupProfile:
                 f"d={d!r} outside the profile table [{self.t[0]!r}, {self.t[-1]!r}]; "
                 "extrapolation refused"
             )
-        return float(math.exp(self._interp(math.log(d))))
+        return math.exp(self._interp(math.log(d)))
 
     def h_prime(self, t: float) -> float:
         """h'(t) = -w(t) sqrt(2 F(h(t))) with w = k or sqrt(k) per variant."""

@@ -929,3 +929,41 @@ def test_tail_domain_error_past_the_samples_propagates():
     # a failure in float arithmetic still reads as a zero
     assert numerics._log_integrand(lambda t: math.log(-t), np.array([0.0]),
                                    math.inf).tolist() == [0.0]
+
+
+class TestFixedOrderFits:
+    """The tail fits solve their least squares without BLAS or LAPACK."""
+
+    TS = 2.0 ** np.arange(1.0, 81.0)
+
+    @pytest.mark.parametrize("A,B", [(-1.3, 0.7), (-1.0, -2.0), (2.5, -0.5), (-3.0, 0.0),
+                                     (0.0, 1.5), (-0.999, 3.0)])
+    @pytest.mark.parametrize("n", [8, 20, 49, 80])
+    def test_bertrand_fit_recovers_exact_exponents(self, A, B, n):
+        ts = self.TS[:n]
+        fs = np.exp(A * np.log(ts) + B * np.log(np.log(ts)))
+        a, b, diag = numerics._bertrand_fit(ts, fs)
+        assert abs(a - A) <= 1e-13 and abs(b - B) <= 1e-13
+        assert diag["misfit"] <= numerics.EXACT_MISFIT
+
+    @pytest.mark.parametrize("L,c1,c2", [(2.0, 0.5, -0.25), (0.0, -3.0, 7.0), (-1e3, 40.0, 0.0)])
+    @pytest.mark.parametrize("n", [8, 20, 49, 80])
+    def test_inverse_log_fit_recovers_the_limit(self, L, c1, c2, n):
+        ts = self.TS[:n]
+        w = np.log(ts)
+        got, tail, misfit = numerics._inverse_log_fit(ts, L + c1 / w + c2 / w ** 2)
+        assert got == pytest.approx(L, rel=1e-12, abs=1e-12)
+        assert tail == pytest.approx(c1 / w[-1] + c2 / w[-1] ** 2, rel=1e-9, abs=1e-12)
+        assert misfit <= numerics.EXACT_MISFIT
+
+    def test_no_lapack_call(self, monkeypatch):
+        ts = self.TS[:49]
+        w = np.log(ts)
+        fs, ys = ts ** -1.3 * w ** 0.7 * (1.0 + 1.0 / w), 2.0 + 0.5 / w + 1e-9 * np.sin(w)
+        before = numerics._bertrand_fit(ts, fs), numerics._inverse_log_fit(ts, ys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        assert (numerics._bertrand_fit(ts, fs), numerics._inverse_log_fit(ts, ys)) == before

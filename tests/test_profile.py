@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from sel_lab import profile
 from sel_lab.expr import ScalarFn
@@ -249,3 +250,45 @@ def test_profile_csv_export(cubic_profile, tmp_path):
     assert lines[0].startswith("# variant=")
     assert lines[1] == "t,h,h_prime"
     assert len(lines) == 2 + cubic_profile.t.size
+
+
+class TestMonotoneCubic:
+    """The interpolant of h against scipy's PchipInterpolator, the oracle:
+    the same bytes at every knot and at random points between them."""
+
+    @staticmethod
+    def _queries(x, rng):
+        between = x[:-1] + (x[1:] - x[:-1]) * rng.uniform(size=(3, x.size - 1))
+        return np.concatenate((x, between.ravel(), rng.uniform(x[0], x[-1], 20)))
+
+    @staticmethod
+    def _assert_scipy_bytes(x, y, v):
+        cubic = profile.MonotoneCubic(x, y)
+        got = np.array([cubic(q) for q in v.tolist()])
+        assert got.tobytes() == PchipInterpolator(x, y)(v).tobytes()
+
+    SHAPES = ["increasing", "decreasing", "sign-changing", "flat-steps", "two-point"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random_data(self, shape):
+        rng = np.random.default_rng(self.SHAPES.index(shape))
+        for _ in range(40):
+            n = 2 if shape == "two-point" else int(rng.integers(3, 40))
+            x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 5.0
+            if shape == "increasing":
+                y = np.cumsum(rng.uniform(0.0, 3.0, n))
+            elif shape == "decreasing":
+                y = -np.cumsum(rng.exponential(1.0, n))
+            elif shape == "flat-steps":  # zero secants and sign changes
+                y = rng.integers(-2, 3, n).astype(float)
+            else:
+                y = rng.normal(size=n)
+            self._assert_scipy_bytes(x, y, self._queries(x, rng))
+
+    def test_built_profile_table(self, cubic_profile):
+        x, y = np.log(cubic_profile.t), np.log(cubic_profile.h)
+        v = self._queries(x, np.random.default_rng(7))
+        self._assert_scipy_bytes(x, y, v)
+        pchip = PchipInterpolator(x, y)
+        for d in np.exp(v).clip(cubic_profile.t[0], cubic_profile.t[-1]).tolist():
+            assert cubic_profile.h_at(d) == math.exp(pchip(math.log(d)))
