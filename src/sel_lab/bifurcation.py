@@ -302,6 +302,13 @@ def _lef_source(prob: LEFProblem):
         "_isfinite": math.isfinite})
 
 
+def _shot_start(prob: LEFProblem, source, s: float, level: float):
+    """(r, (u, u')) where the shot of parameter s toward the level starts."""
+    if prob.geometry == "ball":
+        return series_start(source, s, prob.N, 1e-8 * prob.R)
+    return 1e-6, _interval_start(prob, source, s, 1e-6, level)
+
+
 def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None):
     """Return zero_location(s, level) -> (where the solution returns to the
     boundary value level, peak height above it), and the shot itself; the
@@ -323,10 +330,7 @@ def _shooting_map(prob: LEFProblem, tally: ShotTally | None = None):
 
     def integrate(s, level=0.0, eps_b=EPS_BOUNDARY, dense=False):
         """The shot, or None when it starts at or below the level."""
-        if prob.geometry == "ball":
-            start, y0 = series_start(source, s, N, 1e-8 * R)
-        else:
-            start, y0 = 1e-6, _interval_start(prob, source, s, 1e-6, level)
+        start, y0 = _shot_start(prob, source, s, level)
         if y0[0] <= level:
             return None
         sol = shoot(source, N, start, y0, r_cap, 1e-10, 1e-13 * max(1.0, s),
@@ -370,7 +374,9 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     bracket counts, and the search reads z, only where the shot clears the
     epsilon cut by the factor CUT_MARGIN.  When no shot brackets R, the
     singular problem is declared no-solution with every shot, sorted by s,
-    in probe_table: sup_zero_location is the largest z read and
+    in probe_table (a search in which no probe starts above the boundary
+    value, so that no shot was made, is a NumericsError instead):
+    sup_zero_location is the largest z read and
     fold_parameter its s; a scale-invariant problem (-Delta u = lam f(u)
     alone, lam > 0) also records lambda_star = lam (sup_zero_location/R)^2,
     where its branch folds, when that z lies within the shots' reach.
@@ -464,6 +470,13 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     s_star, points = shoot_to_R(0.0)
     probes = [(s, z) for s, z, _ in points]
     if s_star is None:
+        if tally.shots == 0:  # no verdict rests on no shot
+            s = points[0][0]
+            u0 = _shot_start(prob, _lef_source(prob), s, 0.0)[1][0]
+            raise NumericsError(
+                f"the singular search shot nothing: the first probe, s = {s:g}, starts at "
+                f"u = {u0!r}, not above the boundary value 0 "
+                f"(g's alpha = {prob.g.alpha_sing if prob.g is not None else None!r})")
         sup, fold = max(((z, s) for s, z, peak in points if admissible(z, peak)),
                         default=(math.nan, math.nan))
         metadata = {"probe_table": probes, "sup_zero_location": sup, "fold_parameter": fold}

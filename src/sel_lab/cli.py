@@ -3,12 +3,13 @@
 Configs are line-oriented `key = value` files under [section] headers with
 the sections [problem], [functions], [numerics], [output].  Expressions are
 quoted strings in the shared grammar (single variable t; radial functions
-read r as t).  Each command is declared once, in _COMMANDS, with the keys
-it accepts.  Unknown and duplicate keys are errors, every number must be
-finite, and every [functions] expression must be quoted and parse before
-any computation starts; the output directory is created by the first
-write, and output files are written atomically, so a malformed config
-(exit code 2) leaves no artifacts.
+read r as t).  Each command is declared once, in _COMMANDS, with one Key
+per config key it accepts: kind, default, choices and range.  Unknown and
+duplicate keys are errors, every number must be finite, every [functions]
+expression must be quoted and parse, and every value must fit its Key
+before any computation starts; the output directory is created by the
+first write, and output files are written atomically, so a malformed
+config (exit code 2) leaves no artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -44,58 +45,76 @@ class ConfigError(Exception):
         self.lineno = lineno
 
 
-def _keys(problem="", functions="", numerics=""):
-    out = set()
-    for section, names in (("problem", problem), ("functions", functions),
-                           ("numerics", numerics)):
-        out.update((section, name) for name in names.split())
-    return out
+EXPR = "expr"  # the kind of a quoted [functions] expression
+_EXPECTED = {int: "an integer", float: "a number", list: "a list of numbers",
+             bool: "true or false", str: "a file name"}
 
 
-_PROFILE_KEYS = _keys(problem="k_kind D k_alpha nu variant c",
-                      functions="f S k", numerics="grid_depth tol")
+def _convert(kind, value):
+    """value as kind, or None when it does not fit: a number is a float, an
+    integral number an int, one number a one-element list."""
+    if kind in (list, bool, str) and isinstance(value, kind):
+        return value
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or kind in (bool, str):
+        return None
+    if kind is int:
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    return [float(value)] if kind is list else float(value)
 
-_LEF_KEYS = _keys(problem="N geometry R lambda mu grad_p mode",
-                  functions="f g a K source")
 
-# keys every command accepts
-_COMMON_KEYS = {("problem", "command"), ("output", "csv"), ("output", "json")}
+@dataclass(frozen=True)
+class Key:
+    """One config key of a command: its kind (float, int, list, bool, str for
+    a word or a file name, or EXPR), default, whether it is required, the
+    words it may take and a check (ok, must): ok(value) is False unless the
+    value is `must`."""
+
+    section: str
+    name: str
+    kind: object
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    check: tuple | None = None
+
+    def read(self, value, lineno: int):
+        """The value checked and converted to the key's kind; a ConfigError at
+        lineno when it does not parse, is outside choices (tested before its
+        kind), is not of its kind or fails the check."""
+        where = f"[{self.section}] {self.name}"
+        if self.kind is EXPR:
+            try:
+                parse_expression(value)
+            except ParseError as exc:
+                raise ConfigError(f"{where}: {exc}", lineno) from exc
+            return value
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"{where} must be one of {', '.join(self.choices)}, "
+                              f"not {value!r}", lineno)
+        converted = _convert(self.kind, value)
+        if converted is None:
+            raise ConfigError(f"{where} must be {_EXPECTED[self.kind]}, not {value!r}", lineno)
+        if self.check is not None and not self.check[0](converted):
+            raise ConfigError(f"{where} must be {self.check[1]}, not {converted!r}", lineno)
+        return converted
 
 
 @dataclass
 class ProblemSpec:
-    """Parsed configuration: raw (value, lineno) per section/key."""
+    """Parsed configuration: raw (value, lineno) per section/key, and after
+    validate() every key of the command by name, as values."""
 
     command: str
     path: str
     data: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
 
-    def get(self, section: str, key: str, default=None, required: bool = False,
-            kind=None, choices=None):
-        """The value of [section] key, or default when it is absent.  kind
-        (float, int, list for a list of numbers, or bool for true/false)
-        converts a present value; a value it does not fit, or one outside
-        choices, is a ConfigError at the key's line."""
-        entry = self.data.get(section, {}).get(key)
-        if entry is None:
-            if required:
-                raise ConfigError(f"missing required key '{key}' in [{section}] "
-                                  f"for command {self.command}")
-            return default
-        value, lineno = entry
-        if kind is not None and not (kind in (list, bool) and isinstance(value, kind)):
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and kind is not bool and (kind is not int or isinstance(value, int)
-                                                     or value.is_integer())):
-                expected = {int: "an integer", float: "a number", list: "a list of numbers",
-                            bool: "true or false"}[kind]
-                raise ConfigError(f"[{section}] {key} must be {expected}, not {value!r}",
-                                  lineno)
-            value = [float(value)] if kind is list else kind(value)
-        if choices is not None and value not in choices:
-            raise ConfigError(f"[{section}] {key} must be one of {', '.join(choices)}, "
-                              f"not {value!r}", lineno)
-        return value
+    def require(self, section: str, key: str):
+        """The value of a key that the command needs only on one branch."""
+        if self.values[key] is None:
+            raise ConfigError(f"missing required key '{key}' in [{section}] "
+                              f"for command {self.command}")
+        return self.values[key]
 
     def check(self, section: str, key: str, value, ok: bool, must: str) -> None:
         """Unless ok, a ConfigError saying that [section] key must be `must`,
@@ -105,31 +124,25 @@ class ProblemSpec:
             raise ConfigError(f"[{section}] {key} must be {must}, not {value!r}",
                               entry[1] if entry else None)
 
-    # the source text of a [functions] expression; validate() has parsed it
-    expression = get
-
     def validate(self):
-        """Reject unknown keys, unparsable expressions and a tol that is not
-        positive up front, before any computation or output."""
-        allowed = _COMMANDS[self.command][1] | _COMMON_KEYS
-        for section, entries in self.data.items():
-            for key, (value, lineno) in entries.items():
-                if (section, key) not in allowed:
-                    raise ConfigError(
-                        f"unknown key '{key}' in [{section}] for command {self.command}",
-                        lineno,
-                    )
-                if section != "functions":
-                    continue
-                try:
-                    parse_expression(value)
-                except ParseError as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}", lineno) from exc
-        tol = self.get("numerics", "tol", 1.0, kind=float)
-        self.check("numerics", "tol", tol, tol > 0.0, "positive")
-        for key in ("panels", "mesh_points"):
-            size = self.get("numerics", key, 1, kind=int)
-            self.check("numerics", key, size, size >= 1, "at least 1")
+        """Check the whole config against the command's Key table before
+        anything runs: each key it sets, in file order, with Key.read (an
+        unknown key is a ConfigError at its line), then fill in the defaults,
+        refuse a missing required key and store the values by name."""
+        table = {(key.section, key.name): key for key in _COMMANDS[self.command][1]}
+        values = {}
+        for lineno, section, name, value in sorted(
+                (lineno, section, name, value) for section, entries in self.data.items()
+                for name, (value, lineno) in entries.items()):
+            if (section, name) not in table:
+                raise ConfigError(f"unknown key '{name}' in [{section}] "
+                                  f"for command {self.command}", lineno)
+            values[name] = table[section, name].read(value, lineno)
+        self.values = values
+        for key in table.values():
+            values.setdefault(key.name, key.default)
+            if key.required:
+                self.require(key.section, key.name)
 
 
 def _parse_value(text: str, lineno: int):
@@ -191,12 +204,12 @@ def parse_config(path: str) -> ProblemSpec:
             raise ConfigError(f"[{section}] {key} must be finite, not {value!r}", lineno)
         data[section][key] = (parsed, lineno)
 
-    spec = ProblemSpec(command="", path=path, data=data)
-    command = spec.get("problem", "command", required=True)
-    if command not in _COMMANDS:
+    command = data.get("problem", {}).get("command", (None,))[0]
+    if command is None:
+        raise ConfigError("missing required key 'command' in [problem]")
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
-    spec.command = command
-    return spec
+    return ProblemSpec(command=command, path=path, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +224,6 @@ def _summary_value(v):
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(_summary_value(x) for x in v) + "]"
     return str(v)
-
-
-def _emit(summary: dict, outdir: str, write_json: str | None):
-    print(" ".join(f"{k}={_summary_value(v)}" for k, v in summary.items()))
-    if write_json:
-        path = os.path.join(outdir, write_json)
-        atomic_write_text(path, json.dumps(_jsonable(summary), indent=2) + "\n")
 
 
 def _jsonable(obj):
@@ -253,71 +259,57 @@ def _verdict_summary(v: _num.ConvergenceVerdict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_ko(spec, outdir):
-    f_src = spec.expression("functions", "f", required=True)
-    nl = _ka.analyze_nonlinearity(f_src)
-    verdict = _ka.keller_osserman(nl)
-    return {"command": "check-ko", "f": f_src, **_verdict_summary(verdict)}
+    f_src = spec.values["f"]
+    verdict = _ka.keller_osserman(_ka.analyze_nonlinearity(f_src))
+    return {"f": f_src, **_verdict_summary(verdict)}
 
 
 def _cmd_classify(spec, outdir):
-    fn_src = spec.expression("functions", "fn", required=True)
-    direction = spec.get("problem", "direction", "tail", choices=("tail", "origin"))
-    fn = ScalarFn.from_source(fn_src)
-    if direction == "tail":
-        a = spec.get("problem", "a", 1.0, kind=float)
-        verdict = _num.classify_tail_integral(fn, a)
+    v = spec.values
+    fn = ScalarFn.from_source(v["fn"])
+    if v["direction"] == "tail":
+        verdict = _num.classify_tail_integral(fn, v["a"])
     else:
-        b = spec.get("problem", "b", 1.0, kind=float)
-        verdict = _num.classify_origin_integral(fn, b)
-    return {"command": "classify", "direction": direction, "fn": fn_src,
-            **_verdict_summary(verdict)}
+        verdict = _num.classify_origin_integral(fn, v["b"])
+    return {"direction": v["direction"], "fn": v["fn"], **_verdict_summary(verdict)}
 
 
 def _cmd_analyze_f(spec, outdir):
-    f_src = spec.expression("functions", "f", required=True)
+    f_src = spec.values["f"]
     nl = _ka.analyze_nonlinearity(f_src)
 
     def show(x, unknown="unavailable"):
         return unknown if x is None else x
 
-    return {
-        "command": "analyze-f", "f": f_src,
-        "m": show(nl.m), "Lambda": show(nl.Lambda), "theta": show(nl.theta),
-        "gamma": show(nl.gamma), "rho": show(nl.rho),
-        "identities_ok": show(nl.check_remark_identities(), "unknown"),
-    }
+    return {"f": f_src, "m": show(nl.m), "Lambda": show(nl.Lambda), "theta": show(nl.theta),
+            "gamma": show(nl.gamma), "rho": show(nl.rho),
+            "identities_ok": show(nl.check_remark_identities(), "unknown")}
 
 
 def _cmd_ell(spec, outdir):
-    k_src = spec.expression("functions", "k", required=True)
-    nu = spec.get("problem", "nu", 1.0, kind=float)
-    est = _ka.ell_limits(ScalarFn.from_source(k_src), nu)
-    return {"command": "ell", "k": k_src, "ell0": est.ell0, "ell1": est.ell1,
+    k_src = spec.values["k"]
+    est = _ka.ell_limits(ScalarFn.from_source(k_src), spec.values["nu"])
+    return {"k": k_src, "ell0": est.ell0, "ell1": est.ell1,
             "ell0_err": est.ell0_err, "ell1_err": est.ell1_err}
 
 
 def _cmd_make_k(spec, outdir):
-    kind = spec.get("problem", "kind", required=True)
-    S_src = spec.expression("functions", "S", required=True)
-    D = spec.get("problem", "D", 1.0, kind=float)
-    kf = _ka.make_k(kind, S_src, D)
-    return {"command": "make-k", "kind": kind, "S": S_src, "nu": kf.nu,
-            "ell1": kf.ell1, "predicted_ell1": kf.predicted_ell1,
-            "ell1_err": kf.ell1_err}
+    v = spec.values
+    kf = _ka.make_k(v["kind"], v["S"], v["D"])
+    return {"kind": v["kind"], "S": v["S"], "nu": kf.nu, "ell1": kf.ell1,
+            "predicted_ell1": kf.predicted_ell1, "ell1_err": kf.ell1_err}
 
 
 def _weight_from_spec(spec):
     """Read the weight k; returns a function that builds its KFunction."""
-    kind = spec.get("problem", "k_kind", None)
+    v = spec.values
+    kind, D, alpha, nu = v["k_kind"], v["D"], v["k_alpha"], v["nu"]
     if kind is not None:
-        S_src = spec.expression("functions", "S", required=True)
-        D = spec.get("problem", "D", 1.0, kind=float)
+        S_src = spec.require("functions", "S")
         return lambda: _ka.make_k(kind, S_src, D)
-    alpha = spec.get("problem", "k_alpha", None, kind=float)
-    nu = spec.get("problem", "nu", 1.0, kind=float)
     if alpha is not None:
         return lambda: _ka.KFunction.power(alpha, nu=nu)
-    k_src = spec.expression("functions", "k", required=True)
+    k_src = spec.require("functions", "k")
 
     def user_weight():
         k = ScalarFn.from_source(k_src)
@@ -332,85 +324,62 @@ def _profile_from_spec(spec):
     """Read the profile config; returns a function that builds the profile,
     so that a command can read all of its config before it computes.  A
     command that has analysed f already hands its Nonlinearity to it."""
-    f_src = spec.expression("functions", "f", required=True)
+    v = spec.values
     weight = _weight_from_spec(spec)
-    variant = spec.get("problem", "variant", _prof.VARIANT_K,
-                       choices=tuple(_prof.VARIANT_NORMALIZATION))
-    c = spec.get("problem", "c", 1.0, kind=float)
-    depth = spec.get("numerics", "grid_depth", 24, kind=int)
-    tol = spec.get("numerics", "tol", 1e-10, kind=float)
 
     def build(nl=None):
-        nl = nl if nl is not None else _ka.analyze_nonlinearity(f_src)
+        nl = nl if nl is not None else _ka.analyze_nonlinearity(v["f"])
         kf = weight()
-        t_grid = kf.nu * 2.0 ** (-np.arange(1, depth + 1, dtype=float))
-        return _prof.build_profile(nl, kf, variant=variant, t_grid=t_grid, c=c, tol=tol)
+        t_grid = kf.nu * 2.0 ** (-np.arange(1, v["grid_depth"] + 1, dtype=float))
+        return _prof.build_profile(nl, kf, variant=v["variant"], t_grid=t_grid, c=v["c"],
+                                   tol=v["tol"])
 
     return build
 
 
 def _cmd_profile(spec, outdir):
     profile = _profile_from_spec(spec)()
-    csv = spec.get("output", "csv", "profile.csv")
+    csv = spec.values["csv"]
     profile.export_csv(os.path.join(outdir, csv))
-    return {"command": "profile", "f": spec.expression("functions", "f"),
-            "variant": profile.variant,
+    return {"f": spec.values["f"], "variant": profile.variant,
             "xi0": profile.xi0 if profile.xi0 is not None else "unavailable",
             "roundtrip_err": profile.roundtrip_err, "csv": csv}
 
 
 def _cmd_xi0(spec, outdir):
-    rho = spec.get("problem", "rho", None, kind=float)
-    if rho is not None:
-        ell1 = spec.get("problem", "ell1", required=True, kind=float)
-        c = spec.get("problem", "c", 1.0, kind=float)
-        value = _ka.xi0_power(rho, ell1, c)
-        return {"command": "xi0", "method": "power", "xi0": value}
-    f_src = spec.expression("functions", "f", required=True)
-    gamma = spec.get("problem", "gamma", required=True, kind=float)
-    kprime0 = spec.get("problem", "kprime0", required=True, kind=float)
-    c = spec.get("problem", "c", 1.0, kind=float)
-    nl = _ka.analyze_nonlinearity(f_src)
-    value = _ka.xi0_via_A(nl, gamma, kprime0, c)
-    return {"command": "xi0", "method": "A", "f": f_src, "xi0": value}
+    v = spec.values
+    if v["rho"] is not None:
+        value = _ka.xi0_power(v["rho"], spec.require("problem", "ell1"), v["c"])
+        return {"method": "power", "xi0": value}
+    f_src = spec.require("functions", "f")
+    gamma = spec.require("problem", "gamma")
+    kprime0 = spec.require("problem", "kprime0")
+    value = _ka.xi0_via_A(_ka.analyze_nonlinearity(f_src), gamma, kprime0, v["c"])
+    return {"method": "A", "f": f_src, "xi0": value}
 
 
 def _cmd_chi(spec, outdir):
-    two = _ka.TwoTermSpec(
-        rho=spec.get("problem", "rho", required=True, kind=float),
-        zeta=spec.get("problem", "zeta", required=True, kind=float),
-        theta=spec.get("problem", "theta", required=True, kind=float),
-        ell_star=spec.get("problem", "ell_star", required=True, kind=float),
-        c_tilde=spec.get("problem", "c_tilde", 0.0, kind=float),
-        ell_sup=spec.get("problem", "ell_sup", None, kind=float),
-        case=spec.get("problem", "case", "purePower"),
-    )
+    two = _ka.TwoTermSpec(**{name: spec.values[name] for name in (
+        "rho", "zeta", "theta", "ell_star", "c_tilde", "ell_sup", "case")})
     varpi, chi = _ka.chi_two_term(two)
-    return {"command": "chi", "case": two.case, "varpi": varpi, "chi": chi}
+    return {"case": two.case, "varpi": varpi, "chi": chi}
 
 
 def _cmd_solve_entire(spec, outdir):
-    f_src = spec.expression("functions", "f", required=True)
-    psi = ScalarFn.from_source(spec.expression("functions", "psi", required=True))
-    phi_src = spec.expression("functions", "phi", None)
-    N = spec.get("problem", "N", required=True, kind=int)
-    spec.check("problem", "N", N, N >= 3, "at least 3")
-    R = spec.get("problem", "R", 50.0, kind=float)
-    b0 = spec.get("problem", "b0", 1.0, kind=float)
-    tol = spec.get("numerics", "tol", 1e-8, kind=float)
-    panels = spec.get("numerics", "panels", 2048, kind=int)
-    nl = _ka.analyze_nonlinearity(f_src)
+    v = spec.values
+    N, psi = v["N"], ScalarFn.from_source(v["psi"])
+    nl = _ka.analyze_nonlinearity(v["f"])
     lam = nl.Lambda if nl.Lambda is not None else math.inf
-    pot = _rad.RadialPotential(phi=psi if phi_src is None else ScalarFn.from_source(phi_src),
+    pot = _rad.RadialPotential(phi=psi if v["phi"] is None else ScalarFn.from_source(v["phi"]),
                                psi=psi, lam_N=lam / (N - 2.0) if math.isfinite(lam) else 1.0)
-    sol = _rad.picard_gradient_entire(pot, nl, b0, R, N, tol, panels)
-    csv = spec.get("output", "csv", "entire.csv")
-    sol.to_csv(os.path.join(outdir, csv))
-    out = {"command": "solve-entire", "classification": sol.classification,
+    sol = _rad.picard_gradient_entire(pot, nl, v["b0"], v["R"], N, v["tol"], v["panels"])
+    sol.to_csv(os.path.join(outdir, v["csv"]))
+    out = {"classification": sol.classification,
            "iterations": sol.metadata["iterations"],
            "growth_bound_ok": sol.metadata["growth_bound_ok"],
            "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
-           "mesh_error": sol.metadata["mesh_error"], "u_end": float(sol.u[-1]), "csv": csv}
+           "mesh_error": sol.metadata["mesh_error"], "u_end": float(sol.u[-1]),
+           "csv": v["csv"]}
     for key in ("large_condition", "large_condition_error", "b_star", "ordering_ok",
                 "ordering_error", "plateau_drift"):
         if key in sol.metadata:
@@ -419,100 +388,75 @@ def _cmd_solve_entire(spec, outdir):
 
 
 def _cmd_solve_system(spec, outdir):
-    N = spec.get("problem", "N", required=True, kind=int)
-    spec.check("problem", "N", N, N >= 3, "at least 3")
-    p, q = (ScalarFn.from_source(spec.expression("functions", k, required=True)) for k in "pq")
-    f = _ka.analyze_nonlinearity(spec.expression("functions", "f", required=True))
-    g = _ka.analyze_nonlinearity(spec.expression("functions", "g", required=True))
-    a, b = (spec.get("problem", k, 1.0, kind=float) for k in "ab")
-    spec.check("problem", "a", a, a > 0.0, "positive")
-    spec.check("problem", "b", b, b > 0.0, "positive")
-    R = spec.get("problem", "R", 50.0, kind=float)
-    tol = spec.get("numerics", "tol", 1e-10, kind=float)
-    mesh = spec.get("numerics", "mesh_points", 4096, kind=int)
+    v = spec.values
+    p, q = (ScalarFn.from_source(v[k]) for k in "pq")
+    f, g = (_ka.analyze_nonlinearity(v[k]) for k in "fg")
     # one potential when both keys parse to one tree: one tail verdict, one mesh read
     p_pot = _rad.RadialPotential(phi=p)
     q_pot = p_pot if q.body == p.body else _rad.RadialPotential(phi=q)
-    sys_ = _rad.SystemProblem(p=p_pot, q=q_pot, f=f, g=g, a=a, b=b)
-    sol = _rad.solve_system(sys_, R, N, tol, mesh)
-    csv = spec.get("output", "csv", "system.csv")
-    sol.to_csv(os.path.join(outdir, csv))
-    return {"command": "solve-system", "classification": sol.classification,
+    sys_ = _rad.SystemProblem(p=p_pot, q=q_pot, f=f, g=g, a=v["a"], b=v["b"])
+    sol = _rad.solve_system(sys_, v["R"], v["N"], v["tol"], v["mesh_points"])
+    sol.to_csv(os.path.join(outdir, v["csv"]))
+    return {"classification": sol.classification,
             "iterations": sol.metadata["iterations"],
             "tp_verdict": sol.metadata["tp_verdict"],
             "tq_verdict": sol.metadata["tq_verdict"],
             "lower_bound_ok": sol.metadata["lower_bound_ok"],
             "mesh_points": sol.metadata["mesh_points"], "mesh_drift": sol.metadata["mesh_drift"],
             "mesh_error": sol.metadata["mesh_error"],
-            "u_end": float(sol.u[-1]), "v_end": float(sol.v[-1]), "csv": csv}
+            "u_end": float(sol.u[-1]), "v_end": float(sol.v[-1]), "csv": v["csv"]}
 
 
 def _logistic_from_spec(spec) -> _rad.LogisticProblem:
-    N = spec.get("problem", "N", required=True, kind=int)
-    spec.check("problem", "N", N, N >= 1, "at least 1")
-    domain_kind = spec.get("problem", "domain", "ball",
-                           choices=("ball", "annulus", "whole-space"))
-    if domain_kind == "ball":
-        domain = ("ball", spec.get("problem", "R", 1.0, kind=float))
-    elif domain_kind == "annulus":
-        domain = ("annulus", spec.get("problem", "R0", 0.0, kind=float),
-                  spec.get("problem", "R", 1.0, kind=float))
-        spec.check("problem", "R0", domain[1], 0.0 <= domain[1] < domain[2], "in [0, R)")
-    else:
-        domain = ("whole-space", spec.get("problem", "R", 10.0, kind=float))
-    omega0 = spec.get("problem", "omega0", 0.0, kind=float)
+    v = spec.values
+    domain_kind, R0, R, omega0 = v["domain"], v["R0"], v["R"], v["omega0"]
+    if R is None:
+        R = 10.0 if domain_kind == "whole-space" else 1.0
+    if domain_kind == "annulus":
+        spec.check("problem", "R0", R0, 0.0 <= R0 < R, "in [0, R)")
     if omega0 > 0.0:
-        spec.check("problem", "omega0", omega0, domain_kind != "annulus",
-                   "0 on an annulus")
-        spec.check("problem", "omega0", omega0, domain_kind != "ball" or omega0 < domain[1],
+        spec.check("problem", "omega0", omega0, domain_kind != "annulus", "0 on an annulus")
+        spec.check("problem", "omega0", omega0, domain_kind != "ball" or omega0 < R,
                    "below R on a ball")
     return _rad.LogisticProblem(
-        N=N,
-        f=_ka.analyze_nonlinearity(spec.expression("functions", "f", required=True)),
-        b=ScalarFn.from_source(spec.expression("functions", "b", required=True)),
-        a_lin=spec.get("problem", "a", 0.0, kind=float),
-        domain=domain,
-        omega0_radius=omega0,
-        b_normalization=spec.get("problem", "b_normalization", "k2",
-                                 choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
-    )
+        N=v["N"], f=_ka.analyze_nonlinearity(v["f"]), b=ScalarFn.from_source(v["b"]),
+        a_lin=v["a"], domain=("annulus", R0, R) if domain_kind == "annulus" else (domain_kind, R),
+        omega0_radius=omega0, b_normalization=v["b_normalization"])
 
 
 def _cmd_blowup(spec, outdir):
     # the rate is measured when a weight k is given in any of its three
     # forms; its config is read before anything is computed or written
-    make_profile = None
-    if any(spec.get(section, key) is not None
-           for section, key in (("problem", "k_kind"), ("problem", "k_alpha"),
-                                ("functions", "k"))):
-        make_profile = _profile_from_spec(spec)
+    v = spec.values
+    weighted = any(v[key] is not None for key in ("k_kind", "k_alpha", "k"))
+    make_profile = _profile_from_spec(spec) if weighted else None
     prob = _logistic_from_spec(spec)
-    levels = spec.get("numerics", "levels", None, kind=list)
-    sol = _rad.boundary_blowup(prob, n_levels=levels)
+    sol = _rad.boundary_blowup(prob, n_levels=v["levels"])
     rate = None if make_profile is None else _rad.measure_boundary_rate(sol, make_profile(prob.f))
-    csv = spec.get("output", "csv", "blowup.csv")
-    sol.to_csv(os.path.join(outdir, csv))
-    out = {"command": "blowup", "classification": sol.classification,
+    sol.to_csv(os.path.join(outdir, v["csv"]))
+    out = {"classification": sol.classification,
            "blowup_radius": sol.blowup_radius if sol.blowup_radius is not None else "none",
            "levels": len(sol.metadata.get("n_levels", [])),
            **{key: sol.metadata[key] for key in ("level_shots", "level_search_exponent",
                                                  "level_parameter_gap")
               if key in sol.metadata},
-           "csv": csv}
+           "csv": v["csv"]}
     if rate is not None:
         out.update(rate_ratio=f"{rate.limit:.2f}x", rate_limit=rate.limit, rate_drift=rate.drift)
     return out
 
 
 def _cmd_rate(spec, outdir):
-    sol_path = spec.get("problem", "solution", required=True)
-    sol = _read_solution_csv(os.path.join(outdir, sol_path)
-                             if not os.path.isabs(sol_path) else sol_path)
+    v = spec.values
+    try:
+        sol = _read_solution_csv(os.path.join(outdir, v["solution"]))
+    except (OSError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"[problem] solution: {exc}",
+                          spec.data["problem"]["solution"][1]) from exc
     rate = _rad.measure_boundary_rate(sol, _profile_from_spec(spec)())
-    csv = spec.get("output", "csv", "rate.csv")
-    write_csv(os.path.join(outdir, csv), "d,ratio_h,ratio_xi0h",
+    write_csv(os.path.join(outdir, v["csv"]), "d,ratio_h,ratio_xi0h",
               (rate.d, rate.ratio_h, rate.ratio_xi0h))
-    return {"command": "rate", "limit": rate.limit, "drift": rate.drift, "csv": csv}
+    return {"limit": rate.limit, "drift": rate.drift, "csv": v["csv"]}
 
 
 def _read_solution_csv(path) -> _num.RadialSolution:
@@ -524,6 +468,8 @@ def _read_solution_csv(path) -> _num.RadialSolution:
     table = [line.split(",") for line in lines if not line.startswith("#")]
     if len(table) < 2:
         raise ConfigError(f"solution file {path!r} is empty")
+    if not {"r", "u"} <= set(table[0]):
+        raise ConfigError(f"solution file {path!r} has no r and u columns")
     cols = dict(zip(table[0], np.array(table[1:], dtype=float).T))
     sol = _num.RadialSolution(
         dimension=int(meta.get("dimension", 1)), r=cols["r"], u=cols["u"],
@@ -537,62 +483,45 @@ def _read_solution_csv(path) -> _num.RadialSolution:
 
 
 def _cmd_eigen(spec, outdir):
-    N = spec.get("problem", "N", required=True, kind=int)
-    R = spec.get("problem", "R", 1.0, kind=float)
-    mode = spec.get("problem", "mode", "ball", choices=_bif.EIGEN_MODES)
-    spec.check("problem", "N", N, N >= 1, "at least 1")
+    v = spec.values
+    N, R, mode = v["N"], v["R"], v["mode"]
     if mode == "interval":
         spec.check("problem", "N", N, N == 1, "1 in interval mode")
-    spec.check("problem", "R", R, R > 0.0, "positive")
     eig = _bif.lambda1_ball(N, R, mode=mode)
-    csv = spec.get("output", "csv", "eigen.csv")
-    eig.to_csv(os.path.join(outdir, csv))
-    return {"command": "eigen", "N": N, "R": R, "mode": mode,
+    eig.to_csv(os.path.join(outdir, v["csv"]))
+    return {"N": N, "R": R, "mode": mode,
             "lambda1": eig.lambda1, "phi_at_R": eig.phi_at_R, "shots": eig.shots,
             "steps_accepted": eig.steps_accepted, "steps_rejected": eig.steps_rejected,
-            "csv": csv}
+            "csv": v["csv"]}
 
 
 def _lef_from_spec(spec) -> _bif.LEFProblem:
-    f_src = spec.expression("functions", "f", None)
-    g_src = spec.expression("functions", "g", None)
-    a_src = spec.expression("functions", "a", None)
-    K_src = spec.expression("functions", "K", None)
-    src_src = spec.expression("functions", "source", None)
-    N = spec.get("problem", "N", required=True, kind=int)
-    geometry = spec.get("problem", "geometry", "interval", choices=_bif.LEF_GEOMETRIES)
-    spec.check("problem", "N", N, geometry == "ball" or N == 1, "1 on the interval geometry")
-    grad_p = spec.get("problem", "grad_p", 0.0, kind=float)
-    spec.check("problem", "grad_p", grad_p, 0.0 <= grad_p <= 2.0, "in [0, 2]")
+    v = spec.values
+    spec.check("problem", "N", v["N"], v["geometry"] == "ball" or v["N"] == 1,
+               "1 on the interval geometry")
+
+    def fn(key):
+        return ScalarFn.from_source(v[key]) if v[key] else None
+
     return _bif.LEFProblem(
-        N=N,
-        geometry=geometry,
-        R=spec.get("problem", "R", 1.0, kind=float),
-        lam=spec.get("problem", "lambda", 0.0, kind=float),
-        mu=spec.get("problem", "mu", 0.0, kind=float),
-        f=_ka.analyze_nonlinearity(f_src) if f_src else None,
-        g=_ka.analyze_singular_term(g_src) if g_src else None,
-        a_pot=ScalarFn.from_source(a_src) if a_src else None,
-        K_pot=ScalarFn.from_source(K_src) if K_src else None,
-        source=ScalarFn.from_source(src_src) if src_src else None,
-        grad_p=grad_p,
-        mode=spec.get("problem", "mode", "absorption", choices=_bif.LEF_MODES),
-    )
+        N=v["N"], geometry=v["geometry"], R=v["R"], lam=v["lambda"], mu=v["mu"],
+        f=_ka.analyze_nonlinearity(v["f"]) if v["f"] else None,
+        g=_ka.analyze_singular_term(v["g"]) if v["g"] else None,
+        a_pot=fn("a"), K_pot=fn("K"), source=fn("source"), grad_p=v["grad_p"], mode=v["mode"])
 
 
 def _cmd_lef(spec, outdir):
-    prob = _lef_from_spec(spec)
-    sol = _bif.solve_lef(prob)
-    out = {"command": "lef", "classification": sol.classification}
+    sol = _bif.solve_lef(_lef_from_spec(spec))
+    out = {"classification": sol.classification}
     if sol.classification == _num.NO_SOLUTION:
-        csv = spec.get("output", "csv", "lef_probes.csv")
+        csv = spec.values["csv"] or "lef_probes.csv"
         write_csv(os.path.join(outdir, csv), "s,zero_location",
                   zip(*sol.metadata["probe_table"]))
         out.update((key, sol.metadata[key])
                    for key in ("sup_zero_location", "fold_parameter", "lambda_star",
                                "failed_probes") if key in sol.metadata)
     else:
-        csv = spec.get("output", "csv", "lef.csv")
+        csv = spec.values["csv"] or "lef.csv"
         sol.to_csv(os.path.join(outdir, csv))
         out.update({"sup_norm": sol.metadata["sup_norm"],
                     "center_value": sol.metadata["center_value"],
@@ -604,12 +533,10 @@ def _cmd_lef(spec, outdir):
 
 
 def _cmd_sweep(spec, outdir):
-    prob = _lef_from_spec(spec)
-    grid = spec.get("problem", "lambda_grid", required=True, kind=list)
-    diagram = _bif.sweep(prob, grid)
-    csv = spec.get("output", "csv", "sweep.csv")
+    grid, csv = spec.values["lambda_grid"], spec.values["csv"]
+    diagram = _bif.sweep(_lef_from_spec(spec), grid)
     diagram.to_csv(os.path.join(outdir, csv))
-    out = {"command": "sweep", "points": len(grid),
+    out = {"points": len(grid),
            "solved": sum(1 for s in diagram.status if s == "solved"),
            "monotone_centers": diagram.monotone_centers, "csv": csv}
     if diagram.lam_star_bracket:
@@ -620,24 +547,18 @@ def _cmd_sweep(spec, outdir):
 
 
 def _cmd_gelfand(spec, outdir):
-    lam = spec.get("problem", "lambda", required=True, kind=float)
-    mu = spec.get("problem", "mu", required=True, kind=float)
-    g_src = spec.expression("functions", "g", required=True)
-    N = spec.get("problem", "N", 1, kind=int)
-    geometry = spec.get("problem", "geometry", "interval", choices=_bif.LEF_GEOMETRIES)
-    solve = spec.get("problem", "solve", False, kind=bool)
-    if solve:
-        spec.check("problem", "N", N, geometry == "ball" or N == 1,
-                   "1 on the interval geometry")
+    v = spec.values
+    lam, mu, g_src, N, geometry = v["lambda"], v["mu"], v["g"], v["N"], v["geometry"]
+    if v["solve"]:
+        spec.check("problem", "N", N, geometry == "ball" or N == 1, "1 on the interval geometry")
     g_nl = _ka.analyze_singular_term(g_src)
     a_lim = g_nl.value_at_inf
     if a_lim is None:
         raise ValueError(g_nl.notes[-1])
     lam1 = _bif.lambda1_domain(N, geometry)
     solvable = _bif.gelfand_solvable(lam, mu, a_lim, lam1)
-    out = {"command": "gelfand", "lambda": lam, "mu": mu, "a": a_lim,
-           "lambda1": lam1, "solvable": solvable}
-    if solve and lam > 0.0:
+    out = {"lambda": lam, "mu": mu, "a": a_lim, "lambda1": lam1, "solvable": solvable}
+    if v["solve"] and lam > 0.0:
         phi = _ka.analyze_nonlinearity(_bif.gelfand_reduced_source(g_src, lam, mu))
         reduced = _bif.LEFProblem(N=N, geometry=geometry, lam=1.0, f=phi,
                                   a_pot=ScalarFn.from_source("0"), mode="absorption")
@@ -645,64 +566,123 @@ def _cmd_gelfand(spec, outdir):
         out["solved"] = sol.classification != _num.NO_SOLUTION
         out["agrees"] = out["solved"] == solvable
         if out["solved"]:
-            back = _bif.gelfand_transform(sol, lam, "back")
-            csv = spec.get("output", "csv", "gelfand.csv")
-            back.to_csv(os.path.join(outdir, csv))
-            out["csv"] = csv
+            _bif.gelfand_transform(sol, lam, "back").to_csv(os.path.join(outdir, v["csv"]))
+            out["csv"] = v["csv"]
     return out
 
 
 def _cmd_young(spec, outdir):
-    a_lim = spec.get("problem", "a", 0.0, kind=float)
-    p = spec.get("problem", "p", required=True, kind=float)
-    lam1 = spec.get("problem", "lambda1", None, kind=float)
-    if lam1 is None:
-        N = spec.get("problem", "N", 1, kind=int)
-        geometry = spec.get("problem", "geometry", "interval", choices=_bif.LEF_GEOMETRIES)
-        lam1 = _bif.lambda1_domain(N, geometry)
-    C = _bif.young_constant(a_lim, p, lam1)
-    return {"command": "young", "a": a_lim, "p": p, "lambda1": lam1, "C": C}
+    v = spec.values
+    lam1 = v["lambda1"] if v["lambda1"] is not None else _bif.lambda1_domain(v["N"], v["geometry"])
+    C = _bif.young_constant(v["a"], v["p"], lam1)
+    return {"a": v["a"], "p": v["p"], "lambda1": lam1, "C": C}
 
 
-# command -> (handler, the [section] keys it accepts besides _COMMON_KEYS)
-_COMMANDS = {
-    "check-ko": (_cmd_check_ko, _keys(functions="f")),
-    "classify": (_cmd_classify, _keys(problem="direction a b", functions="fn")),
-    "analyze-f": (_cmd_analyze_f, _keys(functions="f")),
-    "ell": (_cmd_ell, _keys(problem="nu", functions="k")),
-    "make-k": (_cmd_make_k, _keys(problem="kind D", functions="S")),
-    "profile": (_cmd_profile, _PROFILE_KEYS),
-    "xi0": (_cmd_xi0, _keys(problem="rho ell1 c gamma kprime0", functions="f")),
-    "chi": (_cmd_chi, _keys(problem="rho zeta theta ell_star c_tilde ell_sup case")),
-    "solve-entire": (_cmd_solve_entire, _keys(problem="N R b0", functions="f psi phi",
-                                              numerics="tol panels")),
-    "solve-system": (_cmd_solve_system, _keys(problem="N R a b", functions="p q f g",
-                                              numerics="tol mesh_points")),
-    "blowup": (_cmd_blowup, _PROFILE_KEYS | _keys(
-        problem="N domain R R0 a omega0 b_normalization", functions="b", numerics="levels")),
-    "rate": (_cmd_rate, _PROFILE_KEYS | _keys(problem="solution")),
-    "eigen": (_cmd_eigen, _keys(problem="N R mode")),
-    "lef": (_cmd_lef, _LEF_KEYS),
-    "sweep": (_cmd_sweep, _LEF_KEYS | _keys(problem="lambda_grid")),
-    "gelfand": (_cmd_gelfand, _keys(problem="lambda mu N geometry solve", functions="g")),
-    "young": (_cmd_young, _keys(problem="a p lambda1 N geometry")),
-}
+# ---------------------------------------------------------------------------
+# The config of every command: the one statement of its keys
+# ---------------------------------------------------------------------------
+
+_P = functools.partial(Key, "problem")
+_F = functools.partial(Key, "functions", kind=EXPR)
+_N = functools.partial(Key, "numerics")
+_POSITIVE = (lambda x: x > 0.0, "positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "at least 1")
+_AT_LEAST_3 = (lambda x: x >= 3, "at least 3")
+_INTERVAL_OR_BALL = _P("geometry", str, "interval", choices=_bif.LEF_GEOMETRIES)
+
+# the weight k in its three forms, and the profile built on it
+_PROFILE_KEYS = (
+    _P("k_kind", str, choices=_ka.K_KINDS), _P("D", float, 1.0), _P("k_alpha", float),
+    _P("nu", float, 1.0), _P("c", float, 1.0),
+    _P("variant", str, _prof.VARIANT_K, choices=tuple(_prof.VARIANT_NORMALIZATION)),
+    _F("f", required=True), _F("S"), _F("k"),
+    _N("grid_depth", int, 24, check=(lambda x: x >= 2, "at least 2")),
+    _N("tol", float, 1e-10, check=_POSITIVE))
+
+_LEF_KEYS = (
+    _P("N", int, required=True), _INTERVAL_OR_BALL, _P("R", float, 1.0, check=_POSITIVE),
+    _P("lambda", float, 0.0), _P("mu", float, 0.0),
+    _P("grad_p", float, 0.0, check=(lambda x: 0.0 <= x <= 2.0, "in [0, 2]")),
+    _P("mode", str, "absorption", choices=_bif.LEF_MODES),
+    _F("f"), _F("g"), _F("a"), _F("K"), _F("source"))
+
+
+def _common(name, csv):
+    # the command's name and the file names of its CSV (None when it writes
+    # none, or picks one by its outcome) and of its JSON summary
+    return (_P("command", str, required=True), Key("output", "csv", str, csv),
+            Key("output", "json", str, f"{name.replace('-', '_')}_summary.json"))
+
+
+# command -> (handler, every key it accepts)
+_COMMANDS = {name: (handler, keys + _common(name, csv)) for name, (handler, csv, keys) in {
+    "check-ko": (_cmd_check_ko, None, (_F("f", required=True),)),
+    "classify": (_cmd_classify, None, (
+        _P("direction", str, "tail", choices=("tail", "origin")), _P("a", float, 1.0),
+        _P("b", float, 1.0), _F("fn", required=True))),
+    "analyze-f": (_cmd_analyze_f, None, (_F("f", required=True),)),
+    "ell": (_cmd_ell, None, (_P("nu", float, 1.0), _F("k", required=True))),
+    "make-k": (_cmd_make_k, None, (
+        _P("kind", str, required=True, choices=_ka.K_KINDS), _P("D", float, 1.0),
+        _F("S", required=True))),
+    "profile": (_cmd_profile, "profile.csv", _PROFILE_KEYS),
+    "xi0": (_cmd_xi0, None, (
+        _P("rho", float), _P("ell1", float), _P("c", float, 1.0), _P("gamma", float),
+        _P("kprime0", float), _F("f"))),
+    "chi": (_cmd_chi, None, (
+        _P("rho", float, required=True), _P("zeta", float, required=True),
+        _P("theta", float, required=True), _P("ell_star", float, required=True),
+        _P("c_tilde", float, 0.0), _P("ell_sup", float),
+        _P("case", str, "purePower", choices=_ka.TWO_TERM_CASES))),
+    "solve-entire": (_cmd_solve_entire, "entire.csv", (
+        _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0),
+        _P("b0", float, 1.0), _F("f", required=True), _F("psi", required=True), _F("phi"),
+        _N("tol", float, 1e-8, check=_POSITIVE), _N("panels", int, 2048, check=_AT_LEAST_1))),
+    "solve-system": (_cmd_solve_system, "system.csv", (
+        _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0),
+        _P("a", float, 1.0, check=_POSITIVE), _P("b", float, 1.0, check=_POSITIVE),
+        _F("p", required=True), _F("q", required=True), _F("f", required=True),
+        _F("g", required=True), _N("tol", float, 1e-10, check=_POSITIVE),
+        _N("mesh_points", int, 4096, check=_AT_LEAST_1))),
+    # R defaults to 10 in the whole space and to 1 otherwise
+    "blowup": (_cmd_blowup, "blowup.csv", _PROFILE_KEYS + (
+        _P("N", int, required=True, check=_AT_LEAST_1),
+        _P("domain", str, "ball", choices=("ball", "annulus", "whole-space")),
+        _P("R", float), _P("R0", float, 0.0), _P("a", float, 0.0), _P("omega0", float, 0.0),
+        _P("b_normalization", str, "k2", choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
+        _F("b", required=True), _N("levels", list))),
+    "rate": (_cmd_rate, "rate.csv", _PROFILE_KEYS + (_P("solution", str, required=True),)),
+    "eigen": (_cmd_eigen, "eigen.csv", (
+        _P("N", int, required=True, check=_AT_LEAST_1), _P("R", float, 1.0, check=_POSITIVE),
+        _P("mode", str, "ball", choices=_bif.EIGEN_MODES))),
+    # lef.csv for a solution, lef_probes.csv for a no-solution probe table
+    "lef": (_cmd_lef, None, _LEF_KEYS),
+    "sweep": (_cmd_sweep, "sweep.csv", _LEF_KEYS + (_P("lambda_grid", list, required=True),)),
+    "gelfand": (_cmd_gelfand, "gelfand.csv", (
+        _P("lambda", float, required=True), _P("mu", float, required=True), _P("N", int, 1),
+        _INTERVAL_OR_BALL, _P("solve", bool, False), _F("g", required=True))),
+    "young": (_cmd_young, None, (
+        _P("a", float, 0.0), _P("p", float, required=True), _P("lambda1", float),
+        _P("N", int, 1), _INTERVAL_OR_BALL)),
+}.items()}
 
 
 def run(spec: ProblemSpec, outdir: str, verbose: bool = False) -> dict:
-    """Validate the config, then dispatch the command; returns the summary
-    dict (also printed).  A function refused on its samples (SampleError)
+    """Check the whole config (ProblemSpec.validate), then dispatch the
+    command; returns the summary, the command's name first, as printed and
+    written to [output] json.  A function refused on its samples (SampleError)
     is a ConfigError at the [functions] key that parses to it, if any."""
     spec.validate()
     try:
-        summary = _COMMANDS[spec.command][0](spec, outdir)
+        summary = {"command": spec.command, **_COMMANDS[spec.command][0](spec, outdir)}
     except _num.SampleError as exc:
         for key, (source, lineno) in spec.data.get("functions", {}).items():
             if parse_expression(source) == exc.fn.body:
                 raise ConfigError(f"[functions] {key}: {exc}", lineno) from exc
         raise ConfigError(str(exc)) from exc
-    json_name = spec.get("output", "json", f"{spec.command.replace('-', '_')}_summary.json")
-    _emit(summary, outdir, json_name)
+    print(" ".join(f"{k}={_summary_value(v)}" for k, v in summary.items()))
+    atomic_write_text(os.path.join(outdir, spec.values["json"]),
+                      json.dumps(_jsonable(summary), indent=2) + "\n")
     if verbose:
         print(f"artifacts in {os.path.abspath(outdir)}", file=sys.stderr)
     return summary

@@ -619,6 +619,9 @@ class KFunction:
                    predicted_ell1=1.0 / (alpha + 1.0))
 
 
+TWO_TERM_CASES = ("purePower", "etaNonzero", "etaZeroTau")
+
+
 @dataclass
 class TwoTermSpec:
     """Inputs of the two-term expansion u ~ xi0 h(d) (1 + chi d^varpi).
@@ -637,7 +640,7 @@ class TwoTermSpec:
     case: str = "purePower"
 
     def __post_init__(self):
-        if self.case not in ("purePower", "etaNonzero", "etaZeroTau"):
+        if self.case not in TWO_TERM_CASES:
             raise ValueError(f"unknown case {self.case!r}")
         if self.rho <= 0.0 or self.zeta <= 0.0 or self.theta <= 0.0:
             raise ValueError("rho, zeta, theta must be positive")
@@ -1072,7 +1075,7 @@ def ell_limits(k: ScalarFn, nu: float) -> EllEstimate:
 # k-constructors
 # ---------------------------------------------------------------------------
 
-_K_KINDS = ("expA", "invS", "invLnS")
+K_KINDS = ("expA", "invS", "invLnS")
 
 
 def make_k(kind: str, S_src: str, D: float) -> KFunction:
@@ -1084,8 +1087,8 @@ def make_k(kind: str, S_src: str, D: float) -> KFunction:
     where q > -1 is the RV index of S' (rv_index); k not positive increasing
     at 24 points of (0, nu) is a SampleError for S.
     """
-    if kind not in _K_KINDS:
-        raise ValueError(f"kind must be one of {_K_KINDS}")
+    if kind not in K_KINDS:
+        raise ValueError(f"kind must be one of {K_KINDS}")
     if D <= 0.0:
         raise ValueError("D must be positive")
     S_ast = parse_expression(S_src)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sel_lab import karamata, numerics
-from sel_lab.cli import ConfigError, _summary_value, main, parse_config
+from sel_lab.cli import _COMMANDS, ConfigError, _summary_value, main, parse_config
 from sel_lab.karamata import TailMap
 
 
@@ -64,7 +64,8 @@ f = "t^2"
 """)
         spec = parse_config(cfg)
         assert spec.command == "check-ko"
-        assert spec.expression("functions", "f") == "t^2"
+        spec.validate()
+        assert spec.values["f"] == "t^2"
 
     def test_missing_required_key(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -74,7 +75,7 @@ R = 1.0
 """)
         spec = parse_config(cfg)
         with pytest.raises(ConfigError, match="missing required key 'N'"):
-            spec.get("problem", "N", required=True)
+            spec.validate()
 
     def test_duplicate_key(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -100,10 +101,12 @@ N = 2
         cfg = write_cfg(tmp_path, """
 [problem]
 command = sweep
+N = 1
 lambda_grid = 1.0, 2.0, 3.5
 """)
         spec = parse_config(cfg)
-        assert spec.get("problem", "lambda_grid") == [1.0, 2.0, 3.5]
+        spec.validate()
+        assert spec.values["lambda_grid"] == [1.0, 2.0, 3.5]
 
     def test_typed_values(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -112,15 +115,22 @@ command = blowup
 N = 3
 R = 2
 
+[functions]
+f = "t^3"
+b = "1"
+
 [numerics]
 levels = 10
 """)
         spec = parse_config(cfg)
-        assert spec.get("problem", "N", kind=int) == 3
-        assert spec.get("problem", "R", kind=float) == 2.0
-        assert spec.get("problem", "a", 0.5, kind=float) == 0.5
+        spec.validate()
+        values = spec.values
+        assert values["N"] == 3 and isinstance(values["N"], int)
+        assert values["R"] == 2.0 and isinstance(values["R"], float)
+        # an absent key reads its default
+        assert values["a"] == 0.0 and values["domain"] == "ball"
         # one number is a one-element list, as for lambda_grid
-        assert spec.get("numerics", "levels", kind=list) == [10.0]
+        assert values["levels"] == [10.0]
 
     def test_error_carries_line_number(self, tmp_path):
         cfg = write_cfg(tmp_path, "[problem]\ncommand = check-ko\nnot a kv line\n")
@@ -406,10 +416,40 @@ u_max = 1e8
         ('command = solve-system\nN = 3\nR = 50\n[functions]\np = "(1+t^2)^(-2)*(1-t/100)"\n'
          'q = "(1+t^2)^(-2)"\nf = "t^0.5"\ng = "t^0.5"\n[numerics]\nmesh_points = 256',
          "config error: the sampled function is negative (t = 128.0: fn = "),
+        # a file name given as a number or a boolean, and a solution file that
+        # cannot be read or has no r and u columns, exited 1 with a traceback
+        ("command = eigen\nN = 3\n[output]\ncsv = 5",
+         "line 5: [output] csv must be a file name, not 5"),
+        ("command = eigen\nN = 3\n[output]\njson = true",
+         "line 5: [output] json must be a file name, not True"),
+        ('command = rate\nsolution = 3\nk_alpha = 1\n[functions]\nf = "t^3"',
+         "line 3: [problem] solution must be a file name, not 3"),
+        ('command = rate\nsolution = missing.csv\nk_alpha = 1\n[functions]\nf = "t^3"',
+         "line 3: [problem] solution: [Errno 2] No such file or directory"),
+        # the config file itself has no r and u columns
+        ('command = rate\nsolution = $TMP/problem.cfg\nk_alpha = 1\n[functions]\nf = "t^3"',
+         "problem.cfg' has no r and u columns"),
+        # a word outside its set exited 3 as a numerical failure
+        ('command = make-k\nkind = 3\n[functions]\nS = "t^2"',
+         "line 3: [problem] kind must be one of expA, invS, invLnS, not 3"),
+        ('command = profile\nk_kind = bogus\n[functions]\nf = "t^3"\nS = "t^2"',
+         "line 3: [problem] k_kind must be one of expA, invS, invLnS, not 'bogus'"),
+        ("command = chi\nrho = 2\nzeta = 3\ntheta = 1\nell_star = -1\ncase = bogus",
+         "line 7: [problem] case must be one of purePower, etaNonzero, etaZeroTau, not 'bogus'"),
+        # a profile grid of fewer than two points, and an LEF domain of
+        # radius 0, exited 1 with a traceback
+        ('command = profile\nk_alpha = 1\n[functions]\nf = "t^3"\n[numerics]\ngrid_depth = 1',
+         "line 7: [numerics] grid_depth must be at least 2, not 1"),
+        ('command = lef\nN = 1\nR = 0\nlambda = 1\n[functions]\nf = "t"',
+         "line 4: [problem] R must be positive, not 0.0"),
+        # a key that the tail branch does not read is checked all the same
+        ('command = classify\ndirection = tail\nb = foo\n[functions]\nfn = "t^(-2)"',
+         "line 4: [problem] b must be a number, not 'foo'"),
     ])
     def test_bad_enumerated_or_ranged_key_is_config_error(self, tmp_path, capsys, config,
                                                           message):
         # most reached the library's ValueError: exit 3 and a failure.json
+        config = config.replace("$TMP", str(tmp_path))
         code, outdir = run_cli(tmp_path, f"[problem]\n{config}\n")
         assert code == 2
         assert message in capsys.readouterr().err
@@ -428,6 +468,39 @@ f = "t"
         assert code == 3
         diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
         assert "Keller-Osserman" in diag["error"]
+
+
+def render_key_reference() -> str:
+    """The README key reference: each command, then one line per key with
+    its section, name, kind, default and choices or range.  The keys every
+    command takes alike, [problem] command and [output] json, are left out."""
+    lines = []
+    for command, (_, keys) in _COMMANDS.items():
+        lines.append(command)
+        for key in keys:
+            if key.name in ("command", "json"):
+                continue
+            kind = getattr(key.kind, "__name__", key.kind)
+            default = ("required" if key.required else "-" if key.default is None
+                       else _summary_value(key.default))
+            rule = (f"one of {', '.join(key.choices)}" if key.choices
+                    else key.check[1] if key.check else "")
+            lines.append(f"  {'[' + key.section + ']':11} {key.name:15} {kind:5} "
+                         f"{default:11} {rule}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+class TestKeyTable:
+    def test_no_two_keys_of_a_command_share_a_name(self):
+        # the values of a validated config are keyed by name alone
+        for command, (_, keys) in _COMMANDS.items():
+            names = [key.name for key in keys]
+            assert len(names) == len(set(names)), command
+
+    def test_readme_key_reference_matches_the_command_table(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        block = readme.split("### Config keys", 1)[1].split("```text\n", 1)[1]
+        assert block.split("```", 1)[0] == render_key_reference()
 
 
 class TestSummaryFormat:
@@ -1053,6 +1126,30 @@ f = "exp(t)"
         if lam > 2.0:
             summary = json.loads(open(os.path.join(outdir, "lef_summary.json")).read())
             assert summary["lambda_star"] == pytest.approx(2.0, rel=1e-9)
+
+    def test_lef_whose_search_shot_nothing_exits_3(self, tmp_path, capsys):
+        # g = t^(-1)+0 keeps the fitted alpha = 0.9999999999999999, and the
+        # interval start divides by 1 - alpha: every probe starts below 0
+        code, outdir = run_cli(tmp_path, """
+[problem]
+command = lef
+N = 1
+geometry = interval
+lambda = 1
+
+[functions]
+f = "t"
+g = "t^(-1)+0"
+a = "1"
+""")
+        assert code == 3
+        assert "classification" not in capsys.readouterr().out
+        diag = json.loads(open(os.path.join(outdir, "failure.json")).read())
+        assert diag["error_type"] == "NumericsError"
+        assert diag["error"].startswith("the singular search shot nothing: the first probe, "
+                                        "s = 0.0001, starts at u = -")
+        assert "g's alpha = 0.9999999999999999" in diag["error"]
+        assert sorted(os.listdir(outdir)) == ["failure.json"]
 
     def test_sweep_domain_error_exits_3(self, tmp_path):
         code, outdir = run_cli(tmp_path, """
