@@ -586,14 +586,17 @@ _P = functools.partial(Key, "problem")
 _F = functools.partial(Key, "functions", kind=EXPR)
 _N = functools.partial(Key, "numerics")
 _POSITIVE = (lambda x: x > 0.0, "positive")
+_NONNEGATIVE = (lambda x: x >= 0.0, "nonnegative")
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _AT_LEAST_1 = (lambda x: x >= 1, "at least 1")
 _AT_LEAST_3 = (lambda x: x >= 3, "at least 3")
 _INTERVAL_OR_BALL = _P("geometry", str, "interval", choices=_bif.LEF_GEOMETRIES)
 
 # the weight k in its three forms, and the profile built on it
 _PROFILE_KEYS = (
-    _P("k_kind", str, choices=_ka.K_KINDS), _P("D", float, 1.0), _P("k_alpha", float),
-    _P("nu", float, 1.0), _P("c", float, 1.0),
+    _P("k_kind", str, choices=_ka.K_KINDS), _P("D", float, 1.0, check=_POSITIVE),
+    _P("k_alpha", float), _P("nu", float, 1.0, check=_POSITIVE),
+    _P("c", float, 1.0, check=_POSITIVE),
     _P("variant", str, _prof.VARIANT_K, choices=tuple(_prof.VARIANT_NORMALIZATION)),
     _F("f", required=True), _F("S"), _F("k"),
     _N("grid_depth", int, 24, check=(lambda x: x >= 2, "at least 2")),
@@ -608,38 +611,43 @@ _LEF_KEYS = (
 
 
 def _common(name, csv):
-    # the command's name and the file names of its CSV (None when it writes
-    # none, or picks one by its outcome) and of its JSON summary
-    return (_P("command", str, required=True), Key("output", "csv", str, csv),
+    # the command's name and the file names of its CSV (None when it picks
+    # one by its outcome; False when it writes none, so it takes no csv key)
+    # and of its JSON summary
+    return (_P("command", str, required=True),
+            *(() if csv is False else (Key("output", "csv", str, csv),)),
             Key("output", "json", str, f"{name.replace('-', '_')}_summary.json"))
 
 
 # command -> (handler, every key it accepts)
 _COMMANDS = {name: (handler, keys + _common(name, csv)) for name, (handler, csv, keys) in {
-    "check-ko": (_cmd_check_ko, None, (_F("f", required=True),)),
-    "classify": (_cmd_classify, None, (
-        _P("direction", str, "tail", choices=("tail", "origin")), _P("a", float, 1.0),
-        _P("b", float, 1.0), _F("fn", required=True))),
-    "analyze-f": (_cmd_analyze_f, None, (_F("f", required=True),)),
-    "ell": (_cmd_ell, None, (_P("nu", float, 1.0), _F("k", required=True))),
-    "make-k": (_cmd_make_k, None, (
-        _P("kind", str, required=True, choices=_ka.K_KINDS), _P("D", float, 1.0),
-        _F("S", required=True))),
+    "check-ko": (_cmd_check_ko, False, (_F("f", required=True),)),
+    "classify": (_cmd_classify, False, (
+        _P("direction", str, "tail", choices=("tail", "origin")),
+        _P("a", float, 1.0, check=_NONNEGATIVE), _P("b", float, 1.0, check=_POSITIVE),
+        _F("fn", required=True))),
+    "analyze-f": (_cmd_analyze_f, False, (_F("f", required=True),)),
+    "ell": (_cmd_ell, False, (_P("nu", float, 1.0, check=_POSITIVE), _F("k", required=True))),
+    "make-k": (_cmd_make_k, False, (
+        _P("kind", str, required=True, choices=_ka.K_KINDS),
+        _P("D", float, 1.0, check=_POSITIVE), _F("S", required=True))),
     "profile": (_cmd_profile, "profile.csv", _PROFILE_KEYS),
-    "xi0": (_cmd_xi0, None, (
-        _P("rho", float), _P("ell1", float), _P("c", float, 1.0), _P("gamma", float),
-        _P("kprime0", float), _F("f"))),
-    "chi": (_cmd_chi, None, (
-        _P("rho", float, required=True), _P("zeta", float, required=True),
-        _P("theta", float, required=True), _P("ell_star", float, required=True),
+    "xi0": (_cmd_xi0, False, (
+        _P("rho", float, check=_POSITIVE), _P("ell1", float, check=_UNIT),
+        _P("c", float, 1.0, check=_POSITIVE), _P("gamma", float), _P("kprime0", float),
+        _F("f"))),
+    "chi": (_cmd_chi, False, (
+        _P("rho", float, required=True, check=_POSITIVE),
+        _P("zeta", float, required=True, check=_POSITIVE),
+        _P("theta", float, required=True, check=_POSITIVE), _P("ell_star", float, required=True),
         _P("c_tilde", float, 0.0), _P("ell_sup", float),
         _P("case", str, "purePower", choices=_ka.TWO_TERM_CASES))),
     "solve-entire": (_cmd_solve_entire, "entire.csv", (
-        _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0),
+        _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0, check=_POSITIVE),
         _P("b0", float, 1.0), _F("f", required=True), _F("psi", required=True), _F("phi"),
         _N("tol", float, 1e-8, check=_POSITIVE), _N("panels", int, 2048, check=_AT_LEAST_1))),
     "solve-system": (_cmd_solve_system, "system.csv", (
-        _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0),
+        _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0, check=_POSITIVE),
         _P("a", float, 1.0, check=_POSITIVE), _P("b", float, 1.0, check=_POSITIVE),
         _F("p", required=True), _F("q", required=True), _F("f", required=True),
         _F("g", required=True), _N("tol", float, 1e-10, check=_POSITIVE),
@@ -648,9 +656,11 @@ _COMMANDS = {name: (handler, keys + _common(name, csv)) for name, (handler, csv,
     "blowup": (_cmd_blowup, "blowup.csv", _PROFILE_KEYS + (
         _P("N", int, required=True, check=_AT_LEAST_1),
         _P("domain", str, "ball", choices=("ball", "annulus", "whole-space")),
-        _P("R", float), _P("R0", float, 0.0), _P("a", float, 0.0), _P("omega0", float, 0.0),
+        _P("R", float, check=_POSITIVE), _P("R0", float, 0.0), _P("a", float, 0.0),
+        _P("omega0", float, 0.0),
         _P("b_normalization", str, "k2", choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
-        _F("b", required=True), _N("levels", list))),
+        _F("b", required=True),
+        _N("levels", list, check=(lambda xs: all(x > 0.0 for x in xs), "positive numbers")))),
     "rate": (_cmd_rate, "rate.csv", _PROFILE_KEYS + (_P("solution", str, required=True),)),
     "eigen": (_cmd_eigen, "eigen.csv", (
         _P("N", int, required=True, check=_AT_LEAST_1), _P("R", float, 1.0, check=_POSITIVE),
@@ -659,11 +669,13 @@ _COMMANDS = {name: (handler, keys + _common(name, csv)) for name, (handler, csv,
     "lef": (_cmd_lef, None, _LEF_KEYS),
     "sweep": (_cmd_sweep, "sweep.csv", _LEF_KEYS + (_P("lambda_grid", list, required=True),)),
     "gelfand": (_cmd_gelfand, "gelfand.csv", (
-        _P("lambda", float, required=True), _P("mu", float, required=True), _P("N", int, 1),
+        _P("lambda", float, required=True, check=_NONNEGATIVE),
+        _P("mu", float, required=True, check=_NONNEGATIVE), _P("N", int, 1),
         _INTERVAL_OR_BALL, _P("solve", bool, False), _F("g", required=True))),
-    "young": (_cmd_young, None, (
-        _P("a", float, 0.0), _P("p", float, required=True), _P("lambda1", float),
-        _P("N", int, 1), _INTERVAL_OR_BALL)),
+    "young": (_cmd_young, False, (
+        _P("a", float, 0.0, check=_NONNEGATIVE),
+        _P("p", float, required=True, check=(lambda x: 1.0 < x < 2.0, "in (1, 2)")),
+        _P("lambda1", float, check=_POSITIVE), _P("N", int, 1), _INTERVAL_OR_BALL)),
 }.items()}
 
 

@@ -1055,7 +1055,10 @@ class RateTable:
 
 def measure_boundary_rate(sol: RadialSolution, profile: BlowupProfile) -> RateTable:
     """Ratios u/h(d) and u/(xi0 h(d)) at the RATE_POINTS grid points nearest
-    the boundary inside the profile table.
+    the boundary inside the profile table's range.  h(d) is
+    BlowupProfile.h_at: the identity Phi(h(d)) = int_0^d w inverted at d,
+    audited to 1e-8 as the table is, so a d between table points reads no
+    interpolant.
 
     The limit is the xi0-normalized ratio nearest the boundary and the drift
     its change to the next point.  A reading whose two nearest ratios differ

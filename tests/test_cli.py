@@ -445,6 +445,39 @@ u_max = 1e8
         # a key that the tail branch does not read is checked all the same
         ('command = classify\ndirection = tail\nb = foo\n[functions]\nfn = "t^(-2)"',
          "line 4: [problem] b must be a number, not 'foo'"),
+        # the eight commands that write no CSV accepted [output] csv and
+        # ignored it
+        *((f'command = {command}\n[output]\ncsv = never.csv',
+           f"line 4: unknown key 'csv' in [output] for command {command}")
+          for command in ("check-ko", "classify", "analyze-f", "ell", "make-k", "xi0", "chi",
+                          "young")),
+        # a value out of its range reached the library: exit 3, no key named
+        ('command = make-k\nkind = invS\nD = -1\n[functions]\nS = "t^2"',
+         "line 4: [problem] D must be positive, not -1.0"),
+        ('command = ell\nnu = -1\n[functions]\nk = "t"',
+         "line 3: [problem] nu must be positive, not -1.0"),
+        ('command = profile\nk_alpha = 1\nnu = -1\n[functions]\nf = "t^3"',
+         "line 4: [problem] nu must be positive, not -1.0"),
+        ('command = profile\nk_alpha = 1\nc = -1\n[functions]\nf = "t^3"',
+         "line 4: [problem] c must be positive, not -1.0"),
+        ('command = rate\nsolution = missing.csv\nk_alpha = 1\nc = -1\n[functions]\nf = "t^3"',
+         "line 5: [problem] c must be positive, not -1.0"),
+        ("command = young\np = 0.5", "line 3: [problem] p must be in (1, 2), not 0.5"),
+        ('command = classify\na = -1\n[functions]\nfn = "t^(-2)"',
+         "line 3: [problem] a must be nonnegative, not -1.0"),
+        ('command = blowup\nN = 1\nR = -1\n[functions]\nf = "t^3"\nb = "1"',
+         "line 4: [problem] R must be positive, not -1.0"),
+        ('command = blowup\nN = 1\n[functions]\nf = "t^3"\nb = "1"\n[numerics]\nlevels = -5',
+         "line 8: [numerics] levels must be positive numbers, not [-5.0]"),
+        ('command = blowup\nN = 1\nk_alpha = 1\nnu = -1\n[functions]\nf = "t^3"\nb = "1"',
+         "line 5: [problem] nu must be positive, not -1.0"),
+        ('command = solve-entire\nN = 3\nR = 0\n[functions]\nf = "t^0.5"\npsi = "1"',
+         "line 4: [problem] R must be positive, not 0.0"),
+        ("command = chi\nrho = -2\nzeta = 3\ntheta = 1\nell_star = -1",
+         "line 3: [problem] rho must be positive, not -2.0"),
+        ("command = xi0\nrho = 2\nell1 = -3", "line 4: [problem] ell1 must be in [0, 1], not -3.0"),
+        ('command = solve-system\nN = 3\nR = -1\n[functions]\np = "1"\nq = "1"\nf = "t^0.5"\n'
+         'g = "t^0.5"', "line 4: [problem] R must be positive, not -1.0"),
     ])
     def test_bad_enumerated_or_ranged_key_is_config_error(self, tmp_path, capsys, config,
                                                           message):

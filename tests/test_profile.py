@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from sel_lab import profile
 from sel_lab.expr import ScalarFn
 from sel_lab.karamata import (
     KFunction,
+    _integral_from_zero,
     analyze_nonlinearity,
     analyze_singular_term,
     ell_limits,
     keller_osserman,
+    make_k,
     xi0_power,
 )
 from sel_lab.numerics import NonIntegrableError, NumericsError, find_root_monotone
@@ -96,14 +97,19 @@ class TestBuildProfile:
 
     def test_roundtrip_check_fires_on_a_moved_root(self, monkeypatch):
         # every h off its root by 1e-6 relative misses Phi(h) = int_0^t k
-        # by about as much, far past the 1e-8 the check allows
+        # by about as much, far past the 1e-8 the check allows, in the table
+        # and between its points alike; a table point is not inverted again
+        args = (analyze_nonlinearity("t^3"), KFunction.power(1.0, nu=1.0))
+        grid = 2.0 ** (-np.arange(1, 11, dtype=float))
+        prof = build_profile(*args, variant=VARIANT_K, c=1.0, t_grid=grid)
         monkeypatch.setattr(profile, "find_root_monotone",
                             lambda *args, **kwargs: find_root_monotone(*args, **kwargs)
                             * (1.0 + 1e-6))
         with pytest.raises(ValueError, match="round-trip error"):
-            build_profile(analyze_nonlinearity("t^3"), KFunction.power(1.0, nu=1.0),
-                          variant=VARIANT_K, c=1.0,
-                          t_grid=2.0 ** (-np.arange(1, 11, dtype=float)))
+            build_profile(*args, variant=VARIANT_K, c=1.0, t_grid=grid)
+        with pytest.raises(ValueError, match="round-trip error"):
+            prof.h_at(0.75 * 2.0 ** -3)
+        assert prof.h_at(2.0 ** -3) == prof.h[7]
 
     def test_sqrt_k_variant_roundtrip(self):
         f = analyze_nonlinearity("t^2")
@@ -126,6 +132,27 @@ class TestBuildProfile:
     def test_ko_divergent_refused(self):
         with pytest.raises(ValueError, match="Keller-Osserman"):
             build_profile(analyze_nonlinearity("t"), KFunction.power(1.0))
+
+    def test_table_points_read_the_table(self, cubic_profile):
+        for t, h in zip(cubic_profile.t.tolist(), cubic_profile.h.tolist()):
+            assert cubic_profile.h_at(t) == h
+
+    # the weight of each case: k = t, or make-k's invLnS of S = t
+    MIDPOINT_CASES = [("exp(t)", None), ("t^3", "invLnS"), ("t^1.5*ln(1+t)^2", None)]
+
+    @pytest.mark.parametrize("f_src,k_kind", MIDPOINT_CASES)
+    def test_identity_holds_between_table_points(self, f_src, k_kind):
+        # at the 13 geometric midpoints of the 2^-1 ... 2^-14 grid of blowup
+        # and rate, h_at inverts Phi(h(d)) = int_0^d k as the table does;
+        # a cubic through the table missed it by up to 1.8e-2
+        f = analyze_nonlinearity(f_src)
+        k = KFunction.power(1.0) if k_kind is None else make_k(k_kind, "t", 1.0)
+        grid = k.nu * 2.0 ** (-np.arange(1, 15, dtype=float))
+        prof = build_profile(f, k, t_grid=grid)
+        phi = tail_map(f)
+        for d in np.sqrt(grid[1:] * grid[:-1]).tolist():
+            rhs = _integral_from_zero(k.k, np.array([d]), 1e-12)[0]
+            assert abs(phi(prof.h_at(d)) - rhs) <= 1e-8 * rhs, d
 
     def test_h_decreasing_to_infinity(self, cubic_profile):
         assert np.all(np.diff(cubic_profile.h) < 0.0)
@@ -250,45 +277,3 @@ def test_profile_csv_export(cubic_profile, tmp_path):
     assert lines[0].startswith("# variant=")
     assert lines[1] == "t,h,h_prime"
     assert len(lines) == 2 + cubic_profile.t.size
-
-
-class TestMonotoneCubic:
-    """The interpolant of h against scipy's PchipInterpolator, the oracle:
-    the same bytes at every knot and at random points between them."""
-
-    @staticmethod
-    def _queries(x, rng):
-        between = x[:-1] + (x[1:] - x[:-1]) * rng.uniform(size=(3, x.size - 1))
-        return np.concatenate((x, between.ravel(), rng.uniform(x[0], x[-1], 20)))
-
-    @staticmethod
-    def _assert_scipy_bytes(x, y, v):
-        cubic = profile.MonotoneCubic(x, y)
-        got = np.array([cubic(q) for q in v.tolist()])
-        assert got.tobytes() == PchipInterpolator(x, y)(v).tobytes()
-
-    SHAPES = ["increasing", "decreasing", "sign-changing", "flat-steps", "two-point"]
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_random_data(self, shape):
-        rng = np.random.default_rng(self.SHAPES.index(shape))
-        for _ in range(40):
-            n = 2 if shape == "two-point" else int(rng.integers(3, 40))
-            x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 5.0
-            if shape == "increasing":
-                y = np.cumsum(rng.uniform(0.0, 3.0, n))
-            elif shape == "decreasing":
-                y = -np.cumsum(rng.exponential(1.0, n))
-            elif shape == "flat-steps":  # zero secants and sign changes
-                y = rng.integers(-2, 3, n).astype(float)
-            else:
-                y = rng.normal(size=n)
-            self._assert_scipy_bytes(x, y, self._queries(x, rng))
-
-    def test_built_profile_table(self, cubic_profile):
-        x, y = np.log(cubic_profile.t), np.log(cubic_profile.h)
-        v = self._queries(x, np.random.default_rng(7))
-        self._assert_scipy_bytes(x, y, v)
-        pchip = PchipInterpolator(x, y)
-        for d in np.exp(v).clip(cubic_profile.t[0], cubic_profile.t[-1]).tolist():
-            assert cubic_profile.h_at(d) == math.exp(pchip(math.log(d)))
