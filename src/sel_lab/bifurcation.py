@@ -21,8 +21,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from . import ports
 from .expr import EvalDomainError, ScalarFn, compose_scalar, const
 from .ioutil import fmt, write_csv
 from .karamata import Nonlinearity
@@ -461,8 +461,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
 
         for _, lo, hi in maxima:
             try:
-                minimize_scalar(minus_z, bounds=(math.log(lo), math.log(hi)),
-                                method="bounded", options={"xatol": 1e-5})
+                ports.minimize_bounded(minus_z, math.log(lo), math.log(hi), xatol=1e-5)
             except _Bracketed as found:
                 return found.args[0]
         return None

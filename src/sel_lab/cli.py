@@ -657,7 +657,7 @@ _COMMANDS = {name: (handler, keys + _common(name, csv)) for name, (handler, csv,
         _P("N", int, required=True, check=_AT_LEAST_1),
         _P("domain", str, "ball", choices=("ball", "annulus", "whole-space")),
         _P("R", float, check=_POSITIVE), _P("R0", float, 0.0), _P("a", float, 0.0),
-        _P("omega0", float, 0.0),
+        _P("omega0", float, 0.0, check=_NONNEGATIVE),
         _P("b_normalization", str, "k2", choices=tuple(_prof.VARIANT_NORMALIZATION.values())),
         _F("b", required=True),
         _N("levels", list, check=(lambda xs: all(x > 0.0 for x in xs), "positive numbers")))),

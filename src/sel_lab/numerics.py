@@ -18,7 +18,7 @@ image.  Then bracketed root finding, and the radial shooting kernel:
 and cap events.  Every ODE solve of the package goes through it, on
 DOP853 over plain floats.  The whole step loop (stages, error norm, step
 control, the drift (N-1)/r u' and three event slots: floor 0, floor 1,
-cap) is one function generated at import from scipy's tables, one for
+cap) is one function generated at import from DOP853's tables, one for
 N = 1 and one for N >= 2; it calls the problem's source and returns to
 Python only at the end of the interval, at the minimum step or on a step
 where an event fires.  `shoot` then locates the event, ends the shot
@@ -35,9 +35,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import DOP853, quad
-from scipy.optimize import brentq
 
+from . import ports
 from .expr import EvalDomainError, ScalarFn
 from .ioutil import write_csv
 
@@ -181,8 +180,9 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
     """Integrate with a cubic grading substitution toward one endpoint.
 
     toward='left' maps t = a + (b-a) w^3, concentrating nodes near a; this
-    turns an integrable power singularity t^-p into w^(2-3p), which QUADPACK
-    then resolves.  Endpoints themselves are never evaluated.
+    turns an integrable power singularity t^-p into w^(2-3p), which QUADPACK's
+    qagse (ports.qagse) then resolves.  Endpoints themselves are never
+    evaluated.
     """
     width = b - a
     if width <= 0.0:
@@ -197,7 +197,7 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
             return 0.0
         return 3.0 * width * w * w * fn(t)
 
-    return quad(g, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:2]
+    return ports.qagse(g, 0.0, 1.0, tol)[:2]
 
 
 def _raise_if_not_integrable(fn, a: float, b: float) -> None:
@@ -860,7 +860,7 @@ def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
 # ---------------------------------------------------------------------------
 
 class _Converged(Exception):
-    """Raised inside brentq's objective with a point that meets the residual stop."""
+    """Raised inside Brent's objective with a point that meets the residual stop."""
 
 
 def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-12,
@@ -903,18 +903,13 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
         return g
 
     try:
-        root, info = brentq(gap, lo, hi, xtol=width_tol,
-                            rtol=max(width_tol, 4.0 * np.finfo(float).eps),
-                            maxiter=200, full_output=True, disp=False)
+        root, iterations, converged = ports.brentq(gap, lo, hi, width_tol,
+                                                   max(width_tol, 4.0 * _EPS), 200)
     except _Converged as hit:
         return hit.args[0]
-    finally:
-        # brentq's wrapper of gap refers to itself, so gap lives on in a
-        # reference cycle until a collection: it keeps no fn alive
-        fn = None
-    if not info.converged:
+    if not converged:
         raise NumericsError(f"root search for target {target!r} did not converge on "
-                            f"[{lo!r}, {hi!r}]: {info.flag} after {info.iterations} iterations")
+                            f"[{lo!r}, {hi!r}]: convergence error after {iterations} iterations")
     return root
 
 
@@ -959,7 +954,7 @@ def bessel_psi(M: int, x):
 
 # The explicit Runge-Kutta pair as scipy runs it: DOP853 (Dormand-Prince
 # 8(5,3), Hairer-Norsett-Wanner II.10, with degree-7 dense output from three
-# extra stages).  Its tables are read from scipy's class, and the whole step
+# extra stages).  Its tables are the literals of ports, and the whole step
 # loop (stages, error norm, step control, drift and events) is generated
 # once, at import, as straight-line code over Python floats.
 _EPS = float(np.finfo(float).eps)
@@ -968,9 +963,9 @@ _SQRT2 = 2 ** 0.5
 _MESSAGES = {-1: "Required step size is less than spacing between numbers.",
              0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred."}
-_STAGES = DOP853.n_stages  # RHS calls of an attempted step: 12
-_DENSE_STAGES = len(DOP853.C_EXTRA)  # and of one step's interpolant: 3
-_ERROR_EXPONENT = 1 / (DOP853.error_estimator_order + 1)  # 1/8
+_STAGES = ports.DOP853_STAGES  # RHS calls of an attempted step: 12
+_DENSE_STAGES = len(ports.DOP853_C_EXTRA)  # and of one step's interpolant: 3
+_ERROR_EXPONENT = 1 / (ports.DOP853_ERROR_ORDER + 1)  # 1/8
 # The three event slots, numbered as ShotResult.event, as g(u): u falls to
 # floor 0 or 1, or rises to the cap.  An absent slot's level is -inf (floors)
 # or +inf (cap): its g is never <= 0.  The step loop writes max(a, b) as the
@@ -1013,11 +1008,11 @@ def _indent(lines, depth: int) -> list:
 
 
 def _compile_kernel(drift: bool):
-    """Generate (run, slope, gates) for one drift class from scipy's DOP853
-    tables: u'' at (r, u, u' = v), the three event functions of u, and the
-    step loop.  run steps from (r, u, v) with slope f, trying h_next first,
-    and appends each accepted step's end to ts, us, vs and, when dense, its
-    interpolant (r, h, u, v, F rows of u, F rows of v) to steps.  It returns
+    """Generate (run, slope) for one drift class from DOP853's tables:
+    u'' at (r, u, u' = v) and the step loop.  run steps from (r, u, v)
+    with slope f, trying h_next first, and appends each accepted step's
+    end to ts, us, vs and, when dense, its interpolant (r, h, u, v, F rows
+    of u, F rows of v) to steps.  It returns
     (status, accepted, rejected, r_new, step, fired) at r_end (status 0),
     at the minimum step (-1) or on a step where an event slot fires (1);
     only then are the last three that step's end, its interpolant and the
@@ -1025,8 +1020,8 @@ def _compile_kernel(drift: bool):
     u-slope of each stage is that stage's v.
     """
     ku, kv = ["v"], ["f"]
-    stages = _stage_lines(DOP853.A[1:].tolist(), DOP853.C[1:].tolist(), ku, kv, 2, drift)
-    b, e5, e3 = DOP853.B.tolist(), DOP853.E5.tolist(), DOP853.E3.tolist()
+    stages = _stage_lines(ports.DOP853_A, ports.DOP853_C, ku, kv, 2, drift)
+    b, e5, e3 = ports.DOP853_B, ports.DOP853_E5, ports.DOP853_E3
     stages += [f"u_new = u + h * ({_weighted(b, ku)})",
                f"v_new = v + h * ({_weighted(b, kv)})",
                *_slope_lines("f_new", "r + h", "u_new", "v_new", drift),
@@ -1049,9 +1044,9 @@ def _compile_kernel(drift: bool):
                "error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
     # three extra stages, then scipy's F rows: y_new - y_old, h f_old - dy,
     # 2 dy - h (f_new + f_old) and h D K over all sixteen stages
-    interpolant = _stage_lines(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist(), ku, kv,
+    interpolant = _stage_lines(ports.DOP853_A_EXTRA, ports.DOP853_C_EXTRA, ku, kv,
                                len(ku) + 1, drift)
-    rows = DOP853.D.tolist()
+    rows = ports.DOP853_D
     interpolant += [
         "du = u_new - u",
         "dv = v_new - v",
@@ -1066,9 +1061,6 @@ def _compile_kernel(drift: bool):
         "def slope(source, d, r, u, v):",
         *_indent(_slope_lines("f", "r", "u", "v", drift), 1),
         "    return f",
-        "",
-        "def gates(u, lo0, lo1, cap):",
-        f"    return {', '.join(g.format(u='u') for g in _GATES)}",
         "",
         "def run(source, d, r, u, v, f, h_next, r_end, rtol, atol, lo0, lo1, cap,",
         "        dense, ts, us, vs, steps):",
@@ -1115,7 +1107,7 @@ def _compile_kernel(drift: bool):
     env = {"_sqrt": math.sqrt, "_nextafter": math.nextafter, "_inf": math.inf}
     code = compile("\n".join(lines), f"<sel_lab DOP853 drift={drift}>", "exec")
     exec(code, env)  # noqa: S102 - own codegen
-    return env["run"], env["slope"], env["gates"]
+    return env["run"], env["slope"]
 
 
 # the kernels without (N = 1) and with the drift term (N >= 2)
@@ -1217,9 +1209,10 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
     class, with the drift and the three event slots inline; it returns here
     only at r_end, at the minimum step (status -1, also for a nan source)
     or on a step where an event falls through zero, which is then located
-    by brentq on the step's interpolant: the earliest root ends the shot
-    and is its last point.  Squares are x * x, so an overflow gives inf or
-    nan and a rejected step rather than an exception.  dense=True builds
+    by Brent's method (ports.brentq) on the step's interpolant of u: the
+    earliest root ends the shot and is its last point.  Squares are x * x,
+    so an overflow gives inf or nan and a rejected step rather than an
+    exception.  dense=True builds
     the continuous solution `sol`, at three more RHS calls per step.
     """
     if len(floors) > 2:
@@ -1227,7 +1220,7 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
     u, v = float(y0[0]), float(y0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError("All components of the initial state `y0` must be finite.")
-    run, slope, gates = _KERNELS[N > 1]
+    run, slope = _KERNELS[N > 1]
     d = N - 1
 
     # the slope at the start and the initial step (Hairer-Norsett-Wanner
@@ -1256,10 +1249,24 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
         source, d, r, u, v, f, h_next, r_end, rtol, atol, *levels, dense, ts, us, vs, steps)
     event = None
     if status == 1:  # the earliest root on the step's interpolant ends the shot
-        root, event = min((brentq(lambda x, j=j: gates(_interpolate_nested(step, x)[0],
-                                                       *levels)[j],
-                                  step[0], r_new, xtol=4 * _EPS, rtol=4 * _EPS), j)
-                          for j in range(len(_GATES)) if fired[j])
+        r_old, h, u_old, _, fu, _ = step
+
+        def gap(j):  # slot j's g of u on the interpolant, as _GATES forms it
+            level = levels[j]
+            if j == 2:
+                return lambda x: level - (_nested(fu, (x - r_old) / h) + u_old)
+            return lambda x: _nested(fu, (x - r_old) / h) + u_old - level
+
+        root = None
+        for j in range(len(_GATES)):
+            if fired[j]:
+                x, iterations, converged = ports.brentq(gap(j), r_old, r_new,
+                                                        4 * _EPS, 4 * _EPS, 100)
+                if not converged:
+                    raise NumericsError(f"event {j} not located on [{r_old!r}, {r_new!r}] "
+                                        f"after {iterations} iterations")
+                if root is None or x < root:
+                    root, event = x, j
         u, v = _interpolate_nested(step, root)
         if dense and len(ts) > 1 and ts[-1] == root:
             steps.pop()

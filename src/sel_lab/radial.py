@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expn
 
 from .expr import VAR, ExprAst, ScalarFn, compose_scalar
 from .karamata import Antiderivative, Nonlinearity, keller_osserman, tail_map
@@ -215,8 +214,11 @@ def _large_condition_kernel(N: int):
     With n = N - 1 (Abramowitz & Stegun 5.1.4): s e^s E_n(s) for s >= 1 and
     e^s s^n E_n(1) below 1.  From _SERIES_FROM on, s e^s E_n(s) is the series
     sum_k (-1)^k (n)_k / s^k (A&S 5.1.51), stopped at its smallest term or
-    where the terms fall below the rounding of the sum.
+    where the terms fall below the rounding of the sum.  Only here does the
+    package load scipy (scipy.special.expn).
     """
+    from scipy.special import expn
+
     n = N - 1
     head = float(expn(n, 1.0))
 

@@ -471,6 +471,9 @@ u_max = 1e8
          "line 8: [numerics] levels must be positive numbers, not [-5.0]"),
         ('command = blowup\nN = 1\nk_alpha = 1\nnu = -1\n[functions]\nf = "t^3"\nb = "1"',
          "line 5: [problem] nu must be positive, not -1.0"),
+        # a negative vanishing-core radius ran as if no core were set
+        ('command = blowup\nN = 1\nomega0 = -1\n[functions]\nf = "t^3"\nb = "1"',
+         "line 4: [problem] omega0 must be nonnegative, not -1.0"),
         ('command = solve-entire\nN = 3\nR = 0\n[functions]\nf = "t^0.5"\npsi = "1"',
          "line 4: [problem] R must be positive, not 0.0"),
         ("command = chi\nrho = -2\nzeta = 3\ntheta = 1\nell_star = -1",
