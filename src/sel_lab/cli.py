@@ -644,7 +644,8 @@ _COMMANDS = {name: (handler, keys + _common(name, csv)) for name, (handler, csv,
         _P("case", str, "purePower", choices=_ka.TWO_TERM_CASES))),
     "solve-entire": (_cmd_solve_entire, "entire.csv", (
         _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0, check=_POSITIVE),
-        _P("b0", float, 1.0), _F("f", required=True), _F("psi", required=True), _F("phi"),
+        _P("b0", float, 1.0, check=_POSITIVE), _F("f", required=True),
+        _F("psi", required=True), _F("phi"),
         _N("tol", float, 1e-8, check=_POSITIVE), _N("panels", int, 2048, check=_AT_LEAST_1))),
     "solve-system": (_cmd_solve_system, "system.csv", (
         _P("N", int, required=True, check=_AT_LEAST_3), _P("R", float, 50.0, check=_POSITIVE),

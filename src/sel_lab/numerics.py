@@ -1,7 +1,9 @@
 """Shared numerical kernels.
 
-Adaptive quadrature with endpoint-singularity grading, a Gauss-Kronrod
-panel rule that falls back to it (integrate_panel) and the same rule over
+Adaptive quadrature with endpoint-singularity grading (integrate_finite:
+each graded half bisected on the 15-point Gauss-Kronrod panel, an end it
+cannot close read as the tail of its t -> end + 1/s image), that panel
+rule with a fallback to it (integrate_panel) and the same rule over
 many panels in one array evaluation (integrate_panels, no fallback: it
 reports which panels pass) with the integrals of the degree-14
 interpolant its 15 samples fix, one improper-integral classifier for
@@ -31,6 +33,7 @@ All functions here are pure over immutable inputs; no global state.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -176,13 +179,48 @@ class RadialSolution:
 # Finite-interval adaptive quadrature
 # ---------------------------------------------------------------------------
 
+# The most panels a graded half of integrate_finite is cut into (QUADPACK's
+# limit), and its narrowest panel, relative to |t| at the centre: there the
+# nodes lie thousands of ulps apart, short of landing on an interior pole.
+_PANEL_LIMIT, _PANEL_FLOOR = 200, 2.0 ** -36
+
+
+def _kronrod_panel(g, a: float, b: float):
+    """(value, err) of g over (a, b) in Python floats: integrate_panel's
+    Kronrod value in its float operations and qk15's scaled estimate as
+    _gk15 forms it (inf where the value is not finite)."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fs = [g(centre)]
+    kronrod, gauss = _GK15_CENTRE[0] * fs[0], _GK15_CENTRE[1] * fs[0]
+    for x, wk, wg in _GK15:
+        dx = half * x
+        fs += (g(centre - dx), g(centre + dx))
+        pair = fs[-2] + fs[-1]
+        kronrod += wk * pair
+        gauss += wg * pair
+    value, mean = kronrod * half, 0.5 * kronrod
+    if not math.isfinite(value):
+        return value, math.inf
+    resabs, resasc = _GK15_CENTRE[0] * abs(fs[0]), _GK15_CENTRE[0] * abs(fs[0] - mean)
+    for (_, wk, _), f1, f2 in zip(_GK15, fs[1::2], fs[2::2]):
+        resabs += wk * (abs(f1) + abs(f2))
+        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+    raw, resabs, resasc = abs(kronrod - gauss) * half, resabs * half, resasc * half
+    err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5) if resasc > 0.0 and raw > 0.0 else raw
+    return value, max(err, 50.0 * _EPS * resabs)
+
+
 def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
     """Integrate with a cubic grading substitution toward one endpoint.
 
     toward='left' maps t = a + (b-a) w^3, concentrating nodes near a; this
-    turns an integrable power singularity t^-p into w^(2-3p), which QUADPACK's
-    qagse (ports.qagse) then resolves.  Endpoints themselves are never
-    evaluated.
+    turns an integrable power singularity t^-p into w^(2-3p).  Bisection
+    over w in (0, 1), from two panels, halves the largest error estimate
+    (_kronrod_panel) until they sum to at most tol (1 + |value|); a panel
+    that is not finite, narrower than _PANEL_FLOOR of its t or past
+    _PANEL_LIMIT ends it: at w = 0 the piece goes to the end's image
+    (_end_integral), elsewhere it is a NumericsError.  Endpoints themselves
+    are never evaluated.
     """
     width = b - a
     if width <= 0.0:
@@ -197,7 +235,51 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
             return 0.0
         return 3.0 * width * w * w * fn(t)
 
-    return ports.qagse(g, 0.0, 1.0, tol)[:2]
+    (v1, e1), (v2, e2) = _kronrod_panel(g, 0.0, 0.5), _kronrod_panel(g, 0.5, 1.0)
+    panels = [(-e1, 0.0, 0.5, v1), (-e2, 0.5, 1.0, v2)]  # (-err, lo, hi, value)
+    heapq.heapify(panels)  # the largest estimate first
+    value, err = v1 + v2, e1 + e2
+    while not err <= tol * (1.0 + abs(value)):
+        e, lo, hi, v = panels[0]
+        mid = 0.5 * (lo + hi)
+        if (len(panels) == _PANEL_LIMIT or not math.isfinite(v - e) or not
+                width * (hi ** 3 - lo ** 3) > _PANEL_FLOOR * abs(end + step * mid ** 3)):
+            if lo == 0.0:
+                return _end_integral(fn, end, step, tol, toward, -1.0 if v < 0.0 else 1.0)
+            raise NumericsError("max subdivision exceeded without reaching tolerance")
+        (v1, e1), (v2, e2) = _kronrod_panel(g, lo, mid), _kronrod_panel(g, mid, hi)
+        heapq.heapreplace(panels, (-e1, lo, mid, v1))
+        heapq.heappush(panels, (-e2, mid, hi, v2))
+        value += v1 + v2 - v
+        err += e1 + e2 + e
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+
+
+def _end_integral(fn, end: float, step: float, tol: float, toward: str, sign: float):
+    """(value, err) of sign fn from end to end + step, sign its sign near
+    the end, as the tail of its image (_end_image) from s = 1/|step|:
+    Bertrand's test on the image's samples decides (divergent is a
+    NonIntegrableError, undecided a NumericsError), _integrate_log_tail
+    integrates it up to the last sample, and the fitted remainder past
+    that (_end_remainder) is added to the value and its bound to err.
+    """
+    image = _end_image(fn if sign > 0.0 else (lambda t: -fn(t)), end, math.copysign(1.0, step))
+    s0 = 1.0 / abs(step)
+    try:
+        ts, fs = _tail_samples(image, s0)
+    except ValueError as exc:  # a negative sample, or fn failing at one
+        raise NumericsError(f"the image of the {toward} endpoint: {exc}") from exc
+    fit = bertrand_tail(ts, fs)
+    if fit is None or fit[0] is None:
+        raise NumericsError(f"the {toward} endpoint is undecided ({len(ts)} image samples)")
+    if not fit[0]:
+        raise NonIntegrableError(f"non-integrable singularity at the {toward} endpoint "
+                                 f"(local power {-2.0 - fit[2]:.3f})")
+    top = math.log(ts[-1])
+    value, err = _integrate_log_tail(image, [w for w in _panel_edges(s0) if w < top] + [top],
+                                     tol, ts[-1])
+    rem, rem_err = _end_remainder(fit[3], ts[-1], fs[-1])
+    return sign * (value + rem), err + rem_err
 
 
 def _raise_if_not_integrable(fn, a: float, b: float) -> None:
@@ -234,13 +316,15 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
     """Adaptive quadrature of fn on (a, b); returns (value, err).
 
     Integrable endpoint power singularities are allowed; a non-integrable
-    one (local power <= -1) raises NonIntegrableError.  The error estimate
-    satisfies err <= tol*(1+|value|) or NumericsError is raised.
+    one (local power <= -1) raises NonIntegrableError.  Each half of (a, b)
+    is graded toward its end and bisected (_quad_piece), or read off the
+    end's image (_end_integral).  The error estimate satisfies
+    err <= tol*(1+|value|) or NumericsError is raised.
     """
     if not b > a:
         raise ValueError("integrate_finite requires a < b")
-    # before QUADPACK, whose extrapolation can settle on a finite number (the
-    # Hadamard finite part -1 of int_0^1 t^-2, say) for a divergent integral
+    # before the bisection, which can overflow near a divergent end (t^-2
+    # at a tiny t) before the end's image has decided it
     _raise_if_not_integrable(fn, a, b)
     mid = 0.5 * (a + b)
     v1, e1 = _quad_piece(fn, a, mid, tol * 0.25, "left")
@@ -656,6 +740,37 @@ def bertrand_remainder(diag, t: float, value: float) -> float:
     return value * t * (1.0 / (-1.0 - diag["a"]))
 
 
+def _end_remainder(diag, t: float, value: float):
+    """(rem, err): the integral past t of an integrand with the convergent
+    Bertrand fit diag and the value value at t, and a bound on its error.
+
+    The fit's shape s^A (ln s)^B makes it value t/lam E(1 + q x)^B, x ~ e^-x,
+    lam = -1 - A, q = 1/(lam ln t); by Taylor's theorem the expectation is
+    1 + B q + B (B-1) q^2 th, th between 1 and (1 - (B-2) q)^-3, read at
+    their mean.  With A = -1 within the fit's resolution, rem is
+    bertrand_remainder's, exact at A = -1, and err bounds what a decay
+    e^(-|A+1| ln s) takes off it.  err adds the misfit as a relative error
+    of the shape, grown past the window as a quadratic within the misfit on
+    it may grow (Markov: 8 misfit per window span, in ln s or, at A ~ -1,
+    in ln ln s).
+    """
+    A, B, misfit = diag["a"], diag["b"], diag["misfit"]
+    w, w0 = math.log(t), diag["w_range"][0]
+    base = bertrand_remainder(diag, t, value)
+    if _near_one(diag):
+        # int_w^inf min(1, x u/w) u^(-1-beta) du over base's is at most this
+        beta, x = -1.0 - B, min(1.0, abs(A + 1.0) * w)
+        decay = x ** min(beta, 1.0) * (1.0 - beta * math.log(x)) if x > 0.0 else 0.0
+        return base, abs(base) * (decay + misfit * (1.0 + 8.0 / (beta * math.log(w / w0))))
+    lam = -1.0 - A
+    q = 1.0 / (lam * w)
+    if not (B - 2.0) * q < 1.0:
+        return base, math.inf
+    c, k = B * (B - 1.0) * q * q, (1.0 - (B - 2.0) * q) ** -3
+    return (base * (1.0 + B * q + 0.5 * c * (1.0 + k)),
+            abs(base) * (0.5 * abs(c * (k - 1.0)) + misfit * (1.0 + 8.0 / (lam * (w - w0)))))
+
+
 def bertrand_tail(ts, fs):
     """The Bertrand fit of tail samples (ts, fs) of an integrand
     (_bertrand_fit) read as (converges, remainder, A, diag), or None below
@@ -827,29 +942,41 @@ def classify_tail_integral(fn, a: float) -> ConvergenceVerdict:
     return ConvergenceVerdict.convergent(value, err, slope=A, **diag)
 
 
-def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
-    """Classify the integral of fn over (0, b] as the tail integral of its
-    t = 1/s image fn(1/s)/s^2 from 1/b, with an array form where fn has
-    one.  The slope is fn's own local power at 0, p = -2 - (the image's
-    tail slope): p > -1 converges.  The diagnostics are the image's fit,
-    whose B is the power of ln(1/t).
-    """
-    if not 0.0 < b < math.inf:
-        raise ValueError(f"origin classification needs a finite b > 0, not {b!r}")
+def _end_image(fn, end: float = 0.0, side: float = 1.0):
+    """fn near end as a tail, s -> fn(end + side/s)/s^2: its integral from
+    s = 1/d is fn's from end to end + side d.  A point that rounds onto end
+    reads 0, with no call of fn.  At end 0, where none does, an fn's array
+    form is kept (an Integrand naming a ScalarFn's negative samples)."""
 
     # / s / s, not / (s * s): the log substitution reaches s = e^690
     def image(s):
-        return fn(1.0 / s) / s / s
+        t = end + side / s
+        if t == end:
+            return 0.0
+        return fn(t) / s / s
 
-    if hasattr(fn, "many"):
-        def many(s):
-            return fn.many(1.0 / s) / s / s
+    if end != 0.0 or not hasattr(fn, "many"):
+        return image
 
-        def negative(s):  # the image is negative at s where fn is at 1/s
-            refuse_samples(fn, "the sampled function is negative", True, 1.0 / s, fn=fn(1.0 / s))
+    def many(s):
+        return fn.many(side / s) / s / s
 
-        image = Integrand(image, many, negative if isinstance(fn, ScalarFn) else None)
-    verdict = classify_tail_integral(image, 1.0 / b)
+    def negative(s):  # the image is negative at s where fn is at side/s
+        refuse_samples(fn, "the sampled function is negative", True, side / s, fn=fn(side / s))
+
+    return Integrand(image, many, negative if isinstance(fn, ScalarFn) else None)
+
+
+def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
+    """Classify the integral of fn over (0, b] as the tail integral of its
+    t = 1/s image fn(1/s)/s^2 from 1/b (_end_image), with an array form
+    where fn has one.  The slope is fn's own local power at 0,
+    p = -2 - (the image's tail slope): p > -1 converges.  The diagnostics
+    are the image's fit, whose B is the power of ln(1/t).
+    """
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"origin classification needs a finite b > 0, not {b!r}")
+    verdict = classify_tail_integral(_end_image(fn), 1.0 / b)
     if verdict.slope is None:
         return verdict
     return replace(verdict, slope=-2.0 - verdict.slope)

@@ -2,23 +2,18 @@
 
 DOP853's tables (Hairer, Norsett & Wanner, Solving Ordinary Differential
 Equations I, 1993, II.10, as scipy's `DOP853` class holds them), Brent's
-root finder as scipy's `brentq` runs it, Brent's bounded minimiser as
-scipy's `minimize_scalar(method="bounded")` runs it, and QUADPACK's
-`qagse` with `qk21`, `qpsrt` and `qelg` (Piessens et al., QUADPACK, 1983)
-as scipy's `quad` runs it on a finite interval.  Each does only what the
-package asks of it, in the same float operations in the same order, so
-its results are scipy's bit for bit (tests/test_ports.py holds them
-against scipy).  None of them imports scipy.
+root finder as scipy's `brentq` runs it and Brent's bounded minimiser as
+scipy's `minimize_scalar(method="bounded")` runs it.  Each does only what
+the package asks of it, in the same float operations in the same order,
+so its results are scipy's bit for bit (tests/test_ports.py holds them
+against scipy).  None of them imports scipy.  Quadrature has no port:
+integrate_finite bisects the package's own 15-point Gauss-Kronrod panel
+(numerics).
 """
 
 from __future__ import annotations
 
 import math
-import sys
-
-_EPS = sys.float_info.epsilon
-_UFLOW = sys.float_info.min  # QUADPACK's d1mach(1)
-_OFLOW = sys.float_info.max  # and d1mach(2)
 
 # ---------------------------------------------------------------------------
 # DOP853: Dormand-Prince 8(5,3), 12 stages, error estimator of order 7
@@ -234,328 +229,3 @@ def minimize_bounded(f, a: float, b: float, xatol: float) -> float:
         if num >= 500:
             break
     return xf
-
-
-# ---------------------------------------------------------------------------
-# QUADPACK's qagse: globally adaptive Gauss-Kronrod quadrature with Wynn's
-# epsilon extrapolation, on a finite interval
-# ---------------------------------------------------------------------------
-
-# The 21-point Kronrod rule: the nodes and weights of its 10 node pairs,
-# outermost first (the Gauss nodes are the second, fourth, ... of them),
-# the centre weight, and the weights of the embedded 10-point Gauss rule.
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208980221405, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
-_WGK_CENTRE = 0.149445554002916905664936468389821
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-# the node pairs in qk21's order: the Gauss ones, then the Kronrod-only ones
-_QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-
-
-def _qk21(f, a: float, b: float):
-    """(result, abserr, resabs, resasc) of the 21-point rule on [a, b]:
-    the Kronrod value, its error estimate, and the rule applied to |f| and
-    to |f - mean f|.  f is read as float(f(x)), the centre first."""
-    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    dhlgth = abs(hlgth)
-    resg = 0.0
-    fc = float(f(centr))
-    resk = _WGK_CENTRE * fc
-    resabs = abs(resk)
-    fv1, fv2 = [0.0] * 10, [0.0] * 10
-    for j in _QK21_ORDER:
-        absc = hlgth * _XGK[j]
-        fval1, fval2 = float(f(centr - absc)), float(f(centr + absc))
-        fv1[j], fv2[j] = fval1, fval2
-        fsum = fval1 + fval2
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK_CENTRE * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        # min(1, r^1.5), without the overflow of a huge r's power
-        ratio = 0.2e3 * abserr / resasc
-        abserr = resasc * (1.0 if ratio >= 1.0 else ratio ** 1.5)
-    if resabs > _UFLOW / (0.5e2 * _EPS):
-        abserr = max((_EPS * 0.5e2) * resabs, abserr)
-    return result, abserr, resabs, resasc
-
-
-def _qpsrt(limit: int, last: int, maxerr: int, elist, iord, nrmax: int):
-    """Keep iord (1-based, as QUADPACK's arrays) listing the intervals by
-    descending error estimate, down to the depth still worth bisecting,
-    after the interval maxerr was split into maxerr and last; returns the
-    new (maxerr, errmax, nrmax): the nrmax-th largest estimate's interval."""
-    if last <= 2:
-        iord[1], iord[2] = 1, 2
-    else:
-        # a split that raised the error estimate moves up the list
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):  # and errmin bottom-up
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    k = i - 1
-                iord[k + 1] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def _qelg(n: int, epstab, res3la, nres: int):
-    """One step of Wynn's epsilon algorithm on the table epstab (1-based),
-    whose newest entry is epstab[n]; returns (n, result, abserr, nres):
-    the table's new length, the extrapolated limit, its error estimate
-    from the last three results (res3la, 1-based) and the count of calls."""
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n >= 3:
-        limexp = 50
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = _OFLOW
-        num = k1 = n
-        for i in range(1, newelm + 1):
-            k2, k3 = k1 - 1, k1 - 2
-            res = epstab[k1 + 2]
-            e0, e1, e2 = epstab[k3], epstab[k2], res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPS
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPS
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 agree to rounding: convergence
-                return n, res, max(err2 + err3, 5.0 * _EPS * abs(res)), nres
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPS
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1  # two close elements: cut the table
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:  # irregular behaviour: cut the table
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 -= 2
-            error = err2 + abs(res - e2) + err3
-            if not error > abserr:
-                abserr, result = error, res
-        if n == limexp:
-            n = 2 * (limexp // 2) - 1
-        ib = 2 if num % 2 == 0 else 1
-        for _ in range(newelm + 1):  # shift the table
-            epstab[ib] = epstab[ib + 2]
-            ib += 2
-        if num != n:
-            indx = num - n + 1
-            for i in range(1, n + 1):
-                epstab[i] = epstab[indx]
-                indx += 1
-        if nres < 4:
-            res3la[nres] = result
-            abserr = _OFLOW
-        else:
-            abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                      + abs(result - res3la[1]))
-            res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
-    return n, result, max(abserr, 5.0 * _EPS * abs(result)), nres
-
-
-def qagse(f, a: float, b: float, tol: float):
-    """(result, abserr, neval): the integral of f over the finite [a, b]
-    by QUADPACK's qagse with epsabs = epsrel = tol > 0 and limit = 200, as
-    scipy's quad(f, a, b, epsabs=tol, epsrel=tol, limit=200) runs it: it
-    aims at abserr <= tol max(1, |result|) with at most 200 subintervals.
-    The interval with the largest error estimate is bisected (qk21 on each
-    half); once the largest estimate sits on the smallest intervals, Wynn's
-    epsilon algorithm extrapolates the sequence of sums.  f is read as
-    float(f(x)); its exceptions propagate."""
-    epsabs = epsrel = tol
-    limit = 200
-    result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if ((abserr <= 1.0e2 * _EPS * defabs and abserr > errbnd)
-            or (abserr <= errbnd and abserr != resabs) or abserr == 0.0):
-        return result, abserr, 21
-
-    # the intervals, 1-based: ends, integrals, error estimates and iord,
-    # their indices by descending estimate
-    alist, blist = [0.0] * (limit + 2), [0.0] * (limit + 2)
-    rlist, elist, iord = [0.0] * (limit + 2), [0.0] * (limit + 2), [0] * (limit + 2)
-    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
-    rlist2, res3la = [0.0] * 53, [0.0] * 4  # the epsilon table, the last three limits
-    rlist2[1] = result
-    errmax, maxerr, area, errsum = abserr, 1, result, abserr
-    abserr = _OFLOW
-    nrmax, numrl2, nres, ktmin = 1, 2, 0, 0
-    extrap = noext = False
-    iroff1 = iroff2 = iroff3 = ier = ierro = 0
-    small = erlarg = ertest = correc = 0.0
-    summed = True
-    for last in range(2, limit + 1):
-        # bisect the interval with the nrmax-th largest error estimate
-        a1, b1 = alist[maxerr], 0.5 * (alist[maxerr] + blist[maxerr])
-        a2, b2 = b1, blist[maxerr]
-        erlast = errmax
-        area1, error1, _, defab1 = _qk21(f, a1, b1)
-        area2, error2, _, defab2 = _qk21(f, a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 0.1e-4 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
-        # roundoff, the subdivision limit and bad behaviour at a point
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        if error2 > error1:
-            alist[maxerr], alist[last], blist[last] = a2, a1, b1
-            rlist[maxerr], rlist[last] = area2, area1
-            elist[maxerr], elist[last] = error2, error1
-        else:
-            alist[last], blist[maxerr], blist[last] = a2, b1, b2
-            elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            break
-        if ier != 0:
-            summed = False
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg -= erlast
-        if abs(b1 - a1) > small:
-            erlarg += erro12
-        if not extrap:
-            # extrapolate only once the next interval to bisect is a smallest one
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # bisect the larger intervals with large estimates first
-            jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr, result, correc = abseps, reseps, erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                summed = False
-                break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            summed = False
-            break
-        # go on bisecting from the largest estimate
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small *= 0.5
-        erlarg = errsum
-
-    if not summed and ier + ierro != 0 and abserr != _OFLOW:
-        # the extrapolated result or the sum over the intervals, whichever
-        # has the smaller relative error estimate
-        if ierro == 3:
-            abserr += correc
-        if result != 0.0 and area != 0.0:
-            summed = abserr / abs(result) > errsum / abs(area)
-        else:
-            summed = abserr > errsum
-    elif not summed:
-        summed = abserr == _OFLOW  # no extrapolation ever improved on the sum
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):  # in order, not by sum(): its rounding varies
-            result += rlist[k]
-        abserr = errsum
-    return result, abserr, 42 * last - 21

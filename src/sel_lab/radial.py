@@ -625,6 +625,8 @@ def picard_gradient_entire(pot_env, f: Nonlinearity, b0: float, R: float, N: int
     """
     if N < 3:
         raise ValueError("the gradient scheme requires N >= 3")
+    if not b0 > 0.0:
+        raise ValueError(f"the central value b0 must be positive, not {b0!r}")
     if b0 < 1.0:
         warnings.warn("the monotone scheme assumes b0 >= 1 (f(w) <= Lambda w needs w >= 1)",
                       RuntimeWarning, stacklevel=2)

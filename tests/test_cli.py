@@ -476,6 +476,9 @@ u_max = 1e8
          "line 4: [problem] omega0 must be nonnegative, not -1.0"),
         ('command = solve-entire\nN = 3\nR = 0\n[functions]\nf = "t^0.5"\npsi = "1"',
          "line 4: [problem] R must be positive, not 0.0"),
+        # b0 = -1 warned, then the scheme read f at w = -1: exit 3 naming no key
+        ('command = solve-entire\nN = 3\nb0 = -1\n[functions]\nf = "t^0.5"\npsi = "1"',
+         "line 4: [problem] b0 must be positive, not -1.0"),
         ("command = chi\nrho = -2\nzeta = 3\ntheta = 1\nell_star = -1",
          "line 3: [problem] rho must be positive, not -2.0"),
         ("command = xi0\nrho = 2\nell1 = -3", "line 4: [problem] ell1 must be in [0, 1], not -3.0"),

@@ -88,6 +88,25 @@ class TestIntegrateFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda t: t, 1.0, 0.0, 1e-9)
 
+    # every case above that returns a value, with its closed form, and
+    # int_0^1/2 dt/(t ln(1/t)^2) = 1/ln 2, whose first panel the bisection
+    # cannot close: the end's image t = 1/s reads it as a Bertrand tail
+    @pytest.mark.parametrize("fn, a, b, tol, exact", [
+        (lambda t: t, 0.0, 1.0, 1e-12, 0.5),
+        (math.sin, 0.0, math.pi, 1e-12, 2.0),
+        (lambda t: t ** -0.5, 0.0, 1.0, 1e-10, 2.0),
+        *((lambda t, d=d: t ** d, 0.0, 1.0, 1e-13, 1.0 / (d + 1)) for d in range(6)),
+        (lambda t: math.exp(-t * t), 0.0, 3.0, 1e-9, 0.5 * math.sqrt(math.pi) * math.erf(3.0)),
+        (lambda t: t ** -0.999, 0.0, 1.0, 1e-10, 1000.0),
+        (lambda t: t ** -0.95 * math.log(1.0 / t) ** 2, 0.0, 1.0, 1e-10, 16000.0),
+        (math.log, 0.0, 1.0, 1e-10, -1.0),
+        (lambda t: 1.0 / (t * math.log(1.0 / t) ** 2), 0.0, 0.5, 1e-10, 1.0 / math.log(2.0)),
+    ], ids=["t", "sin", "t^-0.5", *(f"t^{d}" for d in range(6)), "exp(-t^2)", "t^-0.999",
+            "t^-0.95 ln^2", "ln", "1/(t ln^2)"])
+    def test_the_error_bounds_the_closed_form(self, fn, a, b, tol, exact):
+        v, e = integrate_finite(fn, a, b, tol)
+        assert abs(v - exact) <= e <= tol * (1.0 + abs(v))
+
 
 class TestIntegratePanels:
     @staticmethod

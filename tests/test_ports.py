@@ -2,26 +2,21 @@
 
 DOP853's tables must be scipy's entry by entry; Brent's root finder must
 return brentq's root and iteration count after evaluating brentq's points,
-on random brackets and on the event objectives of real shots; the bounded
-minimiser must evaluate minimize_scalar's points; and qagse must return
-quad's (value, abserr, neval) on graded integrands and on every call that
-the integrate_finite cases of tests/test_numerics.py make.  These tests
-import scipy; the package does not.
+on random brackets and on the event objectives of real shots; and the
+bounded minimiser must evaluate minimize_scalar's points.  These tests
+import scipy; the package does not.  Quadrature is not a port: the
+closed forms of integrate_finite are in tests/test_numerics.py.
 """
 
-import itertools
 import math
 import random
 
-import numpy as np
-import pytest
-from scipy.integrate import DOP853, quad
+from scipy.integrate import DOP853
 from scipy.optimize import brentq, minimize_scalar
 
 from sel_lab import numerics, ports
 from sel_lab.bifurcation import LEFProblem, solve_lef
 from sel_lab.karamata import analyze_nonlinearity
-from sel_lab.numerics import NonIntegrableError, NumericsError, integrate_finite
 from sel_lab.radial import LogisticProblem, boundary_blowup
 
 # ---------------------------------------------------------------------------
@@ -181,101 +176,3 @@ def test_fold_search_shoots_as_under_minimize_scalar(monkeypatch):
     theirs = solve_lef(problem)
     assert ours.metadata["probe_table"] == theirs.metadata["probe_table"]
     assert ours.metadata["lambda_star"] == theirs.metadata["lambda_star"]
-
-
-# ---------------------------------------------------------------------------
-# QUADPACK's qagse
-# ---------------------------------------------------------------------------
-
-def _scipy_quad(f, a, b, tol):
-    value, abserr, info = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
-    return value, abserr, info["neval"]
-
-
-def _same(ours, theirs) -> bool:
-    return repr(ours) == repr(theirs)  # nan reads as nan
-
-
-# 13 integrands over (0, 4): endpoint powers near -1, logs, oscillation, kinks,
-# a jump, a log factor and the functions that overflow or vanish
-_INTEGRANDS = {
-    "t^-0.999": lambda t: t ** -0.999,
-    "t^-0.5": lambda t: t ** -0.5,
-    "ln t": math.log,
-    "cos 30t": lambda t: math.cos(30.0 * t),
-    "|t-0.3|": lambda t: abs(t - 0.3),
-    "t^1.7717 ln(1+t)^2.0775": lambda t: t ** 1.7717 * math.log(1.0 + t) ** 2.0775,
-    "t^2.2": lambda t: t ** 2.2,
-    "1/(1+t^2)": lambda t: 1.0 / (1.0 + t * t),
-    "sqrt|sin 50t|": lambda t: math.sqrt(abs(math.sin(50.0 * t))),
-    "jump at 0.37": lambda t: 1.0 if t > 0.37 else 0.0,
-    "t^-0.9 |ln t|": lambda t: t ** -0.9 * abs(math.log(t)),
-    "sin(1/t)/t": lambda t: math.sin(1.0 / t) / t,
-    "1e300 t^-0.7": lambda t: 1e300 * t ** -0.7,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
-def test_qagse_is_quad_on_graded_integrands(monkeypatch, name):
-    calls = _recorded(monkeypatch, "qagse")
-    intervals = ((0.0, 1.0), (0.1, 2.5), (1e-8, 1e-3), (0.3, 4.0))
-    for (a, b), toward, tol in itertools.product(intervals, ("left", "right"),
-                                                 (1e-6, 2.5e-11, 1e-13)):
-        numerics._quad_piece(_INTEGRANDS[name], a, b, tol, toward)
-    assert len(calls) == 24
-    for args, _, out in calls:
-        assert _same(out, _scipy_quad(*args)), args[1:]
-
-
-# the integrate_finite cases of tests/test_numerics.py
-_FINITE_CASES = [
-    (lambda t: t, 0.0, 1.0, 1e-12),
-    (math.sin, 0.0, math.pi, 1e-12),
-    (lambda t: t ** -0.5, 0.0, 1.0, 1e-10),
-    *((lambda t, d=d: t ** d, 0.0, 1.0, 1e-13) for d in range(6)),
-    (lambda t: math.exp(-t * t), 0.0, 3.0, 1e-9),
-    (lambda t: 1.0 / t, 0.0, 1.0, 1e-9),
-    *((lambda t, p=p: t ** -p, 0.0, b, 1e-10)
-      for p, b in [(2.0, 1.0), (1.2, 1.0 / 3.0), (3.0, 1.0 / 3.0)]),
-    (lambda t: -(1.0 - t) ** -2, 0.0, 1.0, 1e-10),
-    (lambda t: t ** -0.999, 0.0, 1.0, 1e-10),
-    (lambda t: t ** -0.95 * math.log(1.0 / t) ** 2, 0.0, 1.0, 1e-10),
-    (math.log, 0.0, 1.0, 1e-10),
-]
-
-
-def test_qagse_is_quad_on_the_integrate_finite_cases(monkeypatch):
-    calls = _recorded(monkeypatch, "qagse")
-    for fn, a, b, tol in _FINITE_CASES:
-        try:
-            integrate_finite(fn, a, b, tol)
-        except (NonIntegrableError, NumericsError):
-            pass
-    assert len(calls) >= 2 * (len(_FINITE_CASES) - 5)
-    for args, _, out in calls:
-        assert _same(out, _scipy_quad(*args)), args[1:]
-
-
-@pytest.mark.parametrize("f", [
-    lambda t: math.nan if t > 0.9 else t,
-    lambda t: math.inf if t > 0.9 else t,
-    lambda t: 1e308 if t > 0.3 else -1e308,
-    lambda t: 5e-324,
-    lambda t: np.float64(t) ** 0.3,
-], ids=["nan", "inf", "overflow", "subnormal", "numpy"])
-def test_qagse_is_quad_on_values_that_are_no_numbers(f):
-    for tol in (1e-6, 1e-14):
-        assert _same(ports.qagse(f, 0.0, 1.0, tol), _scipy_quad(f, 0.0, 1.0, tol))
-
-
-def test_qagse_raises_the_first_failing_node_s_exception():
-    def f(t):
-        if t > 0.61:
-            raise ValueError(f"no value at {t!r}")
-        return t
-
-    with pytest.raises(ValueError) as theirs:
-        _scipy_quad(f, 0.0, 1.0, 1e-10)
-    with pytest.raises(ValueError) as ours:
-        ports.qagse(f, 0.0, 1.0, 1e-10)
-    assert str(ours.value) == str(theirs.value)

@@ -504,6 +504,12 @@ class TestAuditsCanFail:
 
 
 class TestPicardGradient:
+    @pytest.mark.parametrize("b0", [0.0, -1.0])
+    def test_nonpositive_central_value_is_refused(self, f_sqrt, b0):
+        # w = b0 <= 0 would read f(w) = sqrt(w) off its domain
+        with pytest.raises(ValueError, match="central value b0 must be positive"):
+            picard_gradient_entire(ScalarFn.from_source("1"), f_sqrt, b0, 10.0, 3, panels=256)
+
     def test_zero_weight_fixed_point(self, f_sqrt):
         sol = picard_gradient_entire(ScalarFn.from_source("0"), f_sqrt, 1.0, 10.0, 3,
                                      panels=256)

@@ -1,8 +1,9 @@
 """The package exports what a sel-lab command or a bench workload calls,
 and its numbers do not depend on the BLAS kernel.
 
-Reads the source as text: every function `sel_lab` exports is called in
-`src/sel_lab/` outside its own definition, or in `bench/workloads.py`.
+Reads the source as text: every function `sel_lab` exports, and every
+public function of `sel_lab.ports`, is called in `src/sel_lab/` outside
+its own definition, or in `bench/workloads.py`.
 A helper only the tests call belongs in `tests/reference.py`.  The tail
 fits, the quadrature and the profile make no BLAS or LAPACK call, and
 only `solve-entire` loads scipy (scipy.special.expn, imported inside
@@ -21,13 +22,19 @@ from pathlib import Path
 import pytest
 
 import sel_lab
+from sel_lab import ports
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPORTED = sorted(name for name, obj in vars(sel_lab).items() if inspect.isfunction(obj))
+# the ports' functions, not their tables: a port nothing calls is dead code
+PORTS = sorted(f"ports.{name}" for name, obj in vars(ports).items()
+               if inspect.isfunction(obj) and obj.__module__ == ports.__name__
+               and not name.startswith("_"))
 
 
-@pytest.mark.parametrize("name", EXPORTED)
+@pytest.mark.parametrize("name", EXPORTED + PORTS)
 def test_exported_function_has_a_caller(name):
+    name = name.rpartition(".")[2]
     # the text of each module without the top-level `def name(...)` block
     texts = [re.sub(rf"^def {name}\(.*?(?=^\S)", "", path.read_text() + "\n#", flags=re.M | re.S)
              for path in (ROOT / "src" / "sel_lab").glob("*.py")]
@@ -38,6 +45,10 @@ def test_exported_function_has_a_caller(name):
 
 def test_the_exports_are_read():
     assert {"build_profile", "classify_tail_integral", "solve_lef"} <= set(EXPORTED)
+
+
+def test_the_ports_are_read():
+    assert PORTS == ["ports.brentq", "ports.minimize_bounded"]
 
 
 @pytest.mark.parametrize("module", ["numerics", "karamata", "profile"])
