@@ -15,8 +15,10 @@ grammar, so derivatives are exact rather than numeric.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import re
 import types
 from dataclasses import dataclass, field
 
@@ -87,137 +89,72 @@ def const(v: float) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Parser: Python's own, held to the grammar
 # ---------------------------------------------------------------------------
 
-def _tokenize(source: str):
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}", i) from None
-            tokens.append(("number", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", "", n))
-    return tokens
+# A character outside the grammar, or a '**', which Python would read once
+# each '^' is written as '**'; '#' would start a comment and a NUL makes
+# compile raise ValueError, so neither reaches Python.  Only ASCII passes:
+# Python reads non-ASCII names by their NFKC forms ("ｔ" as "t").
+_FOREIGN = re.compile(r"\*\*|[^0-9A-Za-z_.+\-*/^()\s]")
+# Blanks, and the leading zeros of an integer ("007"), which Python refuses;
+# those of a fraction or an exponent (".007", "1e-007") are Python's too
+_BLANKED = re.compile(r"\s|(?<![0-9A-Za-z_.])(?<![eE][+-])0+(?=[0-9])")
+_NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
+_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            what = repr(tok[1]) if tok[0] != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {what}", tok[2])
-        return tok
-
-    def parse(self) -> ExprAst:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            node = ExprAst("add" if op == "+" else "sub", children=(node, rhs))
-        return node
-
-    def term(self) -> ExprAst:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.factor()
-            node = ExprAst("mul" if op == "*" else "div", children=(node, rhs))
-        return node
-
-    def factor(self) -> ExprAst:
-        if self.peek()[0] == "-":
-            self.next()
-            inner = self.factor()
-            if inner.kind == "const":
-                return const(-inner.value)
-            return ExprAst("neg", children=(inner,))
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            exponent = self.factor()  # right-associative
-            node = ExprAst("pow", children=(node, exponent))
-        return node
-
-    def atom(self) -> ExprAst:
-        tok = self.next()
-        kind, text, offset = tok
-        if kind == "number":
-            return const(float(text))
-        if kind == "name":
-            if text == "t":
-                return VAR
-            if text in _FUNCS:
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return ExprAst(text, children=(inner,))
-            raise ParseError(f"unknown identifier {text!r}", offset)
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if kind == "eof":
-            raise ParseError("unexpected end of input", offset)
-        raise ParseError(f"unexpected token {text!r}", offset)
+def _tree(node: ast.expr, text: str) -> ExprAst:
+    """The ExprAst of `node`, a node of Python's tree of `text`; a
+    SyntaxError at the column of the first node outside the grammar."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINOPS:
+        return ExprAst(_BINOPS[type(node.op)],
+                       children=(_tree(node.left, text), _tree(node.right, text)))
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        inner = _tree(node.operand, text)
+        return const(-inner.value) if inner.kind == "const" else ExprAst("neg", children=(inner,))
+    segment = text[node.col_offset:node.end_col_offset]
+    # 1_000, 0x10 and 1j are Python numbers, and `...` a Constant too
+    if kind is ast.Constant and type(node.value) in (int, float) and _NUMBER.fullmatch(segment):
+        return const(float(segment))
+    if kind is ast.Name and node.id == "t":
+        return VAR
+    # a call of a parenthesized name, "(exp)(t)", starts before its name
+    if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCS
+            and len(node.args) == 1 and not node.keywords
+            and node.col_offset == node.func.col_offset):
+        return ExprAst(node.func.id, children=(_tree(node.args[0], text),))
+    name = node.func if kind is ast.Call else node
+    if type(name) is ast.Name and name.id != "t" and name.id not in _FUNCS:
+        raise SyntaxError(f"unknown identifier {name.id!r}", ("", 1, name.col_offset + 1, text))
+    raise SyntaxError(f"{segment!r} is outside the grammar", ("", 1, node.col_offset + 1, text))
 
 
 def parse_expression(source: str) -> ExprAst:
-    """Parse `source` into an AST.  Raises ParseError with a byte offset."""
-    return _Parser(source).parse()
+    """Parse `source` into an AST.  Raises ParseError with a byte offset.
+
+    The grammar is Python's expression grammar with '^' for '**': Python's
+    parser reads the source, each '^' written as '**', and _tree maps its
+    tree onto ExprAst, refusing every node outside the grammar.
+    """
+    foreign = _FOREIGN.search(source)
+    if foreign is not None:
+        raise ParseError(f"unexpected {foreign.group()!r}", foreign.start())
+    text = _BLANKED.sub(lambda m: " " * len(m.group()), source).replace("^", "**")
+    body = text.lstrip()  # eval mode refuses an indent
+    try:
+        return _tree(ast.parse(body, mode="eval").body, body)
+    except SyntaxError as exc:
+        # Python reports the end of input at offset 0, an unclosed bracket
+        # where it opens, and a hint for commas, which the grammar refuses
+        end = not exc.offset or exc.msg.endswith("was never closed")
+        column = len(text) if end else exc.offset - 1 + len(text) - len(body)
+        offset = column  # back through each '^', which the text writes as two characters
+        for caret in (m.start() for m in re.finditer(r"\^", source)):
+            if caret < offset:
+                offset -= 1
+        raise ParseError(exc.msg.partition(". Perhaps")[0], min(offset, len(source))) from None
 
 
 # ---------------------------------------------------------------------------

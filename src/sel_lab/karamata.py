@@ -110,10 +110,9 @@ class Antiderivative:
     of at most _BLOCK panels, each one integrate_panels call, a single
     array evaluation of f, and stops after the block where F overflows: f
     is evaluated on at most one block past the overflow, and never past
-    the query; a downward fill of _MIN_BLOCK or more panels is one such
-    call too.  A panel that fails its error test, every panel of a block
-    whose array evaluation raises and every panel of a shorter downward
-    fill go through integrate_panel (which falls back to
+    the query; a downward fill is one such call too.  A panel that fails
+    its error test and every panel of a block whose array evaluation
+    raises go through integrate_panel (which falls back to
     integrate_finite), one panel at a time and in order, up to the
     overflow.  Each panel's value is that of its own rule whatever block
     it falls in, so the lattice does not depend on how the queries split
@@ -131,10 +130,6 @@ class Antiderivative:
     # work wasted past the overflow: calls of 256-512 panels cost least per
     # panel (about 0.5 us, against 0.9 us at 2,048)
     _BLOCK = 256
-    # a downward fill of fewer panels goes panel by panel: for F of t^2.6,
-    # base quadrature included, 2-16 panels take 22-59 us one by one and
-    # 65-77 us as one array call; the two break even near 24 panels
-    _MIN_BLOCK = 16
     _TOL = 1e-12
 
     def __init__(self, fn: ScalarFn):
@@ -205,12 +200,11 @@ class Antiderivative:
             return [], []
         return values.tolist(), ok.tolist()
 
-    def _accumulate(self, j0: int, val: float, k: int, array: bool = True) -> None:
-        """Store val at j0 and add the panels up to k, in order: those of one
-        _block call when array is set, the rest and those it rejects by
-        integrate_panel.  The first value that is not finite sets kinf;
-        from it on every value is inf and no panel is integrated."""
-        values, ok = self._block(j0, k) if array and k > j0 else ([], [])
+    def _accumulate(self, j0: int, val: float, k: int) -> None:
+        """Store val at j0 and add the panels up to k in order, by one _block call
+        and by integrate_panel for those it rejects.  The first value that is not
+        finite sets kinf; from it on every value is inf and no panel is integrated."""
+        values, ok = self._block(j0, k) if k > j0 else ([], [])
         lat = self._lat
         for j in range(j0, k + 1):
             if j > j0 and math.isfinite(val):
@@ -231,8 +225,7 @@ class Antiderivative:
             self._kmin = self._kmax = 0
             self._accumulate(0, self._quad(integrate_finite, 0.0, 1.0), 0)
         if k < self._kmin:
-            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1,
-                             self._kmin - 1 - k >= self._MIN_BLOCK)
+            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1)
             self._kmin = k
         while self._kmax < k and self._kinf is None:
             top = min(k, self._kmax + self._BLOCK)

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import struct
+from ast import PyCF_ONLY_AST
 
 import numpy as np
 import pytest
@@ -82,6 +83,123 @@ class TestParse:
 
     def test_scientific_notation(self):
         assert evaluate(parse_expression("1e-3*t"), 2.0) == pytest.approx(2e-3)
+
+
+# ---------------------------------------------------------------------------
+# The grammar, string by string
+# ---------------------------------------------------------------------------
+# Each generator draws a string of one production of the EBNF in expr's
+# docstring together with the tree it must parse to: left-associative + - * /,
+# right-associative ^, unary minus folded into a constant operand, and any
+# blanks between tokens.
+
+_BLANKS = ("", "", "", " ", "  ", "\t", "\n", "\xa0")
+_NUMBERS = ("0", "7", "007", "00", "0.5", ".5", "5.", "00.25", "2.5e3", "1E-3", "1e+007",
+            "1.e5", "3.25e-02", "1e400", "123456789012")
+
+
+def _blank(rng):
+    return rng.choice(_BLANKS)
+
+
+def _gen_expr(rng, depth):
+    text, tree = _gen_term(rng, depth)
+    for _ in range(rng.randint(0, 2) if depth < 4 else 0):
+        op = rng.choice("+-")
+        rhs, rtree = _gen_term(rng, depth + 1)
+        text, tree = text + _blank(rng) + op + _blank(rng) + rhs, \
+            ExprAst("add" if op == "+" else "sub", children=(tree, rtree))
+    return text, tree
+
+
+def _gen_term(rng, depth):
+    text, tree = _gen_factor(rng, depth)
+    for _ in range(rng.randint(0, 2) if depth < 4 else 0):
+        op = rng.choice("*/")
+        rhs, rtree = _gen_factor(rng, depth + 1)
+        text, tree = text + _blank(rng) + op + _blank(rng) + rhs, \
+            ExprAst("mul" if op == "*" else "div", children=(tree, rtree))
+    return text, tree
+
+
+def _gen_factor(rng, depth):
+    if rng.random() < 0.2:
+        text, tree = _gen_factor(rng, depth + 1)
+        folded = const(-tree.value) if tree.kind == "const" else ExprAst("neg", children=(tree,))
+        return "-" + _blank(rng) + text, folded
+    text, tree = _gen_atom(rng, depth)
+    if depth < 5 and rng.random() < 0.3:
+        exponent, etree = _gen_factor(rng, depth + 1)
+        return text + _blank(rng) + "^" + _blank(rng) + exponent, \
+            ExprAst("pow", children=(tree, etree))
+    return text, tree
+
+
+def _gen_atom(rng, depth):
+    pick = rng.random() if depth < 5 else rng.random() * 0.6
+    if pick < 0.3:
+        return "t", VAR
+    if pick < 0.6:
+        number = rng.choice(_NUMBERS)
+        return number, const(float(number))
+    text, tree = _gen_expr(rng, depth + 1)
+    inner = "(" + _blank(rng) + text + _blank(rng) + ")"
+    if pick < 0.8:
+        return inner, tree
+    func = rng.choice(expr._FUNCS)
+    return func + _blank(rng) + inner, ExprAst(func, children=(tree,))
+
+
+def test_grammar_strings_parse_to_their_trees():
+    rng = random.Random(55)
+    kinds = set()
+    for _ in range(3000):
+        text, tree = _gen_expr(rng, 0)
+        text = _blank(rng) + text + _blank(rng)
+        assert parse_expression(text) == tree, repr(text)
+        kinds.add(tree.kind)
+    assert kinds == {"const", "var", "neg", "add", "sub", "mul", "div", "pow", *expr._FUNCS}
+
+
+@pytest.mark.parametrize("source", [
+    "t**2", "...", "1_000", "0x10", "1j", "+t", "t, 2", "[t]", "t # c", '"t"', "t.real",
+    "not t", "t and t", "t if t else 1", "lambda t: t", "exp(t, 2)", "exp(x=t)", "ln",
+    "t(2)", "2t", "x+1", "t\x00", "t^", "٣", "", "  ", "t)+(1", "(exp)(t)", "exp()",
+    "()", "t//2", "t is t", "True", "await t", "ｔ", "exp(t)(2)", "t^*2", "1.2.3",
+])
+def test_strings_outside_the_grammar_are_parse_errors(source):
+    with pytest.raises(ParseError) as err:
+        parse_expression(source)
+    assert 0 <= err.value.offset <= len(source)
+
+
+@pytest.mark.parametrize("source, tree", [
+    ("007", const(7.0)),
+    (" t^2 ", ExprAst("pow", children=(VAR, const(2.0)))),
+    ("\xa0t", VAR),
+    ("1e400", const(math.inf)),
+    ("1e+007", const(1e7)),
+    ("-(2)", const(-2.0)),
+    ("-(2+3)", ExprAst("neg", children=(ExprAst("add", children=(const(2.0), const(3.0))),))),
+    ("(\nt\n)", VAR),
+])
+def test_grammar_strings_at_the_edges_parse(source, tree):
+    assert parse_expression(source) == tree
+
+
+@pytest.mark.parametrize("source, offset, message", [
+    ("ln(", 3, ""),
+    ("t^t^x", 4, "unknown identifier 'x'"),
+    ("  x+1", 2, "unknown identifier 'x'"),
+    ("foo(t)", 0, "unknown identifier 'foo'"),
+    ("t^2 # c", 4, "unexpected '#'"),
+    ("t**2", 1, "'**'"),
+])
+def test_parse_errors_name_their_offset(source, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(source)
+    assert err.value.offset == offset
+    assert message in str(err.value)
 
 
 class TestEvaluate:
@@ -515,12 +633,15 @@ def _reference_compose_scalar(params, lines, env):
 
 
 def _count_compiles(monkeypatch):
-    """The sources handed to the builtin compile from now on."""
+    """The sources the builtin compile makes code of from now on; a call
+    with PyCF_ONLY_AST (ast.parse, as parse_expression reads an
+    expression) makes a tree, not code, and is not counted."""
     calls, real = [], builtins.compile
 
-    def counted(source, *args, **kwargs):
-        calls.append(source)
-        return real(source, *args, **kwargs)
+    def counted(source, filename, mode, flags=0, *args, **kwargs):
+        if not flags & PyCF_ONLY_AST:
+            calls.append(source)
+        return real(source, filename, mode, flags, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "compile", counted)
     return calls
