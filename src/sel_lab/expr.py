@@ -20,6 +20,7 @@ import functools
 import math
 import re
 import types
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,17 +103,24 @@ _FOREIGN = re.compile(r"\*\*|[^0-9A-Za-z_.+\-*/^()\s]")
 _BLANKED = re.compile(r"\s|(?<![0-9A-Za-z_.])(?<![eE][+-])0+(?=[0-9])")
 _NUMBER = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?")
 _BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+# The deepest node of a tree, Python's own bound on nested brackets; 500
+# minus signs parse, but the compile of their code overflows the recursion
+_DEPTH = 200
+_TOO_DEEP = "expression nested too deeply"
 
 
-def _tree(node: ast.expr, text: str) -> ExprAst:
-    """The ExprAst of `node`, a node of Python's tree of `text`; a
-    SyntaxError at the column of the first node outside the grammar."""
-    kind = type(node)
+def _tree(node: ast.expr, text: str, depth: int = 0) -> ExprAst:
+    """The ExprAst of `node`, a node of Python's tree of `text` at `depth`
+    below its root; a SyntaxError at the column of the first node outside
+    the grammar or deeper than _DEPTH."""
+    if depth > _DEPTH:
+        raise SyntaxError(_TOO_DEEP, ("", 1, node.col_offset + 1, text))
+    kind, depth = type(node), depth + 1
     if kind is ast.BinOp and type(node.op) in _BINOPS:
-        return ExprAst(_BINOPS[type(node.op)],
-                       children=(_tree(node.left, text), _tree(node.right, text)))
+        return ExprAst(_BINOPS[type(node.op)], children=(_tree(node.left, text, depth),
+                                                         _tree(node.right, text, depth)))
     if kind is ast.UnaryOp and type(node.op) is ast.USub:
-        inner = _tree(node.operand, text)
+        inner = _tree(node.operand, text, depth)
         return const(-inner.value) if inner.kind == "const" else ExprAst("neg", children=(inner,))
     segment = text[node.col_offset:node.end_col_offset]
     # 1_000, 0x10 and 1j are Python numbers, and `...` a Constant too
@@ -124,7 +132,7 @@ def _tree(node: ast.expr, text: str) -> ExprAst:
     if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCS
             and len(node.args) == 1 and not node.keywords
             and node.col_offset == node.func.col_offset):
-        return ExprAst(node.func.id, children=(_tree(node.args[0], text),))
+        return ExprAst(node.func.id, children=(_tree(node.args[0], text, depth),))
     name = node.func if kind is ast.Call else node
     if type(name) is ast.Name and name.id != "t" and name.id not in _FUNCS:
         raise SyntaxError(f"unknown identifier {name.id!r}", ("", 1, name.col_offset + 1, text))
@@ -136,7 +144,8 @@ def parse_expression(source: str) -> ExprAst:
 
     The grammar is Python's expression grammar with '^' for '**': Python's
     parser reads the source, each '^' written as '**', and _tree maps its
-    tree onto ExprAst, refusing every node outside the grammar.
+    tree onto ExprAst, refusing every node outside the grammar or deeper
+    than _DEPTH (a source too deep for Python's parser is refused at 0).
     """
     foreign = _FOREIGN.search(source)
     if foreign is not None:
@@ -144,7 +153,12 @@ def parse_expression(source: str) -> ExprAst:
     text = _BLANKED.sub(lambda m: " " * len(m.group()), source).replace("^", "**")
     body = text.lstrip()  # eval mode refuses an indent
     try:
-        return _tree(ast.parse(body, mode="eval").body, body)
+        with warnings.catch_warnings():  # "3not 7" warns before it is refused
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = ast.parse(body, mode="eval").body
+        return _tree(tree, body)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP, 0) from None
     except SyntaxError as exc:
         # Python reports the end of input at offset 0, an unclosed bracket
         # where it opens, and a hint for commas, which the grammar refuses

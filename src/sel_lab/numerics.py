@@ -186,9 +186,11 @@ _PANEL_LIMIT, _PANEL_FLOOR = 200, 2.0 ** -36
 
 
 def _kronrod_panel(g, a: float, b: float):
-    """(value, err) of g over (a, b) in Python floats: integrate_panel's
-    Kronrod value in its float operations and qk15's scaled estimate as
-    _gk15 forms it (inf where the value is not finite)."""
+    """(value, err, raw) of g over (a, b): qk15 in Python floats, the
+    package's one scalar pass.  The 15 calls run centre first, then -x and
+    +x per node of _GK15; value is the Kronrod sum, a running sum in that
+    order, err qk15's scaled estimate as _gk15 forms it (inf where the
+    value is not finite) and raw the estimate |K15 - G7|."""
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     fs = [g(centre)]
     kronrod, gauss = _GK15_CENTRE[0] * fs[0], _GK15_CENTRE[1] * fs[0]
@@ -198,16 +200,16 @@ def _kronrod_panel(g, a: float, b: float):
         pair = fs[-2] + fs[-1]
         kronrod += wk * pair
         gauss += wg * pair
-    value, mean = kronrod * half, 0.5 * kronrod
+    value, mean, raw = kronrod * half, 0.5 * kronrod, abs(kronrod - gauss) * half
     if not math.isfinite(value):
-        return value, math.inf
+        return value, math.inf, raw
     resabs, resasc = _GK15_CENTRE[0] * abs(fs[0]), _GK15_CENTRE[0] * abs(fs[0] - mean)
     for (_, wk, _), f1, f2 in zip(_GK15, fs[1::2], fs[2::2]):
         resabs += wk * (abs(f1) + abs(f2))
         resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
-    raw, resabs, resasc = abs(kronrod - gauss) * half, resabs * half, resasc * half
+    resabs, resasc = resabs * half, resasc * half
     err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5) if resasc > 0.0 and raw > 0.0 else raw
-    return value, max(err, 50.0 * _EPS * resabs)
+    return value, max(err, 50.0 * _EPS * resabs), raw
 
 
 def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
@@ -216,11 +218,11 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
     toward='left' maps t = a + (b-a) w^3, concentrating nodes near a; this
     turns an integrable power singularity t^-p into w^(2-3p).  Bisection
     over w in (0, 1), from two panels, halves the largest error estimate
-    (_kronrod_panel) until they sum to at most tol (1 + |value|); a panel
-    that is not finite, narrower than _PANEL_FLOOR of its t or past
-    _PANEL_LIMIT ends it: at w = 0 the piece goes to the end's image
-    (_end_integral), elsewhere it is a NumericsError.  Endpoints themselves
-    are never evaluated.
+    (_kronrod_panel) until the estimates sum to at most tol (1 + |value|)
+    and the value is finite; a panel that is not finite, narrower than
+    _PANEL_FLOOR of its t or past _PANEL_LIMIT ends it: at w = 0 the piece
+    goes to the end's image (_end_integral), elsewhere it is a
+    NumericsError.  Endpoints themselves are never evaluated.
     """
     width = b - a
     if width <= 0.0:
@@ -235,11 +237,11 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
             return 0.0
         return 3.0 * width * w * w * fn(t)
 
-    (v1, e1), (v2, e2) = _kronrod_panel(g, 0.0, 0.5), _kronrod_panel(g, 0.5, 1.0)
+    (v1, e1, _), (v2, e2, _) = _kronrod_panel(g, 0.0, 0.5), _kronrod_panel(g, 0.5, 1.0)
     panels = [(-e1, 0.0, 0.5, v1), (-e2, 0.5, 1.0, v2)]  # (-err, lo, hi, value)
     heapq.heapify(panels)  # the largest estimate first
     value, err = v1 + v2, e1 + e2
-    while not err <= tol * (1.0 + abs(value)):
+    while not (err <= tol * (1.0 + abs(value)) and math.isfinite(value)):
         e, lo, hi, v = panels[0]
         mid = 0.5 * (lo + hi)
         if (len(panels) == _PANEL_LIMIT or not math.isfinite(v - e) or not
@@ -247,7 +249,7 @@ def _quad_piece(fn, a: float, b: float, tol: float, toward: str):
             if lo == 0.0:
                 return _end_integral(fn, end, step, tol, toward, -1.0 if v < 0.0 else 1.0)
             raise NumericsError("max subdivision exceeded without reaching tolerance")
-        (v1, e1), (v2, e2) = _kronrod_panel(g, lo, mid), _kronrod_panel(g, mid, hi)
+        (v1, e1, _), (v2, e2, _) = _kronrod_panel(g, lo, mid), _kronrod_panel(g, mid, hi)
         heapq.heapreplace(panels, (-e1, lo, mid, v1))
         heapq.heappush(panels, (-e2, mid, hi, v2))
         value += v1 + v2 - v
@@ -321,6 +323,7 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
     end's image (_end_integral).  The error estimate satisfies
     err <= tol*(1+|value|) or NumericsError is raised.
     """
+    a, b = float(a), float(b)
     if not b > a:
         raise ValueError("integrate_finite requires a < b")
     # before the bisection, which can overflow near a divergent end (t^-2
@@ -464,24 +467,17 @@ def _gk15_partials(fv):
 def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
     """Quadrature of fn over one smooth panel (a, b); returns (value, err).
 
-    One 15-point Gauss-Kronrod rule, endpoints never evaluated.  The
-    Kronrod value is accepted when it is finite and its raw error
-    estimate |K15 - G7| is <= tol*(1+|K15|), integrate_finite's own test.
+    One 15-point Gauss-Kronrod rule (_kronrod_panel), endpoints never
+    evaluated.  The Kronrod value is accepted when it is finite and its
+    raw error estimate |K15 - G7| is <= tol*(1+|K15|), integrate_finite's
+    own test.
     Otherwise, and when fn raises ArithmeticError at a node, the panel goes
     to integrate_finite; any other exception of fn propagates.
     """
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
     try:
-        fc = fn(centre)
-        kronrod, gauss = _GK15_CENTRE[0] * fc, _GK15_CENTRE[1] * fc
-        for x, wk, wg in _GK15:
-            dx = half * x
-            pair = fn(centre - dx) + fn(centre + dx)
-            kronrod += wk * pair
-            gauss += wg * pair
+        value, _, err = _kronrod_panel(fn, a, b)
     except ArithmeticError:
         return integrate_finite(fn, a, b, tol)
-    value, err = kronrod * half, abs(kronrod - gauss) * half
     if math.isfinite(value) and err <= tol * (1.0 + abs(value)):
         return value, err
     return integrate_finite(fn, a, b, tol)
@@ -489,7 +485,7 @@ def integrate_panel(fn, a: float, b: float, tol: float = 1e-10):
 
 def _gk15_nodes(a, b):
     """(nodes, half): the (n, 15) array of the Kronrod nodes of the panels
-    (a[i], b[i]) in integrate_panel's order, centre first, then -x and +x
+    (a[i], b[i]) in _kronrod_panel's order, centre first, then -x and +x
     per node of _GK15, and the panels' half-widths."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(all="ignore"):
@@ -505,13 +501,13 @@ def _gk15_nodes(a, b):
 def _gk15_sums(fv, half):
     """(values, errs, kronrod): the Kronrod values of the rows of fv, an (n, 15)
     array of node values in _gk15_nodes's order, with their raw estimates
-    |K15 - G7| and the unscaled Kronrod sums.  The sums are integrate_panel's
+    |K15 - G7| and the unscaled Kronrod sums.  The sums are _kronrod_panel's
     float operations in its order (a running sum, not a pairwise one)."""
     with np.errstate(all="ignore"):
         pair = fv[:, 1::2] + fv[:, 2::2]
         kp, gp = (_GK15_KRONROD * pair).T, (_GK15_GAUSS * pair).T
         kronrod, gauss = _GK15_CENTRE[0] * fv[:, 0], _GK15_CENTRE[1] * fv[:, 0]
-        for j in range(7):  # a running sum in integrate_panel's order
+        for j in range(7):  # a running sum in _kronrod_panel's order
             kronrod = kronrod + kp[j]
             gauss = gauss + gp[j]
         return kronrod * half, np.abs(kronrod - gauss) * half, kronrod
@@ -531,9 +527,9 @@ def _gk15(vec, a, b, scaled: bool = False):
     QUADPACK's scaled estimates too.
 
     vec is called once on the (n, 15) array of every panel's nodes in
-    integrate_panel's order (_gk15_nodes); its exceptions propagate.  A
-    panel's value is integrate_panel's wherever vec agrees with fn
-    (_gk15_sums).  The scaled estimate is qk15's: with
+    _kronrod_panel's order (_gk15_nodes); its exceptions propagate.  A
+    panel's value and raw estimate are _kronrod_panel's wherever vec agrees
+    with fn (_gk15_sums).  The scaled estimate is qk15's: with
     resasc the Kronrod-weighted |f - mean f| and resabs the Kronrod-weighted
     |f|, both summed as _gk15_sums sums the values (no matrix product, so
     the bytes do not depend on the BLAS kernel), it is
@@ -557,8 +553,9 @@ def _gk15(vec, a, b, scaled: bool = False):
 
 
 def integrate_panels(vec, a, b, tol: float = 1e-10):
-    """integrate_panel's rule over the panels (a[i], b[i]) at once; returns
-    (values, ok), arrays with one entry per panel.
+    """integrate_panel's rule, _kronrod_panel's pass, over the panels
+    (a[i], b[i]) at once; returns (values, ok), arrays with one entry per
+    panel.
 
     vec is an array evaluator of fn (ScalarFn.vector()), called once on all
     the nodes (_gk15); its exceptions propagate.  ok is integrate_panel's

@@ -1,4 +1,5 @@
 import builtins
+import functools
 import gc
 import math
 import random
@@ -182,6 +183,8 @@ def test_strings_outside_the_grammar_are_parse_errors(source):
     ("-(2)", const(-2.0)),
     ("-(2+3)", ExprAst("neg", children=(ExprAst("add", children=(const(2.0), const(3.0))),))),
     ("(\nt\n)", VAR),
+    pytest.param("-" * 200 + "t", functools.reduce(
+        lambda tree, _: ExprAst("neg", children=(tree,)), range(200), VAR), id="200 minus signs"),
 ])
 def test_grammar_strings_at_the_edges_parse(source, tree):
     assert parse_expression(source) == tree
@@ -194,6 +197,9 @@ def test_grammar_strings_at_the_edges_parse(source, tree):
     ("foo(t)", 0, "unknown identifier 'foo'"),
     ("t^2 # c", 4, "unexpected '#'"),
     ("t**2", 1, "'**'"),
+    pytest.param("-" * 3000 + "t", 0, "expression nested too deeply", id="3000 minus signs"),
+    pytest.param("-" * 500 + "t", 201, "expression nested too deeply", id="500 minus signs"),
+    pytest.param("3not 7", 5, "invalid syntax", marks=pytest.mark.filterwarnings("error")),
 ])
 def test_parse_errors_name_their_offset(source, offset, message):
     with pytest.raises(ParseError) as err:

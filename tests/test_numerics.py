@@ -69,6 +69,15 @@ class TestIntegrateFinite:
                            match=rf"left endpoint \(local power {-p:.3f}\)"):
             integrate_finite(lambda t: t ** -p, 0.0, b, 1e-10)
 
+    # the probe reads a nonzero end above rounding; the end's image, which
+    # reads t rounded next to it, would leave p near 1 undecided
+    @pytest.mark.parametrize("p", [1.0, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0])
+    def test_a_pole_at_a_nonzero_end_names_its_power(self, p):
+        with pytest.raises(NonIntegrableError, match=rf"right endpoint \(local power {-p:.3f}\)"):
+            integrate_finite(lambda t: (1.0 - t) ** -p, 0.0, 1.0, 1e-10)
+        with pytest.raises(NonIntegrableError, match=rf"left endpoint \(local power {-p:.3f}\)"):
+            integrate_finite(lambda t: (t - 0.3) ** -p, 0.3, 1.0, 1e-10)
+
     def test_negative_pole_at_the_right_end(self):
         with pytest.raises(NonIntegrableError, match="right endpoint"):
             integrate_finite(lambda t: -(1.0 - t) ** -2, 0.0, 1.0, 1e-10)
@@ -101,8 +110,11 @@ class TestIntegrateFinite:
         (lambda t: t ** -0.95 * math.log(1.0 / t) ** 2, 0.0, 1.0, 1e-10, 16000.0),
         (math.log, 0.0, 1.0, 1e-10, -1.0),
         (lambda t: 1.0 / (t * math.log(1.0 / t) ** 2), 0.0, 0.5, 1e-10, 1.0 / math.log(2.0)),
+        (lambda t: 1e300 * t ** -0.7, 0.0, 1.0, 1e-10, 1e300 / 0.3),
+        pytest.param(lambda t: 1e300 * t ** -0.7, np.float64(0.0), np.float64(1.0), 1e-10,
+                     1e300 / 0.3, marks=pytest.mark.filterwarnings("error")),
     ], ids=["t", "sin", "t^-0.5", *(f"t^{d}" for d in range(6)), "exp(-t^2)", "t^-0.999",
-            "t^-0.95 ln^2", "ln", "1/(t ln^2)"])
+            "t^-0.95 ln^2", "ln", "1/(t ln^2)", "1e300 t^-0.7", "1e300 t^-0.7, numpy bounds"])
     def test_the_error_bounds_the_closed_form(self, fn, a, b, tol, exact):
         v, e = integrate_finite(fn, a, b, tol)
         assert abs(v - exact) <= e <= tol * (1.0 + abs(v))
@@ -121,6 +133,19 @@ class TestIntegratePanels:
         b = np.array([1.0, 2.0 ** 0.25, 1e3 + 1e-3, 7.0, 1e103, 5.0, 2.0 ** -29.75])
         values, ok = numerics.integrate_panels(self.cubic, a, b, 1e-12)
         assert values.shape == ok.shape == a.shape
+        assert not ok[2] and math.isfinite(values[2])
+        assert not ok[4] and not math.isfinite(values[4])
+        # seeded panels of expressions of correctly rounded operations only,
+        # whose array and float forms agree to the bit; abs(t-1.3) t has a
+        # kink that fails the panels across it
+        rng = np.random.default_rng(56)
+        lo = rng.uniform(-4.0, 4.0, 64)
+        hi = lo + rng.uniform(0.1, 1.0, 64) * 10.0 ** rng.integers(-8, 1, 64)
+        cases = [(self.cubic, values, ok, a, b)]
+        for src in ("t*t*t-2*t", "1/(1+t*t)", "sqrt(1+t*t)", "abs(t-1.3)*t"):
+            fn = ScalarFn.from_source(src)
+            cases.append((fn, *numerics.integrate_panels(fn.vector(), lo, hi, 1e-12), lo, hi))
+        assert cases[-2][2].all() and not cases[-1][2].all()
         fallbacks = []
 
         def fallback(fn, lo, hi, tol):
@@ -128,14 +153,16 @@ class TestIntegratePanels:
             return math.nan, math.nan
 
         monkeypatch.setattr(numerics, "integrate_finite", fallback)
-        for i in range(a.size):
-            value, _ = numerics.integrate_panel(self.cubic, float(a[i]), float(b[i]), 1e-12)
-            accepted = float(a[i]) not in fallbacks
-            assert bool(ok[i]) == accepted
-            if accepted:
-                assert value == values[i]
-        assert not ok[2] and math.isfinite(values[2])
-        assert not ok[4] and not math.isfinite(values[4])
+        for fn, values, ok, a, b in cases:
+            for i in range(a.size):
+                fallbacks.clear()
+                value, err = numerics.integrate_panel(fn, float(a[i]), float(b[i]), 1e-12)
+                assert bool(ok[i]) == (not fallbacks)
+                if ok[i]:
+                    assert value == values[i]
+                    # the scalar pass's value and raw estimate, bit for bit
+                    kronrod, _, raw = numerics._kronrod_panel(fn, float(a[i]), float(b[i]))
+                    assert (kronrod, raw) == (value, err)
 
     def test_one_call_over_all_nodes(self):
         shapes = []
@@ -475,7 +502,8 @@ class TestTailQuadrature:
 
 
 class TestBertrandRemainder:
-    """The one remainder rule past a point T of a convergent Bertrand fit."""
+    """The first-order remainder rule past a point T of a convergent Bertrand
+    fit, which the tail classifier and the tail map read."""
 
     def test_power_tail(self):
         # int_T^inf t^-2 dt = 1/T: A = -2 decides
