@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import ports
 from .expr import EvalDomainError, ScalarFn, compose_scalar, const
 from .ioutil import fmt, write_csv
 from .karamata import Nonlinearity
@@ -360,6 +359,76 @@ class _Bracketed(Exception):
     """Ends a fold search at the first shot that brackets R."""
 
 
+def _minimize_bounded(f, a: float, b: float, xatol: float) -> float:
+    """The point of [a, b] where Brent's bounded minimiser (Brent 1973,
+    ch. 5) settles on f, in the float operations of scipy's
+    minimize_scalar(method="bounded") with xatol (tests/test_ports.py),
+    after at most 500 calls (scipy's default): golden-section steps, a
+    parabolic step wherever one is acceptable, no two points closer than
+    tol1 = sqrt(2.2e-16) |x| + xatol/3, and a stop when the bracket around
+    the best point x is within 2 tol1 of it."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
@@ -461,7 +530,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
 
         for _, lo, hi in maxima:
             try:
-                ports.minimize_bounded(minus_z, math.log(lo), math.log(hi), xatol=1e-5)
+                _minimize_bounded(minus_z, math.log(lo), math.log(hi), xatol=1e-5)
             except _Bracketed as found:
                 return found.args[0]
         return None

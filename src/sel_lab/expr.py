@@ -332,19 +332,21 @@ _NEGATIVE_BASE = "negative base with non-integer exponent"
 _CHECKS = {
     "div": (("{b} == 0.0", "division by zero"),),
     "ln": (("{a} <= 0.0", "logarithm of a non-positive value"),),
+    "log1p": (("{a} <= -1.0", "logarithm of a non-positive value"),),
     "sqrt": (("{a} < 0.0", "square root of a negative value"),),
     "sin": (("abs({a}) == _INF", "sine of an infinite value"),),
     "cos": (("abs({a}) == _INF", "cosine of an infinite value"),),
     "pow": (("({a} == 0.0) & ({b} < 0.0)", _ZERO_TO_NEGATIVE),
             ("({a} < 0.0) & ({b} % 1.0 != 0.0)", _NEGATIVE_BASE)),
 }
-# Node values; the scalar back end writes exp and pow inline instead, since
-# math raises OverflowError where numpy returns +-inf.
+# Node values; the scalar back end wraps exp, expm1 and pow in a try
+# instead, since math raises OverflowError where numpy returns +-inf.
 _VALUE = {
     "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}", "div": "{a} / {b}",
     "neg": "-{a}", "abs": "abs({a})", "ln": "_log({a})", "sqrt": "_sqrt({a})",
     "atan": "_atan({a})", "sin": "_sin({a})", "cos": "_cos({a})",
     "exp": "_exp({a})", "pow": "_pow({a}, {b})",
+    "log1p": "_log1p({a})", "expm1": "_expm1({a})",
 }
 _NONFINITE = {math.inf: "_INF", -math.inf: "(-_INF)"}
 
@@ -361,10 +363,27 @@ def _operand(value: float, consts: list) -> str:
     return name
 
 
-def _checks(node: ExprAst):
-    """The checks of `node`; a constant exponent settles the pow checks now."""
-    if node.kind != "pow" or node.children[1].kind != "const":
-        return _CHECKS.get(node.kind, ())
+def _fused(node: ExprAst):
+    """(kind, children) that `node` is emitted as: ln(1 + x) and ln(x + 1)
+    as log1p(x), exp(x) - 1 as expm1(x), which keep the digits of a small
+    x that 1 + x and exp(x) - 1 round away; any other node as itself."""
+    k, children = node.kind, node.children
+    if k == "ln" and children[0].kind == "add":
+        a, b = children[0].children
+        if _is_const(a, 1.0):
+            return "log1p", (b,)
+        if _is_const(b, 1.0):
+            return "log1p", (a,)
+    elif k == "sub" and children[0].kind == "exp" and _is_const(children[1], 1.0):
+        return "expm1", children[0].children
+    return k, children
+
+
+def _checks(kind: str, node: ExprAst):
+    """The checks of `node` emitted as `kind`; a constant exponent settles
+    the pow checks now."""
+    if kind != "pow" or node.children[1].kind != "const":
+        return _CHECKS.get(kind, ())
     b = node.children[1].value
     checks = []
     if b < 0.0:
@@ -388,9 +407,11 @@ def _shaped(value, t: np.ndarray) -> np.ndarray:
 
 # The functions each back end binds to the names the bodies call.
 _SCALAR_ENV = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
-               "_atan": math.atan, "_sin": math.sin, "_cos": math.cos}
+               "_atan": math.atan, "_sin": math.sin, "_cos": math.cos,
+               "_log1p": math.log1p, "_expm1": math.expm1}
 _VECTOR_ENV = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt, "_atan": np.arctan,
                "_sin": np.sin, "_cos": np.cos, "_pow": np.power, "_any": np.any,
+               "_log1p": np.log1p, "_expm1": np.expm1,
                "_np": np, "_lanes": _lanes, "_shaped": _shaped}
 
 
@@ -402,11 +423,12 @@ def _emit(ast: ExprAst, var: str, nodes: list, consts: list, scalar: list,
     The walk appends straight-line code to `scalar`, over Python floats,
     and to `vec`, over numpy arrays, when one is given: one local v<k> per
     operation node, k counting `nodes`, and the checks of _CHECKS in node
-    order.  A finite constant is read from the global _k<i>, i counting
-    `consts`, so the code is that of the tree's shape and the checks its
-    constant exponents settle.  A failing scalar check raises
-    EvalDomainError with its node and `var` as t; a failing vector check
-    returns the scalar evaluator `_f` run lane by lane.
+    order; ln(1 + x) and exp(x) - 1 are one node each (_fused).  A finite
+    constant is read from the global _k<i>, i counting `consts`, so the
+    code is that of the tree's shape and the checks its constant exponents
+    settle.  A failing scalar check raises EvalDomainError with its node and
+    `var` as t; a failing vector check returns the scalar evaluator `_f`
+    run lane by lane.
     """
     def emit(node: ExprAst) -> str:
         k = node.kind
@@ -414,8 +436,9 @@ def _emit(ast: ExprAst, var: str, nodes: list, consts: list, scalar: list,
             return _operand(node.value, consts)
         if k == "var":
             return var
-        ops = dict(zip("ab", (emit(c) for c in node.children)))
-        for condition, message in _checks(node):
+        k, children = _fused(node)
+        ops = dict(zip("ab", (emit(c) for c in children)))
+        for condition, message in _checks(k, node):
             condition = condition.format(**ops)
             scalar.append(f"    if {condition}:")
             scalar.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], {var})")
@@ -426,9 +449,8 @@ def _emit(ast: ExprAst, var: str, nodes: list, consts: list, scalar: list,
         value = f"{out} = {_VALUE[k].format(**ops)}"
         if vec is not None:
             vec.append(f"        {value}")
-        if k == "exp":
-            scalar.extend((f"    try: {out} = _exp({ops['a']})",
-                           f"    except OverflowError: {out} = _INF"))
+        if k in ("exp", "expm1"):
+            scalar.extend((f"    try: {value}", f"    except OverflowError: {out} = _INF"))
         elif k == "pow":
             a, b = ops["a"], ops["b"]
             scalar.extend((f"    try: {out} = {a} ** {b}",

@@ -311,8 +311,10 @@ class TailMap:
     with G(t_K)): that fit is of F^(-1/2), whose A, B and misfit are G's.
     Below the top, Phi(t_k) = Phi(t_{k+1}) + int_{t_k}^{t_{k+1}} G, a
     running sum from the top down, filled in blocks of _BLOCK panels
-    aligned on K, so a lattice value does not depend on the order of the
-    queries.
+    aligned on K, so how the queries split it into blocks does not move a
+    value.  Below t = 1 F itself depends on the order of its queries (its
+    downward fill starts with one quadrature from 0), and so Phi does
+    there.
 
     A block is one array call of f at the Kronrod nodes of its panels, each
     of which is one panel of F's lattice.  A panel's 15 samples of f fix

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import ports
 from .expr import EvalDomainError, ScalarFn
 from .ioutil import write_csv
 
@@ -149,7 +148,6 @@ class RadialSolution:
     u: np.ndarray
     du: np.ndarray | None = None
     v: np.ndarray | None = None
-    dv: np.ndarray | None = None
     classification: str = UNDETERMINED
     blowup_radius: float | None = None
     metadata: dict = field(default_factory=dict)
@@ -319,9 +317,11 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
 
     Integrable endpoint power singularities are allowed; a non-integrable
     one (local power <= -1) raises NonIntegrableError.  Each half of (a, b)
-    is graded toward its end and bisected (_quad_piece), or read off the
-    end's image (_end_integral).  The error estimate satisfies
-    err <= tol*(1+|value|) or NumericsError is raised.
+    is graded toward its end and bisected to tol/4 (_quad_piece), or read
+    off the end's image (_end_integral).  The error estimate satisfies
+    err <= tol*(1 + |left| + |right|), left and right the halves' values,
+    or NumericsError is raised: halves that cancel are held to their own
+    size, not to their sum's.
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -335,13 +335,8 @@ def integrate_finite(fn, a: float, b: float, tol: float = 1e-10):
     value, err = v1 + v2, e1 + e2
     if not math.isfinite(value):
         raise NumericsError("quadrature produced a non-finite value")
-    if err > tol * (1.0 + abs(value)):
-        # one refinement pass before declaring failure
-        v1, e1 = _quad_piece(fn, a, mid, tol * 0.02, "left")
-        v2, e2 = _quad_piece(fn, mid, b, tol * 0.02, "right")
-        value, err = v1 + v2, e1 + e2
-        if err > tol * (1.0 + abs(value)):
-            raise NumericsError("max subdivision exceeded without reaching tolerance")
+    if err > tol * (1.0 + abs(v1) + abs(v2)):
+        raise NumericsError("max subdivision exceeded without reaching tolerance")
     return value, err
 
 
@@ -983,22 +978,87 @@ def classify_origin_integral(fn, b: float) -> ConvergenceVerdict:
 # Bracketed root finding
 # ---------------------------------------------------------------------------
 
-class _Converged(Exception):
-    """Raised inside Brent's objective with a point that meets the residual stop."""
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
+            ftol: float = 0.0):
+    """(root, iterations, converged) of f on the bracket [a, b] by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), as scipy's brentq runs it.
+
+    Each step keeps a bracket [x, x_blk] with |f(x)| <= |f(x_blk)|, tries
+    the secant (two points) or inverse quadratic (three) step and takes it
+    when it is under half the step before last and 3/4 of the bisection,
+    else bisects; a step is at least delta = (xtol + rtol |x|)/2, and the
+    search stops when |f(x)| <= ftol or the half bracket is below delta.
+    An end where |f| <= ftol is the root, found in no iteration.  With
+    ftol = 0 this is brentq's float operations in brentq's order
+    (tests/test_ports.py).  With ftol > 0 the root is the first point
+    evaluated with |f| <= ftol, since every earlier point had |f| > ftol
+    and so never displaces it as x, converged also when the last
+    iteration found it (brentq, and ftol = 0, leave that one
+    unconverged).  A nan value of f raises ValueError, as do ends of equal
+    sign; f is read as float(f(x)).
+    """
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if abs(fpre) <= ftol:
+        return xpre, 0, True
+    if abs(fcur) <= ftol:
+        return xcur, 0, True
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if abs(fcur) <= ftol or abs(sbis) < delta:
+            return xcur, iteration, True
+        step = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                step = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero divisor makes an inf or nan step, refused below
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                divisor = dblk * dpre * (fblk - fpre)
+                if divisor != 0.0:
+                    step = -fcur * (fblk * dblk - fpre * dpre) / divisor
+        if step is not None and 2 * abs(step) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, step
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur, maxiter, 0.0 < ftol and abs(fcur) <= ftol
 
 
 def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-12,
                        width_tol: float | None = None) -> float:
-    """Solve fn(x) = target by Brent's method on a bracket of [lo, hi].
+    """Solve fn(x) = target by Brent's method (_brentq) on a bracket of [lo, hi].
 
     fn need not be monotone: fn - target must change sign on the bracket.
     If (lo, hi) does not bracket the target, hi is pushed out by doubling
-    the interval width up to 60 times.  Stops when |fn(x)-target| <= tol or
-    the bracket width is below about width_tol*(1+|x|) (width_tol defaults
-    to tol); callers whose fn is steeply sensitive decouple the two stops
-    by passing width_tol.  Each point is evaluated once.  A search that
-    meets a nan value of fn on the bracket, or does not converge, raises
-    NumericsError.
+    the interval width up to 60 times.  Stops at the first point with
+    |fn(x)-target| <= tol (_brentq's ftol) or when the bracket width is
+    below about width_tol*(1+|x|) (width_tol defaults to tol); callers
+    whose fn is steeply sensitive decouple the two stops by passing
+    width_tol.  Each point is evaluated once.  A search that meets a nan
+    value of fn on the bracket, or does not converge, raises NumericsError.
     """
     if not hi > lo:
         raise ValueError("find_root_monotone requires lo < hi")
@@ -1022,15 +1082,10 @@ def find_root_monotone(fn, target: float, lo: float, hi: float, tol: float = 1e-
         g = known.pop(x) if x in known else fn(x) - target
         if math.isnan(g):
             raise NumericsError(f"root search for target {target!r}: fn is nan at x={x!r}")
-        if abs(g) <= tol:
-            raise _Converged(x)
         return g
 
-    try:
-        root, iterations, converged = ports.brentq(gap, lo, hi, width_tol,
-                                                   max(width_tol, 4.0 * _EPS), 200)
-    except _Converged as hit:
-        return hit.args[0]
+    root, iterations, converged = _brentq(gap, lo, hi, width_tol,
+                                          max(width_tol, 4.0 * _EPS), 200, ftol=tol)
     if not converged:
         raise NumericsError(f"root search for target {target!r} did not converge on "
                             f"[{lo!r}, {hi!r}]: convergence error after {iterations} iterations")
@@ -1078,18 +1133,90 @@ def bessel_psi(M: int, x):
 
 # The explicit Runge-Kutta pair as scipy runs it: DOP853 (Dormand-Prince
 # 8(5,3), Hairer-Norsett-Wanner II.10, with degree-7 dense output from three
-# extra stages).  Its tables are the literals of ports, and the whole step
-# loop (stages, error norm, step control, drift and events) is generated
-# once, at import, as straight-line code over Python floats.
+# extra stages).  Its tables are the literals below, scipy's `DOP853` class
+# entry by entry (tests/test_ports.py), and the whole step loop (stages,
+# error norm, step control, drift and events) is generated once, at import,
+# as straight-line code over Python floats.
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2 ** 0.5
 # scipy's result messages, by status
 _MESSAGES = {-1: "Required step size is less than spacing between numbers.",
              0: "The solver successfully reached the end of the integration interval.",
              1: "A termination event occurred."}
-_STAGES = ports.DOP853_STAGES  # RHS calls of an attempted step: 12
-_DENSE_STAGES = len(ports.DOP853_C_EXTRA)  # and of one step's interpolant: 3
-_ERROR_EXPONENT = 1 / (ports.DOP853_ERROR_ORDER + 1)  # 1/8
+DOP853_STAGES = 12
+DOP853_ERROR_ORDER = 7
+# The nodes c_2, ..., c_12 and the rows a_2, ..., a_12 of the stage matrix,
+# each up to its last nonzero entry.
+DOP853_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+            0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+            0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+DOP853_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+)
+# The weights of the eighth-order solution over the 12 stages, and of the
+# fifth- and third-order error estimates over them and the new slope.
+DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+DOP853_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+             -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+             0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+DOP853_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+             1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+             -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
+# The three extra stages of the dense output, each row up to its last
+# nonzero entry, and the four rows D of the degree-7 interpolant over all
+# sixteen stages.
+DOP853_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
+DOP853_A_EXTRA = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+DOP853_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
+_STAGES = DOP853_STAGES  # RHS calls of an attempted step: 12
+_DENSE_STAGES = len(DOP853_C_EXTRA)  # and of one step's interpolant: 3
+_ERROR_EXPONENT = 1 / (DOP853_ERROR_ORDER + 1)  # 1/8
 # The three event slots, numbered as ShotResult.event, as g(u): u falls to
 # floor 0 or 1, or rises to the cap.  An absent slot's level is -inf (floors)
 # or +inf (cap): its g is never <= 0.  The step loop writes max(a, b) as the
@@ -1144,8 +1271,8 @@ def _compile_kernel(drift: bool):
     u-slope of each stage is that stage's v.
     """
     ku, kv = ["v"], ["f"]
-    stages = _stage_lines(ports.DOP853_A, ports.DOP853_C, ku, kv, 2, drift)
-    b, e5, e3 = ports.DOP853_B, ports.DOP853_E5, ports.DOP853_E3
+    stages = _stage_lines(DOP853_A, DOP853_C, ku, kv, 2, drift)
+    b, e5, e3 = DOP853_B, DOP853_E5, DOP853_E3
     stages += [f"u_new = u + h * ({_weighted(b, ku)})",
                f"v_new = v + h * ({_weighted(b, kv)})",
                *_slope_lines("f_new", "r + h", "u_new", "v_new", drift),
@@ -1168,9 +1295,9 @@ def _compile_kernel(drift: bool):
                "error_norm = h * n5 / _sqrt((n5 + 0.01 * n3) * 2) if n5 else 0.0"]
     # three extra stages, then scipy's F rows: y_new - y_old, h f_old - dy,
     # 2 dy - h (f_new + f_old) and h D K over all sixteen stages
-    interpolant = _stage_lines(ports.DOP853_A_EXTRA, ports.DOP853_C_EXTRA, ku, kv,
+    interpolant = _stage_lines(DOP853_A_EXTRA, DOP853_C_EXTRA, ku, kv,
                                len(ku) + 1, drift)
-    rows = ports.DOP853_D
+    rows = DOP853_D
     interpolant += [
         "du = u_new - u",
         "dv = v_new - v",
@@ -1333,7 +1460,7 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
     class, with the drift and the three event slots inline; it returns here
     only at r_end, at the minimum step (status -1, also for a nan source)
     or on a step where an event falls through zero, which is then located
-    by Brent's method (ports.brentq) on the step's interpolant of u: the
+    by Brent's method (_brentq) on the step's interpolant of u: the
     earliest root ends the shot and is its last point.  Squares are x * x,
     so an overflow gives inf or nan and a rejected step rather than an
     exception.  dense=True builds
@@ -1384,8 +1511,8 @@ def shoot(source, N: int, r_start: float, y0, r_end: float, rtol: float, atol: f
         root = None
         for j in range(len(_GATES)):
             if fired[j]:
-                x, iterations, converged = ports.brentq(gap(j), r_old, r_new,
-                                                        4 * _EPS, 4 * _EPS, 100)
+                x, iterations, converged = _brentq(gap(j), r_old, r_new,
+                                                   4 * _EPS, 4 * _EPS, 100)
                 if not converged:
                     raise NumericsError(f"event {j} not located on [{r_old!r}, {r_new!r}] "
                                         f"after {iterations} iterations")

@@ -41,8 +41,10 @@ def _weight(k: KFunction, variant: str) -> ScalarFn:
 
 def _invert(phi: TailMap, target: float, t: float, tol: float) -> tuple[float, float]:
     """(h, rel): h(t) = Phi^-1(target) for the target int_0^t w, found by
-    root-finding to tol*target on the lattice panel of the tail map Phi
-    that holds the target, and rel = |Phi(h) - target|/target, the
+    root-finding to the residual tol*target on the lattice panel of the
+    tail map Phi that holds the target, with the width stop at rounding
+    (a width stop at tol*target would end the search for a large target
+    before its residual is met), and rel = |Phi(h) - target|/target, the
     round-trip error of the identity, refused past 1e-8 (ValueError).  A
     target <= 0 is a ValueError; one below Phi at the lattice top, where F
     overflows, a NumericsError."""
@@ -53,7 +55,8 @@ def _invert(phi: TailMap, target: float, t: float, tol: float) -> tuple[float, f
         raise NumericsError(
             f"h(t) at t={t!r} lies past the tail map's lattice top {top!r}, where F "
             f"overflows: Phi there is {phi(top)!r} > {target!r}")
-    h = find_root_monotone(phi, target, *phi.bracket(target), tol=tol * target)
+    h = find_root_monotone(phi, target, *phi.bracket(target), tol=tol * target,
+                           width_tol=0.0)
     rel = abs(phi(h) - target) / (target + 1e-300)
     if rel > 1e-8:
         raise ValueError(f"profile round-trip error {rel:.3e} exceeds 1e-8")

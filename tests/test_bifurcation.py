@@ -439,6 +439,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(template, [2.0, 1.0])
 
+    def test_a_point_whose_solve_fails_is_failed(self, f_linear, g_half, monkeypatch):
+        # a numerical failure marks its point and the sweep goes on; the
+        # bracket needs a solved point next to the first no-solution one
+        template = LEFProblem(N=1, geometry="interval", f=f_linear, g=g_half,
+                              a_pot=ScalarFn.from_source("1"))
+        grid = [c * math.pi ** 2 for c in (0.3, 0.6, 0.9, 1.05)]
+        fails = {grid[1]: NumericsError("no convergence"), grid[2]: ValueError("bad shot")}
+
+        def failing(prob):
+            if prob.lam in fails:
+                raise fails[prob.lam]
+            return solve_lef(prob)
+
+        monkeypatch.setattr(bifurcation, "solve_lef", failing)
+        diagram = sweep(template, grid)
+        assert diagram.status == ["solved", "failed", "failed", "no-solution"]
+        assert diagram.sup_norm[1:3] == diagram.center_value[1:3] == [None, None]
+        assert diagram.lam_star_bracket is None
+
     def test_domain_error_propagates(self, f_linear, g_half):
         # a = sqrt(0.5-x) is undefined past x = 0.5, which the interval shots
         # cross: an EvalDomainError, not three failed points

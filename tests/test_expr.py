@@ -268,6 +268,17 @@ class TestDifferentiate:
         assert isinstance(d, ExprAst)
         assert math.isfinite(evaluate(d, 0.7))
 
+    def test_constant_base(self):
+        # c^v differentiates to c^v ln c v', without the general u'/u term
+        ast = parse_expression("2^t")
+        d = differentiate(ast)
+        assert d == ExprAst("mul", children=(ast, const(math.log(2.0))))
+        for t in (-3.0, 0.0, 0.5, 10.0):
+            assert evaluate(d, t) == pytest.approx(math.log(2.0) * 2.0 ** t, rel=1e-15)
+        inner = differentiate(parse_expression("2^(t^2)"))
+        assert evaluate(inner, 1.5) == pytest.approx(
+            2.0 ** 2.25 * math.log(2.0) * 3.0, rel=1e-15)
+
 
 def _random_ast(rng, depth):
     if depth == 0 or rng.random() < 0.3:
@@ -498,6 +509,41 @@ def test_vector_overflow_is_the_scalar_inf(src, t, expected):
     assert fn.vector()(np.array([1.0, t]))[1] == expected
 
 
+@pytest.mark.parametrize("src, exact", [
+    ("ln(1+t)", math.log1p), ("ln(t+1)", math.log1p), ("exp(t)-1", math.expm1),
+])
+def test_log1p_and_expm1_keep_the_digits_of_a_small_argument(src, exact):
+    # 1 + t and exp(t) - 1 round away a small t; every back end writes
+    # log1p and expm1 instead
+    fn = ScalarFn.from_source(src)
+    composed = expr.compose_scalar("x", [("v", fn.body, "x"), "return v"], {})
+    ts = [1e-300, 1e-20, -1e-12, 3e-6, 0.25, 7.0]
+    want = [exact(t) for t in ts]
+    assert [fn(t) for t in ts] == [composed(t) for t in ts] == want
+    assert fn.vector()(np.array(ts)).tolist() == np.array([exact(t) for t in ts]).tolist()
+    assert fn(1e-20) == 1e-20
+
+
+@pytest.mark.parametrize("src", ["ln(1+t)", "ln(t+1)"])
+def test_log1p_keeps_the_check_and_message_of_ln(src):
+    fn = ScalarFn.from_source(src)
+    for t in (-1.0, -2.5, -math.inf):
+        with pytest.raises(EvalDomainError) as err:
+            fn(t)
+        assert err.value.node == fn.body and err.value.t == t
+        assert str(err.value) == ("logarithm of a non-positive value in "
+                                  f"{to_source(fn.body)} at t={t!r}")
+    with pytest.raises(EvalDomainError) as err:
+        fn.vector()(np.array([0.5, -1.0]))
+    assert err.value.node == fn.body and err.value.t == -1.0
+
+
+def test_expm1_overflow_is_inf_in_both_back_ends():
+    fn = ScalarFn.from_source("exp(t)-1")
+    assert fn(1000.0) == math.inf
+    assert fn.vector()(np.array([0.0, 1000.0])).tolist() == [0.0, math.inf]
+
+
 def test_vector_is_built_against_the_cached_scalar_evaluator(monkeypatch):
     # the lane-by-lane fallback reuses fast(): only the vector body is compiled
     compiled = []
@@ -571,8 +617,9 @@ def _reference_emit(ast, var, nodes, scalar, vec=None):
             return _literal(node.value)
         if k == "var":
             return var
-        ops = dict(zip("ab", (emit(c) for c in node.children)))
-        for condition, message in expr._checks(node):
+        k, children = expr._fused(node)
+        ops = dict(zip("ab", (emit(c) for c in children)))
+        for condition, message in expr._checks(k, node):
             condition = condition.format(**ops)
             scalar.append(f"    if {condition}:")
             scalar.append(f"        raise _Err({message!r}, _NODES[{len(nodes)}], {var})")
@@ -583,9 +630,8 @@ def _reference_emit(ast, var, nodes, scalar, vec=None):
         value = f"{out} = {expr._VALUE[k].format(**ops)}"
         if vec is not None:
             vec.append(f"        {value}")
-        if k == "exp":
-            scalar.extend((f"    try: {out} = _exp({ops['a']})",
-                           f"    except OverflowError: {out} = _INF"))
+        if k in ("exp", "expm1"):
+            scalar.extend((f"    try: {value}", f"    except OverflowError: {out} = _INF"))
         elif k == "pow":
             a, b = ops["a"], ops["b"]
             scalar.extend((f"    try: {out} = {a} ** {b}",

@@ -119,6 +119,12 @@ class TestIntegrateFinite:
         v, e = integrate_finite(fn, a, b, tol)
         assert abs(v - exact) <= e <= tol * (1.0 + abs(v))
 
+    def test_halves_that_cancel_are_held_to_their_own_size(self):
+        # int_-1^1 10^6 t dt = 0: each half meets tol/4 of its own value,
+        # 5e5, so the error is held to the halves' size, not to the sum's
+        v, e = integrate_finite(lambda t: 1e6 * t, -1.0, 1.0, 1e-10)
+        assert abs(v) <= e <= 1e-10 * (1.0 + 1e6)
+
 
 class TestIntegratePanels:
     @staticmethod

@@ -1,4 +1,4 @@
-"""The ports of `sel_lab.ports` against the scipy routines they replace.
+"""The classic routines the package ports against the scipy routines they replace.
 
 DOP853's tables must be scipy's entry by entry; Brent's root finder must
 return brentq's root and iteration count after evaluating brentq's points,
@@ -11,10 +11,11 @@ closed forms of integrate_finite are in tests/test_numerics.py.
 import math
 import random
 
+import pytest
 from scipy.integrate import DOP853
 from scipy.optimize import brentq, minimize_scalar
 
-from sel_lab import numerics, ports
+from sel_lab import bifurcation, numerics
 from sel_lab.bifurcation import LEFProblem, solve_lef
 from sel_lab.karamata import analyze_nonlinearity
 from sel_lab.radial import LogisticProblem, boundary_blowup
@@ -29,14 +30,14 @@ def _padded(rows, width):
 
 
 def test_dop853_tables_are_scipy_s_entry_by_entry():
-    assert ports.DOP853_STAGES == DOP853.n_stages
-    assert ports.DOP853_ERROR_ORDER == DOP853.error_estimator_order
-    assert list(ports.DOP853_C) == DOP853.C[1:].tolist()
-    assert _padded(ports.DOP853_A, DOP853.n_stages) == DOP853.A[1:].tolist()
+    assert numerics.DOP853_STAGES == DOP853.n_stages
+    assert numerics.DOP853_ERROR_ORDER == DOP853.error_estimator_order
+    assert list(numerics.DOP853_C) == DOP853.C[1:].tolist()
+    assert _padded(numerics.DOP853_A, DOP853.n_stages) == DOP853.A[1:].tolist()
     for name in ("B", "E3", "E5", "C_EXTRA"):
-        assert list(getattr(ports, f"DOP853_{name}")) == getattr(DOP853, name).tolist(), name
-    assert _padded(ports.DOP853_A_EXTRA, 16) == DOP853.A_EXTRA.tolist()
-    assert [list(row) for row in ports.DOP853_D] == DOP853.D.tolist()
+        assert list(getattr(numerics, f"DOP853_{name}")) == getattr(DOP853, name).tolist(), name
+    assert _padded(numerics.DOP853_A_EXTRA, 16) == DOP853.A_EXTRA.tolist()
+    assert [list(row) for row in numerics.DOP853_D] == DOP853.D.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def _scipy_root(f, a, b, xtol, rtol, maxiter):
 def _port_root(f, a, b, xtol, rtol, maxiter):
     g, points = _traced(f)
     try:
-        return ports.brentq(g, a, b, xtol, rtol, maxiter), points
+        return numerics._brentq(g, a, b, xtol, rtol, maxiter), points
     except ValueError as exc:
         return repr(exc), points
 
@@ -110,23 +111,47 @@ def test_brent_root_and_iterations_are_brentq_s():
     assert sum(o[2] is False for o in outcomes if not isinstance(o, str)) >= 10
 
 
+@pytest.mark.parametrize("ftol", [1e-9, 1e-3])
+def test_a_residual_stop_returns_the_first_point_within_it(ftol):
+    # with ftol, Brent's method evaluates brentq's points up to the first
+    # whose |f| <= ftol and returns it, converged even when only the last
+    # iteration found it; a search that meets no such point is brentq's
+    stopped = 0
+    for f, a, b, xtol, rtol, maxiter in _brackets(1200, seed=5):
+        plain, points = _port_root(f, a, b, xtol, rtol, maxiter)
+        g, seen = _traced(f)
+        try:
+            out = numerics._brentq(g, a, b, xtol, rtol, maxiter, ftol=ftol)
+        except ValueError as exc:
+            out = repr(exc)
+        hits = [i for i, x in enumerate(points) if abs(f(x)) <= ftol]
+        if not hits:
+            assert (out, seen) == (plain, points)
+            continue
+        i = hits[0]
+        assert seen == points[:max(i + 1, 2)]
+        assert out[0] == points[i] and out[2] is True
+        stopped += 1
+    assert stopped >= 100
+
+
 def _recorded(monkeypatch, name):
-    """Record each call of ports.<name> with its result."""
-    calls, port = [], getattr(ports, name)
+    """Record each call of numerics.<name> with its result."""
+    calls, port = [], getattr(numerics, name)
 
     def recording(*args, **kwargs):
         out = port(*args, **kwargs)
         calls.append((args, kwargs, out))
         return out
 
-    monkeypatch.setattr(ports, name, recording)
+    monkeypatch.setattr(numerics, name, recording)
     return calls
 
 
 def test_event_location_is_brentq_s(monkeypatch):
     # every shot of an LEF solve ends on a floor or cap event, located on
     # the step's interpolant of u: the objective of shoot's event slots
-    calls = _recorded(monkeypatch, "brentq")
+    calls = _recorded(monkeypatch, "_brentq")
     f_exp = analyze_nonlinearity("exp(t)")
     solve_lef(LEFProblem(N=3, geometry="ball", lam=3.0, f=f_exp))
     solve_lef(LEFProblem(N=1, geometry="ball", lam=0.9, f=f_exp))
@@ -159,8 +184,28 @@ def test_bounded_minimiser_evaluates_minimize_scalar_s_points():
     for f, lo, hi, xatol in _minimisers(400, seed=11):
         theirs, ours = _traced(f), _traced(f)
         minimize_scalar(theirs[0], bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-        ports.minimize_bounded(ours[0], lo, hi, xatol)
+        bifurcation._minimize_bounded(ours[0], lo, hi, xatol)
         assert ours[1] == theirs[1], (lo, hi, xatol)
+
+
+# The minimiser's first four points on [0, 1] and values there that put the
+# vertex of the parabola through the last three on the bound 1 exactly, in
+# float arithmetic: p == q (b - x).  The step is refused, as minimize_scalar
+# refuses it (a test p <= q (b - x) would take it and read f 1e-5 beside x).
+_ON_THE_BOUND = {0.3819660112501051: 1.0, 0.6180339887498948: 0.5,
+                 0.7639320225002102: 0.3239041641271698,
+                 0.9440000000000556: 0.2211953493725598}
+
+
+def test_a_parabola_step_onto_the_bound_is_minimize_scalar_s():
+    def f(x):
+        return _ON_THE_BOUND.get(x, 2.0 + x)
+
+    theirs, ours = _traced(f), _traced(f)
+    minimize_scalar(theirs[0], bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-5})
+    bifurcation._minimize_bounded(ours[0], 0.0, 1.0, 1e-5)
+    assert ours[1][:4] == list(_ON_THE_BOUND)
+    assert ours[1] == theirs[1]
 
 
 def test_fold_search_shoots_as_under_minimize_scalar(monkeypatch):
@@ -172,7 +217,7 @@ def test_fold_search_shoots_as_under_minimize_scalar(monkeypatch):
         return minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                options={"xatol": xatol}).x
 
-    monkeypatch.setattr(ports, "minimize_bounded", scipy_s)
+    monkeypatch.setattr(bifurcation, "_minimize_bounded", scipy_s)
     theirs = solve_lef(problem)
     assert ours.metadata["probe_table"] == theirs.metadata["probe_table"]
     assert ours.metadata["lambda_star"] == theirs.metadata["lambda_star"]

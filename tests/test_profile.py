@@ -133,6 +133,13 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="Keller-Osserman"):
             build_profile(analyze_nonlinearity("t"), KFunction.power(1.0))
 
+    @pytest.mark.parametrize("nu", [100.0, 1e4])
+    def test_a_large_target_meets_its_residual(self, nu):
+        # int_0^t k grows with nu: each inversion stops on its residual,
+        # tol*target, not on a bracket width of that size
+        prof = build_profile(analyze_nonlinearity("t^3"), KFunction.power(1.0, nu=nu))
+        assert prof.roundtrip_err <= 1e-10
+
     def test_table_points_read_the_table(self, cubic_profile):
         for t, h in zip(cubic_profile.t.tolist(), cubic_profile.h.tolist()):
             assert cubic_profile.h_at(t) == h

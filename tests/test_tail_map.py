@@ -214,6 +214,13 @@ def test_a_raising_array_form_falls_back_bit_for_bit(src, monkeypatch):
     assert phi.panels == 0 and phi.fallback_panels == len(phi._lat) - 1
 
 
+def test_a_small_query_under_a_log_factor_is_answered():
+    # ln(1 + t) is read as log1p(t), so f keeps its digits near 0 and the
+    # panels of G below y = 1e-5 meet their tolerance
+    phi = tail_map(analyze_nonlinearity("t*ln(1+t)^4"))
+    assert math.isfinite(phi(3e-6))
+
+
 def test_a_nonpositive_F_is_refused_where_it_was():
     # F = t^4/4 - t is negative below 4^(1/3): the interpolant refuses those
     # panels, and the nested rule's scalar G names the same point
