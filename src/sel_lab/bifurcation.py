@@ -43,13 +43,10 @@ CUT_MARGIN = 10.0  # the bracket end past R must rise to CUT_MARGIN * EPS_BOUNDA
 R_CAP = 3.0  # shots end at r = R_CAP * R: a zero location past it is no zero
 U_CAP = 1e9  # shots also end where u reaches U_CAP
 S_MAX_PROBE = 1e6
-# The probe grid of the shooting searches: 63 probes a factor 10^(10/52)
-# apart, from 1.19e-6 to S_MAX_PROBE.  Every fourth from the eleventh,
-# PROBES[10::4], is the coarse scan geomspace(1e-4, S_MAX_PROBE, 14) bit for bit.
-PROBES = tuple(float(s) for s in np.concatenate((
-    np.geomspace(1e-4 * 10.0 ** (-100 / 52), 1e-4, 11)[:-1],
-    np.geomspace(1e-4, S_MAX_PROBE, 53))))
-N_PROBES = len(PROBES)  # a full audit table; bench/tracing.py counts those by it
+# The coarse scan of the shooting searches: 14 probes a factor 10^(10/13)
+# apart, from 1e-4 to S_MAX_PROBE.
+PROBES = tuple(float(s) for s in np.geomspace(1e-4, S_MAX_PROBE, 14))
+N_PROBES = len(PROBES)  # a full scan; bench/tracing.py counts those by it
 EIGEN_START = 1.0  # where the eigen shots leave the series of w: below every j_{N/2-1,1}
 EIGEN_AUDIT = 1e-9  # largest |phi(R)| of the eigenfunction, relative to max |phi|
 EIGEN_MODES = ("ball", "interval")
@@ -433,9 +430,9 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
     """Shooting solve of the singular problem; NoSolution is an audited verdict.
 
     One search serves every boundary level.  The shooting map
-    s -> z(s) = zero_location(s, level) is probed on the coarse slice
-    PROBES[10::4] up to the first bracket of R.  When that slice has none,
-    z is maximised at each interior turning maximum of the slice, highest
+    s -> z(s) = zero_location(s, level) is probed on the coarse scan
+    PROBES up to the first bracket of R.  When that scan has none,
+    z is maximised at each interior turning maximum of the scan, highest
     first, by a bounded Brent search in ln s between the maximum's
     neighbours, up to the first shot that brackets R: a window around a
     fold where z exceeds R is located, not sampled (Keller 1977).  Brent's
@@ -495,7 +492,7 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         probes_at[level] = probe
 
         points = []
-        for s in PROBES[10::4]:
+        for s in PROBES:
             points.append((s, *probe(s)))
             bracket = bracket_in(points[-2:])
             if bracket is not None:
@@ -510,12 +507,12 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         return s_star, points
 
     def fold_search(probe, shots, coarse):
-        """Maximise z at the coarse slice's turning maxima, highest first;
+        """Maximise z at the coarse scan's turning maxima, highest first;
         the first bracket of R that a shot completes, or None."""
         tol = 1e-9 * R
         ok = [(s, z) for s, z, peak in coarse if admissible(z, peak)]
         # a maximum between two lower admissible neighbours; at either end of
-        # the slice z may keep rising toward shots that cannot be read, and a
+        # the scan z may keep rising toward shots that cannot be read, and a
         # search there only climbs into the model error of the cut
         maxima = sorted(((z, lo, hi) for (lo, z_lo), (_, z), (hi, z_hi)
                          in zip(ok, ok[1:], ok[2:]) if z > max(z_lo, z_hi) + tol),
@@ -581,8 +578,8 @@ def solve_lef(prob: LEFProblem, options: dict | None = None) -> RadialSolution:
         "c1": c1,
         "c2": c2,
         "sup_norm": float(np.max(u)),
-        "center_value": float(np.interp(R / 2.0 if prob.geometry == "interval" else 0.0,
-                                        grid, u)),
+        # u(0) on the ball is the shooting parameter; u(R/2) the dense solution's
+        "center_value": float(sol.sol(R / 2.0)[0]) if prob.geometry == "interval" else s_star,
     }
 
     if options.get("check_eps_sensitivity"):

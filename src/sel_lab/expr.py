@@ -504,13 +504,18 @@ def _compile(ast: ExprAst, scalar_fn=None):
     fails it, the vector evaluator returns scalar_fn run lane by lane, so
     the error (message, node and t) is the scalar one.  Each body is
     compiled once per shape (_code); an evaluator binds its own constants.
+    A tree too deep for the walk, as the derivative of a long chain of
+    powers is, raises ParseError "expression nested too deeply" at 0.
     """
     scalar = ["def _f(t):", "    t = float(t)"]
     vec = None if scalar_fn is None else [
         "def _fv(t):", "    t = _np.array(t, dtype=float)", "    with _np.errstate(all='ignore'):"]
     nodes: list[ExprAst] = []
     consts: list[float] = []
-    root = _emit(ast, "t", nodes, consts, scalar, vec)
+    try:
+        root = _emit(ast, "t", nodes, consts, scalar, vec)
+    except RecursionError:  # a derivative may nest deeper than the parser allowed
+        raise ParseError(_TOO_DEEP, 0) from None
     if vec is None:
         scalar.append(f"    return {root}")
         return _function(scalar, "<sel_lab expression>", nodes, consts, _SCALAR_ENV)

@@ -102,23 +102,25 @@ class Antiderivative:
     """F(t) = int_0^t f with F(0) = 0, cached on the lattice t_k = 2^(k/4).
 
     f is an expression (ScalarFn).  Lattice values fill lazily over a
-    contiguous range of k.  A fresh lattice starts at k = 0 (t = 1) with
-    one quadrature from 0 (integrate_finite), so F(t) for t >= 1 does not
-    depend on the order of the queries; a query below the lattice takes
-    one more such quadrature.  The lattice panels above are 15-point
-    Gauss-Kronrod panels.  The lattice grows upward to a query in blocks
-    of at most _BLOCK panels, each one integrate_panels call, a single
-    array evaluation of f, and stops after the block where F overflows: f
-    is evaluated on at most one block past the overflow, and never past
-    the query; a downward fill is one such call too.  A panel that fails
-    its error test and every panel of a block whose array evaluation
-    raises go through integrate_panel (which falls back to
+    contiguous range of k, in blocks of at most _BLOCK panels, each one
+    integrate_panels call, a single array evaluation of f; the values live
+    in one array indexed by k + _KTOP.  Every value is a function of its
+    index alone, whatever the order of the queries.  A fresh lattice
+    starts at k = 0 (t = 1) with one quadrature from 0 (integrate_finite)
+    and grows upward to a query from its top, stopping after the block
+    where F overflows: f is evaluated on at most one block past the
+    overflow, and never past the query.  Below t = 1 it grows down to a
+    query one block of _BLOCK panels at a time, each aligned on a multiple
+    of _BLOCK and started by its own quadrature from 0; summing panels
+    down from F(1) instead would cancel away F's digits near 0.  A panel
+    that fails its error test and every panel of a block whose array
+    evaluation raises go through integrate_panel (which falls back to
     integrate_finite), one panel at a time and in order, up to the
     overflow.  Each panel's value is that of its own rule whatever block
-    it falls in, so the lattice does not depend on how the queries split
-    it into blocks.
+    it falls in, and every running sum adds the panels one by one upward.
     The remainder from the nearest lattice point below a query is one
-    integrate_panel call.  Once f or the running integral overflows, or
+    integrate_panel call; a query below the lattice, t < t_-4095, is one
+    quadrature from 0.  Once f or the running integral overflows, or
     the quadrature of a panel fails (not integrable, or short of its
     tolerance), every larger argument reports inf.  A domain error of f
     (EvalDomainError) propagates: F is no number there.
@@ -126,20 +128,20 @@ class Antiderivative:
 
     # t_4096 = 2^1024 overflows
     _KTOP = 4095
-    # panels per array call of an upward fill, and so the most panels of f
-    # work wasted past the overflow: calls of 256-512 panels cost least per
-    # panel (about 0.5 us, against 0.9 us at 2,048)
+    # panels per array call of f, here and in TailMap, and so the most
+    # panels of f work wasted past the overflow: calls of 256-512 panels
+    # cost least per panel (about 0.5 us, against 0.9 us at 2,048)
     _BLOCK = 256
     _TOL = 1e-12
 
     def __init__(self, fn: ScalarFn):
         self._fn = fn.fast()
         self._expr = fn
-        self._lat: dict[int, float] = {}
+        # F(t_k) at k + _KTOP, filled over [kmin, kmax]
+        self._values = np.empty(2 * self._KTOP + 1)
         self._kmin: int | None = None
         self._kmax: int | None = None
         self._kinf: int | None = None
-        self._arrays = None
 
     @staticmethod
     def _t_of(k: int) -> float:
@@ -205,7 +207,7 @@ class Antiderivative:
         and by integrate_panel for those it rejects.  The first value that is not
         finite sets kinf; from it on every value is inf and no panel is integrated."""
         values, ok = self._block(j0, k) if k > j0 else ([], [])
-        lat = self._lat
+        out = []
         for j in range(j0, k + 1):
             if j > j0 and math.isfinite(val):
                 i = j - j0 - 1
@@ -217,30 +219,34 @@ class Antiderivative:
                 val = INF
                 if self._kinf is None or j < self._kinf:
                     self._kinf = j
-            lat[j] = val
+            out.append(val)
+        self._values[j0 + self._KTOP:k + self._KTOP + 1] = out
 
     def _fill(self, k: int) -> float:
         # invariant: the lattice is contiguous on [kmin, kmax]
         if self._kmin is None:
             self._kmin = self._kmax = 0
             self._accumulate(0, self._quad(integrate_finite, 0.0, 1.0), 0)
-        if k < self._kmin:
-            self._accumulate(k, self._quad(integrate_finite, 0.0, self._t_of(k)), self._kmin - 1)
-            self._kmin = k
+        while self._kmin > k:
+            lo = max((self._kmin - 1) // self._BLOCK * self._BLOCK, -self._KTOP)
+            self._accumulate(lo, self._quad(integrate_finite, 0.0, self._t_of(lo)), self._kmin - 1)
+            self._kmin = lo
         while self._kmax < k and self._kinf is None:
             top = min(k, self._kmax + self._BLOCK)
-            self._accumulate(self._kmax, self._lat[self._kmax], top)
+            self._accumulate(self._kmax, self._values[self._kmax + self._KTOP].item(), top)
             self._kmax = top
         if self._kinf is not None and k >= self._kinf:
             return INF
-        return self._lat[k]
+        return self._values[k + self._KTOP].item()
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
             raise ValueError("antiderivative evaluated at t < 0")
         if t == 0.0:
             return 0.0
-        k = math.floor(4.0 * math.log2(t))
+        k = min(math.floor(4.0 * math.log2(t)), self._KTOP)
+        if k < -self._KTOP:
+            return self._quad(integrate_finite, 0.0, t)
         base = self._fill(k)
         if not math.isfinite(base):
             return INF
@@ -252,40 +258,34 @@ class Antiderivative:
         self._fill(self._KTOP)
         return self._kinf
 
-    def _table(self):
-        """The lattice points and values over [kmin, kmax] as arrays, built
-        again only when the lattice has grown."""
-        if self._arrays is None or self._arrays[0] != (self._kmin, self._kmax):
-            ks = range(self._kmin, self._kmax + 1)
-            self._arrays = ((self._kmin, self._kmax), self._points(self._kmin, self._kmax),
-                            np.fromiter(map(self._lat.__getitem__, ks), float, len(ks)))
-        return self._arrays[1:]
-
     def many(self, ts) -> np.ndarray:
         """F at every point of the array ts, an array of ts's shape.
 
         The lattice is filled once to the smallest and the largest index of
-        ts, its values are read by index from an array, and every remainder
+        ts, its points and values are read by index, and every remainder
         is one integrate_panels call.  A remainder that fails the array
         rule, every one when the array evaluation raises, and every point
-        of an array holding a point that is not positive and finite go
-        through F(t).  A remainder by the array rule is integrate_panel's
-        value wherever f's array evaluator agrees with its scalar one.
+        of an array holding a point that is not finite or lies below the
+        lattice go through F(t).  A remainder by the array rule is
+        integrate_panel's value wherever f's array evaluator agrees with
+        its scalar one.
         """
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
-        if not np.all((flat > 0.0) & (flat < INF)):
+        with np.errstate(all="ignore"):
+            ks = np.floor(4.0 * np.log2(flat))
+        if not np.all((ks >= -self._KTOP) & (flat < INF)):
             return np.array([self(t) for t in flat.tolist()], dtype=float).reshape(ts.shape)
-        ks = np.floor(4.0 * np.log2(flat)).astype(np.int64)
+        ks = np.minimum(ks.astype(np.int64), self._KTOP)
         self._fill(int(ks.min()))
         self._fill(int(ks.max()))
-        points, values = self._table()
-        at = np.minimum(ks, self._kmax) - self._kmin
-        out = np.where(ks <= self._kmax, values[at], INF)
-        lanes = np.flatnonzero(np.isfinite(out) & (flat > points[at]))
+        at = np.minimum(ks, self._kmax) + self._KTOP
+        points = _LATTICE[at]
+        out = np.where(ks <= self._kmax, self._values[at], INF)
+        lanes = np.flatnonzero(np.isfinite(out) & (flat > points))
         if lanes.size:
             try:
-                rem, ok = integrate_panels(self._expr.vector(), points[at[lanes]], flat[lanes],
+                rem, ok = integrate_panels(self._expr.vector(), points[lanes], flat[lanes],
                                            self._TOL)
                 out[lanes[ok]] += rem[ok]
             except (ValueError, ArithmeticError):
@@ -310,11 +310,9 @@ class TailMap:
     convergent Keller-Osserman verdict's fit (numerics.bertrand_remainder
     with G(t_K)): that fit is of F^(-1/2), whose A, B and misfit are G's.
     Below the top, Phi(t_k) = Phi(t_{k+1}) + int_{t_k}^{t_{k+1}} G, a
-    running sum from the top down, filled in blocks of _BLOCK panels
+    running sum from the top down, filled in blocks of F's _BLOCK panels
     aligned on K, so how the queries split it into blocks does not move a
-    value.  Below t = 1 F itself depends on the order of its queries (its
-    downward fill starts with one quadrature from 0), and so Phi does
-    there.
+    value: every Phi(t_k), as every F(t_k), is a function of k alone.
 
     A block is one array call of f at the Kronrod nodes of its panels, each
     of which is one panel of F's lattice.  A panel's 15 samples of f fix
@@ -339,9 +337,6 @@ class TailMap:
     Phi(y) is the fit's remainder at y with G(y), 0 where F overflows.
     panels and fallback_panels count the lattice panels of either kind.
     """
-
-    # 64 panels per array call keep the peak memory of a fill level with F's
-    _BLOCK = 64
 
     def __init__(self, F: Antiderivative, ko: ConvergenceVerdict):
         self._F = F
@@ -388,7 +383,7 @@ class TailMap:
             return np.zeros(n), None, np.zeros(n, dtype=bool)
         F._fill(lo)
         F._fill(hi - 1)
-        base = np.fromiter(map(F._lat.__getitem__, range(lo, hi)), float, n)
+        base = F._values[lo + F._KTOP:hi + F._KTOP]
         both = np.empty((2 * n, 15))  # f's rows, then G's: one rule for both
         both[:n] = fv
         with np.errstate(all="ignore"):
@@ -402,7 +397,7 @@ class TailMap:
     def _extend(self) -> None:
         """One more block at the bottom of the lattice."""
         hi = self._top - len(self._lat) + 1
-        lo = max(hi - self._BLOCK, -Antiderivative._KTOP)
+        lo = max(hi - Antiderivative._BLOCK, -Antiderivative._KTOP)
         if lo == hi:
             raise NumericsError(f"the tail map's lattice ends at t={Antiderivative._t_of(hi)!r}")
         ends = Antiderivative._points(lo, hi)
@@ -423,7 +418,7 @@ class TailMap:
     def _tail(self, k: int, y: float, hi: float) -> float:
         """int_y^{t_{k+1}} G over the lattice panel k."""
         if k not in self._tails:
-            lo, G, ok = self._blocks[(self._top - k - 1) // self._BLOCK]
+            lo, G, ok = self._blocks[(self._top - k - 1) // Antiderivative._BLOCK]
             self._tails[k] = _gk15_tail_coefficients(G[k - lo].tolist()) if ok[k - lo] else None
         coef = self._tails[k]
         if coef is None:

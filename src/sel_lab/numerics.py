@@ -287,7 +287,8 @@ def _raise_if_not_integrable(fn, a: float, b: float) -> None:
     <= -1: both slopes of ln|fn| over the distances d, d/2, d/4 from the end,
     d = 2^-60 of the width or, if larger, 2^-30 |end|, deep enough that a
     log factor hardly bends them (t^-0.95 ln(1/t)^2 reads -0.998).  A first
-    slope above -1, or fn failing there, passes the end in two calls."""
+    slope above -1, or fn failing there, passes the end in two calls, and
+    a distance that rounds onto the end (a subnormal width) passes it."""
     width = b - a
     for end, x, sign in (("left", a, 1.0), ("right", b, -1.0)):
         d = max(width * 2.0 ** -60, abs(x) * 2.0 ** -30)
@@ -299,7 +300,7 @@ def _raise_if_not_integrable(fn, a: float, b: float) -> None:
                 v = abs(fn(t))
             except (ArithmeticError, ValueError):
                 break
-            if not 0.0 < v < math.inf:
+            if not 0.0 < v < math.inf or t == x:  # d underflowed: t rounds onto the end
                 break
             point = (math.log(abs(t - x)), math.log(v))
             if last is not None:

@@ -1,7 +1,8 @@
 """References the tests check the library against; not a test module.
 
-Residual audits of explicit and tabulated radial solutions, and the
-sub-solution profile h'' = g(h), h(0) = h'(0) = 0, of a singular term g.
+Residual audits of explicit and tabulated radial solutions, the
+sub-solution profile h'' = g(h), h(0) = h'(0) = 0, of a singular term g,
+and the probe grid that audits the shooting map.
 Test files import them as `from reference import ...`.
 """
 
@@ -9,12 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sel_lab.bifurcation import S_MAX_PROBE
 from sel_lab.expr import ScalarFn
 from sel_lab.karamata import Nonlinearity
 from sel_lab.numerics import shoot
 
 ODE_POINTS = 400  # geometric points of (0, t_max] profile_ode_g reads h at
 ODE_TOL = 1e-11  # rtol of its shot; atol is 1e-2 of it
+# The audit grid of the shooting map: 63 probes a factor 10^(10/52) apart,
+# from 1.19e-6 to S_MAX_PROBE.  Every fourth from the eleventh,
+# AUDIT_PROBES[10::4], is bifurcation.PROBES bit for bit.
+AUDIT_PROBES = tuple(float(s) for s in np.concatenate((
+    np.geomspace(1e-4 * 10.0 ** (-100 / 52), 1e-4, 11)[:-1],
+    np.geomspace(1e-4, S_MAX_PROBE, 53))))
 
 
 def residual(u_src: str, rhs, N: int, r_grid) -> float:

@@ -30,7 +30,7 @@ from sel_lab.numerics import (
     shoot,
 )
 
-from reference import residual_on_table
+from reference import AUDIT_PROBES, residual_on_table
 
 
 def bessel_j0_first_zero():
@@ -317,7 +317,7 @@ class TestSolveLEF:
         assert sol.classification == NO_SOLUTION
         assert sol.metadata["sup_zero_location"] < 1.0
         # z rises over the whole coarse slice: no turning maximum to search
-        assert [s for s, _ in sol.metadata["probe_table"]] == list(PROBES[10::4])
+        assert [s for s, _ in sol.metadata["probe_table"]] == list(PROBES)
         assert sol.metadata["fold_parameter"] == S_MAX_PROBE
         # the singular term breaks the scaling u(r) = w(sqrt(lam) r)
         assert "lambda_star" not in sol.metadata
@@ -347,9 +347,23 @@ class TestSolveLEF:
                                                                   rel=1e-4)
 
     def test_coarse_scan_is_a_slice_of_the_probe_grid(self):
-        assert np.array_equal(PROBES[10::4], np.geomspace(1e-4, S_MAX_PROBE, 14))
-        assert PROBES[-1] == S_MAX_PROBE
-        assert np.allclose(np.diff(np.log10(PROBES)), 10 / 52, rtol=1e-12, atol=0.0)
+        assert PROBES == tuple(np.geomspace(1e-4, S_MAX_PROBE, 14).tolist())
+        assert AUDIT_PROBES[10::4] == PROBES
+        assert AUDIT_PROBES[-1] == S_MAX_PROBE
+        assert np.allclose(np.diff(np.log10(AUDIT_PROBES)), 10 / 52, rtol=1e-12, atol=0.0)
+
+    def test_center_value_is_the_dense_solution_at_the_centre(self, f_linear, g_half):
+        # u(R/2) of the dense shot at s* on the interval, not a chord of a
+        # grid; u(0) on the ball, the shooting parameter by construction
+        prob = LEFProblem(N=1, geometry="interval", lam=1.0, f=f_linear, g=g_half,
+                          a_pot=ScalarFn.from_source("1"))
+        sol = solve_lef(prob)
+        _, integrate = bifurcation._shooting_map(prob)
+        dense = integrate(sol.metadata["shooting_parameter"], dense=True).sol(0.5)[0]
+        assert sol.metadata["center_value"] == pytest.approx(dense, rel=1e-12, abs=0.0)
+        ball = solve_lef(LEFProblem(N=3, geometry="ball", lam=0.0, g=g_half,
+                                    a_pot=ScalarFn.from_source("1")))
+        assert ball.metadata["center_value"] == ball.metadata["shooting_parameter"]
 
     def test_solvable_below_threshold(self, f_linear, g_half):
         prob = LEFProblem(N=1, geometry="interval", lam=0.95 * math.pi ** 2,
@@ -516,7 +530,7 @@ class TestGelfandBall:
         zero_location, integrate = bifurcation._shooting_map(
             LEFProblem(N=N, geometry="ball", lam=lam, f=f_exp))
         failed = 0
-        for s in PROBES:
+        for s in AUDIT_PROBES:
             sol = integrate(s)
             z = zero_location(s)[0]
             assert math.isnan(z) == (sol is not None and not sol.success)
@@ -528,7 +542,7 @@ class TestGelfandBall:
         assert sol.classification == NO_SOLUTION
         zeros = [z for _, z in sol.metadata["probe_table"]]
         assert sol.metadata["failed_probes"] == sum(map(math.isnan, zeros)) == 5
-        assert sol.metadata["shots"] <= len(PROBES)
+        assert sol.metadata["shots"] <= len(AUDIT_PROBES)
         assert sol.metadata["sup_zero_location"] == max(z for z in zeros if not math.isnan(z))
 
     def test_n3_sweep_brackets_threshold(self, f_exp):
@@ -602,7 +616,7 @@ class TestFold:
         sol = solve_lef(LEFProblem(N=3, geometry="ball", lam=3.5, f=f_exp))
         table = [s for s, _ in sol.metadata["probe_table"]]
         assert table == sorted(set(table))
-        assert set(PROBES[10::4]) <= set(table)
+        assert set(PROBES) <= set(table)
 
 
 class TestGelfand:

@@ -254,6 +254,14 @@ class TestDifferentiate:
         fd = (evaluate(ast, t + h) - evaluate(ast, t - h)) / (2.0 * h)
         assert evaluate(d, t) == pytest.approx(fd, abs=1e-8 * (1.0 + abs(fd)))
 
+    def test_a_derivative_too_deep_to_compile_is_a_parse_error(self):
+        # a chain of 170 powers parses, but its derivative nests deeper than
+        # the evaluator's walk recurses; 150 levels still evaluate
+        assert math.isfinite(ScalarFn.from_source("t^" * 150 + "t").derivative_fn()(0.5))
+        with pytest.raises(ParseError, match="expression nested too deeply") as err:
+            ScalarFn.from_source("t^" * 170 + "t").derivative_fn()(0.5)
+        assert err.value.offset == 0
+
     def test_abs_derivative_errors_at_zero(self):
         d = differentiate(parse_expression("abs(t)"))
         assert evaluate(d, 2.0) == 1.0

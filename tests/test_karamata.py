@@ -22,6 +22,7 @@ from sel_lab.karamata import (
     make_k,
     necessary_condition_entire,
     rv_index,
+    tail_map,
     xi0_power,
     xi0_via_A,
 )
@@ -31,6 +32,11 @@ from sel_lab.radial import RadialPotential, SystemProblem, picard_gradient_entir
 
 def _no_arrays(ts):
     raise ArithmeticError("no array evaluation")
+
+
+def _lattice(F):
+    """F's lattice values by index, over the filled range [kmin, kmax]."""
+    return {k: F._values[k + F._KTOP].item() for k in range(F._kmin, F._kmax + 1)}
 
 
 class TestAntiderivative:
@@ -149,14 +155,25 @@ class TestAntiderivative:
         scalar(2.0 ** (block._kmax / 4.0))
         assert block._kmax == scalar._kmax
         assert block._kinf == scalar._kinf
-        assert block._lat.keys() == scalar._lat.keys()
-        for k, v in scalar._lat.items():
-            assert block._lat[k] == pytest.approx(v, rel=1e-14, abs=0.0)
+        got, want = _lattice(block), _lattice(scalar)
+        assert got.keys() == want.keys()
+        for k, v in want.items():
+            assert got[k] == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    def test_lattice_reaches_the_smallest_floats(self):
+        # the lowest block starts at t_-4095 = 2^-1023.75, a subnormal, so
+        # a query below 2^-960 starts from a quadrature over a subnormal width
+        F = Antiderivative(ScalarFn.from_source("(1+t)^(-2)"))
+        assert F(1e-300) == pytest.approx(1e-300, rel=1e-12)
+        assert F._kmin == -Antiderivative._KTOP
+        assert F(2.0 ** -1023.75) == pytest.approx(2.0 ** -1023.75, rel=1e-12)
 
     def test_lattice_reaches_the_largest_float(self):
         F = Antiderivative(ScalarFn.from_source("(1+t)^(-2)"))
         assert F(1.7e308) == pytest.approx(1.0, abs=1e-12)
         assert F._kmax == 4095 and F._kinf is None
+        # 4 log2 of the largest float rounds to 4096, one index past the top
+        assert F(1.7976931348623157e308) == pytest.approx(1.0, abs=1e-12)
 
     def test_fill_ahead_raises_nothing_new(self):
         # the fill ahead of F(9.9e5) crosses 1e6, where f stops being defined
@@ -187,7 +204,7 @@ class TestAntiderivative:
         f._fast = counted
         nl = Nonlinearity(f=f, fprime=f.derivative_fn())
         assert keller_osserman(nl).is_divergent
-        assert len(nl.F._lat) > 2500
+        assert len(_lattice(nl.F)) > 2500
         assert calls[0] <= 2000
 
     def test_domain_error_propagates(self):
@@ -224,13 +241,18 @@ class TestAntiderivative:
         with pytest.raises(EvalDomainError, match="square root of a negative value"):
             keller_osserman(nl)
 
-    @pytest.mark.parametrize("src", ["t^2.3*ln(1+t)^1.7", "t^3", "exp(t)"])
+    @pytest.mark.parametrize("src", ["t^2.3*ln(1+t)^1.7", "t^3", "exp(t)", "t^2.6",
+                                     "t^2*ln(1+t)^3"])
     def test_lattice_does_not_depend_on_the_query_order(self, src):
-        # F overflows near t = 1e130, 1e77 and 710; the points reach past it
-        ts = [2.0 ** j for j in range(0, 480, 3)]
+        # F overflows near t = 1e130, 1e77 and 710; the points reach past it,
+        # and below t = 1 down to 2^-120, in two blocks under t = 1
+        ts = [2.0 ** j for j in range(-120, 480, 3)]
         ascending = Antiderivative(ScalarFn.from_source(src))
         for t in ts:
             ascending(t)
+        descending = Antiderivative(ScalarFn.from_source(src))
+        for t in reversed(ts):
+            descending(t)
         many = Antiderivative(ScalarFn.from_source(src))
         many.many(np.array(ts))
         first = Antiderivative(ScalarFn.from_source(src))
@@ -238,13 +260,27 @@ class TestAntiderivative:
         for t in ts:
             first(t)
         kinf = ascending._kinf
-        assert kinf is not None and many._kinf == first._kinf == kinf
+        assert kinf is not None
+        assert descending._kinf == many._kinf == first._kinf == kinf
 
         def upto(F):
-            return {k: v for k, v in F._lat.items() if 0 <= k <= kinf}
+            return {k: v for k, v in _lattice(F).items() if k <= kinf}
 
-        assert upto(ascending) == upto(many) == upto(first)
-        assert len(upto(ascending)) == kinf + 1
+        assert upto(ascending) == upto(descending) == upto(many) == upto(first)
+        assert list(upto(ascending)) == list(range(-2 * Antiderivative._BLOCK, kinf + 1))
+
+    @pytest.mark.parametrize("src", ["t^2.6", "t^2*ln(1+t)^3", "exp(t)"])
+    def test_values_below_one_do_not_depend_on_a_prior_query(self, src):
+        # F(1e-3) asked before the tail map fills F's lattice below t = 1 as
+        # the map's own fill does, so neither F nor Phi moves
+        ys = np.concatenate((np.geomspace(1e-6, 1.0, 40), np.geomspace(0.03, 0.9, 50))).tolist()
+        plain, asked = analyze_nonlinearity(src), analyze_nonlinearity(src)
+        asked.F(1e-3)
+        assert [tail_map(plain)(y) for y in ys] == [tail_map(asked)(y) for y in ys]
+        a, b = _lattice(plain.F), _lattice(asked.F)
+        shared = a.keys() & b.keys()
+        assert min(shared) < 0
+        assert [a[k] for k in sorted(shared)] == [b[k] for k in sorted(shared)]
 
     @pytest.mark.parametrize("before", ["nothing", "a point", "many", "overflow index"])
     def test_ko_fill_stops_one_block_past_the_overflow(self, before):

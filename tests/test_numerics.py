@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma, jv
 
 from sel_lab import bifurcation, numerics, radial
-from sel_lab.bifurcation import PROBES, LEFProblem
+from sel_lab.bifurcation import LEFProblem
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
@@ -30,6 +30,8 @@ from sel_lab.numerics import (
     shoot,
 )
 from sel_lab.radial import LogisticProblem, boundary_blowup
+
+from reference import AUDIT_PROBES
 
 
 class TestIntegrateFinite:
@@ -192,6 +194,14 @@ class TestTailClassifier:
         assert v.is_convergent
         assert v.value == pytest.approx(1.0, abs=1e-8)
         assert v.err <= 1e-8 * (1.0 + abs(v.value))
+
+    def test_what_lies_past_the_last_sample_stays_out_of_the_value(self):
+        # t^-2 cut off at t = 100: the samples from 1 end at 64, where the
+        # fit's remainder is 1/64 and the true rest 0.0056; the value is the
+        # integral up to the last sample, with the remainder in err
+        v = classify_tail_integral(lambda t: t ** -2 if t <= 100.0 else 0.0, 1.0)
+        assert v.value < 0.995
+        assert abs(v.value - 0.99) <= v.err
 
     def test_harmonic(self):
         v = classify_tail_integral(lambda t: 1.0 / t, 1.0)
@@ -799,10 +809,10 @@ def _scipy_shoot(source, N, r_start, y0, r_end, rtol, atol, floors=(), cap=None,
 
 
 def _probe_table(prob):
-    """(event index, zero location) of every probe of the audit table PROBES."""
+    """(event index, zero location) of every probe of the audit grid AUDIT_PROBES."""
     zero_location, integrate = bifurcation._shooting_map(prob)
     table = []
-    for s in PROBES:
+    for s in AUDIT_PROBES:
         sol = integrate(s)
         table.append((None if sol is None else sol.event, zero_location(s)[0]))
     return table

@@ -72,7 +72,7 @@ class TestTailMap:
         assert tail_map(nl) is tail_map(nl)
 
     def test_values_do_not_depend_on_the_first_query(self):
-        ys = (1.0, 3.7, 2.0 ** 10.25, 1e5, 1e20)
+        ys = (1e-5, 2.0 ** -10.25, 0.3, 1.0, 3.7, 2.0 ** 10.25, 1e5, 1e20)
         values = []
         for first in (1e-8, 1.0, 1e20):
             phi = tail_map(analyze_nonlinearity("t^2.2"))

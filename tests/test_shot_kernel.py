@@ -18,7 +18,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from sel_lab import bifurcation, numerics, radial
-from sel_lab.bifurcation import PROBES, LEFProblem, _lef_source, solve_lef
+from sel_lab.bifurcation import LEFProblem, _lef_source, solve_lef
 from sel_lab.expr import EvalDomainError, ScalarFn
 from sel_lab.karamata import analyze_nonlinearity, analyze_singular_term
 from sel_lab.numerics import (
@@ -294,9 +294,9 @@ def _lef_problem(mode, geometry):
 def test_probe_table_shots(monkeypatch, mode, geometry):
     shots = _beside_reference(monkeypatch, bifurcation)
     _, integrate = bifurcation._shooting_map(_lef_problem(mode, geometry))
-    for s in PROBES:
+    for s in reference.AUDIT_PROBES:
         integrate(s)
-    assert len(shots) > len(PROBES) // 2
+    assert len(shots) > len(reference.AUDIT_PROBES) // 2
     assert any(sol.event is not None for sol in shots)
     if (mode, geometry) == ("gelfand", "ball"):
         # past s ~ 890 the probes end at the minimum step

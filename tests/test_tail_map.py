@@ -49,9 +49,8 @@ from sel_lab.radial import LogisticProblem, boundary_blowup
 
 
 class NestedTailMap:
-    """The tail map with every value of G read through F's nested rule."""
-
-    _BLOCK = 64
+    """The tail map with every value of G read through F's nested rule, in
+    blocks of F's _BLOCK panels as TailMap fills them."""
 
     def __init__(self, F, ko):
         self._F = F
@@ -81,7 +80,7 @@ class NestedTailMap:
 
     def _extend(self):
         hi = self._top - len(self._lat) + 1
-        lo = max(hi - self._BLOCK, -Antiderivative._KTOP)
+        lo = max(hi - Antiderivative._BLOCK, -Antiderivative._KTOP)
         if lo == hi:
             raise NumericsError(f"the tail map's lattice ends at t={Antiderivative._t_of(hi)!r}")
         ends = Antiderivative._points(lo, hi).tolist()
